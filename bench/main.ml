@@ -162,13 +162,16 @@ let workload = Tf_workloads.Workload.v Tf_workloads.Presets.bert ~seq_len:4096
 let cloud = Tf_arch.Presets.cloud
 let edge = Tf_arch.Presets.edge
 
-let mha_dag_bench () =
+(* [static] schedules under FuseMax's fixed per-op assignment, as the
+   FuseMax strategies do, instead of DPipe's own DP choice. *)
+let mha_dag_bench ?(static = false) () =
   let cascade = Transfusion.Cascades.mha () in
   let totals = Array.of_list (Transfusion.Layer_costs.op_totals workload cascade) in
   let g = Tf_einsum.Cascade.to_dag cascade in
   let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
   let matrix n = Tf_einsum.Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
-  fun () -> ignore (Transfusion.Dpipe.schedule cloud ~load ~matrix g)
+  let mode = if static then `Static (Strategies.Private.fusemax_assign cloud cascade) else `Dp in
+  fun () -> ignore (Transfusion.Dpipe.schedule ~mode cloud ~load ~matrix g)
 
 let full_layer_dag_bench () =
   let cascade = Transfusion.Cascades.full_layer Tf_einsum.Scalar_op.Gelu in
@@ -280,6 +283,7 @@ let point_lints_bench () =
 let tests () =
   [
     Test.make ~name:"dpipe/mha-dag(cloud)" (Staged.stage (mha_dag_bench ()));
+    Test.make ~name:"dpipe/mha-dag-static(cloud)" (Staged.stage (mha_dag_bench ~static:true ()));
     Test.make ~name:"dpipe/full-layer-dag(edge)" (Staged.stage (full_layer_dag_bench ()));
     Test.make ~name:"dag/partition-enumerate(29)" (Staged.stage (partition_bench ()));
     Test.make ~name:"tileseek/mcts-100-iters" (Staged.stage (mcts_bench ()));

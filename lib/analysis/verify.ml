@@ -38,7 +38,12 @@ let attention_tag = function
   | Strategies.Cross { kv_len } -> Printf.sprintf "cross%d" kv_len
   | Strategies.Decode { kv_len } -> Printf.sprintf "decode%d" kv_len
 
-let pipeline_cache : (string, Diagnostic.t list) Hashtbl.t = Hashtbl.create 64
+(* Diagnostics per schedule problem.  Sweep workers on several domains
+   and a long-running daemon both reach it through [Exp_common.evaluate],
+   hence the mutexed, bounded [Tf_parallel.Memo] (an evicted entry just
+   reschedules on its next request). *)
+let pipeline_cache : (string, Diagnostic.t list) Tf_parallel.Memo.t =
+  Tf_parallel.Memo.create ~name:"verify.pipeline" ~max_entries:256 ()
 
 let pipeline ?(attention = Strategies.Self) ?(include_ffn = true) ?m0 (arch : Tf_arch.Arch.t)
     (w : Workload.t) =
@@ -52,30 +57,26 @@ let pipeline ?(attention = Strategies.Self) ?(include_ffn = true) ?m0 (arch : Tf
   in
   let causal = attention = Strategies.Causal_self in
   let m0 = match m0 with Some v -> v | None -> default_m0 w ~kv_len in
-  (* The efficiency knobs are part of the key: ablations sweep them while
-     reusing the preset's name. *)
+  (* Every arch parameter the schedule reads is part of the key: ablations
+     vary them while reusing the preset's name. *)
   let key =
-    Printf.sprintf "%s/%g/%g/%s/%d/%d/%d/%s/%b" arch.Tf_arch.Arch.name
-      arch.Tf_arch.Arch.vector_eff_2d arch.Tf_arch.Arch.matrix_eff_1d w.model.Model.name w.seq_len
-      w.batch m0 (attention_tag attention) include_ffn
+    Printf.sprintf "%s/%s/%d/%d/%d/%s/%b"
+      (Strategies.Private.arch_fingerprint arch)
+      w.model.Model.name w.seq_len w.batch m0 (attention_tag attention) include_ffn
   in
-  match Hashtbl.find_opt pipeline_cache key with
-  | Some diags -> diags
-  | None ->
-      let cascade = layer_cascade w ~include_ffn in
-      let name =
-        Printf.sprintf "dpipe(%s/%s/%s)" arch.Tf_arch.Arch.name (Cascade.name cascade)
-          (attention_tag attention)
-      in
-      let totals = Array.of_list (Layer_costs.op_totals ~m0 ~kv_len ~kv_proj_len ~causal w cascade) in
-      let g = Cascade.to_dag cascade in
-      let load n = totals.(n).Layer_costs.total /. 256. in
-      let matrix n = Einsum.is_matrix_op totals.(n).Layer_costs.op in
-      let sched = Dpipe.schedule arch ~load ~matrix g in
-      let extents = Layer_costs.tile_extents w ~m0 in
-      let diags = Ir_lint.lint ~extents cascade @ Sched_lint.verify ~name g sched in
-      Hashtbl.add pipeline_cache key diags;
-      diags
+  Tf_parallel.Memo.find_or_compute pipeline_cache key @@ fun () ->
+  let cascade = layer_cascade w ~include_ffn in
+  let name =
+    Printf.sprintf "dpipe(%s/%s/%s)" arch.Tf_arch.Arch.name (Cascade.name cascade)
+      (attention_tag attention)
+  in
+  let totals = Array.of_list (Layer_costs.op_totals ~m0 ~kv_len ~kv_proj_len ~causal w cascade) in
+  let g = Cascade.to_dag cascade in
+  let load n = totals.(n).Layer_costs.total /. 256. in
+  let matrix n = Einsum.is_matrix_op totals.(n).Layer_costs.op in
+  let sched = Dpipe.schedule arch ~load ~matrix g in
+  let extents = Layer_costs.tile_extents w ~m0 in
+  Ir_lint.lint ~extents cascade @ Sched_lint.verify ~name g sched
 
 let strategy_result ?(attention = Strategies.Self) ?include_ffn (arch : Tf_arch.Arch.t)
     (w : Workload.t) (r : Strategies.result) =

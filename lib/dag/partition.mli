@@ -13,8 +13,10 @@
       using only nodes of [first]. *)
 
 type t = { first : int list; second : int list }
-(** A bipartition.  Both lists are sorted ascending and disjoint; their
-    union is the node set of the DAG. *)
+(** A bipartition.  The two lists are disjoint and their union is the
+    node set of the DAG.  [second] is sorted ascending; [first] is in
+    the topological order of {!Topo.sort}, which need not be ascending
+    (on edges 2→0, 2→1, 0→3, 1→3 the enumerator yields [{2 0 | 1 3}]). *)
 
 val is_valid : 'a Dag.t -> t -> bool
 (** Check the four constraints (plus that the two sides really partition the
@@ -23,7 +25,9 @@ val is_valid : 'a Dag.t -> t -> bool
 val enumerate : ?limit:int -> 'a Dag.t -> t list
 (** All valid bipartitions, at most [limit] (default [512]), deterministic
     order.  Enumeration walks predecessor-closed subsets directly, so it is
-    far cheaper than scanning the powerset.  Both sides must be non-empty.
+    far cheaper than scanning the powerset; of the four constraints only
+    weak connectivity is checked per leaf, since the walk guarantees the
+    rest.  Both sides must be non-empty.
     @raise Invalid_argument on a cyclic graph. *)
 
 val split_sizes : t -> int * int

@@ -39,6 +39,10 @@ type ctx = {
   lat1 : float array;  (* latency on the 1D array, by dense index *)
   lat2 : float array;  (* latency on the 2D array, by dense index *)
   minlat : float array;  (* smallest latency the mode allows, by index *)
+  static : Arch.resource array option;
+      (* [`Static assign] resolved once per node: [assign] may be costly
+         (FuseMax's scans the op's dimensions) and the DP would otherwise
+         ask it again for every instance of every candidate. *)
 }
 
 let build_ctx arch ~load ~matrix ~mode g =
@@ -53,14 +57,15 @@ let build_ctx arch ~load ~matrix ~mode g =
       (fun id -> Array.of_list (List.map (Hashtbl.find index_of) (Dag.preds g id)))
       ids
   in
+  let static = match mode with `Dp -> None | `Static assign -> Some (Array.map assign ids) in
   let minlat =
-    match mode with
-    | `Dp -> Array.init n_nodes (fun i -> Float.min lat1.(i) lat2.(i))
-    | `Static assign ->
+    match static with
+    | None -> Array.init n_nodes (fun i -> Float.min lat1.(i) lat2.(i))
+    | Some res ->
         Array.init n_nodes (fun i ->
-            match assign ids.(i) with Arch.Pe_1d -> lat1.(i) | Arch.Pe_2d -> lat2.(i))
+            match res.(i) with Arch.Pe_1d -> lat1.(i) | Arch.Pe_2d -> lat2.(i))
   in
-  { n_nodes; ids; index_of; preds; lat1; lat2; minlat }
+  { n_nodes; ids; index_of; preds; lat1; lat2; minlat; static }
 
 type eval_result =
   | Pruned
@@ -134,7 +139,7 @@ let prune_tolerance incumbent = 1e-9 *. Float.max 1. (Float.abs incumbent)
    incumbent beyond the tie-break tolerance the candidate cannot win
    under [schedule]'s strict-improvement predicate and is abandoned
    mid-run.  [prune_bound] returns the incumbent (infinity disables). *)
-let eval_candidate ctx ~mode ~epochs ~stage ~ord ~prune_bound ~record =
+let eval_candidate ctx ~epochs ~stage ~ord ~prune_bound ~record =
   let n = ctx.n_nodes in
   let smax = if Array.exists (fun s -> s = 1) stage then 1 else 0 in
   let eh = Int.max 1 (epochs / 2) in
@@ -158,16 +163,16 @@ let eval_candidate ctx ~mode ~epochs ~stage ~ord ~prune_bound ~record =
   (* Pick the resource exactly as the old candidate fold did: [`Dp]
      tries 2D then 1D and switches only on strictly earlier finish. *)
   let pick i dep_ready rt1 rt2 =
-    match mode with
-    | `Static assign -> (
-        match assign ctx.ids.(i) with
+    match ctx.static with
+    | Some res -> (
+        match res.(i) with
         | Arch.Pe_1d ->
             let start = Float.max !rt1 dep_ready in
             (Arch.Pe_1d, start, start +. ctx.lat1.(i))
         | Arch.Pe_2d ->
             let start = Float.max !rt2 dep_ready in
             (Arch.Pe_2d, start, start +. ctx.lat2.(i)))
-    | `Dp ->
+    | None ->
         let s2 = Float.max !rt2 dep_ready in
         let e2 = s2 +. ctx.lat2.(i) in
         let s1 = Float.max !rt1 dep_ready in
@@ -440,7 +445,7 @@ let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(or
       if !found >= 0 then begin
         Tf_obs.Counter.incr m_warm_applied;
         let _, _, stage, ord = pairs.(!found) in
-        match eval_candidate ctx ~mode ~epochs ~stage ~ord ~prune_bound:no_prune ~record:false with
+        match eval_candidate ctx ~epochs ~stage ~ord ~prune_bound:no_prune ~record:false with
         | Pruned, _ ->
             invalid_arg
               "Dpipe.schedule: warm-hint evaluation reported Pruned under the no-prune bound \
@@ -455,7 +460,7 @@ let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(or
       (* Sanitizer mode: no pruning, and every candidate materializes
          its assignments so it can be validated, not just the winner. *)
       match
-        eval_candidate ctx ~mode ~epochs ~stage ~ord ~prune_bound:no_prune ~record:true
+        eval_candidate ctx ~epochs ~stage ~ord ~prune_bound:no_prune ~record:true
       with
       | Pruned, _ ->
           invalid_arg
@@ -482,7 +487,7 @@ let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(or
     end
     else
       match
-        eval_candidate ctx ~mode ~epochs ~stage ~ord
+        eval_candidate ctx ~epochs ~stage ~ord
           ~prune_bound:(fun () -> Atomic.get incumbent)
           ~record:false
       with
@@ -519,7 +524,7 @@ let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(or
       (* Only the winner materializes its assignment list. *)
       let assignments =
         match
-          eval_candidate ctx ~mode ~epochs ~stage ~ord ~prune_bound:no_prune ~record:true
+          eval_candidate ctx ~epochs ~stage ~ord ~prune_bound:no_prune ~record:true
         with
         | Pruned, _ ->
             invalid_arg
@@ -584,7 +589,7 @@ module Private = struct
             let ord = Array.of_list (List.map (Hashtbl.find ctx.index_of) order) in
             let run e =
               match
-                eval_candidate ctx ~mode ~epochs:e ~stage ~ord ~prune_bound:no_prune
+                eval_candidate ctx ~epochs:e ~stage ~ord ~prune_bound:no_prune
                   ~record:false
               with
               | Pruned, _ ->

@@ -267,9 +267,13 @@ let fusemax_assign (arch : Arch.t) cascade =
    batch, m0, mode tag).  The table is shared by concurrent sweep
    evaluations, hence the mutexed [Tf_parallel.Memo]; bounded so a
    long-running server cannot grow it without limit (an evicted
-   schedule recomputes on its next request). *)
+   schedule recomputes on its next request).  Its hits come from the
+   strategies of one sweep point sharing a schedule, so they sit close
+   together: the figure sweeps hit exactly as often at 64 entries as
+   at 2048 (DESIGN.md §10a), while a daemon's distinct keys almost
+   never hit and only fill memory. *)
 let dpipe_cache : (string, exec_summary) Tf_parallel.Memo.t =
-  Tf_parallel.Memo.create ~name:"strategies.dpipe" ~max_entries:2048 ()
+  Tf_parallel.Memo.create ~name:"strategies.dpipe" ~max_entries:256 ()
 
 let attention_tag = function
   | Self -> "self"
@@ -911,6 +915,7 @@ let energy_ratio ~baseline r =
 
 module Private = struct
   let arch_fingerprint = arch_fingerprint
+  let fusemax_assign = fusemax_assign
 
   let dpipe_hint_stats () = Tf_parallel.Bounded.stats dpipe_hints
 

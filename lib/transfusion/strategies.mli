@@ -126,6 +126,11 @@ module Private : sig
       Must distinguish any two archs whose parameters differ, even when
       they share a [name] (ablation variants do). *)
 
+  val fusemax_assign : Tf_arch.Arch.t -> Tf_einsum.Cascade.t -> int -> Tf_arch.Arch.resource
+  (** FuseMax's static PE-array assignment for the nodes of [cascade]'s
+      DAG — the [`Static] mode the FuseMax strategies schedule with.
+      Exposed for the DPipe static-mode microbench. *)
+
   val dpipe_hint_stats : unit -> Tf_parallel.Bounded.stats
   (** Population/eviction counters of the warm-hint registry — tests
       assert the capacity bound holds under churn. *)

@@ -3,36 +3,6 @@ open Tf_workloads
 
 type config = { b : int; d : int; p : int; m1 : int; m0 : int; s : int }
 
-(* Search space: the workload plus the key/value sequence the resident
-   [m1*m0] slice must divide.  For self attention the two coincide; a
-   decode step searches tiles of its cache length ([kv] large, query
-   length 1) under the stricter decode buffer model. *)
-type space = { arch : Arch.t; w : Workload.t; kv : int; decode : bool }
-
-let space ?kv_len ?(decode = false) arch (w : Workload.t) =
-  let kv = Option.value kv_len ~default:w.seq_len in
-  if kv < 1 then invalid_arg "Tileseek: kv_len must be positive";
-  { arch; w; kv; decode }
-
-(* P' is the intra-tile sequence length processed per PE row (paper
-   Section 5.2): the query tile spread over the 2D array's rows. *)
-let p_row (arch : Arch.t) config =
-  Int.max 1 (config.p / Pe_array.rows arch.pe_2d)
-
-let sp_dims sp config =
-  Buffer_req.of_workload ~kv_len:sp.kv sp.w ~b:config.b ~d:config.d ~p:config.p ~m1:config.m1
-    ~m0:config.m0 ~s:config.s ~p_row:(p_row sp.arch config)
-
-let sp_feasible sp config =
-  config.m1 * config.m0 <= sp.kv
-  && sp.kv mod (config.m1 * config.m0) = 0
-  &&
-  let fits = if sp.decode then Buffer_req.fits_decode else Buffer_req.fits in
-  fits ~buffer_elements:(Arch.buffer_elements sp.arch) (sp_dims sp config)
-
-let dims ?kv_len arch w config = sp_dims (space ?kv_len arch w) config
-let feasible ?kv_len ?decode arch w config = sp_feasible (space ?kv_len ?decode arch w) config
-
 (* Powers of two that divide [n], capped, plus [n] itself when small. *)
 let pow2_divisors ?(cap = max_int) n =
   let rec grow acc v = if v <= n && v <= cap && n mod v = 0 then grow (v :: acc) (2 * v) else acc in
@@ -57,25 +27,76 @@ let thin keep l =
       let arr = Array.of_list l in
       List.init keep (fun i -> arr.(i * (n - 1) / (keep - 1))) |> List.sort_uniq compare
 
-let b_options sp = pow2_divisors sp.w.batch
-let d_options sp = thin 12 (all_divisors sp.w.model.Model.d_model)
+(* The option menus of one search space.  Every greedy [grow] step and
+   every MCTS expansion reads them, and the model-dimension and FFN menus
+   scan every integer up to [d_model] / [ffn_hidden], so they are built
+   once per space.  Lazily: [feasible] and [dims] build a space per call
+   and never read the menus.  (m1's menu depends on the chosen m0 and is
+   a handful of halvings, so it is not tabled.) *)
+type menus = {
+  b_menu : int list;
+  d_menu : int list;
+  p_menu : int list;
+  m0_menu : int list;
+  s_menu : int list;
+}
 
 (* Query tiles need not divide the sequence (the last tile may be ragged),
    so 3*2^k options are offered alongside powers of two: they matter when
-   a power of two just misses the Table 2 budget. *)
-let p_options sp =
-  let seq = sp.w.seq_len in
+   a power of two just misses the Table 2 budget.  Key/value tiles divide
+   the key/value sequence — the cache length in a decode step, the
+   workload's own sequence otherwise. *)
+let build_menus (w : Workload.t) ~kv =
+  let seq = w.seq_len in
   let pow2 = pow2_divisors ~cap:8192 seq in
   let three_pow2 =
     List.filter_map (fun p -> if 3 * p <= Int.min 8192 seq then Some (3 * p) else None) pow2
   in
-  List.sort_uniq compare (pow2 @ three_pow2)
+  {
+    b_menu = pow2_divisors w.batch;
+    d_menu = thin 12 (all_divisors w.model.Model.d_model);
+    p_menu = List.sort_uniq compare (pow2 @ three_pow2);
+    m0_menu = pow2_divisors ~cap:512 kv;
+    s_menu = thin 12 (all_divisors w.model.Model.ffn_hidden);
+  }
 
-(* Key/value tiles divide the key/value sequence — the cache length in a
-   decode step, the workload's own sequence otherwise. *)
-let m0_options sp = pow2_divisors ~cap:512 sp.kv
+(* Search space: the workload plus the key/value sequence the resident
+   [m1*m0] slice must divide.  For self attention the two coincide; a
+   decode step searches tiles of its cache length ([kv] large, query
+   length 1) under the stricter decode buffer model.  A space belongs to
+   one call on one domain, so forcing its menus needs no lock. *)
+type space = { arch : Arch.t; w : Workload.t; kv : int; decode : bool; menus : menus Lazy.t }
+
+let space ?kv_len ?(decode = false) arch (w : Workload.t) =
+  let kv = Option.value kv_len ~default:w.seq_len in
+  if kv < 1 then invalid_arg "Tileseek: kv_len must be positive";
+  { arch; w; kv; decode; menus = lazy (build_menus w ~kv) }
+
+(* P' is the intra-tile sequence length processed per PE row (paper
+   Section 5.2): the query tile spread over the 2D array's rows. *)
+let p_row (arch : Arch.t) config =
+  Int.max 1 (config.p / Pe_array.rows arch.pe_2d)
+
+let sp_dims sp config =
+  Buffer_req.of_workload ~kv_len:sp.kv sp.w ~b:config.b ~d:config.d ~p:config.p ~m1:config.m1
+    ~m0:config.m0 ~s:config.s ~p_row:(p_row sp.arch config)
+
+let sp_feasible sp config =
+  config.m1 * config.m0 <= sp.kv
+  && sp.kv mod (config.m1 * config.m0) = 0
+  &&
+  let fits = if sp.decode then Buffer_req.fits_decode else Buffer_req.fits in
+  fits ~buffer_elements:(Arch.buffer_elements sp.arch) (sp_dims sp config)
+
+let dims ?kv_len arch w config = sp_dims (space ?kv_len arch w) config
+let feasible ?kv_len ?decode arch w config = sp_feasible (space ?kv_len ?decode arch w) config
+
+let b_options sp = (Lazy.force sp.menus).b_menu
+let d_options sp = (Lazy.force sp.menus).d_menu
+let p_options sp = (Lazy.force sp.menus).p_menu
+let m0_options sp = (Lazy.force sp.menus).m0_menu
 let m1_options sp ~m0 = pow2_divisors ~cap:64 (sp.kv / m0)
-let s_options sp = thin 12 (all_divisors sp.w.model.Model.ffn_hidden)
+let s_options sp = (Lazy.force sp.menus).s_menu
 
 let config_of_path path =
   match path with

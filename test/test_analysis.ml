@@ -245,6 +245,73 @@ let test_distinct_code_count () =
        (String.concat " " (Diagnostic.codes all)))
     true (n >= 6)
 
+(* ------------------------------------------------------------------ *)
+(* Verify.pipeline memo *)
+
+let counter name = Option.value ~default:0 (Tf_obs.counter_value (Tf_obs.snapshot ()) name)
+
+let with_metrics f =
+  Tf_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tf_obs.set_enabled false) f
+
+let test_pipeline_keyed_by_arch_parameters () =
+  (* Regression: the memo keyed archs by name and two efficiencies, so an
+     arch sharing a preset's name but not its PE counts was answered with
+     the preset's cached diagnostics instead of scheduling its own DAG. *)
+  with_metrics @@ fun () ->
+  let base = Tf_arch.Presets.edge in
+  let open Tf_arch in
+  let variant =
+    Arch.v ~name:base.Arch.name ~clock_hz:base.Arch.clock_hz ~element_bytes:base.Arch.element_bytes
+      ~vector_eff_2d:base.Arch.vector_eff_2d ~matrix_eff_1d:base.Arch.matrix_eff_1d
+      ~energy:base.Arch.energy
+      ~pe_2d:(Pe_array.two_d (2 * Pe_array.rows base.Arch.pe_2d) (Pe_array.cols base.Arch.pe_2d))
+      ~pe_1d:base.Arch.pe_1d ~buffer_bytes:base.Arch.buffer_bytes
+      ~dram_bw_bytes_per_s:base.Arch.dram_bw_bytes_per_s ()
+  in
+  let w = Workload.v ~batch:3 Tf_workloads.Presets.xlm ~seq_len:2048 in
+  let schedules () = counter "dpipe.schedules_total" in
+  let runs f =
+    let before = schedules () in
+    let diags = f () in
+    (schedules () - before, diags)
+  in
+  let n_base, d_base = runs (fun () -> Verify.pipeline base w) in
+  let n_variant, d_variant = runs (fun () -> Verify.pipeline variant w) in
+  let n_again, d_again = runs (fun () -> Verify.pipeline base w) in
+  Alcotest.(check int) "base schedules once" 1 n_base;
+  Alcotest.(check int) "same name, more PEs: scheduled, not shared" 1 n_variant;
+  Alcotest.(check int) "base again: memo hit" 0 n_again;
+  clean "base" d_base;
+  clean "variant" d_variant;
+  Alcotest.(check bool) "hit returns the same diagnostics" true (d_again == d_base)
+
+let test_pipeline_from_several_domains () =
+  (* Several domains hit the memo at once, as sweep workers do through
+     Exp_common.evaluate: every copy of a key sees the same diagnostics and
+     single-flight schedules each key once.  The CI ThreadSanitizer job
+     runs this case. *)
+  with_metrics @@ fun () ->
+  Tf_parallel.set_jobs 4;
+  Fun.protect ~finally:Tf_parallel.clear_jobs_override @@ fun () ->
+  let keys =
+    [|
+      (Tf_arch.Presets.cloud, Workload.v ~batch:5 Presets.bert ~seq_len:1024);
+      (Tf_arch.Presets.edge, Workload.v ~batch:5 Presets.t5 ~seq_len:1024);
+      (Tf_arch.Presets.cloud, Workload.v ~batch:5 Presets.trxl ~seq_len:2048);
+    |]
+  in
+  let tasks = Array.init 12 (fun i -> i mod Array.length keys) in
+  let misses () = counter "memo.verify.pipeline.misses_total" in
+  let before = misses () in
+  let diags = Tf_parallel.map ~chunk:1 (fun k -> Verify.pipeline (fst keys.(k)) (snd keys.(k))) tasks in
+  Alcotest.(check int) "one computation per key" (Array.length keys) (misses () - before);
+  Array.iteri
+    (fun i d ->
+      clean (Printf.sprintf "task %d" i) d;
+      Alcotest.(check bool) "copies agree" true (d == diags.(tasks.(i))))
+    diags
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "tf_analysis"
@@ -268,5 +335,10 @@ let () =
           quick "built-in cascades" test_builtins_clean;
           quick "pipelines" test_pipeline_clean;
           quick "distinct code count" test_distinct_code_count;
+        ] );
+      ( "verify_memo",
+        [
+          quick "keyed by arch parameters" test_pipeline_keyed_by_arch_parameters;
+          quick "several domains" test_pipeline_from_several_domains;
         ] );
     ]

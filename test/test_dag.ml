@@ -161,6 +161,104 @@ let test_partition_limit () =
   let g = chain 20 in
   Alcotest.(check int) "limited" 5 (List.length (Partition.enumerate ~limit:5 g))
 
+let test_partition_first_in_topo_order () =
+  (* 2 -> 0, 2 -> 1, 0 -> 3, 1 -> 3: the first side lists its nodes in
+     topological order (2 before 0), the second side ascending. *)
+  let g = Dag.of_edges (List.init 4 (fun i -> (i, i))) [ (2, 0); (2, 1); (0, 3); (1, 3) ] in
+  let parts = Partition.enumerate g in
+  Alcotest.(check bool) "{2 0 | 1 3}" true
+    (List.mem { Partition.first = [ 2; 0 ]; second = [ 1; 3 ] } parts);
+  Alcotest.(check (list string)) "all, in order"
+    [ "{2 | 0 1 3}"; "{2 1 | 0 3}"; "{2 0 | 1 3}"; "{2 0 1 | 3}" ]
+    (List.map (Fmt.str "%a" Partition.pp) parts)
+
+(* Enumerator oracle ------------------------------------------------- *)
+
+(* The enumerator as it was before its dense-array rewrite: walk every
+   predecessor-closed subset in topological order (second-side branch
+   first) and keep the leaves that pass [Partition.is_valid].  The
+   rewrite must return exactly these bipartitions, in this order, for
+   every limit: DPipe ranks them with a stable sort and matches warm
+   hints against them. *)
+let reference_enumerate ?(limit = 512) g =
+  let order = Topo.sort g in
+  let sinks = Dag.sinks g in
+  let results = ref [] and found = ref 0 in
+  let rec go remaining first_rev in_first =
+    if !found < limit then
+      match remaining with
+      | [] ->
+          let first = List.rev first_rev in
+          let second = List.filter (fun id -> not (Hashtbl.mem in_first id)) (Dag.nodes g) in
+          let candidate = { Partition.first; second } in
+          if Partition.is_valid g candidate then begin
+            incr found;
+            results := candidate :: !results
+          end
+      | id :: rest ->
+          go rest first_rev in_first;
+          if List.for_all (Hashtbl.mem in_first) (Dag.preds g id) && not (List.mem id sinks)
+          then begin
+            Hashtbl.replace in_first id ();
+            go rest (id :: first_rev) in_first;
+            Hashtbl.remove in_first id
+          end
+  in
+  go order [] (Hashtbl.create 16);
+  List.rev !results
+
+(* A seeded random DAG whose ids are scattered and whose edges follow a
+   random hidden order, so topological order and id order disagree. *)
+let seeded_dag seed =
+  let rng = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int rng 12 in
+  let ids = Array.init n (fun i -> (3 * i) + 1) in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- t
+  done;
+  let density = 0.15 +. Random.State.float rng 0.5 in
+  let edges = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Random.State.float rng 1. < density then edges := (ids.(i), ids.(j)) :: !edges
+    done
+  done;
+  Dag.of_edges (Array.to_list (Array.map (fun id -> (id, ())) ids)) !edges
+
+let oracle_limits = [ 1; 3; 5; 512 ]
+
+let check_against_reference label g =
+  List.iter
+    (fun limit ->
+      let expected = List.map (Fmt.str "%a" Partition.pp) (reference_enumerate ~limit g) in
+      let actual = List.map (Fmt.str "%a" Partition.pp) (Partition.enumerate ~limit g) in
+      Alcotest.(check (list string)) (Printf.sprintf "%s limit %d" label limit) expected actual)
+    oracle_limits
+
+let test_partition_oracle_random () =
+  for seed = 0 to 299 do
+    check_against_reference (Printf.sprintf "seed %d" seed) (seeded_dag seed)
+  done
+
+let test_partition_oracle_cascades () =
+  let module Cascade = Tf_einsum.Cascade in
+  let module Cascades = Transfusion.Cascades in
+  let gelu = Tf_einsum.Scalar_op.Gelu in
+  List.iter
+    (fun cascade -> check_against_reference (Cascade.name cascade) (Cascade.to_dag cascade))
+    [
+      Cascades.mha ();
+      Cascade.concat ~name:"transformer_layer_noffn"
+        [ Cascades.qkv (); Cascades.mha (); Cascades.add_layernorm () ];
+      Cascades.full_layer gelu;
+      Cascades.qkv ();
+      Cascades.add_layernorm ();
+      Cascades.ffn gelu;
+    ]
+
 (* Property tests ---------------------------------------------------- *)
 
 let random_dag_gen =
@@ -234,6 +332,9 @@ let () =
           quick "diamond" test_partition_diamond;
           quick "constraint violations rejected" test_partition_constraints;
           quick "limit" test_partition_limit;
+          quick "first side in topological order" test_partition_first_in_topo_order;
+          quick "oracle: 300 seeded random DAGs" test_partition_oracle_random;
+          quick "oracle: layer cascades" test_partition_oracle_cascades;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -69,6 +69,33 @@ let test_static_mode () =
       Alcotest.(check bool) "pinned resource" true (a.Dpipe.resource = expected))
     sched.Dpipe.assignments
 
+let test_static_assign_called_once_per_node () =
+  (* The [`Static] assignment is resolved once per node per schedule
+     call; the DP reads the resolved array.  (FuseMax's assignment scans
+     each op's dimensions, and the DP used to ask it once per instance
+     of every candidate.) *)
+  let cascade = Transfusion.Cascades.mha () in
+  let g = Tf_einsum.Cascade.to_dag cascade in
+  let ops = Array.of_list (Tf_einsum.Cascade.ops cascade) in
+  let matrix n = Tf_einsum.Einsum.is_matrix_op ops.(n) in
+  let load n = if matrix n then 1000. +. float_of_int n else 100. +. float_of_int n in
+  let calls = Array.make (Dag.node_count g) 0 in
+  let assign n =
+    calls.(n) <- calls.(n) + 1;
+    if matrix n then Arch.Pe_2d else Arch.Pe_1d
+  in
+  let schedule () = Dpipe.schedule ~mode:(`Static assign) arch ~load ~matrix g in
+  let sched = schedule () in
+  check_ok g sched;
+  Array.iteri (fun n c -> Alcotest.(check int) (Printf.sprintf "node %d asked once" n) 1 c) calls;
+  List.iter
+    (fun (a : Dpipe.assignment) ->
+      Alcotest.(check bool) "pinned resource" true
+        (a.Dpipe.resource = if matrix a.Dpipe.node then Arch.Pe_2d else Arch.Pe_1d))
+    sched.Dpipe.assignments;
+  ignore (schedule ());
+  Array.iteri (fun n c -> Alcotest.(check int) (Printf.sprintf "node %d, two calls" n) 2 c) calls
+
 let test_dp_uses_both_arrays () =
   (* Two independent equal matrix ops on an edge-like part whose two
      arrays have comparable matrix throughput: the DP should spread them
@@ -198,6 +225,7 @@ let () =
           quick "pipeline overlap" test_pipeline_overlap;
           quick "bipartition choice" test_partition_respected;
           quick "static mode pins resources" test_static_mode;
+          quick "static assign asked once per node" test_static_assign_called_once_per_node;
           quick "DP balances across arrays" test_dp_uses_both_arrays;
           quick "total_cycles extrapolation" test_total_cycles;
           quick "check detects violations" test_check_detects_violations;

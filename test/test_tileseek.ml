@@ -158,6 +158,33 @@ let test_warm_counters () =
   Alcotest.(check int) "offer counted" 1 (delta "tileseek.warm_seeds_total");
   Alcotest.(check int) "not feasible" 0 (delta "tileseek.warm_feasible_total")
 
+let test_search_pinned () =
+  (* Fixed-seed searches under the production scorer, pinned: the
+     returned tiling and the cost-memo trajectory (hits and misses, seed
+     passes included) must not move when the search's inner loops are
+     optimised. *)
+  Tf_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tf_obs.set_enabled false) @@ fun () ->
+  let get name = Option.value ~default:0 (Tf_obs.counter_value (Tf_obs.snapshot ()) name) in
+  let check label arch w ~seed ~expect ~hits ~misses =
+    let evaluate = Transfusion.Strategies.Private.transfusion_scorer arch w in
+    let hits0 = get "tileseek.cost_memo_hits_total" in
+    let misses0 = get "tileseek.cost_memo_misses_total" in
+    let c, _ = Tileseek.search ~iterations:200 ~seed arch w ~evaluate () in
+    Alcotest.(check (list int)) (label ^ ": [b; d; p; m1; m0; s]") expect
+      Tileseek.[ c.b; c.d; c.p; c.m1; c.m0; c.s ];
+    Alcotest.(check int) (label ^ ": memo hits") hits (get "tileseek.cost_memo_hits_total" - hits0);
+    Alcotest.(check int) (label ^ ": memo misses") misses
+      (get "tileseek.cost_memo_misses_total" - misses0)
+  in
+  check "cloud/BERT/4K" cloud bert_4k ~seed:7 ~expect:[ 1; 256; 3072; 2; 256; 512 ] ~hits:3
+    ~misses:359;
+  check "edge/T5/16K/b8" edge
+    (Workload.v ~batch:8 Tf_workloads.Presets.t5 ~seq_len:16384)
+    ~seed:42 ~expect:[ 1; 256; 1024; 1; 512; 512 ] ~hits:3 ~misses:348;
+  check "cloud/Llama3/64K" cloud llama3_64k ~seed:3 ~expect:[ 1; 512; 384; 1; 256; 1024 ] ~hits:3
+    ~misses:227
+
 let prop_search_always_feasible =
   QCheck.Test.make ~name:"search result is always feasible" ~count:8
     QCheck.(int_range 0 1000)
@@ -189,6 +216,7 @@ let () =
           quick "divisor thinning" test_thin;
           quick "pareto explores m1" test_pareto_explores_m1;
           quick "warm-seed counters" test_warm_counters;
+          quick "fixed-seed searches pinned" test_search_pinned;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_search_always_feasible; prop_greedy_maximal_p ] );
