@@ -280,6 +280,20 @@ let point_lints_bench () =
         ignore (Transfusion.Dpipe.schedule cloud ~load ~matrix g))
       [ 512; 2048; 8192; 16384 ]
 
+(* One insertion past capacity into a full 1024-entry memo (the serve
+   schedule tier's default size): every run publishes a fresh key and
+   evicts the least-recently-used one. *)
+let memo_churn_bench () =
+  let m = Tf_parallel.Memo.create ~capacity:1024 () in
+  for k = 0 to 1023 do
+    ignore (Tf_parallel.Memo.find_or_compute m k (fun () -> k) : int)
+  done;
+  let next = ref 1024 in
+  fun () ->
+    let k = !next in
+    incr next;
+    ignore (Tf_parallel.Memo.find_or_compute m k (fun () -> k) : int)
+
 let tests () =
   [
     Test.make ~name:"dpipe/mha-dag(cloud)" (Staged.stage (mha_dag_bench ()));
@@ -299,6 +313,7 @@ let tests () =
     Test.make ~name:"costmodel/latency-evaluate" (Staged.stage (latency_evaluate_bench ()));
     Test.make ~name:"cert/range-certify(T5,512:16384)" (Staged.stage (range_certify_bench ()));
     Test.make ~name:"cert/point-lints-x4(T5)" (Staged.stage (point_lints_bench ()));
+    Test.make ~name:"parallel/memo-churn(1024)" (Staged.stage (memo_churn_bench ()));
   ]
 
 let microbench () =

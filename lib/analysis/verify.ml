@@ -38,13 +38,6 @@ let attention_tag = function
   | Strategies.Cross { kv_len } -> Printf.sprintf "cross%d" kv_len
   | Strategies.Decode { kv_len } -> Printf.sprintf "decode%d" kv_len
 
-(* Diagnostics per schedule problem.  Sweep workers on several domains
-   and a long-running daemon both reach it through [Exp_common.evaluate],
-   hence the mutexed, bounded [Tf_parallel.Memo] (an evicted entry just
-   reschedules on its next request). *)
-let pipeline_cache : (string, Diagnostic.t list) Tf_parallel.Memo.t =
-  Tf_parallel.Memo.create ~name:"verify.pipeline" ~max_entries:256 ()
-
 let pipeline ?(attention = Strategies.Self) ?(include_ffn = true) ?m0 (arch : Tf_arch.Arch.t)
     (w : Workload.t) =
   let kv_len =
@@ -57,14 +50,6 @@ let pipeline ?(attention = Strategies.Self) ?(include_ffn = true) ?m0 (arch : Tf
   in
   let causal = attention = Strategies.Causal_self in
   let m0 = match m0 with Some v -> v | None -> default_m0 w ~kv_len in
-  (* Every arch parameter the schedule reads is part of the key: ablations
-     vary them while reusing the preset's name. *)
-  let key =
-    Printf.sprintf "%s/%s/%d/%d/%d/%s/%b"
-      (Strategies.Private.arch_fingerprint arch)
-      w.model.Model.name w.seq_len w.batch m0 (attention_tag attention) include_ffn
-  in
-  Tf_parallel.Memo.find_or_compute pipeline_cache key @@ fun () ->
   let cascade = layer_cascade w ~include_ffn in
   let name =
     Printf.sprintf "dpipe(%s/%s/%s)" arch.Tf_arch.Arch.name (Cascade.name cascade)

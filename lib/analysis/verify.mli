@@ -26,8 +26,7 @@ val pipeline :
     TransFusion strategy does (same cascade, same per-op loads, same
     scheduler mode) and verify it with {!Sched_lint}, plus IR lints of
     the cascade itself.  [m0] defaults to the workload's balanced
-    key/value split, shrunk to divide the key/value length.  Results are
-    memoised per (arch, workload, attention, ffn, m0). *)
+    key/value split, shrunk to divide the key/value length. *)
 
 val strategy_result :
   ?attention:Transfusion.Strategies.attention ->

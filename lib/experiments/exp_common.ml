@@ -61,8 +61,6 @@ module Key = struct
         ("strategy", Export.Json.Str (Strategies.name k.key_strategy));
         ("budget", Export.Json.Int k.key_budget);
       ]
-
-  let fingerprint k = Digest.to_hex (Digest.string (Export.Json.to_string (to_json k)))
 end
 
 (* Shared across the domain pool by the parallel figure sweeps, hence
@@ -70,7 +68,7 @@ end
    of distinct keys cannot grow it without limit — an evicted summary
    merely recomputes on its next request. *)
 let cache : (cache_key, Strategies.result) Tf_parallel.Memo.t =
-  Tf_parallel.Memo.create ~size:256 ~name:"exp_common.summary" ~max_entries:4096 ()
+  Tf_parallel.Memo.create ~name:"exp_common.summary" ~capacity:4096 ()
 
 (* Warm-start registry for the search-based strategies: the tiling found
    at one sweep point seeds the TileSeek search of its neighbours (same
@@ -82,11 +80,10 @@ let cache : (cache_key, Strategies.result) Tf_parallel.Memo.t =
    (families by LRU eviction, sequence points within a family by a
    fixed cap): an unbounded warm table was a memory leak in a daemon
    serving arbitrary key floods. *)
-let warm_capacity = 128
 let warm_family_points = 32
 
-let warm_tbl : (cache_key, (int * Transfusion.Tileseek.config) list) Tf_parallel.Bounded.t =
-  Tf_parallel.Bounded.create ~capacity:warm_capacity ~name:"exp_common.warm" ()
+let warm_tbl : (cache_key, (int * Transfusion.Tileseek.config) list) Tf_parallel.Memo.t =
+  Tf_parallel.Memo.create ~name:"exp_common.warm" ~capacity:128 ()
 
 (* The warm family is the cache key with the sequence length erased:
    points of the same (arch, model, batch, strategy, budget) sweep seed
@@ -94,7 +91,7 @@ let warm_tbl : (cache_key, (int * Transfusion.Tileseek.config) list) Tf_parallel
 let warm_key_of (key : cache_key) = { key with key_seq_len = 0 }
 
 let nearest_warm wk ~seq_len =
-  match Tf_parallel.Bounded.find_opt warm_tbl wk with
+  match Tf_parallel.Memo.find_opt warm_tbl wk with
   | None | Some [] -> None
   | Some entries ->
       let dist s = abs (s - seq_len) in
@@ -109,17 +106,17 @@ let nearest_warm wk ~seq_len =
       Option.map snd best
 
 let record_warm wk ~seq_len tiling =
-  Tf_parallel.Bounded.update warm_tbl wk (fun prev ->
+  Tf_parallel.Memo.update warm_tbl wk (fun prev ->
       let entries = Option.value ~default:[] prev in
       let entries = (seq_len, tiling) :: List.remove_assoc seq_len entries in
       (* Most-recent first; the cap drops the stalest sequence points. *)
       List.filteri (fun i _ -> i < warm_family_points) entries)
 
-let warm_stats () = Tf_parallel.Bounded.stats warm_tbl
+let warm_stats () = (Tf_parallel.Memo.length warm_tbl, Tf_parallel.Memo.evictions warm_tbl)
 
 let reset_cache () =
   Tf_parallel.Memo.clear cache;
-  Tf_parallel.Bounded.clear warm_tbl;
+  Tf_parallel.Memo.clear warm_tbl;
   Strategies.reset_registries ()
 
 let require_clean what diags =
@@ -138,11 +135,7 @@ let verify_result arch w (r : Strategies.result) =
 (* Range certification of a sweep band: before a figure sweeps a model
    across sequence lengths, certify the whole band [lo..hi] (grid of
    lo-multiples) in one shot instead of trusting the sampled points to
-   speak for the range.  Memoised — every figure over the same band
-   shares one certificate. *)
-let cert_cache : (string * Model.t * int * int, Tf_analysis.Range_cert.t) Tf_parallel.Memo.t =
-  Tf_parallel.Memo.create ~size:32 ~name:"exp_common.range_cert" ()
-
+   speak for the range. *)
 let certify_seq_band (archs : Tf_arch.Arch.t list) (model : Model.t) ~seqs =
   match seqs with
   | [] -> ()
@@ -150,11 +143,7 @@ let certify_seq_band (archs : Tf_arch.Arch.t list) (model : Model.t) ~seqs =
       let lo = List.fold_left Stdlib.min s0 seqs and hi = List.fold_left Stdlib.max s0 seqs in
       List.iter
         (fun (arch : Tf_arch.Arch.t) ->
-          let key = (Strategies.Private.arch_fingerprint arch, model, lo, hi) in
-          let cert =
-            Tf_parallel.Memo.find_or_compute cert_cache key (fun () ->
-                Tf_analysis.Verify.certify_range arch model ~lo ~hi ~step:lo ())
-          in
+          let cert = Tf_analysis.Verify.certify_range arch model ~lo ~hi ~step:lo () in
           require_clean
             (Tf_analysis.Range_cert.name cert)
             (Tf_analysis.Range_cert.diagnostics cert))

@@ -33,10 +33,6 @@ module Key : sig
   (** Canonical JSON rendering: every field of the key, with the model
       expanded to its full record (name alone does not identify a
       model — ablation variants share names). *)
-
-  val fingerprint : cache_key -> string
-  (** Stable hex digest of {!to_json} — filename-safe, equal iff the
-      keys are structurally equal. *)
 end
 
 val evaluate :
@@ -62,9 +58,9 @@ val reset_cache : unit -> unit
     strategy-layer registries ({!Transfusion.Strategies.reset_registries})
     — tests, determinism harnesses and daemon cache hygiene. *)
 
-val warm_stats : unit -> Tf_parallel.Bounded.stats
-(** Population/eviction counters of the warm-tiling registry — tests
-    assert its capacity bound holds under churn. *)
+val warm_stats : unit -> int * int
+(** [(entries, evictions)] of the warm-tiling registry — tests assert
+    its capacity bound holds under churn. *)
 
 val prime :
   ?tileseek_iterations:int ->
@@ -106,8 +102,7 @@ val verify_result :
 val certify_seq_band : Tf_arch.Arch.t list -> Tf_workloads.Model.t -> seqs:int list -> unit
 (** Range-certify a figure's whole sequence band before it is swept:
     one {!Tf_analysis.Verify.certify_range} call over [min seqs .. max
-    seqs] (grid of lo-multiples) per architecture, memoised across
-    figures.  A sweep must not export numbers from a band whose fused
+    seqs] (grid of lo-multiples) per architecture.  A sweep must not export numbers from a band whose fused
     discipline is not implementable at every bucketed length.
     @raise Failure when certification refuses the band. *)
 

@@ -291,37 +291,45 @@ let map_reduce ?jobs ?chunk ~map:f ~reduce init arr =
   Array.fold_left reduce init (map ?jobs ?chunk f arr)
 
 module Memo = struct
-  type 'v entry = Ready of { v : 'v; mutable used : int } | Running
+  (* A settled entry, threaded on the recency list: [newer] points
+     towards the most recently touched entry, [older] towards the next
+     eviction victim.  [Nil] ends the list in both directions. *)
+  type ('k, 'v) node =
+    | Nil
+    | Node of {
+        key : 'k;
+        mutable v : 'v;
+        mutable newer : ('k, 'v) node;
+        mutable older : ('k, 'v) node;
+      }
 
   type ('k, 'v) t = {
     mutex : Mutex.t;
-    settled : Condition.t;  (* signalled when a Running entry resolves *)
-    tbl : ('k, 'v entry) Hashtbl.t;
-    max_entries : int option;  (* bound on Ready entries; Running never counts *)
-    mutable tick : int;  (* logical clock stamping each Ready touch *)
-    mutable ready : int;  (* current Ready population *)
+    settled : Condition.t;  (* signalled when an in-flight key resolves *)
+    ready : ('k, ('k, 'v) node) Hashtbl.t;  (* settled entries; bounded by [capacity] *)
+    running : ('k, unit) Hashtbl.t;  (* in-flight keys; never counted, never evicted *)
+    capacity : int;
+    mutable newest : ('k, 'v) node;
+    mutable oldest : ('k, 'v) node;
     mutable evicted : int;
     hits : Tf_obs.Counter.t option;
     misses : Tf_obs.Counter.t option;
     evictions : Tf_obs.Counter.t option;
   }
 
-  (* Tables created with [~name] publish [memo.<name>.hits_total] /
-     [memo.<name>.misses_total] in the Tf_obs registry. *)
-  let create ?(size = 64) ?name ?max_entries () =
-    (match max_entries with
-    | Some n when n < 1 -> invalid_arg "Tf_parallel.Memo.create: max_entries must be >= 1"
-    | _ -> ());
+  let create ?name ~capacity () =
+    if capacity < 1 then invalid_arg "Tf_parallel.Memo.create: capacity must be >= 1";
     let counter suffix help =
       Option.map (fun n -> Tf_obs.Counter.create ~help (Printf.sprintf "memo.%s.%s" n suffix)) name
     in
     {
       mutex = Mutex.create ();
       settled = Condition.create ();
-      tbl = Hashtbl.create size;
-      max_entries;
-      tick = 0;
-      ready = 0;
+      ready = Hashtbl.create (Int.min capacity 64);
+      running = Hashtbl.create 8;
+      capacity;
+      newest = Nil;
+      oldest = Nil;
       evicted = 0;
       hits = counter "hits_total" "lookups answered from the table (incl. waited-on in-flight)";
       misses = counter "misses_total" "lookups that ran the thunk";
@@ -330,241 +338,130 @@ module Memo = struct
 
   let bump = function Some c -> Tf_obs.Counter.incr c | None -> ()
 
-  (* Called with [t.mutex] held. *)
-  let touch t = function
-    | Ready r ->
-        t.tick <- t.tick + 1;
-        r.used <- t.tick
-    | Running -> ()
+  (* The list primitives below are called with [t.mutex] held. *)
 
-  (* Called with [t.mutex] held, after a [Ready] insertion: drop the
-     least-recently-used [Ready] entries until the bound holds again.
-     [Running] markers are never evicted — dropping one would strand its
-     waiters — and do not count toward the bound.  The scan is O(n), but
-     it only runs once per insertion beyond capacity, and bounded tables
-     are small by construction. *)
-  let enforce_bound t =
-    match t.max_entries with
-    | None -> ()
-    | Some cap ->
-        while t.ready > cap do
-          let victim = ref None in
-          Hashtbl.iter
-            (fun k e ->
-              match e with
-              | Running -> ()
-              | Ready r -> (
-                  match !victim with
-                  | Some (_, used) when used <= r.used -> ()
-                  | _ -> victim := Some (k, r.used)))
-            t.tbl;
-          match !victim with
-          | None -> t.ready <- 0 (* unreachable: ready > cap >= 1 implies a Ready entry *)
-          | Some (k, _) ->
-              Hashtbl.remove t.tbl k;
-              t.ready <- t.ready - 1;
-              t.evicted <- t.evicted + 1;
-              bump t.evictions
-        done
+  let set_newer n x = match n with Node r -> r.newer <- x | Nil -> ()
+  let set_older n x = match n with Node r -> r.older <- x | Nil -> ()
+
+  let unlink t = function
+    | Nil -> ()
+    | Node r as n ->
+        if t.newest == n then t.newest <- r.older else set_older r.newer r.older;
+        if t.oldest == n then t.oldest <- r.newer else set_newer r.older r.newer
+
+  let push_newest t = function
+    | Nil -> ()
+    | Node r as n ->
+        r.newer <- Nil;
+        r.older <- t.newest;
+        set_newer t.newest n;
+        t.newest <- n;
+        if t.oldest == Nil then t.oldest <- n
+
+  let touch t n =
+    if t.newest != n then begin
+      unlink t n;
+      push_newest t n
+    end
+
+  let value = function Node r -> r.v | Nil -> assert false
+
+  (* Publish [v] under [k] as the most recent entry, then drop the
+     least-recently-touched entries until the bound holds again. *)
+  let insert t k v =
+    let n = Node { key = k; v; newer = Nil; older = Nil } in
+    Hashtbl.replace t.ready k n;
+    push_newest t n;
+    while Hashtbl.length t.ready > t.capacity do
+      match t.oldest with
+      | Nil -> assert false (* length > capacity >= 1 implies a non-empty list *)
+      | Node r as victim ->
+          unlink t victim;
+          Hashtbl.remove t.ready r.key;
+          t.evicted <- t.evicted + 1;
+          bump t.evictions
+    done
 
   let find_opt t k =
     Mutex.lock t.mutex;
     let r =
-      match Hashtbl.find_opt t.tbl k with
-      | Some (Ready r as e) ->
-          touch t e;
-          Some r.v
-      | Some Running | None -> None
+      match Hashtbl.find_opt t.ready k with
+      | Some n ->
+          touch t n;
+          Some (value n)
+      | None -> None
     in
     Mutex.unlock t.mutex;
+    bump (if Option.is_none r then t.misses else t.hits);
     r
 
+  (* Called with [t.mutex] held: wait until [k] is not in flight, then
+     return its settled node, if any. *)
+  let rec settled_node t k =
+    match Hashtbl.find_opt t.ready k with
+    | Some _ as n -> n
+    | None when Hashtbl.mem t.running k ->
+        Condition.wait t.settled t.mutex;
+        settled_node t k
+    | None -> None
+
   (* The thunk runs outside the lock so distinct keys compute
-     concurrently, but a same-key race no longer duplicates the (often
-     expensive) computation or its side effects: the first caller
-     installs a [Running] marker and later callers block on [settled]
-     until the value -- computed exactly once -- is published.  If the
-     thunk raises, the marker is removed so waiters retry (one of them
-     becomes the new computer). *)
+     concurrently, but a same-key race does not duplicate the (often
+     expensive) computation or its side effects: the first caller marks
+     the key in flight and later callers block on [settled] until the
+     value -- computed exactly once -- is published.  If the thunk
+     raises, the mark is removed so waiters retry (one of them becomes
+     the new computer). *)
   let find_or_compute t k f =
     Mutex.lock t.mutex;
-    let rec claim () =
-      match Hashtbl.find_opt t.tbl k with
-      | Some (Ready r as e) ->
-          touch t e;
-          Some r.v
-      | Some Running ->
-          Condition.wait t.settled t.mutex;
-          claim ()
-      | None ->
-          Hashtbl.add t.tbl k Running;
-          None
-    in
-    match claim () with
-    | Some v ->
+    match settled_node t k with
+    | Some n ->
+        touch t n;
+        let v = value n in
         Mutex.unlock t.mutex;
         bump t.hits;
         v
     | None -> (
+        Hashtbl.replace t.running k ();
         Mutex.unlock t.mutex;
         bump t.misses;
         match f () with
         | v ->
             Mutex.lock t.mutex;
-            t.tick <- t.tick + 1;
-            Hashtbl.replace t.tbl k (Ready { v; used = t.tick });
-            t.ready <- t.ready + 1;
-            enforce_bound t;
+            Hashtbl.remove t.running k;
+            insert t k v;
             Condition.broadcast t.settled;
             Mutex.unlock t.mutex;
             v
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             Mutex.lock t.mutex;
-            Hashtbl.remove t.tbl k;
+            Hashtbl.remove t.running k;
             Condition.broadcast t.settled;
             Mutex.unlock t.mutex;
             Printexc.raise_with_backtrace e bt)
 
-  let length t =
-    Mutex.lock t.mutex;
-    let n = t.ready in
-    Mutex.unlock t.mutex;
-    n
-
-  let evictions t =
-    Mutex.lock t.mutex;
-    let n = t.evicted in
-    Mutex.unlock t.mutex;
-    n
-
-  let clear t =
-    Mutex.lock t.mutex;
-    (* Keep in-flight markers: their computers will publish into the
-       fresh table, and dropping them would strand waiters. *)
-    let running =
-      Hashtbl.fold (fun k e acc -> match e with Running -> k :: acc | Ready _ -> acc) t.tbl []
-    in
-    Hashtbl.reset t.tbl;
-    List.iter (fun k -> Hashtbl.add t.tbl k Running) running;
-    t.ready <- 0;
-    Mutex.unlock t.mutex
-end
-
-(* A mutex-protected hash table with a hard capacity and LRU-ish
-   eviction — the shape every cross-request {e warm registry} needs in a
-   long-running process.  Unlike {!Memo} there is no in-flight protocol:
-   entries are plain last-write-wins hints whose loss is always safe
-   (the consumer falls back to a cold start). *)
-module Bounded = struct
-  type 'v slot = { v : 'v; mutable used : int }
-
-  type stats = { entries : int; capacity : int; insertions : int; evictions : int }
-
-  type ('k, 'v) t = {
-    mutex : Mutex.t;
-    tbl : ('k, 'v slot) Hashtbl.t;
-    capacity : int;
-    mutable tick : int;
-    mutable insertions : int;
-    mutable evicted : int;
-    evictions_m : Tf_obs.Counter.t option;
-  }
-
-  let create ?(capacity = 256) ?name () =
-    if capacity < 1 then invalid_arg "Tf_parallel.Bounded.create: capacity must be >= 1";
-    {
-      mutex = Mutex.create ();
-      tbl = Hashtbl.create (Int.min capacity 64);
-      capacity;
-      tick = 0;
-      insertions = 0;
-      evicted = 0;
-      evictions_m =
-        Option.map
-          (fun n ->
-            Tf_obs.Counter.create ~help:"warm-registry entries dropped by the capacity bound"
-              (Printf.sprintf "bounded.%s.evictions_total" n))
-          name;
-    }
-
-  let find_opt t k =
-    Mutex.lock t.mutex;
-    let r =
-      match Hashtbl.find_opt t.tbl k with
-      | Some slot ->
-          t.tick <- t.tick + 1;
-          slot.used <- t.tick;
-          Some slot.v
-      | None -> None
-    in
-    Mutex.unlock t.mutex;
-    r
-
-  (* Called with [t.mutex] held: drop the least-recently-touched entries
-     until the capacity holds. *)
-  let evict_over_capacity t =
-    while Hashtbl.length t.tbl > t.capacity do
-      let victim = ref None in
-      Hashtbl.iter
-        (fun k' slot ->
-          match !victim with
-          | Some (_, used) when used <= slot.used -> ()
-          | _ -> victim := Some (k', slot.used))
-        t.tbl;
-      match !victim with
-      | None -> ()
-      | Some (k', _) ->
-          Hashtbl.remove t.tbl k';
-          t.evicted <- t.evicted + 1;
-          (match t.evictions_m with Some c -> Tf_obs.Counter.incr c | None -> ())
-    done
-
-  (* Replaces any previous binding for [k], then evicts down to
-     capacity. *)
-  let put t k v =
-    Mutex.lock t.mutex;
-    t.tick <- t.tick + 1;
-    t.insertions <- t.insertions + 1;
-    Hashtbl.replace t.tbl k { v; used = t.tick };
-    evict_over_capacity t;
-    Mutex.unlock t.mutex
-
-  (* [update t k f] rewrites the binding for [k] through [f] (receiving
-     [None] when absent) under the table lock — read-modify-write for
-     list-valued registries without a lost-update race between two
-     writers. *)
   let update t k f =
-    Mutex.lock t.mutex;
-    let prev = Option.map (fun s -> s.v) (Hashtbl.find_opt t.tbl k) in
-    let next = f prev in
-    t.tick <- t.tick + 1;
-    t.insertions <- t.insertions + 1;
-    Hashtbl.replace t.tbl k { v = next; used = t.tick };
-    evict_over_capacity t;
-    Mutex.unlock t.mutex
+    Mutex.protect t.mutex (fun () ->
+        match settled_node t k with
+        | Some (Node r as n) ->
+            r.v <- f (Some r.v);
+            touch t n
+        | Some Nil | None -> insert t k (f None))
 
-  let length t =
-    Mutex.lock t.mutex;
-    let n = Hashtbl.length t.tbl in
-    Mutex.unlock t.mutex;
-    n
+  let length t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.ready)
+  let evictions t = Mutex.protect t.mutex (fun () -> t.evicted)
 
+  let residents t =
+    Mutex.protect t.mutex (fun () ->
+        let rec walk acc = function Nil -> acc | Node r -> walk ((r.key, r.v) :: acc) r.newer in
+        walk [] t.oldest)
+
+  (* In-flight keys stay marked: their computers publish into the
+     emptied table, and dropping the marks would strand waiters. *)
   let clear t =
-    Mutex.lock t.mutex;
-    Hashtbl.reset t.tbl;
-    Mutex.unlock t.mutex
-
-  let stats t =
-    Mutex.lock t.mutex;
-    let s =
-      {
-        entries = Hashtbl.length t.tbl;
-        capacity = t.capacity;
-        insertions = t.insertions;
-        evictions = t.evicted;
-      }
-    in
-    Mutex.unlock t.mutex;
-    s
+    Mutex.protect t.mutex (fun () ->
+        Hashtbl.reset t.ready;
+        t.newest <- Nil;
+        t.oldest <- Nil)
 end

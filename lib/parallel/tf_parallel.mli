@@ -70,7 +70,8 @@ val map_reduce :
     sequential and left-to-right, so the result is bit-identical to the
     fully sequential evaluation even for non-associative [reduce]. *)
 
-(** Mutex-protected memo table for caches shared across domains.
+(** Mutex-protected, bounded LRU memo table for caches shared across
+    domains — the one cache type the libraries keep beyond a single call.
 
     Lookups and insertions are serialized under one lock; the compute
     thunk runs {e outside} it, so distinct keys memoize concurrently.
@@ -79,75 +80,56 @@ val map_reduce :
     settles, so each key's thunk runs {e at most once} — callers always
     observe the single canonical result (physical equality of repeated
     lookups holds) and side-effecting thunks are never duplicated.
-    Safe (and cheap) under [TRANSFUSION_JOBS=1] too. *)
+
+    The {e settled} population is bounded: publishing an entry beyond
+    the capacity evicts the least-recently-touched settled entry, in
+    O(1).  In-flight computations never count toward the bound and are
+    never evicted, so an evicted key simply recomputes on its next
+    lookup.  Safe (and cheap) under [TRANSFUSION_JOBS=1] too. *)
 module Memo : sig
   type ('k, 'v) t
 
-  val create : ?size:int -> ?name:string -> ?max_entries:int -> unit -> ('k, 'v) t
-  (** [size] is the initial bucket hint (default 64).  [name], when
-      given, publishes [memo.<name>.hits_total] /
-      [memo.<name>.misses_total] / [memo.<name>.evictions_total]
-      counters in the {!Tf_obs} registry.  [max_entries], when given,
-      bounds the {e settled} population: publishing a value beyond the
-      bound evicts the least-recently-used settled entries until it
-      holds again (in-flight computations never count toward the bound
-      and are never evicted, so the single-flight dedup semantics are
-      unchanged — an evicted key simply recomputes on its next lookup).
-      Without it the table grows without bound, which is fine for a
-      one-shot CLI and a leak in a daemon.
-      @raise Invalid_argument when [max_entries < 1]. *)
+  val create : ?name:string -> capacity:int -> unit -> ('k, 'v) t
+  (** [capacity] bounds the settled entries.  [name], when given,
+      publishes [memo.<name>.hits_total] / [memo.<name>.misses_total] /
+      [memo.<name>.evictions_total] counters in the {!Tf_obs} registry;
+      {!find_or_compute} and {!find_opt} count hits and misses,
+      {!update} counts neither.
+      @raise Invalid_argument when [capacity < 1]. *)
 
   val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
   (** [find_or_compute t k f] returns the cached value for [k],
       computing it with [f] on a miss.  Concurrent callers for the same
       key wait for the first computation instead of re-running [f].
       [f]'s exceptions propagate to the computing caller and nothing is
-      cached; any waiters then retry the computation themselves. *)
+      cached; any waiters then retry the computation themselves.  A hit
+      touches the entry (it becomes the most recently used). *)
 
   val find_opt : ('k, 'v) t -> 'k -> 'v option
+  (** The settled value, touching it; [None] when absent or in flight
+      (counted as a miss, but nothing is computed). *)
+
+  val update : ('k, 'v) t -> 'k -> ('v option -> 'v) -> unit
+  (** [update t k f] rebinds [k] to [f] of its settled value ([None]
+      when absent) under the table lock, so concurrent writers of one
+      key lose no update; it first waits if [k] is in flight.  The entry
+      becomes the most recently used, and a new one may evict as a
+      published computation does.  If [f] raises, the table is
+      unchanged. *)
 
   val length : ('k, 'v) t -> int
   (** Settled entries (in-flight computations excluded). *)
 
   val evictions : ('k, 'v) t -> int
-  (** Entries dropped by the [max_entries] bound since creation. *)
+  (** Entries dropped by the capacity bound since creation. *)
 
   val clear : ('k, 'v) t -> unit
-end
+  (** Drop every settled entry.  In-flight computations still publish
+      when they finish. *)
 
-(** A mutex-protected registry with a hard capacity and LRU-ish
-    eviction — for cross-request {e warm hints} in long-running
-    processes.  No in-flight protocol: entries are last-write-wins
-    accelerator state whose loss is always safe (consumers fall back to
-    a cold start), so unlike {!Memo} an entry can vanish between a [put]
-    and the next [find_opt]. *)
-module Bounded : sig
-  type ('k, 'v) t
+  (**/**)
 
-  type stats = {
-    entries : int;  (** current population *)
-    capacity : int;
-    insertions : int;  (** [put]/[update] calls since creation *)
-    evictions : int;  (** entries dropped by the capacity bound *)
-  }
-
-  val create : ?capacity:int -> ?name:string -> unit -> ('k, 'v) t
-  (** [capacity] defaults to 256.  [name] publishes
-      [bounded.<name>.evictions_total] in the {!Tf_obs} registry.
-      @raise Invalid_argument when [capacity < 1]. *)
-
-  val find_opt : ('k, 'v) t -> 'k -> 'v option
-  (** Touches the entry (it becomes most-recently-used). *)
-
-  val put : ('k, 'v) t -> 'k -> 'v -> unit
-  (** Insert or replace, then evict least-recently-touched entries until
-      the population is within capacity. *)
-
-  val update : ('k, 'v) t -> 'k -> ('v option -> 'v) -> unit
-  (** Read-modify-write under the table lock (no lost updates between
-      concurrent writers of the same key), then evict as {!put}. *)
-
-  val length : ('k, 'v) t -> int
-  val clear : ('k, 'v) t -> unit
-  val stats : ('k, 'v) t -> stats
+  val residents : ('k, 'v) t -> ('k * 'v) list
+  (** Settled entries, most recently used first, read without touching
+      them — the LRU oracle test compares this with its model. *)
 end

@@ -14,7 +14,7 @@ type t = {
 let create ?(max_entries = 1024) ?dir () =
   (match dir with Some d -> Tf_experiments.Export.write_file ~path:(Filename.concat d ".keep") "" | None -> ());
   {
-    memo = Tf_parallel.Memo.create ~size:64 ~name:"serve.schedule" ~max_entries ();
+    memo = Tf_parallel.Memo.create ~name:"serve.schedule" ~capacity:max_entries ();
     dir;
     disk_hits = Tf_obs.Counter.create ~help:"disk-tier cache hits" "serve.cache.disk_hits_total";
     disk_misses = Tf_obs.Counter.create ~help:"disk-tier cache misses" "serve.cache.disk_misses_total";

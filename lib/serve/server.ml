@@ -40,7 +40,7 @@ type op_metrics = { requests : Tf_obs.Counter.t; failures : Tf_obs.Counter.t; la
 type t = {
   config : config;
   cache : Cache.t;
-  cert_memo : (string, bool) Tf_parallel.Memo.t;
+  cert_memo : (string * Tf_workloads.Model.t * int * int * int, bool) Tf_parallel.Memo.t;
   mutable stopping : bool;
   connections : Tf_obs.Gauge.t;
   bad_requests : Tf_obs.Counter.t;
@@ -72,7 +72,7 @@ let create config =
   {
     config;
     cache = Cache.create ~max_entries:config.cache_entries ?dir:config.cache_dir ();
-    cert_memo = Tf_parallel.Memo.create ~size:16 ~name:"serve.band_cert" ~max_entries:256 ();
+    cert_memo = Tf_parallel.Memo.create ~name:"serve.band_cert" ~capacity:256 ();
     stopping = false;
     connections =
       Tf_obs.Gauge.create ~help:"currently open client connections" "serve.connections_active";
@@ -113,17 +113,7 @@ let require_positive what v = if v < 1 then Protocol.fail "%s must be >= 1 (got 
    (arch, model, batch, band); a refusal (or a certifier exception) is
    an honest [false] in the response, never a request failure. *)
 let band_certified t arch (model : Tf_workloads.Model.t) ~batch ~lo ~hi =
-  let key =
-    Cache.fingerprint
-      (Json.Obj
-         [
-           ("arch", Json.Str (Strategies.Private.arch_fingerprint arch));
-           ("model", Json.Str model.Tf_workloads.Model.name);
-           ("batch", Json.Int batch);
-           ("lo", Json.Int lo);
-           ("hi", Json.Int hi);
-         ])
-  in
+  let key = (Strategies.Private.arch_fingerprint arch, model, batch, lo, hi) in
   Tf_parallel.Memo.find_or_compute t.cert_memo key (fun () ->
       match Tf_analysis.Verify.certify_range ~batch arch model ~lo ~hi ~step:(hi - lo) () with
       | cert -> cert.Tf_analysis.Range_cert.certified

@@ -24,10 +24,10 @@ type t = {
      is that a 10k-request simulation over a handful of classes pays a
      handful of TileSeek searches.  [memo.serving.decode.*] counters. *)
   memo : (int * int, per_request) Tf_parallel.Memo.t;
-  (* Full metrics kept separately (and only on demand): the differential
-     test wants the uncondensed [Decode.metrics]; the hot path stores
-     just the floats above so the disk tier can round-trip them. *)
-  metrics_memo : (int * int, Decode.metrics) Tf_parallel.Memo.t;
+  (* KV-cache feasibility per (batch, kv): the arch and model are fixed
+     per instance, so they need no place in the key.
+     [memo.serving.feasible.*] counters. *)
+  feasible : (int * int, bool) Tf_parallel.Memo.t;
   computes : int Atomic.t;  (* Decode.evaluate calls actually run *)
 }
 
@@ -39,8 +39,8 @@ let create ?(max_entries = 512) ?cache ?(strategy = Strategies.Transfusion) ?(it
     strategy;
     iterations;
     cache;
-    memo = Tf_parallel.Memo.create ~name:"serving.decode" ~max_entries ();
-    metrics_memo = Tf_parallel.Memo.create ~max_entries ();
+    memo = Tf_parallel.Memo.create ~name:"serving.decode" ~capacity:max_entries ();
+    feasible = Tf_parallel.Memo.create ~name:"serving.feasible" ~capacity:4096 ();
     computes = Atomic.make 0;
   }
 
@@ -48,10 +48,8 @@ let spec t ~(cls : Traffic.cls) =
   Generation.v ~batch:1 ~gen:cls.Traffic.gen t.model ~prompt:cls.Traffic.prompt
 
 let metrics t ~cls =
-  Tf_parallel.Memo.find_or_compute t.metrics_memo (cls.Traffic.prompt, cls.Traffic.gen)
-    (fun () ->
-      Atomic.incr t.computes;
-      Decode.evaluate ~tileseek_iterations:t.iterations t.arch (spec t ~cls) t.strategy)
+  Atomic.incr t.computes;
+  Decode.evaluate ~tileseek_iterations:t.iterations t.arch (spec t ~cls) t.strategy
 
 let of_metrics (m : Decode.metrics) =
   let decode_energy_pj = Tf_costmodel.Energy.total_pj m.Decode.decode_energy in
@@ -86,46 +84,35 @@ let render_payload c =
          ("decode_energy_pj", Json.Str (Printf.sprintf "%h" c.decode_energy_pj));
        ])
 
-(* Parse a rendered payload without a JSON parser: every field is a
-   ["name", "0x1.abcp-3"] pair on one compact line, so scanning for
-   the quoted field name and reading the quoted hex literal after it is
-   exact.  Any malformed entry reads as [None] and the caller
-   recomputes — a corrupt cache line must never poison a report. *)
-let parse_field line name =
-  let pat = Printf.sprintf "\"%s\":\"" name in
-  let plen = String.length pat in
-  let llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start '"' with
-      | None -> None
-      | Some stop -> float_of_string_opt (String.sub line start (stop - start)))
-
+(* Any malformed entry, or one missing a field, reads as [None] and the
+   caller recomputes — a corrupt cache line must never poison a
+   report. *)
 let parse_payload line =
-  let ( let* ) = Option.bind in
-  let* ttft_s = parse_field line "ttft_s" in
-  let* token_s_first = parse_field line "token_s_first" in
-  let* token_s_last = parse_field line "token_s_last" in
-  let* decode_s = parse_field line "decode_s" in
-  let* prefill_energy_pj = parse_field line "prefill_energy_pj" in
-  let* energy_per_token_pj = parse_field line "energy_per_token_pj" in
-  let* decode_energy_pj = parse_field line "decode_energy_pj" in
-  Some
-    {
-      ttft_s;
-      token_s_first;
-      token_s_last;
-      decode_s;
-      prefill_energy_pj;
-      energy_per_token_pj;
-      decode_energy_pj;
-    }
+  let module R = Tf_report.Json_read in
+  match R.parse line with
+  | exception R.Bad_json _ -> None
+  | doc -> (
+      let field name =
+        match R.find name doc with Some (R.Str s) -> float_of_string_opt s | _ -> None
+      in
+      let ( let* ) = Option.bind in
+      let* ttft_s = field "ttft_s" in
+      let* token_s_first = field "token_s_first" in
+      let* token_s_last = field "token_s_last" in
+      let* decode_s = field "decode_s" in
+      let* prefill_energy_pj = field "prefill_energy_pj" in
+      let* energy_per_token_pj = field "energy_per_token_pj" in
+      let* decode_energy_pj = field "decode_energy_pj" in
+      Some
+        {
+          ttft_s;
+          token_s_first;
+          token_s_last;
+          decode_s;
+          prefill_energy_pj;
+          energy_per_token_pj;
+          decode_energy_pj;
+        })
 
 let key_json t ~(cls : Traffic.cls) =
   (* Reuse the schedule store's key codec (arch fingerprint + full model
@@ -165,6 +152,12 @@ let arch t = t.arch
 let model t = t.model
 let strategy t = t.strategy
 let iterations t = t.iterations
+
+let fits t ~batch ~kv =
+  Tf_parallel.Memo.find_or_compute t.feasible (batch, kv) (fun () ->
+      let w = Tf_workloads.Workload.v ~batch t.model ~seq_len:1 in
+      let config = Transfusion.Tileseek.greedy ~kv_len:kv ~decode:true t.arch w in
+      Transfusion.Tileseek.feasible ~kv_len:kv ~decode:true t.arch w config)
 
 let stats t =
   (Tf_parallel.Memo.length t.memo, Tf_parallel.Memo.evictions t.memo, Atomic.get t.computes)

@@ -58,9 +58,14 @@ val token_s : per_request -> gen:int -> i:int -> float
     (bit-for-bit, which the differential test pins).  [token_s_first]
     when [gen = 1]. *)
 
-val metrics : t -> cls:Traffic.cls -> Transfusion.Decode.metrics
-(** The full decode metrics of the class (uncached fields included) —
-    the differential test's reference.  Memoised alongside {!costs}. *)
+val fits : t -> batch:int -> kv:int -> bool
+(** Whether a decode batch of [batch] sequences fits the buffer when
+    its deepest member attends over [kv] cached positions: the greedy
+    decode tiling's Table-2 residency, including the in-flight KV-cache
+    tile ({!Transfusion.Buffer_req.fits_decode} inside
+    {!Transfusion.Tileseek.feasible} [~decode:true]).  Memoised per
+    [(batch, kv)] ([memo.serving.feasible.*] counters, 4096 entries) —
+    policy comparisons hammer the same lattice. *)
 
 val arch : t -> Tf_arch.Arch.t
 val model : t -> Tf_workloads.Model.t

@@ -1,5 +1,4 @@
 module Strategies = Transfusion.Strategies
-module Tileseek = Transfusion.Tileseek
 module Json = Tf_experiments.Export.Json
 
 type event =
@@ -55,31 +54,6 @@ let batch_h =
     "serving.batch_size"
 
 (* ------------------------------------------------------------------ *)
-(* KV-cache feasibility.  Whether a decode batch of [batch] sequences
-   fits the buffer when the deepest member attends over [kv] cached
-   positions: the greedy decode tiling's Table-2 residency, including
-   the in-flight KV-cache tile ([Buffer_req.fits_decode] inside
-   [Tileseek.feasible ~decode:true]).  Memoised across runs — policy
-   comparisons hammer the same (batch, kv) lattice. *)
-
-(* Key: (arch fingerprint, model record, batch, kv) — compared
-   structurally, like the Exp_common summary key. *)
-let feasible_tbl : (string * Tf_workloads.Model.t * int * int, bool) Tf_parallel.Bounded.t =
-  Tf_parallel.Bounded.create ~capacity:4096 ~name:"serving.feasible" ()
-
-let fits ~costs ~batch ~kv =
-  let arch = Costs.arch costs and model = Costs.model costs in
-  let key = (Strategies.Private.arch_fingerprint arch, model, batch, kv) in
-  match Tf_parallel.Bounded.find_opt feasible_tbl key with
-  | Some v -> v
-  | None ->
-      let w = Tf_workloads.Workload.v ~batch model ~seq_len:1 in
-      let config = Tileseek.greedy ~kv_len:kv ~decode:true arch w in
-      let v = Tileseek.feasible ~kv_len:kv ~decode:true arch w config in
-      Tf_parallel.Bounded.put feasible_tbl key v;
-      v
-
-(* ------------------------------------------------------------------ *)
 (* Distributions                                                       *)
 
 let percentile xs ~p =
@@ -126,7 +100,7 @@ let run ?horizon_s ?(capacity = 16) ~costs ~(policy : Policy.t) (trace : Traffic
   let deepest =
     List.fold_left (fun acc (c : Traffic.cls) -> max acc (c.Traffic.prompt + c.Traffic.gen)) 0 trace.Traffic.classes
   in
-  if not (fits ~costs ~batch:1 ~kv:deepest) then
+  if not (Costs.fits costs ~batch:1 ~kv:deepest) then
     invalid_arg "Simulator.run: a single request of the deepest class does not fit the buffer";
   (* FIFO queue with front re-insertion (preemption): two-list deque. *)
   let q_front = ref [] and q_back = ref [] and qlen = ref 0 in
@@ -213,7 +187,7 @@ let run ?horizon_s ?(capacity = 16) ~costs ~(policy : Policy.t) (trace : Traffic
         | None -> ()
         | Some it ->
             let kv_max = List.fold_left (fun acc m -> max acc (kv_now m)) (kv_now it) !running in
-            if !nrunning > 0 && not (fits ~costs ~batch:(!nrunning + 1) ~kv:kv_max) then ()
+            if !nrunning > 0 && not (Costs.fits costs ~batch:(!nrunning + 1) ~kv:kv_max) then ()
             else begin
               ignore (q_pop ());
               admit_one it;
@@ -227,7 +201,7 @@ let run ?horizon_s ?(capacity = 16) ~costs ~(policy : Policy.t) (trace : Traffic
       match !running with
       | victim :: _ :: _ when
             not
-              (fits ~costs ~batch:!nrunning
+              (Costs.fits costs ~batch:!nrunning
                  ~kv:(List.fold_left (fun acc m -> max acc (kv_now m)) 0 !running)) ->
           running := List.tl !running;
           decr nrunning;

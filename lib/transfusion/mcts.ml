@@ -34,14 +34,6 @@ let m_rollouts = Tf_obs.Counter.create ~help:"MCTS selection+rollout iterations"
 let m_terminals =
   Tf_obs.Counter.create ~help:"terminal paths evaluated (reward calls)" "mcts.terminals_total"
 
-let m_tt_hits =
-  Tf_obs.Counter.create ~help:"rewards answered from the transposition table"
-    "mcts.transposition_hits_total"
-
-let m_tt_misses =
-  Tf_obs.Counter.create ~help:"rewards computed and stored in the transposition table"
-    "mcts.transposition_misses_total"
-
 let ucb1 ~exploration ~parent_visits node =
   if node.visits = 0 then infinity
   else
@@ -70,25 +62,11 @@ let tree_shape root =
   in
   (!max_depth, mean_branching)
 
-let search ?(exploration = Float.sqrt 2.) ?transposition ?probe ~rng ~iterations problem =
+let search ?(exploration = Float.sqrt 2.) ?probe ~rng ~iterations problem =
   let root = make_node (problem.actions []) in
   let best = ref None in
   let terminals = ref 0 in
   let tree_nodes = ref 1 in
-  let reward_of path =
-    match transposition with
-    | None -> problem.reward path
-    | Some tbl -> (
-        match Hashtbl.find_opt tbl path with
-        | Some r ->
-            Tf_obs.Counter.incr m_tt_hits;
-            r
-        | None ->
-            Tf_obs.Counter.incr m_tt_misses;
-            let r = problem.reward path in
-            Hashtbl.add tbl path r;
-            r)
-  in
   let consider path reward =
     incr terminals;
     Tf_obs.Counter.incr m_terminals;
@@ -139,7 +117,7 @@ let search ?(exploration = Float.sqrt 2.) ?transposition ?probe ~rng ~iterations
     ignore node;
     (* Rollout + evaluation. *)
     let terminal_rev = rollout path_rev in
-    let reward = reward_of (List.rev terminal_rev) in
+    let reward = problem.reward (List.rev terminal_rev) in
     consider terminal_rev reward;
     (* Backpropagation along the selected/expanded trail. *)
     List.iter

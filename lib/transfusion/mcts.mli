@@ -41,7 +41,6 @@ type probe = {
 
 val search :
   ?exploration:float ->
-  ?transposition:('action list, float) Hashtbl.t ->
   ?probe:(probe -> unit) ->
   rng:Random.State.t ->
   iterations:int ->
@@ -50,12 +49,7 @@ val search :
 (** [search ~rng ~iterations problem] returns the best terminal path and
     its reward, or [None] when the root itself is terminal or no terminal
     was reached.  [exploration] is the UCB1 constant (default [sqrt 2]).
-    [transposition], when given, caches rewards by terminal path so a
-    repeated rollout never re-invokes [problem.reward]; since [reward]
-    must be a pure function of the path this cannot change any result
-    (and [terminals_evaluated] still counts every rollout terminal,
-    cached or not).  Callers may pre-seed or reuse the table across
-    searches over the same problem.  [probe], when given, is invoked once
+    [probe], when given, is invoked once
     at the end of every iteration with the progress so far; it observes
     the search without influencing it, so the result is identical with or
     without it.  Deterministic for a given [rng] state. *)

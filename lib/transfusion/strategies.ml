@@ -263,24 +263,6 @@ let fusemax_assign (arch : Arch.t) cascade =
     else if vector_2d_wins && List.mem "m0" (Einsum.all_dims op) then Arch.Pe_2d
     else Arch.Pe_1d
 
-(* Memoised DPipe runs: the schedule depends only on (arch, model, seq,
-   batch, m0, mode tag).  The table is shared by concurrent sweep
-   evaluations, hence the mutexed [Tf_parallel.Memo]; bounded so a
-   long-running server cannot grow it without limit (an evicted
-   schedule recomputes on its next request).  Its hits come from the
-   strategies of one sweep point sharing a schedule, so they sit close
-   together: the figure sweeps hit exactly as often at 64 entries as
-   at 2048 (DESIGN.md §10a), while a daemon's distinct keys almost
-   never hit and only fill memory. *)
-let dpipe_cache : (string, exec_summary) Tf_parallel.Memo.t =
-  Tf_parallel.Memo.create ~name:"strategies.dpipe" ~max_entries:256 ()
-
-let attention_tag = function
-  | Self -> "self"
-  | Causal_self -> "causal"
-  | Cross { kv_len } -> Printf.sprintf "cross%d" kv_len
-  | Decode { kv_len } -> Printf.sprintf "decode%d" kv_len
-
 (* Presets share names with ablation variants that tweak individual
    parameters (e.g. [Ablations.with_effs]), so the key must fingerprint
    every arch field the schedule reads — keying on the name alone made
@@ -293,42 +275,76 @@ let arch_fingerprint (a : Arch.t) =
     a.Arch.vector_eff_2d a.Arch.matrix_eff_1d a.Arch.clock_hz a.Arch.dram_bw_bytes_per_s
     a.Arch.buffer_bytes
 
+(* Everything a DPipe run reads, compared structurally.  The model is
+   the full record, not its name: the FFN activation changes the
+   per-op loads, and same-name models with different activations
+   collided under a name key, so a result depended on what ran
+   earlier in the process.  Fields are read only by the memo's
+   structural hashing and comparison. *)
+type dpipe_key = {
+  dk_arch : string;  (* [arch_fingerprint] *)
+  dk_model : Model.t;
+  dk_seq_len : int;
+  dk_batch : int;
+  dk_m0 : int;
+  dk_tag : string;
+  dk_attention : attention;
+  dk_include_ffn : bool;
+}
+[@@warning "-69"]
+
+(* Memoised DPipe runs.  The table is shared by concurrent sweep
+   evaluations, hence the mutexed [Tf_parallel.Memo]; bounded so a
+   long-running server cannot grow it without limit (an evicted
+   schedule recomputes on its next request).  Its hits come from the
+   strategies of one sweep point sharing a schedule, so they sit close
+   together: the figure sweeps hit exactly as often at 64 entries as
+   at 2048 (DESIGN.md §10a), while a daemon's distinct keys almost
+   never hit and only fill memory. *)
+let dpipe_cache : (dpipe_key, exec_summary) Tf_parallel.Memo.t =
+  Tf_parallel.Memo.create ~name:"strategies.dpipe" ~capacity:256 ()
+
 (* Cross-point DPipe warm hints: remember the winning (partition, order)
    per cascade family and offer it as the branch-and-bound incumbent seed
-   of the next schedule.  Unlike [dpipe_cache], the key drops seq/m0 so a
+   of the next schedule.  The family key is the schedule key with the
+   sweep coordinates (seq, batch, m0, key/value length) erased, so a
    hint learned at one sweep point transfers to its neighbours — safe
    because {!Dpipe.schedule}'s [warm] is result-invariant (a hint absent
    from the new candidate grid is simply ignored, and a hint lost to the
-   capacity bound merely costs a cold branch-and-bound start).  The
-   registry previously appended forever; in a daemon that was a leak. *)
-let dpipe_hints : (string, Dpipe.hint) Tf_parallel.Bounded.t =
-  Tf_parallel.Bounded.create ~capacity:256 ~name:"strategies.dpipe_hints" ()
+   capacity bound merely costs a cold branch-and-bound start). *)
+let dpipe_hints : (dpipe_key, Dpipe.hint) Tf_parallel.Memo.t =
+  Tf_parallel.Memo.create ~name:"strategies.dpipe_hints" ~capacity:256 ()
+
+let hint_family k =
+  let dk_attention =
+    match k.dk_attention with
+    | Self | Causal_self -> k.dk_attention
+    | Cross _ -> Cross { kv_len = 0 }
+    | Decode _ -> Decode { kv_len = 0 }
+  in
+  { k with dk_seq_len = 0; dk_batch = 0; dk_m0 = 0; dk_attention }
 
 let reset_registries () =
   Tf_parallel.Memo.clear dpipe_cache;
-  Tf_parallel.Bounded.clear dpipe_hints
-
-let hint_key ctx ~tag =
-  let kind =
-    match ctx.attention with
-    | Self -> "self"
-    | Causal_self -> "causal"
-    | Cross _ -> "cross"
-    | Decode _ -> "decode"
-  in
-  Printf.sprintf "%s/%s/%s/%s/%b" (arch_fingerprint ctx.arch) ctx.w.model.Model.name tag kind
-    ctx.include_ffn
+  Tf_parallel.Memo.clear dpipe_hints
 
 let cached_pipelined ?mode ~tag ctx cascade =
   let key =
-    Printf.sprintf "%s/%s/%d/%d/%d/%s/%s/%b" (arch_fingerprint ctx.arch)
-      ctx.w.model.Model.name ctx.w.seq_len ctx.w.batch ctx.m0 tag
-      (attention_tag ctx.attention) ctx.include_ffn
+    {
+      dk_arch = arch_fingerprint ctx.arch;
+      dk_model = ctx.w.model;
+      dk_seq_len = ctx.w.seq_len;
+      dk_batch = ctx.w.batch;
+      dk_m0 = ctx.m0;
+      dk_tag = tag;
+      dk_attention = ctx.attention;
+      dk_include_ffn = ctx.include_ffn;
+    }
   in
   Tf_parallel.Memo.find_or_compute dpipe_cache key (fun () ->
-      let hkey = hint_key ctx ~tag in
-      let warm = Tf_parallel.Bounded.find_opt dpipe_hints hkey in
-      let store_hint h = Tf_parallel.Bounded.put dpipe_hints hkey h in
+      let family = hint_family key in
+      let warm = Tf_parallel.Memo.find_opt dpipe_hints family in
+      let store_hint h = Tf_parallel.Memo.update dpipe_hints family (fun _ -> h) in
       pipelined_exec ?mode ?warm ~store_hint ctx cascade)
 
 (* ------------------------------------------------------------------ *)
@@ -917,7 +933,8 @@ module Private = struct
   let arch_fingerprint = arch_fingerprint
   let fusemax_assign = fusemax_assign
 
-  let dpipe_hint_stats () = Tf_parallel.Bounded.stats dpipe_hints
+  let dpipe_hint_stats () =
+    (Tf_parallel.Memo.length dpipe_hints, Tf_parallel.Memo.evictions dpipe_hints)
 
   (* Hot-path probes for the microbenches and the scorer-equivalence
      tests.  [transfusion_scorer] prebuilds the evaluation state and

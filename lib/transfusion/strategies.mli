@@ -131,9 +131,9 @@ module Private : sig
       DAG — the [`Static] mode the FuseMax strategies schedule with.
       Exposed for the DPipe static-mode microbench. *)
 
-  val dpipe_hint_stats : unit -> Tf_parallel.Bounded.stats
-  (** Population/eviction counters of the warm-hint registry — tests
-      assert the capacity bound holds under churn. *)
+  val dpipe_hint_stats : unit -> int * int
+  (** [(entries, evictions)] of the warm-hint registry — tests assert
+      the capacity bound holds under churn. *)
 
   val transfusion_scorer :
     ?attention:attention ->

@@ -417,7 +417,6 @@ let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe ?warm arch w 
       if cost <= 0. then 0. else ref_cost /. cost
   in
   let rng = Random.State.make [| seed |] in
-  let transposition = Hashtbl.create 256 in
   let mcts_probe =
     Option.map
       (fun f (p : Mcts.probe) ->
@@ -434,7 +433,7 @@ let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe ?warm arch w 
       probe
   in
   let best, stats =
-    Mcts.search ?probe:mcts_probe ~transposition ~rng ~iterations { actions; reward }
+    Mcts.search ?probe:mcts_probe ~rng ~iterations { actions; reward }
   in
   (* The hand heuristic competes with the search result: MCTS must beat
      it to displace it (reward 1.0 = the heuristic's own cost). *)

@@ -79,7 +79,7 @@ let test_nested_map () =
   Alcotest.(check (array int)) "nested results" (Array.init 8 (fun i -> (5 * i) + 10)) out
 
 let test_memo () =
-  let m = P.Memo.create () in
+  let m = P.Memo.create ~capacity:16 () in
   let computes = ref 0 in
   let get k = P.Memo.find_or_compute m k (fun () -> incr computes; k * 10) in
   Alcotest.(check int) "first compute" 30 (get 3);
@@ -91,7 +91,7 @@ let test_memo () =
   P.Memo.clear m;
   Alcotest.(check int) "cleared" 0 (P.Memo.length m);
   (* Concurrent same-key callers all see the one stored value. *)
-  let shared = P.Memo.create () in
+  let shared = P.Memo.create ~capacity:16 () in
   let results =
     P.map ~jobs:4 ~chunk:1
       (fun _ -> P.Memo.find_or_compute shared "k" (fun () -> ref 0))
@@ -107,7 +107,7 @@ let test_memo_single_flight () =
      (often expensive, possibly side-effecting) computation.  The
      in-flight marker must hold concurrent callers until the single
      computation settles: the thunk runs exactly once. *)
-  let m = P.Memo.create () in
+  let m = P.Memo.create ~capacity:16 () in
   let invocations = Atomic.make 0 in
   let slow_thunk () =
     Atomic.incr invocations;
@@ -127,14 +127,14 @@ let test_memo_single_flight () =
   Alcotest.(check int) "thunk ran exactly once" 1 (Atomic.get invocations);
   (* A raising thunk caches nothing and unblocks waiters; the next
      caller retries the computation. *)
-  let m2 = P.Memo.create () in
+  let m2 = P.Memo.create ~capacity:16 () in
   (try ignore (P.Memo.find_or_compute m2 1 (fun () -> failwith "boom") : int)
    with Failure _ -> ());
   Alcotest.(check int) "retry after failure" 7 (P.Memo.find_or_compute m2 1 (fun () -> 7));
   Alcotest.(check int) "retried value cached" 7 (P.Memo.find_or_compute m2 1 (fun () -> 8))
 
 let test_memo_max_entries () =
-  let m = P.Memo.create ~max_entries:8 () in
+  let m = P.Memo.create ~capacity:8 () in
   (* Churn far past the bound: the settled population must never
      exceed it, and evictions must account for the overflow. *)
   for i = 1 to 100 do
@@ -160,38 +160,93 @@ let test_memo_max_entries () =
   done;
   Alcotest.(check bool) "touched key survives a near-full refill" true
     (P.Memo.find_opt m 95 <> None);
-  Alcotest.(check bool) "max_entries < 1 rejected" true
-    (match P.Memo.create ~max_entries:0 () with
+  Alcotest.(check bool) "capacity < 1 rejected" true
+    (match P.Memo.create ~capacity:0 () with
     | exception Invalid_argument _ -> true
     | (_ : (int, int) P.Memo.t) -> false)
 
+(* Seeded random traces of find_or_compute / find_opt / update (thunks
+   and update functions that raise included) against a list-based LRU
+   model: after every step the memo's residents, in recency order, with
+   their values, and its eviction count must match the model's. *)
+exception Thunk_failed
+
+let test_memo_lru_oracle () =
+  List.iter
+    (fun capacity ->
+      let rng = Random.State.make [| 17; capacity |] in
+      let m = P.Memo.create ~capacity () in
+      (* Most recently used first. *)
+      let model = ref [] and evicted = ref 0 in
+      let promote k v = model := (k, v) :: List.remove_assoc k !model in
+      let insert k v =
+        promote k v;
+        let excess = List.length !model - capacity in
+        if excess > 0 then begin
+          evicted := !evicted + excess;
+          model := List.filteri (fun i _ -> i < capacity) !model
+        end
+      in
+      for step = 1 to 400 do
+        let k = Random.State.int rng 12 in
+        let fails = Random.State.int rng 5 = 0 in
+        let what = Printf.sprintf "capacity %d step %d" capacity step in
+        (match Random.State.int rng 3 with
+        | 0 -> (
+            let thunk () = if fails then raise Thunk_failed else step in
+            let expected = List.assoc_opt k !model in
+            match P.Memo.find_or_compute m k thunk with
+            | v ->
+                Alcotest.(check int) (what ^ " find_or_compute") (Option.value expected ~default:step) v;
+                if expected = None then insert k v else promote k v
+            | exception Thunk_failed ->
+                Alcotest.(check bool) (what ^ " only a miss runs the thunk") true (expected = None))
+        | 1 ->
+            let expected = List.assoc_opt k !model in
+            Alcotest.(check (option int)) (what ^ " find_opt") expected (P.Memo.find_opt m k);
+            Option.iter (promote k) expected
+        | _ -> (
+            let f = function
+              | _ when fails -> raise Thunk_failed
+              | None -> step
+              | Some v -> v + step
+            in
+            match P.Memo.update m k f with
+            | () -> (
+                match List.assoc_opt k !model with
+                | Some v -> promote k (v + step)
+                | None -> insert k step)
+            | exception Thunk_failed -> ()));
+        Alcotest.(check (list (pair int int))) (what ^ " residents") !model (P.Memo.residents m);
+        Alcotest.(check int) (what ^ " length") (List.length !model) (P.Memo.length m);
+        Alcotest.(check int) (what ^ " evictions") !evicted (P.Memo.evictions m)
+      done)
+    (List.init 8 (fun i -> i + 1))
+
 let test_bounded_churn () =
-  let b = P.Bounded.create ~capacity:16 () in
+  let b = P.Memo.create ~capacity:16 () in
   for i = 1 to 500 do
-    P.Bounded.put b i (i * 2);
-    Alcotest.(check bool) "capacity holds under churn" true (P.Bounded.length b <= 16)
+    P.Memo.update b i (fun _ -> i * 2);
+    Alcotest.(check bool) "capacity holds under churn" true (P.Memo.length b <= 16)
   done;
-  let s = P.Bounded.stats b in
-  Alcotest.(check int) "population at capacity" 16 s.P.Bounded.entries;
-  Alcotest.(check int) "capacity reported" 16 s.P.Bounded.capacity;
-  Alcotest.(check int) "insertions counted" 500 s.P.Bounded.insertions;
-  Alcotest.(check int) "evictions account for overflow" 484 s.P.Bounded.evictions;
-  Alcotest.(check bool) "recent key resident" true (P.Bounded.find_opt b 500 = Some 1000);
-  Alcotest.(check bool) "stale key evicted" true (P.Bounded.find_opt b 1 = None);
+  Alcotest.(check int) "population at capacity" 16 (P.Memo.length b);
+  Alcotest.(check int) "evictions account for overflow" 484 (P.Memo.evictions b);
+  Alcotest.(check bool) "recent key resident" true (P.Memo.find_opt b 500 = Some 1000);
+  Alcotest.(check bool) "stale key evicted" true (P.Memo.find_opt b 1 = None);
   (* find_opt touches: a read keeps an old entry alive through churn. *)
-  ignore (P.Bounded.find_opt b 490 : int option);
+  ignore (P.Memo.find_opt b 490 : int option);
   for i = 600 to 614 do
-    P.Bounded.put b i i
+    P.Memo.update b i (fun _ -> i)
   done;
-  Alcotest.(check bool) "touched key survives refill" true (P.Bounded.find_opt b 490 <> None);
+  Alcotest.(check bool) "touched key survives refill" true (P.Memo.find_opt b 490 <> None);
   (* update is read-modify-write. *)
-  let lists = P.Bounded.create ~capacity:4 () in
-  P.Bounded.update lists "k" (function None -> [ 1 ] | Some l -> 2 :: l);
-  P.Bounded.update lists "k" (function None -> [ 1 ] | Some l -> 2 :: l);
+  let lists = P.Memo.create ~capacity:4 () in
+  P.Memo.update lists "k" (function None -> [ 1 ] | Some l -> 2 :: l);
+  P.Memo.update lists "k" (function None -> [ 1 ] | Some l -> 2 :: l);
   Alcotest.(check bool) "update sees previous value" true
-    (P.Bounded.find_opt lists "k" = Some [ 2; 1 ]);
-  P.Bounded.clear b;
-  Alcotest.(check int) "clear empties" 0 (P.Bounded.length b)
+    (P.Memo.find_opt lists "k" = Some [ 2; 1 ]);
+  P.Memo.clear b;
+  Alcotest.(check int) "clear empties" 0 (P.Memo.length b)
 
 let test_warm_registries_bounded () =
   (* The library-level leak fixes: both warm registries hold their
@@ -209,17 +264,15 @@ let test_warm_registries_bounded () =
               : Strategies.result))
         [ 512; 1024; 2048; 4096 ])
     archs;
-  let ws = E.Exp_common.warm_stats () in
-  Alcotest.(check bool) "warm registry populated" true (ws.P.Bounded.entries > 0);
-  Alcotest.(check bool) "warm registry within capacity" true
-    (ws.P.Bounded.entries <= ws.P.Bounded.capacity);
-  let hs = Strategies.Private.dpipe_hint_stats () in
-  Alcotest.(check bool) "dpipe hints within capacity" true
-    (hs.P.Bounded.entries <= hs.P.Bounded.capacity);
+  let warm_entries, _ = E.Exp_common.warm_stats () in
+  Alcotest.(check bool) "warm registry populated" true (warm_entries > 0);
+  Alcotest.(check bool) "warm registry within capacity" true (warm_entries <= 128);
+  let hint_entries, _ = Strategies.Private.dpipe_hint_stats () in
+  Alcotest.(check bool) "dpipe hints populated" true (hint_entries > 0);
+  Alcotest.(check bool) "dpipe hints within capacity" true (hint_entries <= 256);
   E.Exp_common.reset_cache ();
-  Alcotest.(check int) "reset drops warm registry" 0 (E.Exp_common.warm_stats ()).P.Bounded.entries;
-  Alcotest.(check int) "reset drops dpipe hints" 0
-    (Strategies.Private.dpipe_hint_stats ()).P.Bounded.entries
+  Alcotest.(check int) "reset drops warm registry" 0 (fst (E.Exp_common.warm_stats ()));
+  Alcotest.(check int) "reset drops dpipe hints" 0 (fst (Strategies.Private.dpipe_hint_stats ()))
 
 let toy_arch =
   Tf_arch.Arch.v ~name:"ptoy" ~clock_hz:1e9 ~vector_eff_2d:0.5 ~matrix_eff_1d:0.5
@@ -311,6 +364,7 @@ let () =
           quick "memo table" test_memo;
           quick "single-flight compute" test_memo_single_flight;
           quick "max_entries bound" test_memo_max_entries;
+          quick "LRU oracle" test_memo_lru_oracle;
         ] );
       ( "bounded",
         [

@@ -354,6 +354,53 @@ let test_disk_round_trip () =
   let _, _, computes = Costs.stats warm in
   Alcotest.(check int) "warm instance computes nothing" 0 computes
 
+let test_disk_payload_missing_field () =
+  (* A well-formed serve-cache entry whose payload lacks one field reads
+     as a miss: the class is recomputed once, bit-identical to a cold
+     run, never answered with a partial record. *)
+  let module R = Tf_report.Json_read in
+  let dir = Filename.temp_file "tf-serving-partial" "" in
+  Sys.remove dir;
+  let c = cls 48 8 1. in
+  let fresh () =
+    Costs.create ~cache:(Tf_serve.Cache.create ~dir ()) ~strategy:Strategies.Fusemax ~iterations:8
+      arch tiny
+  in
+  let cold = Costs.costs (fresh ()) ~cls:c in
+  let entry =
+    match List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list (Sys.readdir dir)) with
+    | [ f ] -> Filename.concat dir f
+    | fs -> Alcotest.failf "expected one disk entry, found %d" (List.length fs)
+  in
+  let rec export = function
+    | R.Null -> Json.Null
+    | R.Bool b -> Json.Bool b
+    | R.Num f when Float.is_integer f -> Json.Int (int_of_float f)
+    | R.Num f -> Json.Num f
+    | R.Str s -> Json.Str s
+    | R.List l -> Json.List (List.map export l)
+    | R.Obj kv -> Json.Obj (List.map (fun (k, v) -> (k, export v)) kv)
+  in
+  let drop_decode_s = function
+    | R.Obj kv -> R.Obj (List.remove_assoc "decode_s" kv)
+    | _ -> Alcotest.fail "payload is not an object"
+  in
+  let doc =
+    match R.parse_file entry with
+    | R.Obj kv ->
+        let payload = drop_decode_s (R.parse (R.to_string (List.assoc "payload" kv))) in
+        R.Obj (("payload", R.Str (Json.to_line (export payload))) :: List.remove_assoc "payload" kv)
+    | _ -> Alcotest.fail "entry is not an object"
+  in
+  Json.write ~path:entry (export doc);
+  let warm = fresh () in
+  let recomputed = Costs.costs warm ~cls:c in
+  let _, _, computes = Costs.stats warm in
+  Alcotest.(check int) "partial payload recomputed" 1 computes;
+  Alcotest.(check bool) "recomputed costs bit-identical to cold" true (cold = recomputed);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* ------------------------------------------------------------------ *)
 (* Determinism across the domain pool                                  *)
 
@@ -543,6 +590,7 @@ let () =
           quick "hit counters" test_memo_hits;
           quick "bounded churn" test_memo_churn;
           quick "disk hex round trip" test_disk_round_trip;
+          quick "disk payload missing a field" test_disk_payload_missing_field;
         ] );
       ("determinism", [ quick "jobs invariance" test_jobs_invariance ]);
       ( "documents",

@@ -196,6 +196,28 @@ let test_layers_scaling () =
   Alcotest.(check bool) "4 layers ~ 4x one layer" true
     (Float.abs ((total four /. total one) -. 4.) < 0.05)
 
+let test_dpipe_key_carries_model () =
+  (* Regression: the shared DPipe memo keyed models by name, but the FFN
+     activation changes per-op loads, so a Gelu model evaluated after a
+     same-name Relu model was answered with the Relu schedule. *)
+  let eval activation =
+    let model =
+      Model.v ~name:"same" ~d_model:64 ~heads:4 ~head_dim:16 ~ffn_hidden:256 ~layers:2 ~activation
+    in
+    Strategies.evaluate ~tileseek_iterations:20 Tf_arch.Presets.edge
+      (Workload.v ~batch:4 model ~seq_len:1024)
+      Strategies.Transfusion
+  in
+  Tf_experiments.Exp_common.reset_cache ();
+  let alone = eval Tf_einsum.Scalar_op.Gelu in
+  Tf_experiments.Exp_common.reset_cache ();
+  ignore (eval Tf_einsum.Scalar_op.Relu : Strategies.result);
+  let after_relu = eval Tf_einsum.Scalar_op.Gelu in
+  Alcotest.(check bool) "latency independent of what ran earlier" true
+    (Int64.equal (Int64.bits_of_float (total alone)) (Int64.bits_of_float (total after_relu)));
+  Alcotest.(check bool) "tiling independent of what ran earlier" true
+    (alone.Strategies.tiling = after_relu.Strategies.tiling)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "transfusion_strategies"
@@ -218,5 +240,6 @@ let () =
           quick "clock scaling" test_clock_scaling;
           quick "adaptive fusion scope" test_adaptive_fusion_scope;
           quick "layer-count linearity" test_layers_scaling;
+          quick "DPipe memo keyed by the full model" test_dpipe_key_carries_model;
         ] );
     ]
