@@ -63,8 +63,8 @@ let () =
   match List.rev !files with
   | [ baseline_path; current_path ] -> (
       try
-        let baseline = Tf_report.Json_read.parse_file baseline_path in
-        let current = Tf_report.Json_read.parse_file current_path in
+        let baseline = Tf_json.parse_file baseline_path in
+        let current = Tf_json.parse_file current_path in
         let report = Tf_report.Bench_diff.compare_docs ~threshold:!threshold ~baseline current in
         print_string (Tf_report.Bench_diff.render report);
         let strict =
@@ -78,7 +78,7 @@ let () =
         if strict <> [] then exit 1;
         if Tf_report.Bench_diff.has_regressions report && not !warn_only then exit 1
       with
-      | Tf_report.Json_read.Bad_json msg ->
+      | Tf_json.Bad_json msg ->
           Printf.eprintf "bench_diff: bad JSON: %s\n" msg;
           exit 2
       | Sys_error msg ->

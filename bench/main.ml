@@ -524,72 +524,42 @@ let serving_bench () =
   [ ("serving/steady-state-qps", ns, None) ]
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled: names are ASCII identifiers, values are
-   numbers, so no escaping is needed beyond what printf provides)       *)
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6g" f
-
-(* A Tf_obs snapshot as JSON object entries.  Metric names are plain
-   ASCII ([a-z0-9._]), so no escaping is needed. *)
-let snapshot_entries snap =
-  List.map
-    (fun (name, v) ->
-      let value =
-        match v with
-        | Tf_obs.Counter_v n -> string_of_int n
-        | Tf_obs.Gauge_v g -> json_float g
-        | Tf_obs.Histogram_v { count; sum; _ } ->
-            Printf.sprintf "{\"count\": %d, \"sum\": %s}" count (json_float sum)
-      in
-      Printf.sprintf "\"%s\": %s" name value)
-    snap
-
-let metrics_entries () = if not obs then [] else snapshot_entries (Tf_obs.snapshot ())
+(* JSON emission: the transfusion-bench/v1 document, whose metric
+   sections render like the daemon's [metrics] op                      *)
 
 let write_json path ~steps ~micro =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"transfusion-bench/v1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" (Tf_parallel.jobs ()));
-  Buffer.add_string buf "  \"figures\": [\n";
-  List.iteri
-    (fun i (name, wall_s, delta) ->
-      (* Per-step metric deltas (Tf_obs.Snapshot.diff), not cumulative
-         totals: each figure's section records only what it did. *)
-      let metrics =
-        if delta = [] then ""
-        else
-          Printf.sprintf ", \"metrics\": {%s}" (String.concat ", " (snapshot_entries delta))
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": \"%s\", \"wall_s\": %s%s}%s\n" name (json_float wall_s)
-           metrics
-           (if i = List.length steps - 1 then "" else ",")))
-    steps;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"microbench\": [\n";
-  List.iteri
-    (fun i (name, ns, r2) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s}%s\n" name
-           (json_float ns)
-           (match r2 with Some r -> json_float r | None -> "null")
-           (if i = List.length micro - 1 then "" else ",")))
-    micro;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"metrics\": {\n";
-  let entries = metrics_entries () in
-  List.iteri
-    (fun i e ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %s%s\n" e (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  }\n";
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let open Tf_json in
+  let metrics snap = Tf_serve.Telemetry.snapshot_json snap in
+  write ~path
+    (Obj
+       [
+         ("schema", Str "transfusion-bench/v1");
+         ("quick", Bool quick);
+         ("jobs", Int (Tf_parallel.jobs ()));
+         ( "figures",
+           List
+             (List.map
+                (fun (name, wall_s, delta) ->
+                  (* Per-step metric deltas (Tf_obs.Snapshot.diff), not
+                     cumulative totals: each figure's section records
+                     only what it did. *)
+                  Obj
+                    ([ ("name", Str name); ("wall_s", Num wall_s) ]
+                    @ if delta = [] then [] else [ ("metrics", metrics delta) ]))
+                steps) );
+         ( "microbench",
+           List
+             (List.map
+                (fun (name, ns, r2) ->
+                  Obj
+                    [
+                      ("name", Str name);
+                      ("ns_per_run", Num ns);
+                      ("r_square", match r2 with Some r -> Num r | None -> Null);
+                    ])
+                micro) );
+         ("metrics", metrics (if obs then Tf_obs.snapshot () else []));
+       ])
 
 let () =
   let steps = run_timed (figure_steps () @ ablation_steps ()) in

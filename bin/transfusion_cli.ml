@@ -15,7 +15,7 @@ open Cmdliner
 module Strategies = Transfusion.Strategies
 module Latency = Tf_costmodel.Latency
 module Energy = Tf_costmodel.Energy
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 
 (* Every file-output flag below accepts "-" to mean stdout: JSON goes to
    stdout verbatim (nothing else is printed around it), a real path gets
@@ -24,7 +24,7 @@ module Json = Tf_experiments.Export.Json
 let emit ~what path contents =
   if String.equal path "-" then print_string contents
   else begin
-    Tf_experiments.Export.write_file ~path contents;
+    Json.write_file ~path contents;
     Fmt.epr "%s written to %s@." what path
   end
 
@@ -783,7 +783,7 @@ let export_cmd =
     let llama3 = Tf_workloads.Presets.llama3 in
     let strategies = Strategies.all in
     let columns = List.map Strategies.name strategies in
-    let file name contents = E.Export.write_file ~path:(Filename.concat dir name) contents in
+    let file name contents = Json.write_file ~path:(Filename.concat dir name) contents in
     let fig8a = E.Fig8_speedup.scaling ~quick archs llama3 in
     file "fig8a_speedup.csv"
       (E.Export.csv ~columns
@@ -1082,7 +1082,6 @@ let simulate_cmd =
 (* --- transfusion top: live dashboard over the daemon's stats op ------ *)
 
 let top_cmd =
-  let module R = Tf_report.Json_read in
   (* One poll = one fresh connection (the daemon is
      connection-per-thread; holding one open across sleeps would pin a
      server thread for nothing), one stats request, the raw
@@ -1110,23 +1109,23 @@ let top_cmd =
             | Some payload -> payload
             | None -> failwith ("server error: " ^ line)))
   in
-  let num = function R.Num f -> f | _ -> Float.nan in
-  let fields name doc = match R.find name doc with Some (R.Obj kvs) -> kvs | _ -> [] in
+  let num = function Json.Num f -> f | _ -> Float.nan in
+  let fields name doc = match Json.find name doc with Some (Json.Obj kvs) -> kvs | _ -> [] in
   let assoc_num kvs name =
     match List.assoc_opt name kvs with Some v -> num v | None -> Float.nan
   in
   let num_field entry name =
-    match R.find name entry with Some v -> num v | None -> Float.nan
+    match Json.find name entry with Some v -> num v | None -> Float.nan
   in
   (* Windowed delta buckets of one histogram; the emitter serialises
      the +Inf overflow bound as null. *)
   let buckets_of entry =
-    match R.find "buckets" entry with
-    | Some (R.List bs) ->
+    match Json.find "buckets" entry with
+    | Some (Json.List bs) ->
         List.filter_map
           (function
-            | R.List [ ub; R.Num n ] ->
-                let ub = match ub with R.Num f -> f | _ -> Float.infinity in
+            | Json.List [ ub; Json.Num n ] ->
+                let ub = match ub with Json.Num f -> f | _ -> Float.infinity in
                 Some (ub, int_of_float n)
             | _ -> None)
           bs
@@ -1144,7 +1143,7 @@ let top_cmd =
       let r = assoc_num rates name in
       if Float.is_nan r then 0. else r
     in
-    let top_num name = match R.find name doc with Some v -> num v | None -> Float.nan in
+    let top_num name = match Json.find name doc with Some v -> num v | None -> Float.nan in
     (* The per-op counters exist from server creation, so the table has
        a stable row set even before any traffic. *)
     let ops =
@@ -1240,7 +1239,7 @@ let top_cmd =
         let payload = fetch ~socket ~tcp ~timeout in
         if json then print_endline payload
         else begin
-          let screen = render ~slos ~slo_target (R.parse payload) in
+          let screen = render ~slos ~slo_target (Json.parse payload) in
           if not once then print_string "\027[2J\027[H";
           print_string screen;
           flush stdout

@@ -45,8 +45,8 @@ let run socket tcp check timeout requests =
         | Some response ->
             print_endline response;
             if check then begin
-              match Tf_report.Json_read.(find "ok" (parse response)) with
-              | Some (Tf_report.Json_read.Bool true) -> ()
+              match Tf_json.(find "ok" (parse response)) with
+              | Some (Tf_json.Bool true) -> ()
               | _ -> failed := true
             end
       end)

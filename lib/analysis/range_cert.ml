@@ -563,24 +563,11 @@ let diagnostics t =
 (* ------------------------------------------------------------------ *)
 (* JSON emission (transfusion.cert/1)                                  *)
 
-(* tf_analysis sits below the report/experiment layers, so the
-   certificate carries its own emitter; the matching parser lives in the
-   independent checker (Cert_check), which deliberately shares no code
-   with this module. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The certificate carries its own emitter, because its numbers print
+   as %.17g (Tf_json's %.12g would not round-trip the bounds); strings
+   go through the shared Tf_json.escape.  The matching parser lives in
+   the independent checker (Cert_check), which deliberately shares no
+   code with this module. *)
 
 let num = S.num_to_string
 
@@ -605,7 +592,7 @@ let kind_json = function
 
 let check_json c =
   Printf.sprintf "{\"id\":\"%s\",\"code\":\"%s\",\"ok\":%b,\"detail\":\"%s\",%s}"
-    (json_escape c.id) (json_escape c.code) c.ok (json_escape c.detail) (kind_json c.kind)
+    (Tf_json.escape c.id) (Tf_json.escape c.code) c.ok (Tf_json.escape c.detail) (kind_json c.kind)
 
 let res_tag = function Arch.Pe_2d -> "\"2d\"" | Arch.Pe_1d -> "\"1d\""
 
@@ -647,7 +634,7 @@ let to_json_string t =
   Buffer.add_string b
     (Printf.sprintf
        "{\"schema\":\"transfusion.cert/1\",\"arch\":\"%s\",\"model\":\"%s\",\"batch\":%d,\"attention\":\"%s\",\"seq\":%d,"
-       (json_escape t.arch) (json_escape t.model) t.batch (attention_tag t.attention) t.seq);
+       (Tf_json.escape t.arch) (Tf_json.escape t.model) t.batch (attention_tag t.attention) t.seq);
   Buffer.add_string b
     (Printf.sprintf "\"range\":{\"var\":\"%s\",\"lo\":%d,\"hi\":%d,\"step\":%d},"
        (match t.rvar with S.N -> "n" | S.K -> "k")

@@ -42,25 +42,26 @@ module Key = struct
 
   let to_json (k : cache_key) =
     let m = k.key_model in
-    Export.Json.Obj
-      [
-        ("arch", Export.Json.Str k.key_arch);
-        ( "model",
-          Export.Json.Obj
-            [
-              ("name", Export.Json.Str m.Model.name);
-              ("d_model", Export.Json.Int m.Model.d_model);
-              ("heads", Export.Json.Int m.Model.heads);
-              ("head_dim", Export.Json.Int m.Model.head_dim);
-              ("ffn_hidden", Export.Json.Int m.Model.ffn_hidden);
-              ("layers", Export.Json.Int m.Model.layers);
-              ("activation", Export.Json.Str (activation_name m.Model.activation));
-            ] );
-        ("seq_len", Export.Json.Int k.key_seq_len);
-        ("batch", Export.Json.Int k.key_batch);
-        ("strategy", Export.Json.Str (Strategies.name k.key_strategy));
-        ("budget", Export.Json.Int k.key_budget);
-      ]
+    Tf_json.(
+      Obj
+        [
+          ("arch", Str k.key_arch);
+          ( "model",
+            Obj
+              [
+                ("name", Str m.Model.name);
+                ("d_model", Int m.Model.d_model);
+                ("heads", Int m.Model.heads);
+                ("head_dim", Int m.Model.head_dim);
+                ("ffn_hidden", Int m.Model.ffn_hidden);
+                ("layers", Int m.Model.layers);
+                ("activation", Str (activation_name m.Model.activation));
+              ] );
+          ("seq_len", Int k.key_seq_len);
+          ("batch", Int k.key_batch);
+          ("strategy", Str (Strategies.name k.key_strategy));
+          ("budget", Int k.key_budget);
+        ])
 end
 
 (* Shared across the domain pool by the parallel figure sweeps, hence

@@ -29,7 +29,7 @@ val cache_key :
 (** Persistence codec for {!cache_key} — how a disk-backed schedule
     store names and describes its entries. *)
 module Key : sig
-  val to_json : cache_key -> Export.Json.t
+  val to_json : cache_key -> Tf_json.t
   (** Canonical JSON rendering: every field of the key, with the model
       expanded to its full record (name alone does not identify a
       model — ablation variants share names). *)

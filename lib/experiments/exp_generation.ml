@@ -54,9 +54,9 @@ let sweep ?(quick = false) ?gen ?batch ?(strategies = default_strategies) ?tiles
   Exp_common.par_map (fun (arch, spec, s) -> point ?tileseek_iterations arch spec s) grid
 
 let json_of_tiling = function
-  | None -> Export.Json.Null
+  | None -> Tf_json.Null
   | Some (c : Tileseek.config) ->
-      Export.Json.(
+      Tf_json.(
         Obj
           [
             ("b", Int c.Tileseek.b);
@@ -70,7 +70,7 @@ let json_of_tiling = function
 let json_of_point p =
   let m = p.metrics in
   let spec = m.Decode.spec in
-  Export.Json.(
+  Tf_json.(
     Obj
       [
         ("arch", Str p.arch);
@@ -94,7 +94,7 @@ let json_of_point p =
 let schema = "transfusion.generation/1"
 
 let to_json points =
-  Export.Json.(Obj [ ("schema", Str schema); ("points", List (List.map json_of_point points)) ])
+  Tf_json.(Obj [ ("schema", Str schema); ("points", List (List.map json_of_point points)) ])
 
 let print ~title points =
   Exp_common.print_header title;

@@ -41,7 +41,7 @@ val schema : string
 (** The [schema] field value of {!to_json} documents:
     ["transfusion.generation/1"] (see EXPERIMENTS.md). *)
 
-val to_json : point list -> Export.Json.t
+val to_json : point list -> Tf_json.t
 (** [{schema, points: [{arch, model, strategy, prompt, gen, batch,
     ttft_s, token_s_first, token_s_last, decode_s, total_s,
     tokens_per_s, energy_per_token_pj, decode_energy_pj,

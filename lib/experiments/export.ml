@@ -15,142 +15,9 @@ let csv ~columns ~rows =
     rows;
   Buffer.contents buffer
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
-let write_file ~path contents =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let buffer = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buffer "\\\""
-        | '\\' -> Buffer.add_string buffer "\\\\"
-        | '\n' -> Buffer.add_string buffer "\\n"
-        | '\r' -> Buffer.add_string buffer "\\r"
-        | '\t' -> Buffer.add_string buffer "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buffer c)
-      s;
-    Buffer.contents buffer
-
-  (* %.17g round-trips every float but litters goldens with noise
-     digits; %.12g survives the perturbations we care about (compiler,
-     libm) while keeping diffs readable.  Golden comparisons re-parse
-     and compare with a tolerance anyway. *)
-  let number f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.12g" f
-
-  let to_string ?(indent = 2) t =
-    let buffer = Buffer.create 1024 in
-    let pad depth = String.make (depth * indent) ' ' in
-    let rec emit depth = function
-      | Null -> Buffer.add_string buffer "null"
-      | Bool b -> Buffer.add_string buffer (string_of_bool b)
-      | Int i -> Buffer.add_string buffer (string_of_int i)
-      | Num f ->
-          if Float.is_nan f || Float.abs f = Float.infinity then Buffer.add_string buffer "null"
-          else Buffer.add_string buffer (number f)
-      | Str s ->
-          Buffer.add_char buffer '"';
-          Buffer.add_string buffer (escape s);
-          Buffer.add_char buffer '"'
-      | List [] -> Buffer.add_string buffer "[]"
-      | List items ->
-          Buffer.add_string buffer "[\n";
-          List.iteri
-            (fun i item ->
-              if i > 0 then Buffer.add_string buffer ",\n";
-              Buffer.add_string buffer (pad (depth + 1));
-              emit (depth + 1) item)
-            items;
-          Buffer.add_char buffer '\n';
-          Buffer.add_string buffer (pad depth);
-          Buffer.add_char buffer ']'
-      | Obj [] -> Buffer.add_string buffer "{}"
-      | Obj fields ->
-          Buffer.add_string buffer "{\n";
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_string buffer ",\n";
-              Buffer.add_string buffer (pad (depth + 1));
-              Buffer.add_char buffer '"';
-              Buffer.add_string buffer (escape k);
-              Buffer.add_string buffer "\": ";
-              emit (depth + 1) v)
-            fields;
-          Buffer.add_char buffer '\n';
-          Buffer.add_string buffer (pad depth);
-          Buffer.add_char buffer '}'
-    in
-    emit 0 t;
-    Buffer.add_char buffer '\n';
-    Buffer.contents buffer
-
-  (* Single-line rendering for wire protocols: same escaping and number
-     formatting as [to_string], no whitespace, no trailing newline.  A
-     newline-delimited-JSON server frames messages by '\n', so the
-     payload itself must never contain one (escaped newlines inside
-     strings are fine — [escape] turns them into "\n" the two-character
-     sequence). *)
-  let to_line t =
-    let buffer = Buffer.create 256 in
-    let rec emit = function
-      | Null -> Buffer.add_string buffer "null"
-      | Bool b -> Buffer.add_string buffer (string_of_bool b)
-      | Int i -> Buffer.add_string buffer (string_of_int i)
-      | Num f ->
-          if Float.is_nan f || Float.abs f = Float.infinity then Buffer.add_string buffer "null"
-          else Buffer.add_string buffer (number f)
-      | Str s ->
-          Buffer.add_char buffer '"';
-          Buffer.add_string buffer (escape s);
-          Buffer.add_char buffer '"'
-      | List items ->
-          Buffer.add_char buffer '[';
-          List.iteri
-            (fun i item ->
-              if i > 0 then Buffer.add_char buffer ',';
-              emit item)
-            items;
-          Buffer.add_char buffer ']'
-      | Obj fields ->
-          Buffer.add_char buffer '{';
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_char buffer ',';
-              Buffer.add_char buffer '"';
-              Buffer.add_string buffer (escape k);
-              Buffer.add_string buffer "\":";
-              emit v)
-            fields;
-          Buffer.add_char buffer '}'
-    in
-    emit t;
-    Buffer.contents buffer
-
-  let write ~path t = write_file ~path (to_string t)
-end
+(* perfbench/ is the only user of this alias; the repository's own code
+   names [Tf_json] directly. *)
+module Json = Tf_json
 
 let bar_chart ?(width = 48) ~title entries =
   let buffer = Buffer.create 256 in

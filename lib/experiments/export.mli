@@ -5,37 +5,9 @@ val csv : columns:string list -> rows:(string * float list) list -> string
 (** RFC-4180-ish CSV with a leading label column.  Fields containing
     commas or quotes are quoted. *)
 
-val write_file : path:string -> string -> unit
-(** Write contents to [path], creating parent directories as needed.
-    @raise Sys_error on I/O failure. *)
-
-(** Minimal JSON document builder — enough for the experiment exports
-    and golden snapshots without an external dependency.  Serialisation
-    is deterministic (stable field order, fixed [%.12g] float format,
-    2-space indentation) so emitted documents diff cleanly; NaN and
-    infinities serialise as [null]. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val to_string : ?indent:int -> t -> string
-  (** Pretty-printed document with a trailing newline. *)
-
-  val to_line : t -> string
-  (** Compact single-line rendering — same escaping and float format as
-      {!to_string}, no whitespace, no trailing newline.  The framing
-      unit of the newline-delimited wire protocol: the output never
-      contains a raw ['\n']. *)
-
-  val write : path:string -> t -> unit
-  (** {!to_string} through {!write_file}. *)
-end
+module Json = Tf_json
+(** The benchmark driver under [perfbench/] is the only user of this
+    alias; everything else names {!Tf_json} directly. *)
 
 val bar_chart : ?width:int -> title:string -> (string * float) list -> string
 (** Horizontal ASCII bars scaled to the maximum value ([width] bar

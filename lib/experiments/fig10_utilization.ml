@@ -35,7 +35,7 @@ let model_wise ?(seq = Exp_common.seq_64k) arch =
     Exp_common.models
 
 let to_json points =
-  Export.Json.(
+  Tf_json.(
     List
       (List.map
          (fun p ->

@@ -14,7 +14,7 @@ type point = {
 val scaling : ?quick:bool -> Tf_arch.Arch.t -> Tf_workloads.Model.t -> point list
 val model_wise : ?seq:int -> Tf_arch.Arch.t -> point list
 
-val to_json : point list -> Export.Json.t
+val to_json : point list -> Tf_json.t
 (** [{arch, label, utilization: {strategy: {util_2d, util_1d}}}]. *)
 
 val print : title:string -> point list -> unit

@@ -31,7 +31,7 @@ let kind_name = function
   | Tf_costmodel.Phase.Fused_stack -> "fused_stack"
 
 let to_json points =
-  Export.Json.(
+  Tf_json.(
     List
       (List.map
          (fun p ->

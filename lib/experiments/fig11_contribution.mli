@@ -10,7 +10,7 @@ type point = {
 
 val scaling : ?quick:bool -> Tf_arch.Arch.t list -> Tf_workloads.Model.t -> point list
 
-val to_json : point list -> Export.Json.t
+val to_json : point list -> Tf_json.t
 (** One object per point: [arch], [label] and an [entries] object keyed
     by bucket (qkv, mha, layernorm, ffn) holding [speedup] and
     [contribution]. *)

@@ -32,7 +32,7 @@ let model_wise ?(seq = Exp_common.seq_64k) (arch : Tf_arch.Arch.t) =
     Exp_common.models
 
 let to_json points =
-  Export.Json.(
+  Tf_json.(
     List
       (List.map
          (fun p ->

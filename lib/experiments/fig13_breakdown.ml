@@ -36,7 +36,7 @@ let scaling ?(quick = false) ?(strategies = [ Strategies.Transfusion; Strategies
     archs
 
 let to_json points =
-  Export.Json.(
+  Tf_json.(
     List
       (List.map
          (fun p ->

@@ -18,7 +18,7 @@ val scaling :
   point list
 (** Default strategies: TransFusion (13a) and FuseMax (13b). *)
 
-val to_json : point list -> Export.Json.t
+val to_json : point list -> Tf_json.t
 (** [{arch, label, strategy, fractions: {component: share}, total_pj}]. *)
 
 val print : title:string -> point list -> unit

@@ -16,7 +16,7 @@ val scaling : ?quick:bool -> Tf_arch.Arch.t list -> Tf_workloads.Model.t -> poin
 val model_wise : ?seq:int -> Tf_arch.Arch.t -> point list
 (** Figure 8b rows: one point per model at the given sequence (64K). *)
 
-val to_json : point list -> Export.Json.t
+val to_json : point list -> Tf_json.t
 (** One object per point: [{arch, label, speedups: {strategy: x}}] —
     the golden-snapshot shape. *)
 

@@ -16,7 +16,7 @@ val scaling : ?quick:bool -> Tf_workloads.Model.t -> point list
 val model_wise : ?seq:int -> unit -> point list
 (** Figure 9b: the five models at 64K under both variants. *)
 
-val to_json : point list -> Export.Json.t
+val to_json : point list -> Tf_json.t
 (** Same shape as {!Fig8_speedup.to_json}. *)
 
 val print : title:string -> point list -> unit

@@ -38,7 +38,7 @@ let ordering_holds ?quick ?model arch =
     [ Strategies.Unfused; Strategies.Flat; Strategies.Fusemax; Strategies.Fusemax_layerfuse ]
 
 let to_json s =
-  Export.Json.(
+  Tf_json.(
     Obj
       [
         ("arch", Str s.arch);

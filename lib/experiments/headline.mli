@@ -23,7 +23,7 @@ val ordering_holds : ?quick:bool -> ?model:Tf_workloads.Model.t -> Tf_arch.Arch.
 (** True when, at every sweep point, TransFusion is at least as fast
     (within 1%) as every baseline — the qualitative claim of Figure 8. *)
 
-val to_json : summary -> Export.Json.t
+val to_json : summary -> Tf_json.t
 (** [{arch, vs_layerfuse, vs_fusemax, vs_flat, vs_unfused}]. *)
 
 val print : summary -> unit

@@ -1,7 +1,7 @@
 (* Tf_obs: process-wide observability for the search stack.
 
-   Three pieces, all domain-safe and dependency-free (stdlib + one C
-   stub for CLOCK_MONOTONIC):
+   Three pieces, all domain-safe, on the stdlib, one C stub for
+   CLOCK_MONOTONIC and Tf_json's string escaper:
 
    - a metrics registry of named atomic counters, gauges and
      fixed-bucket histograms.  Every mutation is guarded by one global
@@ -762,21 +762,6 @@ module Trace = struct
         f
     end
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   let events () =
     Mutex.lock buffers_lock;
     let all = List.concat_map (fun buf -> !buf) !all_buffers in
@@ -795,8 +780,8 @@ module Trace = struct
         if i > 0 then Buffer.add_string buf ",\n";
         let common =
           Printf.sprintf "\"name\":\"%s\",\"cat\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%.3f"
-            (json_escape ev.ev_name)
-            (json_escape (if ev.ev_cat = "" then "transfusion" else ev.ev_cat))
+            (Tf_json.escape ev.ev_name)
+            (Tf_json.escape (if ev.ev_cat = "" then "transfusion" else ev.ev_cat))
             ev.ev_tid (ev.ev_ts_us -. base)
         in
         let phase =
@@ -811,7 +796,7 @@ module Trace = struct
               let fields =
                 List.map
                   (fun (k, v) ->
-                    Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+                    Printf.sprintf "\"%s\":\"%s\"" (Tf_json.escape k) (Tf_json.escape v))
                   kvs
               in
               Printf.sprintf ",\"args\":{%s}" (String.concat "," fields)

@@ -1,5 +1,3 @@
-module J = Json_read
-
 type kind = Wall_s | Ns_per_run
 type entry = { name : string; kind : kind; value : float }
 type row = { name : string; kind : kind; baseline : float; current : float; ratio : float }
@@ -18,26 +16,26 @@ type report = {
 let series kind field json =
   List.filter_map
     (fun item ->
-      let name = J.to_string (J.member "name" item) in
-      match J.float_opt (J.member field item) with
+      let name = Tf_json.get_string (Tf_json.member "name" item) in
+      match Tf_json.float_opt (Tf_json.member field item) with
       | Some v when Float.is_finite v -> Some { name; kind; value = v }
       | _ -> None)
-    (J.to_list json)
+    (Tf_json.get_list json)
 
 let entries doc =
-  match J.to_string (J.member "schema" doc) with
+  match Tf_json.get_string (Tf_json.member "schema" doc) with
   | "transfusion-bench/v1" ->
-      series Wall_s "wall_s" (J.member "figures" doc)
-      @ series Ns_per_run "ns_per_run" (J.member "microbench" doc)
+      series Wall_s "wall_s" (Tf_json.member "figures" doc)
+      @ series Ns_per_run "ns_per_run" (Tf_json.member "microbench" doc)
   | "transfusion-bench-trajectory/v1" ->
-      let current = J.member "current" doc in
+      let current = Tf_json.member "current" doc in
       let wall =
-        match Option.bind (J.find "quick_bench_wall_s" current) J.float_opt with
+        match Option.bind (Tf_json.find "quick_bench_wall_s" current) Tf_json.float_opt with
         | Some v -> [ { name = "bench --quick (total)"; kind = Wall_s; value = v } ]
         | None -> []
       in
-      series Ns_per_run "ns_per_run" (J.member "microbench" current) @ wall
-  | s -> raise (J.Bad_json (Printf.sprintf "unsupported bench schema %S" s))
+      series Ns_per_run "ns_per_run" (Tf_json.member "microbench" current) @ wall
+  | s -> raise (Tf_json.Bad_json (Printf.sprintf "unsupported bench schema %S" s))
 
 let compare_docs ?(threshold = 1.5) ~baseline current =
   if threshold <= 1. then invalid_arg "Bench_diff.compare_docs: threshold must exceed 1";

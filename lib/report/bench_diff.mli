@@ -27,12 +27,12 @@ type report = {
   missing_in_baseline : string list;
 }
 
-val entries : Json_read.t -> entry list
+val entries : Tf_json.t -> entry list
 (** Extract the comparable series of a bench document.
-    @raise Json_read.Bad_json on an unrecognised schema or shape.
+    @raise Tf_json.Bad_json on an unrecognised schema or shape.
     Null/NaN measurements are skipped. *)
 
-val compare_docs : ?threshold:float -> baseline:Json_read.t -> Json_read.t -> report
+val compare_docs : ?threshold:float -> baseline:Tf_json.t -> Tf_json.t -> report
 (** [compare_docs ~baseline current] matches the two series. *)
 
 val has_regressions : report -> bool

@@ -1,4 +1,4 @@
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 module Mcts = Transfusion.Mcts
 module Tileseek = Transfusion.Tileseek
 

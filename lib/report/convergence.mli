@@ -5,7 +5,7 @@
     and summarises how the search behaved: the best-reward-vs-rollout
     curve, tree shape (depth, branching), and the cost-memo hit
     trajectory.  Deterministic for a fixed search seed, and the JSON form
-    round-trips through the deterministic {!Tf_experiments.Export.Json}
+    round-trips through the deterministic {!Tf_json}
     emitter — pinned by the tests. *)
 
 type t = {
@@ -34,5 +34,5 @@ val of_probes :
 val render : t -> string
 (** Human summary: headline, tree shape, memo hit rate, curve table. *)
 
-val to_json : t -> Tf_experiments.Export.Json.t
+val to_json : t -> Tf_json.t
 (** Deterministic object (schema fragment of [transfusion.explain/1]). *)

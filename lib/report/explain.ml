@@ -1,4 +1,4 @@
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 module Arch = Tf_arch.Arch
 module Workload = Tf_workloads.Workload
 module Model = Tf_workloads.Model

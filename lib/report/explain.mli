@@ -13,7 +13,7 @@
     - a Perfetto-loadable {!Sim_trace} of the simulated timeline.
 
     Everything is deterministic for a fixed seed and serialises through
-    {!Tf_experiments.Export.Json} as schema [transfusion.explain/1]. *)
+    {!Tf_json} as schema [transfusion.explain/1]. *)
 
 type buffer_row = {
   module_name : string;
@@ -62,8 +62,8 @@ val render : t -> string
 (** The human-facing report: workload/tiling header, schedule summary,
     rollup table, buffer table, convergence summary. *)
 
-val to_json : t -> Tf_experiments.Export.Json.t
+val to_json : t -> Tf_json.t
 (** Schema [transfusion.explain/1] (documented in EXPERIMENTS.md). *)
 
-val trace : t -> Tf_experiments.Export.Json.t
+val trace : t -> Tf_json.t
 (** The {!Sim_trace} document of the simulated timeline. *)

@@ -1,196 +1,9 @@
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
+(* The reader half of {!Tf_json} under its old accessor names.
+   perfbench/ is the only user of this shim; the repository's own code
+   names [Tf_json] directly. *)
 
-exception Bad_json of string
+include Tf_json
 
-(* Wire-safety limits (a daemon parses attacker-adjacent bytes):
-   [max_bytes] rejects over-long inputs before any work happens, and
-   [max_depth] bounds container nesting so a line of a million '['s
-   raises [Bad_json] instead of [Stack_overflow] — the recursive-descent
-   parser's stack frame count is proportional to nesting depth, and an
-   uncaught [Stack_overflow] in a server thread would kill the
-   process.  The defaults are far above anything the repo's own schemas
-   produce. *)
-let default_max_depth = 512
-
-let parse ?max_bytes ?(max_depth = default_max_depth) (s : string) : t =
-  (match max_bytes with
-  | Some limit when String.length s > limit ->
-      raise
-        (Bad_json (Printf.sprintf "input too large (%d bytes, limit %d)" (String.length s) limit))
-  | _ -> ());
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some (('"' | '\\' | '/') as c) ->
-              Buffer.add_char buf c;
-              advance ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance ()
-          | Some 'u' ->
-              advance ();
-              let code = ref 0 in
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' as c) ->
-                    code := (!code * 16) + (Char.code c - Char.code '0');
-                    advance ()
-                | Some ('a' .. 'f' as c) ->
-                    code := (!code * 16) + (Char.code c - Char.code 'a' + 10);
-                    advance ()
-                | Some ('A' .. 'F' as c) ->
-                    code := (!code * 16) + (Char.code c - Char.code 'A' + 10);
-                    advance ()
-                | _ -> fail "bad unicode escape"
-              done;
-              (* UTF-8 encode the BMP code point (surrogate pairs are not
-                 recombined — the emitter never writes them). *)
-              let cp = !code in
-              if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-              else if cp < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-              end
-          | _ -> fail "bad escape");
-          loop ()
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (
-      pos := !pos + l;
-      value)
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let rec parse_value depth =
-    if depth > max_depth then fail "nesting too deep";
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value (depth + 1) in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Obj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          List [])
-        else
-          let rec elements acc =
-            let v = parse_value (depth + 1) in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          List (elements [])
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | _ -> Num (parse_number ())
-  in
-  let v = parse_value 0 in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let parse_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
-
-let member key = function
-  | Obj fields -> (
-      match List.assoc_opt key fields with
-      | Some v -> v
-      | None -> raise (Bad_json (Printf.sprintf "missing field %S" key)))
-  | _ -> raise (Bad_json (Printf.sprintf "not an object (looking up %S)" key))
-
-let find key = function Obj fields -> List.assoc_opt key fields | _ -> None
-let to_list = function List l -> l | _ -> raise (Bad_json "not a list")
-let to_float = function Num f -> f | _ -> raise (Bad_json "not a number")
-let to_string = function Str s -> s | _ -> raise (Bad_json "not a string")
-let float_opt = function Num f -> Some f | _ -> None
+let to_list = get_list
+let to_float = get_float
+let to_string = get_string

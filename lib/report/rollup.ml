@@ -1,4 +1,4 @@
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 module Sim = Transfusion.Pipeline_sim
 module Roofline = Tf_costmodel.Roofline
 

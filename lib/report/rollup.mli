@@ -48,6 +48,6 @@ val of_events :
 val render : t -> string
 (** Human table: array utilisation header, then one line per operation. *)
 
-val to_json : t -> Tf_experiments.Export.Json.t
+val to_json : t -> Tf_json.t
 (** Deterministic object mirroring the record (schema fragment of
     [transfusion.explain/1]). *)

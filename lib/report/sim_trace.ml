@@ -1,4 +1,4 @@
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 module Sim = Transfusion.Pipeline_sim
 
 type instance = {
@@ -197,6 +197,3 @@ let spans_document ?(name = "transfusion sim") ?(other_data = []) ~tracks ~spans
         Json.List ((process :: List.map thread tracks) @ List.map span_slice spans @ counter_events)
       );
     ]
-
-let write ~path doc =
-  if String.equal path "-" then print_string (Json.to_string doc) else Json.write ~path doc

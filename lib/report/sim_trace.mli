@@ -10,7 +10,7 @@
     model) against the capacity limit.
 
     The document loads in Perfetto / chrome://tracing and serialises
-    through {!Tf_experiments.Export.Json}, so it is deterministic and
+    through {!Tf_json}, so it is deterministic and
     diffable.  Folding the slice durations per track reproduces the
     simulation outcome's busy totals (the property the tests pin). *)
 
@@ -25,7 +25,7 @@ type instance = {
 }
 
 val document :
-  ?name:string -> capacity_elements:float -> instance list -> Tf_experiments.Export.Json.t
+  ?name:string -> capacity_elements:float -> instance list -> Tf_json.t
 (** [document ~capacity_elements instances] builds the trace document:
     top-level [schema = "transfusion.simtrace/1"], [traceEvents] with
     thread-name metadata for the two PE-array tracks, one "X" slice per
@@ -41,7 +41,7 @@ type span = {
   cat : string;  (** trace-event category (filterable in Perfetto) *)
   ts_us : float;  (** start, trace microseconds *)
   dur_us : float;
-  span_args : (string * Tf_experiments.Export.Json.t) list;
+  span_args : (string * Tf_json.t) list;
 }
 (** A generic complete slice — what timeline producers other than
     {!Transfusion.Pipeline_sim} (e.g. the serving simulator, whose
@@ -50,12 +50,12 @@ type span = {
 
 val spans_document :
   ?name:string ->
-  ?other_data:(string * Tf_experiments.Export.Json.t) list ->
+  ?other_data:(string * Tf_json.t) list ->
   tracks:(int * string) list ->
   spans:span list ->
   counters:(string * (float * float) list) list ->
   unit ->
-  Tf_experiments.Export.Json.t
+  Tf_json.t
 (** A [transfusion.simtrace/1] document from arbitrary tracks: one
     thread-name metadata event per [tracks] entry (tid, name), one "X"
     slice per span (in input order), and one "C" series per [counters]
@@ -64,7 +64,3 @@ val spans_document :
     object; [name] labels the process track (default
     ["transfusion sim"]).  The cycle-clock {!document} above is this
     with the Table-2 occupancy model baked in. *)
-
-val write : path:string -> Tf_experiments.Export.Json.t -> unit
-(** {!Tf_experiments.Export.Json.write} with ["-"] routed to stdout —
-    the CLI convention for every report artifact. *)

@@ -1,4 +1,4 @@
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 module Strategies = Transfusion.Strategies
 module Latency = Tf_costmodel.Latency
 module Energy = Tf_costmodel.Energy
@@ -82,12 +82,12 @@ let decode_doc ?(quick = false) ?(gen = 512) ?(batch = 16) ?strategies ?(iterati
        ~tileseek_iterations:iterations [ arch ] models)
 
 (* Costs the interpolation lerps between: the scalar summary of a cached
-   bucket payload.  Read back through [Json_read] — the float went
+   bucket payload.  Read back through [Json.parse] — the float went
    through [%.12g] on the way out, so both buckets lose the same
    (negligible) precision and the lerp stays deterministic. *)
 let payload_costs line =
-  let doc = Tf_report.Json_read.parse line in
+  let doc = Json.parse line in
   let field outer inner =
-    Tf_report.Json_read.(to_float (member inner (member outer doc)))
+    Json.(get_float (member inner (member outer doc)))
   in
   (field "latency" "total_s", field "energy" "total_pj")

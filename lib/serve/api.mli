@@ -9,7 +9,7 @@
 val eval_schema : string
 (** ["transfusion.eval/1"] — the schema tag of {!eval_doc} documents. *)
 
-val result_json : Transfusion.Strategies.result -> Tf_experiments.Export.Json.t
+val result_json : Transfusion.Strategies.result -> Tf_json.t
 (** One evaluated point as a [transfusion.eval/1] document: workload
     identity, latency (total and utilisations), energy breakdown,
     traffic record and the searched tiling (null for closed-form
@@ -20,7 +20,7 @@ val eval_doc :
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   Transfusion.Strategies.t ->
-  Tf_experiments.Export.Json.t
+  Tf_json.t
 (** {!result_json} of the memoised, verified
     {!Tf_experiments.Exp_common.evaluate} ([iterations] defaults to
     200).  The [schedule] endpoint and [eval --json] both ride on this.
@@ -32,7 +32,7 @@ val explain_doc :
   ?causal:bool ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
-  Tf_experiments.Export.Json.t
+  Tf_json.t
 (** The [transfusion.explain/1] document of
     {!Tf_report.Explain.run} — same defaults as the CLI ([iterations]
     200, [seed] 42, encoder self-attention). *)
@@ -45,7 +45,7 @@ val decode_doc :
   ?iterations:int ->
   Tf_arch.Arch.t ->
   Tf_workloads.Model.t list ->
-  Tf_experiments.Export.Json.t
+  Tf_json.t
 (** The [transfusion.generation/1] document of
     {!Tf_experiments.Exp_generation.sweep} over one architecture — the
     [decode --json] code path.  [strategies] defaults (also on an
@@ -55,4 +55,4 @@ val decode_doc :
 val payload_costs : string -> float * float
 (** [(latency_total_s, energy_total_pj)] parsed back out of a rendered
     {!eval_doc} line — the endpoints a bucketed response lerps between.
-    @raise Tf_report.Json_read.Bad_json on a non-eval payload. *)
+    @raise Tf_json.Bad_json on a non-eval payload. *)

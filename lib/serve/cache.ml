@@ -1,4 +1,4 @@
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 
 let schema = "transfusion.serve-cache/1"
 
@@ -12,7 +12,7 @@ type t = {
 }
 
 let create ?(max_entries = 1024) ?dir () =
-  (match dir with Some d -> Tf_experiments.Export.write_file ~path:(Filename.concat d ".keep") "" | None -> ());
+  (match dir with Some d -> Json.write_file ~path:(Filename.concat d ".keep") "" | None -> ());
   {
     memo = Tf_parallel.Memo.create ~name:"serve.schedule" ~capacity:max_entries ();
     dir;
@@ -38,7 +38,7 @@ let load_disk t fp =
   | None -> None
   | Some path when not (Sys.file_exists path) -> None
   | Some path -> (
-      match Tf_report.Json_read.(to_string (member "payload" (parse_file path))) with
+      match Json.(get_string (member "payload" (parse_file path))) with
       | payload -> Some payload
       | exception _ ->
           (* A corrupt or half-written entry must read as a miss, never
@@ -57,7 +57,7 @@ let store_disk t fp ~key_json payload =
          sees a torn entry. *)
       let tmp = path ^ ".tmp" in
       match
-        Tf_experiments.Export.write_file ~path:tmp (Json.to_string doc);
+        Json.write_file ~path:tmp (Json.to_string doc);
         Sys.rename tmp path
       with
       | () -> Tf_obs.Counter.incr t.disk_stores

@@ -25,7 +25,7 @@ val create : ?max_entries:int -> ?dir:string -> unit -> t
     [memo.serve.schedule.*] for the memory tier,
     [serve.cache.disk_*_total] for the disk tier. *)
 
-val fingerprint : Tf_experiments.Export.Json.t -> string
+val fingerprint : Tf_json.t -> string
 (** Hex digest of the compact rendering of a key document. *)
 
 type tier = Memory | Disk | Computed
@@ -38,7 +38,7 @@ val tier_name : tier -> string
 val find_or_compute :
   ?report:(fp:string -> tier:tier -> unit) ->
   t ->
-  key_json:Tf_experiments.Export.Json.t ->
+  key_json:Tf_json.t ->
   (unit -> string) ->
   string
 (** Memory tier, then disk tier, then [compute] (persisting the fresh

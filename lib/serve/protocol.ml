@@ -1,5 +1,4 @@
-module Json = Tf_experiments.Export.Json
-module R = Tf_report.Json_read
+module Json = Tf_json
 
 let schema = "transfusion.serve/1"
 
@@ -13,29 +12,26 @@ exception Bad_request of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
 
-type request = { id : Json.t; op : string; body : R.t }
+type request = { id : Json.t; op : string; body : Json.t }
 
 (* The id is echoed back verbatim so clients can pipeline requests over
    one connection; only scalars are accepted (an object id has no
    canonical rendering worth promising). *)
 let id_of body =
-  match R.find "id" body with
-  | None | Some R.Null -> Json.Null
-  | Some (R.Bool b) -> Json.Bool b
-  | Some (R.Num f) ->
-      if Float.is_integer f && Float.abs f < 1e15 then Json.Int (int_of_float f) else Json.Num f
-  | Some (R.Str s) -> Json.Str s
-  | Some (R.List _ | R.Obj _) -> fail "id must be a scalar"
+  match Json.find "id" body with
+  | None -> Json.Null
+  | Some (Json.List _ | Json.Obj _) -> fail "id must be a scalar"
+  | Some id -> id
 
 let parse_request line =
   let body =
-    try R.parse ~max_bytes:max_request_bytes line
-    with R.Bad_json msg -> fail "malformed request: %s" msg
+    try Json.parse ~max_bytes:max_request_bytes line
+    with Json.Bad_json msg -> fail "malformed request: %s" msg
   in
-  (match body with R.Obj _ -> () | _ -> fail "request must be a JSON object");
+  (match body with Json.Obj _ -> () | _ -> fail "request must be a JSON object");
   let op =
-    match R.find "op" body with
-    | Some (R.Str op) -> op
+    match Json.find "op" body with
+    | Some (Json.Str op) -> op
     | Some _ -> fail "op must be a string"
     | None -> fail "missing field \"op\""
   in
@@ -46,29 +42,29 @@ let parse_request line =
    shape — a misspelled value is a client error, not a silent zero. *)
 
 let int_field body key ~default =
-  match R.find key body with
-  | None | Some R.Null -> default
-  | Some (R.Num f) when Float.is_integer f -> int_of_float f
-  | Some _ -> fail "field %S must be an integer" key
+  match Json.find key body with
+  | None | Some Json.Null -> default
+  | Some v -> (
+      try Json.get_int v with Json.Bad_json _ -> fail "field %S must be an integer" key)
 
 let bool_field body key ~default =
-  match R.find key body with
-  | None | Some R.Null -> default
-  | Some (R.Bool b) -> b
+  match Json.find key body with
+  | None | Some Json.Null -> default
+  | Some (Json.Bool b) -> b
   | Some _ -> fail "field %S must be a boolean" key
 
 let str_field body key ~default =
-  match R.find key body with
-  | None | Some R.Null -> default
-  | Some (R.Str s) -> s
+  match Json.find key body with
+  | None | Some Json.Null -> default
+  | Some (Json.Str s) -> s
   | Some _ -> fail "field %S must be a string" key
 
 let str_list_field body key =
-  match R.find key body with
-  | None | Some R.Null -> []
-  | Some (R.List items) ->
-      List.map (function R.Str s -> s | _ -> fail "field %S must list strings" key) items
-  | Some (R.Str s) -> [ s ]
+  match Json.find key body with
+  | None | Some Json.Null -> []
+  | Some (Json.List items) ->
+      List.map (function Json.Str s -> s | _ -> fail "field %S must list strings" key) items
+  | Some (Json.Str s) -> [ s ]
   | Some _ -> fail "field %S must be a list of strings" key
 
 let arch_field body =

@@ -22,9 +22,9 @@ exception Bad_request of string
     an [ok:false] response — never a dead connection. *)
 
 type request = {
-  id : Tf_experiments.Export.Json.t;  (** echoed scalar, [Null] when absent *)
+  id : Tf_json.t;  (** echoed scalar, [Null] when absent *)
   op : string;
-  body : Tf_report.Json_read.t;
+  body : Tf_json.t;
 }
 
 val fail : ('a, unit, string, 'b) format4 -> 'a
@@ -37,33 +37,34 @@ val parse_request : string -> request
 
 (** Field accessors over the request body — absent fields take the
     default (mirroring the CLI flag defaults), ill-typed fields raise
-    {!Bad_request}. *)
+    {!Bad_request}.  An integer field takes what {!Tf_json.get_int}
+    takes, so a number beyond 2{^53} is ill-typed, not wrapped. *)
 
-val int_field : Tf_report.Json_read.t -> string -> default:int -> int
-val bool_field : Tf_report.Json_read.t -> string -> default:bool -> bool
-val str_field : Tf_report.Json_read.t -> string -> default:string -> string
+val int_field : Tf_json.t -> string -> default:int -> int
+val bool_field : Tf_json.t -> string -> default:bool -> bool
+val str_field : Tf_json.t -> string -> default:string -> string
 
-val str_list_field : Tf_report.Json_read.t -> string -> string list
+val str_list_field : Tf_json.t -> string -> string list
 (** A list of strings, a bare string (singleton), or absent (empty). *)
 
-val arch_field : Tf_report.Json_read.t -> Tf_arch.Arch.t
+val arch_field : Tf_json.t -> Tf_arch.Arch.t
 (** ["arch"] preset, default cloud. *)
 
 val model_of : string -> Tf_workloads.Model.t
-val model_field : Tf_report.Json_read.t -> Tf_workloads.Model.t
+val model_field : Tf_json.t -> Tf_workloads.Model.t
 (** ["model"] preset, default Llama3. *)
 
 val strategy_of : string -> Transfusion.Strategies.t
 
 val strategy_field :
-  Tf_report.Json_read.t -> default:Transfusion.Strategies.t -> Transfusion.Strategies.t
+  Tf_json.t -> default:Transfusion.Strategies.t -> Transfusion.Strategies.t
 
-val ok_line : ?id:Tf_experiments.Export.Json.t -> op:string -> string -> string
+val ok_line : ?id:Tf_json.t -> op:string -> string -> string
 (** [ok_line ~op payload] — [payload] must be a rendered single-line
     JSON value; it is spliced in byte-for-byte as the ["result"] field
     (always the last field of the response). *)
 
-val error_line : ?id:Tf_experiments.Export.Json.t -> ?op:string -> string -> string
+val error_line : ?id:Tf_json.t -> ?op:string -> string -> string
 
 val result_of_line : string -> string option
 (** The exact ["result"] payload bytes of an {!ok_line} response —

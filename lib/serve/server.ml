@@ -1,4 +1,4 @@
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 module Strategies = Transfusion.Strategies
 module Exp_common = Tf_experiments.Exp_common
 
@@ -245,25 +245,11 @@ let metrics_payload () =
   (* Refresh the process/GC gauges so a scrape never reads stale
      runtime health. *)
   Tf_obs.Process.sample ();
-  let value_json = function
-    | Tf_obs.Counter_v i -> Json.Int i
-    | Tf_obs.Gauge_v f -> Json.Num f
-    | Tf_obs.Histogram_v { count; sum; buckets } ->
-        Json.Obj
-          [
-            ("count", Json.Int count);
-            ("sum", Json.Num sum);
-            ( "buckets",
-              Json.List
-                (List.map (fun (ub, n) -> Json.List [ Json.Num ub; Json.Int n ]) buckets) );
-          ]
-  in
   Json.to_line
     (Json.Obj
        [
          ("schema", Json.Str "transfusion.metrics/1");
-         ( "metrics",
-           Json.Obj (List.map (fun (name, v) -> (name, value_json v)) (Tf_obs.snapshot ())) );
+         ("metrics", Telemetry.snapshot_json (Tf_obs.snapshot ()));
        ])
 
 let metrics_text_payload () =
@@ -350,7 +336,7 @@ let handle_line t line =
               | Protocol.Bad_request msg -> msg
               | Failure msg -> msg
               | Invalid_argument msg -> msg
-              | Tf_report.Json_read.Bad_json msg -> msg
+              | Json.Bad_json msg -> msg
               | e -> Printexc.to_string e
             in
             Protocol.error_line ~id ~op msg

@@ -1,4 +1,4 @@
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 
 (* Windowed telemetry for the daemon: a background sampler feeding a
    {!Tf_obs.Window} ring (plus the process/GC gauges and the access-log
@@ -58,46 +58,32 @@ let stop t =
       Thread.join th;
       t.thread <- None
 
-(* --- stats payload (transfusion.stats/1) ----------------------------- *)
+(* --- snapshot and stats payloads --------------------------------------- *)
+
+let snapshot_json (snap : Tf_obs.snapshot) =
+  let value = function
+    | Tf_obs.Counter_v i -> Json.Int i
+    | Tf_obs.Gauge_v f -> Json.Num f
+    | Tf_obs.Histogram_v { count; sum; buckets } ->
+        Json.Obj
+          [
+            ("count", Json.Int count);
+            ("sum", Json.Num sum);
+            ( "buckets",
+              Json.List (List.map (fun (ub, n) -> Json.List [ Json.Num ub; Json.Int n ]) buckets) );
+          ]
+  in
+  Json.Obj (List.map (fun (name, v) -> (name, value v)) snap)
 
 (* NaN quantiles (a histogram whose windowed mass sits entirely in the
    overflow bucket) ride the emitter's NaN-as-null rule. *)
 let stats_payload t =
   let current = Tf_obs.snapshot () in
-  let gauges =
-    List.filter_map
-      (fun (name, v) -> match v with Tf_obs.Gauge_v g -> Some (name, Json.Num g) | _ -> None)
-      current
-  in
-  let counters =
-    List.filter_map
-      (fun (name, v) -> match v with Tf_obs.Counter_v n -> Some (name, Json.Int n) | _ -> None)
-      current
-  in
+  let only keep snap = snapshot_json (List.filter (fun (_, v) -> keep v) snap) in
   let windowed =
     match Tf_obs.Window.stats t.window with
     | None -> []
     | Some s ->
-        let histograms =
-          List.filter_map
-            (fun (name, v) ->
-              match v with
-              | Tf_obs.Histogram_v { count; sum; buckets } ->
-                  Some
-                    ( name,
-                      Json.Obj
-                        [
-                          ("count", Json.Int count);
-                          ("sum", Json.Num sum);
-                          ( "buckets",
-                            Json.List
-                              (List.map
-                                 (fun (ub, n) -> Json.List [ Json.Num ub; Json.Int n ])
-                                 buckets) );
-                        ] )
-              | _ -> None)
-            s.Tf_obs.Window.delta
-        in
         [
           ("samples", Json.Int s.Tf_obs.Window.samples);
           ("span_s", Json.Num s.Tf_obs.Window.span_s);
@@ -110,7 +96,8 @@ let stats_payload t =
                      Json.Obj
                        [ ("p50", Json.Num p50); ("p95", Json.Num p95); ("p99", Json.Num p99) ] ))
                  s.Tf_obs.Window.quantiles) );
-          ("histograms", Json.Obj histograms);
+          ( "histograms",
+            only (function Tf_obs.Histogram_v _ -> true | _ -> false) s.Tf_obs.Window.delta );
         ]
   in
   Json.to_line
@@ -121,7 +108,10 @@ let stats_payload t =
           ("window_samples", Json.Int (Tf_obs.Window.length t.window));
         ]
        @ windowed
-       @ [ ("gauges", Json.Obj gauges); ("counters", Json.Obj counters) ]))
+       @ [
+           ("gauges", only (function Tf_obs.Gauge_v _ -> true | _ -> false) current);
+           ("counters", only (function Tf_obs.Counter_v _ -> true | _ -> false) current);
+         ]))
 
 (* --- OpenMetrics payload --------------------------------------------- *)
 

@@ -26,6 +26,12 @@ val on_tick : t -> (unit -> unit) -> unit
 (** Hook run after each periodic sample (the daemon flushes the access
     log here).  Exceptions must not escape the hook. *)
 
+val snapshot_json : Tf_obs.snapshot -> Tf_json.t
+(** A registry snapshot as one JSON object keyed by metric name:
+    counters as integers, gauges as numbers, histograms as
+    [{"count","sum","buckets":[[upper_bound,count],...]}].  The
+    [metrics] wire op and the bench document both render through it. *)
+
 val stats_payload : t -> string
 (** The [transfusion.stats/1] line: window span, per-second counter
     rates, windowed histogram quantiles (p50/p95/p99) and delta buckets

@@ -2,7 +2,7 @@ module Decode = Transfusion.Decode
 module Strategies = Transfusion.Strategies
 module Generation = Tf_workloads.Generation
 module Exp_common = Tf_experiments.Exp_common
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 
 type per_request = {
   ttft_s : float;
@@ -88,12 +88,11 @@ let render_payload c =
    caller recomputes — a corrupt cache line must never poison a
    report. *)
 let parse_payload line =
-  let module R = Tf_report.Json_read in
-  match R.parse line with
-  | exception R.Bad_json _ -> None
+  match Json.parse line with
+  | exception Json.Bad_json _ -> None
   | doc -> (
       let field name =
-        match R.find name doc with Some (R.Str s) -> float_of_string_opt s | _ -> None
+        match Json.find name doc with Some (Json.Str s) -> float_of_string_opt s | _ -> None
       in
       let ( let* ) = Option.bind in
       let* ttft_s = field "ttft_s" in

@@ -1,5 +1,5 @@
 module Exp_common = Tf_experiments.Exp_common
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 
 type point = { load : string; rate_qps : float; report : Simulator.report }
 

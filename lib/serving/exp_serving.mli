@@ -40,7 +40,7 @@ val schema : string
 (** ["transfusion.serving/1"] — comparison documents carry the
     single-run schema per point, without per-request arrays. *)
 
-val to_json : costs:Costs.t -> point list -> Tf_experiments.Export.Json.t
+val to_json : costs:Costs.t -> point list -> Tf_json.t
 (** [{schema, points: [<single-run report + load label>]}]. *)
 
 val print : title:string -> point list -> unit

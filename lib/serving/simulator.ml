@@ -1,5 +1,5 @@
 module Strategies = Transfusion.Strategies
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 
 type event =
   | Prefill of { t0 : float; t1 : float; id : int }

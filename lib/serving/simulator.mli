@@ -84,7 +84,7 @@ val run :
     the trace's deepest class cannot fit the accelerator's buffer even
     alone — no policy could serve that trace. *)
 
-val to_json : ?per_request:bool -> costs:Costs.t -> report -> Tf_experiments.Export.Json.t
+val to_json : ?per_request:bool -> costs:Costs.t -> report -> Tf_json.t
 (** The [transfusion.serving/1] report document; [per_request] (default
     true) includes the per-request array (the policy-comparison
     experiment drops it). *)

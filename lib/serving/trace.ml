@@ -1,5 +1,5 @@
 module Sim_trace = Tf_report.Sim_trace
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 
 let max_request_tracks = 256
 let engine_tid = 1
@@ -128,5 +128,3 @@ let document (report : Simulator.report) =
     ~spans:(engine_spans report @ request_spans report)
     ~counters:[ ("queue_depth", queue_depth); ("batch_size", batch_size) ]
     ()
-
-let write ~path report = Sim_trace.write ~path (document report)

@@ -14,8 +14,5 @@ val max_request_tracks : int
 (** Per-request tracks rendered before the remainder is elided (256) —
     a 10k-request window must not emit 10k thread-metadata rows. *)
 
-val document : Simulator.report -> Tf_experiments.Export.Json.t
+val document : Simulator.report -> Tf_json.t
 (** The [transfusion.simtrace/1] document of the run's serving window. *)
-
-val write : path:string -> Simulator.report -> unit
-(** {!document} through {!Tf_report.Sim_trace.write} (["-"] = stdout). *)

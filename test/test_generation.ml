@@ -119,19 +119,16 @@ let test_json_export () =
       (fun s -> Tf_experiments.Exp_generation.point ~tileseek_iterations:40 arch spec s)
       [ Strategies.Fusemax; Strategies.Transfusion ]
   in
-  let doc =
-    Tjson.parse
-      (Tf_experiments.Export.Json.to_string (Tf_experiments.Exp_generation.to_json points))
-  in
+  let doc = Tf_json.parse (Tf_json.to_string (Tf_experiments.Exp_generation.to_json points)) in
   Alcotest.(check string)
     "schema tag" Tf_experiments.Exp_generation.schema
-    (Tjson.to_string (Tjson.member "schema" doc));
-  let pts = Tjson.to_list (Tjson.member "points" doc) in
+    (Tf_json.get_string (Tf_json.member "schema" doc));
+  let pts = Tf_json.get_list (Tf_json.member "points" doc) in
   Alcotest.(check int) "one object per point" 2 (List.length pts);
   List.iter
     (fun p ->
       List.iter
-        (fun field -> ignore (Tjson.to_float (Tjson.member field p) : float))
+        (fun field -> ignore (Tf_json.get_float (Tf_json.member field p) : float))
         [
           "ttft_s";
           "token_s_first";
@@ -144,23 +141,23 @@ let test_json_export () =
           "total_energy_pj";
         ];
       List.iter
-        (fun field -> ignore (Tjson.to_int (Tjson.member field p) : int))
+        (fun field -> ignore (Tf_json.get_int (Tf_json.member field p) : int))
         [ "prompt"; "gen"; "batch" ];
-      Alcotest.(check string) "model" "tiny" (Tjson.to_string (Tjson.member "model" p));
-      Alcotest.(check string) "arch" "edge" (Tjson.to_string (Tjson.member "arch" p)))
+      Alcotest.(check string) "model" "tiny" (Tf_json.get_string (Tf_json.member "model" p));
+      Alcotest.(check string) "arch" "edge" (Tf_json.get_string (Tf_json.member "arch" p)))
     pts;
   (* The TransFusion point carries its decode tiling; FuseMax has null. *)
-  let tiling_of p = Tjson.member "decode_tiling" p in
+  let tiling_of p = Tf_json.member "decode_tiling" p in
   (match List.map tiling_of pts with
-  | [ Tjson.Null; Tjson.Obj fields ] ->
+  | [ Tf_json.Null; Tf_json.Obj fields ] ->
       List.iter
-        (fun k -> ignore (Tjson.to_int (List.assoc k fields) : int))
+        (fun k -> ignore (Tf_json.get_int (List.assoc k fields) : int))
         [ "b"; "d"; "p"; "m1"; "m0"; "s" ]
   | _ -> Alcotest.fail "expected [null; tiling object]");
   (* Round-trip stability: numbers re-parse within the emitter's
      precision. *)
   let m = (List.nth points 0).Tf_experiments.Exp_generation.metrics in
-  let ttft = Tjson.to_float (Tjson.member "ttft_s" (List.nth pts 0)) in
+  let ttft = Tf_json.get_float (Tf_json.member "ttft_s" (List.nth pts 0)) in
   Alcotest.(check bool) "float precision survives" true
     (Float.abs (ttft -. m.Decode.ttft_s) <= 1e-9 *. Float.max 1. m.Decode.ttft_s)
 

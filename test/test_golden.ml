@@ -2,7 +2,7 @@
 
    Each figure (8-13) plus the Section 6.2 headline is computed on a
    deliberately tiny model over the quick sequence sweep, serialised
-   through the deterministic Export.Json emitter, and compared
+   through the deterministic Tf_json emitter, and compared
    field-by-field against the canonical document in test/golden/ with a
    relative float tolerance of 1e-6 (TileSeek is seeded, so the numbers
    are reproducible; the tolerance only absorbs FP-environment noise).
@@ -17,7 +17,7 @@
 
 module E = Tf_experiments
 module Model = Tf_workloads.Model
-module Json = E.Export.Json
+module Json = Tf_json
 
 let tiny =
   Model.v ~name:"tiny" ~d_model:64 ~heads:2 ~head_dim:32 ~ffn_hidden:128 ~layers:2
@@ -56,18 +56,18 @@ let figures =
 let check_one name compute () =
   let doc = compute () in
   if regen then begin
-    E.Export.Json.write ~path:(source_path name) doc;
+    Json.write ~path:(source_path name) doc;
     Printf.printf "golden: regenerated %s\n" (source_path name)
   end
   else begin
     let golden =
-      try Tjson.parse_file (read_path name)
+      try Json.parse_file (read_path name)
       with Sys_error _ ->
         Alcotest.failf
           "golden file %s missing — regenerate with GOLDEN_REGEN=1 dune runtest and commit it"
           (read_path name)
     in
-    let current = Tjson.parse (Json.to_string doc) in
+    let current = Json.parse (Json.to_string doc) in
     match Tjson.first_diff ~tol:1e-6 name golden current with
     | [] -> ()
     | diff :: _ ->

@@ -147,13 +147,12 @@ let test_domain_safety () =
   Alcotest.(check (float 1e-6)) "sum consistent" (float_of_int n) (Obs.Histogram.sum h)
 
 (* ------------------------------------------------------------------ *)
-(* Trace JSON: the emitted document must parse (through the suite's
-   shared dependency-free reader, Tjson) and have the trace-event shape
-   viewers require. *)
+(* Trace JSON: the emitted document must parse (through the repo's one
+   reader, Tf_json) and have the trace-event shape viewers require. *)
 
-open Tjson
+open Tf_json
 
-let parse_json = Tjson.parse
+let parse_json = Tf_json.parse
 
 let test_trace_json () =
   Obs.Trace.clear ();

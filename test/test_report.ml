@@ -9,8 +9,7 @@ module Explain = Tf_report.Explain
 module Rollup = Tf_report.Rollup
 module Convergence = Tf_report.Convergence
 module Bench_diff = Tf_report.Bench_diff
-module Jr = Tf_report.Json_read
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 module Sim = Transfusion.Pipeline_sim
 module Mcts = Transfusion.Mcts
 module Tileseek = Transfusion.Tileseek
@@ -28,7 +27,7 @@ let report = lazy (Explain.run ~iterations ~seed arch workload)
 (* ------------------------------------------------------------------ *)
 (* Sim trace *)
 
-(* Walk the Export.Json trace document directly: fold "X" slice
+(* Walk the Tf_json trace document directly: fold "X" slice
    durations per thread id (tid 1 = 2D array, tid 2 = 1D array). *)
 let slice_durations doc =
   let events =
@@ -70,25 +69,24 @@ let test_trace_busy_matches_outcome () =
   Alcotest.(check int) "one slice per instance" r.Explain.outcome.Sim.instances
     (List.length durs)
 
-(* The serialized trace must survive the suite's shared JSON reader
-   (Tjson — the same validation the CI smoke relies on) and carry the
-   trace-event fields Perfetto requires. *)
+(* The serialized trace must survive the repo's JSON reader (Tf_json)
+   and carry the trace-event fields Perfetto requires. *)
 let test_trace_schema_and_counters () =
   let r = Lazy.force report in
-  let doc = Tjson.parse (Json.to_string (Explain.trace r)) in
+  let doc = Json.parse (Json.to_string (Explain.trace r)) in
   (match doc with
-  | Tjson.Obj fields ->
+  | Json.Obj fields ->
       Alcotest.(check bool) "schema tag" true
-        (List.assoc_opt "schema" fields = Some (Tjson.Str "transfusion.simtrace/1"));
+        (List.assoc_opt "schema" fields = Some (Json.Str "transfusion.simtrace/1"));
       let events =
         match List.assoc_opt "traceEvents" fields with
-        | Some (Tjson.List evs) -> evs
+        | Some (Json.List evs) -> evs
         | _ -> Alcotest.fail "traceEvents missing"
       in
       let phase ev =
         match ev with
-        | Tjson.Obj f -> (
-            match List.assoc_opt "ph" f with Some (Tjson.Str p) -> Some p | _ -> None)
+        | Json.Obj f -> (
+            match List.assoc_opt "ph" f with Some (Json.Str p) -> Some p | _ -> None)
         | _ -> None
       in
       Alcotest.(check bool) "counter samples present" true
@@ -96,7 +94,7 @@ let test_trace_schema_and_counters () =
       List.iter
         (fun ev ->
           match ev with
-          | Tjson.Obj f ->
+          | Json.Obj f ->
               let has k = List.mem_assoc k f in
               Alcotest.(check bool) "required trace-event fields" true
                 (has "name" && has "ph" && has "pid" && has "tid");
@@ -167,29 +165,29 @@ let test_explain_deterministic () =
 
 let test_explain_json_roundtrip () =
   let r = Lazy.force report in
-  let doc = Jr.parse (Json.to_string (Explain.to_json r)) in
+  let doc = Json.parse (Json.to_string (Explain.to_json r)) in
   Alcotest.(check string) "schema" "transfusion.explain/1"
-    (Jr.to_string (Jr.member "schema" doc));
-  let sched = Jr.member "schedule" doc in
+    (Json.get_string (Json.member "schema" doc));
+  let sched = Json.member "schedule" doc in
   Alcotest.(check (float 1e-6)) "sim makespan survives the round trip"
     r.Explain.outcome.Sim.makespan_cycles
-    (Jr.to_float (Jr.member "sim_makespan_cycles" sched));
-  let conv = Jr.member "convergence" doc in
+    (Json.get_float (Json.member "sim_makespan_cycles" sched));
+  let conv = Json.member "convergence" doc in
   (match r.Explain.convergence with
   | None -> Alcotest.fail "searched report must carry a convergence section"
   | Some c ->
       Alcotest.(check (float 0.)) "rollouts" (float_of_int c.Convergence.stats.Mcts.iterations)
-        (Jr.to_float (Jr.member "rollouts" conv));
+        (Json.get_float (Json.member "rollouts" conv));
       Alcotest.(check (float 1e-9)) "best reward"
         c.Convergence.stats.Mcts.best_reward
-        (Jr.to_float (Jr.member "best_reward" conv));
+        (Json.get_float (Json.member "best_reward" conv));
       Alcotest.(check int) "curve length" (List.length c.Convergence.points)
-        (List.length (Jr.to_list (Jr.member "curve" conv))));
-  let buffers = Jr.member "buffers" doc in
+        (List.length (Json.get_list (Json.member "curve" conv))));
+  let buffers = Json.member "buffers" doc in
   Alcotest.(check (float 1e-6)) "buffer capacity" r.Explain.capacity_elements
-    (Jr.to_float (Jr.member "capacity_elements" buffers));
+    (Json.get_float (Json.member "capacity_elements" buffers));
   Alcotest.(check int) "buffer rows" (List.length r.Explain.buffers)
-    (List.length (Jr.to_list (Jr.member "modules" buffers)))
+    (List.length (Json.get_list (Json.member "modules" buffers)))
 
 let test_simulate_given_tiling () =
   let searched = Lazy.force report in
@@ -265,23 +263,23 @@ let test_convergence_thinning_keeps_improvements () =
 (* ------------------------------------------------------------------ *)
 (* Bench diff *)
 
-let micro name v = Jr.Obj [ ("name", Jr.Str name); ("ns_per_run", Jr.Num v) ]
-let figure name v = Jr.Obj [ ("name", Jr.Str name); ("wall_s", Jr.Num v) ]
+let micro name v = Json.Obj [ ("name", Json.Str name); ("ns_per_run", Json.Num v) ]
+let figure name v = Json.Obj [ ("name", Json.Str name); ("wall_s", Json.Num v) ]
 
 let bench_v1 ~figures ~microbench =
-  Jr.Obj
+  Json.Obj
     [
-      ("schema", Jr.Str "transfusion-bench/v1");
-      ("figures", Jr.List figures);
-      ("microbench", Jr.List microbench);
+      ("schema", Json.Str "transfusion-bench/v1");
+      ("figures", Json.List figures);
+      ("microbench", Json.List microbench);
     ]
 
 let trajectory ~microbench ~wall =
-  Jr.Obj
+  Json.Obj
     [
-      ("schema", Jr.Str "transfusion-bench-trajectory/v1");
+      ("schema", Json.Str "transfusion-bench-trajectory/v1");
       ( "current",
-        Jr.Obj [ ("microbench", Jr.List microbench); ("quick_bench_wall_s", Jr.Num wall) ] );
+        Json.Obj [ ("microbench", Json.List microbench); ("quick_bench_wall_s", Json.Num wall) ] );
     ]
 
 let test_bench_diff_matching () =
@@ -356,9 +354,9 @@ let test_bench_diff_trajectory_schema () =
 let test_bench_diff_rejects_unknown_schema () =
   Alcotest.(check bool) "unknown schema raises Bad_json" true
     (try
-       ignore (Bench_diff.entries (Jr.Obj [ ("schema", Jr.Str "nope/v0") ]) : Bench_diff.entry list);
+       ignore (Bench_diff.entries (Json.Obj [ ("schema", Json.Str "nope/v0") ]) : Bench_diff.entry list);
        false
-     with Jr.Bad_json _ -> true)
+     with Json.Bad_json _ -> true)
 
 let test_json_read_parses_emitter_output () =
   (* The reader must accept exactly what the deterministic emitter
@@ -372,11 +370,11 @@ let test_json_read_parses_emitter_output () =
         ("l", Json.List [ Json.Null; Json.Bool true; Json.Obj [ ("x", Json.Int 1) ] ]);
       ]
   in
-  let back = Jr.parse (Json.to_string doc) in
-  Alcotest.(check string) "string escapes" "a\"b\\c\nd" (Jr.to_string (Jr.member "s" back));
-  Alcotest.(check (float 1e-12)) "float" 1.25e-3 (Jr.to_float (Jr.member "n" back));
-  Alcotest.(check (float 0.)) "negative int" (-7.) (Jr.to_float (Jr.member "i" back));
-  Alcotest.(check int) "list" 3 (List.length (Jr.to_list (Jr.member "l" back)))
+  let back = Json.parse (Json.to_string doc) in
+  Alcotest.(check string) "string escapes" "a\"b\\c\nd" (Json.get_string (Json.member "s" back));
+  Alcotest.(check (float 1e-12)) "float" 1.25e-3 (Json.get_float (Json.member "n" back));
+  Alcotest.(check (float 0.)) "negative int" (-7.) (Json.get_float (Json.member "i" back));
+  Alcotest.(check int) "list" 3 (List.length (Json.get_list (Json.member "l" back)))
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

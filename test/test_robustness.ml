@@ -79,7 +79,7 @@ let test_export_csv () =
 
 let test_export_roundtrip_file () =
   let path = Filename.concat (Filename.get_temp_dir_name ()) "tf_export_test/depth/x.csv" in
-  Tf_experiments.Export.write_file ~path "hello\n";
+  Tf_json.write_file ~path "hello\n";
   let ic = open_in path in
   let line = input_line ic in
   close_in ic;

@@ -4,8 +4,7 @@
    rehydration across restarts, seq-len bucketing, and the fuzz
    property that no mutated request ever kills the request loop. *)
 
-module Json = Tf_experiments.Export.Json
-module R = Tf_report.Json_read
+module Json = Tf_json
 module Protocol = Tf_serve.Protocol
 module Server = Tf_serve.Server
 module Api = Tf_serve.Api
@@ -17,11 +16,11 @@ let mem_server () = Server.create Server.default_config
 let counter name = Option.value ~default:0 (Tf_obs.counter_value (Tf_obs.snapshot ()) name)
 
 let response_of line =
-  match R.parse line with
-  | R.Obj _ as doc -> doc
+  match Json.parse line with
+  | Json.Obj _ as doc -> doc
   | _ -> Alcotest.failf "response is not an object: %s" line
 
-let is_ok doc = R.find "ok" doc = Some (R.Bool true)
+let is_ok doc = Json.find "ok" doc = Some (Json.Bool true)
 
 let payload_exn line =
   match Protocol.result_of_line line with
@@ -42,12 +41,12 @@ let test_protocol_roundtrip () =
   let doc = response_of ok in
   Alcotest.(check bool) "ok response parses ok" true (is_ok doc);
   Alcotest.(check bool) "schema tagged" true
-    (R.find "schema" doc = Some (R.Str Protocol.schema));
+    (Json.find "schema" doc = Some (Json.Str Protocol.schema));
   let err = Protocol.error_line ~op:"ping" "boom \"quoted\"" in
   let edoc = response_of err in
-  Alcotest.(check bool) "error not ok" true (R.find "ok" edoc = Some (R.Bool false));
+  Alcotest.(check bool) "error not ok" true (Json.find "ok" edoc = Some (Json.Bool false));
   Alcotest.(check bool) "error message survives quoting" true
-    (R.find "error" edoc = Some (R.Str "boom \"quoted\""))
+    (Json.find "error" edoc = Some (Json.Str "boom \"quoted\""))
 
 let test_protocol_rejects () =
   let rejects s =
@@ -96,16 +95,65 @@ let test_metrics_endpoint () =
   ignore (Server.handle_line t {|{"op":"ping"}|} : string);
   let doc = response_of (Server.handle_line t {|{"op":"metrics"}|}) in
   Alcotest.(check bool) "ok" true (is_ok doc);
-  let metrics = R.member "metrics" (R.member "result" doc) in
-  let pings = R.to_float (R.member "serve.ping.requests_total" metrics) in
+  let metrics = Json.member "metrics" (Json.member "result" doc) in
+  let pings = Json.get_float (Json.member "serve.ping.requests_total" metrics) in
   Alcotest.(check bool) "per-endpoint counter present and counting" true (pings >= 1.);
-  (match R.member "serve.ping.latency_seconds" metrics with
-  | R.Obj fields ->
+  (match Json.member "serve.ping.latency_seconds" metrics with
+  | Json.Obj fields ->
       Alcotest.(check bool) "latency histogram has buckets" true
         (List.mem_assoc "buckets" fields && List.mem_assoc "count" fields)
   | _ -> Alcotest.fail "latency histogram missing");
   Alcotest.(check bool) "connections gauge present" true
-    (R.find "serve.connections_active" metrics <> None)
+    (Json.find "serve.connections_active" metrics <> None)
+
+(* --- wire JSON: the reader refuses what RFC 8259 refuses --------------- *)
+
+let error_of line =
+  let doc = response_of line in
+  if is_ok doc then Alcotest.failf "expected ok:false, got %s" line;
+  Json.get_string (Json.member "error" doc)
+
+let test_strict_numbers () =
+  let t = mem_server () in
+  List.iter
+    (fun req -> ignore (error_of (Server.handle_line t req) : string))
+    [
+      {|{"op":"ping","id":+7}|};
+      {|{"op":"ping","id":.5}|};
+      {|{"op":"ping","id":007}|};
+      {|{"op":"ping","id":1.}|};
+      {|{"op":"ping","id":1e}|};
+      {|{"op":"ping","id":-}|};
+      {|{"op":"ping","seq":+1024}|};
+    ];
+  List.iter
+    (fun (id, echoed) ->
+      let line = Server.handle_line t (Printf.sprintf {|{"op":"ping","id":%s}|} id) in
+      Alcotest.(check bool) ("accepted: " ^ id) true (is_ok (response_of line));
+      Alcotest.(check bool) ("echoed: " ^ id) true (Json.find "id" (response_of line) = Some (Json.Num echoed)))
+    [ ("-0", -0.); ("0.5", 0.5); ("1E5", 1e5); ("1e+15", 1e15) ]
+
+let test_unicode_escapes () =
+  let t = mem_server () in
+  let ping id = Server.handle_line t (Printf.sprintf {|{"op":"ping","id":"%s"}|} id) in
+  Alcotest.(check string) "an escaped pair echoes as the raw 4-byte character" (ping "\xF0\x9F\x98\x80")
+    (ping {|\ud83d\ude00|});
+  Alcotest.(check string) "a BMP escape echoes as its UTF-8" (ping "\xC3\xA9") (ping {|\u00e9|});
+  List.iter
+    (fun id -> ignore (error_of (ping id) : string))
+    [ {|\ud800|}; {|\udc00|}; {|\ud800\u0041|}; {|\ud83dx|} ]
+
+let test_int_fields_range_checked () =
+  let t = mem_server () in
+  List.iter
+    (fun seq ->
+      let msg = error_of (Server.handle_line t (Printf.sprintf {|{"op":"schedule","seq":%s}|} seq)) in
+      Alcotest.(check string) ("seq " ^ seq) {|field "seq" must be an integer|} msg)
+    [ "5e18"; "1e30"; "-1e30"; "1.5" ];
+  let req = Protocol.parse_request {|{"op":"ping","seq":1024.0,"big":9007199254740992}|} in
+  Alcotest.(check int) "integral float" 1024 (Protocol.int_field req.Protocol.body "seq" ~default:0);
+  Alcotest.(check int) "2^53 still exact" (1 lsl 53)
+    (Protocol.int_field req.Protocol.body "big" ~default:0)
 
 (* --- differential: daemon vs one-shot -------------------------------- *)
 
@@ -262,20 +310,20 @@ let test_bucketing () =
   let t = Server.create { Server.default_config with grid = 1024 } in
   let on_grid = payload_exn (Server.handle_line t (sched_request "edge" "T5" 2048 "unfused")) in
   Alcotest.(check bool) "on-grid answers are plain eval documents" true
-    (R.find "schema" (R.parse on_grid) = Some (R.Str Api.eval_schema));
+    (Json.find "schema" (Json.parse on_grid) = Some (Json.Str Api.eval_schema));
   let off = payload_exn (Server.handle_line t (sched_request "edge" "T5" 1536 "unfused")) in
-  let doc = R.parse off in
+  let doc = Json.parse off in
   Alcotest.(check bool) "off-grid answers are interpolations" true
-    (R.find "schema" doc = Some (R.Str "transfusion.eval-interp/1"));
-  let interp = R.member "interpolation" doc in
-  let geti k = int_of_float (R.to_float (R.member k interp)) in
+    (Json.find "schema" doc = Some (Json.Str "transfusion.eval-interp/1"));
+  let interp = Json.member "interpolation" doc in
+  let geti k = int_of_float (Json.get_float (Json.member k interp)) in
   Alcotest.(check int) "lo bucket" 1024 (geti "lo");
   Alcotest.(check int) "hi bucket" 2048 (geti "hi");
   Alcotest.(check bool) "bucket is one of the endpoints" true
     (List.mem (geti "bucket_seq_len") [ 1024; 2048 ]);
   Alcotest.(check int) "bucket schedule is exact, from the bucket length"
     (geti "bucket_seq_len")
-    (int_of_float (R.to_float (R.member "seq_len" (R.member "bucket" doc))));
+    (int_of_float (Json.get_float (Json.member "seq_len" (Json.member "bucket" doc))));
   (* The interpolated costs are the exact affine blend of the cached
      endpoint documents. *)
   let costs seq =
@@ -285,11 +333,11 @@ let test_bucketing () =
   let f = float_of_int (1536 - 1024) /. float_of_int (2048 - 1024) in
   let lerp a b = a +. ((b -. a) *. f) in
   Alcotest.(check (float 0.0)) "latency lerped between buckets" (lerp lat_lo lat_hi)
-    (R.to_float (R.member "latency_total_s" interp));
+    (Json.get_float (Json.member "latency_total_s" interp));
   Alcotest.(check (float 0.0)) "energy lerped between buckets" (lerp en_lo en_hi)
-    (R.to_float (R.member "energy_total_pj" interp));
-  (match R.member "certified" interp with
-  | R.Bool _ -> ()
+    (Json.get_float (Json.member "energy_total_pj" interp));
+  (match Json.member "certified" interp with
+  | Json.Bool _ -> ()
   | _ -> Alcotest.fail "certified flag missing")
 
 (* --- sockets: a real daemon over a Unix socket ----------------------- *)
@@ -329,7 +377,7 @@ let test_socket_round_trip () =
   | [ a; b; c ] ->
       Alcotest.(check bool) "ping ok" true (is_ok (response_of a));
       Alcotest.(check bool) "id echoed over the wire" true
-        (R.find "id" (response_of a) = Some (R.Num 9.));
+        (Json.find "id" (response_of a) = Some (Json.Num 9.));
       Alcotest.(check bool) "garbage answered, not fatal" true (not (is_ok (response_of b)));
       Alcotest.(check bool) "connection survives the garbage" true (is_ok (response_of c))
   | _ -> Alcotest.fail "wrong reply count");
@@ -386,8 +434,8 @@ let test_fuzz_mutations () =
          connection; the router sees single lines by construction. *)
       let line = String.concat " " (String.split_on_char '\n' line) in
       let reply = Server.handle_line t line in
-      match R.parse reply with
-      | R.Obj fields ->
+      match Json.parse reply with
+      | Json.Obj fields ->
           if not (List.mem_assoc "ok" fields) then failwith "response lacks ok field";
           if String.contains reply '\n' then failwith "response not single-line"
       | _ -> failwith "response not an object")
@@ -405,6 +453,12 @@ let () =
         [
           quick "handle_line is total" test_handle_line_total;
           quick "metrics endpoint" test_metrics_endpoint;
+        ] );
+      ( "wire json",
+        [
+          quick "strict number grammar" test_strict_numbers;
+          quick "unicode escapes" test_unicode_escapes;
+          quick "int fields range-checked" test_int_fields_range_checked;
         ] );
       ( "differential",
         [

@@ -17,7 +17,7 @@ module Decode = Transfusion.Decode
 module Strategies = Transfusion.Strategies
 module Tileseek = Transfusion.Tileseek
 module Energy = Tf_costmodel.Energy
-module Json = Tf_experiments.Export.Json
+module Json = Tf_json
 
 let tiny =
   Model.v ~name:"tiny" ~d_model:64 ~heads:2 ~head_dim:32 ~ffn_hidden:128 ~layers:2
@@ -358,7 +358,6 @@ let test_disk_payload_missing_field () =
   (* A well-formed serve-cache entry whose payload lacks one field reads
      as a miss: the class is recomputed once, bit-identical to a cold
      run, never answered with a partial record. *)
-  let module R = Tf_report.Json_read in
   let dir = Filename.temp_file "tf-serving-partial" "" in
   Sys.remove dir;
   let c = cls 48 8 1. in
@@ -372,27 +371,18 @@ let test_disk_payload_missing_field () =
     | [ f ] -> Filename.concat dir f
     | fs -> Alcotest.failf "expected one disk entry, found %d" (List.length fs)
   in
-  let rec export = function
-    | R.Null -> Json.Null
-    | R.Bool b -> Json.Bool b
-    | R.Num f when Float.is_integer f -> Json.Int (int_of_float f)
-    | R.Num f -> Json.Num f
-    | R.Str s -> Json.Str s
-    | R.List l -> Json.List (List.map export l)
-    | R.Obj kv -> Json.Obj (List.map (fun (k, v) -> (k, export v)) kv)
-  in
   let drop_decode_s = function
-    | R.Obj kv -> R.Obj (List.remove_assoc "decode_s" kv)
+    | Json.Obj kv -> Json.Obj (List.remove_assoc "decode_s" kv)
     | _ -> Alcotest.fail "payload is not an object"
   in
   let doc =
-    match R.parse_file entry with
-    | R.Obj kv ->
-        let payload = drop_decode_s (R.parse (R.to_string (List.assoc "payload" kv))) in
-        R.Obj (("payload", R.Str (Json.to_line (export payload))) :: List.remove_assoc "payload" kv)
+    match Json.parse_file entry with
+    | Json.Obj kv ->
+        let payload = drop_decode_s (Json.parse (Json.get_string (List.assoc "payload" kv))) in
+        Json.Obj (("payload", Json.Str (Json.to_line payload)) :: List.remove_assoc "payload" kv)
     | _ -> Alcotest.fail "entry is not an object"
   in
-  Json.write ~path:entry (export doc);
+  Json.write ~path:entry doc;
   let warm = fresh () in
   let recomputed = Costs.costs warm ~cls:c in
   let _, _, computes = Costs.stats warm in
@@ -441,20 +431,20 @@ let member path fields =
 
 let test_serving_schema () =
   let report = Lazy.force sim_report in
-  match Tjson.parse (Json.to_string (Simulator.to_json ~costs report)) with
-  | Tjson.Obj fields ->
+  match Json.parse (Json.to_string (Simulator.to_json ~costs report)) with
+  | Json.Obj fields ->
       (match member "schema" fields with
-      | Tjson.Str "transfusion.serving/1" -> ()
+      | Json.Str "transfusion.serving/1" -> ()
       | _ -> Alcotest.fail "bad schema tag");
       (match (member "ttft_s" fields, member "tpot_s" fields) with
-      | Tjson.Obj t, Tjson.Obj _ -> (
+      | Json.Obj t, Json.Obj _ -> (
           match (member "p50" t, member "p99" t) with
-          | Tjson.Num p50, Tjson.Num p99 ->
+          | Json.Num p50, Json.Num p99 ->
               Alcotest.(check bool) "p99 >= p50 > 0" true (p99 >= p50 && p50 > 0.)
           | _ -> Alcotest.fail "percentiles not numbers")
       | _ -> Alcotest.fail "distributions not objects");
       (match member "per_request" fields with
-      | Tjson.List rows ->
+      | Json.List rows ->
           Alcotest.(check int) "per-request rows" (List.length report.Simulator.completed)
             (List.length rows)
       | _ -> Alcotest.fail "per_request not a list")
@@ -462,18 +452,18 @@ let test_serving_schema () =
 
 let test_trace_schema () =
   let report = Lazy.force sim_report in
-  match Tjson.parse (Json.to_string (Strace.document report)) with
-  | Tjson.Obj fields -> (
+  match Json.parse (Json.to_string (Strace.document report)) with
+  | Json.Obj fields -> (
       (match member "schema" fields with
-      | Tjson.Str "transfusion.simtrace/1" -> ()
+      | Json.Str "transfusion.simtrace/1" -> ()
       | _ -> Alcotest.fail "bad schema tag");
       match member "traceEvents" fields with
-      | Tjson.List events ->
+      | Json.List events ->
           let phases =
             List.filter_map
               (function
-                | Tjson.Obj f -> (
-                    match List.assoc_opt "ph" f with Some (Tjson.Str p) -> Some p | _ -> None)
+                | Json.Obj f -> (
+                    match List.assoc_opt "ph" f with Some (Json.Str p) -> Some p | _ -> None)
                 | _ -> None)
               events
           in
@@ -506,13 +496,13 @@ let test_golden_serving () =
   end
   else begin
     let golden =
-      try Tjson.parse_file (read_path "serving")
+      try Json.parse_file (read_path "serving")
       with Sys_error _ ->
         Alcotest.failf
           "golden file %s missing — regenerate with GOLDEN_REGEN=1 dune runtest and commit it"
           (read_path "serving")
     in
-    let current = Tjson.parse (Json.to_string doc) in
+    let current = Json.parse (Json.to_string doc) in
     match Tjson.first_diff ~tol:1e-6 "serving" golden current with
     | [] -> ()
     | diff :: _ ->

@@ -8,17 +8,17 @@
    loop is exercised by test_serve.ml; this suite is about what the
    requests leave behind. *)
 
-module R = Tf_report.Json_read
+module Json = Tf_json
 module Server = Tf_serve.Server
 module Access_log = Tf_serve.Access_log
 module Protocol = Tf_serve.Protocol
 
 let response_of line =
-  match R.parse line with
-  | R.Obj _ as doc -> doc
+  match Json.parse line with
+  | Json.Obj _ as doc -> doc
   | _ -> Alcotest.failf "response is not an object: %s" line
 
-let is_ok doc = R.find "ok" doc = Some (R.Bool true)
+let is_ok doc = Json.find "ok" doc = Some (Json.Bool true)
 
 let payload_exn line =
   match Protocol.result_of_line line with
@@ -61,27 +61,27 @@ let test_stats_op () =
   (* Each stats call samples on demand; the second one therefore has a
      two-sample window with a positive span. *)
   ignore (Server.handle_line t {|{"op":"stats"}|} : string);
-  let doc = R.parse (payload_exn (Server.handle_line t {|{"op":"stats"}|})) in
-  (match R.find "schema" doc with
-  | Some (R.Str s) -> Alcotest.(check string) "schema" "transfusion.stats/1" s
+  let doc = Json.parse (payload_exn (Server.handle_line t {|{"op":"stats"}|})) in
+  (match Json.find "schema" doc with
+  | Some (Json.Str s) -> Alcotest.(check string) "schema" "transfusion.stats/1" s
   | _ -> Alcotest.fail "schema missing");
   Alcotest.(check bool) "window samples reported" true
-    (match R.find "window_samples" doc with Some (R.Num n) -> n >= 2. | _ -> false);
-  (match R.find "rates" doc with
-  | Some (R.Obj _) -> ()
+    (match Json.find "window_samples" doc with Some (Json.Num n) -> n >= 2. | _ -> false);
+  (match Json.find "rates" doc with
+  | Some (Json.Obj _) -> ()
   | _ -> Alcotest.fail "windowed rates missing from second stats call");
-  (match R.find "gauges" doc with
-  | Some (R.Obj _ as gauges) ->
+  (match Json.find "gauges" doc with
+  | Some (Json.Obj _ as gauges) ->
       Alcotest.(check bool) "process gauges ride along" true
-        (match R.find "process.uptime_seconds" gauges with
-        | Some (R.Num u) -> u >= 0.
+        (match Json.find "process.uptime_seconds" gauges with
+        | Some (Json.Num u) -> u >= 0.
         | _ -> false)
   | _ -> Alcotest.fail "gauges missing");
-  match R.find "counters" doc with
-  | Some (R.Obj _ as counters) ->
+  match Json.find "counters" doc with
+  | Some (Json.Obj _ as counters) ->
       Alcotest.(check bool) "cumulative ping counter present" true
-        (match R.find "serve.ping.requests_total" counters with
-        | Some (R.Num n) -> n >= 5.
+        (match Json.find "serve.ping.requests_total" counters with
+        | Some (Json.Num n) -> n >= 5.
         | _ -> false)
   | _ -> Alcotest.fail "counters missing"
 
@@ -90,10 +90,10 @@ let test_stats_op () =
 let test_metrics_prometheus () =
   let t = Server.create Server.default_config in
   ignore (Server.handle_line t {|{"op":"ping"}|} : string);
-  let doc = R.parse (payload_exn (Server.handle_line t {|{"op":"metrics","format":"prometheus"}|})) in
+  let doc = Json.parse (payload_exn (Server.handle_line t {|{"op":"metrics","format":"prometheus"}|})) in
   let body =
-    match R.find "body" doc with
-    | Some (R.Str s) -> s
+    match Json.find "body" doc with
+    | Some (Json.Str s) -> s
     | _ -> Alcotest.fail "exposition body missing"
   in
   Alcotest.(check bool) "per-op counters folded into a labelled family" true
@@ -119,27 +119,27 @@ let test_access_log_records () =
   (* Unparseable lines die before reaching an endpoint: no record. *)
   ignore (Server.handle_line t "not json at all" : string);
   (match Server.access_log t with Some log -> Access_log.flush log | None -> ());
-  let lines = List.map R.parse (read_lines path) in
+  let lines = List.map Json.parse (read_lines path) in
   Alcotest.(check int) "one record per parsed request" 2 (List.length lines);
   (match lines with
   | [ ping; bad ] ->
       let str doc k =
-        match R.find k doc with Some (R.Str s) -> Some s | _ -> None
+        match Json.find k doc with Some (Json.Str s) -> Some s | _ -> None
       in
       Alcotest.(check (option string)) "schema" (Some "transfusion.access/1") (str ping "schema");
       Alcotest.(check (option string)) "correlation id preserved" (Some "abc") (str ping "id");
       Alcotest.(check (option string)) "op recorded" (Some "ping") (str ping "op");
       Alcotest.(check bool) "wall-clock timestamp in microseconds" true
-        (match R.find "ts_us" ping with Some (R.Num n) -> n > 1e15 | _ -> false);
+        (match Json.find "ts_us" ping with Some (Json.Num n) -> n > 1e15 | _ -> false);
       Alcotest.(check bool) "latency in integer nanoseconds" true
-        (match R.find "latency_ns" ping with Some (R.Num n) -> n >= 0. | _ -> false);
-      Alcotest.(check bool) "ping succeeded" true (R.find "ok" ping = Some (R.Bool true));
-      Alcotest.(check bool) "no cache key for ping" true (R.find "key" ping = Some R.Null);
-      Alcotest.(check bool) "no tier for ping" true (R.find "tier" ping = Some R.Null);
+        (match Json.find "latency_ns" ping with Some (Json.Num n) -> n >= 0. | _ -> false);
+      Alcotest.(check bool) "ping succeeded" true (Json.find "ok" ping = Some (Json.Bool true));
+      Alcotest.(check bool) "no cache key for ping" true (Json.find "key" ping = Some Json.Null);
+      Alcotest.(check bool) "no tier for ping" true (Json.find "tier" ping = Some Json.Null);
       Alcotest.(check (option string)) "unknown op recorded verbatim" (Some "nosuch")
         (str bad "op");
       Alcotest.(check bool) "unknown op marked failed" true
-        (R.find "ok" bad = Some (R.Bool false))
+        (Json.find "ok" bad = Some (Json.Bool false))
   | _ -> Alcotest.fail "expected exactly two records")
 
 let test_access_log_cache_tiers () =
@@ -155,13 +155,13 @@ let test_access_log_cache_tiers () =
   let tiers =
     List.filter_map
       (fun l ->
-        match R.find "tier" (R.parse l) with Some (R.Str s) -> Some s | _ -> None)
+        match Json.find "tier" (Json.parse l) with Some (Json.Str s) -> Some s | _ -> None)
       (read_lines path)
   in
   Alcotest.(check (list string)) "cold compute then memory hit" [ "computed"; "memory" ] tiers;
   let keys =
     List.filter_map
-      (fun l -> match R.find "key" (R.parse l) with Some (R.Str s) -> Some s | _ -> None)
+      (fun l -> match Json.find "key" (Json.parse l) with Some (Json.Str s) -> Some s | _ -> None)
       (read_lines path)
   in
   match keys with
@@ -203,8 +203,8 @@ let test_access_log_rotation_churn () =
         (stat.Unix.st_size <= max_bytes);
       List.iter
         (fun line ->
-          match R.parse line with
-          | R.Obj _ -> ()
+          match Json.parse line with
+          | Json.Obj _ -> ()
           | _ -> Alcotest.failf "non-object record in %s: %s" p line
           | exception _ -> Alcotest.failf "corrupt record in %s: %s" p line)
         (read_lines p))
@@ -260,7 +260,7 @@ let test_minted_request_ids_unique () =
   (match Server.access_log t with Some log -> Access_log.flush log | None -> ());
   let ids =
     List.filter_map
-      (fun l -> match R.find "id" (R.parse l) with Some (R.Str s) -> Some s | _ -> None)
+      (fun l -> match Json.find "id" (Json.parse l) with Some (Json.Str s) -> Some s | _ -> None)
       (read_lines path)
   in
   Alcotest.(check int) "every request got an id" 3 (List.length ids);

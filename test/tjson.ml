@@ -1,180 +1,14 @@
-(* A minimal recursive-descent JSON reader shared by the test suite (no
-   external dependency): golden-snapshot comparison, trace-document and
-   generation-export validation all re-parse emitted JSON through this.
-   Only what those tests need — no streaming, no number-precision
-   preservation beyond OCaml floats. *)
+(* Golden comparison helpers over parsed {!Tf_json} documents: equality
+   with a relative tolerance on numbers, and the first differing path
+   for a readable failure message. *)
 
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-exception Bad_json of string
-
-let parse (s : string) : t =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some (('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') as c) ->
-              Buffer.add_char buf c;
-              advance ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad unicode escape"
-              done
-          | _ -> fail "bad escape");
-          loop ()
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Obj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); List [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          List (elements [])
-    | Some 't' ->
-        pos := !pos + 4;
-        Bool true
-    | Some 'f' ->
-        pos := !pos + 5;
-        Bool false
-    | Some 'n' ->
-        pos := !pos + 4;
-        Null
-    | _ -> parse_number () |> fun f -> Num f
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let parse_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
-
-(* ------------------------------------------------------------------ *)
-(* Accessors — each raises [Bad_json] with a path-ish message so test
-   failures say which field was malformed.                             *)
-
-let member key = function
-  | Obj fields -> (
-      match List.assoc_opt key fields with
-      | Some v -> v
-      | None -> raise (Bad_json (Printf.sprintf "missing field %S" key)))
-  | _ -> raise (Bad_json (Printf.sprintf "not an object (looking up %S)" key))
-
-let to_list = function
-  | List l -> l
-  | _ -> raise (Bad_json "not a list")
-
-let to_float = function
-  | Num f -> f
-  | _ -> raise (Bad_json "not a number")
-
-let to_string = function
-  | Str s -> s
-  | _ -> raise (Bad_json "not a string")
-
-let to_int = function
-  | Num f when Float.is_integer f -> int_of_float f
-  | _ -> raise (Bad_json "not an integer")
+open Tf_json
 
 (* Structural equality with a relative tolerance on numbers — the golden
    comparison: field order matters (our emitter is deterministic),
    numeric noise does not. *)
 let rec equal_approx ?(tol = 1e-9) a b =
   match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> x = y
-  | Str x, Str y -> String.equal x y
   | Num x, Num y ->
       x = y
       || Float.abs (x -. y) <= tol *. Float.max 1. (Float.max (Float.abs x) (Float.abs y))
@@ -185,18 +19,15 @@ let rec equal_approx ?(tol = 1e-9) a b =
       && List.for_all2
            (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal_approx ~tol v1 v2)
            xs ys
-  | _ -> false
+  | _ -> a = b
 
 (* First differing path between two documents, for readable golden-test
    failures ("points[3].ttft_s: 0.1 vs 0.2"). *)
 let rec first_diff ?(tol = 1e-9) path a b =
   let render = function
-    | Null -> "null"
-    | Bool b -> string_of_bool b
-    | Num f -> Printf.sprintf "%.12g" f
-    | Str s -> Printf.sprintf "%S" s
     | List l -> Printf.sprintf "<list of %d>" (List.length l)
     | Obj o -> Printf.sprintf "<object of %d>" (List.length o)
+    | v -> to_line v
   in
   match (a, b) with
   | List xs, List ys when List.length xs = List.length ys ->
