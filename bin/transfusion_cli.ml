@@ -299,11 +299,7 @@ let search_cmd =
   let run obs arch model seq batch iterations =
     obs @@ fun () ->
     let w = workload model seq batch in
-    let evaluate config =
-      let phases, _ = Strategies.phases ~tiling:config arch w Strategies.Transfusion in
-      (Latency.evaluate arch phases).Latency.total_s
-    in
-    let config, stats = Transfusion.Tileseek.search ~iterations arch w ~evaluate () in
+    let config, stats = Strategies.search ~iterations arch w in
     Fmt.pr "TileSeek result: b=%d d=%d p=%d m1=%d m0=%d s=%d@." config.Transfusion.Tileseek.b
       config.Transfusion.Tileseek.d config.Transfusion.Tileseek.p config.Transfusion.Tileseek.m1
       config.Transfusion.Tileseek.m0 config.Transfusion.Tileseek.s;
@@ -313,7 +309,9 @@ let search_cmd =
     Fmt.pr "MCTS: %d iterations, %d terminals, best reward %.3f, %d tree nodes@."
       stats.Transfusion.Mcts.iterations stats.Transfusion.Mcts.terminals_evaluated
       stats.Transfusion.Mcts.best_reward stats.Transfusion.Mcts.tree_nodes;
-    Fmt.pr "latency with this tiling: %.4e s@." (evaluate config)
+    Fmt.pr "latency with this tiling: %.4e s@."
+      (Strategies.evaluate ~tiling:config arch w Strategies.Transfusion).Strategies.latency
+        .Latency.total_s
   in
   Cmd.v
     (Cmd.info "search" ~doc:"Run TileSeek outer-tiling search")

@@ -1,6 +1,6 @@
 (* TileSeek in action: search the outer tiling space of a long-context
    edge deployment, watching feasibility (Table 2) prune the space and
-   MCTS refine the warm start.
+   MCTS refine the greedy seeds.
 
    Run with:  dune exec examples/tiling_search.exe *)
 
@@ -18,9 +18,9 @@ let () =
   Fmt.pr "architecture: %a@." Tf_arch.Arch.pp arch;
   Fmt.pr "workload    : %a@.@." Tf_workloads.Workload.pp workload;
 
-  let evaluate config =
-    let phases, _ = Strategies.phases ~tiling:config arch workload Strategies.Transfusion in
-    (Latency.evaluate arch phases).Latency.total_s
+  let latency config =
+    (Strategies.evaluate ~tiling:config arch workload Strategies.Transfusion).Strategies.latency
+      .Latency.total_s
   in
 
   (* The buffer model (Table 2) decides which tilings are implementable. *)
@@ -40,14 +40,14 @@ let () =
   (* Heuristic seeds vs the MCTS search result. *)
   Fmt.pr "@.greedy variants:@.";
   List.iter
-    (fun c -> Fmt.pr "  %-40s latency=%.4e s@." (describe c) (evaluate c))
+    (fun c -> Fmt.pr "  %-40s latency=%.4e s@." (describe c) (latency c))
     (Tileseek.greedy_variants arch workload);
 
-  let config, stats = Tileseek.search ~iterations:400 arch workload ~evaluate () in
+  let config, stats = Strategies.search ~iterations:400 arch workload in
   Fmt.pr "@.TileSeek (MCTS %d iterations, %d terminals evaluated, %d tree nodes):@."
     stats.Transfusion.Mcts.iterations stats.Transfusion.Mcts.terminals_evaluated
     stats.Transfusion.Mcts.tree_nodes;
-  Fmt.pr "  %-40s latency=%.4e s@." (describe config) (evaluate config);
+  Fmt.pr "  %-40s latency=%.4e s@." (describe config) (latency config);
 
   (* What the tiling means for the full evaluation. *)
   let result = Strategies.evaluate ~tiling:config arch workload Strategies.Transfusion in

@@ -79,9 +79,9 @@ let tileseek ?(seq = 16384) ?(iterations = 200) (model : Model.t) =
   Exp_common.par_map
     (fun (arch : Tf_arch.Arch.t) ->
       let w = Workload.v model ~seq_len:seq in
-      let evaluate config =
-        let phases, _ = Strategies.phases ~tiling:config arch w Strategies.Transfusion in
-        (Latency.evaluate arch phases).Latency.total_s
+      let latency config =
+        (Strategies.evaluate ~tiling:config arch w Strategies.Transfusion).Strategies.latency
+          .Latency.total_s
       in
       let verify_tiling tag config =
         Exp_common.require_clean
@@ -95,16 +95,16 @@ let tileseek ?(seq = 16384) ?(iterations = 200) (model : Model.t) =
           (List.map
              (fun c ->
                verify_tiling "greedy" c;
-               evaluate c)
+               latency c)
              (Tileseek.greedy_variants arch w))
       in
-      let searched, _ = Tileseek.search ~iterations arch w ~evaluate () in
+      let searched, _ = Strategies.search ~iterations arch w in
       verify_tiling "searched" searched;
       {
         arch = arch.Tf_arch.Arch.name;
-        fallback_cost = evaluate fallback;
+        fallback_cost = latency fallback;
         greedy_cost;
-        search_cost = evaluate searched;
+        search_cost = latency searched;
       })
     archs
 

@@ -71,53 +71,8 @@ end
 let cache : (cache_key, Strategies.result) Tf_parallel.Memo.t =
   Tf_parallel.Memo.create ~name:"exp_common.summary" ~capacity:4096 ()
 
-(* Warm-start registry for the search-based strategies: the tiling found
-   at one sweep point seeds the TileSeek search of its neighbours (same
-   arch/model/batch/strategy/budget, nearest sequence length already
-   solved).  Purely an accelerator — [Strategies.evaluate]'s
-   [warm_tiling] is bit-identical to a cold search — so the sweep's
-   results cannot depend on which neighbour the parallel pool happens to
-   finish first, nor on registry churn.  Both dimensions are bounded
-   (families by LRU eviction, sequence points within a family by a
-   fixed cap): an unbounded warm table was a memory leak in a daemon
-   serving arbitrary key floods. *)
-let warm_family_points = 32
-
-let warm_tbl : (cache_key, (int * Transfusion.Tileseek.config) list) Tf_parallel.Memo.t =
-  Tf_parallel.Memo.create ~name:"exp_common.warm" ~capacity:128 ()
-
-(* The warm family is the cache key with the sequence length erased:
-   points of the same (arch, model, batch, strategy, budget) sweep seed
-   each other across seq lengths. *)
-let warm_key_of (key : cache_key) = { key with key_seq_len = 0 }
-
-let nearest_warm wk ~seq_len =
-  match Tf_parallel.Memo.find_opt warm_tbl wk with
-  | None | Some [] -> None
-  | Some entries ->
-      let dist s = abs (s - seq_len) in
-      let best =
-        List.fold_left
-          (fun acc (s, c) ->
-            match acc with
-            | Some (s0, _) when dist s0 <= dist s -> acc
-            | _ -> Some (s, c))
-          None entries
-      in
-      Option.map snd best
-
-let record_warm wk ~seq_len tiling =
-  Tf_parallel.Memo.update warm_tbl wk (fun prev ->
-      let entries = Option.value ~default:[] prev in
-      let entries = (seq_len, tiling) :: List.remove_assoc seq_len entries in
-      (* Most-recent first; the cap drops the stalest sequence points. *)
-      List.filteri (fun i _ -> i < warm_family_points) entries)
-
-let warm_stats () = (Tf_parallel.Memo.length warm_tbl, Tf_parallel.Memo.evictions warm_tbl)
-
 let reset_cache () =
   Tf_parallel.Memo.clear cache;
-  Tf_parallel.Memo.clear warm_tbl;
   Strategies.reset_registries ()
 
 let require_clean what diags =
@@ -155,15 +110,7 @@ let evaluate ?(tileseek_iterations = 200) (arch : Tf_arch.Arch.t) (w : Workload.
      key: evaluations at different budgets may not share cache entries. *)
   let key = cache_key ~tileseek_iterations arch w strategy in
   Tf_parallel.Memo.find_or_compute cache key (fun () ->
-      let wk = warm_key_of key in
-      let warm_tiling = nearest_warm wk ~seq_len:w.seq_len in
-      let r =
-        verify_result arch w (Strategies.evaluate ~tileseek_iterations ?warm_tiling arch w strategy)
-      in
-      (match r.Strategies.tiling with
-      | Some t -> record_warm wk ~seq_len:w.seq_len t
-      | None -> ());
-      r)
+      verify_result arch w (Strategies.evaluate ~tileseek_iterations arch w strategy))
 
 let prime ?tileseek_iterations points =
   Tf_parallel.iter ~chunk:1

@@ -54,13 +54,9 @@ val evaluate :
     artifact. *)
 
 val reset_cache : unit -> unit
-(** Drop every memoised evaluation, the warm-tiling registry and the
-    strategy-layer registries ({!Transfusion.Strategies.reset_registries})
-    — tests, determinism harnesses and daemon cache hygiene. *)
-
-val warm_stats : unit -> int * int
-(** [(entries, evictions)] of the warm-tiling registry — tests assert
-    its capacity bound holds under churn. *)
+(** Drop every memoised evaluation and the memoised DPipe schedules
+    ({!Transfusion.Strategies.reset_registries}) — tests, determinism
+    harnesses and daemon cache hygiene. *)
 
 val prime :
   ?tileseek_iterations:int ->

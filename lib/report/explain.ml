@@ -133,17 +133,9 @@ let simulate ?(attention = Strategies.Self) ~tiling arch (w : Workload.t) =
   }
 
 let run ?(iterations = 200) ?(seed = 42) ?(attention = Strategies.Self) arch (w : Workload.t) =
-  let kv_len, _, _, decode = attention_params w attention in
-  let kv_opt = if kv_len = w.Workload.seq_len then None else Some kv_len in
-  let evaluate config =
-    let phases, _ = Strategies.phases ~tiling:config ~attention arch w Strategies.Transfusion in
-    (Latency.evaluate arch phases).Latency.total_s
-  in
   let probes = ref [] in
   let probe p = probes := p :: !probes in
-  let tiling, stats =
-    Tileseek.search ~iterations ~seed ?kv_len:kv_opt ~decode ~probe arch w ~evaluate ()
-  in
+  let tiling, stats = Strategies.search ~iterations ~seed ~probe ~attention arch w in
   let convergence = Convergence.of_probes ~seed ~stats (List.rev !probes) in
   { (simulate ~attention ~tiling arch w) with convergence = Some convergence }
 

@@ -54,9 +54,11 @@ val run :
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   t
-(** Search a tiling with TileSeek (probed — [iterations] defaults to 200,
-    [seed] to 42, matching the CLI), then {!simulate} it, with the
-    {!Convergence} report attached.  Deterministic for fixed seed. *)
+(** Search a tiling with {!Transfusion.Strategies.search} (probed —
+    [iterations] defaults to 200, [seed] to 42, matching the CLI), then
+    {!simulate} it, with the {!Convergence} report attached.  The search
+    is the one [eval] runs, so at the same seed and budget the reported
+    tiling is the served one.  Deterministic for fixed seed. *)
 
 val render : t -> string
 (** The human-facing report: workload/tiling header, schedule summary,

@@ -35,9 +35,8 @@ let m_searches_saved =
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-let step ?tiling ?tileseek_iterations ?objective ?warm_tiling arch (spec : Generation.t) strategy
-    ~kv_len =
-  Strategies.evaluate ?tiling ?tileseek_iterations ?objective ?warm_tiling
+let step ?tiling ?tileseek_iterations ?objective arch (spec : Generation.t) strategy ~kv_len =
+  Strategies.evaluate ?tiling ?tileseek_iterations ?objective
     ~attention:(Strategies.Decode { kv_len })
     ~layers:spec.Generation.model.Model.layers arch
     (Generation.decode_workload spec)
@@ -70,14 +69,7 @@ let evaluate ?tileseek_iterations ?objective arch (spec : Generation.t) strategy
      both endpoints and then reused at each, keeping the per-token cost
      affine in the cache length so the trapezoid aggregation below is
      exact (up to half of one token's marginal cost). *)
-  (* The prefill tiling warm-seeds the decode-step search: the cache-depth
-     feasibility differs, but the prefill solution is usually close enough
-     to prime TileSeek's memo with a strong reference (bit-identical
-     result either way — {!Tileseek.search}'s [warm]). *)
-  let searched =
-    step ?tileseek_iterations ?objective ?warm_tiling:prefill.Strategies.tiling arch spec strategy
-      ~kv_len:kv_hi
-  in
+  let searched = step ?tileseek_iterations ?objective arch spec strategy ~kv_len:kv_hi in
   let tiling =
     Option.map (fun c -> Tileseek.clamp_kv c ~kv_len:(gcd kv_lo kv_hi)) searched.Strategies.tiling
   in

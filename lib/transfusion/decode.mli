@@ -46,7 +46,6 @@ val step :
   ?tiling:Tileseek.config ->
   ?tileseek_iterations:int ->
   ?objective:Strategies.objective ->
-  ?warm_tiling:Tileseek.config ->
   Tf_arch.Arch.t ->
   Tf_workloads.Generation.t ->
   Strategies.t ->
@@ -54,9 +53,7 @@ val step :
   Strategies.result
 (** One decode step of the generation at the given cache length — a
     {!Strategies.evaluate} under [Decode { kv_len }] on the single-token
-    workload.  [warm_tiling] seeds the TileSeek search without changing
-    its result ({!Strategies.evaluate}).  Exposed for tests and
-    incremental sweeps. *)
+    workload.  Exposed for tests and incremental sweeps. *)
 
 val evaluate :
   ?tileseek_iterations:int ->
@@ -66,8 +63,7 @@ val evaluate :
   Strategies.t ->
   metrics
 (** Cost the full generation: prefill, one decode search at the deep
-    endpoint (warm-seeded with the prefill tiling — results unchanged),
-    clamped-tiling evaluations at both endpoints, closed-form
+    endpoint, clamped-tiling evaluations at both endpoints, closed-form
     aggregation.  Instrumented with Tf_obs ([decode.evaluations_total],
     [decode.tokens_total], [decode.searches_saved_total] and a
     [decode.evaluate] trace span). *)

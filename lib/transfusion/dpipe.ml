@@ -92,15 +92,6 @@ let m_candidate_seconds =
     ~buckets:[| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.; 10. |]
     "dpipe.candidate_seconds"
 
-let m_warm_hints =
-  Tf_obs.Counter.create ~help:"schedule calls offered a warm-start hint"
-    "dpipe.warm_hints_total"
-
-let m_warm_applied =
-  Tf_obs.Counter.create
-    ~help:"warm hints whose (partition, order) was found in the candidate set and pre-evaluated"
-    "dpipe.warm_applied_total"
-
 (* Tie-break tolerance, relative to the value compared against: steady
    intervals are cycle-scale (often 1e3..1e7), where the accumulated FP
    noise of the DP sums dwarfs any absolute 1e-9 epsilon — an absolute
@@ -371,14 +362,8 @@ let candidate_stage ctx partition =
       List.iter (fun id -> stage.(Hashtbl.find ctx.index_of id) <- 1) p.Partition.second);
   stage
 
-(* A schedule's structural identity, reusable as a warm start for the
-   next schedule call over the same DAG shape. *)
-type hint = { hint_partition : Partition.t option; hint_order : int list }
-
-let hint_of (t : t) = { hint_partition = t.partition; hint_order = t.order }
-
 let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(order_limit = 4)
-    ?(mode = `Dp) ?(verify = false) ?warm arch ~load ~matrix g =
+    ?(mode = `Dp) ?(verify = false) arch ~load ~matrix g =
   if Dag.node_count g = 0 then invalid_arg "Dpipe.schedule: empty DAG";
   if not (Dag.is_acyclic g) then invalid_arg "Dpipe.schedule: cyclic graph";
   Tf_obs.Counter.incr m_schedules;
@@ -425,34 +410,6 @@ let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(or
   in
   Tf_obs.Counter.add m_candidates (Array.length pairs);
   let incumbent = Atomic.make Float.infinity in
-  (* Warm start: when the hinted (partition, order) survives this call's
-     own ranking, evaluate it first and seed the shared incumbent with
-     its steady interval.  The hint is a real candidate of THIS problem
-     evaluated by THIS DP (a previous call's numbers would be
-     meaningless here), so pruning against it keeps the monotone-
-     incumbent argument above: every pruned candidate provably loses to
-     an evaluated one, and the in-order winner fold is untouched — the
-     result is bit-identical to a cold run, only faster.  Verify mode
-     never prunes, so a hint would be dead weight there. *)
-  (match warm with
-  | Some h when not verify ->
-      Tf_obs.Counter.incr m_warm_hints;
-      let found = ref (-1) in
-      Array.iteri
-        (fun i (partition, order, _, _) ->
-          if !found < 0 && partition = h.hint_partition && order = h.hint_order then found := i)
-        pairs;
-      if !found >= 0 then begin
-        Tf_obs.Counter.incr m_warm_applied;
-        let _, _, stage, ord = pairs.(!found) in
-        match eval_candidate ctx ~epochs ~stage ~ord ~prune_bound:no_prune ~record:false with
-        | Pruned, _ ->
-            invalid_arg
-              "Dpipe.schedule: warm-hint evaluation reported Pruned under the no-prune bound \
-               (cost model returned a non-finite interval?)"
-        | Done { steady; _ }, _ -> shrink_incumbent incumbent steady
-      end
-  | _ -> ());
   let eval pair =
     Tf_obs.Histogram.time m_candidate_seconds @@ fun () ->
     let partition, order, stage, ord = pair in

@@ -43,13 +43,6 @@ type t = {
   useful_1d_per_epoch : float;
 }
 
-type hint = { hint_partition : Tf_dag.Partition.t option; hint_order : int list }
-(** A schedule's structural identity — which (partition, order) candidate
-    won — reusable as a warm start for a later [schedule] call over the
-    same DAG shape. *)
-
-val hint_of : t -> hint
-
 val schedule :
   ?epochs:int ->
   ?partition_limit:int ->
@@ -57,7 +50,6 @@ val schedule :
   ?order_limit:int ->
   ?mode:[ `Dp | `Static of int -> Tf_arch.Arch.resource ] ->
   ?verify:bool ->
-  ?warm:hint ->
   Tf_arch.Arch.t ->
   load:(int -> float) ->
   matrix:(int -> bool) ->
@@ -78,15 +70,6 @@ val schedule :
     makespans used for the steady interval come from a single DP pass
     that reproduces the two-run computation exactly.  Results are
     bit-identical whatever [TRANSFUSION_JOBS] is.
-
-    [warm] (default none) seeds the branch-and-bound incumbent: when the
-    hinted (partition, order) pair is among this call's candidates, it is
-    DP-evaluated first so every other candidate prunes against a strong
-    bound from the start.  The hint is re-evaluated on this problem (a
-    previous call's steady value would be meaningless under different
-    loads), so the warm run returns a bit-identical schedule to the cold
-    run — only the pruning counters differ.  Ignored under [verify],
-    which never prunes.
 
     [verify] (default false) is a sanitizer hook: every candidate schedule
     explored during the search is re-validated with {!check} as it is

@@ -213,7 +213,7 @@ let add_exec (a : Phase.execution) (b : Phase.execution) =
    invariant to first order, so tile shape only enters through traffic. *)
 let nominal_epochs = 256.
 
-let pipelined_exec ?mode ?warm ?store_hint ctx cascade =
+let pipelined_exec ~mode ctx cascade =
   let totals =
     Layer_costs.op_totals ~m0:ctx.m0 ~kv_len:ctx.kv_len ~kv_proj_len:ctx.kv_proj_len
       ~causal:ctx.causal ctx.w cascade
@@ -222,15 +222,7 @@ let pipelined_exec ?mode ?warm ?store_hint ctx cascade =
   let g = Cascade.to_dag cascade in
   let load node = arr.(node).Layer_costs.total /. nominal_epochs in
   let matrix node = Einsum.is_matrix_op arr.(node).Layer_costs.op in
-  let mode =
-    match mode with
-    | Some m -> m
-    | None -> `Dp
-  in
-  let sched = Dpipe.schedule ~mode ?warm ctx.arch ~load ~matrix g in
-  (match store_hint with
-  | Some store -> store (Dpipe.hint_of sched)
-  | None -> ());
+  let sched = Dpipe.schedule ~mode ctx.arch ~load ~matrix g in
   let node_busy = Array.make (Array.length arr) 0. in
   let unrolled = float_of_int sched.Dpipe.epochs_unrolled in
   List.iter
@@ -304,31 +296,9 @@ type dpipe_key = {
 let dpipe_cache : (dpipe_key, exec_summary) Tf_parallel.Memo.t =
   Tf_parallel.Memo.create ~name:"strategies.dpipe" ~capacity:256 ()
 
-(* Cross-point DPipe warm hints: remember the winning (partition, order)
-   per cascade family and offer it as the branch-and-bound incumbent seed
-   of the next schedule.  The family key is the schedule key with the
-   sweep coordinates (seq, batch, m0, key/value length) erased, so a
-   hint learned at one sweep point transfers to its neighbours — safe
-   because {!Dpipe.schedule}'s [warm] is result-invariant (a hint absent
-   from the new candidate grid is simply ignored, and a hint lost to the
-   capacity bound merely costs a cold branch-and-bound start). *)
-let dpipe_hints : (dpipe_key, Dpipe.hint) Tf_parallel.Memo.t =
-  Tf_parallel.Memo.create ~name:"strategies.dpipe_hints" ~capacity:256 ()
+let reset_registries () = Tf_parallel.Memo.clear dpipe_cache
 
-let hint_family k =
-  let dk_attention =
-    match k.dk_attention with
-    | Self | Causal_self -> k.dk_attention
-    | Cross _ -> Cross { kv_len = 0 }
-    | Decode _ -> Decode { kv_len = 0 }
-  in
-  { k with dk_seq_len = 0; dk_batch = 0; dk_m0 = 0; dk_attention }
-
-let reset_registries () =
-  Tf_parallel.Memo.clear dpipe_cache;
-  Tf_parallel.Memo.clear dpipe_hints
-
-let cached_pipelined ?mode ~tag ctx cascade =
+let cached_pipelined ~mode ~tag ctx cascade =
   let key =
     {
       dk_arch = arch_fingerprint ctx.arch;
@@ -341,16 +311,20 @@ let cached_pipelined ?mode ~tag ctx cascade =
       dk_include_ffn = ctx.include_ffn;
     }
   in
-  Tf_parallel.Memo.find_or_compute dpipe_cache key (fun () ->
-      let family = hint_family key in
-      let warm = Tf_parallel.Memo.find_opt dpipe_hints family in
-      let store_hint h = Tf_parallel.Memo.update dpipe_hints family (fun _ -> h) in
-      pipelined_exec ?mode ?warm ~store_hint ctx cascade)
+  Tf_parallel.Memo.find_or_compute dpipe_cache key (fun () -> pipelined_exec ~mode ctx cascade)
+
+(* FuseMax's statically pipelined attention: the FuseMax strategy's MHA
+   and the attention inside every LayerFuse layer. *)
+let fusemax_mha_exec ctx =
+  let cascade = Cascades.mha () in
+  exec_of_summary
+    (cached_pipelined ~mode:(`Static (fusemax_assign ctx.arch cascade)) ~tag:"fusemax-mha" ctx
+       cascade)
 
 (* ------------------------------------------------------------------ *)
 (* Traffic assembly                                                    *)
 
-let base_traffic _ctx ~dram_reads ~dram_writes ~buffer_io ~regfile_io loads =
+let base_traffic ~dram_reads ~dram_writes ~buffer_io ~regfile_io loads =
   let compute = loads_ops loads in
   let io_r, io_w = buffer_io and rf_r, rf_w = regfile_io in
   {
@@ -392,70 +366,56 @@ let unfused_module_traffic ctx kind =
         (2. *. ctx.hidden) +. ctx.a )
   | Phase.Fused_stack -> invalid_arg "unfused_module_traffic"
 
-let unfused_like_phases ?(mha_override = None) ctx =
+let unfused_like_phases ?mha ctx =
   List.map
     (fun (kind, cascade) ->
       let loads = module_loads ctx kind in
+      let io = io_volumes ctx cascade in
       let phase =
-        match (kind, mha_override) with
-        | Phase.Mha, Some build -> build loads cascade
+        match (kind, mha) with
+        | Phase.Mha, Some build -> build loads io
         | _ ->
             let dram_reads, dram_writes = unfused_module_traffic ctx kind in
-            let io = io_volumes ctx cascade in
             Phase.v
               ~name:(Phase.layer_kind_to_string kind)
               ~kind
               ~traffic:
-                (base_traffic ctx ~dram_reads ~dram_writes ~buffer_io:io ~regfile_io:(0., 0.) loads)
+                (base_traffic ~dram_reads ~dram_writes ~buffer_io:io ~regfile_io:(0., 0.) loads)
               ~execution:(seq_exec ctx loads) ()
       in
       scale_layers ctx phase)
     (module_cascades ctx)
 
-let unfused_phases ctx = unfused_like_phases ctx
+(* FLAT and FuseMax fuse attention: query tiles stream against the K/V
+   tiles, so no score traffic reaches DRAM. *)
+let streamed_mha ctx ~name ~buffer_io ~regfile_io ~execution loads =
+  let dram_reads = ctx.a +. kv_stream_reads ctx ~q_rows:(stream_q_rows ctx) in
+  Phase.v ~name ~kind:Phase.Mha
+    ~traffic:(base_traffic ~dram_reads ~dram_writes:ctx.a ~buffer_io ~regfile_io loads)
+    ~execution ()
 
-(* FLAT: fused attention (streaming tiles, no score traffic), sequential
-   execution, intermediates staged through the buffer. *)
+(* FLAT: sequential execution, intermediates staged through the buffer. *)
 let flat_phases ctx =
-  let build loads cascade =
-    let q_rows = stream_q_rows ctx in
-    let dram_reads = ctx.a +. kv_stream_reads ctx ~q_rows in
-    let io = io_volumes ctx cascade in
-    Phase.v ~name:"MHA(flat)" ~kind:Phase.Mha
-      ~traffic:(base_traffic ctx ~dram_reads ~dram_writes:ctx.a ~buffer_io:io ~regfile_io:(0., 0.) loads)
-      ~execution:(seq_exec ctx loads) ()
-  in
-  unfused_like_phases ~mha_override:(Some build) ctx
+  unfused_like_phases ctx ~mha:(fun loads io ->
+      streamed_mha ctx ~name:"MHA(flat)" ~buffer_io:io ~regfile_io:(0., 0.)
+        ~execution:(seq_exec ctx loads) loads)
 
-(* FuseMax: fused + statically pipelined attention with in-register
-   retention of intermediates. *)
+(* FuseMax: statically pipelined attention with in-register retention of
+   intermediates. *)
 let fusemax_phases ctx =
-  let build loads cascade =
-    let q_rows = stream_q_rows ctx in
-    let dram_reads = ctx.a +. kv_stream_reads ctx ~q_rows in
-    let io = io_volumes ctx cascade in
-    let summary =
-      cached_pipelined ~mode:(`Static (fusemax_assign ctx.arch cascade)) ~tag:"fusemax-mha" ctx
-        cascade
-    in
-    Phase.v ~name:"MHA(fusemax)" ~kind:Phase.Mha
-      ~traffic:(base_traffic ctx ~dram_reads ~dram_writes:ctx.a ~buffer_io:(0., 0.) ~regfile_io:io loads)
-      ~execution:(exec_of_summary summary) ()
-  in
-  unfused_like_phases ~mha_override:(Some build) ctx
+  unfused_like_phases ctx ~mha:(fun loads io ->
+      streamed_mha ctx ~name:"MHA(fusemax)" ~buffer_io:(0., 0.) ~regfile_io:io
+        ~execution:(fusemax_mha_exec ctx) loads)
 
 (* Shared fused-stack traffic for LayerFuse and TransFusion: activations
    propagate on-chip; K/V round-trip through DRAM per layer and are
-   re-read once per query tile; weights follow the tiled-matmul I/O
-   model; module handoffs stage one activation volume in the buffer.
-
-   The [_pre] variants take the tiling-search-invariant ingredients —
-   the per-layer op loads, the summed einsum I/O volumes and the weight
-   totals — precomputed by the caller (the evaluation state below), so
-   a TileSeek candidate costs a handful of float operations plus one
-   [Traffic.t] record.  The plain variants derive the same ingredients
-   on the spot; the expression shapes are shared, so the two paths score
-   bit-identically. *)
+   re-read once per query tile unless the resident m1*m0 slice holds the
+   whole key/value sequence; module handoffs stage one activation volume
+   in the buffer.  The callers (the choices below) pass the
+   tiling-invariant ingredients — the per-layer op loads, the summed
+   einsum I/O volumes and the weight reads — from the evaluation state,
+   so a TileSeek candidate costs a handful of float operations plus one
+   [Traffic.t] record. *)
 
 let module_io ctx =
   List.fold_left
@@ -466,11 +426,24 @@ let module_io ctx =
 
 let stack_weight_reads ctx = ctx.w_qkv +. if ctx.include_ffn then ctx.w_ffn else 0.
 
-let fused_stack_traffic_pre ctx (config : Tileseek.config) ~loads ~io ~w_all =
+let kv_reads ctx (config : Tileseek.config) =
   let kv_resident = float_of_int (config.Tileseek.m1 * config.Tileseek.m0) in
   let kv_passes =
     if kv_resident >= ctx.n_kv then 1. else ctx.n /. float_of_int config.Tileseek.p
   in
+  kv_passes *. 2. *. ctx.a_kv *. causal_factor ctx
+
+let stack_traffic ctx ~loads ~io ~dram_reads ~dram_writes =
+  let io_r, io_w = io and handoffs = 4. *. ctx.a in
+  base_traffic ~dram_reads ~dram_writes
+    ~buffer_io:(ctx.layers *. handoffs, ctx.layers *. handoffs)
+    ~regfile_io:(ctx.layers *. io_r, ctx.layers *. io_w)
+    {
+      Layer_costs.matrix = ctx.layers *. loads.Layer_costs.matrix;
+      vector = ctx.layers *. loads.Layer_costs.vector;
+    }
+
+let fused_stack_traffic ctx (config : Tileseek.config) ~loads ~io ~w_all =
   (* The fused stack pins resident query rows on-chip and streams every
      weight tensor through once per tile pass — the structural price of
      end-to-end fusion (big tiles amortise it; TileSeek maximises
@@ -478,28 +451,13 @@ let fused_stack_traffic_pre ctx (config : Tileseek.config) ~loads ~io ~w_all =
   let tile_passes =
     ctx.bsz *. ctx.n /. (float_of_int config.Tileseek.b *. float_of_int config.Tileseek.p)
   in
-  let weight_reads = tile_passes *. w_all in
-  let per_layer_reads =
-    weight_reads +. (kv_passes *. 2. *. ctx.a_kv *. causal_factor ctx)
-  in
+  let per_layer_reads = (tile_passes *. w_all) +. kv_reads ctx config in
   (* Only freshly projected K/V rows are written back per layer — for a
      decode step that is the single appended cache position, not the
      whole resident cache (which was written by earlier steps). *)
-  let per_layer_writes = 2. *. ctx.a_proj in
-  let dram_reads = (ctx.layers *. per_layer_reads) +. ctx.a in
-  let dram_writes = (ctx.layers *. per_layer_writes) +. ctx.a in
-  let io_r, io_w = io in
-  let handoffs = 4. *. ctx.a in
-  let stack_loads =
-    {
-      Layer_costs.matrix = ctx.layers *. loads.Layer_costs.matrix;
-      vector = ctx.layers *. loads.Layer_costs.vector;
-    }
-  in
-  base_traffic ctx ~dram_reads ~dram_writes
-    ~buffer_io:(ctx.layers *. handoffs, ctx.layers *. handoffs)
-    ~regfile_io:(ctx.layers *. io_r, ctx.layers *. io_w)
-    stack_loads
+  stack_traffic ctx ~loads ~io
+    ~dram_reads:((ctx.layers *. per_layer_reads) +. ctx.a)
+    ~dram_writes:((ctx.layers *. (2. *. ctx.a_proj)) +. ctx.a)
 
 (* Traffic of the intra-layer-fused variant: each layer executes alone,
    so its big matmuls run weight-stationary (the blocked I/O model) and
@@ -515,29 +473,10 @@ let intra_weight_reads ctx =
     +. matmul_reads ctx ~rows ~inner:ctx.s ~cols:ctx.d
   else 0.
 
-let intra_layer_traffic_pre ctx (config : Tileseek.config) ~loads ~io ~weight_reads =
-  let kv_resident = float_of_int (config.Tileseek.m1 * config.Tileseek.m0) in
-  let kv_passes =
-    if kv_resident >= ctx.n_kv then 1. else ctx.n /. float_of_int config.Tileseek.p
-  in
-  let per_layer_reads =
-    weight_reads +. (kv_passes *. 2. *. ctx.a_kv *. causal_factor ctx) +. ctx.a
-  in
-  let per_layer_writes = ctx.a +. (2. *. ctx.a_proj) in
-  let io_r, io_w = io in
-  let handoffs = 4. *. ctx.a in
-  let stack_loads =
-    {
-      Layer_costs.matrix = ctx.layers *. loads.Layer_costs.matrix;
-      vector = ctx.layers *. loads.Layer_costs.vector;
-    }
-  in
-  base_traffic ctx
-    ~dram_reads:(ctx.layers *. per_layer_reads)
-    ~dram_writes:(ctx.layers *. per_layer_writes)
-    ~buffer_io:(ctx.layers *. handoffs, ctx.layers *. handoffs)
-    ~regfile_io:(ctx.layers *. io_r, ctx.layers *. io_w)
-    stack_loads
+let intra_layer_traffic ctx config ~loads ~io ~weight_reads =
+  stack_traffic ctx ~loads ~io
+    ~dram_reads:(ctx.layers *. (weight_reads +. kv_reads ctx config +. ctx.a))
+    ~dram_writes:(ctx.layers *. (ctx.a +. (2. *. ctx.a_proj)))
 
 let tiling_cost ctx phase_list =
   let arch = ctx.arch in
@@ -559,25 +498,6 @@ let tiling_cost ctx phase_list =
       let traffic = Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list) in
       lat.Latency.total_s *. Energy.total_pj (Energy.of_traffic arch traffic)
 
-(* The per-layer execution of the LayerFuse ablation: pipelined attention
-   (FuseMax style), everything else sequential; no cross-module overlap.
-   Also returns the per-module makespans for Figure 11 attribution. *)
-let layerfuse_layer_parts ctx =
-  let mha_summary =
-    let cascade = Cascades.mha () in
-    cached_pipelined ~mode:(`Static (fusemax_assign ctx.arch cascade)) ~tag:"fusemax-mha" ctx
-      cascade
-  in
-  (Phase.Mha, exec_of_summary mha_summary)
-  :: List.map
-       (fun kind -> (kind, seq_exec ctx (module_loads ctx kind)))
-       ([ Phase.Qkv; Phase.Layernorm ] @ if ctx.include_ffn then [ Phase.Ffn ] else [])
-
-let layerfuse_layer_exec ctx =
-  match layerfuse_layer_parts ctx with
-  | [] -> assert false
-  | (_, first) :: rest -> List.fold_left (fun acc (_, e) -> add_exec acc e) first rest
-
 let normalise_parts per =
   let kinds = [ Phase.Qkv; Phase.Mha; Phase.Layernorm; Phase.Ffn ] in
   let total = List.fold_left (fun acc (_, c) -> acc +. c) 0. per in
@@ -587,21 +507,31 @@ let normalise_parts per =
       (k, if total > 0. then c /. total else 0.25))
     kinds
 
-(* Attribution of the LayerFuse phase's time to the per-layer buckets, by
-   each module's share of its (sequential) per-layer makespans. *)
-let layerfuse_parts ctx =
-  normalise_parts
-    (List.map (fun (k, e) -> (k, e.Phase.makespan_cycles)) (layerfuse_layer_parts ctx))
+(* The per-layer execution of the LayerFuse ablation: pipelined attention
+   (FuseMax style), everything else sequential; no cross-module overlap.
+   Returned with its attribution to the per-layer buckets (Figure 11), by
+   each module's share of the sequential per-layer makespans. *)
+let layerfuse_layer ctx =
+  let mha = fusemax_mha_exec ctx in
+  let rest =
+    List.map
+      (fun kind -> (kind, seq_exec ctx (module_loads ctx kind)))
+      ([ Phase.Qkv; Phase.Layernorm ] @ if ctx.include_ffn then [ Phase.Ffn ] else [])
+  in
+  ( List.fold_left (fun acc (_, e) -> add_exec acc e) mha rest,
+    normalise_parts
+      ((Phase.Mha, mha.Phase.makespan_cycles)
+      :: List.map (fun (k, e) -> (k, e.Phase.makespan_cycles)) rest) )
+
+let layer_cascade ctx =
+  if ctx.include_ffn then Cascades.full_layer ctx.w.model.Model.activation
+  else
+    Cascade.concat ~name:"transformer_layer_noffn"
+      [ Cascades.qkv (); Cascades.mha (); Cascades.add_layernorm () ]
 
 (* Attribution of the TransFusion phase: the busy cycles the DPipe
-   schedule actually assigned to each module's operations. *)
-let transfusion_parts ctx summary =
-  let cascade =
-    if ctx.include_ffn then Cascades.full_layer ctx.w.model.Model.activation
-    else
-      Cascade.concat ~name:"transformer_layer_noffn"
-        [ Cascades.qkv (); Cascades.mha (); Cascades.add_layernorm () ]
-  in
+   schedule of [cascade] actually assigned to each module's operations. *)
+let transfusion_parts cascade summary =
   let kind_of op_name =
     if List.mem op_name [ "Q"; "BK"; "BV" ] then Phase.Qkv
     else if List.mem op_name Cascades.mha_op_names then Phase.Mha
@@ -621,29 +551,16 @@ let transfusion_parts ctx summary =
   in
   normalise_parts per
 
-let layer_cascade ctx =
-  if ctx.include_ffn then Cascades.full_layer ctx.w.model.Model.activation
-  else
-    Cascade.concat ~name:"transformer_layer_noffn"
-      [ Cascades.qkv (); Cascades.mha (); Cascades.add_layernorm () ]
-
-let transfusion_execution ctx =
+let transfusion_layer ctx =
   let cascade = layer_cascade ctx in
   let dp = cached_pipelined ~mode:`Dp ~tag:"transfusion-layer" ctx cascade in
   (* DPipe's candidate space contains the static layer-sequential schedule,
      so the better of the two is what the scheduler would emit; the greedy
      DP evaluation occasionally loses a percent to it on chunky DAGs. *)
-  let static = layerfuse_layer_exec ctx in
-  let layer_exec, parts =
-    if dp.makespan <= static.Phase.makespan_cycles then (exec_of_summary dp, transfusion_parts ctx dp)
-    else (static, layerfuse_parts ctx)
-  in
-  ( {
-      Phase.makespan_cycles = ctx.layers *. layer_exec.Phase.makespan_cycles;
-      useful_2d_slots = ctx.layers *. layer_exec.Phase.useful_2d_slots;
-      useful_1d_slots = ctx.layers *. layer_exec.Phase.useful_1d_slots;
-    },
-    parts )
+  let static, static_parts = layerfuse_layer ctx in
+  if dp.makespan <= static.Phase.makespan_cycles then
+    (exec_of_summary dp, transfusion_parts cascade dp)
+  else (static, static_parts)
 
 (* ------------------------------------------------------------------ *)
 (* Reusable evaluation state for the TileSeek inner loop               *)
@@ -714,11 +631,18 @@ let make_eval_state ctx =
     es_costs = Hashtbl.create 256;
   }
 
-let layers_scaled ctx (e : Phase.execution) =
+let scaled_exec ctx (layer_exec, parts) =
+  let execution =
+    {
+      Phase.makespan_cycles = ctx.layers *. layer_exec.Phase.makespan_cycles;
+      useful_2d_slots = ctx.layers *. layer_exec.Phase.useful_2d_slots;
+      useful_1d_slots = ctx.layers *. layer_exec.Phase.useful_1d_slots;
+    }
+  in
   {
-    Phase.makespan_cycles = ctx.layers *. e.Phase.makespan_cycles;
-    useful_2d_slots = ctx.layers *. e.Phase.useful_2d_slots;
-    useful_1d_slots = ctx.layers *. e.Phase.useful_1d_slots;
+    ex_execution = execution;
+    ex_parts = parts;
+    ex_compute_s = Latency.compute_seconds ctx.arch execution;
   }
 
 let eval_slice st m0 =
@@ -734,22 +658,8 @@ let eval_slice st m0 =
           sl_ctx = ctx;
           sl_loads = module_loads ctx Phase.Fused_stack;
           sl_io = module_io ctx;
-          sl_tf =
-            lazy
-              (let execution, parts = transfusion_execution ctx in
-               {
-                 ex_execution = execution;
-                 ex_parts = parts;
-                 ex_compute_s = Latency.compute_seconds ctx.arch execution;
-               });
-          sl_lf =
-            lazy
-              (let execution = layers_scaled ctx (layerfuse_layer_exec ctx) in
-               {
-                 ex_execution = execution;
-                 ex_parts = layerfuse_parts ctx;
-                 ex_compute_s = Latency.compute_seconds ctx.arch execution;
-               });
+          sl_tf = lazy (scaled_exec ctx (transfusion_layer ctx));
+          sl_lf = lazy (scaled_exec ctx (layerfuse_layer ctx));
         }
       in
       Hashtbl.add st.es_slices m0 sl;
@@ -777,50 +687,11 @@ let single_phase_cost ctx ~compute_s ~traffic =
       let memory_s = Latency.memory_seconds ctx.arch traffic in
       Float.max compute_s memory_s *. Energy.total_pj (Energy.of_traffic ctx.arch traffic)
 
-(* Uncached scalar scorers: each mirrors the corresponding phase builder
-   below — same traffic, same execution, same better-of comparison.
-   [transfusion_score] stays the microbench probe for one true candidate
-   evaluation; the projection memo wraps it in [cached_score]. *)
-let transfusion_score st (config : Tileseek.config) =
-  Tf_obs.Counter.incr m_scores;
-  let sl = eval_slice st config.Tileseek.m0 in
-  let ctx = sl.sl_ctx in
-  let tf = Lazy.force sl.sl_tf in
-  let stack =
-    fused_stack_traffic_pre ctx config ~loads:sl.sl_loads ~io:sl.sl_io ~w_all:st.es_w_all
-  in
-  let intra =
-    intra_layer_traffic_pre ctx config ~loads:sl.sl_loads ~io:sl.sl_io
-      ~weight_reads:st.es_intra_wr
-  in
-  let c_stack = single_phase_cost ctx ~compute_s:tf.ex_compute_s ~traffic:stack in
-  let c_intra = single_phase_cost ctx ~compute_s:tf.ex_compute_s ~traffic:intra in
-  if c_stack <= c_intra then c_stack else c_intra
-
-let layerfuse_score st (config : Tileseek.config) =
-  Tf_obs.Counter.incr m_scores;
-  let sl = eval_slice st config.Tileseek.m0 in
-  let ctx = sl.sl_ctx in
-  let lf = Lazy.force sl.sl_lf in
-  let traffic =
-    fused_stack_traffic_pre ctx config ~loads:sl.sl_loads ~io:sl.sl_io ~w_all:st.es_w_all
-  in
-  single_phase_cost ctx ~compute_s:lf.ex_compute_s ~traffic
-
-(* Costs project onto (b, p, m1, m0): d and s enter the search through
-   feasibility only, so all configurations sharing the projection share
-   one scoring.  Sound for both scorers above — every term they read
-   comes from the slice (m0) or from b/p/m1. *)
-let cached_score score st (config : Tileseek.config) =
-  let key = (config.Tileseek.b, config.Tileseek.p, config.Tileseek.m1, config.Tileseek.m0) in
-  match Hashtbl.find_opt st.es_costs key with
-  | Some c ->
-      Tf_obs.Counter.incr m_cost_reuse;
-      c
-  | None ->
-      let c = score st config in
-      Hashtbl.add st.es_costs key c;
-      c
+(* One strategy's decision for one tiling: the traffic it runs with, the
+   slice execution, and the scalar cost the search ranks it by.  The
+   scorer reads [ch_cost] and the phase builder reads the rest of the same
+   record, so the phase served is the one that was scored. *)
+type choice = { ch_name : string; ch_traffic : Traffic.t; ch_exec : eval_exec; ch_cost : float }
 
 (* TransFusion adapts its fusion scope to the architecture (paper Section
    1: fusion "must be aware of and able to adapt to ... constraints of
@@ -829,82 +700,97 @@ let cached_score score st (config : Tileseek.config) =
    intra-layer variant keeps the weight-stationary matmul I/O and pays
    one activation round-trip per layer.  Both use the same DPipe
    execution; the scheduler keeps the cheaper. *)
-let transfusion_phase_of st (config : Tileseek.config) =
+let transfusion_choice st (config : Tileseek.config) =
   let sl = eval_slice st config.Tileseek.m0 in
   let ctx = sl.sl_ctx in
   let tf = Lazy.force sl.sl_tf in
   let stack =
-    fused_stack_traffic_pre ctx config ~loads:sl.sl_loads ~io:sl.sl_io ~w_all:st.es_w_all
+    fused_stack_traffic ctx config ~loads:sl.sl_loads ~io:sl.sl_io ~w_all:st.es_w_all
   in
   let intra =
-    intra_layer_traffic_pre ctx config ~loads:sl.sl_loads ~io:sl.sl_io
+    intra_layer_traffic ctx config ~loads:sl.sl_loads ~io:sl.sl_io
       ~weight_reads:st.es_intra_wr
   in
   let c_stack = single_phase_cost ctx ~compute_s:tf.ex_compute_s ~traffic:stack in
   let c_intra = single_phase_cost ctx ~compute_s:tf.ex_compute_s ~traffic:intra in
   if c_stack <= c_intra then
-    Phase.v ~name:"stack(transfusion)" ~kind:Phase.Fused_stack ~parts:tf.ex_parts ~traffic:stack
-      ~execution:tf.ex_execution ()
-  else
-    Phase.v ~name:"layers(transfusion)" ~kind:Phase.Fused_stack ~parts:tf.ex_parts ~traffic:intra
-      ~execution:tf.ex_execution ()
+    { ch_name = "stack(transfusion)"; ch_traffic = stack; ch_exec = tf; ch_cost = c_stack }
+  else { ch_name = "layers(transfusion)"; ch_traffic = intra; ch_exec = tf; ch_cost = c_intra }
 
-let layerfuse_phase_of st (config : Tileseek.config) =
+let layerfuse_choice st (config : Tileseek.config) =
   let sl = eval_slice st config.Tileseek.m0 in
   let ctx = sl.sl_ctx in
   let lf = Lazy.force sl.sl_lf in
-  Phase.v ~name:"stack(layerfuse)" ~kind:Phase.Fused_stack ~parts:lf.ex_parts
-    ~traffic:
-      (fused_stack_traffic_pre ctx config ~loads:sl.sl_loads ~io:sl.sl_io ~w_all:st.es_w_all)
-    ~execution:lf.ex_execution ()
+  let traffic =
+    fused_stack_traffic ctx config ~loads:sl.sl_loads ~io:sl.sl_io ~w_all:st.es_w_all
+  in
+  {
+    ch_name = "stack(layerfuse)";
+    ch_traffic = traffic;
+    ch_exec = lf;
+    ch_cost = single_phase_cost ctx ~compute_s:lf.ex_compute_s ~traffic;
+  }
 
-(* Fresh-state wrapper: one phase construction from scratch (the cold
-   path the microbenches measure; also the reference the equivalence
-   tests pit the scalar scorer against). *)
-let transfusion_phase ctx config = transfusion_phase_of (make_eval_state ctx) config
+let choice_phase c =
+  Phase.v ~name:c.ch_name ~kind:Phase.Fused_stack ~parts:c.ch_exec.ex_parts ~traffic:c.ch_traffic
+    ~execution:c.ch_exec.ex_execution ()
 
-let layerfuse_phases ?tiling ?warm ~tileseek_iterations ctx =
-  (* The ablation keeps TileSeek (it removes DPipe, not the tiling
-     search): outer tiles are searched against the LayerFuse cost. *)
+(* One true candidate evaluation (the microbench probe); the projection
+   memo wraps it in [cached_score]. *)
+let score choose st config =
+  Tf_obs.Counter.incr m_scores;
+  (choose st config).ch_cost
+
+(* Costs project onto (b, p, m1, m0): d and s enter the search through
+   feasibility only, so all configurations sharing the projection share
+   one scoring.  Sound for both choices above — every term they read
+   comes from the slice (m0) or from b/p/m1. *)
+let cached_score choose st (config : Tileseek.config) =
+  let key = (config.Tileseek.b, config.Tileseek.p, config.Tileseek.m1, config.Tileseek.m0) in
+  match Hashtbl.find_opt st.es_costs key with
+  | Some c ->
+      Tf_obs.Counter.incr m_cost_reuse;
+      c
+  | None ->
+      let c = score choose st config in
+      Hashtbl.add st.es_costs key c;
+      c
+
+let search_state choose ?seed ?probe ~iterations st =
+  let ctx = st.es_ctx in
+  Tileseek.search ?seed ?probe ~iterations ~kv_len:ctx.kv_len ~decode:(is_decode ctx.attention)
+    ctx.arch ctx.w ~evaluate:(cached_score choose st) ()
+
+let search ?(iterations = 200) ?seed ?probe ?attention arch w =
+  search_state transfusion_choice ?seed ?probe ~iterations
+    (make_eval_state (make_ctx ?attention arch w))
+
+(* The fused-stack strategies: one TileSeek search (unless the tiling is
+   given) against the strategy's own choice, then that choice's phase.
+   The LayerFuse ablation keeps TileSeek (it removes DPipe, not the
+   tiling search), so its outer tiles are searched against the LayerFuse
+   cost. *)
+let fused_phases choose ?tiling ~tileseek_iterations ctx =
   let st = make_eval_state ctx in
   let config =
     match tiling with
     | Some c -> c
-    | None ->
-        let evaluate config = cached_score layerfuse_score st config in
-        fst
-          (Tileseek.search ?warm ~iterations:tileseek_iterations ~kv_len:ctx.kv_len
-             ~decode:(is_decode ctx.attention) ctx.arch ctx.w ~evaluate ())
+    | None -> fst (search_state choose ~iterations:tileseek_iterations st)
   in
-  ([ layerfuse_phase_of st config ], Some config)
+  ([ choice_phase (choose st config) ], Some config)
 
-let transfusion_phases ?tiling ?warm ~tileseek_iterations ctx =
-  let st = make_eval_state ctx in
-  let config =
-    match tiling with
-    | Some c -> c
-    | None ->
-        let evaluate config = cached_score transfusion_score st config in
-        let config, _stats =
-          Tileseek.search ?warm ~iterations:tileseek_iterations ~kv_len:ctx.kv_len
-            ~decode:(is_decode ctx.attention) ctx.arch ctx.w ~evaluate ()
-        in
-        config
-  in
-  ([ transfusion_phase_of st config ], Some config)
-
-let phases ?tiling ?(tileseek_iterations = 200) ?attention ?include_ffn ?layers ?objective
-    ?warm_tiling arch w strategy =
+let phases ?tiling ?(tileseek_iterations = 200) ?attention ?include_ffn ?layers ?objective arch w
+    strategy =
   let ctx = make_ctx ?attention ?include_ffn ?layers ?objective arch w in
   match strategy with
-  | Unfused -> (unfused_phases ctx, None)
+  | Unfused -> (unfused_like_phases ctx, None)
   | Flat -> (flat_phases ctx, None)
   | Fusemax -> (fusemax_phases ctx, None)
-  | Fusemax_layerfuse -> layerfuse_phases ?tiling ?warm:warm_tiling ~tileseek_iterations ctx
-  | Transfusion -> transfusion_phases ?tiling ?warm:warm_tiling ~tileseek_iterations ctx
+  | Fusemax_layerfuse -> fused_phases layerfuse_choice ?tiling ~tileseek_iterations ctx
+  | Transfusion -> fused_phases transfusion_choice ?tiling ~tileseek_iterations ctx
 
-let evaluate ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective ?warm_tiling
-    arch w strategy =
+let evaluate ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective arch w
+    strategy =
   Tf_obs.Trace.with_span ~cat:"strategy"
     ~args:
       [
@@ -916,8 +802,7 @@ let evaluate ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objec
     "strategy.evaluate"
   @@ fun () ->
   let phase_list, config =
-    phases ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective ?warm_tiling
-      arch w strategy
+    phases ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective arch w strategy
   in
   let latency = Latency.evaluate arch phase_list in
   let traffic = Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list) in
@@ -933,9 +818,6 @@ module Private = struct
   let arch_fingerprint = arch_fingerprint
   let fusemax_assign = fusemax_assign
 
-  let dpipe_hint_stats () =
-    (Tf_parallel.Memo.length dpipe_hints, Tf_parallel.Memo.evictions dpipe_hints)
-
   (* Hot-path probes for the microbenches and the scorer-equivalence
      tests.  [transfusion_scorer] prebuilds the evaluation state and
      bypasses the (b, p, m1, m0) projection memo, so every call pays the
@@ -943,15 +825,15 @@ module Private = struct
      the cold path through full phase construction, [Latency.evaluate]
      and [Traffic.sum] — the two must agree bit for bit. *)
   let transfusion_scorer ?attention ?objective arch w =
-    let ctx = make_ctx ?attention ?objective arch w in
-    let st = make_eval_state ctx in
-    fun config -> transfusion_score st config
+    let st = make_eval_state (make_ctx ?attention ?objective arch w) in
+    score transfusion_choice st
+
+  let cold_phase ctx config = choice_phase (transfusion_choice (make_eval_state ctx) config)
 
   let transfusion_cost_reference ?attention ?objective arch w config =
     let ctx = make_ctx ?attention ?objective arch w in
-    tiling_cost ctx [ transfusion_phase ctx config ]
+    tiling_cost ctx [ cold_phase ctx config ]
 
   let transfusion_phase_cold ?attention ?objective arch w config =
-    let ctx = make_ctx ?attention ?objective arch w in
-    transfusion_phase ctx config
+    cold_phase (make_ctx ?attention ?objective arch w) config
 end

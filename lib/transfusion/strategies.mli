@@ -75,7 +75,6 @@ val phases :
   ?include_ffn:bool ->
   ?layers:int ->
   ?objective:objective ->
-  ?warm_tiling:Tileseek.config ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   t ->
@@ -85,10 +84,7 @@ val phases :
     [tileseek_iterations] defaults to 200.  [attention], [include_ffn]
     and [layers] select the sublayer flavour for encoder/decoder
     composition (see {!Structures}); the defaults evaluate the standard
-    self-attention encoder stack of the model.  [warm_tiling] seeds the
-    tiling search with a neighbouring point's solution
-    ({!Tileseek.search}'s [warm]): purely an accelerator — the returned
-    phases and tiling are bit-identical with or without it. *)
+    self-attention encoder stack of the model. *)
 
 val evaluate :
   ?tiling:Tileseek.config ->
@@ -97,11 +93,28 @@ val evaluate :
   ?include_ffn:bool ->
   ?layers:int ->
   ?objective:objective ->
-  ?warm_tiling:Tileseek.config ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   t ->
   result
+
+val search :
+  ?iterations:int ->
+  ?seed:int ->
+  ?probe:(Tileseek.probe -> unit) ->
+  ?attention:attention ->
+  Tf_arch.Arch.t ->
+  Tf_workloads.Workload.t ->
+  Tileseek.config * Mcts.stats
+(** The TransFusion tiling search exactly as {!evaluate} runs it: one
+    {!Tileseek.search} scored by the production TransFusion cost (latency
+    plus the 0.02 x memory-time tie-break, through the (b, p, m1, m0)
+    projection memo), over the key/value sequence and decode buffer
+    model that [attention] implies.  [iterations] defaults to 200 and
+    [seed] to {!Tileseek.search}'s, so [fst (search ~attention arch w)]
+    is the tiling [evaluate ~attention arch w Transfusion] serves; [seed]
+    and the observational [probe] are for the callers that report the
+    search itself ([transfusion search], [Tf_report.Explain.run]). *)
 
 val speedup : baseline:result -> result -> float
 (** [baseline.latency.total_s / r.latency.total_s]. *)
@@ -112,10 +125,9 @@ val energy_ratio : baseline:result -> result -> float
 val pp_name : t Fmt.t
 
 val reset_registries : unit -> unit
-(** Drop the memoised DPipe schedules and the cross-point warm-hint
-    registry — cache hygiene for long-running processes and
-    determinism harnesses.  Both stores are accelerators only, so
-    clearing them never changes any result. *)
+(** Drop the memoised DPipe schedules — cache hygiene for long-running
+    processes and determinism harnesses.  The memo is an accelerator
+    only, so clearing it never changes any result. *)
 
 (**/**)
 
@@ -130,10 +142,6 @@ module Private : sig
   (** FuseMax's static PE-array assignment for the nodes of [cascade]'s
       DAG — the [`Static] mode the FuseMax strategies schedule with.
       Exposed for the DPipe static-mode microbench. *)
-
-  val dpipe_hint_stats : unit -> int * int
-  (** [(entries, evictions)] of the warm-hint registry — tests assert
-      the capacity bound holds under churn. *)
 
   val transfusion_scorer :
     ?attention:attention ->

@@ -207,7 +207,7 @@ let sp_greedy_variants sp =
 
 let greedy_variants ?kv_len ?decode arch w = sp_greedy_variants (space ?kv_len ?decode arch w)
 
-(* Deterministic warm start: sweep the (query tile, key/value tile) grid —
+(* Deterministic seed: sweep the (query tile, key/value tile) grid —
    the two dimensions that trade residency against running-state update
    cost — growing the remaining factors greedily at each point. *)
 let grid_seed sp ~evaluate =
@@ -248,23 +248,6 @@ let m_memo_hits =
 let m_memo_misses =
   Tf_obs.Counter.create ~help:"cost-model evaluations that ran the full cost model"
     "tileseek.cost_memo_misses_total"
-
-let m_warm_seeds =
-  Tf_obs.Counter.create ~help:"searches offered a warm-start configuration"
-    "tileseek.warm_seeds_total"
-
-let m_warm_feasible =
-  Tf_obs.Counter.create
-    ~help:"warm-start configurations feasible after clamping (evaluated into the memo)"
-    "tileseek.warm_feasible_total"
-
-let m_warm_hits =
-  Tf_obs.Counter.create ~help:"searches whose final configuration equals the warm seed"
-    "tileseek.warm_seed_hits_total"
-
-let m_warm_improved =
-  Tf_obs.Counter.create ~help:"searches that beat their feasible warm seed's cost"
-    "tileseek.warm_seed_improved_total"
 
 (* Config-keyed memo: the caller's cost function re-runs the full cost
    model (the expensive Timeloop/Accelergy role), and the seeding passes,
@@ -351,7 +334,7 @@ type probe = {
   cost_memo_misses : int;
 }
 
-let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe ?warm arch w ~evaluate () =
+let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe arch w ~evaluate () =
   let sp = space ?kv_len ?decode arch w in
   Tf_obs.Counter.incr m_searches;
   Tf_obs.Trace.with_span ~cat:"tileseek"
@@ -367,27 +350,6 @@ let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe ?warm arch w 
   @@ fun () ->
   let memo_hits = ref 0 and memo_misses = ref 0 in
   let evaluate = memoize_cost ~hits:memo_hits ~misses:memo_misses evaluate in
-  (* Warm start from a neighbouring sweep point's solution, clamped to
-     this search's key/value sequence.  Deliberately result-invariant:
-     the warm configuration only primes the cost memo (its evaluation is
-     free later if any pass revisits it) and feeds the seed-hit /
-     seed-improved observability below.  It is NOT added to the seed
-     list — the best seed cost is the MCTS reward reference, so a warm
-     seed there would shift every reward and change the search
-     trajectory.  Infeasible or absent warm configurations fall back to
-     the cold path by doing nothing. *)
-  let warm_seed =
-    match warm with
-    | None -> None
-    | Some c ->
-        Tf_obs.Counter.incr m_warm_seeds;
-        let c = clamp_kv c ~kv_len:sp.kv in
-        if sp_feasible sp c then begin
-          Tf_obs.Counter.incr m_warm_feasible;
-          Some (c, evaluate c)
-        end
-        else None
-  in
   let seeds =
     grid_seed sp ~evaluate
     :: List.map (fun c -> (c, evaluate c)) (sp_greedy_variants sp)
@@ -443,13 +405,6 @@ let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe ?warm arch w 
     | _ -> (seed_config, stats)
   in
   let config = fst result in
-  (match warm_seed with
-  | None -> ()
-  | Some (wc, wcost) ->
-      if config = wc then Tf_obs.Counter.incr m_warm_hits;
-      (* The final configuration is always in the memo (every candidate
-         the search can return was evaluated), so this costs a lookup. *)
-      if evaluate config < wcost then Tf_obs.Counter.incr m_warm_improved);
   Log.debug (fun m ->
       m "search(%s, %s/%d): b=%d d=%d p=%d m1=%d m0=%d s=%d (best reward %.3f over %d terminals)"
         arch.Arch.name w.Workload.model.Tf_workloads.Model.name w.Workload.seq_len config.b

@@ -103,7 +103,6 @@ val search :
   ?kv_len:int ->
   ?decode:bool ->
   ?probe:(probe -> unit) ->
-  ?warm:config ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   evaluate:(config -> float) ->
@@ -118,13 +117,4 @@ val search :
     grid seeding, the greedy variants and repeated rollouts never re-run
     the cost model on a configuration already scored.  Deterministic for
     fixed seed.  [pareto] memoizes its [latency]/[energy] objectives the
-    same way.
-
-    [warm] offers a neighbouring problem's solution as a warm start
-    (sweeps pass the adjacent seq-len point's tiling; decode passes the
-    prefill tiling).  The configuration is clamped with {!clamp_kv},
-    checked for feasibility, and — when feasible — pre-evaluated into
-    the cost memo; the [tileseek.warm_*] counters record whether the
-    search confirmed (seed hit) or beat (seed improved) it.  The warm
-    seed never joins the reward-reference seed list, so the returned
-    [(config, stats)] is bit-identical to a cold search. *)
+    same way. *)

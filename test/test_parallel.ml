@@ -248,32 +248,6 @@ let test_bounded_churn () =
   P.Memo.clear b;
   Alcotest.(check int) "clear empties" 0 (P.Memo.length b)
 
-let test_warm_registries_bounded () =
-  (* The library-level leak fixes: both warm registries hold their
-     capacity bound under a flood of distinct keys (the daemon's
-     workload shape), and reset_cache drops them. *)
-  E.Exp_common.reset_cache ();
-  let archs = [ Tf_arch.Presets.edge; Tf_arch.Presets.cloud ] in
-  List.iter
-    (fun arch ->
-      List.iter
-        (fun seq_len ->
-          let w = Workload.v Presets.t5 ~seq_len in
-          ignore
-            (E.Exp_common.evaluate ~tileseek_iterations:5 arch w Strategies.Transfusion
-              : Strategies.result))
-        [ 512; 1024; 2048; 4096 ])
-    archs;
-  let warm_entries, _ = E.Exp_common.warm_stats () in
-  Alcotest.(check bool) "warm registry populated" true (warm_entries > 0);
-  Alcotest.(check bool) "warm registry within capacity" true (warm_entries <= 128);
-  let hint_entries, _ = Strategies.Private.dpipe_hint_stats () in
-  Alcotest.(check bool) "dpipe hints populated" true (hint_entries > 0);
-  Alcotest.(check bool) "dpipe hints within capacity" true (hint_entries <= 256);
-  E.Exp_common.reset_cache ();
-  Alcotest.(check int) "reset drops warm registry" 0 (fst (E.Exp_common.warm_stats ()));
-  Alcotest.(check int) "reset drops dpipe hints" 0 (fst (Strategies.Private.dpipe_hint_stats ()))
-
 let toy_arch =
   Tf_arch.Arch.v ~name:"ptoy" ~clock_hz:1e9 ~vector_eff_2d:0.5 ~matrix_eff_1d:0.5
     ~pe_2d:(Tf_arch.Pe_array.two_d 10 10) ~pe_1d:(Tf_arch.Pe_array.one_d 10)
@@ -369,7 +343,6 @@ let () =
       ( "bounded",
         [
           quick "capacity under churn" test_bounded_churn;
-          quick "warm registries bounded" test_warm_registries_bounded;
         ] );
       ( "determinism",
         [

@@ -17,7 +17,8 @@
      replay on real fused-layer cascades (the documented 1e-6 relative
      tolerance), and the decode attention flavour degenerating exactly
      to cross-attention when the cache length equals the projected
-     sequence. *)
+     sequence, the fast TileSeek scorer against the cold cost path, and
+     the explain report against the tiling evaluate serves. *)
 
 module Dag = Tf_dag.Dag
 module Topo = Tf_dag.Topo
@@ -296,76 +297,39 @@ let test_decode_equals_cross () =
     "decode at kv_len = seq_len equals cross-attention exactly" prop_decode_equals_cross
 
 (* ------------------------------------------------------------------ *)
-(* Warm-started search is bit-identical to cold search                 *)
+(* The reported search is the served search                           *)
 
-(* The warm-start channels (Tileseek's [warm], Dpipe's [warm],
-   Strategies' [warm_tiling]) are documented as pure accelerators: they
-   may only prime memos and seed the branch-and-bound incumbent, never
-   change what the search returns.  These properties hold them to it,
-   including deliberately bogus seeds (infeasible tilings, hints naming
-   no candidate), which must fall back cleanly. *)
+(* [transfusion explain] (and the daemon's explain op) reports a TileSeek
+   search; [eval] and [schedule] serve the tiling Strategies.evaluate
+   picks.  A report is only worth reading if it explains the served
+   tiling, so at the same seed and budget the two must agree. *)
 
-let warm_case r =
-  let w = Qgen.workload r in
-  (Qgen.choose r archs, w, Qgen.tiling r w)
+let explain_case r =
+  ( Qgen.choose r archs,
+    Qgen.workload r,
+    Qgen.choose r [ Strategies.Self; Strategies.Causal_self ] )
 
-let print_warm_case (arch, w, warm) =
-  Printf.sprintf "%s %s warm=%s" arch.Tf_arch.Arch.name (Qgen.print_workload w)
-    (Qgen.print_tiling warm)
+let print_explain_case (arch, w, attention) =
+  Printf.sprintf "%s %s %s" arch.Tf_arch.Arch.name (Qgen.print_workload w)
+    (match attention with Strategies.Causal_self -> "causal" | _ -> "self")
 
-let prop_tileseek_warm_equals_cold (arch, w, warm) =
-  (* A cheap deterministic stand-in cost keeps the property about the
-     search trajectory, not the cost model. *)
-  let evaluate (c : Tileseek.config) =
-    float_of_int ((c.Tileseek.b * c.Tileseek.p) + (c.Tileseek.m1 * c.Tileseek.m0))
-    +. (float_of_int c.Tileseek.d /. float_of_int c.Tileseek.s)
-  in
-  let cold = Tileseek.search ~iterations:60 arch w ~evaluate () in
-  let warmed = Tileseek.search ~warm ~iterations:60 arch w ~evaluate () in
-  if cold <> warmed then
-    Alcotest.failf "warm TileSeek diverged: cold=%s warm=%s"
-      (Qgen.print_tiling (fst cold))
-      (Qgen.print_tiling (fst warmed))
+let prop_explain_serves_evaluate (arch, w, attention) =
+  let iterations = 20 in
+  let explained = Tf_report.Explain.run ~iterations ~attention arch w in
+  match
+    (Strategies.evaluate ~tileseek_iterations:iterations ~attention arch w Strategies.Transfusion)
+      .Strategies.tiling
+  with
+  | None -> Alcotest.fail "TransFusion evaluation returned no tiling"
+  | Some served ->
+      if explained.Tf_report.Explain.tiling <> served then
+        Alcotest.failf "explain reports %s, evaluate serves %s"
+          (Qgen.print_tiling explained.Tf_report.Explain.tiling)
+          (Qgen.print_tiling served)
 
-let test_tileseek_warm_equals_cold () =
-  Qgen.run ~count:50 ~print:print_warm_case ~gen:warm_case
-    "warm-started TileSeek returns the cold search's (config, stats)"
-    prop_tileseek_warm_equals_cold
-
-let prop_transfusion_warm_equals_cold (arch, w, warm) =
-  let eval ?warm_tiling () =
-    Strategies.evaluate ?warm_tiling ~tileseek_iterations:25 arch w Strategies.Transfusion
-  in
-  let cold = eval () and warmed = eval ~warm_tiling:warm () in
-  if cold.Strategies.tiling <> warmed.Strategies.tiling then
-    Alcotest.fail "warm evaluation picked a different tiling";
-  let lat (r : Strategies.result) = r.Strategies.latency.Tf_costmodel.Latency.total_s in
-  let energy (r : Strategies.result) = Tf_costmodel.Energy.total_pj r.Strategies.energy in
-  if lat cold <> lat warmed then
-    Alcotest.failf "latency: cold %.17e <> warm %.17e" (lat cold) (lat warmed);
-  if energy cold <> energy warmed then
-    Alcotest.failf "energy: cold %.17e <> warm %.17e" (energy cold) (energy warmed)
-
-let test_transfusion_warm_equals_cold () =
-  Qgen.run ~count:15 ~print:print_warm_case ~gen:warm_case
-    "warm-started TransFusion evaluation is bit-identical to cold"
-    prop_transfusion_warm_equals_cold
-
-let prop_dpipe_warm_equals_cold (c : dpipe_case) =
-  let load n = c.loads.(n) and matrix n = c.matrix_mask.(n) in
-  let cold = Dpipe.schedule c.arch ~load ~matrix c.g in
-  let self = Dpipe.schedule ~warm:(Dpipe.hint_of cold) c.arch ~load ~matrix c.g in
-  let bogus =
-    Dpipe.schedule
-      ~warm:{ Dpipe.hint_partition = None; Dpipe.hint_order = [] }
-      c.arch ~load ~matrix c.g
-  in
-  if cold <> self then Alcotest.fail "seeding the incumbent with the winner changed the schedule";
-  if cold <> bogus then Alcotest.fail "a hint naming no candidate changed the schedule"
-
-let test_dpipe_warm_equals_cold () =
-  Qgen.run ~count:50 ~shrink:shrink_dpipe_case ~print:print_dpipe_case ~gen:dpipe_case
-    "warm-hinted DPipe returns the cold schedule bit-for-bit" prop_dpipe_warm_equals_cold
+let test_explain_serves_evaluate () =
+  Qgen.run ~count:20 ~print:print_explain_case ~gen:explain_case
+    "explain reports the tiling evaluate serves" prop_explain_serves_evaluate
 
 (* ------------------------------------------------------------------ *)
 (* The fast scorer equals the cold full-model path                     *)
@@ -383,8 +347,16 @@ let prop_scorer_matches_reference (arch, w, config) =
         (Qgen.print_tiling config)
   end
 
+let tiling_case r =
+  let w = Qgen.workload r in
+  (Qgen.choose r archs, w, Qgen.tiling r w)
+
+let print_tiling_case (arch, w, config) =
+  Printf.sprintf "%s %s tiling=%s" arch.Tf_arch.Arch.name (Qgen.print_workload w)
+    (Qgen.print_tiling config)
+
 let test_scorer_matches_reference () =
-  Qgen.run ~count:50 ~print:print_warm_case ~gen:warm_case
+  Qgen.run ~count:50 ~print:print_tiling_case ~gen:tiling_case
     "fast candidate scorer equals the cold-path cost bit-for-bit"
     prop_scorer_matches_reference
 
@@ -510,13 +482,8 @@ let () =
           quick "analytic vs replay" test_differential_replay;
           quick "decode equals cross" test_decode_equals_cross;
           quick "scorer equals cold reference" test_scorer_matches_reference;
+          quick "explain serves evaluate" test_explain_serves_evaluate;
           quick "json render/parse round trip" test_json_round_trip;
           quick "json integral numbers as %.0f" test_json_integral_numbers;
-        ] );
-      ( "warm start",
-        [
-          quick "tileseek warm equals cold" test_tileseek_warm_equals_cold;
-          quick "transfusion warm equals cold" test_transfusion_warm_equals_cold;
-          quick "dpipe warm equals cold" test_dpipe_warm_equals_cold;
         ] );
     ]

@@ -128,36 +128,6 @@ let test_pareto_explores_m1 () =
   Alcotest.(check bool) "front explores m1 > 1" true
     (List.exists (fun ((c : Tileseek.config), _, _) -> c.Tileseek.m1 > 1) front)
 
-let test_warm_counters () =
-  (* The warm-seed observability contract: offering a search its own
-     prior result must count one offered seed, one feasible seed, one
-     confirmed hit (the search returns the seed again) and zero
-     improvements; an infeasible offer counts only the attempt.  The
-     returned configs stay bit-identical to cold throughout. *)
-  Tf_obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Tf_obs.set_enabled false) @@ fun () ->
-  let get snap name = Option.value ~default:0 (Tf_obs.counter_value snap name) in
-  let cold, _ = Tileseek.search ~iterations:60 edge bert_4k ~evaluate:toy_cost () in
-  let before = Tf_obs.snapshot () in
-  let warmed, _ = Tileseek.search ~warm:cold ~iterations:60 edge bert_4k ~evaluate:toy_cost () in
-  let after = Tf_obs.snapshot () in
-  let delta name = get after name - get before name in
-  Alcotest.(check bool) "warm returns the cold config" true (warmed = cold);
-  Alcotest.(check int) "one seed offered" 1 (delta "tileseek.warm_seeds_total");
-  Alcotest.(check int) "seed was feasible" 1 (delta "tileseek.warm_feasible_total");
-  Alcotest.(check int) "seed confirmed as the winner" 1 (delta "tileseek.warm_seed_hits_total");
-  Alcotest.(check int) "nothing beat the seed" 0 (delta "tileseek.warm_seed_improved_total");
-  (* An infeasible warm offer falls back cleanly and never counts as
-     feasible: clamp_kv fixes kv divisibility, not buffer overflow. *)
-  let huge = { Tileseek.b = 64; d = 768; p = 4096; m1 = 1; m0 = 512; s = 3072 } in
-  let before = Tf_obs.snapshot () in
-  let warmed2, _ = Tileseek.search ~warm:huge ~iterations:60 edge bert_4k ~evaluate:toy_cost () in
-  let after = Tf_obs.snapshot () in
-  let delta name = get after name - get before name in
-  Alcotest.(check bool) "infeasible seed, same result" true (warmed2 = cold);
-  Alcotest.(check int) "offer counted" 1 (delta "tileseek.warm_seeds_total");
-  Alcotest.(check int) "not feasible" 0 (delta "tileseek.warm_feasible_total")
-
 let test_search_pinned () =
   (* Fixed-seed searches under the production scorer, pinned: the
      returned tiling and the cost-memo trajectory (hits and misses, seed
@@ -215,7 +185,6 @@ let () =
           quick "pareto front" test_pareto;
           quick "divisor thinning" test_thin;
           quick "pareto explores m1" test_pareto_explores_m1;
-          quick "warm-seed counters" test_warm_counters;
           quick "fixed-seed searches pinned" test_search_pinned;
         ] );
       ( "properties",
