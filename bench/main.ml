@@ -166,23 +166,18 @@ let edge = Tf_arch.Presets.edge
    FuseMax strategies do, instead of DPipe's own DP choice. *)
 let mha_dag_bench ?(static = false) () =
   let cascade = Transfusion.Cascades.mha () in
-  let totals = Array.of_list (Transfusion.Layer_costs.op_totals workload cascade) in
-  let g = Tf_einsum.Cascade.to_dag cascade in
-  let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-  let matrix n = Tf_einsum.Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
+  let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
+    Transfusion.Layer_costs.problem workload cascade
+  in
   let mode = if static then `Static (Strategies.Private.fusemax_assign cloud cascade) else `Dp in
   fun () -> ignore (Transfusion.Dpipe.schedule ~mode cloud ~load ~matrix g)
 
 let full_layer_dag_bench () =
-  let cascade = Transfusion.Cascades.full_layer Tf_einsum.Scalar_op.Gelu in
-  let totals = Array.of_list (Transfusion.Layer_costs.op_totals workload cascade) in
-  let g = Tf_einsum.Cascade.to_dag cascade in
-  let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-  let matrix n = Tf_einsum.Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
+  let { Transfusion.Layer_costs.load; matrix; dag = g; _ } = Strategies.layer_problem workload in
   fun () -> ignore (Transfusion.Dpipe.schedule edge ~load ~matrix g)
 
 let partition_bench () =
-  let g = Tf_einsum.Cascade.to_dag (Transfusion.Cascades.full_layer Tf_einsum.Scalar_op.Gelu) in
+  let g = (Strategies.layer_problem workload).Transfusion.Layer_costs.dag in
   fun () -> ignore (Tf_dag.Partition.enumerate ~limit:512 g)
 
 let mcts_bench () =
@@ -266,17 +261,13 @@ let range_certify_bench () =
        { Tf_analysis.Range_cert.lo = 512; hi = 16384; step = 512 })
 
 let point_lints_bench () =
-  let cascade = Transfusion.Cascades.full_layer cert_model.Tf_workloads.Model.activation in
-  let g = Tf_einsum.Cascade.to_dag cascade in
   fun () ->
     List.iter
       (fun seq_len ->
         let w = Tf_workloads.Workload.v cert_model ~seq_len in
         let config = Transfusion.Tileseek.greedy ~kv_len:seq_len cloud w in
         ignore (Tf_analysis.Tiling_lint.verify ~kv_len:seq_len cloud w config);
-        let totals = Array.of_list (Transfusion.Layer_costs.op_totals w cascade) in
-        let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-        let matrix n = Tf_einsum.Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
+        let { Transfusion.Layer_costs.load; matrix; dag = g; _ } = Strategies.layer_problem w in
         ignore (Transfusion.Dpipe.schedule cloud ~load ~matrix g))
       [ 512; 2048; 8192; 16384 ]
 

@@ -121,9 +121,7 @@ let print_result (r : Strategies.result) =
   Fmt.pr "energy   : %a@." Energy.pp r.Strategies.energy;
   (match r.Strategies.tiling with
   | Some c ->
-      Fmt.pr "tiling   : b=%d d=%d p=%d m1=%d m0=%d s=%d@." c.Transfusion.Tileseek.b
-        c.Transfusion.Tileseek.d c.Transfusion.Tileseek.p c.Transfusion.Tileseek.m1
-        c.Transfusion.Tileseek.m0 c.Transfusion.Tileseek.s
+      Fmt.pr "tiling   : %a@." Transfusion.Tileseek.pp_config c
   | None -> ())
 
 (* [--sim-trace FILE]: write the simulated-schedule timeline (Perfetto
@@ -300,9 +298,7 @@ let search_cmd =
     obs @@ fun () ->
     let w = workload model seq batch in
     let config, stats = Strategies.search ~iterations arch w in
-    Fmt.pr "TileSeek result: b=%d d=%d p=%d m1=%d m0=%d s=%d@." config.Transfusion.Tileseek.b
-      config.Transfusion.Tileseek.d config.Transfusion.Tileseek.p config.Transfusion.Tileseek.m1
-      config.Transfusion.Tileseek.m0 config.Transfusion.Tileseek.s;
+    Fmt.pr "TileSeek result: %a@." Transfusion.Tileseek.pp_config config;
     Fmt.pr "buffer need: %.0f elements of %d available@."
       (Transfusion.Buffer_req.worst (Transfusion.Tileseek.dims arch w config))
       (Tf_arch.Arch.buffer_elements arch);
@@ -321,12 +317,9 @@ let schedule_cmd =
   let run obs arch model seq batch =
     obs @@ fun () ->
     let w = workload model seq batch in
-    let cascade = Transfusion.Cascades.full_layer model.Tf_workloads.Model.activation in
-    let totals = Transfusion.Layer_costs.op_totals w cascade in
-    let arr = Array.of_list totals in
-    let g = Tf_einsum.Cascade.to_dag cascade in
-    let load n = arr.(n).Transfusion.Layer_costs.total /. 256. in
-    let matrix n = Tf_einsum.Einsum.is_matrix_op arr.(n).Transfusion.Layer_costs.op in
+    let { Transfusion.Layer_costs.load; matrix; dag = g; totals = arr; _ } =
+      Strategies.layer_problem w
+    in
     let sched = Transfusion.Dpipe.schedule arch ~load ~matrix g in
     Fmt.pr "fused-layer DAG: %d ops, %d edges@." (Tf_dag.Dag.node_count g) (Tf_dag.Dag.edge_count g);
     (match sched.Transfusion.Dpipe.partition with

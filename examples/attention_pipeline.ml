@@ -16,7 +16,9 @@ let () =
   let cascade = Transfusion.Cascades.mha () in
   Fmt.pr "%a@." Tf_einsum.Cascade.pp cascade;
 
-  let g = Tf_einsum.Cascade.to_dag cascade in
+  let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
+    Transfusion.Layer_costs.problem workload cascade
+  in
   let name i = (Tf_einsum.Cascade.op cascade i).Einsum.name in
   Fmt.pr "DAG: %d Einsums, %d dependency edges@." (Dag.node_count g) (Dag.edge_count g);
   Fmt.pr "sources: %s   sinks: %s@.@."
@@ -36,10 +38,6 @@ let () =
 
   (* Schedule with the DP (Eq. 43-46) and compare against the static and
      sequential disciplines. *)
-  let totals = Transfusion.Layer_costs.op_totals workload cascade in
-  let arr = Array.of_list totals in
-  let load n = arr.(n).Transfusion.Layer_costs.total /. 256. in
-  let matrix n = Einsum.is_matrix_op arr.(n).Transfusion.Layer_costs.op in
   let dp = Transfusion.Dpipe.schedule arch ~load ~matrix g in
   let sequential = Transfusion.Dpipe.sequential_cycles arch ~load ~matrix g in
   Fmt.pr "@.sequential (FLAT-style) per-epoch cycles : %.4e@." sequential;

@@ -21,9 +21,7 @@ let () =
     (Strategies.speedup ~baseline:fusemax transfusion);
   (match transfusion.Strategies.tiling with
   | Some c ->
-      Fmt.pr "TileSeek tiling: b=%d d=%d p=%d m1=%d m0=%d s=%d@.@." c.Transfusion.Tileseek.b
-        c.Transfusion.Tileseek.d c.Transfusion.Tileseek.p c.Transfusion.Tileseek.m1
-        c.Transfusion.Tileseek.m0 c.Transfusion.Tileseek.s
+      Fmt.pr "TileSeek tiling: %a@.@." Transfusion.Tileseek.pp_config c
   | None -> ());
 
   (* 3. Sanity: the fused dataflow (1-pass attention, tiled FFN) computes

@@ -8,9 +8,7 @@ module Tileseek = Transfusion.Tileseek
 module Strategies = Transfusion.Strategies
 module Latency = Tf_costmodel.Latency
 
-let describe (c : Tileseek.config) =
-  Printf.sprintf "b=%d d=%d p=%d m1=%d m0=%d s=%d" c.Tileseek.b c.Tileseek.d c.Tileseek.p
-    c.Tileseek.m1 c.Tileseek.m0 c.Tileseek.s
+let describe = Fmt.to_to_string Tileseek.pp_config
 
 let () =
   let arch = Tf_arch.Presets.edge in

@@ -3,7 +3,6 @@ module Arch = Tf_arch.Arch
 module Dag = Tf_dag.Dag
 module Einsum = Tf_einsum.Einsum
 module Extents = Tf_einsum.Extents
-module Cascade = Tf_einsum.Cascade
 module S = Symexpr
 module Buffer_req = Transfusion.Buffer_req
 module Cascades = Transfusion.Cascades
@@ -339,15 +338,11 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) ?tili
       let n_ref = r.hi in
       let w_ref = Workload.v ~batch model ~seq_len:(if decode then seq else n_ref) in
       let kv_proj_len = if decode then seq else n_ref in
-      let cascade = Cascades.full_layer model.Model.activation in
-      let totals =
-        Array.of_list
-          (Layer_costs.op_totals ~m0:sched_m0 ~kv_len:n_ref ~kv_proj_len ~causal w_ref cascade)
+      let { Layer_costs.dag = g; totals; load; matrix; extents = extents_ref; _ } =
+        Layer_costs.problem ~m0:sched_m0 ~kv_len:n_ref ~kv_proj_len ~causal w_ref
+          (Cascades.full_layer model.Model.activation)
       in
-      let g = Cascade.to_dag cascade in
       let nodes = List.length (Dag.nodes g) in
-      let load n = totals.(n).Layer_costs.total /. 256. in
-      let matrix n = Einsum.is_matrix_op totals.(n).Layer_costs.op in
       let sched = Dpipe.schedule arch ~load ~matrix g in
       let preds = Dag.preds g in
       let edges =
@@ -356,7 +351,6 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) ?tili
       (* Symbolic mirror of Layer_costs.op_totals: same expression tree,
          with the full query sequence [p] (self/causal) and the kv length
          as the range variable. *)
-      let extents_ref = Layer_costs.tile_extents w_ref ~m0:sched_m0 in
       let cns = S.const box in
       let ci = S.int_ box in
       let mul = S.mul box in
@@ -388,7 +382,7 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) ?tili
       in
       let time_sym n res =
         S.div box
-          (S.div box (total_sym totals.(n).Layer_costs.op) 256.)
+          (S.div box (total_sym totals.(n).Layer_costs.op) Layer_costs.nominal_epochs)
           (Arch.effective_pes arch res ~matrix:(matrix n))
       in
       let time2 = Array.init nodes (fun n -> time_sym n Arch.Pe_2d) in

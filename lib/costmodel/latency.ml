@@ -31,10 +31,12 @@ let compute_seconds arch (execution : Phase.execution) =
 let memory_seconds (arch : Arch.t) traffic =
   Arch.bytes_to_seconds arch (Traffic.dram_bytes ~element_bytes:arch.element_bytes traffic)
 
+let phase_seconds ~compute_s ~memory_s = Float.max compute_s memory_s
+
 let phase_result arch (phase : Phase.t) =
   let compute_s = compute_seconds arch phase.execution in
   let memory_s = memory_seconds arch phase.traffic in
-  let total_s = Float.max compute_s memory_s in
+  let total_s = phase_seconds ~compute_s ~memory_s in
   let bound = if compute_s >= memory_s then `Compute else `Memory in
   { phase; compute_s; memory_s; total_s; bound }
 

@@ -19,10 +19,9 @@ type dpipe_row = {
 }
 
 let dpipe_dag_costs (arch : Tf_arch.Arch.t) w (label, cascade) =
-  let totals = Array.of_list (Transfusion.Layer_costs.op_totals w cascade) in
-  let g = Tf_einsum.Cascade.to_dag cascade in
-  let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-  let matrix n = Tf_einsum.Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
+  let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
+    Transfusion.Layer_costs.problem w cascade
+  in
   let native n = if matrix n then Tf_arch.Arch.Pe_2d else Tf_arch.Arch.Pe_1d in
   let static = Dpipe.schedule ~mode:(`Static native) arch ~load ~matrix g in
   let dp = Dpipe.schedule ~mode:`Dp arch ~load ~matrix g in

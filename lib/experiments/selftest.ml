@@ -54,11 +54,7 @@ let tiling_checks archs w =
 let dpipe_replay_checks archs w =
   List.map
     (fun (arch : Tf_arch.Arch.t) ->
-      let cascade = Transfusion.Cascades.full_layer w.Workload.model.Model.activation in
-      let totals = Array.of_list (Transfusion.Layer_costs.op_totals w cascade) in
-      let g = Tf_einsum.Cascade.to_dag cascade in
-      let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-      let matrix n = Tf_einsum.Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
+      let { Transfusion.Layer_costs.load; matrix; dag = g; _ } = Strategies.layer_problem w in
       let sched = Transfusion.Dpipe.schedule arch ~load ~matrix g in
       let schedule_valid = Transfusion.Dpipe.check g sched = Ok () in
       let replay_ok =
@@ -127,11 +123,9 @@ let analysis_checks archs w =
      otherwise the sanitizers above prove nothing. *)
   let negative =
     let arch = List.hd archs in
-    let cascade = Transfusion.Cascades.mha () in
-    let totals = Array.of_list (Transfusion.Layer_costs.op_totals w cascade) in
-    let g = Tf_einsum.Cascade.to_dag cascade in
-    let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-    let matrix n = Tf_einsum.Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
+    let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
+      Transfusion.Layer_costs.problem w (Transfusion.Cascades.mha ())
+    in
     let sched = Transfusion.Dpipe.schedule arch ~load ~matrix g in
     let bad = { sched with Transfusion.Dpipe.makespan_cycles = -1.0 } in
     let diags = Tf_analysis.Sched_lint.verify ~name:"negative-control" g bad in

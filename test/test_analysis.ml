@@ -116,11 +116,9 @@ let arch = Tf_arch.Presets.cloud
 (* The encoder preset: BERT's full layer (Cascade 4 + FFN). *)
 let encoder_schedule () =
   let w = Workload.v Presets.bert ~seq_len:4096 in
-  let cascade = Transfusion.Cascades.full_layer w.Workload.model.Model.activation in
-  let totals = Array.of_list (Transfusion.Layer_costs.op_totals w cascade) in
-  let g = Tf_einsum.Cascade.to_dag cascade in
-  let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-  let matrix n = Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
+  let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
+    Transfusion.Strategies.layer_problem w
+  in
   (g, Dpipe.schedule arch ~load ~matrix g)
 
 let test_schedule_clean () =
@@ -212,11 +210,9 @@ let test_pipeline_clean () =
 let test_verified_schedule_hook () =
   (* The opt-in Dpipe debug hook must accept its own output. *)
   let w = Workload.v Presets.bert ~seq_len:4096 in
-  let cascade = Transfusion.Cascades.mha () in
-  let totals = Array.of_list (Transfusion.Layer_costs.op_totals w cascade) in
-  let g = Tf_einsum.Cascade.to_dag cascade in
-  let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-  let matrix n = Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
+  let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
+    Transfusion.Layer_costs.problem w (Transfusion.Cascades.mha ())
+  in
   let sched = Dpipe.schedule ~verify:true arch ~load ~matrix g in
   Alcotest.(check bool) "verified schedule passes check" true (Dpipe.check g sched = Ok ())
 

@@ -290,13 +290,11 @@ let test_dpipe_half_makespan_consistency () =
   Alcotest.(check bool) "diamond DAG" true
     (Dpipe.Private.steady_consistency_check toy_arch ~load:load4 ~matrix:matrix4 diamond);
   Alcotest.(check bool) "mha cascade DAG" true
-    (let cascade = Transfusion.Cascades.mha () in
-     let w = Workload.v Presets.t5 ~seq_len:1024 in
-     let totals = Array.of_list (Transfusion.Layer_costs.op_totals w cascade) in
-     let g = Tf_einsum.Cascade.to_dag cascade in
-     let load n = totals.(n).Transfusion.Layer_costs.total /. 256. in
-     let matrix n = Tf_einsum.Einsum.is_matrix_op totals.(n).Transfusion.Layer_costs.op in
-     Dpipe.Private.steady_consistency_check toy_arch ~load ~matrix g)
+    (let w = Workload.v Presets.t5 ~seq_len:1024 in
+     let { Transfusion.Layer_costs.load; matrix; dag; _ } =
+       Transfusion.Layer_costs.problem w (Transfusion.Cascades.mha ())
+     in
+     Dpipe.Private.steady_consistency_check toy_arch ~load ~matrix dag)
 
 let results_equal (a : Strategies.result) (b : Strategies.result) =
   a.Strategies.latency = b.Strategies.latency
