@@ -60,17 +60,3 @@ let total_seconds results =
 
 let total_energy_pj results =
   List.fold_left (fun acc r -> acc +. Energy.total_pj r.energy) 0. results
-
-let pp ppf t =
-  let sublayer_to_string s =
-    let att =
-      match s.attention with
-      | Strategies.Self -> "self"
-      | Strategies.Causal_self -> "causal"
-      | Strategies.Cross { kv_len } -> Printf.sprintf "cross(%d)" kv_len
-      | Strategies.Decode { kv_len } -> Printf.sprintf "decode(%d)" kv_len
-    in
-    att ^ if s.include_ffn then "+ffn" else ""
-  in
-  Fmt.pf ppf "%s: %d x [%s]" t.name t.layers
-    (String.concat "; " (List.map sublayer_to_string t.sublayers))

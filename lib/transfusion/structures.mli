@@ -57,5 +57,3 @@ val total_seconds : result list -> float
 (** Sum of latencies, e.g. over an encoder-decoder pair. *)
 
 val total_energy_pj : result list -> float
-
-val pp : t Fmt.t
