@@ -2,8 +2,6 @@ type severity = Error | Warning
 
 type location = { context : string option; op : string option; node : int option }
 
-let no_loc = { context = None; op = None; node = None }
-
 type t = { code : string; severity : severity; location : location; message : string }
 
 let v severity ?context ?op ?node ~code message =

@@ -20,8 +20,6 @@ type location = {
   node : int option;  (** DAG node or position in the cascade *)
 }
 
-val no_loc : location
-
 type t = {
   code : string;  (** stable code, [E-*] or [W-*] *)
   severity : severity;
@@ -32,7 +30,6 @@ type t = {
 val error : ?context:string -> ?op:string -> ?node:int -> code:string -> string -> t
 val warning : ?context:string -> ?op:string -> ?node:int -> code:string -> string -> t
 
-val is_error : t -> bool
 val errors : t list -> t list
 val warnings : t list -> t list
 val has_errors : t list -> bool

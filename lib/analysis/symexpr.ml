@@ -8,8 +8,6 @@ type expr =
   | Mul of expr * expr
   | Div of expr * float
   | Max of expr * expr
-  | Min of expr * expr
-  | Cdiv of expr * int
 
 type grid = { g_lo : int; g_hi : int; g_step : int }
 
@@ -19,7 +17,6 @@ let grid ~lo ~hi ~step =
   { g_lo = lo; g_hi = lo + ((hi - lo) / step * step); g_step = step }
 
 let grid_mem g n = n >= g.g_lo && n <= g.g_hi && (n - g.g_lo) mod g.g_step = 0
-let grid_count g = ((g.g_hi - g.g_lo) / g.g_step) + 1
 
 type box = { n : grid; k : grid option }
 type point = { pn : int; pk : int option }
@@ -45,8 +42,6 @@ let rec eval ~n ?k e =
   | Mul (a, b) -> r a *. r b
   | Div (a, c) -> r a /. c
   | Max (a, b) -> Float.max (r a) (r b)
-  | Min (a, b) -> Float.min (r a) (r b)
-  | Cdiv (a, c) -> Float.ceil (r a /. float_of_int c)
 
 (* The corners of the box, as witness points.  Box corners are grid
    points by construction ([grid] normalises [hi] onto the grid), so an
@@ -147,7 +142,7 @@ let div _box a c =
     ~cvals:(Array.map (fun v -> v /. c) a.cvals)
     ~fallback:(fun () -> (a.lo /. c, a.hi /. c))
 
-(* max/min keep an exact shape when one side dominates the other at
+(* max keeps an exact shape when one side dominates the other at
    every corner: the difference of two affine forms is affine, so
    corner dominance extends to the whole box. *)
 let dominates a b =
@@ -165,29 +160,9 @@ let max_ _box a b =
   make (Max (a.expr, b.expr)) shape ~cvals:(map2_cvals Float.max a b) ~fallback:(fun () ->
       (Float.max a.lo b.lo, Float.max a.hi b.hi))
 
-let min_ _box a b =
-  let shape =
-    if dominates a b then b.shape
-    else if dominates b a then a.shape
-    else if mono_like a.shape && mono_like b.shape then Mono
-    else Opaque
-  in
-  make (Min (a.expr, b.expr)) shape ~cvals:(map2_cvals Float.min a b) ~fallback:(fun () ->
-      (Float.min a.lo b.lo, Float.min a.hi b.hi))
-
-let cdiv _box a c =
-  if c < 1 then invalid_arg "Symexpr.cdiv: non-positive divisor";
-  let shape = if mono_like a.shape then Mono else Opaque in
-  let f = float_of_int c in
-  make (Cdiv (a.expr, c)) shape
-    ~cvals:(Array.map (fun v -> Float.ceil (v /. f)) a.cvals)
-    ~fallback:(fun () -> (Float.ceil (a.lo /. f), Float.ceil (a.hi /. f)))
-
 let sum box = function
   | [] -> invalid_arg "Symexpr.sum: empty"
   | x :: rest -> List.fold_left (add box) x rest
-
-let max_list box l = List.fold_left (max_ box) (int_ box 0) l
 
 let exact t = match t.shape with Affine _ | Mono -> true | Opaque -> false
 
@@ -230,17 +205,3 @@ let rec expr_to_json = function
   | Mul (a, b) -> Printf.sprintf "[\"*\",%s,%s]" (expr_to_json a) (expr_to_json b)
   | Div (a, c) -> Printf.sprintf "[\"/\",%s,%s]" (expr_to_json a) (num_to_string c)
   | Max (a, b) -> Printf.sprintf "[\"max\",%s,%s]" (expr_to_json a) (expr_to_json b)
-  | Min (a, b) -> Printf.sprintf "[\"min\",%s,%s]" (expr_to_json a) (expr_to_json b)
-  | Cdiv (a, c) -> Printf.sprintf "[\"cdiv\",%s,%d]" (expr_to_json a) c
-
-let rec expr_to_string = function
-  | Const c -> num_to_string c
-  | Var N -> "n"
-  | Var K -> "k"
-  | Add (a, b) -> Printf.sprintf "(%s + %s)" (expr_to_string a) (expr_to_string b)
-  | Sub (a, b) -> Printf.sprintf "(%s - %s)" (expr_to_string a) (expr_to_string b)
-  | Mul (a, b) -> Printf.sprintf "(%s * %s)" (expr_to_string a) (expr_to_string b)
-  | Div (a, c) -> Printf.sprintf "(%s / %s)" (expr_to_string a) (num_to_string c)
-  | Max (a, b) -> Printf.sprintf "max(%s, %s)" (expr_to_string a) (expr_to_string b)
-  | Min (a, b) -> Printf.sprintf "min(%s, %s)" (expr_to_string a) (expr_to_string b)
-  | Cdiv (a, c) -> Printf.sprintf "ceil(%s / %d)" (expr_to_string a) c

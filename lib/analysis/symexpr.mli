@@ -15,7 +15,7 @@
       at the (lo, lo) and (hi, hi) corners.
     - [Opaque] — only the interval bounds are known (the operation left
       the affine/monotone fragment: a difference, a general product of
-      varying terms, a min/max with no dominant side).
+      varying terms, a max with no dominant side).
 
     All bounds are sound over the {e box} (the real hull of the grid);
     the grid is the arithmetic progression [lo, lo+step, ..., hi] the
@@ -33,8 +33,6 @@ type expr =
   | Mul of expr * expr
   | Div of expr * float  (** division by a positive constant *)
   | Max of expr * expr
-  | Min of expr * expr
-  | Cdiv of expr * int  (** ceiling division by a positive int constant *)
 
 type grid = private { g_lo : int; g_hi : int; g_step : int }
 (** The arithmetic progression [g_lo, g_lo+g_step, ..., g_hi];
@@ -45,7 +43,6 @@ val grid : lo:int -> hi:int -> step:int -> grid
     @raise Invalid_argument when [lo < 1], [step < 1] or [hi < lo]. *)
 
 val grid_mem : grid -> int -> bool
-val grid_count : grid -> int
 
 type box = { n : grid; k : grid option }
 (** [k = None] means the kv-length variable is unused (self-attention:
@@ -86,16 +83,10 @@ val sub : box -> t -> t -> t
 val mul : box -> t -> t -> t
 val div : box -> t -> float -> t
 val max_ : box -> t -> t -> t
-val min_ : box -> t -> t -> t
-val cdiv : box -> t -> int -> t
 
 val sum : box -> t list -> t
 (** Left fold of {!add} over the list.
     @raise Invalid_argument on an empty list. *)
-
-val max_list : box -> t list -> t
-(** Left fold of {!max_} starting from [int_ box 0] — mirrors
-    [List.fold_left Float.max 0.]. *)
 
 val sup : box -> t -> float * point * bool
 (** Claimed supremum over the grid, the corner witness where it is
@@ -121,6 +112,3 @@ val expr_to_json : expr -> string
 (** Machine-checkable rendering as nested JSON arrays:
     [["+", ["*", 3, "n"], 12]].  Numbers round-trip exactly
     (integers verbatim, other floats as %.17g). *)
-
-val expr_to_string : expr -> string
-(** Human rendering: [(3*n + 12)]. *)

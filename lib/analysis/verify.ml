@@ -22,12 +22,6 @@ let lint_builtins ?workload () =
   let extents = Layer_costs.tile_extents w ~m0:(Extents.find (Workload.extents w) "m0") in
   List.concat_map (fun (_, cascade) -> Ir_lint.lint ~extents cascade) (builtin_cascades ())
 
-let attention_tag = function
-  | Strategies.Self -> "self"
-  | Strategies.Causal_self -> "causal"
-  | Strategies.Cross { kv_len } -> Printf.sprintf "cross%d" kv_len
-  | Strategies.Decode { kv_len } -> Printf.sprintf "decode%d" kv_len
-
 let pipeline ?(attention = Strategies.Self) ?include_ffn ?m0 (arch : Tf_arch.Arch.t)
     (w : Workload.t) =
   let cascade = Strategies.layer_cascade ?include_ffn w.model in
@@ -36,7 +30,7 @@ let pipeline ?(attention = Strategies.Self) ?include_ffn ?m0 (arch : Tf_arch.Arc
   in
   let name =
     Printf.sprintf "dpipe(%s/%s/%s)" arch.Tf_arch.Arch.name (Cascade.name cascade)
-      (attention_tag attention)
+      (Strategies.attention_name attention)
   in
   Ir_lint.lint ~extents cascade
   @ Sched_lint.verify ~name dag (Dpipe.schedule arch ~load ~matrix dag)
@@ -50,7 +44,7 @@ let strategy_result ?(attention = Strategies.Self) ?include_ffn (arch : Tf_arch.
     | Some config ->
         let name =
           Printf.sprintf "tiling(%s/%s/%d/%s)" arch.Tf_arch.Arch.name w.model.Model.name w.seq_len
-            (attention_tag attention)
+            (Strategies.attention_name attention)
         in
         Tiling_lint.verify ~name ~kv_len:a.Strategies.kv_len ~decode:a.Strategies.decode arch w
           config

@@ -7,9 +7,6 @@
     code calls {!strategy_result} before exporting numbers; the CLI's
     [lint] subcommand calls {!check_presets}. *)
 
-val builtin_cascades : unit -> (string * Tf_einsum.Cascade.t) list
-(** The paper's Cascades 1-4 plus the fused full layer, with names. *)
-
 val lint_builtins : ?workload:Tf_workloads.Workload.t -> unit -> Diagnostic.t list
 (** IR lints over every built-in cascade under the workload's tile
     extents (default workload: T5 at 16K, the extents only scale the

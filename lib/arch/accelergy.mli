@@ -34,9 +34,6 @@ val scale_to_node : t -> target_nm:int -> t
 (** First-order constant-field scaling: energy and area scale with
     (target/node)^2.  @raise Invalid_argument on non-positive target. *)
 
-val mac : t -> primitive
-(** A fused multiply-accumulate: fp_mul + fp_add. *)
-
 val buffer_access_pj : t -> capacity_bytes:int -> row_bytes:int -> float
 (** Energy per 16-bit element of one buffer access: the 8 KB row-access
     energy scaled by sqrt(capacity / 8KB), amortised over the elements
@@ -47,9 +44,6 @@ val energy_table : ?node:t -> ?buffer_bytes:int -> ?row_bytes:int -> unit -> Ene
     buffer, 256-byte rows).  The derived table lands within a small
     factor of {!Energy_table.default_45nm}, which the test suite
     asserts. *)
-
-val pe_area_mm2 : t -> regfile_entries:int -> float
-(** One PE: a MAC plus its register file. *)
 
 val arch_area_mm2 : t -> Arch.t -> float
 (** First-order die area: all PEs of both arrays plus the buffer SRAM. *)

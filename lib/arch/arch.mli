@@ -48,8 +48,6 @@ val v :
     @raise Invalid_argument on non-positive capacities or efficiencies
     outside of (0, 1]. *)
 
-val array_of : t -> resource -> Pe_array.t
-
 val effective_pes : t -> resource -> matrix:bool -> float
 (** PE throughput (scalar slots per cycle) the resource sustains for matrix
     or vector work, after the efficiency factors. *)

@@ -12,7 +12,6 @@ let two_d ?(name = "2D") rows cols =
 let num_pes t = match t.shape with One_d w -> w | Two_d (r, c) -> r * c
 let rows t = match t.shape with One_d w -> w | Two_d (r, _) -> r
 let cols t = match t.shape with One_d _ -> 1 | Two_d (_, c) -> c
-let is_two_d t = match t.shape with Two_d _ -> true | One_d _ -> false
 
 let pp ppf t =
   match t.shape with

@@ -24,6 +24,4 @@ val rows : t -> int
 val cols : t -> int
 (** Columns of a 2D array; [1] for a 1D array. *)
 
-val is_two_d : t -> bool
-
 val pp : t Fmt.t

@@ -37,7 +37,6 @@ let succs g id = Iset.elements (neighbour g.forward id)
 let preds g id = Iset.elements (neighbour g.backward id)
 let in_degree g id = Iset.cardinal (neighbour g.backward id)
 let out_degree g id = Iset.cardinal (neighbour g.forward id)
-let has_edge g u v = Iset.mem v (neighbour g.forward u)
 
 let edge_count g = Imap.fold (fun _ s acc -> acc + Iset.cardinal s) g.forward 0
 
@@ -53,17 +52,6 @@ let map f g = { g with payloads = Imap.map f g.payloads }
 let of_edges node_list edge_list =
   let g = List.fold_left (fun g (id, p) -> add_node g id p) empty node_list in
   List.fold_left (fun g (u, v) -> add_edge g u v) g edge_list
-
-let reachable_from g seeds =
-  let seen = Hashtbl.create 16 in
-  let rec visit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      List.iter visit (succs g id)
-    end
-  in
-  List.iter (fun s -> if mem g s then visit s) seeds;
-  seen
 
 let is_acyclic g =
   (* Kahn's algorithm: the graph is acyclic iff every node gets emitted. *)

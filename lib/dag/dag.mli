@@ -44,15 +44,11 @@ val preds : 'a t -> int -> int list
 
 val in_degree : 'a t -> int -> int
 
-val out_degree : 'a t -> int -> int
-
 val sources : 'a t -> int list
 (** Nodes with no predecessors, ascending. *)
 
 val sinks : 'a t -> int list
 (** Nodes with no successors, ascending. *)
-
-val has_edge : 'a t -> int -> int -> bool
 
 val edges : 'a t -> (int * int) list
 (** All edges, lexicographically ordered. *)
@@ -62,9 +58,6 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 
 val of_edges : (int * 'a) list -> (int * int) list -> 'a t
 (** [of_edges nodes edges] builds a graph in one step. *)
-
-val reachable_from : 'a t -> int list -> (int, unit) Hashtbl.t
-(** Forward-reachable set (including the seeds themselves). *)
 
 val is_acyclic : 'a t -> bool
 

@@ -1,7 +1,5 @@
 type t = { first : int list; second : int list }
 
-let split_sizes { first; second } = (List.length first, List.length second)
-
 let pp ppf { first; second } =
   Fmt.pf ppf "{%a | %a}" Fmt.(list ~sep:(any " ") int) first Fmt.(list ~sep:(any " ") int) second
 

@@ -30,7 +30,4 @@ val enumerate : ?limit:int -> 'a Dag.t -> t list
     rest.  Both sides must be non-empty.
     @raise Invalid_argument on a cyclic graph. *)
 
-val split_sizes : t -> int * int
-(** Sizes of (first, second). *)
-
 val pp : t Fmt.t

@@ -69,15 +69,3 @@ let all ?(limit = 256) g =
   List.rev !results
 
 let count_at_most ~limit g = List.length (all ~limit g)
-
-let longest_path_length g ~weight =
-  let order = sort g in
-  let dist = Hashtbl.create 16 in
-  List.iter
-    (fun id ->
-      let from_preds =
-        List.fold_left (fun acc p -> Float.max acc (Hashtbl.find dist p)) 0. (Dag.preds g id)
-      in
-      Hashtbl.replace dist id (from_preds +. weight id))
-    order;
-  Hashtbl.fold (fun _ d acc -> Float.max acc d) dist 0.

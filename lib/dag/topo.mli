@@ -23,6 +23,3 @@ val all : ?limit:int -> 'a Dag.t -> int list list
 val count_at_most : limit:int -> 'a Dag.t -> int
 (** Number of topological orderings, counting stops at [limit]. *)
 
-val longest_path_length : 'a Dag.t -> weight:(int -> float) -> float
-(** Critical-path length under a node-weight function (edge weights zero).
-    Returns [0.] for the empty graph. *)

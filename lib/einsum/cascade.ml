@@ -9,8 +9,6 @@ let op t i =
     invalid_arg (Printf.sprintf "Cascade.op: index %d out of range" i);
   t.ops.(i)
 
-let find_op t op_name = Array.find_opt (fun (o : Einsum.t) -> o.name = op_name) t.ops
-
 let validate name (ops : Einsum.t list) =
   let seen_names = Hashtbl.create 16 and producers = Hashtbl.create 16 in
   List.iteri
@@ -80,12 +78,6 @@ let indices t =
 
 let concat ?(name = "cascade") cascades =
   v ~name (List.concat_map ops cascades)
-
-let total_compute_load extents t =
-  Array.fold_left (fun acc o -> acc +. Einsum.compute_load extents o) 0. t.ops
-
-let total_flops extents t =
-  Array.fold_left (fun acc o -> acc +. Einsum.flops extents o) 0. t.ops
 
 let check_extents extents t =
   match List.find_opt (fun i -> not (Extents.mem extents i)) (indices t) with

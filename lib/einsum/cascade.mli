@@ -22,9 +22,6 @@ val length : t -> int
 val op : t -> int -> Einsum.t
 (** Operation at position [i].  @raise Invalid_argument out of range. *)
 
-val find_op : t -> string -> Einsum.t option
-(** Look up an operation by name. *)
-
 val to_dag : t -> Einsum.t Tf_dag.Dag.t
 (** Dependency DAG; node ids are positions in the cascade. *)
 
@@ -43,11 +40,6 @@ val indices : t -> Tensor_ref.index list
 val concat : ?name:string -> t list -> t
 (** Sequential composition: later cascades may consume tensors of earlier
     ones.  @raise Invalid_argument on name clashes. *)
-
-val total_compute_load : Extents.t -> t -> float
-(** Sum of {!Einsum.compute_load} over the operations. *)
-
-val total_flops : Extents.t -> t -> float
 
 val check_extents : Extents.t -> t -> (unit, string) result
 (** [Ok ()] when every index of the cascade is bound in the environment,

@@ -71,14 +71,6 @@ let cost_factor t =
   | Map op -> Scalar_op.cost_factor op
   | Reduce op -> Scalar_op.reduce_cost_factor op
 
-let flops extents t =
-  let out = float_of_int (Extents.product extents (output_dims t)) in
-  let red = float_of_int (Extents.product extents (reduction_dims t)) in
-  match t.kind with
-  | Contraction -> 2. *. out *. red (* multiply + accumulate *)
-  | Map _ -> out
-  | Reduce _ -> out *. red
-
 let compute_load extents t =
   let out = float_of_int (Extents.product extents (output_dims t)) in
   let red = float_of_int (Extents.product extents (reduction_dims t)) in

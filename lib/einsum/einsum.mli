@@ -55,9 +55,6 @@ val compute_load : Extents.t -> t -> float
 (** Eq. 40 scaled by the scalar cost factor: equivalent single-cycle PE
     slots needed to execute the operation once. *)
 
-val flops : Extents.t -> t -> float
-(** Raw arithmetic operations (unscaled), for reporting. *)
-
 val is_matrix_op : t -> bool
 (** True for contractions with at least one reduction index — the
     operations that map natively onto the 2D PE array.  Maps, reduces and

@@ -8,7 +8,6 @@ let v tensor indices =
 
 let scalar tensor = { tensor; indices = [] }
 let rank t = List.length t.indices
-let mem_index i t = List.mem i t.indices
 
 let indices_of_many refs =
   List.concat_map (fun r -> r.indices) refs |> List.sort_uniq compare

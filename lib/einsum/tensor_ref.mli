@@ -17,8 +17,6 @@ val scalar : string -> t
 
 val rank : t -> int
 
-val mem_index : index -> t -> bool
-
 val indices_of_many : t list -> index list
 (** Union of the index sets of several references, sorted, deduplicated. *)
 

@@ -700,7 +700,7 @@ module Trace = struct
   type event = {
     ev_name : string;
     ev_cat : string;
-    ev_ph : [ `Complete of float (* dur us *) | `Instant ];
+    ev_dur_us : float;
     ev_ts_us : float;
     ev_tid : int;
     ev_args : (string * string) list;
@@ -741,12 +741,6 @@ module Trace = struct
 
   let tid () = (Domain.self () :> int)
 
-  let instant ?(cat = "") ?(args = []) name =
-    if active () then
-      record
-        { ev_name = name; ev_cat = cat; ev_ph = `Instant; ev_ts_us = now_us (); ev_tid = tid ();
-          ev_args = args }
-
   (* The span is recorded even when [f] raises, so a trace of a failed
      run still shows where time went. *)
   let with_span ?(cat = "") ?(args = []) name f =
@@ -757,7 +751,7 @@ module Trace = struct
         ~finally:(fun () ->
           let t1 = now_us () in
           record
-            { ev_name = name; ev_cat = cat; ev_ph = `Complete (t1 -. t0); ev_ts_us = t0;
+            { ev_name = name; ev_cat = cat; ev_dur_us = t1 -. t0; ev_ts_us = t0;
               ev_tid = tid (); ev_args = args })
         f
     end
@@ -784,11 +778,7 @@ module Trace = struct
             (Tf_json.escape (if ev.ev_cat = "" then "transfusion" else ev.ev_cat))
             ev.ev_tid (ev.ev_ts_us -. base)
         in
-        let phase =
-          match ev.ev_ph with
-          | `Complete dur -> Printf.sprintf "\"ph\":\"X\",\"dur\":%.3f" dur
-          | `Instant -> "\"ph\":\"i\",\"s\":\"t\""
-        in
+        let phase = Printf.sprintf "\"ph\":\"X\",\"dur\":%.3f" ev.ev_dur_us in
         let args =
           match ev.ev_args with
           | [] -> ""

@@ -17,9 +17,6 @@
 val now_ns : unit -> int64
 (** CLOCK_MONOTONIC in nanoseconds — immune to wall-clock steps. *)
 
-val now_us : unit -> float
-(** {!now_ns} in microseconds (the trace-event time unit). *)
-
 val enabled : unit -> bool
 (** Whether metric mutations are live (off by default). *)
 
@@ -56,9 +53,6 @@ end
     bucket.  Tracks count and sum alongside. *)
 module Histogram : sig
   type t
-
-  val default_bounds : float array
-  (** Geometric seconds scale, 1us .. 60s. *)
 
   val create : ?help:string -> ?buckets:float array -> string -> t
   (** @raise Invalid_argument unless [buckets] is strictly increasing. *)
@@ -224,9 +218,6 @@ module Trace : sig
       covering its duration — also when [f] raises, so traces of failed
       runs still show where time went.  No-op while tracing is
       inactive. *)
-
-  val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
-  (** A zero-duration instant event. *)
 
   val to_json : unit -> string
   (** All buffered events as a [{"traceEvents":[...]}] document,

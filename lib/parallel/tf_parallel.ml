@@ -40,8 +40,6 @@ let clear_jobs_override () = override := None
 
 let worker_flag : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let in_worker () = Domain.DLS.get worker_flag
-
 (* Set on the calling domain for the duration of a batch it drives, so a
    nested [map] reached from inside its own chunk work degrades to
    sequential instead of re-entering the engine (the pool does not

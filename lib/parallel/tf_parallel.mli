@@ -44,10 +44,6 @@ val set_jobs : int -> unit
 val clear_jobs_override : unit -> unit
 (** Drop the [set_jobs] override, restoring environment/default sizing. *)
 
-val in_worker : unit -> bool
-(** True when the calling domain is one of the pool's workers (in which
-    case [map] runs sequentially). *)
-
 val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map f arr] evaluates [f] on every element across the pool and
     returns the results in input order.  [?jobs] caps the parallelism

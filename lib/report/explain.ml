@@ -50,12 +50,6 @@ let module_table activation =
   add ffn_module (Cascades.ffn activation);
   tbl
 
-let attention_name = function
-  | Strategies.Self -> "self"
-  | Strategies.Causal_self -> "causal"
-  | Strategies.Cross { kv_len } -> Printf.sprintf "cross(kv=%d)" kv_len
-  | Strategies.Decode { kv_len } -> Printf.sprintf "decode(kv=%d)" kv_len
-
 let simulate ?(attention = Strategies.Self) ~tiling arch (w : Workload.t) =
   let m0 = tiling.Tileseek.m0 in
   let { Layer_costs.load; matrix; dag = g; totals; extents; _ } =
@@ -136,7 +130,7 @@ let render t =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let w = t.workload in
   pf "explain: %s on %s, seq=%d batch=%d attention=%s\n" w.Workload.model.Model.name
-    t.arch.Arch.name w.Workload.seq_len w.Workload.batch (attention_name t.attention);
+    t.arch.Arch.name w.Workload.seq_len w.Workload.batch (Strategies.attention_name t.attention);
   pf "tiling: %s\n" (Fmt.str "%a" Tileseek.pp_config t.tiling);
   pf "cost-model latency: %.4e s\n" t.latency_s;
   let l = t.layer in

@@ -92,5 +92,3 @@ let find_or_compute ?report t ~key_json compute =
   | None -> ());
   payload
 
-let memory_entries t = Tf_parallel.Memo.length t.memo
-let clear_memory t = Tf_parallel.Memo.clear t.memo

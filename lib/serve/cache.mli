@@ -47,5 +47,3 @@ val find_or_compute :
     [report], when given, receives the key fingerprint and the
     answering tier (request correlation for the access log). *)
 
-val memory_entries : t -> int
-val clear_memory : t -> unit

@@ -40,11 +40,6 @@ val stats_payload : t -> string
     values.  Before two samples exist only the cumulative sections are
     present. *)
 
-val serve_extract : string -> (string * (string * string) list) option
-(** The registry-name relabelling rule for exposition: per-op serve
-    metrics ([serve.<op>.requests_total] etc.) fold into one family
-    with an [op] label. *)
-
 val openmetrics : unit -> string
 (** Refresh process gauges and render the whole registry in OpenMetrics
     text format with {!serve_extract} applied. *)

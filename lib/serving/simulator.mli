@@ -92,5 +92,3 @@ val to_json : ?per_request:bool -> costs:Costs.t -> report -> Tf_json.t
 val percentile : float list -> p:float -> float
 (** Nearest-rank percentile ([p] in [0..100]; 0 on the empty list) —
     exposed for tests. *)
-
-val dist_of : float list -> dist

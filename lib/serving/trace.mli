@@ -10,9 +10,5 @@
     - counter series [queue_depth] (waiting requests) and [batch_size]
       (running decode batch, sampled at step boundaries). *)
 
-val max_request_tracks : int
-(** Per-request tracks rendered before the remainder is elided (256) —
-    a 10k-request window must not emit 10k thread-metadata rows. *)
-
 val document : Simulator.report -> Tf_json.t
 (** The [transfusion.simtrace/1] document of the run's serving window. *)

@@ -23,5 +23,3 @@ val run : Tf_einsum.Extents.t -> Tf_einsum.Cascade.t -> inputs:env -> env
 val run_results : Tf_einsum.Extents.t -> Tf_einsum.Cascade.t -> inputs:env -> env
 (** Like {!run} but restricted to the cascade's results. *)
 
-val eval_op : Tf_einsum.Extents.t -> (string -> Nd.t) -> Tf_einsum.Einsum.t -> Nd.t
-(** Evaluate a single operation given a lookup for its input tensors. *)

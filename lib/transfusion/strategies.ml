@@ -53,6 +53,12 @@ let attention_dims ?(attention = Self) (w : Workload.t) =
     decode;
   }
 
+let attention_name = function
+  | Self -> "self"
+  | Causal_self -> "causal"
+  | Cross { kv_len } -> Printf.sprintf "cross(kv=%d)" kv_len
+  | Decode { kv_len } -> Printf.sprintf "decode(kv=%d)" kv_len
+
 (* ------------------------------------------------------------------ *)
 (* Workload context                                                    *)
 

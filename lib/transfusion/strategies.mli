@@ -59,6 +59,10 @@ val attention_dims : ?attention:attention -> Tf_workloads.Workload.t -> attentio
     one derivation shared by the strategies, verifier, certifier and
     report.  @raise Invalid_argument when [kv_len < 1]. *)
 
+val attention_name : attention -> string
+(** The flavour as reports and diagnostics name it: [self], [causal],
+    [cross(kv=N)] or [decode(kv=N)]. *)
+
 val layer_cascade : ?include_ffn:bool -> Tf_workloads.Model.t -> Tf_einsum.Cascade.t
 (** The fused layer, without the FFN when [include_ffn] is false
     (default true). *)

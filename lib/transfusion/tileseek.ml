@@ -146,16 +146,21 @@ let grow sp config options update =
       if sp_feasible sp candidate then candidate else best)
     config (options sp)
 
+(* Complete a candidate whose query tile [p] and key/value tile [m0] are
+   chosen: grow d, s, m1 at that m0, then b. *)
+let complete sp config =
+  let grow = grow sp in
+  let config = grow config d_options (fun c d -> { c with d }) in
+  let config = grow config s_options (fun c s -> { c with s }) in
+  let config = grow config (fun sp -> m1_options sp ~m0:config.m0) (fun c m1 -> { c with m1 }) in
+  grow config b_options (fun c b -> { c with b })
+
 let greedy_with sp ~m0_first =
   let base = sp_fallback sp in
   let grow = grow sp in
   let grow_p c = grow c p_options (fun c p -> { c with p }) in
   let grow_m0 c = grow c m0_options (fun c m0 -> { c with m0 }) in
-  let config = if m0_first then grow_p (grow_m0 base) else grow_m0 (grow_p base) in
-  let config = grow config d_options (fun c d -> { c with d }) in
-  let config = grow config s_options (fun c s -> { c with s }) in
-  let config = grow config (fun sp -> m1_options sp ~m0:config.m0) (fun c m1 -> { c with m1 }) in
-  grow config b_options (fun c b -> { c with b })
+  complete sp (if m0_first then grow_p (grow_m0 base) else grow_m0 (grow_p base))
 
 (* Alternate single-step growth of the query tile and the key/value tile
    until neither can advance — walks to a balanced point of the Table 2
@@ -196,12 +201,7 @@ let greedy_balanced sp =
     let config, moved = step config in
     if moved then walk config else config
   in
-  let config = walk base in
-  let grow = grow sp in
-  let config = grow config d_options (fun c d -> { c with d }) in
-  let config = grow config s_options (fun c s -> { c with s }) in
-  let config = grow config (fun sp -> m1_options sp ~m0:config.m0) (fun c m1 -> { c with m1 }) in
-  grow config b_options (fun c b -> { c with b })
+  complete sp (walk base)
 
 let greedy ?kv_len ?decode arch w = greedy_with (space ?kv_len ?decode arch w) ~m0_first:false
 
@@ -210,33 +210,34 @@ let sp_greedy_variants sp =
 
 let greedy_variants ?kv_len ?decode arch w = sp_greedy_variants (space ?kv_len ?decode arch w)
 
-(* Deterministic seed: sweep the (query tile, key/value tile) grid —
-   the two dimensions that trade residency against running-state update
-   cost — growing the remaining factors greedily at each point. *)
-let grid_seed sp ~evaluate =
+(* The (query tile, key/value tile) grid — the two dimensions that trade
+   residency against running-state update cost — from the fallback: every
+   feasible point, completed, in p-major order. *)
+let grid_candidates sp =
   let base = sp_fallback sp in
-  let grow = grow sp in
-  let best = ref None in
-  List.iter
+  List.concat_map
     (fun p ->
-      List.iter
+      List.filter_map
         (fun m0 ->
           let candidate = { base with p; m0 } in
-          if sp_feasible sp candidate then begin
-            let candidate = grow candidate d_options (fun c d -> { c with d }) in
-            let candidate = grow candidate s_options (fun c s -> { c with s }) in
-            let candidate =
-              grow candidate (fun sp -> m1_options sp ~m0:candidate.m0) (fun c m1 -> { c with m1 })
-            in
-            let candidate = grow candidate b_options (fun c b -> { c with b }) in
-            let cost = evaluate candidate in
-            match !best with
-            | Some (_, c) when c <= cost -> ()
-            | _ -> best := Some (candidate, cost)
-          end)
+          if sp_feasible sp candidate then Some (complete sp candidate) else None)
         (m0_options sp))
-    (p_options sp);
-  match !best with Some r -> r | None -> (base, evaluate base)
+    (p_options sp)
+
+(* Deterministic seed: the cheapest grid candidate, the first on ties. *)
+let grid_seed sp ~evaluate =
+  let best =
+    List.fold_left
+      (fun best candidate ->
+        let cost = evaluate candidate in
+        match best with Some (_, c) when c <= cost -> best | _ -> Some (candidate, cost))
+      None (grid_candidates sp)
+  in
+  match best with
+  | Some r -> r
+  | None ->
+      let base = sp_fallback sp in
+      (base, evaluate base)
 
 let log_src = Logs.Src.create "transfusion.tileseek" ~doc:"TileSeek tiling search"
 
@@ -279,27 +280,7 @@ let pareto ?(iterations = 200) ?kv_len ?decode arch w ~latency ~energy () =
   let sp = space ?kv_len ?decode arch w in
   let latency = memoize_cost latency and energy = memoize_cost energy in
   (* Candidate pool: the full grid plus random completions. *)
-  let base = sp_fallback sp in
-  let grow = grow sp in
-  let pool = ref [] in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun m0 ->
-          let candidate = { base with p; m0 } in
-          if sp_feasible sp candidate then begin
-            let candidate = grow candidate d_options (fun c d -> { c with d }) in
-            let candidate = grow candidate s_options (fun c s -> { c with s }) in
-            (* Grow m1 exactly as [grid_seed] does: without this step the
-               frontier silently excluded every multi-tile M1 config. *)
-            let candidate =
-              grow candidate (fun sp -> m1_options sp ~m0:candidate.m0) (fun c m1 -> { c with m1 })
-            in
-            let candidate = grow candidate b_options (fun c b -> { c with b }) in
-            pool := candidate :: !pool
-          end)
-        (m0_options sp))
-    (p_options sp);
+  let pool = ref (grid_candidates sp) in
   let rng = Random.State.make [| 2024 |] in
   let pick options = List.nth options (Random.State.int rng (List.length options)) in
   for _ = 1 to iterations do

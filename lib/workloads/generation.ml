@@ -8,7 +8,6 @@ let prefill_workload t = Workload.v ~batch:t.batch t.model ~seq_len:t.prompt
 let decode_workload t = Workload.v ~batch:t.batch t.model ~seq_len:1
 let kv_first t = t.prompt
 let kv_last t = t.prompt + t.gen
-let tokens t = t.gen
 
 let label t =
   Printf.sprintf "%s+%s" (Workload.label_of_seq t.prompt) (Workload.label_of_seq t.gen)

@@ -44,9 +44,6 @@ val kv_first : t -> int
 val kv_last : t -> int
 (** Cache length after the last decode step: [prompt + gen]. *)
 
-val tokens : t -> int
-(** Generated tokens per sequence ([gen]). *)
-
 val label : t -> string
 (** ["64K+512"]-style label (prompt label + generated tokens). *)
 

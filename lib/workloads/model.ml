@@ -17,10 +17,6 @@ let v ~name ~d_model ~heads ~head_dim ~ffn_hidden ~layers ~activation =
          heads head_dim);
   { name; d_model; heads; head_dim; ffn_hidden; layers; activation }
 
-let params t =
-  let d = float_of_int t.d_model and s = float_of_int t.ffn_hidden in
-  (3. *. d *. d) +. (2. *. d *. s)
-
 let pp ppf t =
   Fmt.pf ppf "%s(D=%d H=%d E=%d S=%d L=%d)" t.name t.d_model t.heads t.head_dim t.ffn_hidden
     t.layers

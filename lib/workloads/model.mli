@@ -28,7 +28,4 @@ val v :
 (** @raise Invalid_argument when [d_model <> heads * head_dim] or any
     dimension is non-positive. *)
 
-val params : t -> float
-(** Approximate per-layer parameter count: QKV projections + FFN weights. *)
-
 val pp : t Fmt.t

@@ -182,6 +182,22 @@ let test_tiling_codes () =
   has "E-TILE-PROW" (Tiling_lint.verify_dims arch w { dims with Buffer_req.p_row = dims.Buffer_req.p_row + 7 });
   has "E-TILE-MODEL" (Tiling_lint.verify_dims arch w { dims with Buffer_req.h = dims.Buffer_req.h + 1 })
 
+(* A verified result's diagnostics name its attention flavour the way
+   explain prints it. *)
+let test_strategy_result_names_flavour () =
+  let module S = Transfusion.Strategies in
+  let w = Workload.v Presets.bert ~seq_len:4096 in
+  let attention = S.Cross { kv_len = 4096 } in
+  let fallback = Tileseek.fallback arch w in
+  let r = S.evaluate ~tiling:fallback ~attention arch w S.Transfusion in
+  (* 3 does not divide BERT's batch of 8. *)
+  let bad = { r with S.tiling = Some { fallback with Tileseek.b = 3 } } in
+  match Diagnostic.by_code "E-TILE-DIVIDE" (Verify.strategy_result ~attention arch w bad) with
+  | [] -> Alcotest.fail "expected E-TILE-DIVIDE"
+  | d :: _ ->
+      Alcotest.(check (option string)) "context" (Some "tiling(cloud/BERT/4096/cross(kv=4096))")
+        d.Diagnostic.location.Diagnostic.context
+
 (* ------------------------------------------------------------------ *)
 (* Clean passes over the shipped artifacts *)
 
@@ -316,7 +332,11 @@ let () =
           quick "corruption codes" test_schedule_codes;
           quick "schedule verify hook" test_verified_schedule_hook;
         ] );
-      ( "tiling_lint", [ quick "tiling codes" test_tiling_codes ] );
+      ( "tiling_lint",
+        [
+          quick "tiling codes" test_tiling_codes;
+          quick "strategy result names the flavour" test_strategy_result_names_flavour;
+        ] );
       ( "clean_pass",
         [
           quick "built-in cascades" test_builtins_clean;

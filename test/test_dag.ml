@@ -42,9 +42,6 @@ let test_structure () =
   check_ints "sources" [ 0 ] (Dag.sources g);
   check_ints "sinks" [ 3 ] (Dag.sinks g);
   Alcotest.(check int) "in_degree 3" 2 (Dag.in_degree g 3);
-  Alcotest.(check int) "out_degree 0" 2 (Dag.out_degree g 0);
-  Alcotest.(check bool) "has_edge" true (Dag.has_edge g 0 1);
-  Alcotest.(check bool) "no reverse edge" false (Dag.has_edge g 1 0);
   Alcotest.(check string) "payload" "c" (Dag.payload g 2)
 
 let test_duplicate_edge_ignored () =
@@ -54,13 +51,6 @@ let test_duplicate_edge_ignored () =
 let test_edges_sorted () =
   let g = diamond () in
   Alcotest.(check (list (pair int int))) "edges" [ (0, 1); (0, 2); (1, 3); (2, 3) ] (Dag.edges g)
-
-let test_reachable () =
-  let g = diamond () in
-  let seen = Dag.reachable_from g [ 1 ] in
-  Alcotest.(check bool) "1 reaches 3" true (Hashtbl.mem seen 3);
-  Alcotest.(check bool) "1 does not reach 2" false (Hashtbl.mem seen 2);
-  Alcotest.(check bool) "includes seed" true (Hashtbl.mem seen 1)
 
 let test_acyclicity () =
   Alcotest.(check bool) "diamond acyclic" true (Dag.is_acyclic (diamond ()));
@@ -114,13 +104,6 @@ let test_topo_all_limit () =
   let antichain = Dag.of_edges (List.init 6 (fun i -> (i, ()))) [] in
   Alcotest.(check int) "limit respected" 10 (List.length (Topo.all ~limit:10 antichain));
   Alcotest.(check int) "count_at_most" 10 (Topo.count_at_most ~limit:10 antichain)
-
-let test_longest_path () =
-  let g = diamond () in
-  Alcotest.(check (float 1e-9)) "unit weights" 3. (Topo.longest_path_length g ~weight:(fun _ -> 1.));
-  (* weight i = i+1: path 0-2-3 costs 1+3+4 = 8, path 0-1-3 costs 7. *)
-  Alcotest.(check (float 1e-9)) "weighted" 8.
-    (Topo.longest_path_length g ~weight:(fun i -> float_of_int (i + 1)))
 
 (* Bipartitions ------------------------------------------------------ *)
 
@@ -311,7 +294,6 @@ let () =
           quick "structure queries" test_structure;
           quick "duplicate edges ignored" test_duplicate_edge_ignored;
           quick "edges sorted" test_edges_sorted;
-          quick "reachability" test_reachable;
           quick "acyclicity" test_acyclicity;
           quick "weak connectivity" test_weak_connectivity;
           quick "induced subgraph" test_induced;
@@ -324,7 +306,6 @@ let () =
           quick "is_valid" test_topo_is_valid;
           quick "all orders of diamond" test_topo_all;
           quick "enumeration limit" test_topo_all_limit;
-          quick "longest path" test_longest_path;
         ] );
       ( "partition",
         [

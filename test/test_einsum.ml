@@ -50,7 +50,6 @@ let test_reduce_semantics () =
 let test_tensor_ref () =
   let q = r "Q" [ "h"; "e"; "p" ] in
   Alcotest.(check int) "rank" 3 (Tensor_ref.rank q);
-  Alcotest.(check bool) "mem" true (Tensor_ref.mem_index "e" q);
   Alcotest.(check string) "to_string" "Q[h,e,p]" (Tensor_ref.to_string q);
   Alcotest.(check string) "scalar" "G" (Tensor_ref.to_string (Tensor_ref.scalar "G"));
   Alcotest.check_raises "duplicate index" (Invalid_argument "Tensor_ref.v: duplicate index in X")
@@ -100,11 +99,9 @@ let test_compute_load () =
   let extents = Extents.of_list [ ("m", 4); ("k", 5); ("n", 6) ] in
   (* Eq. 40: product of output dims times product of reduction dims. *)
   Alcotest.(check (float 0.)) "contraction load" (4. *. 6. *. 5.) (Einsum.compute_load extents matmul);
-  Alcotest.(check (float 0.)) "flops = 2x load" (2. *. 120.) (Einsum.flops extents matmul);
   let expmap = Einsum.map Scalar_op.Exp (r "Z2" [ "m"; "n" ]) [ r "A" [ "m"; "n" ] ] in
   Alcotest.(check (float 0.)) "map load scaled by cost factor" (4. *. 6. *. 2.)
     (Einsum.compute_load extents expmap);
-  Alcotest.(check (float 0.)) "map flops unscaled" 24. (Einsum.flops extents expmap);
   let red = Einsum.reduce Scalar_op.Sum (r "Z3" [ "m" ]) (r "A" [ "m"; "k" ]) in
   Alcotest.(check (float 0.)) "reduce load" (4. *. 5.) (Einsum.compute_load extents red)
 
@@ -139,9 +136,7 @@ let test_cascade_structure () =
   Alcotest.(check (list string)) "externals" [ "I" ] (Cascade.external_inputs c);
   Alcotest.(check (list string)) "results" [ "A" ] (Cascade.results c);
   Alcotest.(check (list string)) "produced" [ "G"; "S"; "D"; "A" ] (Cascade.produced c);
-  Alcotest.(check (list string)) "indices" [ "m" ] (Cascade.indices c);
-  Alcotest.(check bool) "find_op" true (Cascade.find_op c "S" <> None);
-  Alcotest.(check bool) "find_op missing" true (Cascade.find_op c "nope" = None)
+  Alcotest.(check (list string)) "indices" [ "m" ] (Cascade.indices c)
 
 let test_cascade_dag () =
   let g = Cascade.to_dag (softmax_cascade ()) in
@@ -166,13 +161,6 @@ let test_cascade_validation () =
           Einsum.map Scalar_op.Copy (r "Y" [ "m" ]) [ r "Z" [ "m" ] ];
           Einsum.map Scalar_op.Copy (r "Z" [ "m" ]) [ r "A" [ "m" ] ];
         ])
-
-let test_cascade_loads () =
-  let extents = Extents.of_list [ ("m", 8) ] in
-  let c = softmax_cascade () in
-  (* G: 8, S: 8*2, D: 8, A: 8*2 -> 48 load slots; flops 8+8+8+8 = 32. *)
-  Alcotest.(check (float 0.)) "total load" 48. (Cascade.total_compute_load extents c);
-  Alcotest.(check (float 0.)) "total flops" 32. (Cascade.total_flops extents c)
 
 let test_cascade_concat () =
   let a = Cascade.v ~name:"a" [ Einsum.map Scalar_op.Copy (r "Y" [ "m" ]) [ r "X" [ "m" ] ] ] in
@@ -243,7 +231,6 @@ let () =
           quick "structure" test_cascade_structure;
           quick "dependency DAG" test_cascade_dag;
           quick "validation" test_cascade_validation;
-          quick "loads" test_cascade_loads;
           quick "concat" test_cascade_concat;
           quick "check_extents" test_check_extents;
         ] );

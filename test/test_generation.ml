@@ -32,7 +32,6 @@ let test_spec_validation () =
   raises (fun () -> Generation.v ~batch:0 tiny ~prompt:16);
   Alcotest.(check int) "kv_first" 256 (Generation.kv_first spec);
   Alcotest.(check int) "kv_last" 320 (Generation.kv_last spec);
-  Alcotest.(check int) "tokens" 64 (Generation.tokens spec);
   let pw = Generation.prefill_workload spec in
   Alcotest.(check int) "prefill seq" 256 pw.Workload.seq_len;
   let dw = Generation.decode_workload spec in

@@ -161,7 +161,6 @@ let test_trace_json () =
   let r =
     Obs.Trace.with_span ~cat:"test" ~args:[ ("k", "v\"with\\escapes\n") ] "outer" (fun () ->
         Obs.Trace.with_span "inner" (fun () -> ());
-        Obs.Trace.instant ~cat:"test" "mark";
         11)
   in
   Alcotest.(check int) "span returns the thunk value" 11 r;
@@ -176,7 +175,7 @@ let test_trace_json () =
         | _ -> Alcotest.fail "traceEvents missing")
     | _ -> Alcotest.fail "top level is not an object"
   in
-  Alcotest.(check int) "outer + inner + instant + failing" 4 (List.length events);
+  Alcotest.(check int) "outer + inner + failing" 3 (List.length events);
   let names =
     List.filter_map
       (function Obj f -> (match List.assoc_opt "name" f with Some (Str s) -> Some s | _ -> None) | _ -> None)
@@ -185,7 +184,7 @@ let test_trace_json () =
   List.iter
     (fun expected ->
       Alcotest.(check bool) (expected ^ " recorded") true (List.mem expected names))
-    [ "outer"; "inner"; "mark"; "failing" ];
+    [ "outer"; "inner"; "failing" ];
   List.iter
     (fun ev ->
       match ev with
@@ -195,7 +194,6 @@ let test_trace_json () =
             (has "name" && has "ph" && has "ts" && has "pid" && has "tid");
           (match List.assoc "ph" f with
           | Str "X" -> Alcotest.(check bool) "complete events carry dur" true (has "dur")
-          | Str "i" -> ()
           | _ -> Alcotest.fail "unexpected phase")
       | _ -> Alcotest.fail "event is not an object")
     events
@@ -204,7 +202,6 @@ let test_trace_inactive_buffers_nothing () =
   Obs.Trace.clear ();
   Alcotest.(check bool) "inactive by default" false (Obs.Trace.active ());
   Obs.Trace.with_span "ignored" (fun () -> ());
-  Obs.Trace.instant "ignored";
   match parse_json (Obs.Trace.to_json ()) with
   | Obj fields -> (
       match List.assoc_opt "traceEvents" fields with

@@ -51,8 +51,7 @@ let test_jobs_one_is_sequential () =
   let log = ref [] in
   let out = P.map ~jobs:1 (fun i -> log := i :: !log; i * 2) (Array.init 20 (fun i -> i)) in
   Alcotest.(check (list int)) "visited in order" (List.init 20 (fun i -> 19 - i)) !log;
-  Alcotest.(check (array int)) "results" (Array.init 20 (fun i -> 2 * i)) out;
-  Alcotest.(check bool) "main domain is not a worker" false (P.in_worker ())
+  Alcotest.(check (array int)) "results" (Array.init 20 (fun i -> 2 * i)) out
 
 let test_map_reduce_deterministic () =
   (* Float sum is non-associative, so this only passes because the
