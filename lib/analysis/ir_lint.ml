@@ -1,7 +1,8 @@
 open Tf_einsum
 module Dag = Tf_dag.Dag
 
-let lint_ops ?(name = "cascade") (ops : Einsum.t list) =
+let lint_ops (ops : Einsum.t list) =
+  let name = "cascade" in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let producers = Hashtbl.create 16 in

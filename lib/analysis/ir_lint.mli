@@ -29,11 +29,12 @@
     live in {!lint_ops}, which accepts a raw operation list so callers can
     diagnose inputs that [Cascade.v] would reject outright. *)
 
-val lint_ops : ?name:string -> Tf_einsum.Einsum.t list -> Diagnostic.t list
+val lint_ops : Tf_einsum.Einsum.t list -> Diagnostic.t list
 (** Definition-order checks over a raw operation list: duplicate operation
     names ([E-OP-DUP]), a tensor produced twice ([E-TENSOR-DUP]), a read
     of a tensor produced by a later operation ([E-USE-BEFORE-DEF]).
-    These mirror [Cascade.v]'s exceptions as diagnostics. *)
+    These mirror [Cascade.v]'s exceptions as diagnostics, in context
+    ["cascade"]. *)
 
 val lint :
   ?extents:Tf_einsum.Extents.t ->

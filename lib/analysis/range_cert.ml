@@ -118,8 +118,8 @@ end
 
 let chk id code ok detail kind = { id; code; ok; detail; kind }
 
-let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) ?tiling
-    (arch : Arch.t) (model : Model.t) (r : range) =
+let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch : Arch.t)
+    (model : Model.t) (r : range) =
   let rg = S.grid ~lo:r.lo ~hi:r.hi ~step:r.step in
   let r = { r with hi = rg.S.g_hi } in
   let decode = attention = Decode in
@@ -133,17 +133,14 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) ?tili
   let query_len = if decode then seq else r.lo in
   let w_lo = Workload.v ~batch model ~seq_len:query_len in
   let config, derive_checks =
-    match tiling with
-    | Some c -> (c, [])
-    | None -> (
-        try (Tileseek.greedy ~kv_len:r.lo ~decode arch w_lo, [])
-        with Invalid_argument msg ->
-          ( { Tileseek.b = 1; d = 1; p = 1; m1 = 1; m0 = 1; s = 1 },
-            [
-              chk "tiling.derive" "E-CERT-TILE" false
-                (Printf.sprintf "no feasible tiling at n=%d: %s" r.lo msg)
-                (Eq { got = 0.; want = 1. });
-            ] ))
+    try (Tileseek.greedy ~kv_len:r.lo ~decode arch w_lo, [])
+    with Invalid_argument msg ->
+      ( { Tileseek.b = 1; d = 1; p = 1; m1 = 1; m0 = 1; s = 1 },
+        [
+          chk "tiling.derive" "E-CERT-TILE" false
+            (Printf.sprintf "no feasible tiling at n=%d: %s" r.lo msg)
+            (Eq { got = 0.; want = 1. });
+        ] )
   in
   let p_row = if config.Tileseek.p >= 1 then Tileseek.p_row arch config else 1 in
   (* ---- resident-policy inner tile over the grid --------------------- *)

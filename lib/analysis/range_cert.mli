@@ -106,14 +106,13 @@ val certify :
   ?batch:int ->
   ?seq:int ->
   ?policy:policy ->
-  ?tiling:Transfusion.Tileseek.config ->
   Tf_arch.Arch.t ->
   Tf_workloads.Model.t ->
   range ->
   t
 (** Certify the model on the architecture over the range.  Defaults:
     [attention = Self], [batch = 64], [seq = 1] (decode query length),
-    [policy = Fixed], [tiling] = the greedy tiling derived at the low
+    [policy = Fixed].  The tiling is the greedy one derived at the low
     end of the range.  Never raises on an uncertifiable input — refusal
     is a certificate with [certified = false] and a witness. *)
 

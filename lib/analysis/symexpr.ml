@@ -107,15 +107,6 @@ let add _box a b =
   make (Add (a.expr, b.expr)) shape ~cvals:(map2_cvals ( +. ) a b) ~fallback:(fun () ->
       (a.lo +. b.lo, a.hi +. b.hi))
 
-let sub _box a b =
-  let shape =
-    match (a.shape, b.shape) with
-    | Affine x, Affine y -> Affine { c0 = x.c0 -. y.c0; cn = x.cn -. y.cn; ck = x.ck -. y.ck }
-    | _ -> Opaque
-  in
-  make (Sub (a.expr, b.expr)) shape ~cvals:(map2_cvals ( -. ) a b) ~fallback:(fun () ->
-      (a.lo -. b.hi, a.hi -. b.lo))
-
 let mul _box a b =
   let shape =
     match (a.shape, b.shape) with
@@ -159,10 +150,6 @@ let max_ _box a b =
   in
   make (Max (a.expr, b.expr)) shape ~cvals:(map2_cvals Float.max a b) ~fallback:(fun () ->
       (Float.max a.lo b.lo, Float.max a.hi b.hi))
-
-let sum box = function
-  | [] -> invalid_arg "Symexpr.sum: empty"
-  | x :: rest -> List.fold_left (add box) x rest
 
 let exact t = match t.shape with Affine _ | Mono -> true | Opaque -> false
 

@@ -79,14 +79,9 @@ val int_ : box -> int -> t
 val var : box -> var -> t
 
 val add : box -> t -> t -> t
-val sub : box -> t -> t -> t
 val mul : box -> t -> t -> t
 val div : box -> t -> float -> t
 val max_ : box -> t -> t -> t
-
-val sum : box -> t list -> t
-(** Left fold of {!add} over the list.
-    @raise Invalid_argument on an empty list. *)
 
 val sup : box -> t -> float * point * bool
 (** Claimed supremum over the grid, the corner witness where it is

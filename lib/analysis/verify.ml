@@ -15,10 +15,8 @@ let builtin_cascades () =
     ("full_layer", Cascades.full_layer Scalar_op.Gelu);
   ]
 
-let default_workload () = Workload.v Presets.t5 ~seq_len:16384
-
-let lint_builtins ?workload () =
-  let w = match workload with Some w -> w | None -> default_workload () in
+let lint_builtins () =
+  let w = Workload.v Presets.t5 ~seq_len:16384 in
   let extents = Layer_costs.tile_extents w ~m0:(Extents.find (Workload.extents w) "m0") in
   List.concat_map (fun (_, cascade) -> Ir_lint.lint ~extents cascade) (builtin_cascades ())
 
@@ -35,8 +33,8 @@ let pipeline ?(attention = Strategies.Self) ?include_ffn ?m0 (arch : Tf_arch.Arc
   Ir_lint.lint ~extents cascade
   @ Sched_lint.verify ~name dag (Dpipe.schedule arch ~load ~matrix dag)
 
-let strategy_result ?(attention = Strategies.Self) ?include_ffn (arch : Tf_arch.Arch.t)
-    (w : Workload.t) (r : Strategies.result) =
+let strategy_result ?(attention = Strategies.Self) (r : Strategies.result) =
+  let arch = r.Strategies.arch and w = r.Strategies.workload in
   let a = Strategies.attention_dims ~attention w in
   let tiling_diags =
     match r.Strategies.tiling with
@@ -54,7 +52,7 @@ let strategy_result ?(attention = Strategies.Self) ?include_ffn (arch : Tf_arch.
   let sched_diags =
     match r.Strategies.strategy with
     | Strategies.Transfusion ->
-        pipeline ~attention ?include_ffn
+        pipeline ~attention
           ?m0:(Option.map (fun (c : Tileseek.config) -> c.Tileseek.m0) r.Strategies.tiling)
           arch w
     | Strategies.Unfused | Strategies.Flat | Strategies.Fusemax | Strategies.Fusemax_layerfuse ->
@@ -86,6 +84,6 @@ let check_presets ?(quick = true) () =
           models)
       archs
 
-let certify_range ?attention ?batch ?seq ?policy ?tiling arch model ~lo ~hi ?step () =
+let certify_range ?attention ?batch ?seq ?policy arch model ~lo ~hi ?step () =
   let step = Option.value step ~default:lo in
-  Range_cert.certify ?attention ?batch ?seq ?policy ?tiling arch model { Range_cert.lo; hi; step }
+  Range_cert.certify ?attention ?batch ?seq ?policy arch model { Range_cert.lo; hi; step }

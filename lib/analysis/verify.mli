@@ -7,10 +7,9 @@
     code calls {!strategy_result} before exporting numbers; the CLI's
     [lint] subcommand calls {!check_presets}. *)
 
-val lint_builtins : ?workload:Tf_workloads.Workload.t -> unit -> Diagnostic.t list
-(** IR lints over every built-in cascade under the workload's tile
-    extents (default workload: T5 at 16K, the extents only scale the
-    checks' extent comparisons). *)
+val lint_builtins : unit -> Diagnostic.t list
+(** IR lints over every built-in cascade under the tile extents of T5 at
+    16K (the extents only scale the checks' extent comparisons). *)
 
 val pipeline :
   ?attention:Transfusion.Strategies.attention ->
@@ -26,13 +25,9 @@ val pipeline :
     key/value length. *)
 
 val strategy_result :
-  ?attention:Transfusion.Strategies.attention ->
-  ?include_ffn:bool ->
-  Tf_arch.Arch.t ->
-  Tf_workloads.Workload.t ->
-  Transfusion.Strategies.result ->
-  Diagnostic.t list
-(** Verify everything checkable about an evaluation result: the chosen
+  ?attention:Transfusion.Strategies.attention -> Transfusion.Strategies.result -> Diagnostic.t list
+(** Verify everything checkable about an evaluation result, on the
+    architecture and workload it was priced for: the chosen
     tiling (when present) against {!Tiling_lint}, and — for the
     TransFusion strategy, whose latency rests on a DPipe schedule — the
     {!pipeline} checks of the DPipe candidate at the tiling's [m0], the
@@ -58,7 +53,6 @@ val certify_range :
   ?batch:int ->
   ?seq:int ->
   ?policy:Range_cert.policy ->
-  ?tiling:Transfusion.Tileseek.config ->
   Tf_arch.Arch.t ->
   Tf_workloads.Model.t ->
   lo:int ->

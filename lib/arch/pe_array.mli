@@ -9,11 +9,11 @@ type shape = One_d of int | Two_d of int * int
 
 type t = { name : string; shape : shape }
 
-val one_d : ?name:string -> int -> t
-(** A 1D array of the given width.  @raise Invalid_argument on width < 1. *)
+val one_d : int -> t
+(** A 1D array named ["1D"] of the given width.  @raise Invalid_argument on width < 1. *)
 
-val two_d : ?name:string -> int -> int -> t
-(** [two_d rows cols].  @raise Invalid_argument on non-positive dims. *)
+val two_d : int -> int -> t
+(** [two_d rows cols], named ["2D"].  @raise Invalid_argument on non-positive dims. *)
 
 val num_pes : t -> int
 (** Total PE count — the [NumPEs] term of paper Eq. 41. *)

@@ -31,8 +31,6 @@ let add a b =
     compute_pj = a.compute_pj +. b.compute_pj;
   }
 
-let zero = { dram_pj = 0.; buffer_pj = 0.; regfile_pj = 0.; compute_pj = 0. }
-
 let scale k b =
   {
     dram_pj = k *. b.dram_pj;

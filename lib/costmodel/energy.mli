@@ -17,7 +17,6 @@ val of_traffic : Tf_arch.Arch.t -> Traffic.t -> breakdown
 val total_pj : breakdown -> float
 
 val add : breakdown -> breakdown -> breakdown
-val zero : breakdown
 
 val scale : float -> breakdown -> breakdown
 (** Component-wise scaling — e.g. a per-step breakdown times a token

@@ -129,11 +129,3 @@ let validate (arch : Tf_arch.Arch.t) t =
     let pes = Tf_arch.Pe_array.num_pes arch.Tf_arch.Arch.pe_2d in
     if lanes > pes then Error (Printf.sprintf "spatial unroll %d exceeds %d PEs" lanes pes)
     else Ok ()
-
-let level_to_string = function Dram -> "dram" | Buffer -> "buffer" | Spatial -> "spatial"
-
-let pp ppf t =
-  Fmt.pf ppf "map %s:@." t.op.Einsum.name;
-  List.iter
-    (fun l -> Fmt.pf ppf "  for %s in 0..%d  @@ %s@." l.index l.extent (level_to_string l.level))
-    t.nest

@@ -70,5 +70,3 @@ val spatial_lanes : t -> int
 val validate : Tf_arch.Arch.t -> t -> (unit, string) result
 (** Check the mapping against an architecture: buffer occupancy within
     capacity and spatial lanes within the 2D array. *)
-
-val pp : t Fmt.t

@@ -65,8 +65,8 @@ let traffic_lower_bound extents op =
   let vol r = float_of_int (Extents.volume extents r) in
   vol op.Einsum.output +. List.fold_left (fun acc r -> acc +. vol r) 0. op.Einsum.inputs
 
-let search ?max_candidates arch extents op =
-  let candidates = enumerate ?max_candidates extents op in
+let search arch extents op =
+  let candidates = enumerate extents op in
   let best = ref None and feasible = ref 0 in
   List.iter
     (fun nest ->

@@ -24,13 +24,13 @@ val enumerate :
     @raise Not_found when a dimension of the operation is unbound. *)
 
 val search :
-  ?max_candidates:int ->
   Tf_arch.Arch.t ->
   Tf_einsum.Extents.t ->
   Tf_einsum.Einsum.t ->
   (Loopnest.t * float * stats, string) result
-(** Best feasible mapping and its DRAM traffic (elements).  [Error] when
-    no candidate fits the buffer. *)
+(** Best feasible mapping among {!enumerate}'s first 20000 candidates and
+    its DRAM traffic (elements).  [Error] when no candidate fits the
+    buffer. *)
 
 val traffic_lower_bound : Tf_einsum.Extents.t -> Tf_einsum.Einsum.t -> float
 (** Compulsory traffic: every operand once (inputs read + output

@@ -40,9 +40,3 @@ let of_einsum arch extents op =
     +. List.fold_left (fun acc r -> acc +. vol r) 0. op.Tf_einsum.Einsum.inputs
   in
   classify arch ~slots ~dram_bytes:(elements *. float_of_int arch.Arch.element_bytes)
-
-let pp ppf a =
-  Fmt.pf ppf "intensity=%.2f slots/B balance=%.2f -> %s (%.0f%% of peak attainable)" a.intensity
-    a.machine_balance
-    (match a.bound with `Compute -> "compute-bound" | `Memory -> "memory-bound")
-    (100. *. a.attainable_fraction)

@@ -28,5 +28,3 @@ val of_einsum :
 (** Classify one Einsum under compulsory traffic (operands once) — the
     best any mapping can do; a memory-bound verdict here is fundamental,
     not a mapping artifact. *)
-
-val pp : analysis Fmt.t

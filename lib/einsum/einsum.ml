@@ -63,7 +63,7 @@ let v ?name kind ~output ~inputs =
 
 let contraction ?name output inputs = v ?name Contraction ~output ~inputs
 let map ?name op output inputs = v ?name (Map op) ~output ~inputs
-let reduce ?name op output input = v ?name (Reduce op) ~output ~inputs:[ input ]
+let reduce op output input = v (Reduce op) ~output ~inputs:[ input ]
 
 let cost_factor t =
   match t.kind with
@@ -81,8 +81,6 @@ let is_matrix_op t =
 
 let input_tensors t = List.map (fun (r : Tensor_ref.t) -> r.tensor) t.inputs
 let output_tensor t = t.output.Tensor_ref.tensor
-
-let rename name t = { t with name }
 
 let kind_to_string = function
   | Contraction -> "contract"

@@ -40,7 +40,7 @@ val v : ?name:string -> kind -> output:Tensor_ref.t -> inputs:Tensor_ref.t list 
 
 val contraction : ?name:string -> Tensor_ref.t -> Tensor_ref.t list -> t
 val map : ?name:string -> Scalar_op.t -> Tensor_ref.t -> Tensor_ref.t list -> t
-val reduce : ?name:string -> Scalar_op.reduce -> Tensor_ref.t -> Tensor_ref.t -> t
+val reduce : Scalar_op.reduce -> Tensor_ref.t -> Tensor_ref.t -> t
 
 val output_dims : t -> Tensor_ref.index list
 (** Indices of the output, in output order. *)
@@ -65,9 +65,6 @@ val cost_factor : t -> float
 
 val input_tensors : t -> string list
 val output_tensor : t -> string
-
-val rename : string -> t -> t
-(** Replace the operation name (output reference unchanged). *)
 
 val pp : t Fmt.t
 (** [Z[m,n] = contract(A[m,k], B[k,n])]-style rendering. *)

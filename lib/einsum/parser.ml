@@ -101,7 +101,7 @@ let op_of_string line =
 
 let header_prefix = "cascade "
 
-let cascade_of_string ?name text =
+let cascade_of_string text =
   let lines = String.split_on_char '\n' text in
   let is_comment l = String.length l > 0 && l.[0] = '#' in
   let parsed_name = ref None in
@@ -131,12 +131,7 @@ let cascade_of_string ?name text =
   let ops = List.rev ops in
   if ops = [] then error "no operations"
   else
-    let name =
-      match (name, !parsed_name) with
-      | Some n, _ -> Some n
-      | None, parsed -> parsed
-    in
-    try Ok (Cascade.v ?name ops) with Invalid_argument msg -> Error msg
+    try Ok (Cascade.v ?name:!parsed_name ops) with Invalid_argument msg -> Error msg
 
 let op_to_string op = Fmt.str "%a" Einsum.pp op
 

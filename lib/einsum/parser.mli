@@ -23,9 +23,8 @@
 val op_of_string : string -> (Einsum.t, string) result
 (** Parse one operation line. *)
 
-val cascade_of_string : ?name:string -> string -> (Cascade.t, string) result
-(** Parse a whole cascade (multi-line).  [name] overrides any
-    ["cascade <name>:"] header. *)
+val cascade_of_string : string -> (Cascade.t, string) result
+(** Parse a whole cascade (multi-line). *)
 
 val op_to_string : Einsum.t -> string
 (** Render an operation in the parseable syntax (same as {!Einsum.pp}). *)

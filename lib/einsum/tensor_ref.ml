@@ -18,4 +18,3 @@ let to_string t =
   | indices -> Printf.sprintf "%s[%s]" t.tensor (String.concat "," indices)
 
 let pp ppf t = Fmt.string ppf (to_string t)
-let equal a b = a.tensor = b.tensor && a.indices = b.indices

@@ -22,5 +22,3 @@ val indices_of_many : t list -> index list
 
 val to_string : t -> string
 val pp : t Fmt.t
-
-val equal : t -> t -> bool

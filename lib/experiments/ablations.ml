@@ -40,8 +40,8 @@ let dpipe_dag_costs (arch : Tf_arch.Arch.t) w (label, cascade) =
     dp = dp.Dpipe.steady_interval_cycles;
   }
 
-let dpipe ?(seq = 65536) (model : Model.t) =
-  let w = Workload.v model ~seq_len:seq in
+let dpipe (model : Model.t) =
+  let w = Workload.v model ~seq_len:65536 in
   let dags =
     [
       ("mha", Transfusion.Cascades.mha ());
@@ -74,10 +74,10 @@ type tileseek_row = {
   search_cost : float;
 }
 
-let tileseek ?(seq = 16384) ?(iterations = 200) (model : Model.t) =
+let tileseek ?(iterations = 200) (model : Model.t) =
   Exp_common.par_map
     (fun (arch : Tf_arch.Arch.t) ->
-      let w = Workload.v model ~seq_len:seq in
+      let w = Workload.v model ~seq_len:16384 in
       let latency config =
         (Strategies.evaluate ~tiling:config arch w Strategies.Transfusion).Strategies.latency
           .Latency.total_s
@@ -132,11 +132,11 @@ let with_effs (a : Tf_arch.Arch.t) ~vector_eff_2d ~matrix_eff_1d =
     ~dram_bw_bytes_per_s:a.Tf_arch.Arch.dram_bw_bytes_per_s ()
 
 let tf_over_fm arch w =
-  let eval s = Exp_common.verify_result arch w (Strategies.evaluate ~tileseek_iterations:60 arch w s) in
+  let eval s = Exp_common.verify_result (Strategies.evaluate ~tileseek_iterations:60 arch w s) in
   Strategies.speedup ~baseline:(eval Strategies.Fusemax) (eval Strategies.Transfusion)
 
-let sensitivity ?(seq = 65536) (model : Model.t) =
-  let w = Workload.v model ~seq_len:seq in
+let sensitivity (model : Model.t) =
+  let w = Workload.v model ~seq_len:65536 in
   let sweep base knob values =
     Exp_common.par_map
       (fun value ->
@@ -165,14 +165,14 @@ let print_sensitivity rows =
 
 type batch_row = { arch : string; batch : int; tf_over_fm : float; tf_over_unfused : float }
 
-let batch ?(seq = 16384) (model : Model.t) =
+let batch (model : Model.t) =
   Exp_common.par_concat_map
     (fun (arch : Tf_arch.Arch.t) ->
       List.map
         (fun batch ->
-          let w = Workload.v ~batch model ~seq_len:seq in
+          let w = Workload.v ~batch model ~seq_len:16384 in
           let eval s =
-            Exp_common.verify_result arch w (Strategies.evaluate ~tileseek_iterations:60 arch w s)
+            Exp_common.verify_result (Strategies.evaluate ~tileseek_iterations:60 arch w s)
           in
           let unfused = eval Strategies.Unfused and fm = eval Strategies.Fusemax in
           let tf = eval Strategies.Transfusion in
@@ -199,14 +199,14 @@ let print_batch rows =
 
 type objective_row = { arch : string; objective : string; latency_s : float; energy_j : float }
 
-let objectives ?(seq = 16384) (model : Model.t) =
-  let w = Workload.v model ~seq_len:seq in
+let objectives (model : Model.t) =
+  let w = Workload.v model ~seq_len:16384 in
   Exp_common.par_concat_map
     (fun (arch : Tf_arch.Arch.t) ->
       List.map
         (fun (label, objective) ->
           let r =
-            Exp_common.verify_result arch w
+            Exp_common.verify_result
               (Strategies.evaluate ~tileseek_iterations:100 ~objective arch w Strategies.Transfusion)
           in
           {

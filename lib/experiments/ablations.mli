@@ -8,7 +8,7 @@
 (** DPipe scheduling-mode ablation: for each architecture, the per-epoch
     cost of the MHA and full-layer DAGs under sequential execution,
     statically-pinned pipelining, and the full DP (paper Section 4's
-    ladder). *)
+    ladder), at a 64K-token sequence. *)
 type dpipe_row = {
   arch : string;
   dag : string;
@@ -17,11 +17,12 @@ type dpipe_row = {
   dp : float;
 }
 
-val dpipe : ?seq:int -> Tf_workloads.Model.t -> dpipe_row list
+val dpipe : Tf_workloads.Model.t -> dpipe_row list
 val print_dpipe : dpipe_row list -> unit
 
 (** TileSeek stage ablation: the cost (search objective value) reached by
-    the fallback tile, the greedy heuristics, and the full search. *)
+    the fallback tile, the greedy heuristics, and the full search, at a
+    16K-token sequence. *)
 type tileseek_row = {
   arch : string;
   fallback_cost : float;
@@ -29,26 +30,26 @@ type tileseek_row = {
   search_cost : float;
 }
 
-val tileseek : ?seq:int -> ?iterations:int -> Tf_workloads.Model.t -> tileseek_row list
+val tileseek : ?iterations:int -> Tf_workloads.Model.t -> tileseek_row list
 val print_tileseek : tileseek_row list -> unit
 
 (** Cross-array efficiency sensitivity: TransFusion-over-FuseMax speedup
     as [vector_eff_2d] (cloud) / [matrix_eff_1d] (edge) vary — the two
-    knobs that gate DPipe's offloading. *)
+    knobs that gate DPipe's offloading — at a 64K-token sequence. *)
 type sensitivity_row = { arch : string; knob : string; value : float; tf_over_fm : float }
 
-val sensitivity : ?seq:int -> Tf_workloads.Model.t -> sensitivity_row list
+val sensitivity : Tf_workloads.Model.t -> sensitivity_row list
 val print_sensitivity : sensitivity_row list -> unit
 
 (** Batch-size study (the paper defers batch tiling to Section 5): TF
-    speedup over FuseMax across batch sizes. *)
+    speedup over FuseMax across batch sizes, at a 16K-token sequence. *)
 type batch_row = { arch : string; batch : int; tf_over_fm : float; tf_over_unfused : float }
 
-val batch : ?seq:int -> Tf_workloads.Model.t -> batch_row list
+val batch : Tf_workloads.Model.t -> batch_row list
 val print_batch : batch_row list -> unit
 
 (** Search-objective study: latency and energy of TransFusion when
-    TileSeek rewards latency, energy, or EDP. *)
+    TileSeek rewards latency, energy, or EDP, at a 16K-token sequence. *)
 type objective_row = {
   arch : string;
   objective : string;
@@ -56,5 +57,5 @@ type objective_row = {
   energy_j : float;
 }
 
-val objectives : ?seq:int -> Tf_workloads.Model.t -> objective_row list
+val objectives : Tf_workloads.Model.t -> objective_row list
 val print_objectives : objective_row list -> unit

@@ -82,10 +82,10 @@ let require_clean what diags =
          (String.concat "; "
             (List.map Tf_analysis.Diagnostic.render (Tf_analysis.Diagnostic.errors diags))))
 
-let verify_result arch w (r : Strategies.result) =
+let verify_result (r : Strategies.result) =
   require_clean
     (Printf.sprintf "%s result" (Strategies.name r.Strategies.strategy))
-    (Tf_analysis.Verify.strategy_result arch w r);
+    (Tf_analysis.Verify.strategy_result r);
   r
 
 (* Range certification of a sweep band: before a figure sweeps a model
@@ -110,7 +110,7 @@ let evaluate ?(tileseek_iterations = 200) (arch : Tf_arch.Arch.t) (w : Workload.
      key: evaluations at different budgets may not share cache entries. *)
   let key = cache_key ~tileseek_iterations arch w strategy in
   Tf_parallel.Memo.find_or_compute cache key (fun () ->
-      verify_result arch w (Strategies.evaluate ~tileseek_iterations arch w strategy))
+      verify_result (Strategies.evaluate ~tileseek_iterations arch w strategy))
 
 let prime ?tileseek_iterations points =
   Tf_parallel.iter ~chunk:1
@@ -137,16 +137,16 @@ let geomean = function
       List.iter (fun x -> if x <= 0. then invalid_arg "Exp_common.geomean: non-positive") xs;
       exp (List.fold_left (fun acc x -> acc +. log x) 0. xs /. float_of_int (List.length xs))
 
-let speedups_over_unfused ?tileseek_iterations arch w =
-  let baseline = evaluate ?tileseek_iterations arch w Strategies.Unfused in
+let speedups_over_unfused arch w =
+  let baseline = evaluate arch w Strategies.Unfused in
   List.map
-    (fun s -> (s, Strategies.speedup ~baseline (evaluate ?tileseek_iterations arch w s)))
+    (fun s -> (s, Strategies.speedup ~baseline (evaluate arch w s)))
     Strategies.all
 
-let energy_over_unfused ?tileseek_iterations arch w =
-  let baseline = evaluate ?tileseek_iterations arch w Strategies.Unfused in
+let energy_over_unfused arch w =
+  let baseline = evaluate arch w Strategies.Unfused in
   List.map
-    (fun s -> (s, Strategies.energy_ratio ~baseline (evaluate ?tileseek_iterations arch w s)))
+    (fun s -> (s, Strategies.energy_ratio ~baseline (evaluate arch w s)))
     Strategies.all
 
 let models = Presets.all

@@ -87,11 +87,7 @@ val require_clean : string -> Tf_analysis.Diagnostic.t list -> unit
 (** Shared sanitizer guard: @raise Failure listing the error diagnostics
     when any are present. *)
 
-val verify_result :
-  Tf_arch.Arch.t ->
-  Tf_workloads.Workload.t ->
-  Transfusion.Strategies.result ->
-  Transfusion.Strategies.result
+val verify_result : Transfusion.Strategies.result -> Transfusion.Strategies.result
 (** {!require_clean} over {!Tf_analysis.Verify.strategy_result}; returns
     the result unchanged so call sites can wrap evaluations inline. *)
 
@@ -110,18 +106,13 @@ val geomean : float list -> float
     @raise Invalid_argument on a non-positive entry. *)
 
 val speedups_over_unfused :
-  ?tileseek_iterations:int ->
-  Tf_arch.Arch.t ->
-  Tf_workloads.Workload.t ->
-  (Transfusion.Strategies.t * float) list
-(** Speedup of every strategy relative to Unfused on this workload. *)
+  Tf_arch.Arch.t -> Tf_workloads.Workload.t -> (Transfusion.Strategies.t * float) list
+(** Speedup of every strategy relative to Unfused on this workload, each
+    {!evaluate}d at the default TileSeek budget. *)
 
 val energy_over_unfused :
-  ?tileseek_iterations:int ->
-  Tf_arch.Arch.t ->
-  Tf_workloads.Workload.t ->
-  (Transfusion.Strategies.t * float) list
-(** Normalised energy (Unfused = 1.0). *)
+  Tf_arch.Arch.t -> Tf_workloads.Workload.t -> (Transfusion.Strategies.t * float) list
+(** Normalised energy (Unfused = 1.0), at the default TileSeek budget. *)
 
 val models : Tf_workloads.Model.t list
 (** The five benchmark models, paper order. *)

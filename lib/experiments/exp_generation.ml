@@ -11,28 +11,26 @@ let default_strategies = [ Strategies.Fusemax; Strategies.Transfusion ]
    generation fields), so every fresh metrics record is verified here
    the way Exp_common.evaluate verifies encoder results: the prefill
    under its causal flavour and both decode endpoints under theirs. *)
-let verify (arch : Tf_arch.Arch.t) (m : Decode.metrics) =
+let verify (m : Decode.metrics) =
   let spec = m.Decode.spec in
   let what stage =
     Printf.sprintf "generation %s (%s, %s)" stage (Strategies.name m.Decode.strategy)
       (Generation.label spec)
   in
   Exp_common.require_clean (what "prefill")
-    (Tf_analysis.Verify.strategy_result ~attention:Strategies.Causal_self arch
-       (Generation.prefill_workload spec) m.Decode.prefill);
-  let dw = Generation.decode_workload spec in
+    (Tf_analysis.Verify.strategy_result ~attention:Strategies.Causal_self m.Decode.prefill);
   Exp_common.require_clean (what "decode@first")
     (Tf_analysis.Verify.strategy_result
        ~attention:(Strategies.Decode { kv_len = Generation.kv_first spec })
-       arch dw m.Decode.first);
+       m.Decode.first);
   Exp_common.require_clean (what "decode@last")
     (Tf_analysis.Verify.strategy_result
        ~attention:(Strategies.Decode { kv_len = Generation.kv_last spec })
-       arch dw m.Decode.last)
+       m.Decode.last)
 
 let point ?tileseek_iterations (arch : Tf_arch.Arch.t) spec strategy =
   let m = Decode.evaluate ?tileseek_iterations arch spec strategy in
-  verify arch m;
+  verify m;
   { arch = arch.Tf_arch.Arch.name; metrics = m }
 
 let prompts ~quick = Exp_common.seq_sweep ~quick

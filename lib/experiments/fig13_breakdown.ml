@@ -10,8 +10,9 @@ type point = {
   total_pj : float;
 }
 
-let scaling ?(quick = false) ?(strategies = [ Strategies.Transfusion; Strategies.Fusemax ]) archs
-    model =
+let strategies = [ Strategies.Transfusion; Strategies.Fusemax ]
+
+let scaling ?(quick = false) archs model =
   let workloads =
     List.map (fun (_, seq_len) -> Workload.v model ~seq_len) (Exp_common.seq_sweep ~quick)
   in

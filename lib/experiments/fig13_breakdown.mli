@@ -11,12 +11,8 @@ type point = {
 }
 
 val scaling :
-  ?quick:bool ->
-  ?strategies:Transfusion.Strategies.t list ->
-  Tf_arch.Arch.t list ->
-  Tf_workloads.Model.t ->
-  point list
-(** Default strategies: TransFusion (13a) and FuseMax (13b). *)
+  ?quick:bool -> Tf_arch.Arch.t list -> Tf_workloads.Model.t -> point list
+(** The points of TransFusion (13a) and FuseMax (13b). *)
 
 val to_json : point list -> Tf_json.t
 (** [{arch, label, strategy, fractions: {component: share}, total_pj}]. *)

@@ -13,7 +13,7 @@ type point = {
 val scaling : ?quick:bool -> Tf_workloads.Model.t -> point list
 (** Figure 9a: edge_32 and edge_64 across the sequence sweep. *)
 
-val model_wise : ?seq:int -> unit -> point list
+val model_wise : unit -> point list
 (** Figure 9b: the five models at 64K under both variants. *)
 
 val to_json : point list -> Tf_json.t

@@ -36,9 +36,9 @@ let number f =
     if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
   else Printf.sprintf "%.12g" f
 
-let to_string ?(indent = 2) t =
+let to_string t =
   let buffer = Buffer.create 1024 in
-  let pad depth = String.make (depth * indent) ' ' in
+  let pad depth = String.make (depth * 2) ' ' in
   let rec emit depth = function
     | Null -> Buffer.add_string buffer "null"
     | Bool b -> Buffer.add_string buffer (string_of_bool b)

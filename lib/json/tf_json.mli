@@ -24,7 +24,7 @@ val escape : string -> string
     carriage return and tab take their two-character escapes, other
     control bytes become [\u00XX], and every other byte is kept. *)
 
-val to_string : ?indent:int -> t -> string
+val to_string : t -> string
 (** Pretty-printed document with a trailing newline. *)
 
 val to_line : t -> string

@@ -285,9 +285,6 @@ let map_list ?jobs ?chunk f l =
 
 let iter ?jobs ?chunk f arr = ignore (map ?jobs ?chunk f arr : unit array)
 
-let map_reduce ?jobs ?chunk ~map:f ~reduce init arr =
-  Array.fold_left reduce init (map ?jobs ?chunk f arr)
-
 module Memo = struct
   (* A settled entry, threaded on the recency list: [newer] points
      towards the most recently touched entry, [older] towards the next

@@ -3,15 +3,13 @@
     The evaluation pipeline — figure sweeps, DPipe candidate grids,
     TileSeek rollouts — is embarrassingly parallel: every task is a pure
     function of its inputs.  This module provides a lazily-started fixed
-    pool of worker domains and order-preserving chunked [map] /
-    [map_reduce] over it, plus a mutex-protected memo table for the
-    caches those tasks share.
+    pool of worker domains and an order-preserving chunked [map] over
+    it, plus a mutex-protected memo table for the caches those tasks
+    share.
 
     {b Determinism contract.}  For a pure [f], [map f] returns exactly
     the array the sequential [Array.map f] would return: results are
-    written to their input slot, so order is preserved, and no
-    reduction is reassociated ([map_reduce] folds the mapped results
-    left-to-right exactly like [Array.fold_left]).  Parallel and
+    written to their input slot, so order is preserved.  Parallel and
     sequential runs are therefore bit-identical.  Worker exceptions are
     re-raised in the caller; when several chunks fail, the exception of
     the earliest chunk in input order wins, matching what a sequential
@@ -58,13 +56,6 @@ val map_list : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val iter : ?jobs:int -> ?chunk:int -> ('a -> unit) -> 'a array -> unit
 (** [map] whose results are discarded (cache-priming sweeps). *)
-
-val map_reduce :
-  ?jobs:int -> ?chunk:int -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> 'c -> 'a array -> 'c
-(** [map_reduce ~map ~reduce init arr] = [Array.fold_left reduce init
-    (map ~map arr)]: the mapping fans out across the pool, the fold is
-    sequential and left-to-right, so the result is bit-identical to the
-    fully sequential evaluation even for non-associative [reduce]. *)
 
 (** Mutex-protected, bounded LRU memo table for caches shared across
     domains — the one cache type the libraries keep beyond a single call.

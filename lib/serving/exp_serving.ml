@@ -20,7 +20,7 @@ let service_rate ~costs ~classes ~capacity =
 let loads = [ ("low", 0.2); ("high", 0.7) ]
 
 let sweep ?(seed = 42) ?(n = 120) ?(capacity = 16) ?(classes = Traffic.default_classes)
-    ?(process = Traffic.Bursty { mean_burst = 8; boost = 8. }) ?(policies = Policy.all) ~costs () =
+    ?(process = Traffic.Bursty { mean_burst = 8; boost = 8. }) ~costs () =
   (* Prime the shape memo sequentially so the parallel policy runs below
      are pure cache hits — and so the run order cannot matter. *)
   List.iter (fun c -> ignore (Costs.costs costs ~cls:c)) classes;
@@ -30,7 +30,7 @@ let sweep ?(seed = 42) ?(n = 120) ?(capacity = 16) ?(classes = Traffic.default_c
       (fun (load, frac) ->
         let rate_qps = frac *. mu in
         let trace = Traffic.generate ~classes ~seed ~rate_qps ~n process in
-        List.map (fun policy -> (load, rate_qps, policy, trace)) policies)
+        List.map (fun policy -> (load, rate_qps, policy, trace)) Policy.all)
       loads
   in
   Exp_common.par_map

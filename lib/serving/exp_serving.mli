@@ -27,20 +27,17 @@ val sweep :
   ?capacity:int ->
   ?classes:Traffic.cls list ->
   ?process:Traffic.process ->
-  ?policies:Policy.t list ->
   costs:Costs.t ->
   unit ->
   point list
-(** Policies x {low, high} load on traces of [n] requests (default 120)
+(** {!Policy.all} x {low, high} load on traces of [n] requests (default 120)
     from the given arrival [process] (default bursty), seeded by [seed]
     (default 42).  Both loads reuse the same seed, so the comparison
     varies only what it claims to vary. *)
 
-val schema : string
-(** ["transfusion.serving/1"] — comparison documents carry the
-    single-run schema per point, without per-request arrays. *)
-
 val to_json : costs:Costs.t -> point list -> Tf_json.t
-(** [{schema, points: [<single-run report + load label>]}]. *)
+(** [{schema, points: [<single-run report + load label>]}], schema
+    ["transfusion.serving/1"]: each point carries the single-run report
+    without per-request arrays. *)
 
 val print : title:string -> point list -> unit

@@ -37,7 +37,6 @@ let offset t idx =
 let get t idx = t.data.(offset t idx)
 let data t = t.data
 let set t idx x = t.data.(offset t idx) <- x
-let fill t x = Array.fill t.data 0 (Array.length t.data) x
 let copy t = { t with shape = Array.copy t.shape; data = Array.copy t.data }
 
 let iter_indices shape f =

@@ -32,8 +32,6 @@ val data : t -> float array
 
 val set : t -> int array -> float -> unit
 
-val fill : t -> float -> unit
-
 val copy : t -> t
 
 val map : (float -> float) -> t -> t

@@ -19,7 +19,6 @@ let transpose a =
   Nd.init [| n; m |] (fun idx -> Nd.get a [| idx.(1); idx.(0) |])
 
 let add = Nd.map2 ( +. )
-let sub = Nd.map2 ( -. )
 let scale k = Nd.map (fun x -> k *. x)
 
 let add_row_bias m bias =
@@ -70,10 +69,10 @@ let variance_rows m =
       done;
       !acc /. float_of_int cols)
 
-let layernorm_rows ?(eps = 0.) m =
+let layernorm_rows m =
   let mu = mean_rows m and var = variance_rows m in
   Nd.init (Nd.shape m) (fun idx ->
       let i = idx.(0) in
-      (Nd.get m idx -. Nd.get mu [| i |]) /. sqrt (Nd.get var [| i |] +. eps))
+      (Nd.get m idx -. Nd.get mu [| i |]) /. sqrt (Nd.get var [| i |]))
 
 let activation act = Nd.map (fun x -> Tf_einsum.Scalar_op.apply (Activation act) [ x ])

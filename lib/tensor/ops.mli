@@ -13,7 +13,6 @@ val transpose : Nd.t -> Nd.t
 (** 2-D transpose. *)
 
 val add : Nd.t -> Nd.t -> Nd.t
-val sub : Nd.t -> Nd.t -> Nd.t
 val scale : float -> Nd.t -> Nd.t
 
 val add_row_bias : Nd.t -> Nd.t -> Nd.t
@@ -22,11 +21,10 @@ val add_row_bias : Nd.t -> Nd.t -> Nd.t
 val softmax_rows : Nd.t -> Nd.t
 (** Numerically-stable softmax along each row of a 2-D tensor. *)
 
-val layernorm_rows : ?eps:float -> Nd.t -> Nd.t
+val layernorm_rows : Nd.t -> Nd.t
 (** Per-row mean/variance normalisation of a 2-D tensor (no affine), the
-    reference for paper Einsum Cascade 3.  [eps] defaults to [0.] to match
-    the cascade exactly (the paper's Eq. 35 has no epsilon); pass a small
-    value for numerically degenerate rows. *)
+    reference for paper Einsum Cascade 3.  No epsilon, to match the
+    cascade exactly (the paper's Eq. 35 has none). *)
 
 val activation : Tf_einsum.Scalar_op.activation -> Nd.t -> Nd.t
 

@@ -35,14 +35,14 @@ let m_searches_saved =
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-let step ?tiling ?tileseek_iterations ?objective arch (spec : Generation.t) strategy ~kv_len =
-  Strategies.evaluate ?tiling ?tileseek_iterations ?objective
+let step ?tiling ?tileseek_iterations arch (spec : Generation.t) strategy ~kv_len =
+  Strategies.evaluate ?tiling ?tileseek_iterations
     ~attention:(Strategies.Decode { kv_len })
     ~layers:spec.Generation.model.Model.layers arch
     (Generation.decode_workload spec)
     strategy
 
-let evaluate ?tileseek_iterations ?objective arch (spec : Generation.t) strategy =
+let evaluate ?tileseek_iterations arch (spec : Generation.t) strategy =
   Tf_obs.Counter.incr m_evaluations;
   Tf_obs.Counter.add m_tokens (spec.Generation.gen * spec.Generation.batch);
   Tf_obs.Counter.add m_searches_saved (Int.max 0 (spec.Generation.gen - 1));
@@ -59,7 +59,7 @@ let evaluate ?tileseek_iterations ?objective arch (spec : Generation.t) strategy
     "decode.evaluate"
   @@ fun () ->
   let prefill =
-    Strategies.evaluate ?tileseek_iterations ?objective ~attention:Strategies.Causal_self arch
+    Strategies.evaluate ?tileseek_iterations ~attention:Strategies.Causal_self arch
       (Generation.prefill_workload spec)
       strategy
   in
@@ -69,14 +69,14 @@ let evaluate ?tileseek_iterations ?objective arch (spec : Generation.t) strategy
      both endpoints and then reused at each, keeping the per-token cost
      affine in the cache length so the trapezoid aggregation below is
      exact (up to half of one token's marginal cost). *)
-  let searched = step ?tileseek_iterations ?objective arch spec strategy ~kv_len:kv_hi in
+  let searched = step ?tileseek_iterations arch spec strategy ~kv_len:kv_hi in
   let tiling =
     Option.map (fun c -> Tileseek.clamp_kv c ~kv_len:(gcd kv_lo kv_hi)) searched.Strategies.tiling
   in
-  let first = step ?tiling ?tileseek_iterations ?objective arch spec strategy ~kv_len:kv_lo in
+  let first = step ?tiling ?tileseek_iterations arch spec strategy ~kv_len:kv_lo in
   let last =
     if tiling = searched.Strategies.tiling then searched
-    else step ?tiling ?tileseek_iterations ?objective arch spec strategy ~kv_len:kv_hi
+    else step ?tiling ?tileseek_iterations arch spec strategy ~kv_len:kv_hi
   in
   let latency_of (r : Strategies.result) = r.Strategies.latency.Latency.total_s in
   let gen = float_of_int spec.Generation.gen and batch = float_of_int spec.Generation.batch in

@@ -45,7 +45,6 @@ type metrics = {
 val step :
   ?tiling:Tileseek.config ->
   ?tileseek_iterations:int ->
-  ?objective:Strategies.objective ->
   Tf_arch.Arch.t ->
   Tf_workloads.Generation.t ->
   Strategies.t ->
@@ -57,7 +56,6 @@ val step :
 
 val evaluate :
   ?tileseek_iterations:int ->
-  ?objective:Strategies.objective ->
   Tf_arch.Arch.t ->
   Tf_workloads.Generation.t ->
   Strategies.t ->

@@ -3,6 +3,14 @@ module Dag = Tf_dag.Dag
 module Topo = Tf_dag.Topo
 module Partition = Tf_dag.Partition
 
+(* The search bounds (documented in dpipe.mli): pipeline epochs unrolled,
+   bipartitions enumerated, the most load-balanced of those evaluated,
+   and topological orders tried per bipartition. *)
+let epochs = 8
+let partition_limit = 512
+let eval_partitions = 16
+let order_limit = 4
+
 type assignment = {
   node : int;
   epoch : int;
@@ -362,8 +370,7 @@ let candidate_stage ctx partition =
       List.iter (fun id -> stage.(Hashtbl.find ctx.index_of id) <- 1) p.Partition.second);
   stage
 
-let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(order_limit = 4)
-    ?(mode = `Dp) ?(verify = false) arch ~load ~matrix g =
+let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix g =
   if Dag.node_count g = 0 then invalid_arg "Dpipe.schedule: empty DAG";
   if not (Dag.is_acyclic g) then invalid_arg "Dpipe.schedule: cyclic graph";
   Tf_obs.Counter.incr m_schedules;
@@ -528,9 +535,8 @@ let pp ppf t =
     t.assignments
 
 module Private = struct
-  let steady_consistency_check ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16)
-      ?(order_limit = 4) ?(mode = `Dp) arch ~load ~matrix g =
-    let ctx = build_ctx arch ~load ~matrix ~mode g in
+  let steady_consistency_check arch ~load ~matrix g =
+    let ctx = build_ctx arch ~load ~matrix ~mode:`Dp g in
     let partitions = Partition.enumerate ~limit:partition_limit g in
     let selected =
       List.filteri (fun i _ -> i < eval_partitions) partitions |> List.map (fun p -> Some p)
@@ -559,11 +565,8 @@ module Private = struct
             (* Reference: two independent DP runs, as the pre-refactor
                [evaluate_candidate] performed. *)
             let mk_ref, _, _ = run eh in
-            let steady_ref =
-              if epochs > eh then Float.max 0. ((mk -. mk_ref) /. float_of_int (epochs - eh))
-              else mk
-            in
-            (epochs <= eh || mk_half = mk_ref) && steady = steady_ref)
+            let steady_ref = Float.max 0. ((mk -. mk_ref) /. float_of_int (epochs - eh)) in
+            mk_half = mk_ref && steady = steady_ref)
           orders)
       candidates
 end

@@ -44,10 +44,6 @@ type t = {
 }
 
 val schedule :
-  ?epochs:int ->
-  ?partition_limit:int ->
-  ?eval_partitions:int ->
-  ?order_limit:int ->
   ?mode:[ `Dp | `Static of int -> Tf_arch.Arch.resource ] ->
   ?verify:bool ->
   Tf_arch.Arch.t ->
@@ -55,9 +51,11 @@ val schedule :
   matrix:(int -> bool) ->
   'a Tf_dag.Dag.t ->
   t
-(** Defaults: [epochs = 8] unrolled, [partition_limit = 512] candidates of
-    which the [eval_partitions = 16] most load-balanced are DP-evaluated,
-    [order_limit = 4] topological orders each, [mode = `Dp].
+(** The search is bounded by four constants: the first 512 bipartitions
+    ({!Tf_dag.Partition.enumerate}) are ranked by stage load balance and
+    the 16 most balanced are DP-evaluated, each with up to 4 topological
+    orders ({!Tf_dag.Topo.all}), over a window of 8 unrolled epochs
+    ([epochs_unrolled]).  [mode] defaults to [`Dp].
 
     The (partition × order) candidate grid is evaluated across the
     {!Tf_parallel} domain pool, with branch-and-bound pruning against the
@@ -140,18 +138,14 @@ end
 (** Testing hooks — not part of the stable API. *)
 module Private : sig
   val steady_consistency_check :
-    ?epochs:int ->
-    ?partition_limit:int ->
-    ?eval_partitions:int ->
-    ?order_limit:int ->
-    ?mode:[ `Dp | `Static of int -> Tf_arch.Arch.resource ] ->
     Tf_arch.Arch.t ->
     load:(int -> float) ->
     matrix:(int -> bool) ->
     'a Tf_dag.Dag.t ->
     bool
-  (** For every candidate of the grid, check that the single-pass
-      (full + half) makespan computation agrees exactly with two
-      independent DP runs — the steady-interval estimate is unchanged
-      by the one-pass optimisation. *)
+  (** For every [`Dp] candidate within {!schedule}'s search bounds
+      (bipartitions in enumeration order rather than ranked), check that
+      the single-pass (full + half) makespan computation agrees exactly
+      with two independent DP runs — the steady-interval estimate is
+      unchanged by the one-pass optimisation. *)
 end

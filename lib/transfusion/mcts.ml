@@ -34,7 +34,10 @@ let m_rollouts = Tf_obs.Counter.create ~help:"MCTS selection+rollout iterations"
 let m_terminals =
   Tf_obs.Counter.create ~help:"terminal paths evaluated (reward calls)" "mcts.terminals_total"
 
-let ucb1 ~exploration ~parent_visits node =
+(* The UCB1 exploration constant. *)
+let exploration = Float.sqrt 2.
+
+let ucb1 ~parent_visits node =
   if node.visits = 0 then infinity
   else
     (node.total_reward /. float_of_int node.visits)
@@ -62,7 +65,7 @@ let tree_shape root =
   in
   (!max_depth, mean_branching)
 
-let search ?(exploration = Float.sqrt 2.) ?probe ~rng ~iterations problem =
+let search ?probe ~rng ~iterations problem =
   let root = make_node (problem.actions []) in
   let best = ref None in
   let terminals = ref 0 in
@@ -94,7 +97,7 @@ let search ?(exploration = Float.sqrt 2.) ?probe ~rng ~iterations problem =
             let _, (action, child) =
               List.fold_left
                 (fun (best_score, best_child) (a, c) ->
-                  let score = ucb1 ~exploration ~parent_visits:node.visits c in
+                  let score = ucb1 ~parent_visits:node.visits c in
                   if score > best_score then (score, (a, c)) else (best_score, best_child))
                 (Float.neg_infinity, List.hd children)
                 children

@@ -3,8 +3,8 @@
     The search tree is defined by a {!problem}: from any root-to-node path
     of actions, [actions] lists the next decisions (the empty list marks a
     terminal = complete configuration) and [reward] scores a terminal path
-    (higher is better, ideally O(1) scale so the default exploration
-    constant is meaningful).
+    (higher is better, ideally O(1) scale so the UCB1 exploration
+    constant [sqrt 2] is meaningful).
 
     One iteration performs the four MCTS steps: UCB1 {e selection} down the
     tree, {e expansion} of one untried action, a uniformly random
@@ -40,7 +40,6 @@ type probe = {
     report (best-reward-vs-rollout curve, tree growth). *)
 
 val search :
-  ?exploration:float ->
   ?probe:(probe -> unit) ->
   rng:Random.State.t ->
   iterations:int ->
@@ -48,8 +47,7 @@ val search :
   ('action list * float) option * stats
 (** [search ~rng ~iterations problem] returns the best terminal path and
     its reward, or [None] when the root itself is terminal or no terminal
-    was reached.  [exploration] is the UCB1 constant (default [sqrt 2]).
-    [probe], when given, is invoked once
-    at the end of every iteration with the progress so far; it observes
-    the search without influencing it, so the result is identical with or
-    without it.  Deterministic for a given [rng] state. *)
+    was reached.  [probe], when given, is invoked once at the end of
+    every iteration with the progress so far; it observes the search
+    without influencing it, so the result is identical with or without
+    it.  Deterministic for a given [rng] state. *)

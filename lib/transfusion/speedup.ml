@@ -30,11 +30,3 @@ let attribute ~baseline ~optimized =
         contribution = (if denom > 0. then speedup *. baseline_s /. denom else 0.);
       })
     raw
-
-let pp ppf entries =
-  List.iter
-    (fun e ->
-      Fmt.pf ppf "%-10s base=%.3es opt=%.3es speedup=%.2fx contribution=%.1f%%@."
-        (Phase.layer_kind_to_string e.kind)
-        e.baseline_s e.optimized_s e.speedup (100. *. e.contribution))
-    entries

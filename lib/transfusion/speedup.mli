@@ -21,5 +21,3 @@ val attribute :
 (** One entry per bucket in QKV, MHA, LayerNorm, FFN order.  Buckets with
     zero baseline time get zero contribution.  Contributions sum to 1 when
     any bucket is non-trivial. *)
-
-val pp : entry list Fmt.t

@@ -807,8 +807,7 @@ let phases ?tiling ?(tileseek_iterations = 200) ?attention ?include_ffn ?layers 
   | Fusemax_layerfuse -> fused_phases layerfuse_choice ?tiling ~tileseek_iterations ctx
   | Transfusion -> fused_phases transfusion_choice ?tiling ~tileseek_iterations ctx
 
-let evaluate ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective arch w
-    strategy =
+let evaluate ?tiling ?tileseek_iterations ?attention ?layers ?objective arch w strategy =
   Tf_obs.Trace.with_span ~cat:"strategy"
     ~args:
       [
@@ -820,7 +819,7 @@ let evaluate ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objec
     "strategy.evaluate"
   @@ fun () ->
   let phase_list, config =
-    phases ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective arch w strategy
+    phases ?tiling ?tileseek_iterations ?attention ?layers ?objective arch w strategy
   in
   let latency = Latency.evaluate arch phase_list in
   let traffic = Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list) in
@@ -842,16 +841,16 @@ module Private = struct
      true per-candidate scoring cost; [transfusion_cost_reference] is
      the cold path through full phase construction, [Latency.evaluate]
      and [Traffic.sum] — the two must agree bit for bit. *)
-  let transfusion_scorer ?attention ?objective arch w =
-    let st = make_eval_state (make_ctx ?attention ?objective arch w) in
+  let transfusion_scorer arch w =
+    let st = make_eval_state (make_ctx arch w) in
     score transfusion_choice st
 
   let cold_phase ctx config = choice_phase (transfusion_choice (make_eval_state ctx) config)
 
-  let transfusion_cost_reference ?attention ?objective arch w config =
-    let ctx = make_ctx ?attention ?objective arch w in
+  let transfusion_cost_reference arch w config =
+    let ctx = make_ctx arch w in
     tiling_cost ctx [ cold_phase ctx config ]
 
-  let transfusion_phase_cold ?attention ?objective arch w config =
-    cold_phase (make_ctx ?attention ?objective arch w) config
+  let transfusion_phase_cold arch w config =
+    cold_phase (make_ctx arch w) config
 end

@@ -119,7 +119,6 @@ val evaluate :
   ?tiling:Tileseek.config ->
   ?tileseek_iterations:int ->
   ?attention:attention ->
-  ?include_ffn:bool ->
   ?layers:int ->
   ?objective:objective ->
   Tf_arch.Arch.t ->
@@ -187,8 +186,6 @@ module Private : sig
       Exposed for the DPipe static-mode microbench. *)
 
   val transfusion_scorer :
-    ?attention:attention ->
-    ?objective:objective ->
     Tf_arch.Arch.t ->
     Tf_workloads.Workload.t ->
     Tileseek.config ->
@@ -199,8 +196,6 @@ module Private : sig
       probe).  Partial application builds the state once. *)
 
   val transfusion_cost_reference :
-    ?attention:attention ->
-    ?objective:objective ->
     Tf_arch.Arch.t ->
     Tf_workloads.Workload.t ->
     Tileseek.config ->
@@ -210,8 +205,6 @@ module Private : sig
       {!transfusion_scorer} by construction; tests enforce it. *)
 
   val transfusion_phase_cold :
-    ?attention:attention ->
-    ?objective:objective ->
     Tf_arch.Arch.t ->
     Tf_workloads.Workload.t ->
     Tileseek.config ->

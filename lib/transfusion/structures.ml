@@ -5,14 +5,14 @@ type sublayer = { attention : Strategies.attention; include_ffn : bool }
 
 type t = { name : string; sublayers : sublayer list; layers : int }
 
-let encoder ?layers (m : Model.t) =
+let encoder (m : Model.t) =
   {
     name = m.Model.name ^ "-encoder";
     sublayers = [ { attention = Strategies.Self; include_ffn = true } ];
-    layers = Option.value layers ~default:m.Model.layers;
+    layers = m.Model.layers;
   }
 
-let decoder ?layers ~encoder_len (m : Model.t) =
+let decoder ~encoder_len (m : Model.t) =
   {
     name = m.Model.name ^ "-decoder";
     sublayers =
@@ -20,7 +20,7 @@ let decoder ?layers ~encoder_len (m : Model.t) =
         { attention = Strategies.Causal_self; include_ffn = false };
         { attention = Strategies.Cross { kv_len = encoder_len }; include_ffn = true };
       ];
-    layers = Option.value layers ~default:m.Model.layers;
+    layers = m.Model.layers;
   }
 
 let decoder_only ?layers (m : Model.t) =
@@ -30,8 +30,7 @@ let decoder_only ?layers (m : Model.t) =
     layers = Option.value layers ~default:m.Model.layers;
   }
 
-let encoder_decoder ?layers (m : Model.t) ~seq_len =
-  [ encoder ?layers m; decoder ?layers ~encoder_len:seq_len m ]
+let encoder_decoder (m : Model.t) ~seq_len = [ encoder m; decoder ~encoder_len:seq_len m ]
 
 type result = {
   structure : t;
@@ -58,5 +57,3 @@ let evaluate ?tileseek_iterations arch w structure strategy =
 let total_seconds results =
   List.fold_left (fun acc r -> acc +. r.latency.Latency.total_s) 0. results
 
-let total_energy_pj results =
-  List.fold_left (fun acc r -> acc +. Energy.total_pj r.energy) 0. results

@@ -20,18 +20,18 @@ type t = {
   layers : int;
 }
 
-val encoder : ?layers:int -> Tf_workloads.Model.t -> t
-(** The standard encoder: one self-attention + FFN sublayer per layer.
-    [layers] defaults to the model's depth. *)
+val encoder : Tf_workloads.Model.t -> t
+(** The standard encoder: one self-attention + FFN sublayer in each of
+    the model's layers. *)
 
-val decoder : ?layers:int -> encoder_len:int -> Tf_workloads.Model.t -> t
+val decoder : encoder_len:int -> Tf_workloads.Model.t -> t
 (** The standard decoder: masked self-attention, then cross-attention
     over an encoder output of [encoder_len] tokens with the FFN. *)
 
 val decoder_only : ?layers:int -> Tf_workloads.Model.t -> t
 (** GPT-style stack: masked self-attention + FFN per layer. *)
 
-val encoder_decoder : ?layers:int -> Tf_workloads.Model.t -> seq_len:int -> t list
+val encoder_decoder : Tf_workloads.Model.t -> seq_len:int -> t list
 (** A T5-style pair: the encoder over [seq_len] tokens and the decoder
     cross-attending to it.  Evaluate each and add. *)
 
@@ -55,5 +55,3 @@ val evaluate :
 
 val total_seconds : result list -> float
 (** Sum of latencies, e.g. over an encoder-decoder pair. *)
-
-val total_energy_pj : result list -> float

@@ -124,7 +124,7 @@ let sp_fallback sp =
       (Fmt.str "Tileseek.fallback: minimal tile does not fit %s for %a" sp.arch.Arch.name
          Workload.pp sp.w)
 
-let fallback ?kv_len ?decode arch w = sp_fallback (space ?kv_len ?decode arch w)
+let fallback arch w = sp_fallback (space arch w)
 
 (* Shrink a configuration's key/value tile until it divides a different
    cache length (powers of two, so halving converges): decode evaluations
@@ -208,7 +208,7 @@ let greedy ?kv_len ?decode arch w = greedy_with (space ?kv_len ?decode arch w) ~
 let sp_greedy_variants sp =
   [ greedy_with sp ~m0_first:false; greedy_with sp ~m0_first:true; greedy_balanced sp ]
 
-let greedy_variants ?kv_len ?decode arch w = sp_greedy_variants (space ?kv_len ?decode arch w)
+let greedy_variants arch w = sp_greedy_variants (space arch w)
 
 (* The (query tile, key/value tile) grid — the two dimensions that trade
    residency against running-state update cost — from the fallback: every
@@ -276,8 +276,8 @@ let memoize_cost ?hits ?misses f =
         Hashtbl.add tbl c v;
         v
 
-let pareto ?(iterations = 200) ?kv_len ?decode arch w ~latency ~energy () =
-  let sp = space ?kv_len ?decode arch w in
+let pareto ?(iterations = 200) arch w ~latency ~energy () =
+  let sp = space arch w in
   let latency = memoize_cost latency and energy = memoize_cost energy in
   (* Candidate pool: the full grid plus random completions. *)
   let pool = ref (grid_candidates sp) in

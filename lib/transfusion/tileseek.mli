@@ -38,10 +38,11 @@ val feasible : ?kv_len:int -> ?decode:bool -> Tf_arch.Arch.t -> Tf_workloads.Wor
     the workload's sequence) is the key/value sequence the [m1*m0] slice
     must divide — the cache length for a decode step; [decode] (default
     false) additionally charges the in-flight KV-cache tile
-    ({!Buffer_req.fits_decode}).  Every search entry point below takes
-    the same two parameters with the same meaning: the query-tile menu
-    stays bound to the workload's own (query) sequence while the
-    key/value-tile menus follow [kv_len]. *)
+    ({!Buffer_req.fits_decode}).  {!greedy} and {!search} take the same
+    two parameters with the same meaning: the query-tile menu stays bound
+    to the workload's own (query) sequence while the key/value-tile menus
+    follow [kv_len].  {!fallback}, {!greedy_variants} and {!pareto}
+    search the workload's own sequence without the decode charge. *)
 
 val clamp_kv : config -> kv_len:int -> config
 (** Shrink [m0] (and then [m1]) by halving until [m0] and [m1*m0] divide
@@ -49,7 +50,7 @@ val clamp_kv : config -> kv_len:int -> config
     another.  Identity when the tiles already divide [kv_len].
     @raise Invalid_argument on non-positive [kv_len]. *)
 
-val fallback : ?kv_len:int -> ?decode:bool -> Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config
+val fallback : Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config
 (** A conservative feasible configuration found by shrinking every factor
     (used to seed reward normalisation and as the result of last resort).
     @raise Invalid_argument if even the minimal configuration does not
@@ -61,15 +62,12 @@ val greedy : ?kv_len:int -> ?decode:bool -> Tf_arch.Arch.t -> Tf_workloads.Workl
     to the largest feasible option.  This is the tiling discipline the
     FuseMax+LayerFuse ablation uses — inter-layer fusion without search. *)
 
-val greedy_variants :
-  ?kv_len:int -> ?decode:bool -> Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config list
+val greedy_variants : Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config list
 (** The greedy growth orders (query-tile-first, key/value-tile-first, and
     balanced alternation); callers evaluate and keep the best. *)
 
 val pareto :
   ?iterations:int ->
-  ?kv_len:int ->
-  ?decode:bool ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   latency:(config -> float) ->

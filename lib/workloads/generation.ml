@@ -12,8 +12,7 @@ let kv_last t = t.prompt + t.gen
 let label t =
   Printf.sprintf "%s+%s" (Workload.label_of_seq t.prompt) (Workload.label_of_seq t.gen)
 
-let sweep ?batch ?gen model =
-  List.map (fun (_, prompt) -> v ?batch ?gen model ~prompt) Workload.seq_labels
+let sweep model = List.map (fun (_, prompt) -> v model ~prompt) Workload.seq_labels
 
 let pp ppf t =
   Fmt.pf ppf "%a prompt=%s gen=%d batch=%d" Model.pp t.model

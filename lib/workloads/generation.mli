@@ -47,7 +47,8 @@ val kv_last : t -> int
 val label : t -> string
 (** ["64K+512"]-style label (prompt label + generated tokens). *)
 
-val sweep : ?batch:int -> ?gen:int -> Model.t -> t list
-(** The model across the paper's prompt-length sweep. *)
+val sweep : Model.t -> t list
+(** The model across the paper's prompt-length sweep, at the default
+    batch and generation length of {!v}. *)
 
 val pp : t Fmt.t

@@ -8,10 +8,8 @@ let default_m0 seq_len =
   let rec grow m0 = if m0 * 2 <= 256 && seq_len mod (m0 * 2) = 0 then grow (m0 * 2) else m0 in
   if seq_len mod 2 = 0 then grow 2 else 1
 
-let extents ?m0 t =
-  let m0 = match m0 with Some m0 -> m0 | None -> default_m0 t.seq_len in
-  if m0 < 1 || t.seq_len mod m0 <> 0 then
-    invalid_arg (Printf.sprintf "Workload.extents: m0=%d does not divide seq_len=%d" m0 t.seq_len);
+let extents t =
+  let m0 = default_m0 t.seq_len in
   let m = t.model in
   Tf_einsum.Extents.of_list
     [
@@ -33,8 +31,6 @@ let label_of_seq n =
   match List.find_opt (fun (_, v) -> v = n) seq_labels with
   | Some (l, _) -> l
   | None -> string_of_int n
-
-let sweep ?batch model = List.map (fun (_, seq_len) -> v ?batch model ~seq_len) seq_labels
 
 let pp ppf t =
   Fmt.pf ppf "%a seq=%s batch=%d" Model.pp t.model (label_of_seq t.seq_len) t.batch

@@ -24,19 +24,14 @@ val default_m0 : int -> int
     so decode-regime callers can derive the tile of a {e cache} length
     that differs from the workload's own sequence. *)
 
-val extents : ?m0:int -> t -> Tf_einsum.Extents.t
-(** Extent environment over [b d p m1 m0 h e f s].  [m0] defaults to the
-    largest power of two that divides [seq_len] and is at most 256; [m1] is
-    [seq_len / m0].  @raise Invalid_argument if [m0] does not divide the
-    sequence length. *)
+val extents : t -> Tf_einsum.Extents.t
+(** Extent environment over [b d p m1 m0 h e f s], with [m0] the
+    {!default_m0} of [seq_len] and [m1 = seq_len / m0]. *)
 
 val seq_labels : (string * int) list
 (** The paper's sweep: [("1K", 1024); ...; ("1M", 1048576)]. *)
 
 val label_of_seq : int -> string
 (** "64K"-style label, falling back to the raw number. *)
-
-val sweep : ?batch:int -> Model.t -> t list
-(** The model across the full sequence sweep. *)
 
 val pp : t Fmt.t

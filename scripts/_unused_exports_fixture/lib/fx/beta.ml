@@ -1,0 +1,2 @@
+let size l = List.fold_left ( + ) 0 l
+let total l = 2 * size l

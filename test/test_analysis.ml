@@ -192,7 +192,7 @@ let test_strategy_result_names_flavour () =
   let r = S.evaluate ~tiling:fallback ~attention arch w S.Transfusion in
   (* 3 does not divide BERT's batch of 8. *)
   let bad = { r with S.tiling = Some { fallback with Tileseek.b = 3 } } in
-  match Diagnostic.by_code "E-TILE-DIVIDE" (Verify.strategy_result ~attention arch w bad) with
+  match Diagnostic.by_code "E-TILE-DIVIDE" (Verify.strategy_result ~attention bad) with
   | [] -> Alcotest.fail "expected E-TILE-DIVIDE"
   | d :: _ ->
       Alcotest.(check (option string)) "context" (Some "tiling(cloud/BERT/4096/cross(kv=4096))")

@@ -117,12 +117,14 @@ let test_dp_uses_both_arrays () =
     (sched.Dpipe.steady_interval_cycles < Dpipe.sequential_cycles balanced ~load ~matrix g)
 
 let test_total_cycles () =
-  let sched = Dpipe.schedule ~epochs:4 arch ~load:load2 ~matrix:matrix2 producer_consumer in
-  let t4 = Dpipe.total_cycles sched ~epochs:4. in
+  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 producer_consumer in
+  Alcotest.(check int) "8-epoch window" 8 sched.Dpipe.epochs_unrolled;
   let t8 = Dpipe.total_cycles sched ~epochs:8. in
-  Alcotest.(check (float 1e-9)) "exact at the unrolled count" sched.Dpipe.makespan_cycles t4;
-  Alcotest.(check (float 1e-9)) "linear extrapolation" (t4 +. (4. *. sched.Dpipe.steady_interval_cycles)) t8;
-  Alcotest.(check bool) "sub-window scales down" true (Dpipe.total_cycles sched ~epochs:2. < t4)
+  let t16 = Dpipe.total_cycles sched ~epochs:16. in
+  Alcotest.(check (float 1e-9)) "exact at the unrolled count" sched.Dpipe.makespan_cycles t8;
+  Alcotest.(check (float 1e-9))
+    "linear extrapolation" (t8 +. (8. *. sched.Dpipe.steady_interval_cycles)) t16;
+  Alcotest.(check bool) "sub-window scales down" true (Dpipe.total_cycles sched ~epochs:4. < t8)
 
 let test_check_detects_violations () =
   let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 producer_consumer in

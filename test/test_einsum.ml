@@ -114,7 +114,6 @@ let test_matrix_class () =
 
 let test_naming () =
   Alcotest.(check string) "default name" "Z" matmul.Einsum.name;
-  Alcotest.(check string) "rename" "other" (Einsum.rename "other" matmul).Einsum.name;
   Alcotest.(check string) "output tensor" "Z" (Einsum.output_tensor matmul);
   Alcotest.(check (list string)) "input tensors" [ "A"; "B" ] (Einsum.input_tensors matmul)
 

@@ -53,20 +53,6 @@ let test_jobs_one_is_sequential () =
   Alcotest.(check (list int)) "visited in order" (List.init 20 (fun i -> 19 - i)) !log;
   Alcotest.(check (array int)) "results" (Array.init 20 (fun i -> 2 * i)) out
 
-let test_map_reduce_deterministic () =
-  (* Float sum is non-associative, so this only passes because the
-     reduction is a sequential left fold over in-order results. *)
-  let input = Array.init 2000 (fun i -> 1. /. float_of_int (i + 1)) in
-  let expected = Array.fold_left ( +. ) 0. input in
-  List.iter
-    (fun jobs ->
-      let got = P.map_reduce ~jobs ~chunk:3 ~map:Fun.id ~reduce:( +. ) 0. input in
-      Alcotest.(check bool)
-        (Printf.sprintf "bit-identical sum at jobs=%d" jobs)
-        true
-        (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got)))
-    [ 1; 2; 4 ]
-
 let test_nested_map () =
   (* A map launched from inside a map degrades to sequential instead of
      deadlocking on the engine; results are still correct. *)
@@ -327,7 +313,6 @@ let () =
           quick "order preserved" test_order_preserved;
           quick "exception propagation" test_exception_propagates;
           quick "jobs=1 is sequential" test_jobs_one_is_sequential;
-          quick "map_reduce left fold" test_map_reduce_deterministic;
           quick "nested map degrades" test_nested_map;
         ] );
       ( "memo",

@@ -353,7 +353,7 @@ let prop_explain_and_verify_serve (arch, w, attention) =
   if served *. layers <> phase_cycles then
     Alcotest.failf "explain serves %s at %.17e x %.0f layers, the phase runs %.17e"
       name served layers phase_cycles;
-  let diags = Tf_analysis.Verify.strategy_result ~attention arch w r in
+  let diags = Tf_analysis.Verify.strategy_result ~attention r in
   if Tf_analysis.Diagnostic.has_errors diags then
     Alcotest.failf "served result fails verification: %s" (Tf_analysis.Diagnostic.summary diags)
 

@@ -41,8 +41,8 @@ let test_include_ffn () =
 
 (* Strategy-level flavours ----------------------------------------------- *)
 
-let eval ?attention ?include_ffn strategy =
-  Strategies.evaluate ~tileseek_iterations:40 ?attention ?include_ffn edge t5_4k strategy
+let eval ?attention strategy =
+  Strategies.evaluate ~tileseek_iterations:40 ?attention edge t5_4k strategy
 
 let test_causal_faster () =
   List.iter
@@ -104,7 +104,10 @@ let test_structure_evaluation () =
   let pair_total = Structures.total_seconds pair in
   Alcotest.(check bool) "pair exceeds the encoder" true
     (pair_total > enc.Structures.latency.Latency.total_s);
-  Alcotest.(check bool) "pair energy positive" true (Structures.total_energy_pj pair > 0.)
+  let pair_energy =
+    List.fold_left (fun acc r -> acc +. Tf_costmodel.Energy.total_pj r.Structures.energy) 0. pair
+  in
+  Alcotest.(check bool) "pair energy positive" true (pair_energy > 0.)
 
 let test_structure_strategy_ordering () =
   let m = Tf_workloads.Presets.t5 in
