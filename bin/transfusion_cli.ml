@@ -16,6 +16,7 @@ module Strategies = Transfusion.Strategies
 module Latency = Tf_costmodel.Latency
 module Energy = Tf_costmodel.Energy
 module Json = Tf_json
+module Request = Tf_serve.Request
 
 (* Every file-output flag below accepts "-" to mean stdout: JSON goes to
    stdout verbatim (nothing else is printed around it), a real path gets
@@ -30,52 +31,44 @@ let emit ~what path contents =
 
 let emit_json ~what path doc = emit ~what path (Json.to_string doc)
 
-let arch_conv =
+(* The request table's entries as Cmdliner arguments: the flags,
+   defaults, preset errors and [>= 1] checks the daemon's [schedule],
+   [explain] and [decode] read, defined once in {!Tf_serve.Request}. *)
+let preset_conv (p : _ Request.preset) =
+  let parse s = Result.map_error (fun m -> `Msg m) (Request.parse_preset p s) in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (p.Request.name v))
+
+let count_conv key =
   let parse s =
-    match Tf_arch.Presets.by_name s with
-    | Some a -> Ok a
-    | None -> Error (`Msg (Printf.sprintf "unknown architecture %S (cloud|edge|edge_32|edge_64)" s))
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        Result.map_error (fun m -> `Msg m) (Request.check_count key n))
   in
-  Arg.conv (parse, fun ppf (a : Tf_arch.Arch.t) -> Fmt.string ppf a.Tf_arch.Arch.name)
+  Arg.conv (parse, Arg.conv_printer Arg.int)
 
-let model_conv =
-  let parse s =
-    match Tf_workloads.Presets.by_name s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown model %S (BERT|TrXL|T5|XLM|Llama3)" s))
-  in
-  Arg.conv (parse, fun ppf (m : Tf_workloads.Model.t) -> Fmt.string ppf m.Tf_workloads.Model.name)
+let arg : type a. a Request.field -> a Term.t =
+ fun f ->
+  let i = Arg.info f.Request.flags ~docv:f.docv ~doc:f.doc in
+  match f.kind with
+  | Request.Count -> Arg.(value & opt (count_conv f.key) f.default i)
+  | Request.Int -> Arg.(value & opt int f.default i)
+  | Request.Flag -> Arg.(value & flag i)
+  | Request.Preset p -> Arg.(value & opt (preset_conv p) f.default i)
+  | Request.Presets (p, _) ->
+      Term.(
+        const (function [] -> f.default | l -> l) $ Arg.(value & opt_all (preset_conv p) [] i))
 
-let strategy_conv =
-  let parse s =
-    match Strategies.of_name s with
-    | Some t -> Ok t
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown strategy %S (%s)" s
-                (String.concat "|" (List.map Strategies.name Strategies.all))))
-  in
-  Arg.conv (parse, Strategies.pp_name)
+let rec request_term : type a. a Request.spec -> a Term.t = function
+  | Request.Const v -> Term.const v
+  | Request.Field (s, f) -> Term.(request_term s $ arg f)
 
-let arch_arg =
-  Arg.(value & opt arch_conv Tf_arch.Presets.cloud & info [ "a"; "arch" ] ~docv:"ARCH" ~doc:"Architecture preset.")
+let arch_arg = arg Request.arch
+let model_arg = arg Request.model
+let seq_arg = arg Request.seq
+let batch_arg = arg Request.batch
+let iterations_arg = arg Request.iterations
+let quick_arg = arg Request.quick
 
-let model_arg =
-  Arg.(
-    value
-    & opt model_conv Tf_workloads.Presets.llama3
-    & info [ "m"; "model" ] ~docv:"MODEL" ~doc:"Model preset.")
-
-let seq_arg =
-  Arg.(value & opt int 65536 & info [ "s"; "seq" ] ~docv:"LEN" ~doc:"Sequence length.")
-
-let batch_arg = Arg.(value & opt int 64 & info [ "b"; "batch" ] ~docv:"N" ~doc:"Batch size.")
-
-let iterations_arg =
-  Arg.(value & opt int 200 & info [ "iterations" ] ~docv:"N" ~doc:"TileSeek MCTS iterations.")
-
-let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sequence sweep.")
+let json_arg doc = Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 (* Observability wrapper shared by every subcommand: [--trace FILE]
    and/or [--metrics] turn {!Tf_obs} on around the run, then write the
@@ -111,7 +104,12 @@ let obs_term =
   in
   Term.(const make $ trace_arg $ metrics_arg)
 
-let workload model seq batch = Tf_workloads.Workload.v ~batch model ~seq_len:seq
+(* A subcommand whose [term] yields its run, wrapped by [obs_term]. *)
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) Term.(const ( @@ ) $ obs_term $ term)
+
+let workload_arg =
+  let workload model seq batch = Tf_workloads.Workload.v ~batch model ~seq_len:seq in
+  Term.(const workload $ model_arg $ seq_arg $ batch_arg)
 
 let print_result (r : Strategies.result) =
   Fmt.pr "strategy : %a@." Strategies.pp_name r.Strategies.strategy;
@@ -147,46 +145,27 @@ let write_sim_trace ?attention ~tiling arch w path =
       with Invalid_argument msg -> Fmt.epr "sim-trace skipped: %s@." msg)
 
 let eval_cmd =
-  let run obs arch model seq batch strategy iterations json sim_trace =
-    obs @@ fun () ->
-    let w = workload model seq batch in
-    let r = Strategies.evaluate ~tileseek_iterations:iterations arch w strategy in
+  let run req json sim_trace () =
+    (* One memoised, verified evaluation feeds the summary and the
+       document the daemon's [schedule] serves. *)
+    let r = Tf_serve.Api.schedule req in
     if json <> Some "-" then print_result r;
-    (match json with
-    | Some path ->
-        (* Through the shared builder, so the document is bit-identical
-           to the daemon's [schedule] response for the same point. *)
-        emit_json ~what:"eval JSON" path (Tf_serve.Api.eval_doc ~iterations arch w strategy)
-    | None -> ());
-    match sim_trace with
-    | None -> ()
-    | Some path -> write_sim_trace ~tiling:r.Strategies.tiling arch w path
+    Option.iter (fun path -> emit_json ~what:"eval JSON" path (Tf_serve.Api.result_json r)) json;
+    Option.iter
+      (write_sim_trace ~tiling:r.Strategies.tiling r.Strategies.arch r.Strategies.workload)
+      sim_trace
   in
-  let strategy_arg =
-    Arg.(
-      value
-      & opt strategy_conv Strategies.Transfusion
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"Scheduler to evaluate.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the result as a transfusion.eval/1 JSON document to $(docv) (\"-\" for \
-             stdout, suppressing the human summary).")
-  in
-  Cmd.v
-    (Cmd.info "eval" ~doc:"Evaluate one scheduling strategy on one workload")
+  cmd "eval" ~doc:"Evaluate one scheduling strategy on one workload"
     Term.(
-      const run $ obs_term $ arch_arg $ model_arg $ seq_arg $ batch_arg $ strategy_arg
-      $ iterations_arg $ json_arg $ sim_trace_arg)
+      const run $ request_term Request.Schedule.spec
+      $ json_arg
+          "Also write the result as a transfusion.eval/1 JSON document to $(docv) (\"-\" for \
+           stdout, suppressing the human summary)."
+      $ sim_trace_arg)
 
 let serve_cmd =
-  let run obs socket tcp cache_dir cache_entries grid access_log access_log_max_bytes
-      access_log_max_files sample_interval window =
-    obs @@ fun () ->
+  let run socket tcp cache_dir cache_entries grid access_log access_log_max_bytes
+      access_log_max_files sample_interval window () =
     let config =
       {
         Tf_serve.Server.socket_path = socket;
@@ -272,31 +251,26 @@ let serve_cmd =
       value & opt int 120
       & info [ "window" ] ~docv:"N" ~doc:"Telemetry window capacity, in samples.")
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the persistent scheduling daemon (newline-delimited JSON over a Unix socket; see \
-          README for the wire protocol)")
+  cmd "serve"
+    ~doc:
+      "Run the persistent scheduling daemon (newline-delimited JSON over a Unix socket; see \
+       README for the wire protocol)"
     Term.(
-      const run $ obs_term $ socket_arg $ tcp_arg $ cache_dir_arg $ cache_entries_arg $ grid_arg
+      const run $ socket_arg $ tcp_arg $ cache_dir_arg $ cache_entries_arg $ grid_arg
       $ access_log_arg $ access_log_max_bytes_arg $ access_log_max_files_arg
       $ sample_interval_arg $ window_arg)
 
 let sweep_cmd =
-  let run obs arch model quick =
-    obs @@ fun () ->
+  let run arch model quick () =
     Tf_experiments.Fig8_speedup.print
       ~title:(Printf.sprintf "Speedup over Unfused: %s" model.Tf_workloads.Model.name)
       (Tf_experiments.Fig8_speedup.scaling ~quick [ arch ] model)
   in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Speedup table across the sequence sweep")
-    Term.(const run $ obs_term $ arch_arg $ model_arg $ quick_arg)
+  cmd "sweep" ~doc:"Speedup table across the sequence sweep"
+    Term.(const run $ arch_arg $ model_arg $ quick_arg)
 
 let search_cmd =
-  let run obs arch model seq batch iterations =
-    obs @@ fun () ->
-    let w = workload model seq batch in
+  let run arch w iterations () =
     let config, stats = Strategies.search ~iterations arch w in
     Fmt.pr "TileSeek result: %a@." Transfusion.Tileseek.pp_config config;
     Fmt.pr "buffer need: %.0f elements of %d available@."
@@ -309,14 +283,11 @@ let search_cmd =
       (Strategies.evaluate ~tiling:config arch w Strategies.Transfusion).Strategies.latency
         .Latency.total_s
   in
-  Cmd.v
-    (Cmd.info "search" ~doc:"Run TileSeek outer-tiling search")
-    Term.(const run $ obs_term $ arch_arg $ model_arg $ seq_arg $ batch_arg $ iterations_arg)
+  cmd "search" ~doc:"Run TileSeek outer-tiling search"
+    Term.(const run $ arch_arg $ workload_arg $ iterations_arg)
 
 let schedule_cmd =
-  let run obs arch model seq batch =
-    obs @@ fun () ->
-    let w = workload model seq batch in
+  let run arch w () =
     let { Transfusion.Layer_costs.load; matrix; dag = g; totals = arr; _ } =
       Strategies.layer_problem w
     in
@@ -342,53 +313,31 @@ let schedule_cmd =
          ~label:(fun n -> arr.(n).Transfusion.Layer_costs.op.Tf_einsum.Einsum.name)
          sched)
   in
-  Cmd.v
-    (Cmd.info "schedule" ~doc:"Show the DPipe schedule of the fused layer")
-    Term.(const run $ obs_term $ arch_arg $ model_arg $ seq_arg $ batch_arg)
+  cmd "schedule" ~doc:"Show the DPipe schedule of the fused layer"
+    Term.(const run $ arch_arg $ workload_arg)
 
 let explain_cmd =
-  let run obs arch model seq batch iterations seed causal json sim_trace =
-    obs @@ fun () ->
-    let w = workload model seq batch in
-    let attention = if causal then Strategies.Causal_self else Strategies.Self in
-    let e = Tf_report.Explain.run ~iterations ~seed ~attention arch w in
+  let run req json sim_trace () =
+    let e = Tf_serve.Api.explain req in
     (* With --json - the document owns stdout; the human table would
        corrupt it. *)
     if json <> Some "-" then print_string (Tf_report.Explain.render e);
-    (match json with
-    | Some path -> emit_json ~what:"explain JSON" path (Tf_report.Explain.to_json e)
-    | None -> ());
-    match sim_trace with
-    | Some path -> emit_json ~what:"sim trace" path (Tf_report.Explain.trace e)
-    | None -> ()
+    Option.iter (fun path -> emit_json ~what:"explain JSON" path (Tf_report.Explain.to_json e)) json;
+    Option.iter (fun path -> emit_json ~what:"sim trace" path (Tf_report.Explain.trace e)) sim_trace
   in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"TileSeek search seed.")
-  in
-  let causal_arg =
-    Arg.(value & flag & info [ "causal" ] ~doc:"Use causal (masked decoder) self-attention.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the report as a transfusion.explain/1 JSON document to $(docv) (\"-\" for \
-             stdout, suppressing the table).")
-  in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Search a TransFusion tiling, simulate its DPipe schedule and report per-Einsum \
-          bottlenecks, stall attribution, buffer occupancy and search convergence")
+  cmd "explain"
+    ~doc:
+      "Search a TransFusion tiling, simulate its DPipe schedule and report per-Einsum \
+       bottlenecks, stall attribution, buffer occupancy and search convergence"
     Term.(
-      const run $ obs_term $ arch_arg $ model_arg $ seq_arg $ batch_arg $ iterations_arg
-      $ seed_arg $ causal_arg $ json_arg $ sim_trace_arg)
+      const run $ request_term Request.Explain.spec
+      $ json_arg
+          "Also write the report as a transfusion.explain/1 JSON document to $(docv) (\"-\" for \
+           stdout, suppressing the table)."
+      $ sim_trace_arg)
 
 let figures_cmd =
-  let run obs quick =
-    obs @@ fun () ->
+  let run quick () =
     let module E = Tf_experiments in
     let archs = [ Tf_arch.Presets.cloud; Tf_arch.Presets.edge ] in
     let llama3 = Tf_workloads.Presets.llama3 in
@@ -415,13 +364,11 @@ let figures_cmd =
     Tf_experiments.Exp_common.print_header "Headline geomeans (Section 6.2)";
     List.iter (fun arch -> E.Headline.print (E.Headline.compute ~quick arch)) archs
   in
-  Cmd.v
-    (Cmd.info "figures" ~doc:"Regenerate the paper's figures")
-    Term.(const run $ obs_term $ quick_arg)
+  cmd "figures" ~doc:"Regenerate the paper's figures"
+    Term.(const run $ quick_arg)
 
 let ablations_cmd =
-  let run obs model =
-    obs @@ fun () ->
+  let run model () =
     let module E = Tf_experiments in
     E.Ablations.print_dpipe (E.Ablations.dpipe model);
     E.Ablations.print_tileseek (E.Ablations.tileseek model);
@@ -429,26 +376,22 @@ let ablations_cmd =
     E.Ablations.print_batch (E.Ablations.batch model);
     E.Ablations.print_objectives (E.Ablations.objectives model)
   in
-  Cmd.v
-    (Cmd.info "ablations" ~doc:"Run the design-choice ablation studies")
-    Term.(const run $ obs_term $ model_arg)
+  cmd "ablations" ~doc:"Run the design-choice ablation studies"
+    Term.(const run $ model_arg)
 
 let structures_cmd =
-  let run obs arch model seq =
-    obs @@ fun () ->
+  let run arch model seq () =
     Tf_experiments.Exp_structures.print
       ~title:
         (Printf.sprintf "Encoder / decoder / encoder-decoder: %s on %s"
            model.Tf_workloads.Model.name arch.Tf_arch.Arch.name)
       (Tf_experiments.Exp_structures.run ~seq arch model)
   in
-  Cmd.v
-    (Cmd.info "structures" ~doc:"Evaluate encoder/decoder/hybrid structures")
-    Term.(const run $ obs_term $ arch_arg $ model_arg $ seq_arg)
+  cmd "structures" ~doc:"Evaluate encoder/decoder/hybrid structures"
+    Term.(const run $ arch_arg $ model_arg $ seq_arg)
 
 let cascade_cmd =
-  let run obs arch file extents_spec =
-    obs @@ fun () ->
+  let run arch file extents_spec () =
     let contents =
       let ic = open_in file in
       Fun.protect
@@ -510,14 +453,11 @@ let cascade_cmd =
   let extent_arg =
     Arg.(value & opt_all string [] & info [ "extent" ] ~docv:"NAME=VALUE" ~doc:"Index extent binding (repeatable; default 64).")
   in
-  Cmd.v
-    (Cmd.info "cascade" ~doc:"Parse, analyze and DPipe-schedule a cascade file")
-    Term.(const run $ obs_term $ arch_arg $ file_arg $ extent_arg)
+  cmd "cascade" ~doc:"Parse, analyze and DPipe-schedule a cascade file"
+    Term.(const run $ arch_arg $ file_arg $ extent_arg)
 
 let pareto_cmd =
-  let run obs arch model seq batch iterations =
-    obs @@ fun () ->
-    let w = workload model seq batch in
+  let run arch w iterations () =
     let measure config =
       let phases, _ = Strategies.phases ~tiling:config arch w Strategies.Transfusion in
       let lat = (Latency.evaluate arch phases).Latency.total_s in
@@ -541,13 +481,11 @@ let pareto_cmd =
           c.Transfusion.Tileseek.m1 c.Transfusion.Tileseek.m0 c.Transfusion.Tileseek.s lat energy)
       front
   in
-  Cmd.v
-    (Cmd.info "pareto" ~doc:"Latency/energy Pareto front of TransFusion tilings")
-    Term.(const run $ obs_term $ arch_arg $ model_arg $ seq_arg $ batch_arg $ iterations_arg)
+  cmd "pareto" ~doc:"Latency/energy Pareto front of TransFusion tilings"
+    Term.(const run $ arch_arg $ workload_arg $ iterations_arg)
 
 let headline_cmd =
-  let run obs arch full model =
-    obs @@ fun () ->
+  let run arch full model () =
     Tf_experiments.Exp_common.print_header
       (Printf.sprintf "Headline geomeans (Section 6.2): %s on %s" model.Tf_workloads.Model.name
          arch.Tf_arch.Arch.name);
@@ -557,22 +495,19 @@ let headline_cmd =
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"Use the full 1K-1M sequence sweep (default: quick).")
   in
-  Cmd.v
-    (Cmd.info "headline"
-       ~doc:"Compute the Section 6.2 headline geomean speedups over the baselines")
-    Term.(const run $ obs_term $ arch_arg $ full_arg $ model_arg)
+  cmd "headline"
+    ~doc:"Compute the Section 6.2 headline geomean speedups over the baselines"
+    Term.(const run $ arch_arg $ full_arg $ model_arg)
 
 let selftest_cmd =
-  let run obs full =
-    obs @@ fun () ->
+  let run full () =
     let checks = Tf_experiments.Selftest.run ~quick:(not full) () in
     Tf_experiments.Selftest.print checks;
     if not (Tf_experiments.Selftest.all_passed checks) then exit 1
   in
   let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Run on every architecture preset.") in
-  Cmd.v
-    (Cmd.info "selftest" ~doc:"Run the cross-cutting model invariant battery")
-    Term.(const run $ obs_term $ full_arg)
+  cmd "selftest" ~doc:"Run the cross-cutting model invariant battery"
+    Term.(const run $ full_arg)
 
 let diagnostic_json (d : Tf_analysis.Diagnostic.t) =
   let opt_str = function None -> Json.Null | Some s -> Json.Str s in
@@ -594,8 +529,7 @@ let diagnostic_json (d : Tf_analysis.Diagnostic.t) =
     ]
 
 let lint_cmd =
-  let run obs full strict json =
-    obs @@ fun () ->
+  let run full strict json () =
     let diags = Tf_analysis.Verify.check_presets ~quick:(not full) () in
     (match json with
     | Some path ->
@@ -617,18 +551,13 @@ let lint_cmd =
       & info [ "strict" ] ~doc:"Exit nonzero on warnings too, not just on errors.")
   in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the diagnostics as a transfusion.lint/1 JSON document to $(docv) (\"-\" for \
-             stdout) instead of the human listing.")
+    json_arg
+      "Write the diagnostics as a transfusion.lint/1 JSON document to $(docv) (\"-\" for \
+       stdout) instead of the human listing."
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Statically verify built-in cascades, tilings and DPipe schedules")
-    Term.(const run $ obs_term $ full_arg $ strict_arg $ json_arg)
+  cmd "lint"
+    ~doc:"Statically verify built-in cascades, tilings and DPipe schedules"
+    Term.(const run $ full_arg $ strict_arg $ json_arg)
 
 let check_cmd =
   let module RC = Tf_analysis.Range_cert in
@@ -658,7 +587,7 @@ let check_cmd =
   in
   let models_arg =
     Arg.(
-      value & opt_all model_conv []
+      value & opt_all (preset_conv Request.model_preset) []
       & info [ "m"; "model" ] ~docv:"MODEL"
           ~doc:"Model preset to certify (repeatable; default: T5 and BERT).")
   in
@@ -686,13 +615,9 @@ let check_cmd =
              the full key/value sequence on-chip (m1 = n/m0), so occupancy grows with n.")
   in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the transfusion.cert/1 certificate to $(docv) (\"-\" for stdout); requires a \
-             single --model.")
+    json_arg
+      "Write the transfusion.cert/1 certificate to $(docv) (\"-\" for stdout); requires a \
+       single --model."
   in
   let validate_arg =
     Arg.(
@@ -703,8 +628,7 @@ let check_cmd =
             "Validate an existing certificate with the independent checker instead of \
              certifying; all other options are ignored.")
   in
-  let run obs arch models range batch attention qlen policy json validate =
-    obs @@ fun () ->
+  let run arch models range batch attention qlen policy json validate () =
     match validate with
     | Some path ->
         let text = In_channel.with_open_text path In_channel.input_all in
@@ -757,18 +681,16 @@ let check_cmd =
               models;
             if !refused then exit 1)
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Certify tilings and the DPipe schedule over a whole range of sequence lengths \
-          (symbolic interval/affine analysis with machine-checkable certificates)")
+  cmd "check"
+    ~doc:
+      "Certify tilings and the DPipe schedule over a whole range of sequence lengths \
+       (symbolic interval/affine analysis with machine-checkable certificates)"
     Term.(
-      const run $ obs_term $ arch_arg $ models_arg $ range_arg $ batch_arg $ attention_arg
+      const run $ arch_arg $ models_arg $ range_arg $ batch_arg $ attention_arg
       $ qlen_arg $ policy_arg $ json_arg $ validate_arg)
 
 let export_cmd =
-  let run obs dir quick =
-    obs @@ fun () ->
+  let run dir quick () =
     let module E = Tf_experiments in
     let archs = [ Tf_arch.Presets.cloud; Tf_arch.Presets.edge ] in
     let llama3 = Tf_workloads.Presets.llama3 in
@@ -808,25 +730,18 @@ let export_cmd =
   let dir_arg =
     Arg.(value & opt string "results" & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output directory.")
   in
-  Cmd.v
-    (Cmd.info "export" ~doc:"Write figure series as CSV files")
-    Term.(const run $ obs_term $ dir_arg $ quick_arg)
+  cmd "export" ~doc:"Write figure series as CSV files"
+    Term.(const run $ dir_arg $ quick_arg)
 
 let decode_cmd =
-  let run obs arch models gen batch strategies iterations quick json sim_trace =
-    obs @@ fun () ->
+  let run (req : Request.Decode.t) json sim_trace () =
     let module E = Tf_experiments in
-    let models = match models with [] -> [ Tf_workloads.Presets.bert; Tf_workloads.Presets.llama3 ] | ms -> ms in
-    let strategies = match strategies with [] -> E.Exp_generation.default_strategies | ss -> ss in
-    let points =
-      E.Exp_generation.sweep ~quick ~gen ~batch ~strategies ~tileseek_iterations:iterations
-        [ arch ] models
-    in
+    let points = Tf_serve.Api.decode req in
     if json <> Some "-" && sim_trace <> Some "-" then
       E.Exp_generation.print
         ~title:
           (Printf.sprintf "Autoregressive generation on %s (gen=%d, batch=%d)"
-             arch.Tf_arch.Arch.name gen batch)
+             req.arch.Tf_arch.Arch.name req.gen req.batch)
         points;
     (match json with
     | None -> ()
@@ -850,49 +765,20 @@ let decode_cmd =
             let attention =
               Strategies.Decode { kv_len = Tf_workloads.Generation.kv_last spec }
             in
-            write_sim_trace ~attention ~tiling:m.Transfusion.Decode.decode_tiling arch w path)
+            write_sim_trace ~attention ~tiling:m.Transfusion.Decode.decode_tiling req.arch w path)
   in
-  let models_arg =
-    Arg.(
-      value
-      & opt_all model_conv []
-      & info [ "m"; "model" ]
-          ~docv:"MODEL"
-          ~doc:"Model preset (repeatable; default: BERT and Llama3 — encoder- and decoder-style).")
-  in
-  let gen_arg =
-    Arg.(value & opt int 512 & info [ "gen" ] ~docv:"N" ~doc:"Generated tokens per request.")
-  in
-  let batch_arg =
-    Arg.(value & opt int 16 & info [ "b"; "batch" ] ~docv:"N" ~doc:"Concurrent requests.")
-  in
-  let strategies_arg =
-    Arg.(
-      value
-      & opt_all strategy_conv []
-      & info [ "strategy" ] ~docv:"STRATEGY"
-          ~doc:"Scheduler to evaluate (repeatable; default: FuseMax and TransFusion).")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the sweep as a transfusion.generation/1 JSON document to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "decode"
-       ~doc:
-         "Autoregressive serving sweep: TTFT, per-token latency, tokens/sec and energy/token \
-          across prompt lengths (prefill + KV-cache decode)")
+  cmd "decode"
+    ~doc:
+      "Autoregressive serving sweep: TTFT, per-token latency, tokens/sec and energy/token \
+       across prompt lengths (prefill + KV-cache decode)"
     Term.(
-      const run $ obs_term $ arch_arg $ models_arg $ gen_arg $ batch_arg $ strategies_arg
-      $ iterations_arg $ quick_arg $ json_arg $ sim_trace_arg)
+      const run $ request_term Request.Decode.spec
+      $ json_arg "Also write the sweep as a transfusion.generation/1 JSON document to $(docv)."
+      $ sim_trace_arg)
 
 let simulate_cmd =
-  let run obs arch model strategy iterations seed requests qps process policy capacity classes
-      horizon cache_dir compare json sim_trace =
-    obs @@ fun () ->
+  let run arch model strategy iterations seed requests qps process policy capacity classes
+      horizon cache_dir compare json sim_trace () =
     let module S = Tf_serving in
     let cache = Option.map (fun dir -> Tf_serve.Cache.create ~dir ()) cache_dir in
     let costs = S.Costs.create ?cache ~strategy ~iterations arch model in
@@ -1035,22 +921,9 @@ let simulate_cmd =
           ~doc:"Run the policy-comparison experiment (all policies x low/high load) instead of a \
                 single simulation.")
   in
-  let iterations_arg =
-    Arg.(value & opt int 60 & info [ "iterations" ] ~docv:"N" ~doc:"TileSeek MCTS iterations.")
-  in
-  let strategy_arg =
-    Arg.(
-      value
-      & opt strategy_conv Strategies.Transfusion
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"Scheduling strategy costing each request.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the report as a transfusion.serving/1 JSON document to $(docv).")
-  in
+  let iterations_arg = arg { Request.iterations with default = 60 } in
+  let strategy_arg = arg { Request.strategy with doc = "Scheduling strategy costing each request." } in
+  let json_arg = json_arg "Write the report as a transfusion.serving/1 JSON document to $(docv)." in
   let sim_trace_arg =
     Arg.(
       value
@@ -1060,13 +933,12 @@ let simulate_cmd =
             "Write the serving window as Chrome trace-event JSON to $(docv) (\"-\" for stdout; \
              open in Perfetto).  Timestamps are virtual seconds.")
   in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:
-         "Discrete-event simulation of one accelerator serving a seeded arrival stream of \
-          generation requests (continuous batching, TTFT/TPOT distributions)")
+  cmd "simulate"
+    ~doc:
+      "Discrete-event simulation of one accelerator serving a seeded arrival stream of \
+       generation requests (continuous batching, TTFT/TPOT distributions)"
     Term.(
-      const run $ obs_term $ arch_arg $ model_arg $ strategy_arg $ iterations_arg $ seed_arg
+      const run $ arch_arg $ model_arg $ strategy_arg $ iterations_arg $ seed_arg
       $ requests_arg $ qps_arg $ process_arg $ policy_arg $ capacity_arg $ classes_arg
       $ horizon_arg $ cache_dir_arg $ compare_arg $ json_arg $ sim_trace_arg)
 

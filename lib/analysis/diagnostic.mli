@@ -47,7 +47,6 @@ val render : t -> string
 (** One-line rendering:
     [error[E-IDX-EXTENT] in mha, op BQK: ...]. *)
 
-val pp : t Fmt.t
 val pp_list : t list Fmt.t
 (** One {!render} line per diagnostic, errors first (stable within a
     severity), followed by the {!summary} line. *)

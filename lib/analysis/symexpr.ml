@@ -151,8 +151,6 @@ let max_ _box a b =
   make (Max (a.expr, b.expr)) shape ~cvals:(map2_cvals Float.max a b) ~fallback:(fun () ->
       (Float.max a.lo b.lo, Float.max a.hi b.hi))
 
-let exact t = match t.shape with Affine _ | Mono -> true | Opaque -> false
-
 let corner_values box t = List.map2 (fun p v -> (p, v)) (corners box) (Array.to_list t.cvals)
 
 let extremal ~keep box t =

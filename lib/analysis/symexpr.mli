@@ -96,9 +96,6 @@ val corner_values : box -> t -> (point * float) list
     4 with; degenerate boxes repeat points), computed compositionally —
     O(corners) regardless of expression size. *)
 
-val exact : t -> bool
-(** [true] when the shape is [Affine] or [Mono] — bounds are attained. *)
-
 val num_to_string : float -> string
 (** Round-trip-exact rendering: integer-valued floats verbatim, others
     as %.17g — the number format of [transfusion.cert/1]. *)

@@ -48,7 +48,6 @@ let v ?extents op nest =
         dims);
   { op; nest }
 
-let op t = t.op
 let loops t = t.nest
 
 let relevant (tensor : Tensor_ref.t) index = List.mem index tensor.Tensor_ref.indices

@@ -38,7 +38,6 @@ val v : ?extents:Tf_einsum.Extents.t -> Tf_einsum.Einsum.t -> loop list -> t
     — the product of a dimension's loop factors does not equal its full
     extent (every dimension must be fully covered). *)
 
-val op : t -> Tf_einsum.Einsum.t
 val loops : t -> loop list
 
 val footprint : t -> tensor:Tf_einsum.Tensor_ref.t -> below:level -> float

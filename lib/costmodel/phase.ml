@@ -45,7 +45,3 @@ let layer_kind_to_string = function
   | Layernorm -> "LayerNorm"
   | Ffn -> "FFN"
   | Fused_stack -> "Fused"
-
-let pp ppf t =
-  Fmt.pf ppf "%s[%s] cycles=%.3e 2d=%.3e 1d=%.3e" t.name (layer_kind_to_string t.kind)
-    t.execution.makespan_cycles t.execution.useful_2d_slots t.execution.useful_1d_slots

@@ -48,4 +48,3 @@ val scale : float -> t -> t
     to turn a per-layer phase into a whole-model phase. *)
 
 val layer_kind_to_string : layer_kind -> string
-val pp : t Fmt.t

@@ -46,7 +46,3 @@ let scale k t =
 let dram_elements t = t.dram_reads +. t.dram_writes
 let dram_bytes ~element_bytes t = dram_elements t *. float_of_int element_bytes
 let compute_ops t = t.macs +. t.vector_ops
-
-let pp ppf t =
-  Fmt.pf ppf "dram(r=%.3e w=%.3e) buf(r=%.3e w=%.3e) rf=%.3e macs=%.3e vec=%.3e" t.dram_reads
-    t.dram_writes t.buffer_reads t.buffer_writes t.regfile_accesses t.macs t.vector_ops

@@ -27,5 +27,3 @@ val dram_bytes : element_bytes:int -> t -> float
 
 val compute_ops : t -> float
 (** macs + vector_ops. *)
-
-val pp : t Fmt.t

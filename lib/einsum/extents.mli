@@ -21,9 +21,6 @@ val find_opt : t -> Tensor_ref.index -> int option
 
 val mem : t -> Tensor_ref.index -> bool
 
-val bindings : t -> (Tensor_ref.index * int) list
-(** Sorted by index name. *)
-
 val product : t -> Tensor_ref.index list -> int
 (** Product of the extents of the given indices (1 for the empty list).
     @raise Not_found when any index is unbound. *)

@@ -76,4 +76,3 @@ let of_string s = List.find_opt (fun op -> to_string op = s) all_ops
 
 let reduce_to_string = function Sum -> "sum" | Max_reduce -> "max"
 let reduce_of_string = function "sum" -> Some Sum | "max" -> Some Max_reduce | _ -> None
-let pp ppf op = Fmt.string ppf (to_string op)

@@ -43,4 +43,3 @@ val of_string : string -> t option
 
 val reduce_to_string : reduce -> string
 val reduce_of_string : string -> reduce option
-val pp : t Fmt.t

@@ -795,10 +795,4 @@ module Trace = struct
       evs;
     Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
     Buffer.contents buf
-
-  let write path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (to_json ()))
 end

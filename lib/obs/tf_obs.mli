@@ -222,7 +222,4 @@ module Trace : sig
   val to_json : unit -> string
   (** All buffered events as a [{"traceEvents":[...]}] document,
       timestamps rebased to the first event. *)
-
-  val write : string -> unit
-  (** {!to_json} to a file. *)
 end

@@ -113,7 +113,7 @@ let simulate ?(attention = Strategies.Self) ~tiling arch (w : Workload.t) =
     convergence = None;
   }
 
-let run ?(iterations = 200) ?(seed = 42) ?(attention = Strategies.Self) arch (w : Workload.t) =
+let run ~iterations ~seed ~attention arch (w : Workload.t) =
   let probes = ref [] in
   let probe p = probes := p :: !probes in
   let tiling, stats = Strategies.search ~iterations ~seed ~probe ~attention arch w in

@@ -58,14 +58,13 @@ val simulate :
     (same conditions as {!Transfusion.Tileseek.dims}). *)
 
 val run :
-  ?iterations:int ->
-  ?seed:int ->
-  ?attention:Transfusion.Strategies.attention ->
+  iterations:int ->
+  seed:int ->
+  attention:Transfusion.Strategies.attention ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   t
-(** Search a tiling with {!Transfusion.Strategies.search} (probed —
-    [iterations] defaults to 200, [seed] to 42, matching the CLI), then
+(** Search a tiling with {!Transfusion.Strategies.search} (probed), then
     {!simulate} it, with the {!Convergence} report attached.  The search
     is the one [eval] runs, so at the same seed and budget the reported
     tiling is the served one.  Deterministic for fixed seed. *)

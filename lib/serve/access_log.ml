@@ -148,5 +148,3 @@ let close t =
       t.oc <- None
   | None -> ());
   Mutex.unlock t.lock
-
-let path t = t.path

@@ -34,5 +34,3 @@ val write_record : t -> (Buffer.t -> unit) -> unit
 
 val flush : t -> unit
 val close : t -> unit
-
-val path : t -> string

@@ -51,23 +51,24 @@ let result_json (r : Strategies.result) =
         Option.fold ~none:Json.Null ~some:Tf_report.Explain.tiling_json r.Strategies.tiling );
     ]
 
-let eval_doc ?(iterations = 200) arch (w : Tf_workloads.Workload.t) strategy =
+let eval_doc ~iterations arch w strategy =
   result_json (Tf_experiments.Exp_common.evaluate ~tileseek_iterations:iterations arch w strategy)
 
-let explain_doc ?(iterations = 200) ?(seed = 42) ?(causal = false) arch w =
-  let attention = if causal then Strategies.Causal_self else Strategies.Self in
-  Tf_report.Explain.to_json (Tf_report.Explain.run ~iterations ~seed ~attention arch w)
+let schedule (r : Request.Schedule.t) =
+  Tf_experiments.Exp_common.evaluate ~tileseek_iterations:r.iterations r.arch
+    (Request.Schedule.workload r) r.strategy
 
-let decode_doc ?(quick = false) ?(gen = 512) ?(batch = 16) ?strategies ?(iterations = 200) arch
-    models =
+let explain (r : Request.Explain.t) =
+  let attention = if r.causal then Strategies.Causal_self else Strategies.Self in
+  Tf_report.Explain.run ~iterations:r.iterations ~seed:r.seed ~attention r.arch
+    (Request.Explain.workload r)
+
+let decode (r : Request.Decode.t) =
   let strategies =
-    match strategies with
-    | None | Some [] -> Tf_experiments.Exp_generation.default_strategies
-    | Some ss -> ss
+    match r.strategies with [] -> Tf_experiments.Exp_generation.default_strategies | ss -> ss
   in
-  Tf_experiments.Exp_generation.to_json
-    (Tf_experiments.Exp_generation.sweep ~quick ~gen ~batch ~strategies
-       ~tileseek_iterations:iterations [ arch ] models)
+  Tf_experiments.Exp_generation.sweep ~quick:r.quick ~gen:r.gen ~batch:r.batch ~strategies
+    ~tileseek_iterations:r.iterations [ r.arch ] r.models
 
 (* Costs the interpolation lerps between: the scalar summary of a cached
    bucket payload.  Read back through [Json.parse] — the float went

@@ -1,10 +1,13 @@
-(** Shared response-payload builders: the single code path behind both
-    the one-shot CLI JSON outputs and the [transfusion serve] endpoints.
+(** The three scheduling queries, the one code path behind both the
+    one-shot CLI ([eval], [explain], [decode]) and the [transfusion
+    serve] endpoints ([schedule], [explain], [decode]).
 
-    Bit-identity between a daemon response and the equivalent CLI
-    invocation is a construction property, not a testing aspiration:
-    both call the same builder here, and the differential test in
-    [test_serve.ml] pins the bytes. *)
+    Both front ends read the same {!Request} record, run the same
+    function here and render its result as the same document: the CLI's
+    [--json] the pretty form ({!Tf_json.to_string}), the daemon the
+    compact one ({!Tf_json.to_line}); the CLI prints its human table
+    from that one result.  [test_serve.ml] pins both renderings against
+    the CLI binary. *)
 
 val eval_schema : string
 (** ["transfusion.eval/1"] — the schema tag of {!eval_doc} documents. *)
@@ -16,41 +19,28 @@ val result_json : Transfusion.Strategies.result -> Tf_json.t
     strategies). *)
 
 val eval_doc :
-  ?iterations:int ->
+  iterations:int ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   Transfusion.Strategies.t ->
   Tf_json.t
 (** {!result_json} of the memoised, verified
-    {!Tf_experiments.Exp_common.evaluate} ([iterations] defaults to
-    200).  The [schedule] endpoint and [eval --json] both ride on this.
+    {!Tf_experiments.Exp_common.evaluate} at a TileSeek budget of
+    [iterations].
     @raise Failure when the result fails verification. *)
 
-val explain_doc :
-  ?iterations:int ->
-  ?seed:int ->
-  ?causal:bool ->
-  Tf_arch.Arch.t ->
-  Tf_workloads.Workload.t ->
-  Tf_json.t
-(** The [transfusion.explain/1] document of
-    {!Tf_report.Explain.run} — same defaults as the CLI ([iterations]
-    200, [seed] 42, encoder self-attention). *)
+val schedule : Request.Schedule.t -> Transfusion.Strategies.result
+(** The memoised, verified {!Tf_experiments.Exp_common.evaluate}; its
+    document is {!result_json}.
+    @raise Failure when the result fails verification. *)
 
-val decode_doc :
-  ?quick:bool ->
-  ?gen:int ->
-  ?batch:int ->
-  ?strategies:Transfusion.Strategies.t list ->
-  ?iterations:int ->
-  Tf_arch.Arch.t ->
-  Tf_workloads.Model.t list ->
-  Tf_json.t
-(** The [transfusion.generation/1] document of
-    {!Tf_experiments.Exp_generation.sweep} over one architecture — the
-    [decode --json] code path.  [strategies] defaults (also on an
-    explicit empty list) to FuseMax and TransFusion; [gen]/[batch]
-    default to the CLI's 512/16. *)
+val explain : Request.Explain.t -> Tf_report.Explain.t
+(** {!Tf_report.Explain.run} (causal self-attention when [causal]);
+    its document is {!Tf_report.Explain.to_json}. *)
+
+val decode : Request.Decode.t -> Tf_experiments.Exp_generation.point list
+(** {!Tf_experiments.Exp_generation.sweep} over the request's one
+    architecture; its document is {!Tf_experiments.Exp_generation.to_json}. *)
 
 val payload_costs : string -> float * float
 (** [(latency_total_s, energy_total_pj)] parsed back out of a rendered

@@ -8,9 +8,9 @@ let schema = "transfusion.serve/1"
    to buffer more than this before seeing a newline). *)
 let max_request_bytes = 1 lsl 20
 
-exception Bad_request of string
+exception Bad_request = Request.Bad_request
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
+let fail = Request.fail
 
 type request = { id : Json.t; op : string; body : Json.t }
 
@@ -37,58 +37,13 @@ let parse_request line =
   in
   { id = id_of body; op; body }
 
-(* Typed field accessors: absent fields take the endpoint's default
-   (matching the CLI flag defaults), present fields must have the right
-   shape — a misspelled value is a client error, not a silent zero. *)
+(* Single-field readers over the request table's entries. *)
 
-let int_field body key ~default =
-  match Json.find key body with
-  | None | Some Json.Null -> default
-  | Some v -> (
-      try Json.get_int v with Json.Bad_json _ -> fail "field %S must be an integer" key)
-
-let bool_field body key ~default =
-  match Json.find key body with
-  | None | Some Json.Null -> default
-  | Some (Json.Bool b) -> b
-  | Some _ -> fail "field %S must be a boolean" key
-
-let str_field body key ~default =
-  match Json.find key body with
-  | None | Some Json.Null -> default
-  | Some (Json.Str s) -> s
-  | Some _ -> fail "field %S must be a string" key
-
-let str_list_field body key =
-  match Json.find key body with
-  | None | Some Json.Null -> []
-  | Some (Json.List items) ->
-      List.map (function Json.Str s -> s | _ -> fail "field %S must list strings" key) items
-  | Some (Json.Str s) -> [ s ]
-  | Some _ -> fail "field %S must be a list of strings" key
-
-let arch_field body =
-  let name = str_field body "arch" ~default:"cloud" in
-  match Tf_arch.Presets.by_name name with
-  | Some a -> a
-  | None -> fail "unknown architecture %S (cloud|edge|edge_32|edge_64)" name
-
-let model_of name =
-  match Tf_workloads.Presets.by_name name with
-  | Some m -> m
-  | None -> fail "unknown model %S (BERT|TrXL|T5|XLM|Llama3)" name
-
-let model_field body = model_of (str_field body "model" ~default:"Llama3")
-
-let strategy_of name =
-  match Transfusion.Strategies.of_name name with
-  | Some s -> s
-  | None ->
-      fail "unknown strategy %S (%s)" name
-        (String.concat "|" (List.map Transfusion.Strategies.name Transfusion.Strategies.all))
-
-let strategy_field body ~default =
-  strategy_of (str_field body "strategy" ~default:(Transfusion.Strategies.name default))
+let field f body = Request.(of_json (Field (Const Fun.id, f))) body
+let int_field = Request.int_field
+let arch_field = field Request.arch
+let model_field = field Request.model
+let strategy_field body ~default = field { Request.strategy with default } body
 
 (* Response framing.  The payload is spliced in verbatim — it is already
    a rendered line from the shared {!Api} builders (or the cache), and

@@ -17,9 +17,10 @@ val max_request_bytes : int
     before parsing. *)
 
 exception Bad_request of string
-(** Client errors: malformed JSON, missing/ill-typed fields, unknown
-    preset names.  The server maps these (and every other exception) to
-    an [ok:false] response — never a dead connection. *)
+(** {!Request.Bad_request} itself.  Client errors: malformed JSON,
+    missing/ill-typed fields, unknown preset names.  The server maps
+    these (and every other exception) to an [ok:false] response — never
+    a dead connection. *)
 
 type request = {
   id : Tf_json.t;  (** echoed scalar, [Null] when absent *)
@@ -27,34 +28,16 @@ type request = {
   body : Tf_json.t;
 }
 
-val fail : ('a, unit, string, 'b) format4 -> 'a
-(** [Printf]-style {!Bad_request} raiser for endpoint parameter
-    validation. *)
-
 val parse_request : string -> request
 (** @raise Bad_request on anything other than a JSON object with a
     string ["op"] within {!max_request_bytes}. *)
 
-(** Field accessors over the request body — absent fields take the
-    default (mirroring the CLI flag defaults), ill-typed fields raise
-    {!Bad_request}.  An integer field takes what {!Tf_json.get_int}
-    takes, so a number beyond 2{^53} is ill-typed, not wrapped. *)
+(** Single-field readers: {!Request.int_field}, and the {!Request.arch},
+    {!Request.model} and {!Request.strategy} entries read alone. *)
 
 val int_field : Tf_json.t -> string -> default:int -> int
-val bool_field : Tf_json.t -> string -> default:bool -> bool
-val str_field : Tf_json.t -> string -> default:string -> string
-
-val str_list_field : Tf_json.t -> string -> string list
-(** A list of strings, a bare string (singleton), or absent (empty). *)
-
 val arch_field : Tf_json.t -> Tf_arch.Arch.t
-(** ["arch"] preset, default cloud. *)
-
-val model_of : string -> Tf_workloads.Model.t
 val model_field : Tf_json.t -> Tf_workloads.Model.t
-(** ["model"] preset, default Llama3. *)
-
-val strategy_of : string -> Transfusion.Strategies.t
 
 val strategy_field :
   Tf_json.t -> default:Transfusion.Strategies.t -> Transfusion.Strategies.t

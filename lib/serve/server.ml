@@ -1,6 +1,5 @@
 module Json = Tf_json
 module Strategies = Transfusion.Strategies
-module Exp_common = Tf_experiments.Exp_common
 
 type config = {
   socket_path : string option;
@@ -106,8 +105,6 @@ let access_log t = t.access
 
 (* --- endpoints ------------------------------------------------------- *)
 
-let require_positive what v = if v < 1 then Protocol.fail "%s must be >= 1 (got %d)" what v
-
 (* Whether the affine cost model is certified over the bucket band
    [lo..hi] — the {!Tf_analysis.Range_cert} grid {lo, hi}.  Memoised per
    (arch, model, batch, band); a refusal (or a certifier exception) is
@@ -129,26 +126,14 @@ let reporter ctx ~fp ~tier =
   ctx.tier <- Some tier
 
 let schedule_payload t ctx body =
-  let arch = Protocol.arch_field body in
-  let model = Protocol.model_field body in
-  let seq = Protocol.int_field body "seq" ~default:65536 in
-  let batch = Protocol.int_field body "batch" ~default:64 in
-  let strategy = Protocol.strategy_field body ~default:Strategies.Transfusion in
-  let iterations = Protocol.int_field body "iterations" ~default:200 in
-  require_positive "seq" seq;
-  require_positive "batch" batch;
-  require_positive "iterations" iterations;
-  let compute_at seq_len =
-    let w = Tf_workloads.Workload.v ~batch model ~seq_len in
-    let key = Exp_common.cache_key ~tileseek_iterations:iterations arch w strategy in
-    let key_json =
-      Json.Obj [ ("endpoint", Json.Str "schedule"); ("key", Exp_common.Key.to_json key) ]
-    in
-    Cache.find_or_compute ~report:(reporter ctx) t.cache ~key_json (fun () ->
-        Json.to_line (Api.eval_doc ~iterations arch w strategy))
+  let req = Request.of_json Request.Schedule.spec body in
+  let compute_at (r : Request.Schedule.t) =
+    Cache.find_or_compute ~report:(reporter ctx) t.cache ~key_json:(Request.Schedule.key_json r)
+      (fun () -> Json.to_line (Api.result_json (Api.schedule r)))
   in
+  let seq = req.seq in
   let grid = t.config.grid in
-  if grid <= 0 || seq mod grid = 0 then compute_at seq
+  if grid <= 0 || seq mod grid = 0 then compute_at req
   else begin
     (* Off-grid length: answer with the nearest bucket's exact schedule
        and an affine interpolation of the scalar costs between the two
@@ -156,7 +141,7 @@ let schedule_payload t ctx body =
        the [grid, 2*grid] band). *)
     let lo = max grid (seq / grid * grid) in
     let hi = lo + grid in
-    let p_lo = compute_at lo and p_hi = compute_at hi in
+    let p_lo = compute_at { req with seq = lo } and p_hi = compute_at { req with seq = hi } in
     let lat_lo, en_lo = Api.payload_costs p_lo in
     let lat_hi, en_hi = Api.payload_costs p_hi in
     let f = float_of_int (seq - lo) /. float_of_int (hi - lo) in
@@ -172,7 +157,8 @@ let schedule_payload t ctx body =
              ("bucket_seq_len", Json.Int bucket_seq);
              ("latency_total_s", Json.Num (lerp lat_lo lat_hi));
              ("energy_total_pj", Json.Num (lerp en_lo en_hi));
-             ("certified", Json.Bool (band_certified t arch model ~batch ~lo ~hi));
+             ( "certified",
+               Json.Bool (band_certified t req.arch req.model ~batch:req.batch ~lo ~hi) );
            ])
     in
     Printf.sprintf "{\"schema\":\"transfusion.eval-interp/1\",\"bucket\":%s,\"interpolation\":%s}"
@@ -180,66 +166,14 @@ let schedule_payload t ctx body =
   end
 
 let explain_payload t ctx body =
-  let arch = Protocol.arch_field body in
-  let model = Protocol.model_field body in
-  let seq = Protocol.int_field body "seq" ~default:65536 in
-  let batch = Protocol.int_field body "batch" ~default:64 in
-  let iterations = Protocol.int_field body "iterations" ~default:200 in
-  let seed = Protocol.int_field body "seed" ~default:42 in
-  let causal = Protocol.bool_field body "causal" ~default:false in
-  require_positive "seq" seq;
-  require_positive "batch" batch;
-  require_positive "iterations" iterations;
-  let key_json =
-    Json.Obj
-      [
-        ("endpoint", Json.Str "explain");
-        ("arch", Json.Str (Strategies.Private.arch_fingerprint arch));
-        ("model", Json.Str model.Tf_workloads.Model.name);
-        ("seq", Json.Int seq);
-        ("batch", Json.Int batch);
-        ("iterations", Json.Int iterations);
-        ("seed", Json.Int seed);
-        ("causal", Json.Bool causal);
-      ]
-  in
-  Cache.find_or_compute ~report:(reporter ctx) t.cache ~key_json (fun () ->
-      let w = Tf_workloads.Workload.v ~batch model ~seq_len:seq in
-      Json.to_line (Api.explain_doc ~iterations ~seed ~causal arch w))
+  let req = Request.of_json Request.Explain.spec body in
+  Cache.find_or_compute ~report:(reporter ctx) t.cache ~key_json:(Request.Explain.key_json req)
+    (fun () -> Json.to_line (Tf_report.Explain.to_json (Api.explain req)))
 
 let decode_payload t ctx body =
-  let arch = Protocol.arch_field body in
-  let model_names =
-    match Protocol.str_list_field body "models" @ Protocol.str_list_field body "model" with
-    | [] -> [ "BERT"; "Llama3" ]
-    | names -> names
-  in
-  let models = List.map Protocol.model_of model_names in
-  let strategy_names = Protocol.str_list_field body "strategies" @ Protocol.str_list_field body "strategy" in
-  let strategies = List.map Protocol.strategy_of strategy_names in
-  let gen = Protocol.int_field body "gen" ~default:512 in
-  let batch = Protocol.int_field body "batch" ~default:16 in
-  let iterations = Protocol.int_field body "iterations" ~default:200 in
-  let quick = Protocol.bool_field body "quick" ~default:false in
-  require_positive "gen" gen;
-  require_positive "batch" batch;
-  require_positive "iterations" iterations;
-  let key_json =
-    Json.Obj
-      [
-        ("endpoint", Json.Str "decode");
-        ("arch", Json.Str (Strategies.Private.arch_fingerprint arch));
-        ("models", Json.List (List.map (fun n -> Json.Str n) model_names));
-        ( "strategies",
-          Json.List (List.map (fun s -> Json.Str (Strategies.name s)) strategies) );
-        ("gen", Json.Int gen);
-        ("batch", Json.Int batch);
-        ("iterations", Json.Int iterations);
-        ("quick", Json.Bool quick);
-      ]
-  in
-  Cache.find_or_compute ~report:(reporter ctx) t.cache ~key_json (fun () ->
-      Json.to_line (Api.decode_doc ~quick ~gen ~batch ~strategies ~iterations arch models))
+  let req = Request.of_json Request.Decode.spec body in
+  Cache.find_or_compute ~report:(reporter ctx) t.cache ~key_json:(Request.Decode.key_json req)
+    (fun () -> Json.to_line (Tf_experiments.Exp_generation.to_json (Api.decode req)))
 
 let metrics_payload () =
   (* Refresh the process/GC gauges so a scrape never reads stale
@@ -268,10 +202,10 @@ let route t ctx (req : Protocol.request) =
   | "explain" -> explain_payload t ctx req.Protocol.body
   | "decode" -> decode_payload t ctx req.Protocol.body
   | "metrics" -> (
-      match Protocol.str_field req.Protocol.body "format" ~default:"json" with
+      match Request.str_field req.Protocol.body "format" ~default:"json" with
       | "json" -> metrics_payload ()
       | "prometheus" | "openmetrics" -> metrics_text_payload ()
-      | f -> Protocol.fail "unknown metrics format %S (json|prometheus|openmetrics)" f)
+      | f -> Request.fail "unknown metrics format %S (json|prometheus|openmetrics)" f)
   | "stats" ->
       (* Sample on demand so a scrape reflects now, not the last tick. *)
       Telemetry.sample_now t.telemetry;
@@ -279,7 +213,7 @@ let route t ctx (req : Protocol.request) =
   | "shutdown" ->
       stop t;
       Json.to_line (Json.Obj [ ("stopping", Json.Bool true) ])
-  | op -> Protocol.fail "unknown op %S (%s)" op (String.concat "|" ops)
+  | op -> Request.fail "unknown op %S (%s)" op (String.concat "|" ops)
 
 (* Decimal digits straight into the buffer — [string_of_int] would
    allocate a throwaway string per field on the access-log hot path. *)

@@ -60,9 +60,6 @@ val serve : t -> unit
     [SIGPIPE] process-wide.
     @raise Invalid_argument when the config names no socket at all. *)
 
-val stop : t -> unit
-(** Ask the accept loop to wind down (checked at least every 200ms). *)
-
 val telemetry : t -> Telemetry.t
 (** The server's sampler/window — {!serve} runs it; embedders driving
     {!handle_line} directly (tests, bench) start or sample it

@@ -104,10 +104,3 @@ let max_abs_diff a b =
   let worst = ref 0. in
   Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. b.data.(i)))) a.data;
   !worst
-
-let pp ppf t =
-  Fmt.pf ppf "Nd[%a]{%a}"
-    Fmt.(array ~sep:(any "x") int)
-    t.shape
-    Fmt.(array ~sep:(any "; ") float)
-    (if Array.length t.data > 16 then Array.sub t.data 0 16 else t.data)

@@ -60,5 +60,3 @@ val max_abs_diff : t -> t -> float
 val iter_indices : int array -> (int array -> unit) -> unit
 (** Visit every coordinate of the given shape in row-major order.  The
     callback receives a reused buffer; copy it if retained. *)
-
-val pp : t Fmt.t

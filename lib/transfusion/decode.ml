@@ -105,11 +105,3 @@ let evaluate ?tileseek_iterations arch (spec : Generation.t) strategy =
     energy_per_token_pj = Energy.total_pj decode_energy /. (batch *. gen);
     total_energy_pj = Energy.total_pj prefill.Strategies.energy +. Energy.total_pj decode_energy;
   }
-
-let pp ppf m =
-  Fmt.pf ppf
-    "%s/%s %a: ttft=%.3fms token=%.3f..%.3fms %.1ftok/s %.2fuJ/tok (total %.3fs, %.3fJ)"
-    m.prefill.Strategies.arch.Arch.name (Strategies.name m.strategy) Generation.pp m.spec
-    (1e3 *. m.ttft_s) (1e3 *. m.token_s_first) (1e3 *. m.token_s_last) m.tokens_per_s
-    (m.energy_per_token_pj /. 1e6)
-    m.total_s (m.total_energy_pj /. 1e12)

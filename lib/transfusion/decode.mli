@@ -42,18 +42,6 @@ type metrics = {
   total_energy_pj : float;  (** prefill + decode *)
 }
 
-val step :
-  ?tiling:Tileseek.config ->
-  ?tileseek_iterations:int ->
-  Tf_arch.Arch.t ->
-  Tf_workloads.Generation.t ->
-  Strategies.t ->
-  kv_len:int ->
-  Strategies.result
-(** One decode step of the generation at the given cache length — a
-    {!Strategies.evaluate} under [Decode { kv_len }] on the single-token
-    workload.  Exposed for tests and incremental sweeps. *)
-
 val evaluate :
   ?tileseek_iterations:int ->
   Tf_arch.Arch.t ->
@@ -65,5 +53,3 @@ val evaluate :
     aggregation.  Instrumented with Tf_obs ([decode.evaluations_total],
     [decode.tokens_total], [decode.searches_saved_total] and a
     [decode.evaluate] trace span). *)
-
-val pp : metrics Fmt.t

@@ -523,17 +523,6 @@ let sequential_cycles arch ~load ~matrix g =
     (fun acc n -> acc +. candidate_static_latency arch ~load ~matrix n)
     0. (Dag.nodes g)
 
-let pp ppf t =
-  Fmt.pf ppf "dpipe: steady=%.3e makespan=%.3e epochs=%d partition=%a@." t.steady_interval_cycles
-    t.makespan_cycles t.epochs_unrolled
-    Fmt.(option ~none:(any "none") Partition.pp)
-    t.partition;
-  List.iter
-    (fun a ->
-      Fmt.pf ppf "  n%d e%d %a [%.1f, %.1f)@." a.node a.epoch Arch.pp_resource a.resource
-        a.start_cycle a.end_cycle)
-    t.assignments
-
 module Private = struct
   let steady_consistency_check arch ~load ~matrix g =
     let ctx = build_ctx arch ~load ~matrix ~mode:`Dp g in

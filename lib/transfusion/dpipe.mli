@@ -92,8 +92,6 @@ val check : 'a Tf_dag.Dag.t -> t -> (unit, string) result
     once, same-epoch dependencies are respected, and no PE array executes
     two instances at once. *)
 
-val pp : t Fmt.t
-
 (** {2 Generic timeline replay} *)
 
 module type TIME = sig

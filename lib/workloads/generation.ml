@@ -14,7 +14,3 @@ let label t =
 
 let sweep model = List.map (fun (_, prompt) -> v model ~prompt) Workload.seq_labels
 
-let pp ppf t =
-  Fmt.pf ppf "%a prompt=%s gen=%d batch=%d" Model.pp t.model
-    (Workload.label_of_seq t.prompt)
-    t.gen t.batch

@@ -50,5 +50,3 @@ val label : t -> string
 val sweep : Model.t -> t list
 (** The model across the paper's prompt-length sweep, at the default
     batch and generation length of {!v}. *)
-
-val pp : t Fmt.t

@@ -1,2 +1,3 @@
 val size : int list -> int
 val total : int list -> int
+val twice : int -> int

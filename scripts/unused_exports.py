@@ -3,13 +3,13 @@
 
 Every `val` declared in lib/**/*.mli is checked against the .ml files
 under lib/, bin/, bench/, examples/ and perfbench/, other than its own
-module's implementation.  A value `M.v` counts as used in a file that
-names both `v` and `M` (qualified, or through `open`, `include` or a
-`module X = ...M` alias), outside comments and string literals; `M` is
+module's implementation.  A value `M.v` counts as used by an occurrence
+of `v`, outside comments and string literals, that is qualified by `M`
+or by an alias of it (`module X = ...M`), or that is bare in a file
+that opens `M` (`open`, `let open`, `M.( ... )`) or includes it; `M` is
 the innermost module that declares `v`.  An optional parameter `?l` of
-an exported value counts as set when such a file applies the value with
-`~l` or `?l` (in the same expression, not inside a nested parenthesis),
-where the occurrence is bare or qualified by `M` or an alias of it.
+an exported value counts as set when such an occurrence is applied with
+`~l` or `?l` (in the same expression, not inside a nested parenthesis).
 The last line printed counts the unused exports and the optional
 parameters of exported values.
 
@@ -144,18 +144,42 @@ def aliases(tokens):
     return found
 
 
-def labels_applied(tokens, name, module):
-    """Every `~label` or `?label` applied to an occurrence of `name` that
-    is neither a definition nor qualified by a module other than `module`
-    (or an alias of it)."""
-    found, alias = set(), aliases(tokens)
+def opened(tokens, alias):
+    """The modules a file opens or includes (`open M`, `open! M`,
+    `include M`, `let open M in`, a local `M.( ... )`), each by the last
+    component of its path, aliases resolved."""
+    found = set()
+    for i, tok in enumerate(tokens[:-2]):
+        if tok in ("open", "include"):
+            j = i + 2 if tokens[i + 1] == "!" else i + 1
+            while j + 2 < len(tokens) and tokens[j + 1] == "." and WORD.fullmatch(tokens[j + 2]):
+                j += 2
+            found.add(tokens[j])
+        elif tok[0].isupper() and tokens[i + 1] == "." and tokens[i + 2] in ("(", "[", "{"):
+            found.add(tok)
+    return {alias.get(m, m) for m in found}
+
+
+def references(tokens, name, module):
+    """The indices of the occurrences of `name` that refer to `module`'s
+    value: qualified by `module` or an alias of it, or bare (neither a
+    definition nor a label) in a file that opens or includes it."""
+    alias = aliases(tokens)
+    bare_ok = module in opened(tokens, alias)
     for i, tok in enumerate(tokens):
         if tok != name or i < 2:
             continue
-        if tokens[i - 1] in ("let", "and", "rec", "val", "~", "?"):
-            continue
-        if tokens[i - 1] == "." and module not in (tokens[i - 2], alias.get(tokens[i - 2])):
-            continue
+        if tokens[i - 1] == ".":
+            if module in (tokens[i - 2], alias.get(tokens[i - 2])):
+                yield i
+        elif bare_ok and tokens[i - 1] not in ("let", "and", "rec", "val", "~", "?", "type"):
+            yield i
+
+
+def labels_applied(tokens, refs):
+    """Every `~label` or `?label` applied to the occurrences at `refs`."""
+    found = set()
+    for i in refs:
         depth = 0
         for j in range(i + 1, min(i + 200, len(tokens) - 1)):
             t = tokens[j]
@@ -207,12 +231,14 @@ def audit(root):
             module = library + "." + module
         rel = os.path.relpath(mli, root)
         for qualified, name, inner, labels in exported_values(mli, module):
-            users = [toks for p, (words, toks) in sources.items()
-                     if p != own and name in words and inner in words]
-            if not users:
+            refs = [(toks, list(references(toks, name, inner)))
+                    for p, (words, toks) in sources.items()
+                    if p != own and name in words and inner in words]
+            refs = [(toks, found) for toks, found in refs if found]
+            if not refs:
                 unused[qualified] = rel
             options += len(labels)
-            applied = set().union(*(labels_applied(toks, name, inner) for toks in users))
+            applied = set().union(*(labels_applied(toks, found) for toks, found in refs))
             for label in labels:
                 if label not in applied:
                     unused[f"{qualified}?{label}"] = rel
@@ -252,15 +278,17 @@ def report(unused, allowed):
 
 def self_test():
     """The fixture plants a dead export whose bare name other modules use
-    (`Fx.Alpha.size`) and an option no caller sets (`Fx.Alpha.run?verbose`),
-    next to a used export and a set option; exactly the two planted cases
-    must be reported."""
+    (`Fx.Alpha.size`), a dead export whose name a file that names its
+    module defines for itself (`Fx.Alpha.sweep`) and an option no caller
+    sets (`Fx.Alpha.run?verbose`), next to used exports (one reached only
+    through `open`) and a set option; exactly the planted cases must be
+    reported."""
     unused, _ = audit(FIXTURE)
-    expected = {"Fx.Alpha.size", "Fx.Alpha.run?verbose"}
+    expected = {"Fx.Alpha.size", "Fx.Alpha.sweep", "Fx.Alpha.run?verbose"}
     if set(unused) != expected:
         print(f"self-test: reported {sorted(unused)}, expected {sorted(expected)}")
         return 1
-    print("unused exports self-test: both planted cases reported")
+    print("unused exports self-test: the three planted cases reported")
     return 0
 
 

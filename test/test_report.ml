@@ -22,7 +22,7 @@ let seed = 42
 (* One searched report shared by the explain tests (the search dominates
    the suite's cost); a second independent run feeds the determinism
    check. *)
-let report = lazy (Explain.run ~iterations ~seed arch workload)
+let report = lazy (Explain.run ~iterations ~seed ~attention:Transfusion.Strategies.Self arch workload)
 
 (* ------------------------------------------------------------------ *)
 (* Sim trace *)
@@ -155,7 +155,7 @@ let test_rollup_rows_sorted () =
 
 let test_explain_deterministic () =
   let a = Lazy.force report in
-  let b = Explain.run ~iterations ~seed arch workload in
+  let b = Explain.run ~iterations ~seed ~attention:Transfusion.Strategies.Self arch workload in
   Alcotest.(check string) "identical JSON for identical seed"
     (Json.to_string (Explain.to_json a))
     (Json.to_string (Explain.to_json b));
@@ -193,7 +193,7 @@ let test_explain_json_roundtrip () =
    the DPipe schedule; explain reports which one is served, with both
    per-layer makespans, in the table and in the JSON document. *)
 let check_served ~expect arch w =
-  let r = Explain.run ~iterations:60 ~seed arch w in
+  let r = Explain.run ~iterations:60 ~seed ~attention:Transfusion.Strategies.Self arch w in
   let l = r.Explain.layer in
   let name = match l.Transfusion.Strategies.served with `Dpipe -> "dpipe" | `Static -> "static" in
   Alcotest.(check string) "served" expect name;

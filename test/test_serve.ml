@@ -8,6 +8,7 @@ module Json = Tf_json
 module Protocol = Tf_serve.Protocol
 module Server = Tf_serve.Server
 module Api = Tf_serve.Api
+module Request = Tf_serve.Request
 module Strategies = Transfusion.Strategies
 open Tf_workloads
 
@@ -188,9 +189,18 @@ let test_differential_schedule () =
 
 let test_differential_explain () =
   let t = mem_server () in
-  let arch = Tf_arch.Presets.edge in
-  let w = Workload.v ~batch:8 Presets.t5 ~seq_len:1024 in
-  let direct = Json.to_line (Api.explain_doc ~iterations ~seed:7 arch w) in
+  let req =
+    {
+      Request.Explain.arch = Tf_arch.Presets.edge;
+      model = Presets.t5;
+      seq = 1024;
+      batch = 8;
+      iterations;
+      seed = 7;
+      causal = false;
+    }
+  in
+  let direct = Json.to_line (Tf_report.Explain.to_json (Api.explain req)) in
   let served =
     payload_exn
       (Server.handle_line t
@@ -200,14 +210,22 @@ let test_differential_explain () =
   in
   Alcotest.(check string) "explain payload bit-identical" direct served
 
+let decode_doc req = Tf_experiments.Exp_generation.to_json (Api.decode req)
+
+let small_decode =
+  {
+    Request.Decode.arch = Tf_arch.Presets.edge;
+    models = [ Presets.t5 ];
+    strategies = [ Strategies.Transfusion ];
+    gen = 64;
+    batch = 4;
+    iterations;
+    quick = true;
+  }
+
 let test_differential_decode () =
   let t = mem_server () in
-  let arch = Tf_arch.Presets.edge in
-  let direct =
-    Json.to_line
-      (Api.decode_doc ~quick:true ~gen:64 ~batch:4 ~strategies:[ Strategies.Transfusion ]
-         ~iterations arch [ Presets.t5 ])
-  in
+  let direct = Json.to_line (decode_doc small_decode) in
   let served =
     payload_exn
       (Server.handle_line t
@@ -217,38 +235,140 @@ let test_differential_decode () =
   in
   Alcotest.(check string) "decode payload bit-identical" direct served
 
-let test_differential_cli_binary () =
-  (* The strongest form: the actual one-shot CLI process emits exactly
-     the pretty rendering of the same document the daemon serves. *)
-  (* Under `dune runtest` the cwd is the test directory (the binary is
-     a declared dep one level up); `dune exec` runs from the project
-     root. *)
-  let cli =
-    match
-      List.find_opt Sys.file_exists
-        [ "../bin/transfusion_cli.exe"; "_build/default/bin/transfusion_cli.exe" ]
-    with
-    | Some c -> c
-    | None -> Alcotest.skip ()
-  in
-  let cmd =
-    Printf.sprintf "%s eval -a edge -m T5 -s 1024 -b 8 --strategy unfused --iterations %d --json -"
-      cli iterations
-  in
+(* The one-shot CLI binary.  Under `dune runtest` the cwd is the test
+   directory (the binary is a declared dep one level up); `dune exec`
+   runs from the project root. *)
+let cli_binary () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/transfusion_cli.exe"; "_build/default/bin/transfusion_cli.exe" ]
+  with
+  | Some c -> c
+  | None -> Alcotest.skip ()
+
+(* Run the CLI with [args]; its exit status and stdout (stderr too when
+   [stderr]). *)
+let run_cli ?(stderr = false) args =
+  let cmd = Printf.sprintf "%s %s 2>%s" (cli_binary ()) args (if stderr then "&1" else "/dev/null") in
   let ic = Unix.open_process_in cmd in
   let out = In_channel.input_all ic in
-  (match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "cli eval --json failed");
-  let arch = Tf_arch.Presets.edge in
-  let w = Workload.v ~batch:8 Presets.t5 ~seq_len:1024 in
-  let doc = Api.eval_doc ~iterations arch w Strategies.Unfused in
-  Alcotest.(check string) "CLI stdout is the pretty rendering of the served document"
-    (Json.to_string doc) out;
+  let code = match Unix.close_process_in ic with Unix.WEXITED c -> c | _ -> -1 in
+  (code, out)
+
+(* The strongest form of the differential: the CLI process prints the
+   pretty rendering, and the daemon serves the compact rendering, of one
+   document [doc], for each daemon request in [requests]. *)
+let check_cli_and_daemon ~args ~requests doc =
+  (match run_cli args with
+  | 0, out -> Alcotest.(check string) ("CLI stdout: transfusion " ^ args) (Json.to_string doc) out
+  | code, _ -> Alcotest.failf "transfusion %s exited %d" args code);
   let t = mem_server () in
-  let served = payload_exn (Server.handle_line t (sched_request "edge" "T5" 1024 "unfused")) in
-  Alcotest.(check string) "daemon serves the compact rendering of the same document"
-    (Json.to_line doc) served
+  List.iter
+    (fun request ->
+      Alcotest.(check string) ("daemon payload: " ^ request) (Json.to_line doc)
+        (payload_exn (Server.handle_line t request)))
+    requests
+
+let defaults spec = Request.of_json spec (Json.Obj [])
+let small = "-a edge -m T5 -s 1024 -b 8"
+
+let test_differential_cli_binary () =
+  let eval_json req = Api.result_json (Api.schedule req) in
+  check_cli_and_daemon
+    ~args:(Printf.sprintf "eval %s --strategy unfused --iterations %d --json -" small iterations)
+    ~requests:[ sched_request "edge" "T5" 1024 "unfused" ]
+    (Api.eval_doc ~iterations Tf_arch.Presets.edge (Workload.v ~batch:8 Presets.t5 ~seq_len:1024)
+       Strategies.Unfused);
+  check_cli_and_daemon ~args:"eval --json -" ~requests:[ {|{"op":"schedule"}|} ]
+    (eval_json (defaults Request.Schedule.spec))
+
+let test_differential_cli_explain () =
+  let explain_doc req = Tf_report.Explain.to_json (Api.explain req) in
+  check_cli_and_daemon
+    ~args:(Printf.sprintf "explain %s --iterations %d --seed 7 --causal --json -" small iterations)
+    ~requests:
+      [
+        Printf.sprintf
+          {|{"op":"explain","arch":"edge","model":"T5","seq":1024,"batch":8,"iterations":%d,"seed":7,"causal":true}|}
+          iterations;
+      ]
+    (explain_doc
+       {
+         Request.Explain.arch = Tf_arch.Presets.edge;
+         model = Presets.t5;
+         seq = 1024;
+         batch = 8;
+         iterations;
+         seed = 7;
+         causal = true;
+       });
+  check_cli_and_daemon ~args:"explain --json -" ~requests:[ {|{"op":"explain"}|} ]
+    (explain_doc (defaults Request.Explain.spec))
+
+let test_differential_cli_decode () =
+  check_cli_and_daemon
+    ~args:
+      (Printf.sprintf
+         "decode -a edge -m T5 --strategy transfusion --gen 64 -b 4 --iterations %d --quick --json -"
+         iterations)
+    ~requests:
+      [
+        Printf.sprintf
+          {|{"op":"decode","arch":"edge","models":["T5"],"strategies":"transfusion","gen":64,"batch":4,"iterations":%d,"quick":true}|}
+          iterations;
+      ]
+    (decode_doc small_decode);
+  check_cli_and_daemon ~args:"decode --quick --json -" ~requests:[ {|{"op":"decode","quick":true}|} ]
+    (decode_doc { (defaults Request.Decode.spec) with quick = true })
+
+(* [eval] evaluates once: the human summary and [--json] share the one
+   memoised, verified result. *)
+let test_cli_eval_searches_once () =
+  match run_cli (Printf.sprintf "eval %s --iterations %d --json /dev/null --metrics" small iterations) with
+  | 0, out ->
+      let searches =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+            | [ "tileseek.searches_total"; n ] -> Some n
+            | _ -> None)
+          (String.split_on_char '\n' out)
+      in
+      Alcotest.(check (option string)) "tileseek.searches_total" (Some "1") searches
+  | code, _ -> Alcotest.failf "eval --metrics exited %d" code
+
+(* Invalid values: the CLI refuses with the daemon's error text and
+   Cmdliner's usage-error exit (124), never an internal error. *)
+let test_cli_validation_matches_daemon () =
+  let squash s = String.concat " " (String.split_on_char ' ' s |> List.filter (( <> ) "")) in
+  let flat s = squash (String.map (function '\n' -> ' ' | c -> c) s) in
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let t = mem_server () in
+  List.iter
+    (fun (args, request) ->
+      let msg = error_of (Server.handle_line t request) in
+      match run_cli ~stderr:true args with
+      | 124, out ->
+          if not (contains ~sub:(flat msg) (flat out)) then
+            Alcotest.failf "transfusion %s: expected %S in %S" args msg out
+      | code, out -> Alcotest.failf "transfusion %s exited %d: %s" args code out)
+    [
+      ("eval -s 0", {|{"op":"schedule","seq":0}|});
+      ("eval --batch=-3", {|{"op":"schedule","batch":-3}|});
+      ("eval --iterations 0", {|{"op":"schedule","iterations":0}|});
+      ("explain -s 0", {|{"op":"explain","seq":0}|});
+      ("decode -b 0", {|{"op":"decode","batch":0}|});
+      ("decode --gen 0", {|{"op":"decode","gen":0}|});
+      ("eval -a warp", {|{"op":"schedule","arch":"warp"}|});
+      ("explain -m nope", {|{"op":"explain","model":"nope"}|});
+      ("decode -m nope", {|{"op":"decode","models":["nope"]}|});
+      ("eval --strategy quantum", {|{"op":"schedule","strategy":"quantum"}|});
+      ("decode --strategy quantum", {|{"op":"decode","strategy":"quantum"}|});
+    ]
 
 (* --- concurrency: one key, one search -------------------------------- *)
 
@@ -466,6 +586,10 @@ let () =
           quick "explain vs explain_doc" test_differential_explain;
           quick "decode vs decode_doc" test_differential_decode;
           quick "daemon vs CLI binary" test_differential_cli_binary;
+          quick "explain: daemon vs CLI binary" test_differential_cli_explain;
+          quick "decode: daemon vs CLI binary" test_differential_cli_decode;
+          quick "eval searches once" test_cli_eval_searches_once;
+          quick "CLI validation matches the daemon" test_cli_validation_matches_daemon;
         ] );
       ( "cache",
         [
