@@ -10,20 +10,32 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 
+let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
+
+let add_escaped buffer s =
+  if String.for_all plain s then Buffer.add_string buffer s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buffer "\\\""
+        | '\\' -> Buffer.add_string buffer "\\\\"
+        | '\n' -> Buffer.add_string buffer "\\n"
+        | '\r' -> Buffer.add_string buffer "\\r"
+        | '\t' -> Buffer.add_string buffer "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buffer c)
+      s
+
+(* Most strings (names, ids, hex fingerprints) need no escape at all,
+   so they come back as they are, without a copy. *)
 let escape s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+  if String.for_all plain s then s
+  else begin
+    let buffer = Buffer.create (String.length s + 2) in
+    add_escaped buffer s;
+    Buffer.contents buffer
+  end
 
 (* %.17g round-trips every float but litters goldens with noise
    digits; %.12g survives the perturbations we care about (compiler,
@@ -48,7 +60,7 @@ let to_string t =
         else Buffer.add_string buffer (number f)
     | Str s ->
         Buffer.add_char buffer '"';
-        Buffer.add_string buffer (escape s);
+        add_escaped buffer s;
         Buffer.add_char buffer '"'
     | List [] -> Buffer.add_string buffer "[]"
     | List items ->
@@ -70,7 +82,7 @@ let to_string t =
             if i > 0 then Buffer.add_string buffer ",\n";
             Buffer.add_string buffer (pad (depth + 1));
             Buffer.add_char buffer '"';
-            Buffer.add_string buffer (escape k);
+            add_escaped buffer k;
             Buffer.add_string buffer "\": ";
             emit (depth + 1) v)
           fields;
@@ -88,8 +100,7 @@ let to_string t =
    payload itself must never contain one (escaped newlines inside
    strings are fine — [escape] turns them into "\n" the two-character
    sequence). *)
-let to_line t =
-  let buffer = Buffer.create 256 in
+let to_buffer buffer t =
   let rec emit = function
     | Null -> Buffer.add_string buffer "null"
     | Bool b -> Buffer.add_string buffer (string_of_bool b)
@@ -99,7 +110,7 @@ let to_line t =
         else Buffer.add_string buffer (number f)
     | Str s ->
         Buffer.add_char buffer '"';
-        Buffer.add_string buffer (escape s);
+        add_escaped buffer s;
         Buffer.add_char buffer '"'
     | List items ->
         Buffer.add_char buffer '[';
@@ -115,13 +126,17 @@ let to_line t =
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char buffer ',';
             Buffer.add_char buffer '"';
-            Buffer.add_string buffer (escape k);
+            add_escaped buffer k;
             Buffer.add_string buffer "\":";
             emit v)
           fields;
         Buffer.add_char buffer '}'
   in
-  emit t;
+  emit t
+
+let to_line t =
+  let buffer = Buffer.create 256 in
+  to_buffer buffer t;
   Buffer.contents buffer
 
 let rec mkdir_p dir =
@@ -152,185 +167,251 @@ exception Bad_json of string
    own schemas produce. *)
 let max_depth = 512
 
+(* Reader state: the text, its length and the offset of the next byte.
+   The functions below are top-level rather than closures over a
+   [parse] call, so reading a request allocates only the value it
+   returns. *)
+type reader = { s : string; n : int; mutable pos : int }
+
+let fail r msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg r.pos))
+
+(* The byte at the read position, or ['\000'] past the end.  A NUL byte
+   in the text reads the same; where the two must differ (an error
+   message), the caller checks [r.pos < r.n]. *)
+let cur r = if r.pos < r.n then String.unsafe_get r.s r.pos else '\000'
+
+let advance r = r.pos <- r.pos + 1
+
+let rec skip_ws r =
+  match cur r with
+  | ' ' | '\t' | '\n' | '\r' ->
+      advance r;
+      skip_ws r
+  | _ -> ()
+
+let expect r c = if cur r = c then advance r else fail r (Printf.sprintf "expected %c" c)
+
+let hex4 r =
+  let code = ref 0 in
+  for _ = 1 to 4 do
+    let digit =
+      match cur r with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail r "bad unicode escape"
+    in
+    code := (!code * 16) + digit;
+    advance r
+  done;
+  !code
+
+(* After the "\u": a BMP scalar, or a high surrogate that must be
+   followed by an escaped low one (the pair is one code point above
+   U+FFFF).  A lone surrogate has no UTF-8 encoding, so it is an
+   error rather than three bytes of CESU-8. *)
+let unicode_escape r =
+  let hi = hex4 r in
+  if hi >= 0xDC00 && hi <= 0xDFFF then fail r "lone low surrogate"
+  else if hi >= 0xD800 && hi <= 0xDBFF then begin
+    if r.pos + 1 < r.n && r.s.[r.pos] = '\\' && r.s.[r.pos + 1] = 'u' then r.pos <- r.pos + 2
+    else fail r "lone high surrogate";
+    let lo = hex4 r in
+    if lo < 0xDC00 || lo > 0xDFFF then fail r "lone high surrogate";
+    Uchar.of_int (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+  end
+  else Uchar.of_int hi
+
+(* The end of the run of bytes from [i] that a string literal holds as
+   they are: no quote, no backslash, no control byte. *)
+let rec plain_run r i =
+  if i < r.n && plain (String.unsafe_get r.s i) then plain_run r (i + 1) else i
+
+(* The character a two-byte escape stands for, at the escape letter. *)
+let unescaped r buf ~keep c =
+  if keep then Buffer.add_char buf c;
+  advance r
+
+(* After the opening quote: the body of a string literal.  A string
+   with no escape is one [String.sub]; otherwise plain runs are copied
+   whole between the escapes.  With [keep = false] the literal is
+   checked, with the same errors, and nothing is built. *)
+let string_body r ~keep =
+  let start = r.pos in
+  let stop = plain_run r start in
+  if stop < r.n && String.unsafe_get r.s stop = '"' then begin
+    r.pos <- stop + 1;
+    if keep then String.sub r.s start (stop - start) else ""
+  end
+  else begin
+    let buf = Buffer.create (if keep then stop - start + 16 else 1) in
+    let rec loop () =
+      let run = r.pos in
+      let stop = plain_run r run in
+      if keep && stop > run then Buffer.add_substring buf r.s run (stop - run);
+      r.pos <- stop;
+      if stop >= r.n then fail r "unterminated string"
+      else
+        match String.unsafe_get r.s stop with
+        | '"' -> advance r
+        | '\\' ->
+            advance r;
+            (match cur r with
+            | ('"' | '\\' | '/') as c -> unescaped r buf ~keep c
+            | 'b' -> unescaped r buf ~keep '\b'
+            | 'f' -> unescaped r buf ~keep '\012'
+            | 'n' -> unescaped r buf ~keep '\n'
+            | 'r' -> unescaped r buf ~keep '\r'
+            | 't' -> unescaped r buf ~keep '\t'
+            | 'u' ->
+                advance r;
+                let u = unicode_escape r in
+                if keep then Buffer.add_utf_8_uchar buf u
+            | _ -> fail r "bad escape");
+            loop ()
+        | _ -> fail r "control char in string"
+    in
+    r.pos <- start;
+    loop ();
+    if keep then Buffer.contents buf else ""
+  end
+
+(* RFC 8259 §6: [-] (0 | [1-9][0-9]* ) [. [0-9]+] [(e|E) [+|-] [0-9]+].
+   No leading '+', no leading zeros, no bare '.' on either side. *)
+let digits r =
+  let first = r.pos in
+  while match cur r with '0' .. '9' -> true | _ -> false do
+    advance r
+  done;
+  if r.pos = first then fail r "bad number"
+
+let number r ~keep =
+  let start = r.pos in
+  let neg = cur r = '-' in
+  if neg then advance r;
+  (match cur r with
+  | '0' -> (
+      advance r;
+      match cur r with '0' .. '9' -> fail r "bad number (leading zero)" | _ -> ())
+  | _ -> digits r);
+  let int_end = r.pos in
+  if cur r = '.' then begin
+    advance r;
+    digits r
+  end;
+  (match cur r with
+  | 'e' | 'E' ->
+      advance r;
+      (match cur r with '+' | '-' -> advance r | _ -> ());
+      digits r
+  | _ -> ());
+  let first_digit = if neg then start + 1 else start in
+  if not keep then 0.
+  else if r.pos = int_end && int_end - first_digit <= 15 then begin
+    (* An integer of at most 15 digits is below 2^53, so summing its
+       digits is exact and gives the float [float_of_string] would;
+       request ids and sizes take this path. *)
+    let v = ref 0 in
+    for i = first_digit to int_end - 1 do
+      v := (!v * 10) + (Char.code (String.unsafe_get r.s i) - Char.code '0')
+    done;
+    if neg then -.float_of_int !v else float_of_int !v
+  end
+  else float_of_string (String.sub r.s start (r.pos - start))
+
+let literal r word value =
+  let l = String.length word in
+  let rec matches i = i = l || (r.s.[r.pos + i] = word.[i] && matches (i + 1)) in
+  if r.pos + l <= r.n && matches 0 then begin
+    r.pos <- r.pos + l;
+    value
+  end
+  else fail r (Printf.sprintf "expected %s" word)
+
+(* One grammar, two uses: [keep] builds the value, [keep = false]
+   checks it and returns [Null].  [only], when given, keeps just the
+   object members it names (the rest are checked and skipped); it
+   applies to this object only, not to the values inside it. *)
+let rec value r ~keep ~only depth =
+  if depth > max_depth then fail r "nesting too deep";
+  skip_ws r;
+  match cur r with
+  | '"' ->
+      advance r;
+      let s = string_body r ~keep in
+      if keep then Str s else Null
+  | '{' ->
+      advance r;
+      skip_ws r;
+      if cur r = '}' then begin
+        advance r;
+        if keep then Obj [] else Null
+      end
+      else members r ~keep ~only depth []
+  | '[' ->
+      advance r;
+      skip_ws r;
+      if cur r = ']' then begin
+        advance r;
+        if keep then List [] else Null
+      end
+      else elements r ~keep depth []
+  | 't' -> literal r "true" (Bool true)
+  | 'f' -> literal r "false" (Bool false)
+  | 'n' -> literal r "null" Null
+  | '-' | '0' .. '9' ->
+      let f = number r ~keep in
+      if keep then Num f else Null
+  | c -> if r.pos < r.n then fail r (Printf.sprintf "unexpected %C" c) else fail r "unexpected end of input"
+
+and members r ~keep ~only depth acc =
+  skip_ws r;
+  expect r '"';
+  let k = string_body r ~keep in
+  skip_ws r;
+  expect r ':';
+  let keep_v = keep && match only with None -> true | Some keys -> List.mem k keys in
+  let v = value r ~keep:keep_v ~only:None (depth + 1) in
+  let acc = if keep_v then (k, v) :: acc else acc in
+  skip_ws r;
+  match cur r with
+  | ',' ->
+      advance r;
+      members r ~keep ~only depth acc
+  | '}' ->
+      advance r;
+      if keep then Obj (List.rev acc) else Null
+  | _ -> fail r "expected , or }"
+
+and elements r ~keep depth acc =
+  let v = value r ~keep ~only:None (depth + 1) in
+  let acc = if keep then v :: acc else acc in
+  skip_ws r;
+  match cur r with
+  | ',' ->
+      advance r;
+      elements r ~keep depth acc
+  | ']' ->
+      advance r;
+      if keep then List (List.rev acc) else Null
+  | _ -> fail r "expected , or ]"
+
+let read ~only s =
+  let r = { s; n = String.length s; pos = 0 } in
+  let v = value r ~keep:true ~only 0 in
+  skip_ws r;
+  if r.pos <> r.n then fail r "trailing garbage";
+  v
+
 let parse ?max_bytes (s : string) : t =
   (match max_bytes with
   | Some limit when String.length s > limit ->
       raise
         (Bad_json (Printf.sprintf "input too large (%d bytes, limit %d)" (String.length s) limit))
   | _ -> ());
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let hex4 () =
-    let code = ref 0 in
-    for _ = 1 to 4 do
-      match peek () with
-      | Some ('0' .. '9' as c) ->
-          code := (!code * 16) + (Char.code c - Char.code '0');
-          advance ()
-      | Some ('a' .. 'f' as c) ->
-          code := (!code * 16) + (Char.code c - Char.code 'a' + 10);
-          advance ()
-      | Some ('A' .. 'F' as c) ->
-          code := (!code * 16) + (Char.code c - Char.code 'A' + 10);
-          advance ()
-      | _ -> fail "bad unicode escape"
-    done;
-    !code
-  in
-  (* After the "\u": a BMP scalar, or a high surrogate that must be
-     followed by an escaped low one (the pair is one code point above
-     U+FFFF).  A lone surrogate has no UTF-8 encoding, so it is an
-     error rather than three bytes of CESU-8. *)
-  let unicode_escape () =
-    let hi = hex4 () in
-    if hi >= 0xDC00 && hi <= 0xDFFF then fail "lone low surrogate"
-    else if hi >= 0xD800 && hi <= 0xDBFF then begin
-      if !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then pos := !pos + 2
-      else fail "lone high surrogate";
-      let lo = hex4 () in
-      if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate";
-      Uchar.of_int (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-    end
-    else Uchar.of_int hi
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some (('"' | '\\' | '/') as c) ->
-              Buffer.add_char buf c;
-              advance ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance ()
-          | Some 'u' ->
-              advance ();
-              Buffer.add_utf_8_uchar buf (unicode_escape ())
-          | _ -> fail "bad escape");
-          loop ()
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  (* RFC 8259 §6: [-] (0 | [1-9][0-9]* ) [. [0-9]+] [(e|E) [+|-] [0-9]+].
-     No leading '+', no leading zeros, no bare '.' on either side. *)
-  let digits () =
-    let first = !pos in
-    while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = first then fail "bad number"
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    (match peek () with
-    | Some '0' ->
-        advance ();
-        (match peek () with Some '0' .. '9' -> fail "bad number (leading zero)" | _ -> ())
-    | _ -> digits ());
-    if peek () = Some '.' then (advance (); digits ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (
-      pos := !pos + l;
-      value)
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let rec parse_value depth =
-    if depth > max_depth then fail "nesting too deep";
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value (depth + 1) in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Obj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          List [])
-        else
-          let rec elements acc =
-            let v = parse_value (depth + 1) in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          List (elements [])
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> Num (parse_number ())
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value 0 in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+  read ~only:None s
+
+let parse_members keys s = read ~only:(Some keys) s
 
 let parse_file path =
   let ic = open_in_bin path in

@@ -33,6 +33,9 @@ val to_line : t -> string
     unit of the newline-delimited wire protocol: the output never
     contains a raw ['\n']. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** {!to_line} appended to a buffer. *)
+
 val write_file : path:string -> string -> unit
 (** Write contents to [path], creating parent directories as needed.
     @raise Sys_error on I/O failure. *)
@@ -56,6 +59,13 @@ val parse : ?max_bytes:int -> string -> t
     nesting deeper than 512.  The nesting bound is what makes the parser
     safe on hostile wire input: [Stack_overflow] is not an error a
     server loop can treat as data. *)
+
+val parse_members : string list -> string -> t
+(** {!parse} that builds only the named members of a top-level object:
+    the text is checked in full, with {!parse}'s errors and offsets,
+    and the other members are skipped without being built.  A
+    top-level value that is not an object is returned whole.
+    @raise Bad_json on malformed input. *)
 
 val parse_file : string -> t
 (** {!parse} the whole contents of a file.

@@ -2,8 +2,16 @@ module Json = Tf_json
 
 let schema = "transfusion.serve-cache/1"
 
+(* A memory-tier key: a request's typed key, or the fingerprint of a
+   key document for callers that hold only the document. *)
+type slot = Typed of Request.key | Doc of string
+
+(* The fingerprint rides with the payload, so a hit reports it without
+   rendering or digesting the key. *)
+type entry = { fp : string; payload : string }
+
 type t = {
-  memo : (string, string) Tf_parallel.Memo.t;
+  memo : (slot, entry) Tf_parallel.Memo.t;
   dir : string option;
   disk_hits : Tf_obs.Counter.t;
   disk_misses : Tf_obs.Counter.t;
@@ -32,17 +40,24 @@ let entry_path t fp =
    emitter's [escape] and the reader's unescape are exact inverses on
    every byte the emitter produces, so a rehydrated payload is
    byte-identical to the one that was stored — the restart test pins
-   this. *)
+   this.  The whole entry is checked, but only [schema] and [payload]
+   are built; the key document is skipped. *)
+let read_entry text =
+  let doc = Json.parse_members [ "schema"; "payload" ] text in
+  match (Json.find "schema" doc, Json.find "payload" doc) with
+  | Some (Json.Str s), Some (Json.Str payload) when String.equal s schema -> Some payload
+  | _ -> None
+
 let load_disk t fp =
   match entry_path t fp with
   | None -> None
-  | Some path when not (Sys.file_exists path) -> None
   | Some path -> (
-      match Json.(get_string (member "payload" (parse_file path))) with
-      | payload -> Some payload
-      | exception _ ->
-          (* A corrupt or half-written entry must read as a miss, never
-             kill the request. *)
+      match read_entry (In_channel.with_open_bin path In_channel.input_all) with
+      | Some payload -> Some payload
+      | exception Sys_error _ when not (Sys.file_exists path) -> None
+      | None | (exception _) ->
+          (* A corrupt, half-written or foreign entry must read as a
+             miss, never kill the request. *)
           Tf_obs.Counter.incr t.disk_errors;
           None)
 
@@ -67,28 +82,38 @@ type tier = Memory | Disk | Computed
 
 let tier_name = function Memory -> "memory" | Disk -> "disk" | Computed -> "computed"
 
-let find_or_compute ?report t ~key_json compute =
-  let fp = fingerprint key_json in
-  (* The thunk runs only on a memory-tier miss, so a tier left unset
-     means the memo answered (a waiter on an in-flight computation also
-     reads as a memory hit — it paid memo latency, not compute). *)
-  let deep_tier = ref None in
-  let payload =
-    Tf_parallel.Memo.find_or_compute t.memo fp (fun () ->
+(* [key_doc] runs only on a memory-tier miss: it gives the key document
+   and its fingerprint, which name the disk entry. *)
+let lookup ~report t slot ~key_doc compute =
+  (* A tier left at [Memory] means the memo answered (a waiter on an
+     in-flight computation also reads as a memory hit — it paid memo
+     latency, not compute). *)
+  let deep_tier = ref Memory in
+  let entry =
+    Tf_parallel.Memo.find_or_compute t.memo slot (fun () ->
+        let key_json, fp = key_doc () in
         match load_disk t fp with
         | Some payload ->
             Tf_obs.Counter.incr t.disk_hits;
-            deep_tier := Some Disk;
-            payload
+            deep_tier := Disk;
+            { fp; payload }
         | None ->
             Tf_obs.Counter.incr t.disk_misses;
             let payload = compute () in
             store_disk t fp ~key_json payload;
-            deep_tier := Some Computed;
-            payload)
+            deep_tier := Computed;
+            { fp; payload })
   in
-  (match report with
-  | Some f -> f ~fp ~tier:(match !deep_tier with Some tier -> tier | None -> Memory)
-  | None -> ());
-  payload
+  report ~fp:entry.fp ~tier:!deep_tier;
+  entry.payload
 
+let find_or_compute_key ~report t key compute =
+  lookup ~report t (Typed key)
+    ~key_doc:(fun () ->
+      let key_json = Request.key_json key in
+      (key_json, fingerprint key_json))
+    compute
+
+let find_or_compute ?(report = fun ~fp:_ ~tier:_ -> ()) t ~key_json compute =
+  let fp = fingerprint key_json in
+  lookup ~report t (Doc fp) ~key_doc:(fun () -> (key_json, fp)) compute

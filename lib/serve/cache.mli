@@ -1,19 +1,24 @@
 (** The daemon's two-tier schedule cache.
 
-    Tier 1 is a bounded in-memory {!Tf_parallel.Memo} (fingerprint →
-    rendered payload line) whose single-flight semantics are what makes
-    N concurrent clients asking for the same key run the search exactly
-    once.  Tier 2 is an optional on-disk store — one
-    [transfusion.serve-cache/1] JSON file per fingerprint, named by it —
-    so schedules survive restarts: a fresh process's memory tier starts
-    empty and rehydrates byte-identical payloads from disk.
+    Tier 1 is a bounded in-memory {!Tf_parallel.Memo} whose
+    single-flight semantics are what makes N concurrent clients asking
+    for the same key run the search exactly once.  Tier 2 is an optional
+    on-disk store — one [transfusion.serve-cache/1] JSON file per
+    fingerprint, named by it — so schedules survive restarts: a fresh
+    process's memory tier starts empty and rehydrates byte-identical
+    payloads from disk.
 
-    Keys are structured JSON (for [schedule]:
-    {!Tf_experiments.Exp_common.Key.to_json} plus an endpoint tag);
-    the fingerprint is a digest of the compact rendering, so equal keys
-    collide iff they are structurally equal.  Corrupt or half-written
-    disk entries read as misses (counted in
-    [serve.cache.disk_errors_total]), never as request failures. *)
+    The memory tier is keyed on a request's compact typed
+    {!Request.key}, and each entry stores the key's fingerprint next to
+    its payload, so a memory hit renders no key document and computes no
+    digest.  The fingerprint is a digest of the compact rendering of the
+    key document ({!Request.key_json}), and typed keys are equal exactly
+    when their documents are; a miss renders and digests the document
+    once, to name the disk file.  Callers holding only a key document
+    use {!find_or_compute}, which keys the memory tier on its
+    fingerprint.  Corrupt, half-written or wrong-schema disk entries
+    read as misses (counted in [serve.cache.disk_errors_total]), never
+    as request failures. *)
 
 type t
 
@@ -35,15 +40,24 @@ type tier = Memory | Disk | Computed
 val tier_name : tier -> string
 (** ["memory"] / ["disk"] / ["computed"] (the access-log vocabulary). *)
 
+val find_or_compute_key :
+  report:(fp:string -> tier:tier -> unit) -> t -> Request.key -> (unit -> string) -> string
+(** Memory tier, then disk tier, then [compute] (persisting the fresh
+    payload to disk).  Concurrent callers of the same key wait for one
+    computation; [compute]'s exceptions propagate and cache nothing.
+    [report] receives the key fingerprint and the answering tier
+    (request correlation for the access log). *)
+
 val find_or_compute :
   ?report:(fp:string -> tier:tier -> unit) ->
   t ->
   key_json:Tf_json.t ->
   (unit -> string) ->
   string
-(** Memory tier, then disk tier, then [compute] (persisting the fresh
-    payload to disk).  Concurrent callers of the same key wait for one
-    computation; [compute]'s exceptions propagate and cache nothing.
-    [report], when given, receives the key fingerprint and the
-    answering tier (request correlation for the access log). *)
-
+(** {!find_or_compute_key} for a caller holding a key document (and
+    perhaps no [report]): the memory tier is keyed on the document's
+    {!fingerprint}, computed per call.  The disk entry, the counters and
+    the reported fingerprint are those of the typed path for the same
+    document; a cache should be driven through one of the two, since a
+    key reached through both holds two memory entries over one disk
+    file. *)

@@ -51,21 +51,34 @@ let strategy_field body ~default = field { Request.strategy with default } body
    pins.  [result] is the last field so tests can peel the payload back
    out of the response with plain string surgery. *)
 
-let header ~ok ~id ~op =
-  let fields =
-    [ ("schema", Json.Str schema); ("ok", Json.Bool ok) ]
-    @ (match op with None -> [] | Some op -> [ ("op", Json.Str op) ])
-    @ match id with Json.Null -> [] | id -> [ ("id", id) ]
-  in
-  let line = Json.to_line (Json.Obj fields) in
-  (* Drop the closing brace to append the result field. *)
-  String.sub line 0 (String.length line - 1)
+(* The header fields are spliced by hand, with the bytes a
+   [Json.Obj] of them would render: the schema and the booleans are
+   constants, the op and id go through the shared writer. *)
+let frame ~ok ~id ~op ~field body =
+  let b = Buffer.create (String.length body + 96) in
+  Buffer.add_string b "{\"schema\":\"";
+  Buffer.add_string b schema;
+  Buffer.add_string b (if ok then "\",\"ok\":true" else "\",\"ok\":false");
+  (match op with
+  | None -> ()
+  | Some op ->
+      Buffer.add_string b ",\"op\":";
+      Json.to_buffer b (Json.Str op));
+  (match id with
+  | Json.Null -> ()
+  | id ->
+      Buffer.add_string b ",\"id\":";
+      Json.to_buffer b id);
+  Buffer.add_string b field;
+  Buffer.add_string b body;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let ok_line ?(id = Json.Null) ~op payload =
-  Printf.sprintf "%s,\"result\":%s}" (header ~ok:true ~id ~op:(Some op)) payload
+  frame ~ok:true ~id ~op:(Some op) ~field:",\"result\":" payload
 
 let error_line ?(id = Json.Null) ?op msg =
-  Printf.sprintf "%s,\"error\":%s}" (header ~ok:false ~id ~op) (Json.to_line (Json.Str msg))
+  frame ~ok:false ~id ~op ~field:",\"error\":" (Json.to_line (Json.Str msg))
 
 let result_of_line line =
   let marker = ",\"result\":" in

@@ -127,6 +127,57 @@ let of_json spec body =
 
 let fingerprint = Strategies.Private.arch_fingerprint
 
+type key =
+  | Schedule_key of Exp_common.cache_key
+  | Explain_key of {
+      arch : string;
+      model : string;
+      seq : int;
+      batch : int;
+      iterations : int;
+      seed : int;
+      causal : bool;
+    }
+  | Decode_key of {
+      arch : string;
+      models : string list;
+      strategies : string list;
+      gen : int;
+      batch : int;
+      iterations : int;
+      quick : bool;
+    }
+
+let strs l = Json.List (List.map (fun s -> Json.Str s) l)
+
+let key_json = function
+  | Schedule_key key ->
+      Json.Obj [ ("endpoint", Json.Str "schedule"); ("key", Exp_common.Key.to_json key) ]
+  | Explain_key k ->
+      Json.Obj
+        [
+          ("endpoint", Json.Str "explain");
+          ("arch", Json.Str k.arch);
+          ("model", Json.Str k.model);
+          ("seq", Json.Int k.seq);
+          ("batch", Json.Int k.batch);
+          ("iterations", Json.Int k.iterations);
+          ("seed", Json.Int k.seed);
+          ("causal", Json.Bool k.causal);
+        ]
+  | Decode_key k ->
+      Json.Obj
+        [
+          ("endpoint", Json.Str "decode");
+          ("arch", Json.Str k.arch);
+          ("models", strs k.models);
+          ("strategies", strs k.strategies);
+          ("gen", Json.Int k.gen);
+          ("batch", Json.Int k.batch);
+          ("iterations", Json.Int k.iterations);
+          ("quick", Json.Bool k.quick);
+        ]
+
 module Schedule = struct
   type t = {
     arch : Tf_arch.Arch.t;
@@ -145,9 +196,9 @@ module Schedule = struct
 
   let workload t = Workload.v ~batch:t.batch t.model ~seq_len:t.seq
 
-  let key_json t =
-    let key = Exp_common.cache_key ~tileseek_iterations:t.iterations t.arch (workload t) t.strategy in
-    Json.Obj [ ("endpoint", Json.Str "schedule"); ("key", Exp_common.Key.to_json key) ]
+  let key t =
+    Schedule_key
+      (Exp_common.cache_key ~tileseek_iterations:t.iterations t.arch (workload t) t.strategy)
 end
 
 module Explain = struct
@@ -172,18 +223,17 @@ module Explain = struct
 
   let workload t = Workload.v ~batch:t.batch t.model ~seq_len:t.seq
 
-  let key_json t =
-    Json.Obj
-      [
-        ("endpoint", Json.Str "explain");
-        ("arch", Json.Str (fingerprint t.arch));
-        ("model", Json.Str t.model.Model.name);
-        ("seq", Json.Int t.seq);
-        ("batch", Json.Int t.batch);
-        ("iterations", Json.Int t.iterations);
-        ("seed", Json.Int t.seed);
-        ("causal", Json.Bool t.causal);
-      ]
+  let key t =
+    Explain_key
+      {
+        arch = fingerprint t.arch;
+        model = t.model.Model.name;
+        seq = t.seq;
+        batch = t.batch;
+        iterations = t.iterations;
+        seed = t.seed;
+        causal = t.causal;
+      }
 end
 
 module Decode = struct
@@ -217,18 +267,21 @@ module Decode = struct
         { arch; models; strategies; gen; batch; iterations; quick })
     $ arch $ models $ strategies $ gen $ batch $ iterations $ quick
 
-  let names preset l = Json.List (List.map (fun v -> Json.Str (preset.name v)) l)
-
-  let key_json t =
-    Json.Obj
-      [
-        ("endpoint", Json.Str "decode");
-        ("arch", Json.Str (fingerprint t.arch));
-        ("models", names model_preset t.models);
-        ("strategies", names strategy_preset t.strategies);
-        ("gen", Json.Int t.gen);
-        ("batch", Json.Int t.batch);
-        ("iterations", Json.Int t.iterations);
-        ("quick", Json.Bool t.quick);
-      ]
+  (* The default strategy list, spelt out, keys like the empty list it
+     stands for: both compute the same payload, and the empty list is
+     what every default-strategy entry on disk was named by. *)
+  let key t =
+    let strategies =
+      if t.strategies = Tf_experiments.Exp_generation.default_strategies then [] else t.strategies
+    in
+    Decode_key
+      {
+        arch = fingerprint t.arch;
+        models = List.map model_preset.name t.models;
+        strategies = List.map strategy_preset.name strategies;
+        gen = t.gen;
+        batch = t.batch;
+        iterations = t.iterations;
+        quick = t.quick;
+      }
 end

@@ -66,6 +66,21 @@ val of_json : 'a spec -> Tf_json.t -> 'a
     order, is refused.
     @raise Bad_request on the first error. *)
 
+type key
+(** The compact cache key of a request: every field its payload depends
+    on, with the architecture as its
+    {!Transfusion.Strategies.Private.arch_fingerprint} and models and
+    strategies by name, compared structurally.  Two keys are equal
+    exactly when their {!key_json} documents are, so the memory tier can
+    compare keys without rendering them.  A [decode] request that spells
+    out the default strategies has the key of one that leaves them
+    out. *)
+
+val key_json : key -> Tf_json.t
+(** The key document a disk entry is named by and stores:
+    [{"endpoint":"schedule","key":<Exp_common.Key.to_json>}], or the
+    [explain]/[decode] fields with an [endpoint] tag. *)
+
 module Schedule : sig
   type t = {
     arch : Tf_arch.Arch.t;
@@ -78,9 +93,7 @@ module Schedule : sig
 
   val spec : t spec
   val workload : t -> Tf_workloads.Workload.t
-
-  val key_json : t -> Tf_json.t
-  (** [{"endpoint":"schedule","key":<Exp_common.Key.to_json>}]. *)
+  val key : t -> key
 end
 
 module Explain : sig
@@ -96,7 +109,7 @@ module Explain : sig
 
   val spec : t spec
   val workload : t -> Tf_workloads.Workload.t
-  val key_json : t -> Tf_json.t
+  val key : t -> key
 end
 
 module Decode : sig
@@ -104,9 +117,7 @@ module Decode : sig
     arch : Tf_arch.Arch.t;
     models : Tf_workloads.Model.t list;
     strategies : Transfusion.Strategies.t list;
-        (** [[]] means {!Tf_experiments.Exp_generation.default_strategies};
-            kept apart from it because the cache key renders the list as
-            given *)
+        (** [[]] means {!Tf_experiments.Exp_generation.default_strategies} *)
     gen : int;
     batch : int;
     iterations : int;
@@ -114,5 +125,5 @@ module Decode : sig
   }
 
   val spec : t spec
-  val key_json : t -> Tf_json.t
+  val key : t -> key
 end

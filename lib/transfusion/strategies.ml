@@ -277,12 +277,32 @@ let fusemax_assign (arch : Arch.t) cascade =
    every arch field the schedule reads — keying on the name alone made
    distinct archs collide and the cached result depend on evaluation
    order. *)
-let arch_fingerprint (a : Arch.t) =
+let render_fingerprint (a : Arch.t) =
   Printf.sprintf "%s:%d:%d:%h:%h:%h:%h:%d" a.Arch.name
     (Pe_array.num_pes a.Arch.pe_2d)
     (Pe_array.num_pes a.Arch.pe_1d)
     a.Arch.vector_eff_2d a.Arch.matrix_eff_1d a.Arch.clock_hz a.Arch.dram_bw_bytes_per_s
     a.Arch.buffer_bytes
+
+(* The fingerprints of the most recently seen arch values, found by
+   physical identity: an arch is immutable, and a daemon or a sweep asks
+   about the same few preset values over and over, so each is rendered
+   once rather than by [%h] formatting on every cache key.  A lost
+   update between domains only costs a re-render. *)
+let recent_fingerprints : (Arch.t * string) list Atomic.t = Atomic.make []
+let recent_limit = 16
+
+let arch_fingerprint (a : Arch.t) =
+  let rec find = function
+    | [] ->
+        let fp = render_fingerprint a in
+        let recent = Atomic.get recent_fingerprints in
+        Atomic.set recent_fingerprints
+          ((a, fp) :: List.filteri (fun i _ -> i < recent_limit - 1) recent);
+        fp
+    | (a', fp) :: rest -> if a' == a then fp else find rest
+  in
+  find (Atomic.get recent_fingerprints)
 
 (* Everything a DPipe run reads, compared structurally.  The model is
    the full record, not its name: the FFN activation changes the

@@ -468,6 +468,111 @@ let test_json_round_trip () =
   Qgen.run ~print:Tf_json.to_line ~gen:(json_value 0) "Tf_json render/parse/render is stable"
     prop_json_round_trip
 
+(* The reader's error texts and offsets, one per failure path.  Error
+   responses quote them to clients, so they are pinned byte for byte;
+   [parse_members] checks the text with the same grammar and must
+   refuse it with the same message. *)
+let malformed_json =
+  [
+    ("", "unexpected end of input at offset 0");
+    ("   ", "unexpected end of input at offset 3");
+    ("{", "expected \" at offset 1");
+    ("{\"a\"", "expected : at offset 4");
+    ("{\"a\":1", "expected , or } at offset 6");
+    ("{\"a\":1,}", "expected \" at offset 7");
+    ("{\"a\":1 \"b\":2}", "expected , or } at offset 7");
+    ("[1,2", "expected , or ] at offset 4");
+    ("[1 2]", "expected , or ] at offset 3");
+    ("[1,]", "unexpected ']' at offset 3");
+    ("\"abc", "unterminated string at offset 4");
+    ("\"a\\x\"", "bad escape at offset 3");
+    ("\"\\", "bad escape at offset 2");
+    ("\"a\\u12G4\"", "bad unicode escape at offset 6");
+    ("\"\\u12\"", "bad unicode escape at offset 5");
+    ("\"\\udc00\"", "lone low surrogate at offset 7");
+    ("\"\\ud800\"", "lone high surrogate at offset 7");
+    ("\"\\ud800\\u0041\"", "lone high surrogate at offset 13");
+    ("\"\\ud83d\\ude00", "unterminated string at offset 13");
+    ("\"a\nb\"", "control char in string at offset 2");
+    ("\"a\000b\"", "control char in string at offset 2");
+    ("\000", "unexpected '\\000' at offset 0");
+    ("\195\169", "unexpected '\\195' at offset 0");
+    ("01", "bad number (leading zero) at offset 1");
+    ("-", "bad number at offset 1");
+    ("-01", "bad number (leading zero) at offset 2");
+    ("1.", "bad number at offset 2");
+    ("1.e5", "bad number at offset 2");
+    ("1e", "bad number at offset 2");
+    ("1e+", "bad number at offset 3");
+    ("+1", "unexpected '+' at offset 0");
+    (".5", "unexpected '.' at offset 0");
+    ("tru", "expected true at offset 0");
+    ("nul", "expected null at offset 0");
+    ("fals", "expected false at offset 0");
+    ("falsy", "expected false at offset 0");
+    ("{} x", "trailing garbage at offset 3");
+    ("{\"k\":[1,{\"x\":nul}]}", "expected null at offset 13");
+    (String.make 600 '[', "nesting too deep at offset 513");
+  ]
+
+let test_json_malformed () =
+  let error parse s = match parse s with _ -> "accepted" | exception Tf_json.Bad_json m -> m in
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (Printf.sprintf "parse %S" input) expected (error Tf_json.parse input);
+      Alcotest.(check string)
+        (Printf.sprintf "parse_members %S" input)
+        expected
+        (error (Tf_json.parse_members [ "a"; "k" ]) input))
+    malformed_json;
+  Alcotest.(check string) "max_bytes" "input too large (5 bytes, limit 4)"
+    (error (Tf_json.parse ~max_bytes:4) "12345");
+  (* Short integers are summed digit by digit; they must read as the
+     float [float_of_string] gives, -0 included. *)
+  List.iter
+    (fun s ->
+      match Tf_json.parse s with
+      | Tf_json.Num f ->
+          let expected = float_of_string s in
+          if Int64.bits_of_float f <> Int64.bits_of_float expected then
+            Alcotest.failf "%s parsed as %h, expected %h" s f expected
+      | _ -> Alcotest.failf "%s is not a number" s)
+    [ "0"; "-0"; "7"; "-42"; "999999999999999"; "-999999999999999"; "1000000000000000";
+      "9007199254740993"; "12345678901234567890"; "1e3"; "-0.0" ]
+
+let test_json_escape_reference () =
+  for code = 0 to 255 do
+    let s = String.make 1 (Char.chr code) in
+    Alcotest.(check string) (Printf.sprintf "escape of byte %d" code) (Tjson.escape_reference s)
+      (Tf_json.escape s)
+  done;
+  let all = String.init 256 Char.chr in
+  Alcotest.(check string) "escape of all 256 bytes" (Tjson.escape_reference all) (Tf_json.escape all);
+  Alcotest.(check string) "rendered string" ("\"" ^ Tjson.escape_reference all ^ "\"")
+    (Tf_json.to_line (Tf_json.Str all));
+  Qgen.run ~print:(Printf.sprintf "%S") ~gen:json_string "escape equals the reference loop"
+    (fun s ->
+      if Tf_json.escape s <> Tjson.escape_reference s then failwith "escape differs from the reference")
+
+(* [parse_members] keeps exactly [parse]'s members of those names, in
+   document order, and nothing else. *)
+let test_json_parse_members () =
+  Qgen.run ~print:Tf_json.to_line
+    ~gen:(fun r ->
+      Tf_json.Obj
+        (List.init (Qgen.int r 5) (fun _ ->
+             (Qgen.choose r [ "a"; "b"; "payload" ], json_value 1 r))))
+    "parse_members keeps the named members of parse"
+    (fun v ->
+      let text = Tf_json.to_string v in
+      let keys = [ "a"; "payload" ] in
+      let expected =
+        match Tf_json.parse text with
+        | Tf_json.Obj fields -> Tf_json.Obj (List.filter (fun (k, _) -> List.mem k keys) fields)
+        | other -> other
+      in
+      if Tf_json.parse_members keys text <> expected then failwith "members differ")
+
 (* Meta-test: a falsified property must report the seed and a shrunk
    counterexample — that message is what makes the CI seed matrix
    actionable, so we pin its shape here. *)
@@ -516,5 +621,8 @@ let () =
           quick "explain and verify follow the served execution" test_explain_and_verify_serve;
           quick "json render/parse round trip" test_json_round_trip;
           quick "json integral numbers as %.0f" test_json_integral_numbers;
+          quick "json malformed inputs: texts and offsets" test_json_malformed;
+          quick "json escape equals the reference loop" test_json_escape_reference;
+          quick "json parse_members keeps the named members" test_json_parse_members;
         ] );
     ]

@@ -424,6 +424,101 @@ let test_restart_rehydration () =
   let recomputed = payload_exn (Server.handle_line third request) in
   Alcotest.(check string) "recomputed past corruption, still identical" cold recomputed
 
+(* The entry files of a cache directory. *)
+let entry_files dir =
+  List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list (Sys.readdir dir))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let schedule_key body =
+  Request.Schedule.key (Request.of_json Request.Schedule.spec (Json.parse body))
+
+let test_disk_wrong_schema () =
+  let dir = temp_dir "tf-serve-schema" in
+  let config = { Server.default_config with cache_dir = Some dir } in
+  let request = sched_request ~batch:6 "edge" "T5" 1024 "unfused" in
+  let cold = payload_exn (Server.handle_line (Server.create config) request) in
+  let path =
+    match entry_files dir with [ f ] -> Filename.concat dir f | _ -> Alcotest.fail "one entry expected"
+  in
+  let entry = read_file path in
+  let schema = {|"transfusion.serve-cache/1"|} in
+  let rec find i = if String.sub entry i (String.length schema) = schema then i else find (i + 1) in
+  let at = find 0 in
+  write_file path
+    (String.sub entry 0 at ^ {|"transfusion.serve-cache/0"|}
+    ^ String.sub entry (at + String.length schema) (String.length entry - at - String.length schema));
+  let errors0 = counter "serve.cache.disk_errors_total" in
+  let hits0 = counter "serve.cache.disk_hits_total" in
+  let misses0 = counter "serve.cache.disk_misses_total" in
+  let again = payload_exn (Server.handle_line (Server.create config) request) in
+  Alcotest.(check string) "recomputed payload" cold again;
+  Alcotest.(check int) "one disk error" 1 (counter "serve.cache.disk_errors_total" - errors0);
+  Alcotest.(check int) "no disk hit" 0 (counter "serve.cache.disk_hits_total" - hits0);
+  Alcotest.(check int) "a disk miss" 1 (counter "serve.cache.disk_misses_total" - misses0);
+  Alcotest.(check string) "the recomputed entry replaces it" entry (read_file path)
+
+(* Every proper prefix of an entry that is not the whole document reads
+   as a miss and a disk error, never as another payload. *)
+let test_disk_truncated_entries () =
+  let dir = temp_dir "tf-serve-trunc" in
+  let key = schedule_key (sched_request ~batch:7 "edge" "T5" 1024 "unfused") in
+  let payload = {|{"schema":"x","s":"a\"b\\c\nd"}|} in
+  let first = Tf_serve.Cache.create ~dir () in
+  let report ~fp:_ ~tier:_ = () in
+  ignore (Tf_serve.Cache.find_or_compute_key first ~report key (fun () -> payload) : string);
+  let path =
+    match entry_files dir with [ f ] -> Filename.concat dir f | _ -> Alcotest.fail "one entry expected"
+  in
+  let entry = read_file path in
+  let complete = String.length (String.trim entry) in
+  for len = 0 to String.length entry do
+    write_file path (String.sub entry 0 len);
+    let errors0 = counter "serve.cache.disk_errors_total" in
+    let cache = Tf_serve.Cache.create ~dir () in
+    let got = Tf_serve.Cache.find_or_compute_key cache ~report key (fun () -> "computed") in
+    let expected = if len >= complete then payload else "computed" in
+    Alcotest.(check string) (Printf.sprintf "prefix of %d bytes" len) expected got;
+    Alcotest.(check int) (Printf.sprintf "disk errors at %d bytes" len)
+      (if len >= complete then 0 else 1)
+      (counter "serve.cache.disk_errors_total" - errors0)
+  done
+
+(* The default strategies spelt out key like the empty list: one
+   computation and one disk entry, named by the empty list's
+   fingerprint. *)
+let test_decode_default_strategies () =
+  let dir = temp_dir "tf-serve-decode" in
+  let t = Server.create { Server.default_config with cache_dir = Some dir } in
+  let body =
+    Printf.sprintf
+      {|"op":"decode","arch":"edge","model":"T5","gen":64,"batch":4,"iterations":%d,"quick":true|}
+      iterations
+  in
+  let misses0 = counter "memo.serve.schedule.misses_total" in
+  let implicit = payload_exn (Server.handle_line t ("{" ^ body ^ "}")) in
+  let spelt =
+    payload_exn (Server.handle_line t ("{" ^ body ^ {|,"strategies":["fusemax","transfusion"]}|}))
+  in
+  Alcotest.(check string) "same payload" implicit spelt;
+  Alcotest.(check int) "one computation" 1 (counter "memo.serve.schedule.misses_total" - misses0);
+  let fp =
+    Tf_serve.Cache.fingerprint
+      (Json.Obj
+         [
+           ("endpoint", Json.Str "decode");
+           ("arch", Json.Str (Strategies.Private.arch_fingerprint Tf_arch.Presets.edge));
+           ("models", Json.List [ Json.Str "T5" ]);
+           ("strategies", Json.List []);
+           ("gen", Json.Int 64);
+           ("batch", Json.Int 4);
+           ("iterations", Json.Int iterations);
+           ("quick", Json.Bool true);
+         ])
+  in
+  Alcotest.(check (list string)) "one entry, named as before" [ fp ^ ".json" ] (entry_files dir)
+
 (* --- bucketing -------------------------------------------------------- *)
 
 let test_bucketing () =
@@ -462,10 +557,14 @@ let test_bucketing () =
 
 (* --- sockets: a real daemon over a Unix socket ----------------------- *)
 
-let test_socket_round_trip () =
+let start_daemon () =
   let dir = temp_dir "tf-serve-sock" in
   let path = Filename.concat dir "tf.sock" in
-  let t = Server.create { Server.default_config with socket_path = Some path } in
+  (* A short sampler period, so that shutdown does not wait out a
+     one-second tick. *)
+  let t =
+    Server.create { Server.default_config with socket_path = Some path; sample_interval_s = 0.05 }
+  in
   let server_thread = Thread.create Server.serve t in
   let rec wait_for_socket tries =
     if not (Sys.file_exists path) then
@@ -476,24 +575,57 @@ let test_socket_round_trip () =
       end
   in
   wait_for_socket 100;
-  let talk lines =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-    let replies =
-      List.map
-        (fun line ->
-          output_string oc (line ^ "\n");
-          flush oc;
-          match In_channel.input_line ic with
-          | Some r -> r
-          | None -> Alcotest.fail "connection dropped")
-        lines
-    in
-    close_out oc;
-    replies
+  (t, path, server_thread)
+
+(* A read that waits past the timeout fails the test instead of
+   hanging it. *)
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  fd
+
+(* One request per round trip: send a line, read its answer. *)
+let talk path lines =
+  let fd = connect path in
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let replies =
+    List.map
+      (fun line ->
+        output_string oc (line ^ "\n");
+        flush oc;
+        match In_channel.input_line ic with
+        | Some r -> r
+        | None -> Alcotest.fail "connection dropped")
+      lines
   in
-  (match talk [ {|{"op":"ping","id":9}|}; "garbage"; {|{"op":"ping"}|} ] with
+  close_out oc;
+  replies
+
+let send fd s =
+  let rec go off =
+    if off < String.length s then go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* Every line the daemon sends until it closes the connection. *)
+let read_until_eof fd =
+  let ic = Unix.in_channel_of_descr fd in
+  let rec go acc = match In_channel.input_line ic with Some l -> go (l :: acc) | None -> List.rev acc in
+  let lines = go [] in
+  close_in ic;
+  lines
+
+let stop_daemon (_, path, server_thread) =
+  (match talk path [ {|{"op":"shutdown"}|} ] with
+  | [ r ] -> Alcotest.(check bool) "shutdown acknowledged" true (is_ok (response_of r))
+  | _ -> Alcotest.fail "no shutdown reply");
+  Thread.join server_thread;
+  Alcotest.(check bool) "socket unlinked on exit" false (Sys.file_exists path)
+
+let test_socket_round_trip () =
+  let ((_, path, _) as daemon) = start_daemon () in
+  (match talk path [ {|{"op":"ping","id":9}|}; "garbage"; {|{"op":"ping"}|} ] with
   | [ a; b; c ] ->
       Alcotest.(check bool) "ping ok" true (is_ok (response_of a));
       Alcotest.(check bool) "id echoed over the wire" true
@@ -502,11 +634,88 @@ let test_socket_round_trip () =
       Alcotest.(check bool) "connection survives the garbage" true (is_ok (response_of c))
   | _ -> Alcotest.fail "wrong reply count");
   (* A second connection works; shutdown stops the daemon. *)
-  (match talk [ {|{"op":"shutdown"}|} ] with
-  | [ r ] -> Alcotest.(check bool) "shutdown acknowledged" true (is_ok (response_of r))
-  | _ -> Alcotest.fail "no shutdown reply");
-  Thread.join server_thread;
-  Alcotest.(check bool) "socket unlinked on exit" false (Sys.file_exists path)
+  stop_daemon daemon
+
+let wire_requests =
+  [
+    {|{"op":"ping","id":1}|};
+    sched_request "edge" "T5" 1024 "unfused";
+    "garbage";
+    {|{"op":"schedule","arch":"warp","id":"x"}|};
+    {|{"op":"ping","id":"é"}|};
+  ]
+
+(* Many requests in one write come back in order, each byte-identical
+   to its one-at-a-time answer. *)
+let test_socket_pipelined () =
+  let ((_, path, _) as daemon) = start_daemon () in
+  let one_at_a_time = talk path wire_requests in
+  let fd = connect path in
+  send fd (String.concat "" (List.map (fun l -> l ^ "\n") (wire_requests @ wire_requests)));
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  Alcotest.(check (list string)) "pipelined answers" (one_at_a_time @ one_at_a_time) (read_until_eof fd);
+  stop_daemon daemon
+
+(* Framing: a request trickling in one byte per write, CRLF endings,
+   empty lines (skipped), and an unterminated last line at end of
+   input. *)
+let test_socket_framing () =
+  let ((_, path, _) as daemon) = start_daemon () in
+  let ping id = Printf.sprintf {|{"op":"ping","id":%d}|} id in
+  let expected = talk path [ ping 1; ping 2; ping 3; ping 4; ping 5 ] in
+  let fd = connect path in
+  String.iter
+    (fun c ->
+      send fd (String.make 1 c);
+      Thread.delay 0.0005)
+    (ping 1 ^ "\n");
+  send fd (ping 2 ^ "\r\n\r\n\n" ^ ping 3 ^ "\r\n");
+  send fd ("\n" ^ ping 4 ^ "\n" ^ ping 5);
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  Alcotest.(check (list string)) "answers" expected (read_until_eof fd);
+  stop_daemon daemon
+
+(* A line past the protocol limit gets one error line, after the
+   answers to the lines before it, and then the connection closes. *)
+let test_socket_oversize_line () =
+  let ((_, path, _) as daemon) = start_daemon () in
+  let fd = connect path in
+  send fd ({|{"op":"ping","id":1}|} ^ "\n" ^ String.make (Protocol.max_request_bytes + 1) 'x');
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  (match read_until_eof fd with
+  | [ ping; refusal ] ->
+      Alcotest.(check bool) "earlier line answered" true (is_ok (response_of ping));
+      Alcotest.(check string) "one error line"
+        (Protocol.error_line (Printf.sprintf "request exceeds %d bytes" Protocol.max_request_bytes))
+        refusal
+  | lines -> Alcotest.failf "expected 2 lines before the close, got %d" (List.length lines));
+  (* A line of exactly the limit is still a request. *)
+  let fd = connect path in
+  let pad = Protocol.max_request_bytes - String.length {|{"op":"ping","pad":""}|} in
+  send fd (Printf.sprintf {|{"op":"ping","pad":"%s"}|} (String.make pad 'x') ^ "\n");
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  (match read_until_eof fd with
+  | [ r ] -> Alcotest.(check bool) "limit-sized line served" true (is_ok (response_of r))
+  | lines -> Alcotest.failf "expected 1 line, got %d" (List.length lines));
+  stop_daemon daemon
+
+(* Responses larger than the output buffer arrive whole and in order. *)
+let test_socket_large_response () =
+  let ((t, path, _) as daemon) = start_daemon () in
+  let big_id = {|{"op":"ping","id":"|} ^ String.make 100_000 'i' ^ {|"}|} in
+  let expected = Server.handle_line t big_id in
+  Alcotest.(check bool) "the answer exceeds 64 KiB" true (String.length expected > 65536);
+  let fd = connect path in
+  send fd (String.concat "\n" [ {|{"op":"ping","id":1}|}; big_id; {|{"op":"metrics"}|}; big_id; "" ]);
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  (match read_until_eof fd with
+  | [ a; b; m; c ] ->
+      Alcotest.(check bool) "first ping" true (is_ok (response_of a));
+      Alcotest.(check string) "large answer whole" expected b;
+      Alcotest.(check bool) "metrics whole" true (is_ok (response_of m));
+      Alcotest.(check string) "large answer after metrics" expected c
+  | lines -> Alcotest.failf "expected 4 lines, got %d" (List.length lines));
+  stop_daemon daemon
 
 (* --- fuzz: mutated requests never kill the loop ----------------------- *)
 
@@ -595,8 +804,18 @@ let () =
         [
           quick "concurrent clients, one search" test_concurrent_single_flight;
           quick "restart rehydrates from disk" test_restart_rehydration;
+          quick "wrong-schema entry is a miss" test_disk_wrong_schema;
+          quick "truncated entries are misses" test_disk_truncated_entries;
+          quick "decode: default strategies key as the default" test_decode_default_strategies;
         ] );
       ("bucketing", [ quick "off-grid interpolation" test_bucketing ]);
-      ("sockets", [ quick "round trip and shutdown" test_socket_round_trip ]);
+      ( "sockets",
+        [
+          quick "round trip and shutdown" test_socket_round_trip;
+          quick "pipelined requests in one write" test_socket_pipelined;
+          quick "byte-wise, CRLF, empty and unterminated lines" test_socket_framing;
+          quick "oversize line: one error, then close" test_socket_oversize_line;
+          quick "responses over 64 KiB arrive whole" test_socket_large_response;
+        ] );
       ("fuzz", [ quick "mutations never crash" test_fuzz_mutations ]);
     ]
