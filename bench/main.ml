@@ -13,7 +13,9 @@
    Pass --quick to use the reduced sequence sweep.  Pass --json PATH to
    additionally write machine-readable timings (per-figure wall seconds,
    per-microbenchmark ns/run, the domain count) for BENCH_*.json perf
-   trajectory tracking; the schema is documented in EXPERIMENTS.md.
+   trajectory tracking; the schema is documented in EXPERIMENTS.md.  With
+   --json the dpipe/ and strategy/ entries, which CI's bench diff gates,
+   are each the median of 5 passes.
    Pass --obs to enable the Tf_obs metrics registry during the run; the
    snapshot is embedded in the JSON under "metrics" (without --obs the
    section is present but empty, and the run is untouched — perf
@@ -169,7 +171,7 @@ let mha_dag_bench ?(static = false) () =
   let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
     Transfusion.Layer_costs.problem workload cascade
   in
-  let mode = if static then `Static (Strategies.Private.fusemax_assign cloud cascade) else `Dp in
+  let mode = if static then `Static (Strategies.fusemax_assign cloud cascade) else `Dp in
   fun () -> ignore (Transfusion.Dpipe.schedule ~mode cloud ~load ~matrix g)
 
 let full_layer_dag_bench () =
@@ -307,25 +309,62 @@ let tests () =
     Test.make ~name:"parallel/memo-churn(1024)" (Staged.stage (memo_churn_bench ()));
   ]
 
-let microbench () =
-  E.Exp_common.print_header "Microbenchmarks (Bechamel, ns per run)";
+(* One Bechamel pass over [tests]: (name, ns/run estimate, r-square) per
+   entry, names prefixed by the group ("transfusion/"). *)
+let measure tests =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"transfusion" (tests ())) in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"transfusion" tests) in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results [] in
-  List.map
-    (fun (name, ols_result) ->
+  Hashtbl.fold
+    (fun name ols_result acc ->
       let estimate =
         match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | _ -> Float.nan
       in
-      let r_square = Analyze.OLS.r_square ols_result in
-      Printf.printf "%-50s %16.1f ns/run%s\n" name estimate
+      (name, estimate, Analyze.OLS.r_square ols_result) :: acc)
+    results []
+
+(* The families CI's bench diff fails the build on.  One pass of these
+   scatters by more than their 25% budget on a shared 2-core host, so
+   with --json each is recorded as the median of [gated_repeats] passes
+   (the pass whose estimate is the median, r-square included). *)
+let gated_families = [ "transfusion/dpipe/"; "transfusion/strategy/" ]
+let gated_repeats = 5
+let gated name = List.exists (fun prefix -> String.starts_with ~prefix name) gated_families
+
+let median_pass passes name =
+  let runs =
+    List.sort
+      (fun (_, a, _) (_, b, _) -> Float.compare a b)
+      (List.concat_map (List.filter (fun (n, _, _) -> n = name)) passes)
+  in
+  List.nth runs (List.length runs / 2)
+
+let microbench () =
+  E.Exp_common.print_header "Microbenchmarks (Bechamel, ns per run)";
+  let first = measure (tests ()) in
+  let rows =
+    if json_path = None then first
+    else
+      let repeats =
+        List.filter (fun t -> gated ("transfusion/" ^ Test.name t)) (tests ())
+      in
+      let passes = first :: List.init (gated_repeats - 1) (fun _ -> measure repeats) in
+      List.map
+        (fun ((name, _, _) as row) -> if gated name then median_pass passes name else row)
+        first
+  in
+  List.map
+    (fun ((name, estimate, r_square) as row) ->
+      Printf.printf "%-50s %16.1f ns/run%s%s\n" name estimate
         (match r_square with
         | Some r2 -> Printf.sprintf "   (r2=%.3f)" r2
-        | None -> "");
-      (name, estimate, r_square))
+        | None -> "")
+        (if json_path <> None && gated name then
+           Printf.sprintf "   (median of %d)" gated_repeats
+         else "");
+      row)
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)

@@ -271,7 +271,8 @@ let sweep_cmd =
 
 let search_cmd =
   let run arch w iterations () =
-    let config, stats = Strategies.search ~iterations arch w in
+    let r, _, stats = Strategies.search ~iterations arch w in
+    let config = Option.get r.Strategies.tiling in
     Fmt.pr "TileSeek result: %a@." Transfusion.Tileseek.pp_config config;
     Fmt.pr "buffer need: %.0f elements of %d available@."
       (Transfusion.Buffer_req.worst (Transfusion.Tileseek.dims arch w config))
@@ -279,9 +280,7 @@ let search_cmd =
     Fmt.pr "MCTS: %d iterations, %d terminals, best reward %.3f, %d tree nodes@."
       stats.Transfusion.Mcts.iterations stats.Transfusion.Mcts.terminals_evaluated
       stats.Transfusion.Mcts.best_reward stats.Transfusion.Mcts.tree_nodes;
-    Fmt.pr "latency with this tiling: %.4e s@."
-      (Strategies.evaluate ~tiling:config arch w Strategies.Transfusion).Strategies.latency
-        .Latency.total_s
+    Fmt.pr "latency with this tiling: %.4e s@." r.Strategies.latency.Latency.total_s
   in
   cmd "search" ~doc:"Run TileSeek outer-tiling search"
     Term.(const run $ arch_arg $ workload_arg $ iterations_arg)

@@ -39,7 +39,9 @@ let () =
 
   (* 4. Evaluate every strategy and render the comparison. *)
   let results =
-    List.map (fun s -> (s, Strategies.evaluate ~tileseek_iterations:100 arch workload s)) Strategies.all
+    List.map
+      (fun s -> (s, fst (Strategies.evaluate ~tileseek_iterations:100 arch workload s)))
+      Strategies.all
   in
   let baseline = List.assoc Strategies.Unfused results in
   let bars =

@@ -14,8 +14,8 @@ let () =
   Fmt.pr "workload    : %a@.@." Tf_workloads.Workload.pp workload;
 
   (* 2. Evaluate the schedulers through the shared cost model. *)
-  let fusemax = Strategies.evaluate arch workload Strategies.Fusemax in
-  let transfusion = Strategies.evaluate arch workload Strategies.Transfusion in
+  let fusemax, _ = Strategies.evaluate arch workload Strategies.Fusemax in
+  let transfusion, _ = Strategies.evaluate arch workload Strategies.Transfusion in
   Fmt.pr "FuseMax     : %.4e s@." fusemax.Strategies.latency.Latency.total_s;
   Fmt.pr "TransFusion : %.4e s (%.2fx speedup)@." transfusion.Strategies.latency.Latency.total_s
     (Strategies.speedup ~baseline:fusemax transfusion);

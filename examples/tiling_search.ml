@@ -17,8 +17,8 @@ let () =
   Fmt.pr "workload    : %a@.@." Tf_workloads.Workload.pp workload;
 
   let latency config =
-    (Strategies.evaluate ~tiling:config arch workload Strategies.Transfusion).Strategies.latency
-      .Latency.total_s
+    (fst (Strategies.evaluate ~tiling:config arch workload Strategies.Transfusion))
+      .Strategies.latency.Latency.total_s
   in
 
   (* The buffer model (Table 2) decides which tilings are implementable. *)
@@ -41,14 +41,15 @@ let () =
     (fun c -> Fmt.pr "  %-40s latency=%.4e s@." (describe c) (latency c))
     (Tileseek.greedy_variants arch workload);
 
-  let config, stats = Strategies.search ~iterations:400 arch workload in
+  let result, _, stats = Strategies.search ~iterations:400 arch workload in
+  let config = Option.get result.Strategies.tiling in
   Fmt.pr "@.TileSeek (MCTS %d iterations, %d terminals evaluated, %d tree nodes):@."
     stats.Transfusion.Mcts.iterations stats.Transfusion.Mcts.terminals_evaluated
     stats.Transfusion.Mcts.tree_nodes;
-  Fmt.pr "  %-40s latency=%.4e s@." (describe config) (latency config);
+  Fmt.pr "  %-40s latency=%.4e s@." (describe config)
+    result.Strategies.latency.Latency.total_s;
 
   (* What the tiling means for the full evaluation. *)
-  let result = Strategies.evaluate ~tiling:config arch workload Strategies.Transfusion in
-  let baseline = Strategies.evaluate arch workload Strategies.Fusemax in
+  let baseline, _ = Strategies.evaluate arch workload Strategies.Fusemax in
   Fmt.pr "@.TransFusion with this tiling: %.2fx over FuseMax@."
     (Strategies.speedup ~baseline result)

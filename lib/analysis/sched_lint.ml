@@ -112,3 +112,18 @@ let verify ?(name = "dpipe") g (t : Dpipe.t) =
         error ~code:"E-SCHED-PARTITION"
           (Fmt.str "recorded bipartition %a fails the validity constraints" Partition.pp p));
   List.rev !diags
+
+let pinned ~name ~pin g (t : Dpipe.t) =
+  List.filter_map
+    (fun (a : Dpipe.assignment) ->
+      let pinned_to = if Dag.mem g a.Dpipe.node then Some (pin a.Dpipe.node) else None in
+      match pinned_to with
+      | Some r when r <> a.Dpipe.resource ->
+          Some
+            (Diagnostic.error ~context:name ~node:a.Dpipe.node ~code:"E-SCHED-PIN"
+               (Printf.sprintf "instance (node %d, epoch %d) runs on %s, but is pinned to %s"
+                  a.Dpipe.node a.Dpipe.epoch
+                  (Arch.resource_to_string a.Dpipe.resource)
+                  (Arch.resource_to_string r)))
+      | _ -> None)
+    t.Dpipe.assignments

@@ -21,9 +21,21 @@
     - [E-SCHED-INTERVAL] — [steady_interval_cycles] is negative or
       exceeds the unrolled makespan.
     - [E-SCHED-PARTITION] — the recorded bipartition fails the paper's
-      four validity constraints (or does not cover the node set). *)
+      four validity constraints (or does not cover the node set).
+    - [E-SCHED-PIN] — a statically scheduled instance runs on another
+      PE array than its node is pinned to ({!pinned}). *)
 
 val verify : ?name:string -> 'a Tf_dag.Dag.t -> Transfusion.Dpipe.t -> Diagnostic.t list
 (** All diagnostics for the schedule of [g].  [name] labels the location
     of every diagnostic (defaults to ["dpipe"]).  An empty list means the
     schedule is valid. *)
+
+val pinned :
+  name:string ->
+  pin:(int -> Tf_arch.Arch.resource) ->
+  'a Tf_dag.Dag.t ->
+  Transfusion.Dpipe.t ->
+  Diagnostic.t list
+(** [E-SCHED-PIN] for every instance of a [`Static pin] schedule of [g]
+    that runs off the array [pin] assigns its node (instances of unknown
+    nodes are {!verify}'s [E-SCHED-COUNT]).  [name] labels the location. *)

@@ -20,21 +20,45 @@ let lint_builtins () =
   let extents = Layer_costs.tile_extents w ~m0:(Extents.find (Workload.extents w) "m0") in
   List.concat_map (fun (_, cascade) -> Ir_lint.lint ~extents cascade) (builtin_cascades ())
 
-let pipeline ?(attention = Strategies.Self) ?include_ffn ?m0 (arch : Tf_arch.Arch.t)
-    (w : Workload.t) =
-  let cascade = Strategies.layer_cascade ?include_ffn w.model in
-  let { Layer_costs.extents; dag; load; matrix; _ } =
-    Strategies.layer_problem ~attention ?include_ffn ?m0 w
-  in
-  let name =
-    Printf.sprintf "dpipe(%s/%s/%s)" arch.Tf_arch.Arch.name (Cascade.name cascade)
-      (Strategies.attention_name attention)
-  in
-  Ir_lint.lint ~extents cascade
-  @ Sched_lint.verify ~name dag (Dpipe.schedule arch ~load ~matrix dag)
+let layer_name (arch : Tf_arch.Arch.t) cascade attention =
+  Printf.sprintf "dpipe(%s/%s/%s)" arch.Tf_arch.Arch.name (Cascade.name cascade)
+    (Strategies.attention_name attention)
 
-let strategy_result ?(attention = Strategies.Self) (r : Strategies.result) =
+(* IR lints of the layer's cascade under its problem's tile extents, and
+   the checks of its schedule. *)
+let layer_diags ~name cascade (p : Layer_costs.problem) sched =
+  Ir_lint.lint ~extents:p.Layer_costs.extents cascade
+  @ Sched_lint.verify ~name p.Layer_costs.dag sched
+
+let pipeline ?(attention = Strategies.Self) ?include_ffn (arch : Tf_arch.Arch.t) (w : Workload.t) =
+  let cascade = Strategies.layer_cascade ?include_ffn w.model in
+  let ({ Layer_costs.dag; load; matrix; _ } as problem) =
+    Strategies.layer_problem ~attention ?include_ffn w
+  in
+  layer_diags ~name:(layer_name arch cascade attention) cascade problem
+    (Dpipe.schedule arch ~load ~matrix dag)
+
+(* The execution a TransFusion result was priced with: the layer's DPipe
+   run and, where the static alternative is served, the FuseMax-pinned
+   attention it runs, on the arrays [fusemax_assign] pins. *)
+let execution arch (w : Workload.t) attention (e : Strategies.execution) =
+  let cascade = Strategies.layer_cascade w.model in
+  let { Strategies.problem; schedule } = e.Strategies.dpipe in
+  layer_diags ~name:(layer_name arch cascade attention) cascade (Lazy.force problem)
+    (Lazy.force schedule)
+  @
+  match e.Strategies.static_mha with
+  | None -> []
+  | Some { Strategies.problem; schedule } ->
+      let mha = Cascades.mha () in
+      let name = layer_name arch mha attention in
+      let { Layer_costs.dag; _ } = Lazy.force problem and sched = Lazy.force schedule in
+      Sched_lint.verify ~name dag sched
+      @ Sched_lint.pinned ~name ~pin:(Strategies.fusemax_assign arch mha) dag sched
+
+let strategy_result ((r : Strategies.result), exec) =
   let arch = r.Strategies.arch and w = r.Strategies.workload in
+  let attention = r.Strategies.attention in
   let a = Strategies.attention_dims ~attention w in
   let tiling_diags =
     match r.Strategies.tiling with
@@ -47,18 +71,17 @@ let strategy_result ?(attention = Strategies.Self) (r : Strategies.result) =
         Tiling_lint.verify ~name ~kv_len:a.Strategies.kv_len ~decode:a.Strategies.decode arch w
           config
   in
-  (* The DPipe candidate the result was priced against: the layer at the
-     tiling's inner tile, whether DPipe or the static execution won. *)
-  let sched_diags =
-    match r.Strategies.strategy with
-    | Strategies.Transfusion ->
-        pipeline ~attention
-          ?m0:(Option.map (fun (c : Tileseek.config) -> c.Tileseek.m0) r.Strategies.tiling)
-          arch w
-    | Strategies.Unfused | Strategies.Flat | Strategies.Fusemax | Strategies.Fusemax_layerfuse ->
+  let exec_diags =
+    match (exec, r.Strategies.strategy) with
+    | Some e, _ -> execution arch w attention e
+    | None, Strategies.Transfusion ->
+        invalid_arg "Verify.strategy_result: a TransFusion result comes with its execution"
+    | ( None,
+        (Strategies.Unfused | Strategies.Flat | Strategies.Fusemax | Strategies.Fusemax_layerfuse) )
+      ->
         []
   in
-  tiling_diags @ sched_diags
+  tiling_diags @ exec_diags
 
 let check_presets ?(quick = true) () =
   let archs = if quick then [ Tf_arch.Presets.cloud; Tf_arch.Presets.edge ] else Tf_arch.Presets.all in

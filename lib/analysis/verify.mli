@@ -14,31 +14,27 @@ val lint_builtins : unit -> Diagnostic.t list
 val pipeline :
   ?attention:Transfusion.Strategies.attention ->
   ?include_ffn:bool ->
-  ?m0:int ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   Diagnostic.t list
 (** Schedule the fused layer's DPipe problem
-    ({!Transfusion.Strategies.layer_problem}, the one the TransFusion
-    strategy schedules) and verify it with {!Sched_lint}, plus IR lints
-    of the cascade itself.  [m0] defaults to the balanced split of the
-    key/value length. *)
+    ({!Transfusion.Strategies.layer_problem} at the default [m0], the
+    balanced split of the key/value length) and verify it with
+    {!Sched_lint}, plus IR lints of the cascade itself. *)
 
 val strategy_result :
-  ?attention:Transfusion.Strategies.attention -> Transfusion.Strategies.result -> Diagnostic.t list
-(** Verify everything checkable about an evaluation result, on the
-    architecture and workload it was priced for: the chosen
-    tiling (when present) against {!Tiling_lint}, and — for the
-    TransFusion strategy, whose latency rests on a DPipe schedule — the
-    {!pipeline} checks of the DPipe candidate at the tiling's [m0], the
-    one the result was priced against (the default [m0] only for a result
-    without a tiling).  Where the static execution beat it
-    ({!Transfusion.Strategies.served_layer}), the checked schedule is not
-    the one served.
-    [attention] (default [Self]) must match the flavour the result was
-    evaluated under: it selects the key/value length the tiling is
-    checked against and the decode buffer model for decode-step
-    results. *)
+  Transfusion.Strategies.result * Transfusion.Strategies.execution option -> Diagnostic.t list
+(** Verify everything checkable about an evaluation result, as
+    {!Transfusion.Strategies.evaluate} returns it: on the architecture,
+    workload and attention flavour it was priced for, the chosen tiling
+    (when present) against {!Tiling_lint}, and the execution it was
+    priced with, scheduling nothing again.  That is the layer's DPipe
+    schedule ({!Sched_lint}, plus IR lints of the cascade) and, where the
+    static alternative is served, the FuseMax-pinned attention schedule
+    too: {!Sched_lint.verify}, and {!Sched_lint.pinned} against
+    {!Transfusion.Strategies.fusemax_assign}.
+    @raise Invalid_argument for a TransFusion result without its
+    execution. *)
 
 val check_presets : ?quick:bool -> unit -> Diagnostic.t list
 (** The lint battery over the built-in presets: IR lints of the built-in

@@ -79,7 +79,7 @@ let tileseek ?(iterations = 200) (model : Model.t) =
     (fun (arch : Tf_arch.Arch.t) ->
       let w = Workload.v model ~seq_len:16384 in
       let latency config =
-        (Strategies.evaluate ~tiling:config arch w Strategies.Transfusion).Strategies.latency
+        (fst (Strategies.evaluate ~tiling:config arch w Strategies.Transfusion)).Strategies.latency
           .Latency.total_s
       in
       let verify_tiling tag config =
@@ -97,13 +97,13 @@ let tileseek ?(iterations = 200) (model : Model.t) =
                latency c)
              (Tileseek.greedy_variants arch w))
       in
-      let searched, _ = Strategies.search ~iterations arch w in
-      verify_tiling "searched" searched;
+      let searched, _, _ = Strategies.search ~iterations arch w in
+      Option.iter (verify_tiling "searched") searched.Strategies.tiling;
       {
         arch = arch.Tf_arch.Arch.name;
         fallback_cost = latency fallback;
         greedy_cost;
-        search_cost = latency searched;
+        search_cost = searched.Strategies.latency.Latency.total_s;
       })
     archs
 

@@ -82,10 +82,10 @@ let require_clean what diags =
          (String.concat "; "
             (List.map Tf_analysis.Diagnostic.render (Tf_analysis.Diagnostic.errors diags))))
 
-let verify_result (r : Strategies.result) =
+let verify_result (((r : Strategies.result), _) as evaluated) =
   require_clean
     (Printf.sprintf "%s result" (Strategies.name r.Strategies.strategy))
-    (Tf_analysis.Verify.strategy_result r);
+    (Tf_analysis.Verify.strategy_result evaluated);
   r
 
 (* Range certification of a sweep band: before a figure sweeps a model

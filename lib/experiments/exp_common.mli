@@ -47,8 +47,9 @@ val evaluate :
     search budgets never share cache entries.  The cache is domain-safe
     ({!Tf_parallel.Memo}), so sweeps may evaluate points concurrently;
     repeated lookups return the physically identical result.  Every fresh
-    result is run through {!Tf_analysis.Verify.strategy_result} before it
-    is cached.
+    result is run through {!Tf_analysis.Verify.strategy_result}, with the
+    execution it was priced with, before it is cached; the cache keeps
+    the result only.
     @raise Failure when the result's tiling or DPipe schedule fails
     verification — a figure must never be exported from an invalid
     artifact. *)
@@ -87,9 +88,12 @@ val require_clean : string -> Tf_analysis.Diagnostic.t list -> unit
 (** Shared sanitizer guard: @raise Failure listing the error diagnostics
     when any are present. *)
 
-val verify_result : Transfusion.Strategies.result -> Transfusion.Strategies.result
+val verify_result :
+  Transfusion.Strategies.result * Transfusion.Strategies.execution option ->
+  Transfusion.Strategies.result
 (** {!require_clean} over {!Tf_analysis.Verify.strategy_result}; returns
-    the result unchanged so call sites can wrap evaluations inline. *)
+    the result, without its execution, so call sites can wrap
+    {!Transfusion.Strategies.evaluate} inline. *)
 
 val certify_seq_band : Tf_arch.Arch.t list -> Tf_workloads.Model.t -> seqs:int list -> unit
 (** Range-certify a figure's whole sequence band before it is swept:

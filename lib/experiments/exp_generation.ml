@@ -9,28 +9,23 @@ let default_strategies = [ Strategies.Fusemax; Strategies.Transfusion ]
 
 (* Decode results bypass the Exp_common summary cache (its key has no
    generation fields), so every fresh metrics record is verified here
-   the way Exp_common.evaluate verifies encoder results: the prefill
-   under its causal flavour and both decode endpoints under theirs. *)
-let verify (m : Decode.metrics) =
+   the way Exp_common.evaluate verifies encoder results: the prefill and
+   both decode endpoints, each with the execution it was priced with. *)
+let verify ((m : Decode.metrics), (e : Decode.executions)) =
   let spec = m.Decode.spec in
-  let what stage =
-    Printf.sprintf "generation %s (%s, %s)" stage (Strategies.name m.Decode.strategy)
-      (Generation.label spec)
+  let check stage result execution =
+    Exp_common.require_clean
+      (Printf.sprintf "generation %s (%s, %s)" stage (Strategies.name m.Decode.strategy)
+         (Generation.label spec))
+      (Tf_analysis.Verify.strategy_result (result, execution))
   in
-  Exp_common.require_clean (what "prefill")
-    (Tf_analysis.Verify.strategy_result ~attention:Strategies.Causal_self m.Decode.prefill);
-  Exp_common.require_clean (what "decode@first")
-    (Tf_analysis.Verify.strategy_result
-       ~attention:(Strategies.Decode { kv_len = Generation.kv_first spec })
-       m.Decode.first);
-  Exp_common.require_clean (what "decode@last")
-    (Tf_analysis.Verify.strategy_result
-       ~attention:(Strategies.Decode { kv_len = Generation.kv_last spec })
-       m.Decode.last)
+  check "prefill" m.Decode.prefill e.Decode.prefill_exec;
+  check "decode@first" m.Decode.first e.Decode.first_exec;
+  check "decode@last" m.Decode.last e.Decode.last_exec;
+  m
 
 let point ?tileseek_iterations (arch : Tf_arch.Arch.t) spec strategy =
-  let m = Decode.evaluate ?tileseek_iterations arch spec strategy in
-  verify m;
+  let m = verify (Decode.evaluate ?tileseek_iterations arch spec strategy) in
   { arch = arch.Tf_arch.Arch.name; metrics = m }
 
 let prompts ~quick = Exp_common.seq_sweep ~quick

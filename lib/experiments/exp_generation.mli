@@ -5,8 +5,8 @@
 
     Each point is a full {!Transfusion.Decode.evaluate} — one prefill,
     one decode-step search, closed-form aggregation — and every fresh
-    result is verified ({!Tf_analysis.Verify.strategy_result} under the
-    matching attention flavours) before it is reported, mirroring the
+    result is verified ({!Tf_analysis.Verify.strategy_result}, with the
+    execution it was priced with) before it is reported, mirroring the
     figure experiments' discipline. *)
 
 type point = { arch : string; metrics : Transfusion.Decode.metrics }

@@ -50,13 +50,15 @@ let module_table activation =
   add ffn_module (Cascades.ffn activation);
   tbl
 
-let simulate ?(attention = Strategies.Self) ~tiling arch (w : Workload.t) =
-  let m0 = tiling.Tileseek.m0 in
-  let { Layer_costs.load; matrix; dag = g; totals; extents; _ } =
-    Strategies.layer_problem ~attention ~m0 w
+(* The report of the execution a TransFusion result was priced with. *)
+let of_execution (r : Strategies.result) (e : Strategies.execution) =
+  let arch = r.Strategies.arch and w = r.Strategies.workload in
+  let attention = r.Strategies.attention and tiling = Option.get r.Strategies.tiling in
+  let { Layer_costs.load; matrix; dag = g; totals; extents } =
+    Lazy.force e.Strategies.dpipe.Strategies.problem
   in
   let op n = totals.(n).Layer_costs.op in
-  let sched = Dpipe.schedule arch ~load ~matrix g in
+  let sched = Lazy.force e.Strategies.dpipe.Strategies.schedule in
   let outcome, events =
     match Sim.replay_events arch ~load ~matrix g sched with
     | Ok pair -> pair
@@ -93,17 +95,13 @@ let simulate ?(attention = Strategies.Self) ~tiling arch (w : Workload.t) =
         (ffn_module, Buffer_req.ffn dims);
       ]
   in
-  let latency_s =
-    let phases, _ = Strategies.phases ~tiling ~attention arch w Strategies.Transfusion in
-    (Latency.evaluate arch phases).Latency.total_s
-  in
   {
     arch;
     workload = w;
     attention;
     tiling;
-    latency_s;
-    layer = Strategies.served_layer ~attention ~m0 arch w;
+    latency_s = r.Strategies.latency.Latency.total_s;
+    layer = e.Strategies.layer;
     sched;
     outcome;
     events;
@@ -113,12 +111,17 @@ let simulate ?(attention = Strategies.Self) ~tiling arch (w : Workload.t) =
     convergence = None;
   }
 
+let simulate ?attention ~tiling arch (w : Workload.t) =
+  match Strategies.evaluate ~tiling ?attention arch w Strategies.Transfusion with
+  | r, Some e -> of_execution r e
+  | _, None -> invalid_arg "Explain.simulate: TransFusion returned no execution"
+
 let run ~iterations ~seed ~attention arch (w : Workload.t) =
   let probes = ref [] in
   let probe p = probes := p :: !probes in
-  let tiling, stats = Strategies.search ~iterations ~seed ~probe ~attention arch w in
+  let r, e, stats = Strategies.search ~iterations ~seed ~probe ~attention arch w in
   let convergence = Convergence.of_probes ~seed ~stats (List.rev !probes) in
-  { (simulate ~attention ~tiling arch w) with convergence = Some convergence }
+  { (of_execution r e) with convergence = Some convergence }
 
 (* With the static execution served, the schedule, rollup and timeline
    describe the DPipe candidate it beat. *)

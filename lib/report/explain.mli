@@ -1,14 +1,14 @@
 (** The [transfusion explain] report: one workload's TransFusion
     execution, explained end to end.
 
-    Runs (or is given) a TileSeek tiling, schedules the fused layer's
-    DPipe problem ({!Transfusion.Strategies.layer_problem}) at the
-    tiling's [m0], replays it through
-    {!Transfusion.Pipeline_sim.replay_events}, and assembles:
+    Runs (or is given) a TileSeek tiling, takes the execution that
+    TransFusion priced it with ({!Transfusion.Strategies.execution}: the
+    fused layer's DPipe schedule at the tiling's [m0]), replays it
+    through {!Transfusion.Pipeline_sim.replay_events}, and assembles:
 
     - which per-layer execution is served — the DPipe schedule, or the
       static layer-sequential execution when that is faster — with both
-      makespans ({!Transfusion.Strategies.served_layer}),
+      makespans,
     - the per-Einsum bottleneck/utilisation {!Rollup} with roofline
       verdicts,
     - the Table 2 buffer occupancy per module against capacity,
@@ -32,9 +32,9 @@ type t = {
   latency_s : float;  (** cost-model whole-model latency under [tiling] *)
   layer : Transfusion.Strategies.layer_choice;
       (** the per-layer execution TransFusion serves under [tiling], with
-          both makespans ({!Transfusion.Strategies.served_layer}) *)
+          both makespans *)
   sched : Transfusion.Dpipe.t;
-      (** the DPipe schedule of the layer at [tiling]'s [m0]; with
+      (** the DPipe schedule the layer at [tiling]'s [m0] was priced with; with
           [layer.served = `Static] it is the candidate that was not
           served, and [outcome], [events], [rollup] and the trace describe
           that candidate *)
@@ -53,7 +53,9 @@ val simulate :
   Tf_workloads.Workload.t ->
   t
 (** Explain a {e given} tiling (no search, [convergence = None]) — the
-    path behind [--sim-trace] on [eval]/[decode].
+    path behind [--sim-trace] on [eval]/[decode]: one
+    {!Transfusion.Strategies.evaluate} at [tiling], whose result and
+    execution the report reads.
     @raise Invalid_argument when the tiling does not divide the workload
     (same conditions as {!Transfusion.Tileseek.dims}). *)
 
@@ -64,10 +66,11 @@ val run :
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   t
-(** Search a tiling with {!Transfusion.Strategies.search} (probed), then
-    {!simulate} it, with the {!Convergence} report attached.  The search
-    is the one [eval] runs, so at the same seed and budget the reported
-    tiling is the served one.  Deterministic for fixed seed. *)
+(** Search a tiling with {!Transfusion.Strategies.search} (probed) and
+    report the tiling, latency, layer choice and schedule of that one
+    search, with the {!Convergence} report attached.  The search is the
+    one [eval] runs, so at the same seed and budget the reported tiling
+    is the served one.  Deterministic for fixed seed. *)
 
 val render : t -> string
 (** The human-facing report: workload/tiling header, the served

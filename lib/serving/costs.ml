@@ -49,7 +49,7 @@ let spec t ~(cls : Traffic.cls) =
 
 let metrics t ~cls =
   Atomic.incr t.computes;
-  Decode.evaluate ~tileseek_iterations:t.iterations t.arch (spec t ~cls) t.strategy
+  fst (Decode.evaluate ~tileseek_iterations:t.iterations t.arch (spec t ~cls) t.strategy)
 
 let of_metrics (m : Decode.metrics) =
   let decode_energy_pj = Tf_costmodel.Energy.total_pj m.Decode.decode_energy in

@@ -20,6 +20,12 @@ type metrics = {
   total_energy_pj : float;
 }
 
+type executions = {
+  prefill_exec : Strategies.execution option;
+  first_exec : Strategies.execution option;
+  last_exec : Strategies.execution option;
+}
+
 let m_evaluations =
   Tf_obs.Counter.create ~help:"Decode.evaluate calls (full generations costed)"
     "decode.evaluations_total"
@@ -58,7 +64,7 @@ let evaluate ?tileseek_iterations arch (spec : Generation.t) strategy =
       ]
     "decode.evaluate"
   @@ fun () ->
-  let prefill =
+  let prefill, prefill_exec =
     Strategies.evaluate ?tileseek_iterations ~attention:Strategies.Causal_self arch
       (Generation.prefill_workload spec)
       strategy
@@ -69,13 +75,15 @@ let evaluate ?tileseek_iterations arch (spec : Generation.t) strategy =
      both endpoints and then reused at each, keeping the per-token cost
      affine in the cache length so the trapezoid aggregation below is
      exact (up to half of one token's marginal cost). *)
-  let searched = step ?tileseek_iterations arch spec strategy ~kv_len:kv_hi in
+  let ((searched, _) as searched_eval) =
+    step ?tileseek_iterations arch spec strategy ~kv_len:kv_hi
+  in
   let tiling =
     Option.map (fun c -> Tileseek.clamp_kv c ~kv_len:(gcd kv_lo kv_hi)) searched.Strategies.tiling
   in
-  let first = step ?tiling ?tileseek_iterations arch spec strategy ~kv_len:kv_lo in
-  let last =
-    if tiling = searched.Strategies.tiling then searched
+  let first, first_exec = step ?tiling ?tileseek_iterations arch spec strategy ~kv_len:kv_lo in
+  let last, last_exec =
+    if tiling = searched.Strategies.tiling then searched_eval
     else step ?tiling ?tileseek_iterations arch spec strategy ~kv_len:kv_hi
   in
   let latency_of (r : Strategies.result) = r.Strategies.latency.Latency.total_s in
@@ -88,20 +96,21 @@ let evaluate ?tileseek_iterations arch (spec : Generation.t) strategy =
       (Energy.scale (gen /. 2.) last.Strategies.energy)
   in
   let ttft_s = latency_of prefill in
-  {
-    spec;
-    strategy;
-    prefill;
-    first;
-    last;
-    decode_tiling = (match tiling with Some _ as t -> t | None -> last.Strategies.tiling);
-    ttft_s;
-    token_s_first;
-    token_s_last;
-    decode_s;
-    total_s = ttft_s +. decode_s;
-    tokens_per_s = batch *. gen /. decode_s;
-    decode_energy;
-    energy_per_token_pj = Energy.total_pj decode_energy /. (batch *. gen);
-    total_energy_pj = Energy.total_pj prefill.Strategies.energy +. Energy.total_pj decode_energy;
-  }
+  ( {
+      spec;
+      strategy;
+      prefill;
+      first;
+      last;
+      decode_tiling = (match tiling with Some _ as t -> t | None -> last.Strategies.tiling);
+      ttft_s;
+      token_s_first;
+      token_s_last;
+      decode_s;
+      total_s = ttft_s +. decode_s;
+      tokens_per_s = batch *. gen /. decode_s;
+      decode_energy;
+      energy_per_token_pj = Energy.total_pj decode_energy /. (batch *. gen);
+      total_energy_pj = Energy.total_pj prefill.Strategies.energy +. Energy.total_pj decode_energy;
+    },
+    { prefill_exec; first_exec; last_exec } )

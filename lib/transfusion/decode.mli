@@ -42,14 +42,23 @@ type metrics = {
   total_energy_pj : float;  (** prefill + decode *)
 }
 
+type executions = {
+  prefill_exec : Strategies.execution option;
+  first_exec : Strategies.execution option;
+  last_exec : Strategies.execution option;
+}
+(** The executions {!Strategies.evaluate} returned beside [prefill],
+    [first] and [last] ([None] for the strategies without one). *)
+
 val evaluate :
   ?tileseek_iterations:int ->
   Tf_arch.Arch.t ->
   Tf_workloads.Generation.t ->
   Strategies.t ->
-  metrics
+  metrics * executions
 (** Cost the full generation: prefill, one decode search at the deep
     endpoint, clamped-tiling evaluations at both endpoints, closed-form
-    aggregation.  Instrumented with Tf_obs ([decode.evaluations_total],
+    aggregation; with the three evaluations' executions, for
+    verification.  Instrumented with Tf_obs ([decode.evaluations_total],
     [decode.tokens_total], [decode.searches_saved_total] and a
     [decode.evaluate] trace span). *)

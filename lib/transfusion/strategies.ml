@@ -18,6 +18,7 @@ type result = {
   latency : Latency.t;
   energy : Energy.breakdown;
   traffic : Traffic.t;
+  attention : attention;
   tiling : Tileseek.config option;
 }
 
@@ -93,11 +94,10 @@ let layer_cascade ?(include_ffn = true) (model : Model.t) =
     Cascade.concat ~name:"transformer_layer_noffn"
       [ Cascades.qkv (); Cascades.mha (); Cascades.add_layernorm () ]
 
-let layer_problem ?attention ?include_ffn ?m0 (w : Workload.t) =
+let layer_problem ?attention ?include_ffn (w : Workload.t) =
   let a = attention_dims ?attention w in
-  Layer_costs.problem
-    ~m0:(Option.value m0 ~default:(Workload.default_m0 a.kv_len))
-    ~kv_len:a.kv_len ~kv_proj_len:a.kv_proj_len ~causal:a.causal w
+  Layer_costs.problem ~m0:(Workload.default_m0 a.kv_len) ~kv_len:a.kv_len
+    ~kv_proj_len:a.kv_proj_len ~causal:a.causal w
     (layer_cascade ?include_ffn w.model)
 
 let make_ctx ?(attention = Self) ?(include_ffn = true) ?layers ?(objective = Latency_obj)
@@ -231,15 +231,40 @@ let add_exec (a : Phase.execution) (b : Phase.execution) =
     useful_1d_slots = a.Phase.useful_1d_slots +. b.Phase.useful_1d_slots;
   }
 
-(* Pipeline a cascade at the ctx's tile, extrapolating the schedule to
-   the nominal epoch count. *)
-let pipelined_exec ~mode ctx cascade =
-  let { Layer_costs.load; matrix; dag; totals; _ } =
-    Layer_costs.problem ~m0:ctx.m0 ~kv_len:ctx.dims.kv_len ~kv_proj_len:ctx.dims.kv_proj_len
-      ~causal:ctx.dims.causal ctx.w cascade
-  in
+(* One DPipe run a strategy prices: a cascade at the ctx's tile under a
+   scheduling mode.  The memo-miss path below, which runs the schedule,
+   keeps it in [kept] where it may become part of an execution; when the
+   memo answered instead, [scheduled] re-runs it for the reader of the
+   final execution. *)
+type run = {
+  ctx : ctx;
+  cascade : Cascade.t Lazy.t;
+  mode : Cascade.t -> [ `Dp | `Static of int -> Arch.resource ];
+  mutable kept : Dpipe.t option;
+}
+
+let run_problem r =
+  let ctx = r.ctx in
+  Layer_costs.problem ~m0:ctx.m0 ~kv_len:ctx.dims.kv_len ~kv_proj_len:ctx.dims.kv_proj_len
+    ~causal:ctx.dims.causal ctx.w (Lazy.force r.cascade)
+
+let run_schedule r =
+  let ({ Layer_costs.load; matrix; dag; _ } as problem) = run_problem r in
+  (problem, Dpipe.schedule ~mode:(r.mode (Lazy.force r.cascade)) r.ctx.arch ~load ~matrix dag)
+
+type scheduled = { problem : Layer_costs.problem Lazy.t; schedule : Dpipe.t Lazy.t }
+
+let scheduled r =
+  {
+    problem = lazy (run_problem r);
+    schedule =
+      (match r.kept with Some s -> Lazy.from_val s | None -> lazy (snd (run_schedule r)));
+  }
+
+(* The summary a strategy prices: the schedule extrapolated to the
+   nominal epoch count. *)
+let pipelined_exec ({ Layer_costs.totals; _ }, sched) =
   let epochs = Layer_costs.nominal_epochs in
-  let sched = Dpipe.schedule ~mode ctx.arch ~load ~matrix dag in
   let node_busy = Array.make (Array.length totals) 0. in
   let unrolled = float_of_int sched.Dpipe.epochs_unrolled in
   List.iter
@@ -335,7 +360,8 @@ let dpipe_cache : (dpipe_key, exec_summary) Tf_parallel.Memo.t =
 
 let reset_registries () = Tf_parallel.Memo.clear dpipe_cache
 
-let cached_pipelined ~mode ~tag ctx cascade =
+let cached_pipelined ~tag ~keep (run : run) =
+  let ctx = run.ctx in
   let key =
     {
       dk_arch = arch_fingerprint ctx.arch;
@@ -348,15 +374,21 @@ let cached_pipelined ~mode ~tag ctx cascade =
       dk_include_ffn = ctx.include_ffn;
     }
   in
-  Tf_parallel.Memo.find_or_compute dpipe_cache key (fun () -> pipelined_exec ~mode ctx cascade)
+  Tf_parallel.Memo.find_or_compute dpipe_cache key (fun () ->
+      let ((_, sched) as ran) = run_schedule run in
+      if keep then run.kept <- Some sched;
+      pipelined_exec ran)
 
-(* FuseMax's statically pipelined attention: the FuseMax strategy's MHA
-   and the attention inside every LayerFuse layer. *)
-let fusemax_mha_exec ctx =
-  let cascade = Cascades.mha () in
-  exec_of_summary
-    (cached_pipelined ~mode:(`Static (fusemax_assign ctx.arch cascade)) ~tag:"fusemax-mha" ctx
-       cascade)
+(* The fused layer ([layer_cascade] at the ctx's [include_ffn]) under
+   DPipe: TransFusion's schedule. *)
+let layer_run ctx cascade = { ctx; cascade; mode = (fun _ -> `Dp); kept = None }
+
+(* FuseMax's statically pipelined attention ([Cascades.mha]): the FuseMax
+   strategy's MHA and the attention inside every LayerFuse layer. *)
+let fusemax_mha_run ctx cascade =
+  { ctx; cascade; mode = (fun cascade -> `Static (fusemax_assign ctx.arch cascade)); kept = None }
+
+let fusemax_mha_exec ~keep run = exec_of_summary (cached_pipelined ~tag:"fusemax-mha" ~keep run)
 
 (* ------------------------------------------------------------------ *)
 (* Traffic assembly                                                    *)
@@ -442,7 +474,8 @@ let flat_phases ctx =
 let fusemax_phases ctx =
   unfused_like_phases ctx ~mha:(fun loads io ->
       streamed_mha ctx ~name:"MHA(fusemax)" ~buffer_io:(0., 0.) ~regfile_io:io
-        ~execution:(fusemax_mha_exec ctx) loads)
+        ~execution:(fusemax_mha_exec ~keep:false (fusemax_mha_run ctx (lazy (Cascades.mha ()))))
+        loads)
 
 (* Shared fused-stack traffic for LayerFuse and TransFusion: activations
    propagate on-chip; K/V round-trip through DRAM per layer and are
@@ -545,11 +578,12 @@ let normalise_parts per =
     kinds
 
 (* The per-layer execution of the LayerFuse ablation: pipelined attention
-   (FuseMax style), everything else sequential; no cross-module overlap.
-   Returned with its attribution to the per-layer buckets (Figure 11), by
-   each module's share of the sequential per-layer makespans. *)
-let layerfuse_layer ctx =
-  let mha = fusemax_mha_exec ctx in
+   (FuseMax style, scheduled by [mha_run], its schedule kept if [keep]),
+   everything else sequential; no cross-module overlap.  Returned with
+   its attribution to the per-layer buckets (Figure 11), by each module's
+   share of the sequential per-layer makespans. *)
+let layerfuse_layer ~keep ctx mha_run =
+  let mha = fusemax_mha_exec ~keep mha_run in
   let rest =
     List.map
       (fun kind -> (kind, seq_exec ctx (module_loads ctx kind)))
@@ -584,20 +618,23 @@ let transfusion_parts cascade summary =
 
 type layer_choice = { served : [ `Dpipe | `Static ]; dpipe_cycles : float; static_cycles : float }
 
-let transfusion_layer ctx =
-  let cascade = layer_cascade ~include_ffn:ctx.include_ffn ctx.w.model in
-  let dp = cached_pipelined ~mode:`Dp ~tag:"transfusion-layer" ctx cascade in
+(* The served layer execution of [dpipe] and its static alternative
+   around [mha].  Their schedules are kept for the execution, the pinned
+   MHA's only where static is served. *)
+let transfusion_layer ctx ~dpipe ~mha =
+  let cascade = Lazy.force dpipe.cascade in
+  let dp = cached_pipelined ~tag:"transfusion-layer" ~keep:true dpipe in
   (* DPipe's candidate space contains the static layer-sequential schedule,
      so the better of the two is what the scheduler would emit; the greedy
      DP evaluation occasionally loses a percent to it on chunky DAGs. *)
-  let static, static_parts = layerfuse_layer ctx in
+  let static, static_parts = layerfuse_layer ~keep:true ctx mha in
   let static_cycles = static.Phase.makespan_cycles in
   let choice served = { served; dpipe_cycles = dp.makespan; static_cycles } in
-  if dp.makespan <= static_cycles then
+  if dp.makespan <= static_cycles then begin
+    mha.kept <- None;
     (choice `Dpipe, (exec_of_summary dp, transfusion_parts cascade dp))
+  end
   else (choice `Static, (static, static_parts))
-
-let served_layer ?attention ~m0 arch w = fst (transfusion_layer { (make_ctx ?attention arch w) with m0 })
 
 (* ------------------------------------------------------------------ *)
 (* Reusable evaluation state for the TileSeek inner loop               *)
@@ -613,7 +650,9 @@ let served_layer ?attention ~m0 arch w = fst (transfusion_layer { (make_ctx ?att
    through feasibility only — the (b, p, m1, m0) projection memo below
    answers directly), and only an m0 move builds a new slice.  The
    slice's executions are lazy so a LayerFuse search never runs the
-   TransFusion DPipe schedule and vice versa. *)
+   TransFusion DPipe schedule and vice versa.  The slice also holds the
+   two DPipe runs it prices, so the final slice's schedules are the ones
+   the result was priced with ([execution] below). *)
 
 type eval_exec = {
   ex_execution : Phase.execution;  (* layers-scaled *)
@@ -625,7 +664,9 @@ type eval_slice = {
   sl_ctx : ctx;  (* the state's ctx at this slice's m0 *)
   sl_loads : Layer_costs.loads;  (* fused-stack per-layer op loads *)
   sl_io : float * float;  (* summed einsum I/O volumes over the module cascades *)
-  sl_tf : eval_exec Lazy.t;  (* TransFusion: better of DPipe and static *)
+  sl_dpipe : run;  (* the fused layer under DPipe *)
+  sl_mha : run;  (* FuseMax-pinned MHA: the static alternative's and LayerFuse's *)
+  sl_tf : (layer_choice * eval_exec) Lazy.t;  (* TransFusion: better of DPipe and static *)
   sl_lf : eval_exec Lazy.t;  (* LayerFuse: sequential modules, pipelined MHA *)
 }
 
@@ -633,6 +674,8 @@ type eval_state = {
   es_ctx : ctx;
   es_w_all : float;  (* fused-stack weight volume per tile pass *)
   es_intra_wr : float;  (* blocked-matmul weight reads, m0-invariant *)
+  es_layer : Cascade.t Lazy.t;  (* the fused layer, shared by the slices' DPipe runs *)
+  es_mha : Cascade.t Lazy.t;  (* the MHA, shared by the slices' pinned runs *)
   es_slices : (int, eval_slice) Hashtbl.t;  (* keyed by m0 *)
   es_costs : (int * int * int * int, float) Hashtbl.t;  (* (b, p, m1, m0) *)
 }
@@ -664,6 +707,8 @@ let make_eval_state ctx =
     es_ctx = ctx;
     es_w_all = stack_weight_reads ctx;
     es_intra_wr = intra_weight_reads ctx;
+    es_layer = lazy (layer_cascade ~include_ffn:ctx.include_ffn ctx.w.model);
+    es_mha = lazy (Cascades.mha ());
     es_slices = Hashtbl.create 16;
     es_costs = Hashtbl.create 256;
   }
@@ -690,13 +735,19 @@ let eval_slice st m0 =
   | None ->
       Tf_obs.Counter.incr m_slice_builds;
       let ctx = { st.es_ctx with m0 } in
+      let dpipe = layer_run ctx st.es_layer and mha = fusemax_mha_run ctx st.es_mha in
       let sl =
         {
           sl_ctx = ctx;
           sl_loads = module_loads ctx Phase.Fused_stack;
           sl_io = module_io ctx;
-          sl_tf = lazy (scaled_exec ctx (snd (transfusion_layer ctx)));
-          sl_lf = lazy (scaled_exec ctx (layerfuse_layer ctx));
+          sl_dpipe = dpipe;
+          sl_mha = mha;
+          sl_tf =
+            lazy
+              (let layer, exec = transfusion_layer ctx ~dpipe ~mha in
+               (layer, scaled_exec ctx exec));
+          sl_lf = lazy (scaled_exec ctx (layerfuse_layer ~keep:false ctx mha));
         }
       in
       Hashtbl.add st.es_slices m0 sl;
@@ -741,7 +792,7 @@ type choice = { ch_name : string; ch_traffic : Traffic.t; ch_exec : eval_exec; c
 let transfusion_choice st (config : Tileseek.config) =
   let sl = eval_slice st config.Tileseek.m0 in
   let ctx = sl.sl_ctx in
-  let tf = Lazy.force sl.sl_tf in
+  let _, tf = Lazy.force sl.sl_tf in
   let stack =
     fused_stack_traffic ctx config ~loads:sl.sl_loads ~io:sl.sl_io ~w_all:st.es_w_all
   in
@@ -799,15 +850,26 @@ let search_state choose ?seed ?probe ~iterations st =
   Tileseek.search ?seed ?probe ~iterations ~kv_len:ctx.dims.kv_len ~decode:ctx.dims.decode
     ctx.arch ctx.w ~evaluate:(cached_score choose st) ()
 
-let search ?(iterations = 200) ?seed ?probe ?attention arch w =
-  search_state transfusion_choice ?seed ?probe ~iterations
-    (make_eval_state (make_ctx ?attention arch w))
+(* The per-layer execution a TransFusion result was priced with: the
+   final slice's layer choice and its DPipe runs, the pinned MHA only
+   where the static alternative is served. *)
+type execution = { layer : layer_choice; dpipe : scheduled; static_mha : scheduled option }
+
+let execution st (config : Tileseek.config) =
+  let sl = eval_slice st config.Tileseek.m0 in
+  let layer, _ = Lazy.force sl.sl_tf in
+  {
+    layer;
+    dpipe = scheduled sl.sl_dpipe;
+    static_mha =
+      (match layer.served with `Dpipe -> None | `Static -> Some (scheduled sl.sl_mha));
+  }
 
 (* The fused-stack strategies: one TileSeek search (unless the tiling is
-   given) against the strategy's own choice, then that choice's phase.
-   The LayerFuse ablation keeps TileSeek (it removes DPipe, not the
-   tiling search), so its outer tiles are searched against the LayerFuse
-   cost. *)
+   given) against the strategy's own choice, then that choice's phase,
+   with the state the phase was priced from.  The LayerFuse ablation
+   keeps TileSeek (it removes DPipe, not the tiling search), so its outer
+   tiles are searched against the LayerFuse cost. *)
 let fused_phases choose ?tiling ~tileseek_iterations ctx =
   let st = make_eval_state ctx in
   let config =
@@ -815,17 +877,27 @@ let fused_phases choose ?tiling ~tileseek_iterations ctx =
     | Some c -> c
     | None -> fst (search_state choose ~iterations:tileseek_iterations st)
   in
-  ([ choice_phase (choose st config) ], Some config)
+  ([ choice_phase (choose st config) ], Some (st, config))
 
-let phases ?tiling ?(tileseek_iterations = 200) ?attention ?include_ffn ?layers ?objective arch w
-    strategy =
-  let ctx = make_ctx ?attention ?include_ffn ?layers ?objective arch w in
+let priced_phases ?tiling ?(tileseek_iterations = 200) ctx strategy =
   match strategy with
   | Unfused -> (unfused_like_phases ctx, None)
   | Flat -> (flat_phases ctx, None)
   | Fusemax -> (fusemax_phases ctx, None)
   | Fusemax_layerfuse -> fused_phases layerfuse_choice ?tiling ~tileseek_iterations ctx
   | Transfusion -> fused_phases transfusion_choice ?tiling ~tileseek_iterations ctx
+
+let phases ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective arch w strategy =
+  let ctx = make_ctx ?attention ?include_ffn ?layers ?objective arch w in
+  let phase_list, priced = priced_phases ?tiling ?tileseek_iterations ctx strategy in
+  (phase_list, Option.map snd priced)
+
+let result_of ctx strategy phase_list tiling : result =
+  let arch = ctx.arch in
+  let latency = Latency.evaluate arch phase_list in
+  let traffic = Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list) in
+  let energy = Energy.of_traffic arch traffic in
+  { strategy; arch; workload = ctx.w; attention = ctx.attention; latency; energy; traffic; tiling }
 
 let evaluate ?tiling ?tileseek_iterations ?attention ?layers ?objective arch w strategy =
   Tf_obs.Trace.with_span ~cat:"strategy"
@@ -838,13 +910,20 @@ let evaluate ?tiling ?tileseek_iterations ?attention ?layers ?objective arch w s
       ]
     "strategy.evaluate"
   @@ fun () ->
-  let phase_list, config =
-    phases ?tiling ?tileseek_iterations ?attention ?layers ?objective arch w strategy
-  in
-  let latency = Latency.evaluate arch phase_list in
-  let traffic = Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list) in
-  let energy = Energy.of_traffic arch traffic in
-  { strategy; arch; workload = w; latency; energy; traffic; tiling = config }
+  let ctx = make_ctx ?attention ?layers ?objective arch w in
+  let phase_list, priced = priced_phases ?tiling ?tileseek_iterations ctx strategy in
+  ( result_of ctx strategy phase_list (Option.map snd priced),
+    match (strategy, priced) with
+    | Transfusion, Some (st, config) -> Some (execution st config)
+    | _ -> None )
+
+let search ?(iterations = 200) ?seed ?probe ?attention arch w =
+  let ctx = make_ctx ?attention arch w in
+  let st = make_eval_state ctx in
+  let config, stats = search_state transfusion_choice ?seed ?probe ~iterations st in
+  ( result_of ctx Transfusion [ choice_phase (transfusion_choice st config) ] (Some config),
+    execution st config,
+    stats )
 
 let speedup ~baseline r = baseline.latency.Latency.total_s /. r.latency.Latency.total_s
 
@@ -853,7 +932,6 @@ let energy_ratio ~baseline r =
 
 module Private = struct
   let arch_fingerprint = arch_fingerprint
-  let fusemax_assign = fusemax_assign
 
   (* Hot-path probes for the microbenches and the scorer-equivalence
      tests.  [transfusion_scorer] prebuilds the evaluation state and

@@ -68,13 +68,10 @@ val layer_cascade : ?include_ffn:bool -> Tf_workloads.Model.t -> Tf_einsum.Casca
     (default true). *)
 
 val layer_problem :
-  ?attention:attention ->
-  ?include_ffn:bool ->
-  ?m0:int ->
-  Tf_workloads.Workload.t ->
-  Layer_costs.problem
-(** The DPipe problem TransFusion schedules: {!layer_cascade} at inner
-    tile [m0] (default the balanced split of the key/value length). *)
+  ?attention:attention -> ?include_ffn:bool -> Tf_workloads.Workload.t -> Layer_costs.problem
+(** The DPipe problem TransFusion schedules: {!layer_cascade} at the
+    default inner tile, the balanced split of the key/value length (a
+    searched tiling's own problem is in its {!execution}). *)
 
 type objective = Latency_obj | Energy_obj | Edp_obj
 (** TileSeek reward (paper Section 5.1: "the resulting energy or latency
@@ -88,7 +85,8 @@ type result = {
   latency : Tf_costmodel.Latency.t;
   energy : Tf_costmodel.Energy.breakdown;
   traffic : Tf_costmodel.Traffic.t;
-  tiling : Tileseek.config option;  (** TransFusion only *)
+  attention : attention;  (** the flavour the result was priced for *)
+  tiling : Tileseek.config option;  (** the searching strategies only *)
 }
 
 val all : t list
@@ -115,6 +113,32 @@ val phases :
     composition (see {!Structures}); the defaults evaluate the standard
     self-attention encoder stack of the model. *)
 
+type layer_choice = { served : [ `Dpipe | `Static ]; dpipe_cycles : float; static_cycles : float }
+(** Per-layer makespans (cycles) of the DPipe schedule and of the static
+    layer-sequential execution, and the one TransFusion serves: DPipe
+    unless static is strictly faster (its greedy DP occasionally loses a
+    percent on chunky DAGs). *)
+
+type scheduled = {
+  problem : Layer_costs.problem Lazy.t;
+  schedule : Dpipe.t Lazy.t;  (** {!Dpipe.schedule} of [problem] *)
+}
+(** One DPipe run a strategy priced.  The run that computed the priced
+    summary keeps its schedule; where the shared DPipe memo answered
+    instead, forcing [schedule] runs {!Dpipe.schedule} once more. *)
+
+type execution = {
+  layer : layer_choice;
+  dpipe : scheduled;  (** the fused layer ({!layer_cascade}) at the tiling's [m0] *)
+  static_mha : scheduled option;
+      (** the MHA cascade pinned by {!fusemax_assign}, around which the
+          static alternative runs the other modules sequentially; [Some]
+          exactly when [layer.served = `Static] *)
+}
+(** The per-layer execution a TransFusion result was priced with.  Only
+    {!evaluate} and {!search} return one, beside the result: the result
+    types hold no schedule, so no cache of results holds one either. *)
+
 val evaluate :
   ?tiling:Tileseek.config ->
   ?tileseek_iterations:int ->
@@ -124,7 +148,9 @@ val evaluate :
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   t ->
-  result
+  result * execution option
+(** The strategy's whole-model result, and for [Transfusion] (only) the
+    execution of the tiling it serves. *)
 
 val search :
   ?iterations:int ->
@@ -133,30 +159,24 @@ val search :
   ?attention:attention ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
-  Tileseek.config * Mcts.stats
+  result * execution * Mcts.stats
 (** The TransFusion tiling search exactly as {!evaluate} runs it: one
     {!Tileseek.search} scored by the production TransFusion cost (latency
     plus the 0.02 x memory-time tie-break, through the (b, p, m1, m0)
     projection memo), over the key/value sequence and decode buffer
-    model that [attention] implies.  [iterations] defaults to 200 and
-    [seed] to {!Tileseek.search}'s, so [fst (search ~attention arch w)]
-    is the tiling [evaluate ~attention arch w Transfusion] serves; [seed]
-    and the observational [probe] are for the callers that report the
-    search itself ([transfusion search], [Tf_report.Explain.run]). *)
+    model that [attention] implies; then the result and execution of the
+    tiling it found.  [iterations] defaults to 200 and [seed] to
+    {!Tileseek.search}'s, so at the defaults the result is the one
+    [evaluate ~attention arch w Transfusion] returns; [seed] and the
+    observational [probe] are for the callers that report the search
+    itself ([transfusion search], [Tf_report.Explain.run]). *)
 
-type layer_choice = { served : [ `Dpipe | `Static ]; dpipe_cycles : float; static_cycles : float }
-(** Per-layer makespans (cycles) of the DPipe schedule and of the static
-    layer-sequential execution, and the one TransFusion serves: DPipe
-    unless static is strictly faster (its greedy DP occasionally loses a
-    percent on chunky DAGs). *)
-
-val served_layer :
-  ?attention:attention ->
-  m0:int ->
-  Tf_arch.Arch.t ->
-  Tf_workloads.Workload.t ->
-  layer_choice
-(** The decision the TransFusion phase at inner tile [m0] is built from. *)
+val fusemax_assign : Tf_arch.Arch.t -> Tf_einsum.Cascade.t -> int -> Tf_arch.Arch.resource
+(** FuseMax's static PE-array assignment for the nodes of [cascade]'s
+    DAG — the [`Static] mode the FuseMax strategies schedule their
+    attention with: matmuls on the 2D array, per-tile partial softmax on
+    the array with the higher vector throughput, cross-tile running-state
+    updates on the 1D array. *)
 
 val speedup : baseline:result -> result -> float
 (** [baseline.latency.total_s / r.latency.total_s]. *)
@@ -179,11 +199,6 @@ module Private : sig
   (** The architecture identity used to key the shared DPipe cache.
       Must distinguish any two archs whose parameters differ, even when
       they share a [name] (ablation variants do). *)
-
-  val fusemax_assign : Tf_arch.Arch.t -> Tf_einsum.Cascade.t -> int -> Tf_arch.Arch.resource
-  (** FuseMax's static PE-array assignment for the nodes of [cascade]'s
-      DAG — the [`Static] mode the FuseMax strategies schedule with.
-      Exposed for the DPipe static-mode microbench. *)
 
   val transfusion_scorer :
     Tf_arch.Arch.t ->

@@ -189,10 +189,10 @@ let test_strategy_result_names_flavour () =
   let w = Workload.v Presets.bert ~seq_len:4096 in
   let attention = S.Cross { kv_len = 4096 } in
   let fallback = Tileseek.fallback arch w in
-  let r = S.evaluate ~tiling:fallback ~attention arch w S.Transfusion in
+  let r, execution = S.evaluate ~tiling:fallback ~attention arch w S.Transfusion in
   (* 3 does not divide BERT's batch of 8. *)
   let bad = { r with S.tiling = Some { fallback with Tileseek.b = 3 } } in
-  match Diagnostic.by_code "E-TILE-DIVIDE" (Verify.strategy_result ~attention bad) with
+  match Diagnostic.by_code "E-TILE-DIVIDE" (Verify.strategy_result (bad, execution)) with
   | [] -> Alcotest.fail "expected E-TILE-DIVIDE"
   | d :: _ ->
       Alcotest.(check (option string)) "context" (Some "tiling(cloud/BERT/4096/cross(kv=4096))")
@@ -315,6 +315,72 @@ let test_pipeline_from_several_domains () =
       Alcotest.(check bool) "copies agree" true (d = diags.(tasks.(i))))
     diags
 
+(* ------------------------------------------------------------------ *)
+(* Verify.strategy_result checks the execution it is given *)
+
+module S = Transfusion.Strategies
+
+let with_schedule (run : S.scheduled) f =
+  { run with S.schedule = lazy (f (Lazy.force run.S.schedule)) }
+
+let test_verify_schedules_nothing () =
+  (* The result's execution carries the schedules Strategies priced, so
+     verifying a fresh result runs no DPipe of its own. *)
+  with_metrics @@ fun () ->
+  Tf_experiments.Exp_common.reset_cache ();
+  let w = Workload.v ~batch:2 Presets.bert ~seq_len:2048 in
+  let evaluated = S.evaluate ~tileseek_iterations:20 arch w S.Transfusion in
+  let before = counter "dpipe.schedules_total" in
+  let diags = Verify.strategy_result evaluated in
+  Alcotest.(check int) "verification schedules nothing" 0
+    (counter "dpipe.schedules_total" - before);
+  clean "fresh result" diags
+
+let test_corrupt_dpipe_schedule () =
+  let w = Workload.v Presets.bert ~seq_len:4096 in
+  let r, e, _ = S.search ~iterations:60 ~seed:42 arch w in
+  Alcotest.(check bool) "DPipe is served" true (e.S.layer.S.served = `Dpipe);
+  clean "served DPipe execution" (Verify.strategy_result (r, Some e));
+  let corrupt s = { s with Dpipe.makespan_cycles = s.Dpipe.makespan_cycles +. 123. } in
+  has "E-SCHED-MAKESPAN"
+    (Verify.strategy_result (r, Some { e with S.dpipe = with_schedule e.S.dpipe corrupt }))
+
+(* edge_32/TrXL/65536 serves the static alternative: sequential modules
+   around FuseMax-pinned attention, whose schedule is checked too. *)
+let static_served =
+  lazy
+    (S.search ~iterations:60 ~seed:42 Tf_arch.Presets.edge_32
+       (Workload.v Presets.trxl ~seq_len:65536))
+
+let pinned_mha (e : S.execution) =
+  match e.S.static_mha with
+  | Some run -> run
+  | None -> Alcotest.fail "static is served, so the pinned MHA schedule is part of the execution"
+
+let test_corrupt_pinned_mha () =
+  let r, e, _ = Lazy.force static_served in
+  Alcotest.(check bool) "static is served" true (e.S.layer.S.served = `Static);
+  clean "served static execution" (Verify.strategy_result (r, Some e));
+  let drop s = { s with Dpipe.assignments = List.tl s.Dpipe.assignments } in
+  has "E-SCHED-COUNT"
+    (Verify.strategy_result
+       (r, Some { e with S.static_mha = Some (with_schedule (pinned_mha e) drop) }))
+
+let test_mha_instance_off_its_array () =
+  let r, e, _ = Lazy.force static_served in
+  let move s =
+    match s.Dpipe.assignments with
+    | a :: rest ->
+        let other =
+          match a.Dpipe.resource with Tf_arch.Arch.Pe_2d -> Tf_arch.Arch.Pe_1d | Pe_1d -> Pe_2d
+        in
+        { s with Dpipe.assignments = { a with Dpipe.resource = other } :: rest }
+    | [] -> Alcotest.fail "empty MHA schedule"
+  in
+  has "E-SCHED-PIN"
+    (Verify.strategy_result
+       (r, Some { e with S.static_mha = Some (with_schedule (pinned_mha e) move) }))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "tf_analysis"
@@ -347,5 +413,12 @@ let () =
         [
           quick "keyed by arch parameters" test_pipeline_keyed_by_arch_parameters;
           quick "several domains" test_pipeline_from_several_domains;
+        ] );
+      ( "verify_result",
+        [
+          quick "verification schedules nothing" test_verify_schedules_nothing;
+          quick "corrupt DPipe schedule" test_corrupt_dpipe_schedule;
+          quick "corrupt pinned MHA schedule" test_corrupt_pinned_mha;
+          quick "MHA instance off its pinned array" test_mha_instance_off_its_array;
         ] );
     ]

@@ -19,7 +19,7 @@ let tiny =
 let arch = Tf_arch.Presets.edge
 let spec = Generation.v ~batch:2 ~gen:64 tiny ~prompt:256
 
-let evaluate = Decode.evaluate ~tileseek_iterations:40 arch
+let evaluate spec strategy = fst (Decode.evaluate ~tileseek_iterations:40 arch spec strategy)
 
 (* ------------------------------------------------------------------ *)
 

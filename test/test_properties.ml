@@ -277,7 +277,7 @@ let prop_decode_equals_cross (arch, w, strategy) =
         Some (Tileseek.greedy ~kv_len ~decode:true arch w)
     | Strategies.Unfused | Strategies.Flat | Strategies.Fusemax -> None
   in
-  let eval attention = Strategies.evaluate ?tiling ~attention arch w strategy in
+  let eval attention = fst (Strategies.evaluate ?tiling ~attention arch w strategy) in
   let decode = eval (Strategies.Decode { kv_len }) in
   let cross = eval (Strategies.Cross { kv_len }) in
   let lat (r : Strategies.result) = r.Strategies.latency.Tf_costmodel.Latency.total_s in
@@ -312,7 +312,9 @@ let prop_explain_serves_evaluate (arch, w, attention) =
   let iterations = 20 in
   let explained = Tf_report.Explain.run ~iterations ~seed:42 ~attention arch w in
   match
-    (Strategies.evaluate ~tileseek_iterations:iterations ~attention arch w Strategies.Transfusion)
+    (fst
+       (Strategies.evaluate ~tileseek_iterations:iterations ~attention arch w
+          Strategies.Transfusion))
       .Strategies.tiling
   with
   | None -> Alcotest.fail "TransFusion evaluation returned no tiling"
@@ -331,11 +333,13 @@ let test_explain_serves_evaluate () =
 
 (* TransFusion serves the better of the DPipe schedule and the static
    layer-sequential execution per layer.  Explain must report the one
-   the TransFusion phase was built from, and Verify must check the DPipe
-   candidate at the inner tile the result was priced with. *)
+   the TransFusion phase was built from, and Verify must check the
+   execution the result was priced with. *)
 
 let prop_explain_and_verify_serve (arch, w, attention) =
-  let r = Strategies.evaluate ~tileseek_iterations:20 ~attention arch w Strategies.Transfusion in
+  let ((r, _) as evaluated) =
+    Strategies.evaluate ~tileseek_iterations:20 ~attention arch w Strategies.Transfusion
+  in
   let tiling = Option.get r.Strategies.tiling in
   let layer = (Tf_report.Explain.simulate ~attention ~tiling arch w).Tf_report.Explain.layer in
   let name, served =
@@ -353,7 +357,7 @@ let prop_explain_and_verify_serve (arch, w, attention) =
   if served *. layers <> phase_cycles then
     Alcotest.failf "explain serves %s at %.17e x %.0f layers, the phase runs %.17e"
       name served layers phase_cycles;
-  let diags = Tf_analysis.Verify.strategy_result ~attention r in
+  let diags = Tf_analysis.Verify.strategy_result evaluated in
   if Tf_analysis.Diagnostic.has_errors diags then
     Alcotest.failf "served result fails verification: %s" (Tf_analysis.Diagnostic.summary diags)
 

@@ -227,6 +227,33 @@ let test_simulate_given_tiling () =
   Alcotest.(check (float 1e-6)) "same simulated makespan as the searched report"
     searched.Explain.outcome.Sim.makespan_cycles r.Explain.outcome.Sim.makespan_cycles
 
+(* Explain reads the schedule its search priced: it runs exactly the
+   schedules of the search itself, none of its own. *)
+let test_explain_schedules_only_its_search () =
+  Tf_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tf_obs.set_enabled false) @@ fun () ->
+  let arch = Tf_arch.Presets.cloud in
+  let w = Tf_workloads.Workload.v Tf_workloads.Presets.bert ~seq_len:4096 in
+  let schedules f =
+    Transfusion.Strategies.reset_registries ();
+    let count () =
+      Option.value ~default:0 (Tf_obs.counter_value (Tf_obs.snapshot ()) "dpipe.schedules_total")
+    in
+    let before = count () in
+    f ();
+    count () - before
+  in
+  let attention = Transfusion.Strategies.Self in
+  let search =
+    schedules (fun () ->
+        ignore (Transfusion.Strategies.search ~iterations:60 ~seed ~attention arch w))
+  in
+  let explain =
+    schedules (fun () -> ignore (Explain.run ~iterations:60 ~seed ~attention arch w : Explain.t))
+  in
+  Alcotest.(check bool) "the search schedules" true (search > 0);
+  Alcotest.(check int) "explain schedules what its search does" search explain
+
 (* ------------------------------------------------------------------ *)
 (* Convergence (synthetic probes) *)
 
@@ -427,6 +454,7 @@ let () =
           quick "simulate with a given tiling" test_simulate_given_tiling;
           quick "reports static when static is served" test_explain_served_static;
           quick "reports dpipe when dpipe is served" test_explain_served_dpipe;
+          quick "schedules only its search" test_explain_schedules_only_its_search;
         ] );
       ( "convergence",
         [

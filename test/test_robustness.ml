@@ -33,7 +33,7 @@ let test_degenerate_workloads () =
       let totals =
         List.map
           (fun s ->
-            (Strategies.evaluate ~tileseek_iterations:30 arch w s).Strategies.latency
+            (fst (Strategies.evaluate ~tileseek_iterations:30 arch w s)).Strategies.latency
               .Latency.total_s)
           Strategies.all
       in
@@ -57,14 +57,14 @@ let test_tiny_buffer_fallback () =
 let test_seq_one_tile () =
   (* A sequence equal to one key/value tile (m1 = 1 everywhere). *)
   let w = Workload.v ~batch:1 tiny_model ~seq_len:256 in
-  let r = Strategies.evaluate ~tileseek_iterations:30 Tf_arch.Presets.edge w Strategies.Transfusion in
+  let r, _ = Strategies.evaluate ~tileseek_iterations:30 Tf_arch.Presets.edge w Strategies.Transfusion in
   Alcotest.(check bool) "evaluates" true (r.Strategies.latency.Latency.total_s > 0.)
 
 let test_non_pow2_seq () =
   (* Sequence lengths that are not powers of two still work (m0 falls
      back to a dividing factor). *)
   let w = Workload.v ~batch:2 tiny_model ~seq_len:(3 * 256) in
-  let r = Strategies.evaluate ~tileseek_iterations:30 Tf_arch.Presets.edge w Strategies.Fusemax in
+  let r, _ = Strategies.evaluate ~tileseek_iterations:30 Tf_arch.Presets.edge w Strategies.Fusemax in
   Alcotest.(check bool) "evaluates" true (Float.is_finite r.Strategies.latency.Latency.total_s)
 
 let test_export_csv () =

@@ -269,7 +269,7 @@ let test_differential_decode () =
     Traffic.generate ~classes:[ cls prompt gen 1. ] ~seed:3 ~rate_qps:1. ~n:1 Traffic.Poisson
   in
   let report = Simulator.run ~capacity:4 ~costs:dcosts ~policy:Policy.static trace in
-  let m =
+  let m, _ =
     Decode.evaluate ~tileseek_iterations:iterations arch
       (Generation.v ~batch:1 ~gen tiny ~prompt)
       Strategies.Transfusion

@@ -20,7 +20,7 @@ let eval arch w strategy =
   match Hashtbl.find_opt cache key with
   | Some r -> r
   | None ->
-      let r = Strategies.evaluate ~tileseek_iterations:60 arch w strategy in
+      let r, _ = Strategies.evaluate ~tileseek_iterations:60 arch w strategy in
       Hashtbl.add cache key r;
       r
 
@@ -152,7 +152,9 @@ let test_objectives () =
   (* The energy objective never yields more energy than the latency
      objective; the latency objective never yields more latency. *)
   let w = llama3_16k and arch = Tf_arch.Presets.edge in
-  let by obj = Strategies.evaluate ~tileseek_iterations:60 ~objective:obj arch w Strategies.Transfusion in
+  let by obj =
+    fst (Strategies.evaluate ~tileseek_iterations:60 ~objective:obj arch w Strategies.Transfusion)
+  in
   let lat_first = by Strategies.Latency_obj and energy_first = by Strategies.Energy_obj in
   Alcotest.(check bool) "energy objective saves energy" true
     (Energy.total_pj energy_first.Strategies.energy
@@ -170,8 +172,8 @@ let test_clock_scaling () =
       ~pe_1d:base.Arch.pe_1d ~buffer_bytes:base.Arch.buffer_bytes
       ~dram_bw_bytes_per_s:base.Arch.dram_bw_bytes_per_s ()
   in
-  let slow = Strategies.evaluate ~tileseek_iterations:40 base bert_4k Strategies.Fusemax in
-  let quick = Strategies.evaluate ~tileseek_iterations:40 fast bert_4k Strategies.Fusemax in
+  let slow, _ = Strategies.evaluate ~tileseek_iterations:40 base bert_4k Strategies.Fusemax in
+  let quick, _ = Strategies.evaluate ~tileseek_iterations:40 fast bert_4k Strategies.Fusemax in
   Alcotest.(check bool) "2x clock ~ 2x faster when compute bound" true
     (Float.abs ((total slow /. total quick) -. 2.) < 0.2)
 
@@ -191,8 +193,8 @@ let test_adaptive_fusion_scope () =
 
 let test_layers_scaling () =
   (* Latency is linear in the layer count for a fixed workload. *)
-  let one = Strategies.evaluate ~tileseek_iterations:40 ~layers:1 Tf_arch.Presets.edge bert_4k Strategies.Fusemax in
-  let four = Strategies.evaluate ~tileseek_iterations:40 ~layers:4 Tf_arch.Presets.edge bert_4k Strategies.Fusemax in
+  let one, _ = Strategies.evaluate ~tileseek_iterations:40 ~layers:1 Tf_arch.Presets.edge bert_4k Strategies.Fusemax in
+  let four, _ = Strategies.evaluate ~tileseek_iterations:40 ~layers:4 Tf_arch.Presets.edge bert_4k Strategies.Fusemax in
   Alcotest.(check bool) "4 layers ~ 4x one layer" true
     (Float.abs ((total four /. total one) -. 4.) < 0.05)
 
@@ -204,9 +206,10 @@ let test_dpipe_key_carries_model () =
     let model =
       Model.v ~name:"same" ~d_model:64 ~heads:4 ~head_dim:16 ~ffn_hidden:256 ~layers:2 ~activation
     in
-    Strategies.evaluate ~tileseek_iterations:20 Tf_arch.Presets.edge
-      (Workload.v ~batch:4 model ~seq_len:1024)
-      Strategies.Transfusion
+    fst
+      (Strategies.evaluate ~tileseek_iterations:20 Tf_arch.Presets.edge
+         (Workload.v ~batch:4 model ~seq_len:1024)
+         Strategies.Transfusion)
   in
   Tf_experiments.Exp_common.reset_cache ();
   let alone = eval Tf_einsum.Scalar_op.Gelu in

@@ -42,7 +42,7 @@ let test_include_ffn () =
 (* Strategy-level flavours ----------------------------------------------- *)
 
 let eval ?attention strategy =
-  Strategies.evaluate ~tileseek_iterations:40 ?attention edge t5_4k strategy
+  fst (Strategies.evaluate ~tileseek_iterations:40 ?attention edge t5_4k strategy)
 
 let test_causal_faster () =
   List.iter
