@@ -135,25 +135,22 @@ let sim_trace_arg =
            stdout; open in Perfetto).  Timestamps are virtual cycles, not wall time.  TransFusion \
            strategy only.")
 
-let write_sim_trace ?attention ~tiling arch w path =
-  match tiling with
-  | None -> Fmt.epr "sim-trace skipped: only the TransFusion strategy has a simulated schedule@."
-  | Some tiling -> (
-      try
-        let e = Tf_report.Explain.simulate ?attention ~tiling arch w in
-        emit_json ~what:"sim trace" path (Tf_report.Explain.trace e)
-      with Invalid_argument msg -> Fmt.epr "sim-trace skipped: %s@." msg)
+let write_sim_trace report path =
+  try emit_json ~what:"sim trace" path (Tf_report.Explain.trace (report ()))
+  with Invalid_argument msg -> Fmt.epr "sim-trace skipped: %s@." msg
 
 let eval_cmd =
   let run req json sim_trace () =
-    (* One memoised, verified evaluation feeds the summary and the
-       document the daemon's [schedule] serves. *)
-    let r = Tf_serve.Api.schedule req in
+    (* One verified evaluation feeds the summary, the document the
+       daemon's [schedule] serves and the simulated timeline. *)
+    let r, execution = Tf_serve.Api.schedule_execution req in
     if json <> Some "-" then print_result r;
     Option.iter (fun path -> emit_json ~what:"eval JSON" path (Tf_serve.Api.result_json r)) json;
-    Option.iter
-      (write_sim_trace ~tiling:r.Strategies.tiling r.Strategies.arch r.Strategies.workload)
-      sim_trace
+    match (sim_trace, execution) with
+    | None, _ -> ()
+    | Some _, None ->
+        Fmt.epr "sim-trace skipped: only the TransFusion strategy has a simulated schedule@."
+    | Some path, Some e -> write_sim_trace (fun () -> Tf_report.Explain.of_execution r e) path
   in
   cmd "eval" ~doc:"Evaluate one scheduling strategy on one workload"
     Term.(
@@ -752,19 +749,21 @@ let decode_cmd =
            carries a searched tiling (TransFusion). *)
         let searched =
           List.rev points
-          |> List.find_opt (fun (p : E.Exp_generation.point) ->
-                 p.E.Exp_generation.metrics.Transfusion.Decode.decode_tiling <> None)
+          |> List.find_map (fun (p : E.Exp_generation.point) ->
+                 let m = p.E.Exp_generation.metrics in
+                 Option.map (fun tiling -> (m, tiling)) m.Transfusion.Decode.decode_tiling)
         in
         match searched with
         | None -> Fmt.epr "sim-trace skipped: no point used a searched (TransFusion) tiling@."
-        | Some p ->
-            let m = p.E.Exp_generation.metrics in
+        | Some (m, tiling) ->
             let spec = m.Transfusion.Decode.spec in
             let w = Tf_workloads.Generation.decode_workload spec in
             let attention =
               Strategies.Decode { kv_len = Tf_workloads.Generation.kv_last spec }
             in
-            write_sim_trace ~attention ~tiling:m.Transfusion.Decode.decode_tiling req.arch w path)
+            write_sim_trace
+              (fun () -> Tf_report.Explain.simulate ~attention ~tiling req.arch w)
+              path)
   in
   cmd "decode"
     ~doc:

@@ -105,12 +105,17 @@ let certify_seq_band (archs : Tf_arch.Arch.t list) (model : Model.t) ~seqs =
             (Tf_analysis.Range_cert.diagnostics cert))
         archs
 
+let evaluate_execution ~tileseek_iterations arch w strategy =
+  let evaluated = Strategies.evaluate ~tileseek_iterations arch w strategy in
+  ignore (verify_result evaluated : Strategies.result);
+  evaluated
+
 let evaluate ?(tileseek_iterations = 200) (arch : Tf_arch.Arch.t) (w : Workload.t) strategy =
   (* The TileSeek budget changes the result, so it must be part of the
      key: evaluations at different budgets may not share cache entries. *)
   let key = cache_key ~tileseek_iterations arch w strategy in
   Tf_parallel.Memo.find_or_compute cache key (fun () ->
-      verify_result (Strategies.evaluate ~tileseek_iterations arch w strategy))
+      fst (evaluate_execution ~tileseek_iterations arch w strategy))
 
 let prime ?tileseek_iterations points =
   Tf_parallel.iter ~chunk:1

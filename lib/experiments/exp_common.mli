@@ -54,6 +54,18 @@ val evaluate :
     verification — a figure must never be exported from an invalid
     artifact. *)
 
+val evaluate_execution :
+  tileseek_iterations:int ->
+  Tf_arch.Arch.t ->
+  Tf_workloads.Workload.t ->
+  Transfusion.Strategies.t ->
+  Transfusion.Strategies.result * Transfusion.Strategies.execution option
+(** The verified evaluation {!evaluate} memoises, run outside the memo
+    and returned with the execution it was priced with (TransFusion
+    only): for a one-shot caller that reads the execution too, such as
+    [eval --sim-trace].  Nothing is cached.
+    @raise Failure as {!evaluate}. *)
+
 val reset_cache : unit -> unit
 (** Drop every memoised evaluation and the memoised DPipe schedules
     ({!Transfusion.Strategies.reset_registries}) — tests, determinism

@@ -46,6 +46,14 @@ type t = {
   convergence : Convergence.t option;  (** [None] when the tiling was given *)
 }
 
+val of_execution : Transfusion.Strategies.result -> Transfusion.Strategies.execution -> t
+(** The report of a TransFusion result and the execution it was priced
+    with ([convergence = None]): the path behind [eval --sim-trace],
+    which reads the evaluation it served instead of pricing the tiling
+    again.
+    @raise Invalid_argument when the result has no tiling or its
+    schedule fails to replay. *)
+
 val simulate :
   ?attention:Transfusion.Strategies.attention ->
   tiling:Transfusion.Tileseek.config ->
@@ -53,7 +61,7 @@ val simulate :
   Tf_workloads.Workload.t ->
   t
 (** Explain a {e given} tiling (no search, [convergence = None]) — the
-    path behind [--sim-trace] on [eval]/[decode]: one
+    path behind [decode --sim-trace]: one
     {!Transfusion.Strategies.evaluate} at [tiling], whose result and
     execution the report reads.
     @raise Invalid_argument when the tiling does not divide the workload

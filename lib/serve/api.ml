@@ -58,6 +58,10 @@ let schedule (r : Request.Schedule.t) =
   Tf_experiments.Exp_common.evaluate ~tileseek_iterations:r.iterations r.arch
     (Request.Schedule.workload r) r.strategy
 
+let schedule_execution (r : Request.Schedule.t) =
+  Tf_experiments.Exp_common.evaluate_execution ~tileseek_iterations:r.iterations r.arch
+    (Request.Schedule.workload r) r.strategy
+
 let explain (r : Request.Explain.t) =
   let attention = if r.causal then Strategies.Causal_self else Strategies.Self in
   Tf_report.Explain.run ~iterations:r.iterations ~seed:r.seed ~attention r.arch

@@ -34,6 +34,14 @@ val schedule : Request.Schedule.t -> Transfusion.Strategies.result
     document is {!result_json}.
     @raise Failure when the result fails verification. *)
 
+val schedule_execution :
+  Request.Schedule.t -> Transfusion.Strategies.result * Transfusion.Strategies.execution option
+(** {!schedule}'s evaluation outside its memo, with the execution it was
+    priced with ({!Tf_experiments.Exp_common.evaluate_execution}): the
+    same result, for the CLI's [eval], whose [--sim-trace] reads the
+    execution.
+    @raise Failure when the result fails verification. *)
+
 val explain : Request.Explain.t -> Tf_report.Explain.t
 (** {!Tf_report.Explain.run} (causal self-attention when [causal]);
     its document is {!Tf_report.Explain.to_json}. *)

@@ -3,22 +3,29 @@
     Tier 1 is a bounded in-memory {!Tf_parallel.Memo} whose
     single-flight semantics are what makes N concurrent clients asking
     for the same key run the search exactly once.  Tier 2 is an optional
-    on-disk store — one [transfusion.serve-cache/1] JSON file per
+    on-disk store — one [transfusion.serve-cache/2] file per
     fingerprint, named by it — so schedules survive restarts: a fresh
     process's memory tier starts empty and rehydrates byte-identical
-    payloads from disk.
+    payloads from disk.  An entry is three lines: a header naming the
+    schema and the payload's length, the compact key document, and the
+    payload bytes verbatim; a read checks that the key line digests to
+    the file name.  Entries of the older single-document
+    [transfusion.serve-cache/1] schema are still read, and rewritten in
+    the current schema on a hit.
 
     The memory tier is keyed on a request's compact typed
     {!Request.key}, and each entry stores the key's fingerprint next to
     its payload, so a memory hit renders no key document and computes no
     digest.  The fingerprint is a digest of the compact rendering of the
     key document ({!Request.key_json}), and typed keys are equal exactly
-    when their documents are; a miss renders and digests the document
-    once, to name the disk file.  Callers holding only a key document
-    use {!find_or_compute}, which keys the memory tier on its
-    fingerprint.  Corrupt, half-written or wrong-schema disk entries
-    read as misses (counted in [serve.cache.disk_errors_total]), never
-    as request failures. *)
+    when their documents are.  A bounded memo keeps the fingerprints of
+    recent typed keys, so a memory miss answered by the disk tier renders
+    and digests nothing either; the key document is rendered only to
+    store an entry.  Callers holding only a key document use
+    {!find_or_compute}, which keys the memory tier on its fingerprint.
+    Corrupt, half-written or wrong-schema disk entries read as misses
+    (counted in [serve.cache.disk_errors_total]), never as request
+    failures. *)
 
 type t
 

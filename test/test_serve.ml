@@ -321,21 +321,54 @@ let test_differential_cli_decode () =
   check_cli_and_daemon ~args:"decode --quick --json -" ~requests:[ {|{"op":"decode","quick":true}|} ]
     (decode_doc { (defaults Request.Decode.spec) with quick = true })
 
+(* The value of counter [name] in a [--metrics] snapshot. *)
+let metric out name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+      | [ n; v ] when n = name -> Some v
+      | _ -> None)
+    (String.split_on_char '\n' out)
+
 (* [eval] evaluates once: the human summary and [--json] share the one
-   memoised, verified result. *)
+   verified result. *)
 let test_cli_eval_searches_once () =
   match run_cli (Printf.sprintf "eval %s --iterations %d --json /dev/null --metrics" small iterations) with
   | 0, out ->
-      let searches =
-        List.find_map
-          (fun line ->
-            match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-            | [ "tileseek.searches_total"; n ] -> Some n
-            | _ -> None)
-          (String.split_on_char '\n' out)
-      in
-      Alcotest.(check (option string)) "tileseek.searches_total" (Some "1") searches
+      Alcotest.(check (option string)) "tileseek.searches_total" (Some "1")
+        (metric out "tileseek.searches_total")
   | code, _ -> Alcotest.failf "eval --metrics exited %d" code
+
+(* [--sim-trace] reads the evaluation [eval] served: it adds no
+   evaluation state and no layer schedule, and its trace is the one a
+   fresh evaluation at the served tiling gives. *)
+let test_cli_eval_sim_trace_prices_once () =
+  let args = "eval -a cloud -m BERT -s 4096" in
+  let counts extra =
+    match run_cli (Printf.sprintf "%s --json /dev/null --metrics%s" args extra) with
+    | 0, out -> (metric out "strategies.eval_states_total", metric out "dpipe.schedules_total")
+    | code, _ -> Alcotest.failf "eval --metrics%s exited %d" extra code
+  in
+  let counted = Alcotest.(pair (option string) (option string)) in
+  Alcotest.(check counted) "one evaluation, 20 layer schedules" (Some "1", Some "20") (counts "");
+  Alcotest.(check counted) "--sim-trace adds none" (Some "1", Some "20")
+    (counts " --sim-trace /dev/null");
+  let r =
+    Api.schedule
+      (Request.of_json Request.Schedule.spec
+         (Json.parse {|{"arch":"cloud","model":"BERT","seq":4096}|}))
+  in
+  let trace =
+    Tf_report.Explain.trace
+      (Tf_report.Explain.simulate ~tiling:(Option.get r.Strategies.tiling) r.Strategies.arch
+         r.Strategies.workload)
+  in
+  match run_cli (args ^ " --json - --sim-trace -") with
+  | 0, out ->
+      Alcotest.(check string) "eval JSON, then the trace"
+        (Json.to_string (Api.result_json r) ^ Json.to_string trace)
+        out
+  | code, _ -> Alcotest.failf "eval --sim-trace - exited %d" code
 
 (* Invalid values: the CLI refuses with the daemon's error text and
    Cmdliner's usage-error exit (124), never an internal error. *)
@@ -434,56 +467,156 @@ let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.ou
 let schedule_key body =
   Request.Schedule.key (Request.of_json Request.Schedule.spec (Json.parse body))
 
+(* An entry as the [transfusion.serve-cache/1] writer laid it out: one
+   pretty-printed document holding the key and the payload as a JSON
+   string. *)
+let v1_entry key payload =
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "transfusion.serve-cache/1");
+         ("key", Request.key_json key);
+         ("payload", Json.Str payload);
+       ])
+
+let one_entry dir =
+  match entry_files dir with [ f ] -> Filename.concat dir f | _ -> Alcotest.fail "one entry expected"
+
+(* [s] with its first [sub] replaced by [by]. *)
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let at = find 0 in
+  String.sub s 0 at ^ by ^ String.sub s (at + n) (String.length s - at - n)
+
+(* A wrong schema in either format's entry reads as a miss and one disk
+   error; the recomputed entry replaces it in the current format. *)
 let test_disk_wrong_schema () =
   let dir = temp_dir "tf-serve-schema" in
   let config = { Server.default_config with cache_dir = Some dir } in
   let request = sched_request ~batch:6 "edge" "T5" 1024 "unfused" in
   let cold = payload_exn (Server.handle_line (Server.create config) request) in
-  let path =
-    match entry_files dir with [ f ] -> Filename.concat dir f | _ -> Alcotest.fail "one entry expected"
-  in
+  let path = one_entry dir in
   let entry = read_file path in
-  let schema = {|"transfusion.serve-cache/1"|} in
-  let rec find i = if String.sub entry i (String.length schema) = schema then i else find (i + 1) in
-  let at = find 0 in
-  write_file path
-    (String.sub entry 0 at ^ {|"transfusion.serve-cache/0"|}
-    ^ String.sub entry (at + String.length schema) (String.length entry - at - String.length schema));
+  List.iter
+    (fun (format, text) ->
+      let schema = Printf.sprintf {|"transfusion.serve-cache/%s"|} format in
+      write_file path (replace_first ~sub:schema ~by:{|"transfusion.serve-cache/0"|} text);
+      let errors0 = counter "serve.cache.disk_errors_total" in
+      let hits0 = counter "serve.cache.disk_hits_total" in
+      let misses0 = counter "serve.cache.disk_misses_total" in
+      let again = payload_exn (Server.handle_line (Server.create config) request) in
+      let check what = Printf.sprintf "/%s: %s" format what in
+      Alcotest.(check string) (check "recomputed payload") cold again;
+      Alcotest.(check int) (check "one disk error") 1
+        (counter "serve.cache.disk_errors_total" - errors0);
+      Alcotest.(check int) (check "no disk hit") 0 (counter "serve.cache.disk_hits_total" - hits0);
+      Alcotest.(check int) (check "a disk miss") 1 (counter "serve.cache.disk_misses_total" - misses0);
+      Alcotest.(check string) (check "the recomputed entry replaces it") entry (read_file path))
+    [ ("2", entry); ("1", v1_entry (schedule_key request) cold) ]
+
+let report ~fp:_ ~tier:_ = ()
+let trunc_payload = {|{"schema":"x","s":"a\"b\\c\nd"}|}
+
+(* The current entry of [trunc_payload] under [key], written by a fresh
+   cache in [dir]. *)
+let stored_entry dir key =
+  ignore
+    (Tf_serve.Cache.find_or_compute_key (Tf_serve.Cache.create ~dir ()) ~report key (fun () ->
+         trunc_payload)
+      : string);
+  let path = one_entry dir in
+  (path, read_file path)
+
+(* [text] planted at [path] reads as a miss and one disk error in a
+   fresh cache, which recomputes the payload and stores [entry]. *)
+let check_corrupt ~dir ~path ~entry key what text =
+  write_file path text;
   let errors0 = counter "serve.cache.disk_errors_total" in
   let hits0 = counter "serve.cache.disk_hits_total" in
-  let misses0 = counter "serve.cache.disk_misses_total" in
-  let again = payload_exn (Server.handle_line (Server.create config) request) in
-  Alcotest.(check string) "recomputed payload" cold again;
-  Alcotest.(check int) "one disk error" 1 (counter "serve.cache.disk_errors_total" - errors0);
-  Alcotest.(check int) "no disk hit" 0 (counter "serve.cache.disk_hits_total" - hits0);
-  Alcotest.(check int) "a disk miss" 1 (counter "serve.cache.disk_misses_total" - misses0);
-  Alcotest.(check string) "the recomputed entry replaces it" entry (read_file path)
+  let cache = Tf_serve.Cache.create ~dir () in
+  let got = Tf_serve.Cache.find_or_compute_key cache ~report key (fun () -> trunc_payload) in
+  Alcotest.(check string) (what ^ ": recomputed") trunc_payload got;
+  Alcotest.(check int) (what ^ ": one disk error") 1 (counter "serve.cache.disk_errors_total" - errors0);
+  Alcotest.(check int) (what ^ ": no disk hit") 0 (counter "serve.cache.disk_hits_total" - hits0);
+  Alcotest.(check string) (what ^ ": entry restored") entry (read_file path)
 
-(* Every proper prefix of an entry that is not the whole document reads
-   as a miss and a disk error, never as another payload. *)
+(* Every proper prefix of a current entry reads as a miss and a disk
+   error, never as another payload; so does every prefix of a /1 entry
+   up to the document's closing brace (its trailing newline is
+   optional). *)
 let test_disk_truncated_entries () =
   let dir = temp_dir "tf-serve-trunc" in
   let key = schedule_key (sched_request ~batch:7 "edge" "T5" 1024 "unfused") in
-  let payload = {|{"schema":"x","s":"a\"b\\c\nd"}|} in
-  let first = Tf_serve.Cache.create ~dir () in
-  let report ~fp:_ ~tier:_ = () in
-  ignore (Tf_serve.Cache.find_or_compute_key first ~report key (fun () -> payload) : string);
-  let path =
-    match entry_files dir with [ f ] -> Filename.concat dir f | _ -> Alcotest.fail "one entry expected"
+  let path, entry = stored_entry dir key in
+  let v1 = v1_entry key trunc_payload in
+  List.iter
+    (fun (format, text, complete) ->
+      for len = 0 to String.length text do
+        write_file path (String.sub text 0 len);
+        let errors0 = counter "serve.cache.disk_errors_total" in
+        let cache = Tf_serve.Cache.create ~dir () in
+        let got = Tf_serve.Cache.find_or_compute_key cache ~report key (fun () -> "computed") in
+        let expected = if len >= complete then trunc_payload else "computed" in
+        Alcotest.(check string) (Printf.sprintf "%s prefix of %d bytes" format len) expected got;
+        Alcotest.(check int) (Printf.sprintf "%s disk errors at %d bytes" format len)
+          (if len >= complete then 0 else 1)
+          (counter "serve.cache.disk_errors_total" - errors0)
+      done)
+    [ ("/2", entry, String.length entry); ("/1", v1, String.length (String.trim v1)) ]
+
+(* A current entry whose header, key line or tail disagrees with its
+   payload is a miss: a wrong length either way, bytes after the
+   payload's newline, and a key line that does not digest to the file
+   name. *)
+let test_disk_corrupt_current_entries () =
+  let dir = temp_dir "tf-serve-corrupt" in
+  let key = schedule_key (sched_request ~batch:9 "edge" "T5" 1024 "unfused") in
+  let path, entry = stored_entry dir key in
+  let n = String.length trunc_payload in
+  let with_length m =
+    replace_first ~sub:(Printf.sprintf {|"payload_bytes":%d}|} n)
+      ~by:(Printf.sprintf {|"payload_bytes":%d}|} m)
+      entry
   in
+  let key_line k = Json.to_line (Request.key_json k) in
+  let other = key_line (schedule_key (sched_request ~batch:10 "edge" "T5" 1024 "unfused")) in
+  let check = check_corrupt ~dir ~path ~entry key in
+  check "payload_bytes + 1" (with_length (n + 1));
+  check "payload_bytes - 1" (with_length (n - 1));
+  check "trailing bytes" (entry ^ "{}");
+  check "trailing newline" (entry ^ "\n");
+  check "foreign key line" (replace_first ~sub:(key_line key) ~by:other entry);
+  check "huge payload_bytes" (with_length 999_999_999_999_999)
+
+(* A /1 entry answers byte-identically from disk and is rewritten in the
+   current format, which the next process reads. *)
+let test_disk_v1_migration () =
+  let dir = temp_dir "tf-serve-migrate" in
+  let config = { Server.default_config with cache_dir = Some dir } in
+  let request = sched_request ~batch:11 "edge" "T5" 1024 "unfused" in
+  let cold = payload_exn (Server.handle_line (Server.create config) request) in
+  let path = one_entry dir in
   let entry = read_file path in
-  let complete = String.length (String.trim entry) in
-  for len = 0 to String.length entry do
-    write_file path (String.sub entry 0 len);
+  Alcotest.(check bool) "current entry ends in the verbatim payload" true
+    (String.ends_with ~suffix:("\n" ^ cold ^ "\n") entry);
+  write_file path (v1_entry (schedule_key request) cold);
+  let serve what =
+    let hits0 = counter "serve.cache.disk_hits_total" in
     let errors0 = counter "serve.cache.disk_errors_total" in
-    let cache = Tf_serve.Cache.create ~dir () in
-    let got = Tf_serve.Cache.find_or_compute_key cache ~report key (fun () -> "computed") in
-    let expected = if len >= complete then payload else "computed" in
-    Alcotest.(check string) (Printf.sprintf "prefix of %d bytes" len) expected got;
-    Alcotest.(check int) (Printf.sprintf "disk errors at %d bytes" len)
-      (if len >= complete then 0 else 1)
-      (counter "serve.cache.disk_errors_total" - errors0)
-  done
+    let misses0 = counter "serve.cache.disk_misses_total" in
+    let got = payload_exn (Server.handle_line (Server.create config) request) in
+    Alcotest.(check string) (what ^ ": byte-identical") cold got;
+    Alcotest.(check int) (what ^ ": disk hit") 1 (counter "serve.cache.disk_hits_total" - hits0);
+    Alcotest.(check int) (what ^ ": no disk error") 0 (counter "serve.cache.disk_errors_total" - errors0);
+    Alcotest.(check int) (what ^ ": no disk miss") 0 (counter "serve.cache.disk_misses_total" - misses0);
+    Alcotest.(check string) (what ^ ": current entry on disk") entry (read_file path)
+  in
+  serve "/1 entry";
+  let stores0 = counter "serve.cache.disk_stores_total" in
+  serve "migrated entry";
+  Alcotest.(check int) "a current entry is not rewritten" 0
+    (counter "serve.cache.disk_stores_total" - stores0)
 
 (* The default strategies spelt out key like the empty list: one
    computation and one disk entry, named by the empty list's
@@ -798,6 +931,7 @@ let () =
           quick "explain: daemon vs CLI binary" test_differential_cli_explain;
           quick "decode: daemon vs CLI binary" test_differential_cli_decode;
           quick "eval searches once" test_cli_eval_searches_once;
+          quick "eval --sim-trace prices once" test_cli_eval_sim_trace_prices_once;
           quick "CLI validation matches the daemon" test_cli_validation_matches_daemon;
         ] );
       ( "cache",
@@ -806,6 +940,8 @@ let () =
           quick "restart rehydrates from disk" test_restart_rehydration;
           quick "wrong-schema entry is a miss" test_disk_wrong_schema;
           quick "truncated entries are misses" test_disk_truncated_entries;
+          quick "corrupt current entries are misses" test_disk_corrupt_current_entries;
+          quick "a /1 entry is served and migrated" test_disk_v1_migration;
           quick "decode: default strategies key as the default" test_decode_default_strategies;
         ] );
       ("bucketing", [ quick "off-grid interpolation" test_bucketing ]);

@@ -354,10 +354,69 @@ let test_disk_round_trip () =
   let _, _, computes = Costs.stats warm in
   Alcotest.(check int) "warm instance computes nothing" 0 computes
 
+(* A current serve-cache entry: header, compact key line, payload. *)
+let entry_lines path =
+  match String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) with
+  | [ _header; key; payload; "" ] -> (key, payload)
+  | _ -> Alcotest.failf "%s is not a transfusion.serve-cache/2 entry" path
+
+let current_entry ~key payload =
+  Printf.sprintf "{\"schema\":\"transfusion.serve-cache/2\",\"payload_bytes\":%d}\n%s\n%s\n"
+    (String.length payload) key payload
+
+(* The single pretty-printed document the /1 writer stored. *)
+let v1_entry ~key payload =
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "transfusion.serve-cache/1");
+         ("key", Json.parse key);
+         ("payload", Json.Str payload);
+       ])
+
+let entry_paths dir =
+  List.filter_map
+    (fun f -> if Filename.check_suffix f ".json" then Some (Filename.concat dir f) else None)
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+let write path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* Entries of either format rehydrate bit-identical costs without a
+   Decode evaluation; /1 entries are rewritten in the current format. *)
+let test_disk_v1_rehydration () =
+  let dir = Filename.temp_file "tf-serving-v1" "" in
+  Sys.remove dir;
+  let fresh () =
+    Costs.create ~cache:(Tf_serve.Cache.create ~dir ()) ~strategy:Strategies.Fusemax ~iterations:8
+      arch tiny
+  in
+  let cold = List.map (fun c -> Costs.costs (fresh ()) ~cls:c) small_classes in
+  let paths = entry_paths dir in
+  let current = List.map read paths in
+  List.iter
+    (fun format ->
+      if format = "/1" then
+        List.iter
+          (fun path ->
+            let key, payload = entry_lines path in
+            write path (v1_entry ~key payload))
+          paths;
+      let warm = fresh () in
+      let b = List.map (fun c -> Costs.costs warm ~cls:c) small_classes in
+      Alcotest.(check bool) (format ^ ": rehydrated costs bit-identical") true (cold = b);
+      let _, _, computes = Costs.stats warm in
+      Alcotest.(check int) (format ^ ": warm instance computes nothing") 0 computes;
+      Alcotest.(check (list string)) (format ^ ": current entries on disk") current
+        (List.map read paths))
+    [ "/2"; "/1" ];
+  List.iter Sys.remove (Filename.concat dir ".keep" :: paths);
+  Sys.rmdir dir
+
 let test_disk_payload_missing_field () =
-  (* A well-formed serve-cache entry whose payload lacks one field reads
-     as a miss: the class is recomputed once, bit-identical to a cold
-     run, never answered with a partial record. *)
+  (* A well-formed serve-cache entry of either format whose payload
+     lacks one field reads as a miss: the class is recomputed once,
+     bit-identical to a cold run, never answered with a partial record. *)
   let dir = Filename.temp_file "tf-serving-partial" "" in
   Sys.remove dir;
   let c = cls 48 8 1. in
@@ -367,27 +426,26 @@ let test_disk_payload_missing_field () =
   in
   let cold = Costs.costs (fresh ()) ~cls:c in
   let entry =
-    match List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list (Sys.readdir dir)) with
-    | [ f ] -> Filename.concat dir f
+    match entry_paths dir with
+    | [ f ] -> f
     | fs -> Alcotest.failf "expected one disk entry, found %d" (List.length fs)
   in
   let drop_decode_s = function
-    | Json.Obj kv -> Json.Obj (List.remove_assoc "decode_s" kv)
+    | Json.Obj kv -> Json.to_line (Json.Obj (List.remove_assoc "decode_s" kv))
     | _ -> Alcotest.fail "payload is not an object"
   in
-  let doc =
-    match Json.parse_file entry with
-    | Json.Obj kv ->
-        let payload = drop_decode_s (Json.parse (Json.get_string (List.assoc "payload" kv))) in
-        Json.Obj (("payload", Json.Str (Json.to_line payload)) :: List.remove_assoc "payload" kv)
-    | _ -> Alcotest.fail "entry is not an object"
-  in
-  Json.write ~path:entry doc;
-  let warm = fresh () in
-  let recomputed = Costs.costs warm ~cls:c in
-  let _, _, computes = Costs.stats warm in
-  Alcotest.(check int) "partial payload recomputed" 1 computes;
-  Alcotest.(check bool) "recomputed costs bit-identical to cold" true (cold = recomputed);
+  let key, payload = entry_lines entry in
+  let partial = drop_decode_s (Json.parse payload) in
+  List.iter
+    (fun (format, text) ->
+      write entry text;
+      let warm = fresh () in
+      let recomputed = Costs.costs warm ~cls:c in
+      let _, _, computes = Costs.stats warm in
+      Alcotest.(check int) (format ^ ": partial payload recomputed") 1 computes;
+      Alcotest.(check bool) (format ^ ": recomputed costs bit-identical to cold") true
+        (cold = recomputed))
+    [ ("/2", current_entry ~key partial); ("/1", v1_entry ~key partial) ];
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
@@ -581,6 +639,7 @@ let () =
           quick "bounded churn" test_memo_churn;
           quick "disk hex round trip" test_disk_round_trip;
           quick "disk payload missing a field" test_disk_payload_missing_field;
+          quick "disk rehydration from /1 and /2 entries" test_disk_v1_rehydration;
         ] );
       ("determinism", [ quick "jobs invariance" test_jobs_invariance ]);
       ( "documents",
