@@ -132,8 +132,8 @@ let sim_trace_arg =
     & info [ "sim-trace" ] ~docv:"FILE"
         ~doc:
           "Write the simulated DPipe timeline as Chrome trace-event JSON to $(docv) (\"-\" for \
-           stdout; open in Perfetto).  Timestamps are virtual cycles, not wall time.  TransFusion \
-           strategy only.")
+           stdout, suppressing the human summary; open in Perfetto).  Timestamps are virtual \
+           cycles, not wall time.  TransFusion strategy only.")
 
 let write_sim_trace report path =
   try emit_json ~what:"sim trace" path (Tf_report.Explain.trace (report ()))
@@ -143,8 +143,8 @@ let eval_cmd =
   let run req json sim_trace () =
     (* One verified evaluation feeds the summary, the document the
        daemon's [schedule] serves and the simulated timeline. *)
-    let r, execution = Tf_serve.Api.schedule_execution req in
-    if json <> Some "-" then print_result r;
+    let r, execution = Tf_serve.Api.schedule req in
+    if json <> Some "-" && sim_trace <> Some "-" then print_result r;
     Option.iter (fun path -> emit_json ~what:"eval JSON" path (Tf_serve.Api.result_json r)) json;
     match (sim_trace, execution) with
     | None, _ -> ()
@@ -463,12 +463,7 @@ let pareto_cmd =
       in
       (lat, Energy.total_pj (Energy.of_traffic arch traffic) /. 1e12)
     in
-    let front =
-      Transfusion.Tileseek.pareto ~iterations arch w
-        ~latency:(fun c -> fst (measure c))
-        ~energy:(fun c -> snd (measure c))
-        ()
-    in
+    let front = Transfusion.Tileseek.pareto ~iterations arch w ~cost:measure () in
     Fmt.pr "%-40s %14s %14s@." "tiling (b d p m1 m0 s)" "latency(s)" "energy(J)";
     List.iter
       (fun ((c : Transfusion.Tileseek.config), lat, energy) ->
@@ -745,25 +740,19 @@ let decode_cmd =
     match sim_trace with
     | None -> ()
     | Some path -> (
-        (* Trace the deepest-cache decode step of the last point that
-           carries a searched tiling (TransFusion). *)
-        let searched =
+        (* Trace the deepest-cache decode step of the last TransFusion
+           point, from the execution the sweep priced it with. *)
+        let traced =
           List.rev points
           |> List.find_map (fun (p : E.Exp_generation.point) ->
-                 let m = p.E.Exp_generation.metrics in
-                 Option.map (fun tiling -> (m, tiling)) m.Transfusion.Decode.decode_tiling)
+                 Option.map
+                   (fun e -> (p.E.Exp_generation.metrics.Transfusion.Decode.last, e))
+                   p.E.Exp_generation.executions.Transfusion.Decode.last_exec)
         in
-        match searched with
+        match traced with
         | None -> Fmt.epr "sim-trace skipped: no point used a searched (TransFusion) tiling@."
-        | Some (m, tiling) ->
-            let spec = m.Transfusion.Decode.spec in
-            let w = Tf_workloads.Generation.decode_workload spec in
-            let attention =
-              Strategies.Decode { kv_len = Tf_workloads.Generation.kv_last spec }
-            in
-            write_sim_trace
-              (fun () -> Tf_report.Explain.simulate ~attention ~tiling req.arch w)
-              path)
+        | Some (last, e) ->
+            write_sim_trace (fun () -> Tf_report.Explain.of_execution last e) path)
   in
   cmd "decode"
     ~doc:

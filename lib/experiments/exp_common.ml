@@ -65,9 +65,10 @@ module Key = struct
 end
 
 (* Shared across the domain pool by the parallel figure sweeps, hence
-   the mutexed table.  Bounded so a persistent server sweeping a flood
-   of distinct keys cannot grow it without limit — an evicted summary
-   merely recomputes on its next request. *)
+   the mutexed table; the sweeps are its only users (the daemon caches
+   rendered payloads in its own tier).  Bounded so a long sweep over
+   many distinct keys cannot grow it without limit — an evicted summary
+   merely recomputes on its next lookup. *)
 let cache : (cache_key, Strategies.result) Tf_parallel.Memo.t =
   Tf_parallel.Memo.create ~name:"exp_common.summary" ~capacity:4096 ()
 

@@ -62,8 +62,10 @@ val evaluate_execution :
   Transfusion.Strategies.result * Transfusion.Strategies.execution option
 (** The verified evaluation {!evaluate} memoises, run outside the memo
     and returned with the execution it was priced with (TransFusion
-    only): for a one-shot caller that reads the execution too, such as
-    [eval --sim-trace].  Nothing is cached.
+    only): for a caller that caches the answer itself or not at all —
+    the daemon's [schedule] op, which keeps the rendered payload in its
+    own cache, and the CLI's [eval], whose [--sim-trace] reads the
+    execution.  Nothing is cached.
     @raise Failure as {!evaluate}. *)
 
 val reset_cache : unit -> unit

@@ -3,7 +3,7 @@ module Strategies = Transfusion.Strategies
 module Decode = Transfusion.Decode
 module Energy = Tf_costmodel.Energy
 
-type point = { arch : string; metrics : Decode.metrics }
+type point = { arch : string; metrics : Decode.metrics; executions : Decode.executions }
 
 let default_strategies = [ Strategies.Fusemax; Strategies.Transfusion ]
 
@@ -11,7 +11,7 @@ let default_strategies = [ Strategies.Fusemax; Strategies.Transfusion ]
    generation fields), so every fresh metrics record is verified here
    the way Exp_common.evaluate verifies encoder results: the prefill and
    both decode endpoints, each with the execution it was priced with. *)
-let verify ((m : Decode.metrics), (e : Decode.executions)) =
+let verify (m : Decode.metrics) (e : Decode.executions) =
   let spec = m.Decode.spec in
   let check stage result execution =
     Exp_common.require_clean
@@ -21,12 +21,12 @@ let verify ((m : Decode.metrics), (e : Decode.executions)) =
   in
   check "prefill" m.Decode.prefill e.Decode.prefill_exec;
   check "decode@first" m.Decode.first e.Decode.first_exec;
-  check "decode@last" m.Decode.last e.Decode.last_exec;
-  m
+  check "decode@last" m.Decode.last e.Decode.last_exec
 
 let point ?tileseek_iterations (arch : Tf_arch.Arch.t) spec strategy =
-  let m = verify (Decode.evaluate ?tileseek_iterations arch spec strategy) in
-  { arch = arch.Tf_arch.Arch.name; metrics = m }
+  let metrics, executions = Decode.evaluate ?tileseek_iterations arch spec strategy in
+  verify metrics executions;
+  { arch = arch.Tf_arch.Arch.name; metrics; executions }
 
 let prompts ~quick = Exp_common.seq_sweep ~quick
 

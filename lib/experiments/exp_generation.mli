@@ -9,7 +9,13 @@
     execution it was priced with) before it is reported, mirroring the
     figure experiments' discipline. *)
 
-type point = { arch : string; metrics : Transfusion.Decode.metrics }
+type point = {
+  arch : string;
+  metrics : Transfusion.Decode.metrics;
+  executions : Transfusion.Decode.executions;
+      (** the verified executions, for a reader of the schedules such as
+          [decode --sim-trace] *)
+}
 
 val default_strategies : Transfusion.Strategies.t list
 (** FuseMax and TransFusion — the serving-relevant pair. *)

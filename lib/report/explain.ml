@@ -62,7 +62,7 @@ let of_execution (r : Strategies.result) (e : Strategies.execution) =
   let outcome, events =
     match Sim.replay_events arch ~load ~matrix g sched with
     | Ok pair -> pair
-    | Error e -> invalid_arg ("Explain.simulate: schedule replay failed: " ^ e)
+    | Error e -> invalid_arg ("Explain.of_execution: schedule replay failed: " ^ e)
   in
   let modules = module_table w.Workload.model.Model.activation in
   let module_of n =
@@ -110,11 +110,6 @@ let of_execution (r : Strategies.result) (e : Strategies.execution) =
     capacity_elements;
     convergence = None;
   }
-
-let simulate ?attention ~tiling arch (w : Workload.t) =
-  match Strategies.evaluate ~tiling ?attention arch w Strategies.Transfusion with
-  | r, Some e -> of_execution r e
-  | _, None -> invalid_arg "Explain.simulate: TransFusion returned no execution"
 
 let run ~iterations ~seed ~attention arch (w : Workload.t) =
   let probes = ref [] in

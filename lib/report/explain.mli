@@ -48,24 +48,11 @@ type t = {
 
 val of_execution : Transfusion.Strategies.result -> Transfusion.Strategies.execution -> t
 (** The report of a TransFusion result and the execution it was priced
-    with ([convergence = None]): the path behind [eval --sim-trace],
-    which reads the evaluation it served instead of pricing the tiling
-    again.
+    with ([convergence = None]): the path behind [eval --sim-trace] and
+    [decode --sim-trace], which read the evaluation they served instead
+    of pricing the tiling again.
     @raise Invalid_argument when the result has no tiling or its
     schedule fails to replay. *)
-
-val simulate :
-  ?attention:Transfusion.Strategies.attention ->
-  tiling:Transfusion.Tileseek.config ->
-  Tf_arch.Arch.t ->
-  Tf_workloads.Workload.t ->
-  t
-(** Explain a {e given} tiling (no search, [convergence = None]) — the
-    path behind [decode --sim-trace]: one
-    {!Transfusion.Strategies.evaluate} at [tiling], whose result and
-    execution the report reads.
-    @raise Invalid_argument when the tiling does not divide the workload
-    (same conditions as {!Transfusion.Tileseek.dims}). *)
 
 val run :
   iterations:int ->

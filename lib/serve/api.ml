@@ -55,10 +55,6 @@ let eval_doc ~iterations arch w strategy =
   result_json (Tf_experiments.Exp_common.evaluate ~tileseek_iterations:iterations arch w strategy)
 
 let schedule (r : Request.Schedule.t) =
-  Tf_experiments.Exp_common.evaluate ~tileseek_iterations:r.iterations r.arch
-    (Request.Schedule.workload r) r.strategy
-
-let schedule_execution (r : Request.Schedule.t) =
   Tf_experiments.Exp_common.evaluate_execution ~tileseek_iterations:r.iterations r.arch
     (Request.Schedule.workload r) r.strategy
 

@@ -29,17 +29,15 @@ val eval_doc :
     [iterations].
     @raise Failure when the result fails verification. *)
 
-val schedule : Request.Schedule.t -> Transfusion.Strategies.result
-(** The memoised, verified {!Tf_experiments.Exp_common.evaluate}; its
-    document is {!result_json}.
-    @raise Failure when the result fails verification. *)
-
-val schedule_execution :
+val schedule :
   Request.Schedule.t -> Transfusion.Strategies.result * Transfusion.Strategies.execution option
-(** {!schedule}'s evaluation outside its memo, with the execution it was
-    priced with ({!Tf_experiments.Exp_common.evaluate_execution}): the
-    same result, for the CLI's [eval], whose [--sim-trace] reads the
-    execution.
+(** The verified evaluation outside every memo
+    ({!Tf_experiments.Exp_common.evaluate_execution}), with the execution
+    it was priced with; its document is {!result_json} of the result.
+    The CLI's [eval] reads the execution for [--sim-trace]; the daemon
+    keeps only the rendered payload, in its own cache, so the answer is
+    not stored a second time in the summary memo.  Its document equals
+    {!eval_doc}'s for the same request.
     @raise Failure when the result fails verification. *)
 
 val explain : Request.Explain.t -> Tf_report.Explain.t

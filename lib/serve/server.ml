@@ -129,7 +129,7 @@ let schedule_payload t ctx body =
   let req = Request.of_json Request.Schedule.spec body in
   let compute_at (r : Request.Schedule.t) =
     Cache.find_or_compute_key t.cache ~report:(reporter ctx) (Request.Schedule.key r) (fun () ->
-        Json.to_line (Api.result_json (Api.schedule r)))
+        Json.to_line (Api.result_json (fst (Api.schedule r))))
   in
   let seq = req.seq in
   let grid = t.config.grid in

@@ -299,15 +299,24 @@ let fusemax_assign (arch : Arch.t) cascade =
 
 (* Presets share names with ablation variants that tweak individual
    parameters (e.g. [Ablations.with_effs]), so the key must fingerprint
-   every arch field the schedule reads — keying on the name alone made
+   every arch field a result reads — keying on the name alone made
    distinct archs collide and the cached result depend on evaluation
-   order. *)
+   order.  Every field of [Arch.t] is rendered, in record order, since
+   each can change a result: [element_bytes] sets the buffer capacity,
+   the 2D array's rows enter TileSeek's buffer requirement, the energy
+   table prices every access. *)
 let render_fingerprint (a : Arch.t) =
-  Printf.sprintf "%s:%d:%d:%h:%h:%h:%h:%d" a.Arch.name
-    (Pe_array.num_pes a.Arch.pe_2d)
-    (Pe_array.num_pes a.Arch.pe_1d)
-    a.Arch.vector_eff_2d a.Arch.matrix_eff_1d a.Arch.clock_hz a.Arch.dram_bw_bytes_per_s
-    a.Arch.buffer_bytes
+  let shape (pe : Pe_array.t) =
+    match pe.Pe_array.shape with
+    | Pe_array.One_d w -> Printf.sprintf "%s[%d]" pe.Pe_array.name w
+    | Pe_array.Two_d (r, c) -> Printf.sprintf "%s[%dx%d]" pe.Pe_array.name r c
+  in
+  let e = a.Arch.energy in
+  Printf.sprintf "%s:%s:%s:%d:%h:%h:%d:%h:%h:%h:%h:%h:%h:%h" a.Arch.name (shape a.Arch.pe_2d)
+    (shape a.Arch.pe_1d) a.Arch.buffer_bytes a.Arch.dram_bw_bytes_per_s a.Arch.clock_hz
+    a.Arch.element_bytes a.Arch.vector_eff_2d a.Arch.matrix_eff_1d e.Energy_table.dram_access_pj
+    e.Energy_table.buffer_access_pj e.Energy_table.regfile_access_pj e.Energy_table.mac_pj
+    e.Energy_table.vector_op_pj
 
 (* The fingerprints of the most recently seen arch values, found by
    physical identity: an arch is immutable, and a daemon or a sweep asks
@@ -645,14 +654,12 @@ let transfusion_layer ctx ~dpipe ~mha =
    volumes and the (cached) DPipe executions.  The state hoists the
    workload-invariant terms once per search and derives one slice per
    distinct [m0], so the per-candidate dirty set is just the traffic
-   record: a move along b/p/m1 re-derives only the memory side of the
-   cost, a move along d/s re-derives nothing (those factors enter
-   through feasibility only — the (b, p, m1, m0) projection memo below
-   answers directly), and only an m0 move builds a new slice.  The
-   slice's executions are lazy so a LayerFuse search never runs the
-   TransFusion DPipe schedule and vice versa.  The slice also holds the
-   two DPipe runs it prices, so the final slice's schedules are the ones
-   the result was priced with ([execution] below). *)
+   record: every move re-scores the traffic against the cached slice,
+   and only an m0 move builds a new slice.  The slice's executions are
+   lazy so a LayerFuse search never runs the TransFusion DPipe schedule
+   and vice versa.  The slice also holds the two DPipe runs it prices,
+   so the final slice's schedules are the ones the result was priced
+   with ([execution] below). *)
 
 type eval_exec = {
   ex_execution : Phase.execution;  (* layers-scaled *)
@@ -677,7 +684,6 @@ type eval_state = {
   es_layer : Cascade.t Lazy.t;  (* the fused layer, shared by the slices' DPipe runs *)
   es_mha : Cascade.t Lazy.t;  (* the MHA, shared by the slices' pinned runs *)
   es_slices : (int, eval_slice) Hashtbl.t;  (* keyed by m0 *)
-  es_costs : (int * int * int * int, float) Hashtbl.t;  (* (b, p, m1, m0) *)
 }
 
 let m_eval_states =
@@ -692,11 +698,6 @@ let m_slice_hits =
   Tf_obs.Counter.create ~help:"candidate evaluations reusing an already-built m0 slice"
     "strategies.eval_slice_hits_total"
 
-let m_cost_reuse =
-  Tf_obs.Counter.create
-    ~help:"candidate costs answered by the (b, p, m1, m0) projection memo (d/s-only moves)"
-    "strategies.eval_cost_reuse_total"
-
 let m_scores =
   Tf_obs.Counter.create ~help:"full scalar candidate scorings (traffic assembly + cost)"
     "strategies.eval_scores_total"
@@ -710,7 +711,6 @@ let make_eval_state ctx =
     es_layer = lazy (layer_cascade ~include_ffn:ctx.include_ffn ctx.w.model);
     es_mha = lazy (Cascades.mha ());
     es_slices = Hashtbl.create 16;
-    es_costs = Hashtbl.create 256;
   }
 
 let scaled_exec ctx (layer_exec, parts) =
@@ -824,31 +824,16 @@ let choice_phase c =
   Phase.v ~name:c.ch_name ~kind:Phase.Fused_stack ~parts:c.ch_exec.ex_parts ~traffic:c.ch_traffic
     ~execution:c.ch_exec.ex_execution ()
 
-(* One true candidate evaluation (the microbench probe); the projection
-   memo wraps it in [cached_score]. *)
+(* One candidate evaluation.  Tileseek's config memo is the one memo in
+   front of it. *)
 let score choose st config =
   Tf_obs.Counter.incr m_scores;
   (choose st config).ch_cost
 
-(* Costs project onto (b, p, m1, m0): d and s enter the search through
-   feasibility only, so all configurations sharing the projection share
-   one scoring.  Sound for both choices above — every term they read
-   comes from the slice (m0) or from b/p/m1. *)
-let cached_score choose st (config : Tileseek.config) =
-  let key = (config.Tileseek.b, config.Tileseek.p, config.Tileseek.m1, config.Tileseek.m0) in
-  match Hashtbl.find_opt st.es_costs key with
-  | Some c ->
-      Tf_obs.Counter.incr m_cost_reuse;
-      c
-  | None ->
-      let c = score choose st config in
-      Hashtbl.add st.es_costs key c;
-      c
-
 let search_state choose ?seed ?probe ~iterations st =
   let ctx = st.es_ctx in
   Tileseek.search ?seed ?probe ~iterations ~kv_len:ctx.dims.kv_len ~decode:ctx.dims.decode
-    ctx.arch ctx.w ~evaluate:(cached_score choose st) ()
+    ctx.arch ctx.w ~evaluate:(score choose st) ()
 
 (* The per-layer execution a TransFusion result was priced with: the
    final slice's layer choice and its DPipe runs, the pinned MHA only
@@ -934,9 +919,9 @@ module Private = struct
   let arch_fingerprint = arch_fingerprint
 
   (* Hot-path probes for the microbenches and the scorer-equivalence
-     tests.  [transfusion_scorer] prebuilds the evaluation state and
-     bypasses the (b, p, m1, m0) projection memo, so every call pays the
-     true per-candidate scoring cost; [transfusion_cost_reference] is
+     tests.  [transfusion_scorer] prebuilds the evaluation state, so
+     every call pays the true per-candidate scoring cost;
+     [transfusion_cost_reference] is
      the cold path through full phase construction, [Latency.evaluate]
      and [Traffic.sum] — the two must agree bit for bit. *)
   let transfusion_scorer arch w =

@@ -162,10 +162,9 @@ val search :
   result * execution * Mcts.stats
 (** The TransFusion tiling search exactly as {!evaluate} runs it: one
     {!Tileseek.search} scored by the production TransFusion cost (latency
-    plus the 0.02 x memory-time tie-break, through the (b, p, m1, m0)
-    projection memo), over the key/value sequence and decode buffer
-    model that [attention] implies; then the result and execution of the
-    tiling it found.  [iterations] defaults to 200 and [seed] to
+    plus the 0.02 x memory-time tie-break), over the key/value sequence
+    and decode buffer model that [attention] implies; then the result
+    and execution of the tiling it found.  [iterations] defaults to 200 and [seed] to
     {!Tileseek.search}'s, so at the defaults the result is the one
     [evaluate ~attention arch w Transfusion] returns; [seed] and the
     observational [probe] are for the callers that report the search
@@ -196,19 +195,22 @@ val reset_registries : unit -> unit
 (* Test-only access. *)
 module Private : sig
   val arch_fingerprint : Tf_arch.Arch.t -> string
-  (** The architecture identity used to key the shared DPipe cache.
-      Must distinguish any two archs whose parameters differ, even when
-      they share a [name] (ablation variants do). *)
+  (** The architecture identity used to key the shared DPipe cache and
+      every result cache: every field of {!Tf_arch.Arch.t}, the array
+      shapes and the energy table included.  Distinguishes any two archs
+      whose parameters differ, even when they share a [name] (ablation
+      variants do). *)
 
   val transfusion_scorer :
     Tf_arch.Arch.t ->
     Tf_workloads.Workload.t ->
     Tileseek.config ->
     float
-  (** The TileSeek candidate scorer with its evaluation state prebuilt
-      and the projection memo bypassed: each application to a config
-      pays exactly one scalar candidate evaluation (the microbench
-      probe).  Partial application builds the state once. *)
+  (** The TileSeek candidate scorer with its evaluation state prebuilt:
+      each application to a config pays exactly one scalar candidate
+      evaluation (the microbench probe), as in a search, where
+      {!Tileseek.search}'s config memo is the only memo in front of it.
+      Partial application builds the state once. *)
 
   val transfusion_cost_reference :
     Tf_arch.Arch.t ->

@@ -257,28 +257,26 @@ let m_memo_misses =
    model (the expensive Timeloop/Accelergy role), and the seeding passes,
    the grid sweep and MCTS rollouts revisit the same configurations many
    times over.  One search call runs on one domain, so a plain Hashtbl
-   suffices.  [hits]/[misses], when given, additionally count into local
-   refs so one search's own memo trajectory can be reported (the global
-   Tf_obs counters aggregate across every search in the process). *)
-let memoize_cost ?hits ?misses f =
+   suffices.  [hits]/[misses] additionally count into local refs so one
+   search's own memo trajectory can be reported (the global Tf_obs
+   counters aggregate across every search in the process). *)
+let memoize_cost ~hits ~misses f =
   let tbl : (config, float) Hashtbl.t = Hashtbl.create 256 in
-  let bump = function None -> () | Some r -> incr r in
   fun c ->
     match Hashtbl.find_opt tbl c with
     | Some v ->
         Tf_obs.Counter.incr m_memo_hits;
-        bump hits;
+        incr hits;
         v
     | None ->
         Tf_obs.Counter.incr m_memo_misses;
-        bump misses;
+        incr misses;
         let v = f c in
         Hashtbl.add tbl c v;
         v
 
-let pareto ?(iterations = 200) arch w ~latency ~energy () =
+let pareto ?(iterations = 200) arch w ~cost () =
   let sp = space arch w in
-  let latency = memoize_cost latency and energy = memoize_cost energy in
   (* Candidate pool: the full grid plus random completions. *)
   let pool = ref (grid_candidates sp) in
   let rng = Random.State.make [| 2024 |] in
@@ -298,7 +296,10 @@ let pareto ?(iterations = 200) arch w ~latency ~energy () =
     if sp_feasible sp candidate then pool := candidate :: !pool
   done;
   let scored =
-    List.sort_uniq compare !pool |> List.map (fun c -> (c, latency c, energy c))
+    List.sort_uniq compare !pool
+    |> List.map (fun c ->
+           let latency, energy = cost c in
+           (c, latency, energy))
   in
   let dominated (_, l, e) =
     List.exists

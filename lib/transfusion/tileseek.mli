@@ -70,14 +70,14 @@ val pareto :
   ?iterations:int ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
-  latency:(config -> float) ->
-  energy:(config -> float) ->
+  cost:(config -> float * float) ->
   unit ->
   (config * float * float) list
-(** The Pareto-optimal feasible tilings over (latency, energy), from the
-    deterministic grid sweep plus [iterations] random MCTS-style samples
-    (default 200): no returned configuration is dominated by another on
-    both objectives.  Sorted by latency.  This is the design-space view
+(** The Pareto-optimal feasible tilings over [cost]'s (latency, energy),
+    from the deterministic grid sweep plus [iterations] random
+    MCTS-style samples (default 200): no returned configuration is
+    dominated by another on both objectives.  The pool is deduplicated
+    first, so [cost] runs once per distinct tiling.  Sorted by latency.  This is the design-space view
     behind the EDP objective — the paper's reward can be either metric
     (Section 5.1). *)
 
@@ -117,5 +117,4 @@ val search :
     it per configuration (and the MCTS rewards per terminal path), so the
     grid seeding, the greedy variants and repeated rollouts never re-run
     the cost model on a configuration already scored.  Deterministic for
-    fixed seed.  [pareto] memoizes its [latency]/[energy] objectives the
-    same way. *)
+    fixed seed. *)

@@ -57,6 +57,65 @@ let test_arch_fingerprint () =
   Alcotest.(check bool) "same name, different eff, distinct fingerprints" true
     (fp base <> fp variant)
 
+(* Every arch field a result reads is in the fingerprint: for each
+   preset, each one-field change keys apart from the preset and from
+   every other change, so the summary memo answers the changed arch with
+   its own result.  Regression: the fingerprint left out
+   [element_bytes], the array shapes (rows, not just the PE count) and
+   the energy table, and answered an fp32 arch with the fp16 result. *)
+let one_field_variants (a : Tf_arch.Arch.t) =
+  let energy field (f : Tf_arch.Energy_table.t -> Tf_arch.Energy_table.t) =
+    (field, { a with Tf_arch.Arch.energy = f a.Tf_arch.Arch.energy })
+  in
+  let reshape (pe : Tf_arch.Pe_array.t) =
+    match pe.Tf_arch.Pe_array.shape with
+    | Tf_arch.Pe_array.Two_d (r, c) -> { pe with shape = Two_d (2 * r, c / 2) }
+    | Tf_arch.Pe_array.One_d w -> { pe with shape = One_d (2 * w) }
+  in
+  [
+    ("name", { a with Tf_arch.Arch.name = a.Tf_arch.Arch.name ^ "'" });
+    ("pe_2d shape, same PE count", { a with pe_2d = reshape a.pe_2d });
+    ("pe_1d width", { a with pe_1d = reshape a.pe_1d });
+    ("buffer_bytes", { a with buffer_bytes = 2 * a.buffer_bytes });
+    ("dram_bw", { a with dram_bw_bytes_per_s = 2. *. a.dram_bw_bytes_per_s });
+    ("clock_hz", { a with clock_hz = 2. *. a.clock_hz });
+    ("element_bytes", { a with element_bytes = 2 * a.element_bytes });
+    ("vector_eff_2d", { a with vector_eff_2d = a.vector_eff_2d /. 2. });
+    ("matrix_eff_1d", { a with matrix_eff_1d = a.matrix_eff_1d /. 2. });
+    energy "energy dram" (fun e -> { e with dram_access_pj = 2. *. e.dram_access_pj });
+    energy "energy buffer" (fun e -> { e with buffer_access_pj = 2. *. e.buffer_access_pj });
+    energy "energy regfile" (fun e -> { e with regfile_access_pj = 2. *. e.regfile_access_pj });
+    energy "energy mac" (fun e -> { e with mac_pj = 2. *. e.mac_pj });
+    energy "energy vector" (fun e -> { e with vector_op_pj = 2. *. e.vector_op_pj });
+  ]
+
+let test_arch_fingerprint_every_field () =
+  let fp = Strategies.Private.arch_fingerprint in
+  let w = Workload.v ~batch:2 Presets.t5 ~seq_len:1024 in
+  let tileseek_iterations = 4 in
+  List.iter
+    (fun (base : Tf_arch.Arch.t) ->
+      let variants = one_field_variants base in
+      let fps = fp base :: List.map (fun (_, a) -> fp a) variants in
+      Alcotest.(check int)
+        (base.Tf_arch.Arch.name ^ ": every one-field change fingerprints apart")
+        (List.length fps)
+        (List.length (List.sort_uniq String.compare fps));
+      List.iter
+        (fun strategy ->
+          ignore (E.Exp_common.evaluate ~tileseek_iterations base w strategy : Strategies.result);
+          List.iter
+            (fun (field, a) ->
+              let served = E.Exp_common.evaluate ~tileseek_iterations a w strategy in
+              let direct, _ = Strategies.evaluate ~tileseek_iterations a w strategy in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s/%s: summary memo serves the changed arch's result"
+                   base.Tf_arch.Arch.name field (Strategies.name strategy))
+                true (served = direct))
+            variants)
+        [ Strategies.Unfused; Strategies.Transfusion ])
+    Tf_arch.Presets.all
+
 let test_cache_key_distinct () =
   (* Regression: the summary-cache key used to be a concatenated string,
      which collides whenever adjacent numeric fields can trade digits.
@@ -200,6 +259,7 @@ let () =
           quick "memoisation" test_memo;
           quick "memo key includes budget" test_memo_key_includes_budget;
           quick "arch fingerprint" test_arch_fingerprint;
+          quick "arch fingerprint covers every field" test_arch_fingerprint_every_field;
           quick "cache key distinctness" test_cache_key_distinct;
         ] );
       ( "figures",

@@ -341,7 +341,11 @@ let prop_explain_and_verify_serve (arch, w, attention) =
     Strategies.evaluate ~tileseek_iterations:20 ~attention arch w Strategies.Transfusion
   in
   let tiling = Option.get r.Strategies.tiling in
-  let layer = (Tf_report.Explain.simulate ~attention ~tiling arch w).Tf_report.Explain.layer in
+  let layer =
+    match Strategies.evaluate ~tiling ~attention arch w Strategies.Transfusion with
+    | r, Some e -> (Tf_report.Explain.of_execution r e).Tf_report.Explain.layer
+    | _, None -> Alcotest.fail "TransFusion returned no execution"
+  in
   let name, served =
     match layer.Strategies.served with
     | `Dpipe -> ("dpipe", layer.Strategies.dpipe_cycles)

@@ -221,7 +221,14 @@ let test_explain_served_dpipe () =
 
 let test_simulate_given_tiling () =
   let searched = Lazy.force report in
-  let r = Explain.simulate ~tiling:searched.Explain.tiling arch workload in
+  let r =
+    match
+      Transfusion.Strategies.evaluate ~tiling:searched.Explain.tiling arch workload
+        Transfusion.Strategies.Transfusion
+    with
+    | r, Some e -> Explain.of_execution r e
+    | _, None -> Alcotest.fail "TransFusion returned no execution"
+  in
   Alcotest.(check bool) "no convergence section without a search" true
     (r.Explain.convergence = None);
   Alcotest.(check (float 1e-6)) "same simulated makespan as the searched report"

@@ -273,7 +273,7 @@ let defaults spec = Request.of_json spec (Json.Obj [])
 let small = "-a edge -m T5 -s 1024 -b 8"
 
 let test_differential_cli_binary () =
-  let eval_json req = Api.result_json (Api.schedule req) in
+  let eval_json req = Api.result_json (fst (Api.schedule req)) in
   check_cli_and_daemon
     ~args:(Printf.sprintf "eval %s --strategy unfused --iterations %d --json -" small iterations)
     ~requests:[ sched_request "edge" "T5" 1024 "unfused" ]
@@ -339,36 +339,82 @@ let test_cli_eval_searches_once () =
         (metric out "tileseek.searches_total")
   | code, _ -> Alcotest.failf "eval --metrics exited %d" code
 
-(* [--sim-trace] reads the evaluation [eval] served: it adds no
-   evaluation state and no layer schedule, and its trace is the one a
-   fresh evaluation at the served tiling gives. *)
-let test_cli_eval_sim_trace_prices_once () =
-  let args = "eval -a cloud -m BERT -s 4096" in
+(* The sim trace of a fresh TransFusion evaluation at [r]'s tiling:
+   what [--sim-trace] must print without pricing anything again. *)
+let fresh_trace ?attention (r : Strategies.result) =
+  match
+    Strategies.evaluate ~tiling:(Option.get r.Strategies.tiling) ?attention r.Strategies.arch
+      r.Strategies.workload Strategies.Transfusion
+  with
+  | r, Some e -> Tf_report.Explain.trace (Tf_report.Explain.of_execution r e)
+  | _, None -> Alcotest.fail "TransFusion returned no execution"
+
+(* [--sim-trace] adds no evaluation state, no layer schedule and no
+   DPipe-memo lookup to the run [args] makes. *)
+let check_sim_trace_prices_once ~args ~expect =
   let counts extra =
     match run_cli (Printf.sprintf "%s --json /dev/null --metrics%s" args extra) with
-    | 0, out -> (metric out "strategies.eval_states_total", metric out "dpipe.schedules_total")
-    | code, _ -> Alcotest.failf "eval --metrics%s exited %d" extra code
+    | 0, out ->
+        List.map (metric out)
+          [
+            "strategies.eval_states_total";
+            "dpipe.schedules_total";
+            "memo.strategies.dpipe.hits_total";
+          ]
+    | code, _ -> Alcotest.failf "%s --metrics%s exited %d" args extra code
   in
-  let counted = Alcotest.(pair (option string) (option string)) in
-  Alcotest.(check counted) "one evaluation, 20 layer schedules" (Some "1", Some "20") (counts "");
-  Alcotest.(check counted) "--sim-trace adds none" (Some "1", Some "20")
-    (counts " --sim-trace /dev/null");
+  let counted = Alcotest.(list (option string)) in
+  let plain = counts "" in
+  Alcotest.(check counted) ("counts of " ^ args) expect plain;
+  Alcotest.(check counted) "--sim-trace adds none" plain (counts " --sim-trace /dev/null")
+
+(* [--sim-trace] reads the evaluation [eval] served, and its trace is
+   the one a fresh evaluation at the served tiling gives.  On stdout it
+   stands alone, like [--json -]: no human summary around it. *)
+let test_cli_eval_sim_trace_prices_once () =
+  let args = "eval -a cloud -m BERT -s 4096" in
+  check_sim_trace_prices_once ~args ~expect:[ Some "1"; Some "20"; Some "0" ];
   let r =
-    Api.schedule
-      (Request.of_json Request.Schedule.spec
-         (Json.parse {|{"arch":"cloud","model":"BERT","seq":4096}|}))
+    fst
+      (Api.schedule
+         (Request.of_json Request.Schedule.spec
+            (Json.parse {|{"arch":"cloud","model":"BERT","seq":4096}|})))
   in
-  let trace =
-    Tf_report.Explain.trace
-      (Tf_report.Explain.simulate ~tiling:(Option.get r.Strategies.tiling) r.Strategies.arch
-         r.Strategies.workload)
-  in
-  match run_cli (args ^ " --json - --sim-trace -") with
+  let trace = Json.to_string (fresh_trace r) in
+  (match run_cli (args ^ " --json - --sim-trace -") with
   | 0, out ->
       Alcotest.(check string) "eval JSON, then the trace"
-        (Json.to_string (Api.result_json r) ^ Json.to_string trace)
+        (Json.to_string (Api.result_json r) ^ trace)
         out
+  | code, _ -> Alcotest.failf "eval --json - --sim-trace - exited %d" code);
+  match run_cli (args ^ " --sim-trace -") with
+  | 0, out -> Alcotest.(check string) "the trace alone" trace out
   | code, _ -> Alcotest.failf "eval --sim-trace - exited %d" code
+
+(* [decode --sim-trace] traces the deepest decode step of the last
+   TransFusion point from the execution the sweep priced it with. *)
+let test_cli_decode_sim_trace_prices_once () =
+  let args = "decode --quick --gen 32" in
+  let req =
+    Request.of_json Request.Decode.spec (Json.parse {|{"quick":true,"gen":32}|})
+  in
+  let points = Api.decode req in
+  check_sim_trace_prices_once ~args ~expect:[ Some "18"; Some "210"; Some "12" ];
+  let last =
+    List.rev points
+    |> List.find_map (fun (p : Tf_experiments.Exp_generation.point) ->
+           let m = p.Tf_experiments.Exp_generation.metrics in
+           if m.Transfusion.Decode.strategy = Strategies.Transfusion then Some m else None)
+    |> Option.get
+  in
+  let spec = last.Transfusion.Decode.spec in
+  let attention = Strategies.Decode { kv_len = Generation.kv_last spec } in
+  match run_cli (args ^ " --sim-trace -") with
+  | 0, out ->
+      Alcotest.(check string) "the trace alone"
+        (Json.to_string (fresh_trace ~attention last.Transfusion.Decode.last))
+        out
+  | code, _ -> Alcotest.failf "decode --sim-trace - exited %d" code
 
 (* Invalid values: the CLI refuses with the daemon's error text and
    Cmdliner's usage-error exit (124), never an internal error. *)
@@ -656,6 +702,13 @@ let test_decode_default_strategies () =
 
 let test_bucketing () =
   let t = Server.create { Server.default_config with grid = 1024 } in
+  (* The daemon caches its payloads in its own tiers only: cold,
+     repeated and interpolated schedules all bypass Exp_common's
+     summary memo. *)
+  let summary () =
+    (counter "memo.exp_common.summary.hits_total", counter "memo.exp_common.summary.misses_total")
+  in
+  let summary0 = summary () in
   let on_grid = payload_exn (Server.handle_line t (sched_request "edge" "T5" 2048 "unfused")) in
   Alcotest.(check bool) "on-grid answers are plain eval documents" true
     (Json.find "schema" (Json.parse on_grid) = Some (Json.Str Api.eval_schema));
@@ -686,7 +739,8 @@ let test_bucketing () =
     (Json.get_float (Json.member "energy_total_pj" interp));
   (match Json.member "certified" interp with
   | Json.Bool _ -> ()
-  | _ -> Alcotest.fail "certified flag missing")
+  | _ -> Alcotest.fail "certified flag missing");
+  Alcotest.(check (pair int int)) "no summary-memo lookups" summary0 (summary ())
 
 (* --- sockets: a real daemon over a Unix socket ----------------------- *)
 
@@ -932,6 +986,7 @@ let () =
           quick "decode: daemon vs CLI binary" test_differential_cli_decode;
           quick "eval searches once" test_cli_eval_searches_once;
           quick "eval --sim-trace prices once" test_cli_eval_sim_trace_prices_once;
+          quick "decode --sim-trace prices once" test_cli_decode_sim_trace_prices_once;
           quick "CLI validation matches the daemon" test_cli_validation_matches_daemon;
         ] );
       ( "cache",

@@ -83,7 +83,8 @@ let test_pareto () =
     (* an opposing objective: big tiles cost energy *)
     float_of_int ((c.Tileseek.p * c.Tileseek.b) + c.Tileseek.m0 + c.Tileseek.d)
   in
-  let front = Tileseek.pareto ~iterations:100 edge bert_4k ~latency ~energy () in
+  let cost c = (latency c, energy c) in
+  let front = Tileseek.pareto ~iterations:100 edge bert_4k ~cost () in
   Alcotest.(check bool) "non-empty front" true (front <> []);
   (* No point on the front dominates another. *)
   List.iter
@@ -124,7 +125,8 @@ let test_pareto_explores_m1 () =
     1e6 /. float_of_int (c.Tileseek.m1 * c.Tileseek.m0 * c.Tileseek.p)
   in
   let energy (c : Tileseek.config) = float_of_int ((c.Tileseek.p * c.Tileseek.b) + c.Tileseek.d) in
-  let front = Tileseek.pareto ~iterations:100 edge bert_4k ~latency ~energy () in
+  let cost c = (latency c, energy c) in
+  let front = Tileseek.pareto ~iterations:100 edge bert_4k ~cost () in
   Alcotest.(check bool) "front explores m1 > 1" true
     (List.exists (fun ((c : Tileseek.config), _, _) -> c.Tileseek.m1 > 1) front)
 
