@@ -243,7 +243,7 @@ let transfusion_phase_cold_bench () =
   fun () -> ignore (Strategies.Private.transfusion_phase_cold edge workload config)
 
 let latency_evaluate_bench () =
-  let phases, _ =
+  let phases, _, _ =
     Strategies.phases ~tileseek_iterations:30 edge workload Strategies.Transfusion
   in
   fun () -> ignore (Tf_costmodel.Latency.evaluate edge phases)

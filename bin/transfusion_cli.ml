@@ -45,6 +45,28 @@ let count_conv key =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* The CLI's own flags, which no request carries, refuse a count below 1
+   or a non-positive period or rate the same way. *)
+let count_opt name ~default ~doc =
+  Arg.(value & opt (count_conv name) default & info [ name ] ~docv:"N" ~doc)
+
+let positive_float_conv key =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.float s) (fun x ->
+        if x > 0. then Ok x else Error (`Msg (Printf.sprintf "%s must be > 0 (got %g)" key x)))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* [NAME=N], an index extent binding of at least 1. *)
+let extent_conv =
+  let parse s =
+    match String.split_on_char '=' s with
+    | [ name; n ] when name <> "" ->
+        Result.map (fun n -> (name, n)) (Arg.conv_parser (count_conv ("extent " ^ name)) n)
+    | _ -> Error (`Msg (Printf.sprintf "bad extent %S (expected NAME=N)" s))
+  in
+  Arg.conv (parse, fun ppf (name, n) -> Fmt.pf ppf "%s=%d" name n)
+
 let arg : type a. a Request.field -> a Term.t =
  fun f ->
   let i = Arg.info f.Request.flags ~docv:f.docv ~doc:f.doc in
@@ -205,9 +227,7 @@ let serve_cmd =
              across restarts.")
   in
   let cache_entries_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "cache-entries" ] ~docv:"N" ~doc:"In-memory cache bound (LRU eviction).")
+    count_opt "cache-entries" ~default:1024 ~doc:"In-memory cache bound (LRU eviction)."
   in
   let grid_arg =
     Arg.(
@@ -227,27 +247,20 @@ let serve_cmd =
              id, cache tier, latency, outcome), with size-bounded rotation.")
   in
   let access_log_max_bytes_arg =
-    Arg.(
-      value
-      & opt int (1 lsl 20)
-      & info [ "access-log-max-bytes" ] ~docv:"N" ~doc:"Rotate the access log past $(docv) bytes.")
+    count_opt "access-log-max-bytes" ~default:(1 lsl 20)
+      ~doc:"Rotate the access log past $(docv) bytes."
   in
   let access_log_max_files_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "access-log-max-files" ] ~docv:"N" ~doc:"Rotated access-log generations kept.")
+    count_opt "access-log-max-files" ~default:4 ~doc:"Rotated access-log generations kept."
   in
   let sample_interval_arg =
     Arg.(
-      value & opt float 1.0
+      value
+      & opt (positive_float_conv "sample-interval") 1.0
       & info [ "sample-interval" ] ~docv:"SECONDS"
           ~doc:"Telemetry sampler period (feeds the stats window).")
   in
-  let window_arg =
-    Arg.(
-      value & opt int 120
-      & info [ "window" ] ~docv:"N" ~doc:"Telemetry window capacity, in samples.")
-  in
+  let window_arg = count_opt "window" ~default:120 ~doc:"Telemetry window capacity, in samples." in
   cmd "serve"
     ~doc:
       "Run the persistent scheduling daemon (newline-delimited JSON over a Unix socket; see \
@@ -387,7 +400,7 @@ let structures_cmd =
     Term.(const run $ arch_arg $ model_arg $ seq_arg)
 
 let cascade_cmd =
-  let run arch file extents_spec () =
+  let run arch file bindings () =
     let contents =
       let ic = open_in file in
       Fun.protect
@@ -407,15 +420,7 @@ let cascade_cmd =
           (String.concat " " (Tf_einsum.Cascade.results cascade));
         Fmt.pr "valid bipartitions: %d@."
           (List.length (Tf_dag.Partition.enumerate ~limit:512 g));
-        (* Bind extents from --extent key=value flags (default 64). *)
-        let bindings =
-          List.map
-            (fun spec ->
-              match String.split_on_char '=' spec with
-              | [ k; v ] -> (k, int_of_string v)
-              | _ -> failwith (Printf.sprintf "bad --extent %S (expected name=value)" spec))
-            extents_spec
-        in
+        (* Bind extents from the --extent flags (default 64). *)
         let extents =
           List.fold_left
             (fun acc index ->
@@ -447,7 +452,9 @@ let cascade_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Cascade file.")
   in
   let extent_arg =
-    Arg.(value & opt_all string [] & info [ "extent" ] ~docv:"NAME=VALUE" ~doc:"Index extent binding (repeatable; default 64).")
+    Arg.(
+      value & opt_all extent_conv []
+      & info [ "extent" ] ~docv:"NAME=N" ~doc:"Index extent binding (repeatable; default 64).")
   in
   cmd "cascade" ~doc:"Parse, analyze and DPipe-schedule a cascade file"
     Term.(const run $ arch_arg $ file_arg $ extent_arg)
@@ -455,7 +462,7 @@ let cascade_cmd =
 let pareto_cmd =
   let run arch w iterations () =
     let measure config =
-      let phases, _ = Strategies.phases ~tiling:config arch w Strategies.Transfusion in
+      let phases, _, _ = Strategies.phases ~tiling:config arch w Strategies.Transfusion in
       let lat = (Latency.evaluate arch phases).Latency.total_s in
       let traffic =
         Tf_costmodel.Traffic.sum
@@ -851,13 +858,11 @@ let simulate_cmd =
     Arg.conv (parse, print)
   in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Traffic seed.") in
-  let requests_arg =
-    Arg.(value & opt int 200 & info [ "requests" ] ~docv:"N" ~doc:"Requests in the trace.")
-  in
+  let requests_arg = count_opt "requests" ~default:200 ~doc:"Requests in the trace." in
   let qps_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (positive_float_conv "qps")) None
       & info [ "qps" ] ~docv:"RATE"
           ~doc:
             "Mean arrival rate (requests/s).  Default: 70% of the estimated service capacity \
@@ -876,9 +881,7 @@ let simulate_cmd =
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:"Admission policy: static, continuous or interleaved.")
   in
-  let capacity_arg =
-    Arg.(value & opt int 16 & info [ "capacity" ] ~docv:"N" ~doc:"Decode batch capacity.")
-  in
+  let capacity_arg = count_opt "capacity" ~default:16 ~doc:"Decode batch capacity." in
   let classes_arg =
     Arg.(
       value

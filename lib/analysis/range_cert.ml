@@ -360,13 +360,9 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch
       in
       let kv_sym = S.var box rvar in
       let count_sym (op : Einsum.t) =
-        let in_mha_loop =
-          List.mem op.Einsum.name Cascades.mha_op_names
-          && not (List.mem op.Einsum.name Cascades.final_only_ops)
-        in
         let indexed_by_m0 = List.mem "m0" (Einsum.all_dims op) in
         let kv_tiles = S.div box kv_sym (float_of_int sched_m0) in
-        if in_mha_loop then if causal then mul (cns 0.5) kv_tiles else kv_tiles
+        if Cascades.in_attention_loop op then if causal then mul (cns 0.5) kv_tiles else kv_tiles
         else if indexed_by_m0 then
           if decode then cns (float_of_int kv_proj_len /. float_of_int sched_m0) else kv_tiles
         else ci 1

@@ -20,41 +20,33 @@ let lint_builtins () =
   let extents = Layer_costs.tile_extents w ~m0:(Extents.find (Workload.extents w) "m0") in
   List.concat_map (fun (_, cascade) -> Ir_lint.lint ~extents cascade) (builtin_cascades ())
 
-let layer_name (arch : Tf_arch.Arch.t) cascade attention =
-  Printf.sprintf "dpipe(%s/%s/%s)" arch.Tf_arch.Arch.name (Cascade.name cascade)
+let layer_name (arch : Tf_arch.Arch.t) (p : Layer_costs.problem) attention =
+  Printf.sprintf "dpipe(%s/%s/%s)" arch.Tf_arch.Arch.name (Cascade.name p.Layer_costs.cascade)
     (Strategies.attention_name attention)
 
-(* IR lints of the layer's cascade under its problem's tile extents, and
-   the checks of its schedule. *)
-let layer_diags ~name cascade (p : Layer_costs.problem) sched =
-  Ir_lint.lint ~extents:p.Layer_costs.extents cascade
-  @ Sched_lint.verify ~name p.Layer_costs.dag sched
+(* IR lints of the problem's cascade under its tile extents, and the
+   checks of its schedule. *)
+let layer_diags arch attention (p : Layer_costs.problem) sched =
+  Ir_lint.lint ~extents:p.Layer_costs.extents p.Layer_costs.cascade
+  @ Sched_lint.verify ~name:(layer_name arch p attention) p.Layer_costs.dag sched
 
-let pipeline ?(attention = Strategies.Self) ?include_ffn (arch : Tf_arch.Arch.t) (w : Workload.t) =
-  let cascade = Strategies.layer_cascade ?include_ffn w.model in
-  let ({ Layer_costs.dag; load; matrix; _ } as problem) =
-    Strategies.layer_problem ~attention ?include_ffn w
-  in
-  layer_diags ~name:(layer_name arch cascade attention) cascade problem
-    (Dpipe.schedule arch ~load ~matrix dag)
+let pipeline ?(attention = Strategies.Self) (arch : Tf_arch.Arch.t) (w : Workload.t) =
+  let ({ Layer_costs.dag; load; matrix; _ } as problem) = Strategies.layer_problem ~attention w in
+  layer_diags arch attention problem (Dpipe.schedule arch ~load ~matrix dag)
 
 (* The execution a TransFusion result was priced with: the layer's DPipe
    run and, where the static alternative is served, the FuseMax-pinned
    attention it runs, on the arrays [fusemax_assign] pins. *)
-let execution arch (w : Workload.t) attention (e : Strategies.execution) =
-  let cascade = Strategies.layer_cascade w.model in
+let execution arch attention (e : Strategies.execution) =
   let { Strategies.problem; schedule } = e.Strategies.dpipe in
-  layer_diags ~name:(layer_name arch cascade attention) cascade (Lazy.force problem)
-    (Lazy.force schedule)
+  layer_diags arch attention problem (Lazy.force schedule)
   @
   match e.Strategies.static_mha with
   | None -> []
-  | Some { Strategies.problem; schedule } ->
-      let mha = Cascades.mha () in
-      let name = layer_name arch mha attention in
-      let { Layer_costs.dag; _ } = Lazy.force problem and sched = Lazy.force schedule in
+  | Some { Strategies.problem = { Layer_costs.cascade; dag; _ } as p; schedule } ->
+      let name = layer_name arch p attention and sched = Lazy.force schedule in
       Sched_lint.verify ~name dag sched
-      @ Sched_lint.pinned ~name ~pin:(Strategies.fusemax_assign arch mha) dag sched
+      @ Sched_lint.pinned ~name ~pin:(Strategies.fusemax_assign arch cascade) dag sched
 
 let strategy_result ((r : Strategies.result), exec) =
   let arch = r.Strategies.arch and w = r.Strategies.workload in
@@ -73,7 +65,7 @@ let strategy_result ((r : Strategies.result), exec) =
   in
   let exec_diags =
     match (exec, r.Strategies.strategy) with
-    | Some e, _ -> execution arch w attention e
+    | Some e, _ -> execution arch attention e
     | None, Strategies.Transfusion ->
         invalid_arg "Verify.strategy_result: a TransFusion result comes with its execution"
     | ( None,

@@ -13,7 +13,6 @@ val lint_builtins : unit -> Diagnostic.t list
 
 val pipeline :
   ?attention:Transfusion.Strategies.attention ->
-  ?include_ffn:bool ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   Diagnostic.t list
@@ -22,17 +21,23 @@ val pipeline :
     balanced split of the key/value length) and verify it with
     {!Sched_lint}, plus IR lints of the cascade itself. *)
 
+val execution :
+  Tf_arch.Arch.t ->
+  Transfusion.Strategies.attention ->
+  Transfusion.Strategies.execution ->
+  Diagnostic.t list
+(** Verify a TransFusion execution, scheduling nothing again: the layer's
+    DPipe schedule ({!Sched_lint}, plus IR lints of its problem's cascade)
+    and, where static is served, the FuseMax-pinned attention schedule,
+    also against {!Transfusion.Strategies.fusemax_assign}'s pins. *)
+
 val strategy_result :
   Transfusion.Strategies.result * Transfusion.Strategies.execution option -> Diagnostic.t list
 (** Verify everything checkable about an evaluation result, as
     {!Transfusion.Strategies.evaluate} returns it: on the architecture,
     workload and attention flavour it was priced for, the chosen tiling
     (when present) against {!Tiling_lint}, and the execution it was
-    priced with, scheduling nothing again.  That is the layer's DPipe
-    schedule ({!Sched_lint}, plus IR lints of the cascade) and, where the
-    static alternative is served, the FuseMax-pinned attention schedule
-    too: {!Sched_lint.verify}, and {!Sched_lint.pinned} against
-    {!Transfusion.Strategies.fusemax_assign}.
+    priced with under {!execution}.
     @raise Invalid_argument for a TransFusion result without its
     execution. *)
 

@@ -32,8 +32,10 @@ let run ?(quick = false) archs model =
       List.concat_map
         (fun (label, seq_len) ->
           let w = Workload.v model ~seq_len in
-          let unfused, _ = Strategies.phases ~tileseek_iterations:60 arch w Strategies.Unfused in
-          let fused, tiling = Strategies.phases ~tileseek_iterations:60 arch w Strategies.Transfusion in
+          let unfused, _, _ = Strategies.phases ~tileseek_iterations:60 arch w Strategies.Unfused in
+          let fused, tiling, execution =
+            Strategies.phases ~tileseek_iterations:60 arch w Strategies.Transfusion
+          in
           (match tiling with
           | Some config ->
               Exp_common.require_clean
@@ -42,7 +44,7 @@ let run ?(quick = false) archs model =
           | None -> ());
           Exp_common.require_clean
             (Printf.sprintf "roofline schedule (%s)" arch.Tf_arch.Arch.name)
-            (Tf_analysis.Verify.pipeline arch w);
+            (Tf_analysis.Verify.execution arch Strategies.Self (Option.get execution));
           rows_of arch label (unfused @ fused))
         (Exp_common.seq_sweep ~quick))
     archs

@@ -20,25 +20,23 @@ let structures (model : Model.t) ~seq =
 let run ?(seq = 16384) (arch : Tf_arch.Arch.t) (model : Model.t) =
   let w = Workload.v model ~seq_len:seq in
   (* Sanitizer: the TransFusion rows below rest on a DPipe schedule per
-     sublayer flavour — verify each before reporting any number. *)
-  let verify_structure (s : Structures.t) =
+     sublayer flavour — verify each execution they were priced with before
+     reporting any number. *)
+  let evaluate (s : Structures.t) strategy =
+    let r = Structures.evaluate ~tileseek_iterations:60 arch w s strategy in
     List.iter
-      (fun (sub : Structures.sublayer) ->
+      (fun ((sub : Structures.sublayer), execution) ->
         Exp_common.require_clean
           (Printf.sprintf "structure %s sublayer schedule (%s)" s.Structures.name
              arch.Tf_arch.Arch.name)
-          (Tf_analysis.Verify.pipeline ~attention:sub.Structures.attention
-             ~include_ffn:sub.Structures.include_ffn arch w))
-      s.Structures.sublayers
+          (Tf_analysis.Verify.execution arch sub.Structures.attention execution))
+      r.Structures.executions;
+    r
   in
   List.concat_map
     (fun (label, parts) ->
-      List.iter verify_structure parts;
       let total strategy =
-        Structures.total_seconds
-          (List.map
-             (fun s -> Structures.evaluate ~tileseek_iterations:60 arch w s strategy)
-             parts)
+        Structures.total_seconds (List.map (fun s -> evaluate s strategy) parts)
       in
       let unfused = total Strategies.Unfused in
       List.map

@@ -4,13 +4,13 @@ module Workload = Tf_workloads.Workload
 module Model = Tf_workloads.Model
 module Strategies = Transfusion.Strategies
 module Tileseek = Transfusion.Tileseek
-module Cascades = Transfusion.Cascades
 module Layer_costs = Transfusion.Layer_costs
 module Buffer_req = Transfusion.Buffer_req
 module Dpipe = Transfusion.Dpipe
 module Sim = Transfusion.Pipeline_sim
 module Roofline = Tf_costmodel.Roofline
 module Latency = Tf_costmodel.Latency
+module Phase = Tf_costmodel.Phase
 
 type buffer_row = { module_name : string; elements : float; fraction : float }
 
@@ -30,32 +30,17 @@ type t = {
   convergence : Convergence.t option;
 }
 
-let qkv_module = "QKV"
-let mha_module = "MHA"
-let ln_module = "Add+LayerNorm"
-let ffn_module = "FFN"
-
-(* Operation name -> Table 2 module, from the constituent cascades (the
-   fused layer is their concatenation, names preserved). *)
-let module_table activation =
-  let tbl = Hashtbl.create 64 in
-  let add m cascade =
-    List.iter
-      (fun (op : Tf_einsum.Einsum.t) -> Hashtbl.replace tbl op.Tf_einsum.Einsum.name m)
-      (Tf_einsum.Cascade.ops cascade)
-  in
-  add qkv_module (Cascades.qkv ());
-  add mha_module (Cascades.mha ());
-  add ln_module (Cascades.add_layernorm ());
-  add ffn_module (Cascades.ffn activation);
-  tbl
+(* A Table 2 module as the report names it. *)
+let module_name = function
+  | Phase.Layernorm -> "Add+LayerNorm"
+  | kind -> Phase.layer_kind_to_string kind
 
 (* The report of the execution a TransFusion result was priced with. *)
 let of_execution (r : Strategies.result) (e : Strategies.execution) =
   let arch = r.Strategies.arch and w = r.Strategies.workload in
   let attention = r.Strategies.attention and tiling = Option.get r.Strategies.tiling in
-  let { Layer_costs.load; matrix; dag = g; totals; extents } =
-    Lazy.force e.Strategies.dpipe.Strategies.problem
+  let { Layer_costs.load; matrix; dag = g; totals; extents; _ } =
+    e.Strategies.dpipe.Strategies.problem
   in
   let op n = totals.(n).Layer_costs.op in
   let sched = Lazy.force e.Strategies.dpipe.Strategies.schedule in
@@ -64,19 +49,13 @@ let of_execution (r : Strategies.result) (e : Strategies.execution) =
     | Ok pair -> pair
     | Error e -> invalid_arg ("Explain.of_execution: schedule replay failed: " ^ e)
   in
-  let modules = module_table w.Workload.model.Model.activation in
-  let module_of n =
-    match Hashtbl.find_opt modules (op n).Tf_einsum.Einsum.name with
-    | Some m -> m
-    | None -> "?"
-  in
   let rooflines =
     Array.init (Array.length totals) (fun n -> Roofline.of_einsum arch extents (op n))
   in
   let rollup =
     Rollup.of_events ~outcome
       ~label:(fun n -> (op n).Tf_einsum.Einsum.name)
-      ~module_of
+      ~module_of:(fun n -> module_name totals.(n).Layer_costs.module_)
       ~roofline:(fun n -> rooflines.(n))
       events
   in
@@ -88,11 +67,11 @@ let of_execution (r : Strategies.result) (e : Strategies.execution) =
       (fun (module_name, elements) ->
         { module_name; elements; fraction = elements /. capacity_elements })
       [
-        (qkv_module, Buffer_req.qkv dims);
-        ( mha_module,
+        (module_name Phase.Qkv, Buffer_req.qkv dims);
+        ( module_name Phase.Mha,
           if a.Strategies.decode then Buffer_req.mha_decode dims else Buffer_req.mha dims );
-        (ln_module, Buffer_req.add_layernorm dims);
-        (ffn_module, Buffer_req.ffn dims);
+        (module_name Phase.Layernorm, Buffer_req.add_layernorm dims);
+        (module_name Phase.Ffn, Buffer_req.ffn dims);
       ]
   in
   {

@@ -2,6 +2,7 @@ module Decode = Transfusion.Decode
 module Strategies = Transfusion.Strategies
 module Generation = Tf_workloads.Generation
 module Exp_common = Tf_experiments.Exp_common
+module Exp_generation = Tf_experiments.Exp_generation
 module Json = Tf_json
 
 type per_request = {
@@ -28,7 +29,7 @@ type t = {
      per instance, so they need no place in the key.
      [memo.serving.feasible.*] counters. *)
   feasible : (int * int, bool) Tf_parallel.Memo.t;
-  computes : int Atomic.t;  (* Decode.evaluate calls actually run *)
+  computes : int Atomic.t;  (* decode evaluations actually run *)
 }
 
 let create ?(max_entries = 512) ?cache ?(strategy = Strategies.Transfusion) ?(iterations = 60)
@@ -47,9 +48,11 @@ let create ?(max_entries = 512) ?cache ?(strategy = Strategies.Transfusion) ?(it
 let spec t ~(cls : Traffic.cls) =
   Generation.v ~batch:1 ~gen:cls.Traffic.gen t.model ~prompt:cls.Traffic.prompt
 
+(* Priced, and verified, as every other decode result is. *)
 let metrics t ~cls =
   Atomic.incr t.computes;
-  fst (Decode.evaluate ~tileseek_iterations:t.iterations t.arch (spec t ~cls) t.strategy)
+  let p = Exp_generation.point ~tileseek_iterations:t.iterations t.arch (spec t ~cls) t.strategy in
+  p.Exp_generation.metrics
 
 let of_metrics (m : Decode.metrics) =
   let decode_energy_pj = Tf_costmodel.Energy.total_pj m.Decode.decode_energy in

@@ -3,11 +3,11 @@
     The simulator needs, for every request, the prefill latency (TTFT),
     the per-token decode latency at both cache endpoints (the affine
     law PR 4 established) and the energy totals.  All of that comes
-    from one {!Transfusion.Decode.evaluate} of the request's (prompt,
-    gen) class at batch 1 — which runs TileSeek searches, so calling it
-    per {e request} would make a 10k-request simulation pay 10k
-    searches for a handful of distinct shapes.  This module routes
-    every lookup through a bounded {!Tf_parallel.Memo}
+    from one verified {!Tf_experiments.Exp_generation.point} of the
+    request's (prompt, gen) class at batch 1 — which runs TileSeek
+    searches, so calling it per {e request} would make a 10k-request
+    simulation pay 10k searches for a handful of distinct shapes.  This
+    module routes every lookup through a bounded {!Tf_parallel.Memo}
     ([memo.serving.decode.*] counters), so a simulation pays
     O(distinct classes) evaluations, not O(requests).
 
@@ -47,8 +47,8 @@ val create :
 
 val costs : t -> cls:Traffic.cls -> per_request
 (** The class's per-request costs — memoised; the first lookup of a
-    shape runs {!Transfusion.Decode.evaluate} at batch 1.
-    @raise Failure when the underlying evaluation fails. *)
+    shape runs {!Tf_experiments.Exp_generation.point} at batch 1.
+    @raise Failure when the evaluation fails or fails verification. *)
 
 val token_s : per_request -> gen:int -> i:int -> float
 (** Per-token latency of the step producing token [i] (1-based) of a

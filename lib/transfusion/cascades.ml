@@ -1,4 +1,5 @@
 open Tf_einsum
+module Phase = Tf_costmodel.Phase
 
 let r = Tensor_ref.v
 
@@ -51,9 +52,6 @@ let mha () =
       Einsum.map Scalar_op.Div (r "AV" [ "h"; "f"; "p" ]) [ r "RNV" [ "h"; "f"; "p" ]; r "RD" [ "h"; "p" ] ];
     ]
 
-let mha_op_names = [ "BQK"; "LM"; "RM"; "SLN"; "SLD"; "SLNV"; "PRM"; "SPD"; "RD"; "SPNV"; "RNV"; "AV" ]
-let final_only_ops = [ "AV" ]
-
 let add_layernorm () =
   Cascade.v ~name:"add_layernorm"
     [
@@ -96,5 +94,25 @@ let ffn activation =
         [ r "FFN2" [ "h"; "f"; "p" ]; r "BF2" [ "h"; "f" ] ];
     ]
 
-let full_layer activation =
-  Cascade.concat ~name:"transformer_layer" [ qkv (); mha (); add_layernorm (); ffn activation ]
+let modules ?(include_ffn = true) activation =
+  [ (Phase.Qkv, qkv ()); (Phase.Mha, mha ()); (Phase.Layernorm, add_layernorm ()) ]
+  @ if include_ffn then [ (Phase.Ffn, ffn activation) ] else []
+
+let full_layer ?(include_ffn = true) activation =
+  let name = if include_ffn then "transformer_layer" else "transformer_layer_noffn" in
+  Cascade.concat ~name (List.map snd (modules ~include_ffn activation))
+
+(* Op name -> module: no op name depends on the activation. *)
+let module_table =
+  List.concat_map
+    (fun (m, c) -> List.map (fun (op : Einsum.t) -> (op.Einsum.name, m)) (Cascade.ops c))
+    (modules Scalar_op.Gelu)
+  |> List.to_seq |> Hashtbl.of_seq
+
+let module_of (op : Einsum.t) =
+  try Hashtbl.find module_table op.Einsum.name
+  with Not_found -> invalid_arg ("Cascades.module_of: no module has an op " ^ op.Einsum.name)
+
+(* The final normalisation AV runs once, on the last m1 iteration; every
+   other MHA op is loop body. *)
+let in_attention_loop (op : Einsum.t) = module_of op = Phase.Mha && op.Einsum.name <> "AV"

@@ -33,14 +33,17 @@ val ffn : Tf_einsum.Scalar_op.activation -> Tf_einsum.Cascade.t
 (** Cascade 4 — FFN (Eq. 37-39) with explicit bias adds: FFN1, FFN1B, AR,
     FFN2, FFN2B. *)
 
-val full_layer : Tf_einsum.Scalar_op.activation -> Tf_einsum.Cascade.t
+val full_layer : ?include_ffn:bool -> Tf_einsum.Scalar_op.activation -> Tf_einsum.Cascade.t
 (** The end-to-end fused layer: concatenation of the four cascades, with
     MHA consuming the QKV outputs, Add&LayerNorm consuming [AV] and the
-    residual [INP], and the FFN consuming [NR] (paper Figure 3). *)
+    residual [INP], and the FFN consuming [NR] (paper Figure 3); without
+    the FFN when [include_ffn] is false (default true). *)
 
-val mha_op_names : string list
-(** The 12 operation names of {!mha}, cascade order. *)
+val module_of : Tf_einsum.Einsum.t -> Tf_costmodel.Phase.layer_kind
+(** Paper Table 2's module of the op: [Qkv] for an op of {!qkv}, [Mha]
+    of {!mha}, [Layernorm] of {!add_layernorm}, [Ffn] of {!ffn}.
+    @raise Invalid_argument for a name none of them has. *)
 
-val final_only_ops : string list
-(** Operations of {!mha} that execute only on the {e last} [m1] iteration
-    (the final normalisation [AV]) rather than once per iteration. *)
+val in_attention_loop : Tf_einsum.Einsum.t -> bool
+(** An op of the attention loop body: an {!mha} op other than [AV], the
+    final normalisation, which runs on the last [m1] iteration only. *)

@@ -1,12 +1,13 @@
 open Tf_einsum
 open Tf_workloads
+module Phase = Tf_costmodel.Phase
 
 type loads = { matrix : float; vector : float }
 
 let zero = { matrix = 0.; vector = 0. }
 let add_loads a b = { matrix = a.matrix +. b.matrix; vector = a.vector +. b.vector }
 
-type op_total = { op : Einsum.t; total : float; instances : float }
+type op_total = { op : Einsum.t; module_ : Phase.layer_kind; total : float; instances : float }
 
 let default_m0 (w : Workload.t) = Extents.find (Workload.extents w) "m0"
 
@@ -36,12 +37,8 @@ let tile_extents (w : Workload.t) ~m0 =
 let instance_count ~kv_len ~kv_proj_len ~causal ~m0 (op : Einsum.t) =
   let kv_tiles = float_of_int (kv_len / m0) in
   let proj_tiles = float_of_int kv_proj_len /. float_of_int m0 in
-  let in_mha_loop =
-    List.mem op.Einsum.name Cascades.mha_op_names
-    && not (List.mem op.Einsum.name Cascades.final_only_ops)
-  in
   let indexed_by_m0 = List.mem "m0" (Einsum.all_dims op) in
-  if in_mha_loop then if causal then 0.5 *. kv_tiles else kv_tiles
+  if Cascades.in_attention_loop op then if causal then 0.5 *. kv_tiles else kv_tiles
   else if indexed_by_m0 then proj_tiles
   else 1.
 
@@ -57,35 +54,21 @@ let op_totals ?m0 ?kv_len ?kv_proj_len ?(causal = false) (w : Workload.t) cascad
   List.map
     (fun op ->
       let instances = batch *. instance_count ~kv_len ~kv_proj_len ~causal ~m0 op in
-      { op; total = instances *. Einsum.compute_load extents op; instances })
+      let total = instances *. Einsum.compute_load extents op in
+      { op; module_ = Cascades.module_of op; total; instances })
     (Cascade.ops cascade)
 
-let of_op_totals totals =
+let loads totals =
   List.fold_left
     (fun acc { op; total; _ } ->
       if Einsum.is_matrix_op op then { acc with matrix = acc.matrix +. total }
       else { acc with vector = acc.vector +. total })
     zero totals
 
-let qkv ?m0 ?kv_len ?kv_proj_len w =
-  of_op_totals (op_totals ?m0 ?kv_len ?kv_proj_len w (Cascades.qkv ()))
-
-let mha ?m0 ?kv_len ?causal w = of_op_totals (op_totals ?m0 ?kv_len ?causal w (Cascades.mha ()))
-let add_layernorm w = of_op_totals (op_totals w (Cascades.add_layernorm ()))
-
-let ffn (w : Workload.t) =
-  of_op_totals (op_totals w (Cascades.ffn w.model.Model.activation))
-
-let total ?m0 ?kv_len ?kv_proj_len ?causal ?(include_ffn = true) w =
-  let modules =
-    [ qkv ?m0 ?kv_len ?kv_proj_len w; mha ?m0 ?kv_len ?causal w; add_layernorm w ]
-    @ if include_ffn then [ ffn w ] else []
-  in
-  List.fold_left add_loads zero modules
-
 let nominal_epochs = 256.
 
 type problem = {
+  cascade : Cascade.t;
   extents : Extents.t;
   totals : op_total array;
   dag : Einsum.t Tf_dag.Dag.t;
@@ -93,13 +76,18 @@ type problem = {
   matrix : int -> bool;
 }
 
-let problem ?m0 ?kv_len ?kv_proj_len ?causal w cascade =
-  let m0 = match m0 with Some v -> v | None -> default_m0 w in
-  let totals = Array.of_list (op_totals ~m0 ?kv_len ?kv_proj_len ?causal w cascade) in
+let of_totals cascade ~dag ~extents totals =
+  let totals = Array.of_list totals in
   {
-    extents = tile_extents w ~m0;
+    cascade;
+    extents;
     totals;
-    dag = Cascade.to_dag cascade;
+    dag;
     load = (fun n -> totals.(n).total /. nominal_epochs);
     matrix = (fun n -> Einsum.is_matrix_op totals.(n).op);
   }
+
+let problem ?m0 ?kv_len ?kv_proj_len ?causal w cascade =
+  let m0 = match m0 with Some v -> v | None -> default_m0 w in
+  of_totals cascade ~dag:(Cascade.to_dag cascade) ~extents:(tile_extents w ~m0)
+    (op_totals ~m0 ?kv_len ?kv_proj_len ?causal w cascade)

@@ -26,7 +26,12 @@ val tile_extents : Tf_workloads.Workload.t -> m0:int -> Tf_einsum.Extents.t
 (** The extent environment totals are computed under: full model dims,
     full sequence for [p], and the given key/value tile for [m0]. *)
 
-type op_total = { op : Tf_einsum.Einsum.t; total : float; instances : float }
+type op_total = {
+  op : Tf_einsum.Einsum.t;
+  module_ : Tf_costmodel.Phase.layer_kind;  (** {!Cascades.module_of} [op] *)
+  total : float;
+  instances : float;
+}
 
 val op_totals :
   ?m0:int ->
@@ -45,22 +50,11 @@ val op_totals :
     over the whole resident cache, so its per-tile K/V projections get a
     fractional [kv_proj_len / m0] instance count.  [causal] halves the
     attention-loop work: a masked decoder query attends on average to
-    half the keys.  Operation order follows the cascade. *)
+    half the keys.  Operation order follows the cascade.
+    @raise Invalid_argument for an op of no Table 2 module. *)
 
-val qkv : ?m0:int -> ?kv_len:int -> ?kv_proj_len:int -> Tf_workloads.Workload.t -> loads
-val mha : ?m0:int -> ?kv_len:int -> ?causal:bool -> Tf_workloads.Workload.t -> loads
-val add_layernorm : Tf_workloads.Workload.t -> loads
-val ffn : Tf_workloads.Workload.t -> loads
-
-val total :
-  ?m0:int ->
-  ?kv_len:int ->
-  ?kv_proj_len:int ->
-  ?causal:bool ->
-  ?include_ffn:bool ->
-  Tf_workloads.Workload.t ->
-  loads
-(** Sum over the modules of one layer ([include_ffn] defaults to true). *)
+val loads : op_total list -> loads
+(** The matrix and vector totals of the rows, summed in row order. *)
 
 val nominal_epochs : float
 (** 256: DPipe node loads are whole-layer totals spread over this many
@@ -68,10 +62,11 @@ val nominal_epochs : float
     first order, so the scale divides out of every ratio. *)
 
 (** The DPipe problem of [cascade]: its DAG, node totals under
-    {!op_totals} (same arguments) and the [load]/[matrix] oracles
-    {!Dpipe.schedule} takes.  Every DPipe run over a workload builds it
-    here; {!Strategies.layer_problem} picks the arguments for a layer. *)
+    {!op_totals} and the [load]/[matrix] oracles {!Dpipe.schedule} takes.
+    Every DPipe run over a workload builds it here;
+    {!Strategies.layer_problem} picks the arguments for a layer. *)
 type problem = {
+  cascade : Tf_einsum.Cascade.t;
   extents : Tf_einsum.Extents.t;  (** {!tile_extents} at the problem's [m0] *)
   totals : op_total array;  (** indexed by DAG node *)
   dag : Tf_einsum.Einsum.t Tf_dag.Dag.t;
@@ -87,3 +82,13 @@ val problem :
   Tf_workloads.Workload.t ->
   Tf_einsum.Cascade.t ->
   problem
+(** The problem of [cascade] under {!op_totals} (same arguments). *)
+
+val of_totals :
+  Tf_einsum.Cascade.t ->
+  dag:Tf_einsum.Einsum.t Tf_dag.Dag.t ->
+  extents:Tf_einsum.Extents.t ->
+  op_total list ->
+  problem
+(** The problem of [cascade] from its {!op_totals} rows, its DAG and its
+    tile extents, for a caller that already holds them. *)

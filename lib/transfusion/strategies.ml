@@ -88,17 +88,11 @@ type ctx = {
   objective : objective;
 }
 
-let layer_cascade ?(include_ffn = true) (model : Model.t) =
-  if include_ffn then Cascades.full_layer model.Model.activation
-  else
-    Cascade.concat ~name:"transformer_layer_noffn"
-      [ Cascades.qkv (); Cascades.mha (); Cascades.add_layernorm () ]
-
-let layer_problem ?attention ?include_ffn (w : Workload.t) =
+let layer_problem ?attention (w : Workload.t) =
   let a = attention_dims ?attention w in
   Layer_costs.problem ~m0:(Workload.default_m0 a.kv_len) ~kv_len:a.kv_len
     ~kv_proj_len:a.kv_proj_len ~causal:a.causal w
-    (layer_cascade ?include_ffn w.model)
+    (Cascades.full_layer w.model.Model.activation)
 
 let make_ctx ?(attention = Self) ?(include_ffn = true) ?layers ?(objective = Latency_obj)
     (arch : Arch.t) (w : Workload.t) =
@@ -152,39 +146,47 @@ let matmul_reads ctx ~rows ~inner ~cols =
     let input_resident = input +. (Float.of_int (int_of_float (ceil (input /. share))) *. weight) in
     Float.min weight_resident input_resident
 
-(* Per-layer einsum input/output streaming volumes (elements) for a
-   cascade, used for buffer/register-file energy accounting. *)
-let io_volumes ctx cascade =
-  let extents = Layer_costs.tile_extents ctx.w ~m0:ctx.m0 in
-  let totals =
-    Layer_costs.op_totals ~m0:ctx.m0 ~kv_len:ctx.dims.kv_len ~kv_proj_len:ctx.dims.kv_proj_len
-      ~causal:ctx.dims.causal ctx.w cascade
-  in
+(* One module of an op table: its rows, their loads and their einsum
+   input/output streaming volumes (elements, for buffer/register-file
+   energy accounting), each summed in op order. *)
+type part = {
+  kind : Phase.layer_kind;
+  rows : Layer_costs.op_total list;
+  loads : Layer_costs.loads;
+  io : float * float;
+}
+
+let io_volumes extents rows =
   List.fold_left
     (fun (reads, writes) { Layer_costs.op; instances; _ } ->
       let vol r = float_of_int (Extents.volume extents r) in
       let input_vol = List.fold_left (fun acc r -> acc +. vol r) 0. op.Einsum.inputs in
       (reads +. (instances *. input_vol), writes +. (instances *. vol op.Einsum.output)))
-    (0., 0.) totals
+    (0., 0.) rows
 
-let module_cascades ctx =
-  [
-    (Phase.Qkv, Cascades.qkv ());
-    (Phase.Mha, Cascades.mha ());
-    (Phase.Layernorm, Cascades.add_layernorm ());
-  ]
-  @ if ctx.include_ffn then [ (Phase.Ffn, Cascades.ffn ctx.w.model.Model.activation) ] else []
-
-let module_loads ctx kind =
-  match kind with
-  | Phase.Qkv ->
-      Layer_costs.qkv ~m0:ctx.m0 ~kv_len:ctx.dims.kv_len ~kv_proj_len:ctx.dims.kv_proj_len ctx.w
-  | Phase.Mha -> Layer_costs.mha ~m0:ctx.m0 ~kv_len:ctx.dims.kv_len ~causal:ctx.dims.causal ctx.w
-  | Phase.Layernorm -> Layer_costs.add_layernorm ctx.w
-  | Phase.Ffn -> Layer_costs.ffn ctx.w
-  | Phase.Fused_stack ->
-      Layer_costs.total ~m0:ctx.m0 ~kv_len:ctx.dims.kv_len ~kv_proj_len:ctx.dims.kv_proj_len
-        ~causal:ctx.dims.causal ~include_ffn:ctx.include_ffn ctx.w
+(* The op table of a ctx: one [Layer_costs.op_totals] pass over the
+   layer at the ctx's tile, with its tile extents and its rows split by
+   module, in layer order (each module's ops are contiguous).
+   Everything an evaluation prices reads it. *)
+let op_table ctx cascade =
+  let extents = Layer_costs.tile_extents ctx.w ~m0:ctx.m0 in
+  let rows =
+    Layer_costs.op_totals ~m0:ctx.m0 ~kv_len:ctx.dims.kv_len ~kv_proj_len:ctx.dims.kv_proj_len
+      ~causal:ctx.dims.causal ctx.w cascade
+  in
+  let split =
+    List.fold_right
+      (fun (r : Layer_costs.op_total) -> function
+        | (kind, rs) :: rest when kind = r.Layer_costs.module_ -> (kind, r :: rs) :: rest
+        | acc -> (r.Layer_costs.module_, [ r ]) :: acc)
+      rows []
+  in
+  ( rows,
+    extents,
+    List.map
+      (fun (kind, rows) ->
+        { kind; rows; loads = Layer_costs.loads rows; io = io_volumes extents rows })
+      split )
 
 let loads_ops (l : Layer_costs.loads) = l.matrix +. l.vector
 
@@ -231,35 +233,19 @@ let add_exec (a : Phase.execution) (b : Phase.execution) =
     useful_1d_slots = a.Phase.useful_1d_slots +. b.Phase.useful_1d_slots;
   }
 
-(* One DPipe run a strategy prices: a cascade at the ctx's tile under a
-   scheduling mode.  The memo-miss path below, which runs the schedule,
-   keeps it in [kept] where it may become part of an execution; when the
-   memo answered instead, [scheduled] re-runs it for the reader of the
-   final execution. *)
+(* One DPipe run a strategy prices: a problem at the ctx's tile under
+   DPipe or under FuseMax's pins.  The memo-miss path below, which runs
+   the schedule, keeps it in [kept] where it may become part of an
+   execution; when the memo answered instead, [scheduled] re-runs it for
+   the reader of the final execution. *)
 type run = {
   ctx : ctx;
-  cascade : Cascade.t Lazy.t;
-  mode : Cascade.t -> [ `Dp | `Static of int -> Arch.resource ];
+  problem : Layer_costs.problem Lazy.t;
+  pinned : bool;
   mutable kept : Dpipe.t option;
 }
 
-let run_problem r =
-  let ctx = r.ctx in
-  Layer_costs.problem ~m0:ctx.m0 ~kv_len:ctx.dims.kv_len ~kv_proj_len:ctx.dims.kv_proj_len
-    ~causal:ctx.dims.causal ctx.w (Lazy.force r.cascade)
-
-let run_schedule r =
-  let ({ Layer_costs.load; matrix; dag; _ } as problem) = run_problem r in
-  (problem, Dpipe.schedule ~mode:(r.mode (Lazy.force r.cascade)) r.ctx.arch ~load ~matrix dag)
-
-type scheduled = { problem : Layer_costs.problem Lazy.t; schedule : Dpipe.t Lazy.t }
-
-let scheduled r =
-  {
-    problem = lazy (run_problem r);
-    schedule =
-      (match r.kept with Some s -> Lazy.from_val s | None -> lazy (snd (run_schedule r)));
-  }
+type scheduled = { problem : Layer_costs.problem; schedule : Dpipe.t Lazy.t }
 
 (* The summary a strategy prices: the schedule extrapolated to the
    nominal epoch count. *)
@@ -296,6 +282,18 @@ let fusemax_assign (arch : Arch.t) cascade =
     if Einsum.is_matrix_op op then Arch.Pe_2d
     else if vector_2d_wins && List.mem "m0" (Einsum.all_dims op) then Arch.Pe_2d
     else Arch.Pe_1d
+
+let run_schedule (r : run) =
+  let ({ Layer_costs.cascade; load; matrix; dag; _ } as problem) = Lazy.force r.problem in
+  let mode = if r.pinned then `Static (fusemax_assign r.ctx.arch cascade) else `Dp in
+  (problem, Dpipe.schedule ~mode r.ctx.arch ~load ~matrix dag)
+
+let scheduled (r : run) =
+  {
+    problem = Lazy.force r.problem;
+    schedule =
+      (match r.kept with Some s -> Lazy.from_val s | None -> lazy (snd (run_schedule r)));
+  }
 
 (* Presets share names with ablation variants that tweak individual
    parameters (e.g. [Ablations.with_effs]), so the key must fingerprint
@@ -388,14 +386,25 @@ let cached_pipelined ~tag ~keep (run : run) =
       if keep then run.kept <- Some sched;
       pipelined_exec ran)
 
-(* The fused layer ([layer_cascade] at the ctx's [include_ffn]) under
-   DPipe: TransFusion's schedule. *)
-let layer_run ctx cascade = { ctx; cascade; mode = (fun _ -> `Dp); kept = None }
+(* A cascade and its DAG, built on first use and shared by every problem
+   of the cascade that a state builds. *)
+let shaped cascade =
+  lazy
+    (let c = cascade () in
+     (c, Cascade.to_dag c))
 
-(* FuseMax's statically pipelined attention ([Cascades.mha]): the FuseMax
-   strategy's MHA and the attention inside every LayerFuse layer. *)
-let fusemax_mha_run ctx cascade =
-  { ctx; cascade; mode = (fun cascade -> `Static (fusemax_assign ctx.arch cascade)); kept = None }
+(* A run of an op table's [rows] of the [shape]d cascade: the fused layer
+   ([Cascades.full_layer] at the ctx's [include_ffn]) under DPipe is
+   TransFusion's schedule; FuseMax's statically [pinned] attention
+   ([Cascades.mha]) is the FuseMax strategy's MHA and the attention
+   inside every LayerFuse layer. *)
+let run ~pinned ctx shape ~extents rows =
+  let problem =
+    lazy
+      (let cascade, dag = Lazy.force shape in
+       Layer_costs.of_totals cascade ~dag ~extents rows)
+  in
+  { ctx; problem; pinned; kept = None }
 
 let fusemax_mha_exec ~keep run = exec_of_summary (cached_pipelined ~tag:"fusemax-mha" ~keep run)
 
@@ -445,13 +454,13 @@ let unfused_module_traffic ctx kind =
   | Phase.Fused_stack -> invalid_arg "unfused_module_traffic"
 
 let unfused_like_phases ?mha ctx =
+  let layer = Cascades.full_layer ~include_ffn:ctx.include_ffn ctx.w.model.Model.activation in
+  let _, extents, parts = op_table ctx layer in
   List.map
-    (fun (kind, cascade) ->
-      let loads = module_loads ctx kind in
-      let io = io_volumes ctx cascade in
+    (fun { kind; rows; loads; io } ->
       let phase =
         match (kind, mha) with
-        | Phase.Mha, Some build -> build loads io
+        | Phase.Mha, Some build -> build loads io extents rows
         | _ ->
             let dram_reads, dram_writes = unfused_module_traffic ctx kind in
             Phase.v
@@ -462,7 +471,7 @@ let unfused_like_phases ?mha ctx =
               ~execution:(seq_exec ctx loads) ()
       in
       scale_layers ctx phase)
-    (module_cascades ctx)
+    parts
 
 (* FLAT and FuseMax fuse attention: query tiles stream against the K/V
    tiles, so no score traffic reaches DRAM. *)
@@ -474,17 +483,17 @@ let streamed_mha ctx ~name ~buffer_io ~regfile_io ~execution loads =
 
 (* FLAT: sequential execution, intermediates staged through the buffer. *)
 let flat_phases ctx =
-  unfused_like_phases ctx ~mha:(fun loads io ->
+  unfused_like_phases ctx ~mha:(fun loads io _ _ ->
       streamed_mha ctx ~name:"MHA(flat)" ~buffer_io:io ~regfile_io:(0., 0.)
         ~execution:(seq_exec ctx loads) loads)
 
 (* FuseMax: statically pipelined attention with in-register retention of
    intermediates. *)
 let fusemax_phases ctx =
-  unfused_like_phases ctx ~mha:(fun loads io ->
+  unfused_like_phases ctx ~mha:(fun loads io extents rows ->
+      let mha = run ~pinned:true ctx (shaped Cascades.mha) ~extents rows in
       streamed_mha ctx ~name:"MHA(fusemax)" ~buffer_io:(0., 0.) ~regfile_io:io
-        ~execution:(fusemax_mha_exec ~keep:false (fusemax_mha_run ctx (lazy (Cascades.mha ()))))
-        loads)
+        ~execution:(fusemax_mha_exec ~keep:false mha) loads)
 
 (* Shared fused-stack traffic for LayerFuse and TransFusion: activations
    propagate on-chip; K/V round-trip through DRAM per layer and are
@@ -495,13 +504,6 @@ let fusemax_phases ctx =
    einsum I/O volumes and the weight reads — from the evaluation state,
    so a TileSeek candidate costs a handful of float operations plus one
    [Traffic.t] record. *)
-
-let module_io ctx =
-  List.fold_left
-    (fun (r, w) (_, cascade) ->
-      let ir, iw = io_volumes ctx cascade in
-      (r +. ir, w +. iw))
-    (0., 0.) (module_cascades ctx)
 
 let stack_weight_reads ctx = ctx.w_qkv +. if ctx.include_ffn then ctx.w_ffn else 0.
 
@@ -591,12 +593,12 @@ let normalise_parts per =
    everything else sequential; no cross-module overlap.  Returned with
    its attribution to the per-layer buckets (Figure 11), by each module's
    share of the sequential per-layer makespans. *)
-let layerfuse_layer ~keep ctx mha_run =
+let layerfuse_layer ~keep ctx mha_run parts =
   let mha = fusemax_mha_exec ~keep mha_run in
   let rest =
-    List.map
-      (fun kind -> (kind, seq_exec ctx (module_loads ctx kind)))
-      ([ Phase.Qkv; Phase.Layernorm ] @ if ctx.include_ffn then [ Phase.Ffn ] else [])
+    List.filter_map
+      (fun p -> if p.kind = Phase.Mha then None else Some (p.kind, seq_exec ctx p.loads))
+      parts
   in
   ( List.fold_left (fun acc (_, e) -> add_exec acc e) mha rest,
     normalise_parts
@@ -604,44 +606,28 @@ let layerfuse_layer ~keep ctx mha_run =
       :: List.map (fun (k, e) -> (k, e.Phase.makespan_cycles)) rest) )
 
 (* Attribution of the TransFusion phase: the busy cycles the DPipe
-   schedule of [cascade] actually assigned to each module's operations. *)
-let transfusion_parts cascade summary =
-  let kind_of op_name =
-    if List.mem op_name [ "Q"; "BK"; "BV" ] then Phase.Qkv
-    else if List.mem op_name Cascades.mha_op_names then Phase.Mha
-    else if
-      List.exists
-        (fun (op : Einsum.t) -> op.Einsum.name = op_name)
-        (Cascade.ops (Cascades.add_layernorm ()))
-    then Phase.Layernorm
-    else Phase.Ffn
-  in
-  let per =
-    List.mapi
-      (fun i (op : Einsum.t) ->
-        let busy = if i < Array.length summary.node_busy then summary.node_busy.(i) else 0. in
-        (kind_of op.Einsum.name, busy))
-      (Cascade.ops cascade)
-  in
-  normalise_parts per
+   schedule of the layer actually assigned to each module's operations. *)
+let transfusion_parts rows summary =
+  normalise_parts
+    (List.mapi (fun i (r : Layer_costs.op_total) -> (r.Layer_costs.module_, summary.node_busy.(i)))
+       rows)
 
 type layer_choice = { served : [ `Dpipe | `Static ]; dpipe_cycles : float; static_cycles : float }
 
 (* The served layer execution of [dpipe] and its static alternative
    around [mha].  Their schedules are kept for the execution, the pinned
    MHA's only where static is served. *)
-let transfusion_layer ctx ~dpipe ~mha =
-  let cascade = Lazy.force dpipe.cascade in
+let transfusion_layer ctx ~rows ~parts ~dpipe ~mha =
   let dp = cached_pipelined ~tag:"transfusion-layer" ~keep:true dpipe in
   (* DPipe's candidate space contains the static layer-sequential schedule,
      so the better of the two is what the scheduler would emit; the greedy
      DP evaluation occasionally loses a percent to it on chunky DAGs. *)
-  let static, static_parts = layerfuse_layer ~keep:true ctx mha in
+  let static, static_parts = layerfuse_layer ~keep:true ctx mha parts in
   let static_cycles = static.Phase.makespan_cycles in
   let choice served = { served; dpipe_cycles = dp.makespan; static_cycles } in
   if dp.makespan <= static_cycles then begin
     mha.kept <- None;
-    (choice `Dpipe, (exec_of_summary dp, transfusion_parts cascade dp))
+    (choice `Dpipe, (exec_of_summary dp, transfusion_parts rows dp))
   end
   else (choice `Static, (static, static_parts))
 
@@ -650,16 +636,18 @@ let transfusion_layer ctx ~dpipe ~mha =
 
 (* One tiling search scores hundreds of candidates, but nearly all of
    what a candidate's cost depends on is a function of the workload and
-   [m0] alone: the cascades, the per-layer op totals, the einsum I/O
-   volumes and the (cached) DPipe executions.  The state hoists the
-   workload-invariant terms once per search and derives one slice per
-   distinct [m0], so the per-candidate dirty set is just the traffic
-   record: every move re-scores the traffic against the cached slice,
-   and only an m0 move builds a new slice.  The slice's executions are
-   lazy so a LayerFuse search never runs the TransFusion DPipe schedule
-   and vice versa.  The slice also holds the two DPipe runs it prices,
-   so the final slice's schedules are the ones the result was priced
-   with ([execution] below). *)
+   [m0] alone: the per-layer op totals, the einsum I/O volumes and the
+   (cached) DPipe executions.  The state hoists the workload-invariant
+   terms (the cascades and their DAGs among them) once per search and
+   derives one slice per distinct [m0], so the per-candidate dirty set
+   is just the traffic record: every move re-scores the traffic against
+   the cached slice, and only an m0 move builds a new slice.  A slice
+   totals the layer's ops once ([op_table]); its loads, I/O volumes,
+   attribution and DPipe problems all read that table.  The slice's
+   executions are lazy so a LayerFuse search never runs the TransFusion
+   DPipe schedule and vice versa.  The slice also holds the two DPipe
+   runs it prices, so the final slice's schedules are the ones the
+   result was priced with ([execution] below). *)
 
 type eval_exec = {
   ex_execution : Phase.execution;  (* layers-scaled *)
@@ -670,7 +658,7 @@ type eval_exec = {
 type eval_slice = {
   sl_ctx : ctx;  (* the state's ctx at this slice's m0 *)
   sl_loads : Layer_costs.loads;  (* fused-stack per-layer op loads *)
-  sl_io : float * float;  (* summed einsum I/O volumes over the module cascades *)
+  sl_io : float * float;  (* einsum I/O volumes, summed module by module *)
   sl_dpipe : run;  (* the fused layer under DPipe *)
   sl_mha : run;  (* FuseMax-pinned MHA: the static alternative's and LayerFuse's *)
   sl_tf : (layer_choice * eval_exec) Lazy.t;  (* TransFusion: better of DPipe and static *)
@@ -681,8 +669,9 @@ type eval_state = {
   es_ctx : ctx;
   es_w_all : float;  (* fused-stack weight volume per tile pass *)
   es_intra_wr : float;  (* blocked-matmul weight reads, m0-invariant *)
-  es_layer : Cascade.t Lazy.t;  (* the fused layer, shared by the slices' DPipe runs *)
-  es_mha : Cascade.t Lazy.t;  (* the MHA, shared by the slices' pinned runs *)
+  es_layer : Cascade.t;  (* the fused layer, totalled by every slice *)
+  es_layer_shape : (Cascade.t * Einsum.t Tf_dag.Dag.t) Lazy.t;  (* es_layer, shaped *)
+  es_mha : (Cascade.t * Einsum.t Tf_dag.Dag.t) Lazy.t;  (* the pinned runs' [Cascades.mha] *)
   es_slices : (int, eval_slice) Hashtbl.t;  (* keyed by m0 *)
 }
 
@@ -704,12 +693,14 @@ let m_scores =
 
 let make_eval_state ctx =
   Tf_obs.Counter.incr m_eval_states;
+  let layer = Cascades.full_layer ~include_ffn:ctx.include_ffn ctx.w.model.Model.activation in
   {
     es_ctx = ctx;
     es_w_all = stack_weight_reads ctx;
     es_intra_wr = intra_weight_reads ctx;
-    es_layer = lazy (layer_cascade ~include_ffn:ctx.include_ffn ctx.w.model);
-    es_mha = lazy (Cascades.mha ());
+    es_layer = layer;
+    es_layer_shape = shaped (fun () -> layer);
+    es_mha = shaped Cascades.mha;
     es_slices = Hashtbl.create 16;
   }
 
@@ -735,19 +726,25 @@ let eval_slice st m0 =
   | None ->
       Tf_obs.Counter.incr m_slice_builds;
       let ctx = { st.es_ctx with m0 } in
-      let dpipe = layer_run ctx st.es_layer and mha = fusemax_mha_run ctx st.es_mha in
+      let rows, extents, parts = op_table ctx st.es_layer in
+      let dpipe = run ~pinned:false ctx st.es_layer_shape ~extents rows in
+      let mha =
+        run ~pinned:true ctx st.es_mha ~extents (List.find (fun p -> p.kind = Phase.Mha) parts).rows
+      in
       let sl =
         {
           sl_ctx = ctx;
-          sl_loads = module_loads ctx Phase.Fused_stack;
-          sl_io = module_io ctx;
+          sl_loads =
+            List.fold_left (fun acc p -> Layer_costs.add_loads acc p.loads) Layer_costs.zero parts;
+          sl_io =
+            List.fold_left (fun (r, w) { io = ir, iw; _ } -> (r +. ir, w +. iw)) (0., 0.) parts;
           sl_dpipe = dpipe;
           sl_mha = mha;
           sl_tf =
             lazy
-              (let layer, exec = transfusion_layer ctx ~dpipe ~mha in
+              (let layer, exec = transfusion_layer ctx ~rows ~parts ~dpipe ~mha in
                (layer, scaled_exec ctx exec));
-          sl_lf = lazy (scaled_exec ctx (layerfuse_layer ~keep:false ctx mha));
+          sl_lf = lazy (scaled_exec ctx (layerfuse_layer ~keep:false ctx mha parts));
         }
       in
       Hashtbl.add st.es_slices m0 sl;
@@ -872,10 +869,17 @@ let priced_phases ?tiling ?(tileseek_iterations = 200) ctx strategy =
   | Fusemax_layerfuse -> fused_phases layerfuse_choice ?tiling ~tileseek_iterations ctx
   | Transfusion -> fused_phases transfusion_choice ?tiling ~tileseek_iterations ctx
 
+
+(* The execution a priced strategy serves: TransFusion's only. *)
+let priced_execution strategy priced =
+  match (strategy, priced) with
+  | Transfusion, Some (st, config) -> Some (execution st config)
+  | _ -> None
+
 let phases ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective arch w strategy =
   let ctx = make_ctx ?attention ?include_ffn ?layers ?objective arch w in
   let phase_list, priced = priced_phases ?tiling ?tileseek_iterations ctx strategy in
-  (phase_list, Option.map snd priced)
+  (phase_list, Option.map snd priced, priced_execution strategy priced)
 
 let result_of ctx strategy phase_list tiling : result =
   let arch = ctx.arch in
@@ -897,10 +901,7 @@ let evaluate ?tiling ?tileseek_iterations ?attention ?layers ?objective arch w s
   @@ fun () ->
   let ctx = make_ctx ?attention ?layers ?objective arch w in
   let phase_list, priced = priced_phases ?tiling ?tileseek_iterations ctx strategy in
-  ( result_of ctx strategy phase_list (Option.map snd priced),
-    match (strategy, priced) with
-    | Transfusion, Some (st, config) -> Some (execution st config)
-    | _ -> None )
+  (result_of ctx strategy phase_list (Option.map snd priced), priced_execution strategy priced)
 
 let search ?(iterations = 200) ?seed ?probe ?attention arch w =
   let ctx = make_ctx ?attention arch w in

@@ -63,13 +63,8 @@ val attention_name : attention -> string
 (** The flavour as reports and diagnostics name it: [self], [causal],
     [cross(kv=N)] or [decode(kv=N)]. *)
 
-val layer_cascade : ?include_ffn:bool -> Tf_workloads.Model.t -> Tf_einsum.Cascade.t
-(** The fused layer, without the FFN when [include_ffn] is false
-    (default true). *)
-
-val layer_problem :
-  ?attention:attention -> ?include_ffn:bool -> Tf_workloads.Workload.t -> Layer_costs.problem
-(** The DPipe problem TransFusion schedules: {!layer_cascade} at the
+val layer_problem : ?attention:attention -> Tf_workloads.Workload.t -> Layer_costs.problem
+(** The DPipe problem TransFusion schedules: {!Cascades.full_layer} at the
     default inner tile, the balanced split of the key/value length (a
     searched tiling's own problem is in its {!execution}). *)
 
@@ -95,6 +90,32 @@ val all : t list
 val name : t -> string
 val of_name : string -> t option
 
+type layer_choice = { served : [ `Dpipe | `Static ]; dpipe_cycles : float; static_cycles : float }
+(** Per-layer makespans (cycles) of the DPipe schedule and of the static
+    layer-sequential execution, and the one TransFusion serves: DPipe
+    unless static is strictly faster (its greedy DP occasionally loses a
+    percent on chunky DAGs). *)
+
+type scheduled = {
+  problem : Layer_costs.problem;  (** built from the evaluation's op table *)
+  schedule : Dpipe.t Lazy.t;  (** {!Dpipe.schedule} of [problem] *)
+}
+(** One DPipe run a strategy priced.  The run that computed the priced
+    summary keeps its schedule; where the shared DPipe memo answered
+    instead, forcing [schedule] runs {!Dpipe.schedule} once more. *)
+
+type execution = {
+  layer : layer_choice;
+  dpipe : scheduled;  (** the fused layer ({!Cascades.full_layer}) at the tiling's [m0] *)
+  static_mha : scheduled option;
+      (** the MHA cascade pinned by {!fusemax_assign}, around which the
+          static alternative runs the other modules sequentially; [Some]
+          exactly when [layer.served = `Static] *)
+}
+(** The per-layer execution a TransFusion result was priced with.  Only
+    {!evaluate} and {!search} return one, beside the result: the result
+    types hold no schedule, so no cache of results holds one either. *)
+
 val phases :
   ?tiling:Tileseek.config ->
   ?tileseek_iterations:int ->
@@ -105,39 +126,14 @@ val phases :
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   t ->
-  Tf_costmodel.Phase.t list * Tileseek.config option
-(** Whole-model phase list.  [tiling] overrides TileSeek for TransFusion
-    (used by TileSeek's own evaluation loop and by tests);
-    [tileseek_iterations] defaults to 200.  [attention], [include_ffn]
-    and [layers] select the sublayer flavour for encoder/decoder
-    composition (see {!Structures}); the defaults evaluate the standard
-    self-attention encoder stack of the model. *)
-
-type layer_choice = { served : [ `Dpipe | `Static ]; dpipe_cycles : float; static_cycles : float }
-(** Per-layer makespans (cycles) of the DPipe schedule and of the static
-    layer-sequential execution, and the one TransFusion serves: DPipe
-    unless static is strictly faster (its greedy DP occasionally loses a
-    percent on chunky DAGs). *)
-
-type scheduled = {
-  problem : Layer_costs.problem Lazy.t;
-  schedule : Dpipe.t Lazy.t;  (** {!Dpipe.schedule} of [problem] *)
-}
-(** One DPipe run a strategy priced.  The run that computed the priced
-    summary keeps its schedule; where the shared DPipe memo answered
-    instead, forcing [schedule] runs {!Dpipe.schedule} once more. *)
-
-type execution = {
-  layer : layer_choice;
-  dpipe : scheduled;  (** the fused layer ({!layer_cascade}) at the tiling's [m0] *)
-  static_mha : scheduled option;
-      (** the MHA cascade pinned by {!fusemax_assign}, around which the
-          static alternative runs the other modules sequentially; [Some]
-          exactly when [layer.served = `Static] *)
-}
-(** The per-layer execution a TransFusion result was priced with.  Only
-    {!evaluate} and {!search} return one, beside the result: the result
-    types hold no schedule, so no cache of results holds one either. *)
+  Tf_costmodel.Phase.t list * Tileseek.config option * execution option
+(** Whole-model phase list, the tiling of the searching strategies and,
+    for [Transfusion] (only), the execution it was priced with.
+    [tiling] overrides TileSeek for TransFusion (used by TileSeek's own
+    evaluation loop and by tests); [tileseek_iterations] defaults to 200.
+    [attention], [include_ffn] and [layers] select the sublayer flavour
+    for encoder/decoder composition (see {!Structures}); the defaults
+    evaluate the standard self-attention encoder stack of the model. *)
 
 val evaluate :
   ?tiling:Tileseek.config ->

@@ -38,21 +38,25 @@ type result = {
   latency : Latency.t;
   energy : Energy.breakdown;
   traffic : Traffic.t;
+  executions : (sublayer * Strategies.execution) list;
 }
 
 let evaluate ?tileseek_iterations arch w structure strategy =
-  let phase_lists =
+  let priced =
     List.map
       (fun sub ->
-        fst
-          (Strategies.phases ?tileseek_iterations ~attention:sub.attention
-             ~include_ffn:sub.include_ffn ~layers:structure.layers arch w strategy))
+        let phases, _, execution =
+          Strategies.phases ?tileseek_iterations ~attention:sub.attention
+            ~include_ffn:sub.include_ffn ~layers:structure.layers arch w strategy
+        in
+        (phases, Option.map (fun e -> (sub, e)) execution))
       structure.sublayers
   in
-  let phase_list = List.concat phase_lists in
+  let phase_list = List.concat_map fst priced in
   let latency = Latency.evaluate arch phase_list in
   let traffic = Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list) in
-  { structure; strategy; latency; energy = Energy.of_traffic arch traffic; traffic }
+  let executions = List.filter_map snd priced in
+  { structure; strategy; latency; energy = Energy.of_traffic arch traffic; traffic; executions }
 
 let total_seconds results =
   List.fold_left (fun acc r -> acc +. r.latency.Latency.total_s) 0. results

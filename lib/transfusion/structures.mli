@@ -41,6 +41,8 @@ type result = {
   latency : Tf_costmodel.Latency.t;
   energy : Tf_costmodel.Energy.breakdown;
   traffic : Tf_costmodel.Traffic.t;
+  executions : (sublayer * Strategies.execution) list;
+      (** for [Transfusion], each sublayer's priced execution, in order *)
 }
 
 val evaluate :

@@ -23,8 +23,8 @@ let test_mha_structure () =
     (Cascade.external_inputs c);
   Alcotest.(check bool) "AV is a result" true (List.mem "AV" (Cascade.results c));
   Alcotest.(check bool) "acyclic" true (Tf_dag.Dag.is_acyclic (Cascade.to_dag c));
-  Alcotest.(check (list string)) "names helper" (Cascades.mha_op_names)
-    (List.map (fun (o : Einsum.t) -> o.Einsum.name) (Cascade.ops c))
+  Alcotest.(check bool) "every op in the MHA module" true
+    (List.for_all (fun o -> Cascades.module_of o = Tf_costmodel.Phase.Mha) (Cascade.ops c))
 
 let test_qkv_structure () =
   let c = Cascades.qkv () in
@@ -209,10 +209,14 @@ let test_ffn_cascade_numeric () =
   Alcotest.(check bool) "cascade 4 == reference ffn" true (!worst < 1e-9)
 
 let test_final_only_ops () =
-  Alcotest.(check (list string)) "AV runs on last iteration only" [ "AV" ] Cascades.final_only_ops;
+  (* The attention loop body is every MHA op but AV, which runs on the
+     last iteration only; no op of another module is in the loop. *)
   List.iter
-    (fun name -> Alcotest.(check bool) name true (List.mem name Cascades.mha_op_names))
-    Cascades.final_only_ops
+    (fun (o : Einsum.t) ->
+      Alcotest.(check bool) o.Einsum.name
+        (Cascades.module_of o = Tf_costmodel.Phase.Mha && o.Einsum.name <> "AV")
+        (Cascades.in_attention_loop o))
+    (Cascade.ops (Cascades.full_layer Scalar_op.Gelu))
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

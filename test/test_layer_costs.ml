@@ -13,6 +13,10 @@ let model =
 let w = Workload.v ~batch:2 model ~seq_len:1024
 let fi = float_of_int
 
+(* A cascade's matrix/vector loads: its op table, summed. *)
+let loads ?m0 ?kv_len ?causal w cascade =
+  Layer_costs.loads (Layer_costs.op_totals ?m0 ?kv_len ?causal w cascade)
+
 let totals_by_name ?m0 ?kv_len ?causal cascade =
   List.map
     (fun (ot : Layer_costs.op_total) -> (ot.Layer_costs.op.Tf_einsum.Einsum.name, ot))
@@ -67,21 +71,17 @@ let test_ffn_totals () =
 let test_layernorm_totals () =
   (* The 9-op cascade touches each of the B*N*D activations a small
      constant number of times; rsqrt is per token. *)
-  let loads = Layer_costs.add_layernorm w in
+  let loads = loads w (Cascades.add_layernorm ()) in
   let bnd = fi 2 *. fi 1024 *. fi 64 in
   Alcotest.(check (float 0.)) "no matrix work" 0. loads.Layer_costs.matrix;
   Alcotest.(check bool) "vector work is a few passes over B*N*D" true
     (loads.Layer_costs.vector > 5. *. bnd && loads.Layer_costs.vector < 12. *. bnd)
 
 let test_total_additive () =
-  let total = Layer_costs.total ~m0:256 w in
+  let total = loads ~m0:256 w (Cascades.full_layer model.Model.activation) in
   let parts =
-    [
-      Layer_costs.qkv ~m0:256 w;
-      Layer_costs.mha ~m0:256 w;
-      Layer_costs.add_layernorm w;
-      Layer_costs.ffn w;
-    ]
+    List.map (loads ~m0:256 w)
+      Cascades.[ qkv (); mha (); add_layernorm (); ffn model.Model.activation ]
   in
   let sum =
     List.fold_left Layer_costs.add_loads Layer_costs.zero parts
@@ -100,7 +100,8 @@ let prop_batch_linearity =
     (fun b ->
       let w1 = Workload.v ~batch:1 model ~seq_len:256 in
       let wb = Workload.v ~batch:b model ~seq_len:256 in
-      let l1 = Layer_costs.total ~m0:64 w1 and lb = Layer_costs.total ~m0:64 wb in
+      let layer = Cascades.full_layer model.Model.activation in
+      let l1 = loads ~m0:64 w1 layer and lb = loads ~m0:64 wb layer in
       Float.abs (lb.Layer_costs.matrix -. (fi b *. l1.Layer_costs.matrix)) < 1.
       && Float.abs (lb.Layer_costs.vector -. (fi b *. l1.Layer_costs.vector)) < 1.)
 
@@ -109,8 +110,8 @@ let prop_causal_halves_matrix =
     QCheck.(int_range 0 3)
     (fun shift ->
       let m0 = 64 lsl shift in
-      let full = Layer_costs.mha ~m0 w in
-      let causal = Layer_costs.mha ~m0 ~causal:true w in
+      let full = loads ~m0 w (Cascades.mha ()) in
+      let causal = loads ~m0 ~causal:true w (Cascades.mha ()) in
       Float.abs ((2. *. causal.Layer_costs.matrix) -. full.Layer_costs.matrix) < 1.)
 
 let prop_kv_len_scaling =
@@ -118,8 +119,8 @@ let prop_kv_len_scaling =
     QCheck.(int_range 1 4)
     (fun k ->
       let kv_len = 256 * k in
-      let base = Layer_costs.mha ~m0:64 ~kv_len:256 w in
-      let scaled = Layer_costs.mha ~m0:64 ~kv_len w in
+      let base = loads ~m0:64 ~kv_len:256 w (Cascades.mha ()) in
+      let scaled = loads ~m0:64 ~kv_len w (Cascades.mha ()) in
       Float.abs (scaled.Layer_costs.matrix -. (fi k *. base.Layer_costs.matrix)) < 1.)
 
 let () =

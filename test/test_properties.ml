@@ -353,7 +353,7 @@ let prop_explain_and_verify_serve (arch, w, attention) =
   in
   let phase =
     match Strategies.phases ~tiling ~attention arch w Strategies.Transfusion with
-    | [ p ], _ -> p
+    | [ p ], _, _ -> p
     | _ -> Alcotest.fail "TransFusion builds one fused-stack phase"
   in
   let layers = float_of_int w.Workload.model.Tf_workloads.Model.layers in
@@ -397,6 +397,185 @@ let test_scorer_matches_reference () =
   Qgen.run ~count:50 ~print:print_tiling_case ~gen:tiling_case
     "fast candidate scorer equals the cold-path cost bit-for-bit"
     prop_scorer_matches_reference
+
+(* ------------------------------------------------------------------ *)
+(* One op table: a slice's figures are folds of the module cascades    *)
+
+module Cascades = Transfusion.Cascades
+module Phase = Tf_costmodel.Phase
+module Einsum = Tf_einsum.Einsum
+
+type table_case = {
+  t_arch : Tf_arch.Arch.t;
+  t_w : Workload.t;
+  t_attention : Strategies.attention;
+  t_ffn : bool;
+  t_tiling : Tileseek.config;  (* its [m0] divides the key/value length *)
+}
+
+let table_case r =
+  let w = Qgen.workload r in
+  let kv_len = 1 lsl Qgen.range r 6 12 in
+  let t_attention, t_w =
+    match Qgen.int r 4 with
+    | 0 -> (Strategies.Self, w)
+    | 1 -> (Strategies.Causal_self, w)
+    | 2 -> (Strategies.Cross { kv_len }, w)
+    | _ ->
+        let step = Workload.v ~batch:w.Workload.batch w.Workload.model ~seq_len:1 in
+        (Strategies.Decode { kv_len }, step)
+  in
+  let a = Strategies.attention_dims ~attention:t_attention t_w in
+  {
+    t_arch = Qgen.choose r archs;
+    t_w;
+    t_attention;
+    t_ffn = Qgen.bool r;
+    t_tiling =
+      { (Qgen.tiling r w) with Tileseek.m0 = Qgen.pow2_divisor r a.Strategies.kv_len ~cap:512 };
+  }
+
+let print_table_case c =
+  Printf.sprintf "%s %s %s ffn=%b tiling=%s" c.t_arch.Tf_arch.Arch.name (Qgen.print_workload c.t_w)
+    (Strategies.attention_name c.t_attention) c.t_ffn (Qgen.print_tiling c.t_tiling)
+
+(* The attribution buckets, as Strategies normalises them. *)
+let normalise per =
+  let total = List.fold_left (fun acc (_, c) -> acc +. c) 0. per in
+  List.map
+    (fun k ->
+      let c = List.fold_left (fun acc (k', c) -> if k' = k then acc +. c else acc) 0. per in
+      (k, if total > 0. then c /. total else 0.25))
+    [ Phase.Qkv; Phase.Mha; Phase.Layernorm; Phase.Ffn ]
+
+(* A strategy prices one layer's op table; the whole-model phases carry
+   its figures scaled by the layer count: the loads as [macs] and
+   [vector_ops], and TransFusion's register-file accesses three per op
+   plus the einsum I/O volumes. *)
+let prop_one_op_table c =
+  let w = c.t_w and arch = c.t_arch and attention = c.t_attention and include_ffn = c.t_ffn in
+  let model = w.Workload.model in
+  let cascades =
+    [
+      (Phase.Qkv, Cascades.qkv ());
+      (Phase.Mha, Cascades.mha ());
+      (Phase.Layernorm, Cascades.add_layernorm ());
+    ]
+    @ if include_ffn then [ (Phase.Ffn, Cascades.ffn model.Tf_workloads.Model.activation) ] else []
+  in
+  let owners (op : Einsum.t) =
+    List.filter
+      (fun (_, cascade) ->
+        List.exists
+          (fun (o : Einsum.t) -> o.Einsum.name = op.Einsum.name)
+          (Tf_einsum.Cascade.ops cascade))
+      cascades
+  in
+  let layer_ops =
+    Tf_einsum.Cascade.ops (Cascades.full_layer ~include_ffn model.Tf_workloads.Model.activation)
+  in
+  (* The module map: every layer op is in exactly one module cascade, the
+     one it is tagged with. *)
+  List.iter
+    (fun op ->
+      match owners op with
+      | [ (kind, _) ] when Cascades.module_of op = kind -> ()
+      | l ->
+          Alcotest.failf "op %s: %d owning cascades, tagged %s" op.Einsum.name (List.length l)
+            (Phase.layer_kind_to_string (Cascades.module_of op)))
+    layer_ops;
+  let a = Strategies.attention_dims ~attention w in
+  (* Each module cascade's loads and I/O volumes at [m0], folded in op order. *)
+  let modules m0 =
+    let extents = Layer_costs.tile_extents w ~m0 in
+    let vol t = float_of_int (Tf_einsum.Extents.volume extents t) in
+    List.map
+      (fun (kind, cascade) ->
+        let rows =
+          Layer_costs.op_totals ~m0 ~kv_len:a.Strategies.kv_len
+            ~kv_proj_len:a.Strategies.kv_proj_len ~causal:a.Strategies.causal w cascade
+        in
+        ( kind,
+          Layer_costs.loads rows,
+          List.fold_left
+            (fun (r, wr) { Layer_costs.op; instances; _ } ->
+              let input_vol = List.fold_left (fun acc t -> acc +. vol t) 0. op.Einsum.inputs in
+              (r +. (instances *. input_vol), wr +. (instances *. vol op.Einsum.output)))
+            (0., 0.) rows ))
+      cascades
+  in
+  let layers = float_of_int model.Tf_workloads.Model.layers in
+  let check what ok =
+    if not ok then Alcotest.failf "%s differ from the module cascades' folds" what
+  in
+  let carries (t : Tf_costmodel.Traffic.t) (l : Layer_costs.loads) =
+    Float.equal t.Tf_costmodel.Traffic.macs (layers *. l.Layer_costs.matrix)
+    && Float.equal t.Tf_costmodel.Traffic.vector_ops (layers *. l.Layer_costs.vector)
+  in
+  (* The sequential strategies price one module per phase, at the
+     balanced split of the key/value length. *)
+  let unfused, _, _ = Strategies.phases ~attention ~include_ffn arch w Strategies.Unfused in
+  check "per-module loads"
+    (List.for_all2
+       (fun (p : Phase.t) (kind, l, _) -> p.Phase.kind = kind && carries p.Phase.traffic l)
+       unfused
+       (modules (Tf_workloads.Workload.default_m0 a.Strategies.kv_len)));
+  let expected = modules c.t_tiling.Tileseek.m0 in
+  let phase, e =
+    match
+      Strategies.phases ~tiling:c.t_tiling ~attention ~include_ffn arch w Strategies.Transfusion
+    with
+    | [ p ], _, Some e -> (p, e)
+    | _ -> Alcotest.fail "TransFusion builds one fused-stack phase and its execution"
+  in
+  let stack =
+    List.fold_left (fun acc (_, l, _) -> Layer_costs.add_loads acc l) Layer_costs.zero expected
+  in
+  let io_r, io_w =
+    List.fold_left (fun (r, wr) (_, _, (ir, iw)) -> (r +. ir, wr +. iw)) (0., 0.) expected
+  in
+  let t = phase.Phase.traffic in
+  check "fused-stack loads" (carries t stack);
+  check "I/O volumes"
+    (Float.equal t.Tf_costmodel.Traffic.regfile_accesses
+       ((3. *. ((layers *. stack.Layer_costs.matrix) +. (layers *. stack.Layer_costs.vector)))
+       +. (layers *. io_r) +. (layers *. io_w)));
+  let parts =
+    match e.Strategies.layer.Strategies.served with
+    | `Dpipe ->
+        (* Busy cycles of each layer op under the served schedule, each
+           attributed to the module cascade that has it. *)
+        let sched = Lazy.force e.Strategies.dpipe.Strategies.schedule in
+        let busy = Array.make (List.length layer_ops) 0. in
+        let unrolled = float_of_int sched.Dpipe.epochs_unrolled in
+        let epochs = Layer_costs.nominal_epochs in
+        List.iter
+          (fun (x : Dpipe.assignment) ->
+            busy.(x.Dpipe.node) <-
+              busy.(x.Dpipe.node)
+              +. ((x.Dpipe.end_cycle -. x.Dpipe.start_cycle) *. epochs /. unrolled))
+          sched.Dpipe.assignments;
+        normalise (List.mapi (fun n op -> (fst (List.hd (owners op)), busy.(n))) layer_ops)
+    | `Static ->
+        (* The pinned attention's makespan beside the other modules'
+           sequential ones. *)
+        let mha = Lazy.force (Option.get e.Strategies.static_mha).Strategies.schedule in
+        let seq (l : Layer_costs.loads) =
+          (Phase.sequential_execution arch ~matrix_load:l.Layer_costs.matrix
+             ~vector_load:l.Layer_costs.vector)
+            .Phase.makespan_cycles
+        in
+        let rest = List.filter (fun (k, _, _) -> k <> Phase.Mha) expected in
+        normalise
+          ((Phase.Mha, Dpipe.total_cycles mha ~epochs:Layer_costs.nominal_epochs)
+          :: List.map (fun (k, l, _) -> (k, seq l)) rest)
+  in
+  check "TransFusion parts"
+    (List.for_all2 (fun (k, f) (k', f') -> k = k' && Float.equal f f') phase.Phase.parts parts)
+
+let test_one_op_table () =
+  Qgen.run ~print:print_table_case ~gen:table_case
+    "a slice's loads, I/O volumes and parts fold the module cascades' op totals" prop_one_op_table
 
 (* ------------------------------------------------------------------ *)
 (* Tf_json: the writer's output re-parses to a value that re-renders   *)
@@ -625,6 +804,7 @@ let () =
           quick "analytic vs replay" test_differential_replay;
           quick "decode equals cross" test_decode_equals_cross;
           quick "scorer equals cold reference" test_scorer_matches_reference;
+          quick "one op table per slice" test_one_op_table;
           quick "explain serves evaluate" test_explain_serves_evaluate;
           quick "explain and verify follow the served execution" test_explain_and_verify_serve;
           quick "json render/parse round trip" test_json_round_trip;

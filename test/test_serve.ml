@@ -426,15 +426,16 @@ let test_cli_validation_matches_daemon () =
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
+  let refused args msg =
+    match run_cli ~stderr:true args with
+    | 124, out ->
+        if not (contains ~sub:(flat msg) (flat out)) then
+          Alcotest.failf "transfusion %s: expected %S in %S" args msg out
+    | code, out -> Alcotest.failf "transfusion %s exited %d: %s" args code out
+  in
   let t = mem_server () in
   List.iter
-    (fun (args, request) ->
-      let msg = error_of (Server.handle_line t request) in
-      match run_cli ~stderr:true args with
-      | 124, out ->
-          if not (contains ~sub:(flat msg) (flat out)) then
-            Alcotest.failf "transfusion %s: expected %S in %S" args msg out
-      | code, out -> Alcotest.failf "transfusion %s exited %d: %s" args code out)
+    (fun (args, request) -> refused args (error_of (Server.handle_line t request)))
     [
       ("eval -s 0", {|{"op":"schedule","seq":0}|});
       ("eval --batch=-3", {|{"op":"schedule","batch":-3}|});
@@ -447,7 +448,30 @@ let test_cli_validation_matches_daemon () =
       ("decode -m nope", {|{"op":"decode","models":["nope"]}|});
       ("eval --strategy quantum", {|{"op":"schedule","strategy":"quantum"}|});
       ("decode --strategy quantum", {|{"op":"decode","strategy":"quantum"}|});
-    ]
+    ];
+  (* Flags of the CLI alone: the serve daemon's and the simulator's
+     sizes, and the cascade command's extents (its file must exist). *)
+  let file = Filename.temp_file "cascade" ".txt" in
+  List.iter
+    (fun (args, msg) -> refused args msg)
+    [
+      ("serve --cache-entries 0", "cache-entries must be >= 1 (got 0)");
+      ("serve --window 0", "window must be >= 1 (got 0)");
+      ("serve --sample-interval 0", "sample-interval must be > 0 (got 0)");
+      ( "serve --access-log " ^ Filename.concat (Filename.dirname file) "unused.log"
+        ^ " --access-log-max-bytes 0",
+        "access-log-max-bytes must be >= 1 (got 0)" );
+      ( "serve --access-log " ^ Filename.concat (Filename.dirname file) "unused.log"
+        ^ " --access-log-max-files 0",
+        "access-log-max-files must be >= 1 (got 0)" );
+      ("simulate --capacity 0", "capacity must be >= 1 (got 0)");
+      ("simulate --requests 0", "requests must be >= 1 (got 0)");
+      ("simulate --qps 0", "qps must be > 0 (got 0)");
+      ("cascade " ^ file ^ " --extent p=abc", "invalid value 'abc', expected an integer");
+      ("cascade " ^ file ^ " --extent pabc", {|bad extent "pabc" (expected NAME=N)|});
+      ("cascade " ^ file ^ " --extent p=0", "extent p must be >= 1 (got 0)");
+    ];
+  Sys.remove file
 
 (* --- concurrency: one key, one search -------------------------------- *)
 

@@ -100,7 +100,10 @@ let test_baselines_report_no_tiling () =
     [ Strategies.Unfused; Strategies.Flat; Strategies.Fusemax ]
 
 let test_phase_structure () =
-  let phases s = fst (Strategies.phases ~tileseek_iterations:40 Tf_arch.Presets.cloud bert_4k s) in
+  let phases s =
+    let phases, _, _ = Strategies.phases ~tileseek_iterations:40 Tf_arch.Presets.cloud bert_4k s in
+    phases
+  in
   Alcotest.(check int) "unfused: one phase per module" 4 (List.length (phases Strategies.Unfused));
   Alcotest.(check int) "flat: one phase per module" 4 (List.length (phases Strategies.Flat));
   Alcotest.(check int) "transfusion: one fused phase" 1 (List.length (phases Strategies.Transfusion));
@@ -182,8 +185,8 @@ let test_adaptive_fusion_scope () =
      both carry the Fused_stack kind and a sane traffic record. *)
   List.iter
     (fun (arch, w) ->
-      match fst (Strategies.phases ~tileseek_iterations:40 arch w Strategies.Transfusion) with
-      | [ p ] ->
+      match Strategies.phases ~tileseek_iterations:40 arch w Strategies.Transfusion with
+      | [ p ], _, _ ->
           Alcotest.(check bool) "named variant" true
             (p.Phase.name = "stack(transfusion)" || p.Phase.name = "layers(transfusion)");
           Alcotest.(check bool) "positive dram traffic" true

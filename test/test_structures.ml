@@ -12,9 +12,14 @@ let t5_4k = Workload.v Tf_workloads.Presets.t5 ~seq_len:4096
 
 (* Layer_costs flavour accounting --------------------------------------- *)
 
+let loads ?kv_len ?causal cascade =
+  Layer_costs.loads (Layer_costs.op_totals ~m0:256 ?kv_len ?causal t5_4k cascade)
+
+let mha = Transfusion.Cascades.mha ()
+
 let test_causal_halves_attention () =
-  let full = Layer_costs.mha ~m0:256 t5_4k in
-  let causal = Layer_costs.mha ~m0:256 ~causal:true t5_4k in
+  let full = loads mha in
+  let causal = loads ~causal:true mha in
   (* The matrix work of attention halves exactly (both matmuls are
      loop-body work). *)
   Alcotest.(check (float 1.)) "matrix halves" (full.Layer_costs.matrix /. 2.)
@@ -23,19 +28,22 @@ let test_causal_halves_attention () =
     (causal.Layer_costs.vector < full.Layer_costs.vector)
 
 let test_cross_scales_with_kv () =
-  let self = Layer_costs.mha ~m0:256 t5_4k in
-  let double = Layer_costs.mha ~m0:256 ~kv_len:8192 t5_4k in
+  let self = loads mha in
+  let double = loads ~kv_len:8192 mha in
   Alcotest.(check (float 1.)) "matrix doubles with kv length"
     (2. *. self.Layer_costs.matrix) double.Layer_costs.matrix;
-  let qkv_self = Layer_costs.qkv ~m0:256 t5_4k in
-  let qkv_double = Layer_costs.qkv ~m0:256 ~kv_len:8192 t5_4k in
+  let qkv_self = loads (Transfusion.Cascades.qkv ()) in
+  let qkv_double = loads ~kv_len:8192 (Transfusion.Cascades.qkv ()) in
   Alcotest.(check bool) "k/v projections grow" true
     (qkv_double.Layer_costs.matrix > qkv_self.Layer_costs.matrix)
 
 let test_include_ffn () =
-  let with_ffn = Layer_costs.total ~m0:256 t5_4k in
-  let without = Layer_costs.total ~m0:256 ~include_ffn:false t5_4k in
-  let ffn = Layer_costs.ffn t5_4k in
+  let layer include_ffn =
+    Transfusion.Cascades.full_layer ~include_ffn t5_4k.Workload.model.Model.activation
+  in
+  let with_ffn = loads (layer true) in
+  let without = loads (layer false) in
+  let ffn = loads (Transfusion.Cascades.ffn t5_4k.Workload.model.Model.activation) in
   Alcotest.(check (float 1.)) "difference is the ffn" ffn.Layer_costs.matrix
     (with_ffn.Layer_costs.matrix -. without.Layer_costs.matrix)
 
