@@ -164,19 +164,28 @@ let workload = Tf_workloads.Workload.v Tf_workloads.Presets.bert ~seq_len:4096
 let cloud = Tf_arch.Presets.cloud
 let edge = Tf_arch.Presets.edge
 
-(* [static] schedules under FuseMax's fixed per-op assignment, as the
-   FuseMax strategies do, instead of DPipe's own DP choice. *)
+(* The dpipe/ entries time a whole schedule from its DAG, the plan
+   built inside the timed closure, as one schedule of a single search
+   slice used to pay.  [static] schedules under FuseMax's fixed per-op
+   assignment, as the FuseMax strategies do, instead of DPipe's own DP
+   choice. *)
 let mha_dag_bench ?(static = false) () =
   let cascade = Transfusion.Cascades.mha () in
   let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
     Transfusion.Layer_costs.problem workload cascade
   in
   let mode = if static then `Static (Strategies.fusemax_assign cloud cascade) else `Dp in
-  fun () -> ignore (Transfusion.Dpipe.schedule ~mode cloud ~load ~matrix g)
+  fun () -> ignore (Transfusion.Dpipe.schedule ~mode cloud ~load ~matrix (Transfusion.Dpipe.plan g))
 
 let full_layer_dag_bench () =
   let { Transfusion.Layer_costs.load; matrix; dag = g; _ } = Strategies.layer_problem workload in
-  fun () -> ignore (Transfusion.Dpipe.schedule edge ~load ~matrix g)
+  fun () -> ignore (Transfusion.Dpipe.schedule edge ~load ~matrix (Transfusion.Dpipe.plan g))
+
+(* The load-dependent part alone: the plan is built in set-up, as a
+   search shares one across its slices. *)
+let full_layer_dag_planned_bench () =
+  let { Transfusion.Layer_costs.load; matrix; plan; _ } = Strategies.layer_problem workload in
+  fun () -> ignore (Transfusion.Dpipe.schedule edge ~load ~matrix plan)
 
 let partition_bench () =
   let g = (Strategies.layer_problem workload).Transfusion.Layer_costs.dag in
@@ -200,6 +209,13 @@ let tileseek_search_bench () =
      list per candidate, which buried the search machinery itself. *)
   let evaluate = Strategies.Private.transfusion_scorer edge workload in
   fun () -> ignore (Transfusion.Tileseek.search ~iterations:100 edge workload ~evaluate ())
+
+(* The seeds a search builds before it scores anything: every feasible
+   (query tile, key/value tile) grid point completed by greedy growth,
+   plus the greedy variants, all Table 2 feasibility checks. *)
+let grid_complete_bench () =
+  let kv_len = workload.Tf_workloads.Workload.seq_len in
+  fun () -> ignore (Transfusion.Tileseek.seeds ~kv_len ~decode:false edge workload)
 
 let interp_bench () =
   let rng = Random.State.make [| 5 |] in
@@ -269,8 +285,8 @@ let point_lints_bench () =
         let w = Tf_workloads.Workload.v cert_model ~seq_len in
         let config = Transfusion.Tileseek.greedy ~kv_len:seq_len cloud w in
         ignore (Tf_analysis.Tiling_lint.verify ~kv_len:seq_len cloud w config);
-        let { Transfusion.Layer_costs.load; matrix; dag = g; _ } = Strategies.layer_problem w in
-        ignore (Transfusion.Dpipe.schedule cloud ~load ~matrix g))
+        let { Transfusion.Layer_costs.load; matrix; plan; _ } = Strategies.layer_problem w in
+        ignore (Transfusion.Dpipe.schedule cloud ~load ~matrix plan))
       [ 512; 2048; 8192; 16384 ]
 
 (* One insertion past capacity into a full 1024-entry memo (the serve
@@ -292,9 +308,12 @@ let tests () =
     Test.make ~name:"dpipe/mha-dag(cloud)" (Staged.stage (mha_dag_bench ()));
     Test.make ~name:"dpipe/mha-dag-static(cloud)" (Staged.stage (mha_dag_bench ~static:true ()));
     Test.make ~name:"dpipe/full-layer-dag(edge)" (Staged.stage (full_layer_dag_bench ()));
+    Test.make ~name:"dpipe/full-layer-dag-planned(edge)"
+      (Staged.stage (full_layer_dag_planned_bench ()));
     Test.make ~name:"dag/partition-enumerate(29)" (Staged.stage (partition_bench ()));
     Test.make ~name:"tileseek/mcts-100-iters" (Staged.stage (mcts_bench ()));
     Test.make ~name:"tileseek/search-100-iters(edge)" (Staged.stage (tileseek_search_bench ()));
+    Test.make ~name:"tileseek/grid-complete(edge)" (Staged.stage (grid_complete_bench ()));
     Test.make ~name:"tensor/interp-mha-tile" (Staged.stage (interp_bench ()));
     Test.make ~name:"tensor/streaming-attention" (Staged.stage (streaming_attention_bench ()));
     Test.make ~name:"strategy/evaluate-fusemax" (Staged.stage (evaluate_bench Strategies.Fusemax ()));

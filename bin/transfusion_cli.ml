@@ -57,6 +57,16 @@ let positive_float_conv key =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A loopback TCP port, 1..65535: the daemon's [serve --tcp] and the
+   client's [top --tcp]. *)
+let port_conv =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun port ->
+        if port >= 1 && port <= 65535 then Ok port
+        else Error (`Msg (Printf.sprintf "tcp port must be in 1..65535 (got %d)" port)))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 (* [NAME=N], an index extent binding of at least 1. *)
 let extent_conv =
   let parse s =
@@ -214,7 +224,7 @@ let serve_cmd =
   let tcp_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some port_conv) None
       & info [ "tcp" ] ~docv:"PORT" ~doc:"Also listen on loopback TCP port $(docv).")
   in
   let cache_dir_arg =
@@ -297,10 +307,10 @@ let search_cmd =
 
 let schedule_cmd =
   let run arch w () =
-    let { Transfusion.Layer_costs.load; matrix; dag = g; totals = arr; _ } =
+    let { Transfusion.Layer_costs.load; matrix; dag = g; plan; totals = arr; _ } =
       Strategies.layer_problem w
     in
-    let sched = Transfusion.Dpipe.schedule arch ~load ~matrix g in
+    let sched = Transfusion.Dpipe.schedule arch ~load ~matrix plan in
     Fmt.pr "fused-layer DAG: %d ops, %d edges@." (Tf_dag.Dag.node_count g) (Tf_dag.Dag.edge_count g);
     (match sched.Transfusion.Dpipe.partition with
     | Some p ->
@@ -433,7 +443,7 @@ let cascade_cmd =
         let ops = Array.of_list (Tf_einsum.Cascade.ops cascade) in
         let load n = Tf_einsum.Einsum.compute_load extents ops.(n) in
         let matrix n = Tf_einsum.Einsum.is_matrix_op ops.(n) in
-        let sched = Transfusion.Dpipe.schedule arch ~load ~matrix g in
+        let sched = Transfusion.Dpipe.schedule arch ~load ~matrix (Transfusion.Dpipe.plan g) in
         let sequential = Transfusion.Dpipe.sequential_cycles arch ~load ~matrix g in
         Fmt.pr "sequential: %.4e cycles/epoch; DPipe steady: %.4e (%.2fx)@." sequential
           sched.Transfusion.Dpipe.steady_interval_cycles
@@ -560,11 +570,22 @@ let lint_cmd =
 let check_cmd =
   let module RC = Tf_analysis.Range_cert in
   let range_conv =
+    (* The grid [Symexpr.grid] certifies over: LO >= 1, HI >= LO and
+       STEP >= 1 (STEP defaults to LO). *)
+    let checked lo hi step =
+      let refuse fmt = Printf.ksprintf (fun m -> Error (`Msg m)) fmt in
+      if lo < 1 then refuse "range LO must be >= 1 (got %d)" lo
+      else if hi < lo then refuse "range HI must be >= LO (got %d:%d)" lo hi
+      else
+        match step with
+        | Some st when st < 1 -> refuse "range STEP must be >= 1 (got %d)" st
+        | _ -> Ok (lo, hi, step)
+    in
     let parse s =
       let ints parts = try Some (List.map int_of_string parts) with Failure _ -> None in
       match ints (String.split_on_char ':' s) with
-      | Some [ lo; hi ] -> Ok (lo, hi, None)
-      | Some [ lo; hi; step ] -> Ok (lo, hi, Some step)
+      | Some [ lo; hi ] -> checked lo hi None
+      | Some [ lo; hi; step ] -> checked lo hi (Some step)
       | _ -> Error (`Msg (Printf.sprintf "expected LO:HI or LO:HI:STEP, got %S" s))
     in
     let print ppf (lo, hi, step) =
@@ -1121,7 +1142,7 @@ let top_cmd =
   let tcp_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some port_conv) None
       & info [ "tcp" ] ~docv:"PORT" ~doc:"Connect to loopback TCP port $(docv) instead.")
   in
   let interval_arg =

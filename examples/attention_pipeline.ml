@@ -38,7 +38,7 @@ let () =
 
   (* Schedule with the DP (Eq. 43-46) and compare against the static and
      sequential disciplines. *)
-  let dp = Transfusion.Dpipe.schedule arch ~load ~matrix g in
+  let dp = Transfusion.Dpipe.schedule arch ~load ~matrix (Transfusion.Dpipe.plan g) in
   let sequential = Transfusion.Dpipe.sequential_cycles arch ~load ~matrix g in
   Fmt.pr "@.sequential (FLAT-style) per-epoch cycles : %.4e@." sequential;
   Fmt.pr "DPipe steady interval per epoch          : %.4e  (%.2fx faster)@."

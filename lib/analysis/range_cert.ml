@@ -335,12 +335,12 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch
       let n_ref = r.hi in
       let w_ref = Workload.v ~batch model ~seq_len:(if decode then seq else n_ref) in
       let kv_proj_len = if decode then seq else n_ref in
-      let { Layer_costs.dag = g; totals; load; matrix; extents = extents_ref; _ } =
+      let { Layer_costs.dag = g; plan; totals; load; matrix; extents = extents_ref; _ } =
         Layer_costs.problem ~m0:sched_m0 ~kv_len:n_ref ~kv_proj_len ~causal w_ref
           (Cascades.full_layer model.Model.activation)
       in
       let nodes = List.length (Dag.nodes g) in
-      let sched = Dpipe.schedule arch ~load ~matrix g in
+      let sched = Dpipe.schedule arch ~load ~matrix plan in
       let preds = Dag.preds g in
       let edges =
         List.concat_map (fun v -> List.map (fun u -> (u, v)) (preds v)) (Dag.nodes g)

@@ -31,8 +31,8 @@ let layer_diags arch attention (p : Layer_costs.problem) sched =
   @ Sched_lint.verify ~name:(layer_name arch p attention) p.Layer_costs.dag sched
 
 let pipeline ?(attention = Strategies.Self) (arch : Tf_arch.Arch.t) (w : Workload.t) =
-  let ({ Layer_costs.dag; load; matrix; _ } as problem) = Strategies.layer_problem ~attention w in
-  layer_diags arch attention problem (Dpipe.schedule arch ~load ~matrix dag)
+  let ({ Layer_costs.plan; load; matrix; _ } as problem) = Strategies.layer_problem ~attention w in
+  layer_diags arch attention problem (Dpipe.schedule arch ~load ~matrix plan)
 
 (* The execution a TransFusion result was priced with: the layer's DPipe
    run and, where the static alternative is served, the FuseMax-pinned

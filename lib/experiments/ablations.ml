@@ -19,12 +19,12 @@ type dpipe_row = {
 }
 
 let dpipe_dag_costs (arch : Tf_arch.Arch.t) w (label, cascade) =
-  let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
+  let { Transfusion.Layer_costs.load; matrix; dag = g; plan; _ } =
     Transfusion.Layer_costs.problem w cascade
   in
   let native n = if matrix n then Tf_arch.Arch.Pe_2d else Tf_arch.Arch.Pe_1d in
-  let static = Dpipe.schedule ~mode:(`Static native) arch ~load ~matrix g in
-  let dp = Dpipe.schedule ~mode:`Dp arch ~load ~matrix g in
+  let static = Dpipe.schedule ~mode:(`Static native) arch ~load ~matrix plan in
+  let dp = Dpipe.schedule ~mode:`Dp arch ~load ~matrix plan in
   let verify tag sched =
     Exp_common.require_clean
       (Printf.sprintf "%s %s schedule (%s)" label tag arch.Tf_arch.Arch.name)

@@ -54,8 +54,8 @@ let tiling_checks archs w =
 let dpipe_replay_checks archs w =
   List.map
     (fun (arch : Tf_arch.Arch.t) ->
-      let { Transfusion.Layer_costs.load; matrix; dag = g; _ } = Strategies.layer_problem w in
-      let sched = Transfusion.Dpipe.schedule arch ~load ~matrix g in
+      let { Transfusion.Layer_costs.load; matrix; dag = g; plan; _ } = Strategies.layer_problem w in
+      let sched = Transfusion.Dpipe.schedule arch ~load ~matrix plan in
       let schedule_valid = Transfusion.Dpipe.check g sched = Ok () in
       let replay_ok =
         match Transfusion.Pipeline_sim.replay arch ~load ~matrix g sched with
@@ -123,10 +123,10 @@ let analysis_checks archs w =
      otherwise the sanitizers above prove nothing. *)
   let negative =
     let arch = List.hd archs in
-    let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
+    let { Transfusion.Layer_costs.load; matrix; dag = g; plan; _ } =
       Transfusion.Layer_costs.problem w (Transfusion.Cascades.mha ())
     in
-    let sched = Transfusion.Dpipe.schedule arch ~load ~matrix g in
+    let sched = Transfusion.Dpipe.schedule arch ~load ~matrix plan in
     let bad = { sched with Transfusion.Dpipe.makespan_cycles = -1.0 } in
     let diags = Tf_analysis.Sched_lint.verify ~name:"negative-control" g bad in
     check "static analysis: verifier rejects corrupted schedule"

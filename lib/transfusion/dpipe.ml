@@ -36,44 +36,88 @@ let node_latency arch ~load ~matrix node resource =
 let candidate_static_latency arch ~load ~matrix node =
   node_latency arch ~load ~matrix node (if matrix node then Arch.Pe_2d else Arch.Pe_1d)
 
-(* Node data shared by every candidate of one [schedule] call.  Node ids
-   are arbitrary ints, so everything is reindexed onto a dense [0, n)
-   range once and the per-candidate DP runs on flat arrays only. *)
-type ctx = {
-  n_nodes : int;
+(* Everything about a DAG that no load can change, built once per DAG
+   and shared by every [schedule] over it.  Node ids are arbitrary ints,
+   so everything is reindexed onto a dense [0, n) range and the DP runs on
+   flat arrays only.  Immutable once built, so any number of domains may
+   read it. *)
+type part = {
+  split : Partition.t option;  (* [None]: the whole DAG as one stage *)
+  stage : int array;  (* dense index -> 0 (first stage) or 1 (second) *)
+  first : int array;  (* dense indices of [split]'s first side, in its order *)
+  second : int array;
+}
+
+type plan = {
   ids : int array;  (* dense index -> node id *)
-  index_of : (int, int) Hashtbl.t;  (* node id -> dense index *)
   preds : int array array;  (* dense index -> pred dense indices *)
-  lat1 : float array;  (* latency on the 1D array, by dense index *)
-  lat2 : float array;  (* latency on the 2D array, by dense index *)
-  minlat : float array;  (* smallest latency the mode allows, by index *)
+  dag_preds : int -> int list;  (* [Dag.preds] of the DAG, for [~verify]'s checks *)
+  parts : part array;
+      (* the first [partition_limit] bipartitions in enumeration order, or
+         the one unsplit part when the DAG admits none *)
+  orders : (int list * int array) array;
+      (* the first [order_limit] topological orders, each with its dense
+         index per position *)
+}
+
+let plan g =
+  if Dag.node_count g = 0 then invalid_arg "Dpipe.plan: empty DAG";
+  if not (Dag.is_acyclic g) then invalid_arg "Dpipe.plan: cyclic graph";
+  let ids = Array.of_list (Dag.nodes g) in
+  let n_nodes = Array.length ids in
+  let index_of = Hashtbl.create (2 * n_nodes) in
+  Array.iteri (fun i id -> Hashtbl.replace index_of id i) ids;
+  let dense l = Array.of_list (List.map (Hashtbl.find index_of) l) in
+  let part partition =
+    let stage = Array.make n_nodes 0 in
+    match partition with
+    | None -> { split = None; stage; first = [||]; second = [||] }
+    | Some (p : Partition.t) ->
+        let second = dense p.Partition.second in
+        Array.iter (fun i -> stage.(i) <- 1) second;
+        { split = partition; stage; first = dense p.Partition.first; second }
+  in
+  let parts =
+    match Partition.enumerate ~limit:partition_limit g with
+    | [] -> [| part None |]
+    | l -> Array.of_list (List.map (fun p -> part (Some p)) l)
+  in
+  {
+    ids;
+    preds = Array.map (fun id -> dense (Dag.preds g id)) ids;
+    dag_preds = Dag.preds g;
+    parts;
+    orders = Array.of_list (List.map (fun o -> (o, dense o)) (Topo.all ~limit:order_limit g));
+  }
+
+let plan_nodes plan = Array.length plan.ids
+
+(* The loads of one [schedule] call over a plan: each node's latency on
+   either array and the smallest one the mode allows, by dense index. *)
+type ctx = {
+  plan : plan;
+  lat1 : float array;  (* latency on the 1D array *)
+  lat2 : float array;  (* latency on the 2D array *)
+  minlat : float array;
+  total_minlat : float;  (* sum of [minlat], in index order *)
   static : Arch.resource array option;
       (* [`Static assign] resolved once per node: [assign] may be costly
          (FuseMax's scans the op's dimensions) and the DP would otherwise
          ask it again for every instance of every candidate. *)
 }
 
-let build_ctx arch ~load ~matrix ~mode g =
-  let ids = Array.of_list (Dag.nodes g) in
-  let n_nodes = Array.length ids in
-  let index_of = Hashtbl.create (2 * n_nodes) in
-  Array.iteri (fun i id -> Hashtbl.replace index_of id i) ids;
+let build_ctx arch ~load ~matrix ~mode plan =
+  let ids = plan.ids in
   let lat1 = Array.map (fun id -> node_latency arch ~load ~matrix id Arch.Pe_1d) ids in
   let lat2 = Array.map (fun id -> node_latency arch ~load ~matrix id Arch.Pe_2d) ids in
-  let preds =
-    Array.map
-      (fun id -> Array.of_list (List.map (Hashtbl.find index_of) (Dag.preds g id)))
-      ids
-  in
   let static = match mode with `Dp -> None | `Static assign -> Some (Array.map assign ids) in
   let minlat =
     match static with
-    | None -> Array.init n_nodes (fun i -> Float.min lat1.(i) lat2.(i))
+    | None -> Array.mapi (fun i l1 -> Float.min l1 lat2.(i)) lat1
     | Some res ->
-        Array.init n_nodes (fun i ->
-            match res.(i) with Arch.Pe_1d -> lat1.(i) | Arch.Pe_2d -> lat2.(i))
+        Array.mapi (fun i r -> match r with Arch.Pe_1d -> lat1.(i) | Arch.Pe_2d -> lat2.(i)) res
   in
-  { n_nodes; ids; index_of; preds; lat1; lat2; minlat; static }
+  { plan; lat1; lat2; minlat; total_minlat = Array.fold_left ( +. ) 0. minlat; static }
 
 type eval_result =
   | Pruned
@@ -110,6 +154,60 @@ let m_candidate_seconds =
    ties, so a pruned candidate can never re-qualify as a tie there. *)
 let prune_tolerance incumbent = 1e-9 *. Float.max 1. (Float.abs incumbent)
 
+(* The DP's scalars, in one all-float record: OCaml stores its fields
+   unboxed, so the per-instance updates below allocate nothing, where a
+   float [ref] captured by a closure boxes every write.  [t1]/[t2] are the
+   arrays' timelines, [h1]/[h2] the half tail's private copies, [dep] the
+   readiness of the instance being placed, and [start]/[finish] the span
+   [pick] chose for it. *)
+type clock = {
+  mutable t1 : float;
+  mutable t2 : float;
+  mutable mk : float;
+  mutable mk_half : float;
+  mutable rem_busy : float;
+  mutable h1 : float;
+  mutable h2 : float;
+  mutable dep : float;
+  mutable start : float;
+  mutable finish : float;
+}
+
+(* Place instance [i] (ready at [clk.dep]) on the main timelines or, with
+   [tail], on the half tail's: write its span to [clk.start]/[clk.finish]
+   and return its array.  The choice is the old candidate fold's: [`Dp]
+   tries 2D then 1D and switches only on strictly earlier finish. *)
+let pick ctx clk i ~tail =
+  let rt1 = if tail then clk.h1 else clk.t1 and rt2 = if tail then clk.h2 else clk.t2 in
+  match ctx.static with
+  | Some res -> (
+      match res.(i) with
+      | Arch.Pe_1d ->
+          let start = Float.max rt1 clk.dep in
+          clk.start <- start;
+          clk.finish <- start +. ctx.lat1.(i);
+          Arch.Pe_1d
+      | Arch.Pe_2d ->
+          let start = Float.max rt2 clk.dep in
+          clk.start <- start;
+          clk.finish <- start +. ctx.lat2.(i);
+          Arch.Pe_2d)
+  | None ->
+      let s2 = Float.max rt2 clk.dep in
+      let e2 = s2 +. ctx.lat2.(i) in
+      let s1 = Float.max rt1 clk.dep in
+      let e1 = s1 +. ctx.lat1.(i) in
+      if e1 < e2 then begin
+        clk.start <- s1;
+        clk.finish <- e1;
+        Arch.Pe_1d
+      end
+      else begin
+        clk.start <- s2;
+        clk.finish <- e2;
+        Arch.Pe_2d
+      end
+
 (* The DP of Eq. 43-46, fed in wave order.
 
    Instance (n, e) belongs to wave [e + stage n] (the second-stage work
@@ -137,95 +235,69 @@ let prune_tolerance incumbent = 1e-9 *. Float.max 1. (Float.abs incumbent)
    That lower-bounds the steady interval; when it already exceeds the
    incumbent beyond the tie-break tolerance the candidate cannot win
    under [schedule]'s strict-improvement predicate and is abandoned
-   mid-run.  [prune_bound] returns the incumbent (infinity disables). *)
+   mid-run.  [prune_bound] returns the incumbent (infinity disables).
+
+   Besides the per-candidate arrays, the DP allocates nothing: its
+   scalars live in a [clock] and [pick] returns a constant constructor. *)
 let eval_candidate ctx ~epochs ~stage ~ord ~prune_bound ~record =
-  let n = ctx.n_nodes in
+  let n = Array.length ord in
+  let preds = ctx.plan.preds in
   let smax = if Array.exists (fun s -> s = 1) stage then 1 else 0 in
   let eh = Int.max 1 (epochs / 2) in
-  let t1 = ref 0. and t2 = ref 0. in
-  let mk = ref 0. in
-  let mk_half = ref 0. in
+  let clk =
+    {
+      t1 = 0.;
+      t2 = 0.;
+      mk = 0.;
+      mk_half = 0.;
+      rem_busy = float_of_int epochs *. ctx.total_minlat;
+      h1 = 0.;
+      h2 = 0.;
+      dep = 0.;
+      start = 0.;
+      finish = 0.;
+    }
+  in
   let end_of = Array.make (n * epochs) 0. in
-  let total_minlat = Array.fold_left ( +. ) 0. ctx.minlat in
-  let rem_busy = ref (float_of_int epochs *. total_minlat) in
   let asg = if record then Array.make (n * epochs) None else [||] in
   let asg_count = ref 0 in
-  let dep_ready_main i e =
-    let ps = ctx.preds.(i) in
-    let acc = ref 0. in
-    for k = 0 to Array.length ps - 1 do
-      let v = end_of.((ps.(k) * epochs) + e) in
-      if v > !acc then acc := v
-    done;
-    !acc
-  in
-  (* Pick the resource exactly as the old candidate fold did: [`Dp]
-     tries 2D then 1D and switches only on strictly earlier finish. *)
-  let pick i dep_ready rt1 rt2 =
-    match ctx.static with
-    | Some res -> (
-        match res.(i) with
-        | Arch.Pe_1d ->
-            let start = Float.max !rt1 dep_ready in
-            (Arch.Pe_1d, start, start +. ctx.lat1.(i))
-        | Arch.Pe_2d ->
-            let start = Float.max !rt2 dep_ready in
-            (Arch.Pe_2d, start, start +. ctx.lat2.(i)))
-    | None ->
-        let s2 = Float.max !rt2 dep_ready in
-        let e2 = s2 +. ctx.lat2.(i) in
-        let s1 = Float.max !rt1 dep_ready in
-        let e1 = s1 +. ctx.lat1.(i) in
-        if e1 < e2 then (Arch.Pe_1d, s1, e1) else (Arch.Pe_2d, s2, e2)
-  in
-  let schedule_instance i e =
-    let r, start, endt = pick i (dep_ready_main i e) t1 t2 in
-    (match r with Arch.Pe_1d -> t1 := endt | Arch.Pe_2d -> t2 := endt);
-    end_of.((i * epochs) + e) <- endt;
-    if endt > !mk then mk := endt;
-    rem_busy := !rem_busy -. ctx.minlat.(i);
-    if record then begin
-      asg.(!asg_count) <-
-        Some { node = ctx.ids.(i); epoch = e; resource = r; start_cycle = start; end_cycle = endt };
-      incr asg_count
-    end
-  in
   (* Replay the half run's final wave on a snapshot of the timelines:
      stage-1 instances of epoch [eh - 1], in position order.  Writes go
      to a private overlay so the full run is untouched. *)
   let simulate_half_tail () =
-    let rt1 = ref !t1 and rt2 = ref !t2 in
-    let rmk = ref !mk in
+    clk.h1 <- clk.t1;
+    clk.h2 <- clk.t2;
+    clk.mk_half <- clk.mk;
     let rem_end = Array.make n Float.nan in
+    let e = eh - 1 in
     for pos = 0 to n - 1 do
       let i = ord.(pos) in
       if stage.(i) = 1 then begin
-        let e = eh - 1 in
-        let ps = ctx.preds.(i) in
-        let dep_ready = ref 0. in
+        let ps = preds.(i) in
+        clk.dep <- 0.;
         for k = 0 to Array.length ps - 1 do
           let p = ps.(k) in
           let v = if stage.(p) = 1 then rem_end.(p) else end_of.((p * epochs) + e) in
-          if v > !dep_ready then dep_ready := v
+          if v > clk.dep then clk.dep <- v
         done;
-        let r, _, endt = pick i !dep_ready rt1 rt2 in
-        (match r with Arch.Pe_1d -> rt1 := endt | Arch.Pe_2d -> rt2 := endt);
-        rem_end.(i) <- endt;
-        if endt > !rmk then rmk := endt
+        (match pick ctx clk i ~tail:true with
+        | Arch.Pe_1d -> clk.h1 <- clk.finish
+        | Arch.Pe_2d -> clk.h2 <- clk.finish);
+        rem_end.(i) <- clk.finish;
+        if clk.finish > clk.mk_half then clk.mk_half <- clk.finish
       end
-    done;
-    !rmk
+    done
   in
   let pruned = ref false in
   let w = ref 0 in
   let wmax = epochs - 1 + smax in
   while (not !pruned) && !w <= wmax do
     if eh < epochs && !w >= eh then begin
-      if !w = eh then mk_half := simulate_half_tail ();
+      if !w = eh then simulate_half_tail ();
       let incumbent = prune_bound () in
       if incumbent < Float.infinity then begin
-        let lb_mk = Float.max !mk ((!t1 +. !t2 +. !rem_busy) /. 2.) in
-        let lb_steady = (lb_mk -. !mk_half) /. float_of_int (epochs - eh) in
+        let lb_mk = Float.max clk.mk ((clk.t1 +. clk.t2 +. clk.rem_busy) /. 2.) in
+        let lb_steady = (lb_mk -. clk.mk_half) /. float_of_int (epochs - eh) in
         if lb_steady > incumbent +. prune_tolerance incumbent then pruned := true
       end
     end;
@@ -233,7 +305,31 @@ let eval_candidate ctx ~epochs ~stage ~ord ~prune_bound ~record =
       for pos = 0 to n - 1 do
         let i = ord.(pos) in
         let e = !w - stage.(i) in
-        if e >= 0 && e < epochs then schedule_instance i e
+        if e >= 0 && e < epochs then begin
+          let ps = preds.(i) in
+          clk.dep <- 0.;
+          for k = 0 to Array.length ps - 1 do
+            let v = end_of.((ps.(k) * epochs) + e) in
+            if v > clk.dep then clk.dep <- v
+          done;
+          let r = pick ctx clk i ~tail:false in
+          (match r with Arch.Pe_1d -> clk.t1 <- clk.finish | Arch.Pe_2d -> clk.t2 <- clk.finish);
+          end_of.((i * epochs) + e) <- clk.finish;
+          if clk.finish > clk.mk then clk.mk <- clk.finish;
+          clk.rem_busy <- clk.rem_busy -. ctx.minlat.(i);
+          if record then begin
+            asg.(!asg_count) <-
+              Some
+                {
+                  node = ctx.plan.ids.(i);
+                  epoch = e;
+                  resource = r;
+                  start_cycle = clk.start;
+                  end_cycle = clk.finish;
+                };
+            incr asg_count
+          end
+        end
       done;
       incr w
     end
@@ -241,21 +337,21 @@ let eval_candidate ctx ~epochs ~stage ~ord ~prune_bound ~record =
   if !pruned then (Pruned, [])
   else begin
     let steady =
-      if epochs > eh then Float.max 0. ((!mk -. !mk_half) /. float_of_int (epochs - eh))
-      else !mk
+      if epochs > eh then Float.max 0. ((clk.mk -. clk.mk_half) /. float_of_int (epochs - eh))
+      else clk.mk
     in
     let assignments =
       if record then
         Array.to_list (Array.map (function Some a -> a | None -> assert false) asg)
       else []
     in
-    (Done { makespan = !mk; makespan_half = !mk_half; steady }, assignments)
+    (Done { makespan = clk.mk; makespan_half = clk.mk_half; steady }, assignments)
   end
 
 let no_prune () = Float.infinity
 
-let check g t =
-  let expected = Dag.node_count g * t.epochs_unrolled in
+let check_with ~node_count ~preds t =
+  let expected = node_count * t.epochs_unrolled in
   if List.length t.assignments <> expected then
     Error
       (Printf.sprintf "expected %d instances, got %d" expected (List.length t.assignments))
@@ -270,7 +366,7 @@ let check g t =
               match Hashtbl.find_opt end_of (p, a.epoch) with
               | Some e -> e > a.start_cycle +. 1e-6
               | None -> true)
-            (Dag.preds g a.node))
+            (preds a.node))
         t.assignments
     in
     match dep_violation with
@@ -290,6 +386,8 @@ let check g t =
         in
         if overlap Arch.Pe_1d || overlap Arch.Pe_2d then Error "resource overlap"
         else Ok ()
+
+let check g t = check_with ~node_count:(Dag.node_count g) ~preds:(Dag.preds g) t
 
 module type TIME = sig
   type t
@@ -362,64 +460,42 @@ let rec shrink_incumbent inc v =
     if Atomic.compare_and_set inc cur v then Tf_obs.Counter.incr m_incumbent_updates
     else shrink_incumbent inc v
 
-let candidate_stage ctx partition =
-  let stage = Array.make ctx.n_nodes 0 in
-  (match partition with
-  | None -> ()
-  | Some p ->
-      List.iter (fun id -> stage.(Hashtbl.find ctx.index_of id) <- 1) p.Partition.second);
-  stage
-
-let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix g =
-  if Dag.node_count g = 0 then invalid_arg "Dpipe.schedule: empty DAG";
-  if not (Dag.is_acyclic g) then invalid_arg "Dpipe.schedule: cyclic graph";
+let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix plan =
   Tf_obs.Counter.incr m_schedules;
   Tf_obs.Trace.with_span ~cat:"dpipe"
     ~args:
       [
         ("arch", arch.Arch.name);
-        ("nodes", string_of_int (Dag.node_count g));
+        ("nodes", string_of_int (plan_nodes plan));
         ("verify", string_of_bool verify);
       ]
     "dpipe.schedule"
   @@ fun () ->
-  let partitions = Partition.enumerate ~limit:partition_limit g in
   (* Rank bipartitions by stage load balance and evaluate only the best
      few: the steady interval of a two-stage pipeline is bounded below by
-     its heavier stage. *)
-  let stage_imbalance (p : Partition.t) =
-    let side nodes = List.fold_left (fun acc n -> acc +. load n) 0. nodes in
-    Float.abs (side p.Partition.first -. side p.Partition.second)
+     its heavier stage.  The sort is stable, so ties keep enumeration
+     order. *)
+  let node_load = Array.map load plan.ids in
+  let stage_imbalance (p : part) =
+    let side idx = Array.fold_left (fun acc i -> acc +. node_load.(i)) 0. idx in
+    Float.abs (side p.first -. side p.second)
   in
-  let ranked =
-    List.map (fun p -> (stage_imbalance p, p)) partitions
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
-  in
-  let selected =
-    List.filteri (fun i _ -> i < eval_partitions) ranked
-    |> List.map (fun p -> Some p)
-  in
-  let candidates = match selected with [] -> [ None ] | l -> l in
-  let orders = Topo.all ~limit:order_limit g in
-  let ctx = build_ctx arch ~load ~matrix ~mode g in
+  let imbalance = Array.map stage_imbalance plan.parts in
+  let ranked = Array.init (Array.length plan.parts) Fun.id in
+  Array.stable_sort (fun a b -> compare imbalance.(a) imbalance.(b)) ranked;
+  let selected = Array.sub ranked 0 (Int.min eval_partitions (Array.length ranked)) in
+  let ctx = build_ctx arch ~load ~matrix ~mode plan in
+  let n_orders = Array.length plan.orders in
   let pairs =
-    Array.of_list
-      (List.concat_map
-         (fun partition ->
-           let stage = candidate_stage ctx partition in
-           List.map
-             (fun order ->
-               let ord = Array.of_list (List.map (Hashtbl.find ctx.index_of) order) in
-               (partition, order, stage, ord))
-             orders)
-         candidates)
+    Array.init
+      (Array.length selected * n_orders)
+      (fun k -> (plan.parts.(selected.(k / n_orders)), plan.orders.(k mod n_orders)))
   in
   Tf_obs.Counter.add m_candidates (Array.length pairs);
   let incumbent = Atomic.make Float.infinity in
-  let eval pair =
+  let eval (part, (order, ord)) =
     Tf_obs.Histogram.time m_candidate_seconds @@ fun () ->
-    let partition, order, stage, ord = pair in
+    let stage = part.stage in
     if verify then begin
       (* Sanitizer mode: no pruning, and every candidate materializes
          its assignments so it can be validated, not just the winner. *)
@@ -434,7 +510,7 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix g =
           Tf_obs.Counter.incr m_evaluated;
           let candidate =
             {
-              partition;
+              partition = part.split;
               order;
               assignments;
               epochs_unrolled = epochs;
@@ -444,7 +520,8 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix g =
               useful_1d_per_epoch = 0.;
             }
           in
-          (match check g candidate with
+          let node_count = plan_nodes plan in
+          (match check_with ~node_count ~preds:plan.dag_preds candidate with
           | Ok () -> ()
           | Error e -> invalid_arg (Printf.sprintf "Dpipe.schedule: invalid candidate (%s)" e));
           Some (steady, makespan)
@@ -484,11 +561,11 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix g =
   match !best with
   | None -> assert false
   | Some (steady, makespan, idx) ->
-      let partition, order, stage, ord = pairs.(idx) in
+      let part, (order, ord) = pairs.(idx) in
       (* Only the winner materializes its assignment list. *)
       let assignments =
         match
-          eval_candidate ctx ~epochs ~stage ~ord ~prune_bound:no_prune ~record:true
+          eval_candidate ctx ~epochs ~stage:part.stage ~ord ~prune_bound:no_prune ~record:true
         with
         | Pruned, _ ->
             invalid_arg
@@ -503,7 +580,7 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix g =
         /. float_of_int epochs
       in
       {
-        partition;
+        partition = part.split;
         order;
         assignments;
         epochs_unrolled = epochs;
@@ -524,24 +601,17 @@ let sequential_cycles arch ~load ~matrix g =
     0. (Dag.nodes g)
 
 module Private = struct
-  let steady_consistency_check arch ~load ~matrix g =
-    let ctx = build_ctx arch ~load ~matrix ~mode:`Dp g in
-    let partitions = Partition.enumerate ~limit:partition_limit g in
-    let selected =
-      List.filteri (fun i _ -> i < eval_partitions) partitions |> List.map (fun p -> Some p)
-    in
-    let candidates = match selected with [] -> [ None ] | l -> l in
-    let orders = Topo.all ~limit:order_limit g in
+  let steady_consistency_check arch ~load ~matrix plan =
+    let ctx = build_ctx arch ~load ~matrix ~mode:`Dp plan in
+    let parts = Array.sub plan.parts 0 (Int.min eval_partitions (Array.length plan.parts)) in
     let eh = Int.max 1 (epochs / 2) in
-    List.for_all
-      (fun partition ->
-        let stage = candidate_stage ctx partition in
-        List.for_all
-          (fun order ->
-            let ord = Array.of_list (List.map (Hashtbl.find ctx.index_of) order) in
+    Array.for_all
+      (fun part ->
+        Array.for_all
+          (fun (_, ord) ->
             let run e =
               match
-                eval_candidate ctx ~epochs:e ~stage ~ord ~prune_bound:no_prune
+                eval_candidate ctx ~epochs:e ~stage:part.stage ~ord ~prune_bound:no_prune
                   ~record:false
               with
               | Pruned, _ ->
@@ -556,6 +626,6 @@ module Private = struct
             let mk_ref, _, _ = run eh in
             let steady_ref = Float.max 0. ((mk -. mk_ref) /. float_of_int (epochs - eh)) in
             mk_half = mk_ref && steady = steady_ref)
-          orders)
-      candidates
+          plan.orders)
+      parts
 end

@@ -43,19 +43,40 @@ type t = {
   useful_1d_per_epoch : float;
 }
 
+type plan
+(** What DPipe's search reads of a DAG that no load can change, built
+    once per DAG by {!plan} (which also makes the emptiness and
+    acyclicity checks) and shared by every {!schedule} over it: the
+    dense node index and predecessor arrays, the enumerated
+    bipartitions with their per-node stage arrays, and the topological
+    orders with their dense position arrays.  Immutable, so any number
+    of domains may schedule over one plan at once. *)
+
+val plan : 'a Tf_dag.Dag.t -> plan
+(** The plan of a DAG: its first 512 bipartitions in
+    {!Tf_dag.Partition.enumerate} order (or one unsplit stage when it has
+    none) and its first 4 topological orders ({!Tf_dag.Topo.all}).
+    @raise Invalid_argument on an empty or cyclic DAG. *)
+
 val schedule :
   ?mode:[ `Dp | `Static of int -> Tf_arch.Arch.resource ] ->
   ?verify:bool ->
   Tf_arch.Arch.t ->
   load:(int -> float) ->
   matrix:(int -> bool) ->
-  'a Tf_dag.Dag.t ->
+  plan ->
   t
-(** The search is bounded by four constants: the first 512 bipartitions
-    ({!Tf_dag.Partition.enumerate}) are ranked by stage load balance and
-    the 16 most balanced are DP-evaluated, each with up to 4 topological
-    orders ({!Tf_dag.Topo.all}), over a window of 8 unrolled epochs
-    ([epochs_unrolled]).  [mode] defaults to [`Dp].
+(** The schedule of the plan's DAG under [load] and [matrix].  Only the
+    load-dependent work runs per call: the node latencies, the
+    stage-imbalance ranking and the candidate DPs.  Scheduling one load
+    vector through a shared plan is bit-identical, field for field, to
+    scheduling it through a fresh plan of the same DAG.
+
+    The search is bounded by four constants: the plan's bipartitions are
+    ranked by stage load balance and the 16 most balanced are
+    DP-evaluated, each with the plan's (up to 4) topological orders, over
+    a window of 8 unrolled epochs ([epochs_unrolled]).  [mode] defaults
+    to [`Dp].
 
     The (partition × order) candidate grid is evaluated across the
     {!Tf_parallel} domain pool, with branch-and-bound pruning against the
@@ -73,9 +94,8 @@ val schedule :
     explored during the search is re-validated with {!check} as it is
     produced, not just the winner; pruning is disabled so no candidate
     escapes validation.
-    @raise Invalid_argument on an empty or cyclic DAG, or — with
-    [~verify:true] — when the DP emits an invalid candidate (an internal
-    invariant violation). *)
+    @raise Invalid_argument with [~verify:true] when the DP emits an
+    invalid candidate (an internal invariant violation). *)
 
 val total_cycles : t -> epochs:float -> float
 (** Estimated cost of running [epochs] pipeline epochs: the unrolled
@@ -136,11 +156,7 @@ end
 (** Testing hooks — not part of the stable API. *)
 module Private : sig
   val steady_consistency_check :
-    Tf_arch.Arch.t ->
-    load:(int -> float) ->
-    matrix:(int -> bool) ->
-    'a Tf_dag.Dag.t ->
-    bool
+    Tf_arch.Arch.t -> load:(int -> float) -> matrix:(int -> bool) -> plan -> bool
   (** For every [`Dp] candidate within {!schedule}'s search bounds
       (bipartitions in enumeration order rather than ranked), check that
       the single-pass (full + half) makespan computation agrees exactly

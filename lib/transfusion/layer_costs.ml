@@ -72,22 +72,25 @@ type problem = {
   extents : Extents.t;
   totals : op_total array;
   dag : Einsum.t Tf_dag.Dag.t;
+  plan : Dpipe.plan;
   load : int -> float;
   matrix : int -> bool;
 }
 
-let of_totals cascade ~dag ~extents totals =
+let of_totals cascade ~dag ~plan ~extents totals =
   let totals = Array.of_list totals in
   {
     cascade;
     extents;
     totals;
     dag;
+    plan;
     load = (fun n -> totals.(n).total /. nominal_epochs);
     matrix = (fun n -> Einsum.is_matrix_op totals.(n).op);
   }
 
 let problem ?m0 ?kv_len ?kv_proj_len ?causal w cascade =
   let m0 = match m0 with Some v -> v | None -> default_m0 w in
-  of_totals cascade ~dag:(Cascade.to_dag cascade) ~extents:(tile_extents w ~m0)
+  let dag = Cascade.to_dag cascade in
+  of_totals cascade ~dag ~plan:(Dpipe.plan dag) ~extents:(tile_extents w ~m0)
     (op_totals ~m0 ?kv_len ?kv_proj_len ?causal w cascade)

@@ -61,8 +61,9 @@ val nominal_epochs : float
     epochs.  The extrapolated layer cost is epoch-count invariant to
     first order, so the scale divides out of every ratio. *)
 
-(** The DPipe problem of [cascade]: its DAG, node totals under
-    {!op_totals} and the [load]/[matrix] oracles {!Dpipe.schedule} takes.
+(** The DPipe problem of [cascade]: its DAG and the DAG's {!Dpipe.plan},
+    node totals under {!op_totals} and the [load]/[matrix] oracles
+    {!Dpipe.schedule} takes.
     Every DPipe run over a workload builds it here;
     {!Strategies.layer_problem} picks the arguments for a layer. *)
 type problem = {
@@ -70,6 +71,7 @@ type problem = {
   extents : Tf_einsum.Extents.t;  (** {!tile_extents} at the problem's [m0] *)
   totals : op_total array;  (** indexed by DAG node *)
   dag : Tf_einsum.Einsum.t Tf_dag.Dag.t;
+  plan : Dpipe.plan;  (** of [dag]; problems of one cascade may share it *)
   load : int -> float;  (** node total / {!nominal_epochs} *)
   matrix : int -> bool;
 }
@@ -87,8 +89,10 @@ val problem :
 val of_totals :
   Tf_einsum.Cascade.t ->
   dag:Tf_einsum.Einsum.t Tf_dag.Dag.t ->
+  plan:Dpipe.plan ->
   extents:Tf_einsum.Extents.t ->
   op_total list ->
   problem
-(** The problem of [cascade] from its {!op_totals} rows, its DAG and its
-    tile extents, for a caller that already holds them. *)
+(** The problem of [cascade] from its {!op_totals} rows, its DAG, the
+    DAG's plan and its tile extents, for a caller that already holds
+    them: every slice of a tiling search shares one plan per cascade. *)

@@ -284,9 +284,9 @@ let fusemax_assign (arch : Arch.t) cascade =
     else Arch.Pe_1d
 
 let run_schedule (r : run) =
-  let ({ Layer_costs.cascade; load; matrix; dag; _ } as problem) = Lazy.force r.problem in
+  let ({ Layer_costs.cascade; load; matrix; plan; _ } as problem) = Lazy.force r.problem in
   let mode = if r.pinned then `Static (fusemax_assign r.ctx.arch cascade) else `Dp in
-  (problem, Dpipe.schedule ~mode r.ctx.arch ~load ~matrix dag)
+  (problem, Dpipe.schedule ~mode r.ctx.arch ~load ~matrix plan)
 
 let scheduled (r : run) =
   {
@@ -386,12 +386,16 @@ let cached_pipelined ~tag ~keep (run : run) =
       if keep then run.kept <- Some sched;
       pipelined_exec ran)
 
-(* A cascade and its DAG, built on first use and shared by every problem
-   of the cascade that a state builds. *)
+(* A cascade, its DAG and the DAG's DPipe plan, built on first use and
+   shared by every problem of the cascade that a state builds: a search's
+   slices differ only in their loads, so one plan serves them all. *)
+type shape = { cascade : Cascade.t; dag : Einsum.t Tf_dag.Dag.t; plan : Dpipe.plan }
+
 let shaped cascade =
   lazy
-    (let c = cascade () in
-     (c, Cascade.to_dag c))
+    (let cascade = cascade () in
+     let dag = Cascade.to_dag cascade in
+     { cascade; dag; plan = Dpipe.plan dag })
 
 (* A run of an op table's [rows] of the [shape]d cascade: the fused layer
    ([Cascades.full_layer] at the ctx's [include_ffn]) under DPipe is
@@ -401,8 +405,8 @@ let shaped cascade =
 let run ~pinned ctx shape ~extents rows =
   let problem =
     lazy
-      (let cascade, dag = Lazy.force shape in
-       Layer_costs.of_totals cascade ~dag ~extents rows)
+      (let { cascade; dag; plan } = Lazy.force shape in
+       Layer_costs.of_totals cascade ~dag ~plan ~extents rows)
   in
   { ctx; problem; pinned; kept = None }
 
@@ -670,8 +674,8 @@ type eval_state = {
   es_w_all : float;  (* fused-stack weight volume per tile pass *)
   es_intra_wr : float;  (* blocked-matmul weight reads, m0-invariant *)
   es_layer : Cascade.t;  (* the fused layer, totalled by every slice *)
-  es_layer_shape : (Cascade.t * Einsum.t Tf_dag.Dag.t) Lazy.t;  (* es_layer, shaped *)
-  es_mha : (Cascade.t * Einsum.t Tf_dag.Dag.t) Lazy.t;  (* the pinned runs' [Cascades.mha] *)
+  es_layer_shape : shape Lazy.t;  (* es_layer, shaped *)
+  es_mha : shape Lazy.t;  (* the pinned runs' [Cascades.mha] *)
   es_slices : (int, eval_slice) Hashtbl.t;  (* keyed by m0 *)
 }
 

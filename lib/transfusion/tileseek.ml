@@ -30,12 +30,13 @@ let thin keep l =
       let arr = Array.of_list l in
       List.init keep (fun i -> arr.(i * (n - 1) / (keep - 1))) |> List.sort_uniq compare
 
-(* The option menus of one search space.  Every greedy [grow] step and
-   every MCTS expansion reads them, and the model-dimension and FFN menus
-   scan every integer up to [d_model] / [ffn_hidden], so they are built
-   once per space.  Lazily: [feasible] and [dims] build a space per call
-   and never read the menus.  (m1's menu depends on the chosen m0 and is
-   a handful of halvings, so it is not tabled.) *)
+(* The option menus of one search space, each ascending.  Every greedy
+   [grow] step and every MCTS expansion reads them, and the
+   model-dimension and FFN menus scan every integer up to [d_model] /
+   [ffn_hidden], so they are built once per space.  Lazily: [feasible]
+   and [dims] build a space per call and never read the menus.  (m1's
+   menu depends on the chosen m0 and is a handful of halvings, so it is
+   not tabled.) *)
 type menus = {
   b_menu : int list;
   d_menu : int list;
@@ -139,12 +140,24 @@ let clamp_kv (c : config) ~kv_len =
   in
   { c with m0; m1 = shrink_m1 (Int.min c.m1 (Int.max 1 (kv_len / m0))) }
 
+(* Grow one dimension of [config] to its largest feasible option,
+   holding the others: [update config o] for the last feasible [o] of the
+   menu, or [config] when none is.  Each menu ascends, and the Table 2
+   requirement ([Buffer_req.Gen]: sums of products of non-negative
+   factors, and [p_row] rises with [p]) never falls as one tile dimension
+   grows; m1*m0 is a power of two, so it divides the key/value length
+   exactly up to some size.  The feasible options are therefore a prefix
+   of the menu, and bisection finds its end in about log2 (menu length)
+   checks. *)
 let grow sp config options update =
-  List.fold_left
-    (fun best option ->
-      let candidate = update best option in
-      if sp_feasible sp candidate then candidate else best)
-    config (options sp)
+  let options = Array.of_list (options sp) in
+  (* options.(0 .. lo-1) are feasible, options.(hi ..) are not *)
+  let lo = ref 0 and hi = ref (Array.length options) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if sp_feasible sp (update config options.(mid)) then lo := mid + 1 else hi := mid
+  done;
+  if !lo = 0 then config else update config options.(!lo - 1)
 
 (* Complete a candidate whose query tile [p] and key/value tile [m0] are
    chosen: grow d, s, m1 at that m0, then b. *)
@@ -224,20 +237,23 @@ let grid_candidates sp =
         (m0_options sp))
     (p_options sp)
 
+type seeds = { fallback : config; grid : config list; greedy : config list }
+
+let sp_seeds sp =
+  { fallback = sp_fallback sp; grid = grid_candidates sp; greedy = sp_greedy_variants sp }
+
+let seeds ~kv_len ~decode arch w = sp_seeds (space ~kv_len ~decode arch w)
+
 (* Deterministic seed: the cheapest grid candidate, the first on ties. *)
-let grid_seed sp ~evaluate =
+let grid_seed (s : seeds) ~evaluate =
   let best =
     List.fold_left
       (fun best candidate ->
         let cost = evaluate candidate in
         match best with Some (_, c) when c <= cost -> best | _ -> Some (candidate, cost))
-      None (grid_candidates sp)
+      None s.grid
   in
-  match best with
-  | Some r -> r
-  | None ->
-      let base = sp_fallback sp in
-      (base, evaluate base)
+  match best with Some r -> r | None -> (s.fallback, evaluate s.fallback)
 
 let log_src = Logs.Src.create "transfusion.tileseek" ~doc:"TileSeek tiling search"
 
@@ -335,10 +351,8 @@ let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe arch w ~evalu
   @@ fun () ->
   let memo_hits = ref 0 and memo_misses = ref 0 in
   let evaluate = memoize_cost ~hits:memo_hits ~misses:memo_misses evaluate in
-  let seeds =
-    grid_seed sp ~evaluate
-    :: List.map (fun c -> (c, evaluate c)) (sp_greedy_variants sp)
-  in
+  let start = sp_seeds sp in
+  let seeds = grid_seed start ~evaluate :: List.map (fun c -> (c, evaluate c)) start.greedy in
   let seed_config, seed_cost =
     List.fold_left (fun (bc, bcost) (c, cost) -> if cost < bcost then (c, cost) else (bc, bcost))
       (List.hd seeds) (List.tl seeds)

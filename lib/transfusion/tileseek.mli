@@ -66,6 +66,28 @@ val greedy_variants : Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config list
 (** The greedy growth orders (query-tile-first, key/value-tile-first, and
     balanced alternation); callers evaluate and keep the best. *)
 
+type seeds = {
+  fallback : config;  (** the space's minimal tile, built as {!fallback} builds it *)
+  grid : config list;
+      (** every feasible (query tile, key/value tile) point from the
+          fallback, completed by growing the model-dimension and FFN
+          slices, then [m1], then the batch tile; in query-tile-major
+          order *)
+  greedy : config list;  (** the {!greedy_variants} *)
+}
+(** The deterministic starting points {!search} prices before its
+    rollouts: the grid, then the greedy variants (the fallback only when
+    the grid is empty). *)
+
+val seeds :
+  kv_len:int -> decode:bool -> Tf_arch.Arch.t -> Tf_workloads.Workload.t -> seeds
+(** The seeds of the space {!search} explores under the same [kv_len]
+    and [decode].  Every greedy step grows one tile dimension to the
+    largest option that still fits, found by bisecting its ascending
+    menu: the Table 2 requirement never falls as a tile grows, so the
+    options that fit form a prefix.
+    @raise Invalid_argument as {!fallback}. *)
+
 val pareto :
   ?iterations:int ->
   Tf_arch.Arch.t ->

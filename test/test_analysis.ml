@@ -119,7 +119,7 @@ let encoder_schedule () =
   let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
     Transfusion.Strategies.layer_problem w
   in
-  (g, Dpipe.schedule arch ~load ~matrix g)
+  (g, Dpipe.schedule arch ~load ~matrix (Dpipe.plan g))
 
 let test_schedule_clean () =
   let g, sched = encoder_schedule () in
@@ -229,7 +229,7 @@ let test_verified_schedule_hook () =
   let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
     Transfusion.Layer_costs.problem w (Transfusion.Cascades.mha ())
   in
-  let sched = Dpipe.schedule ~verify:true arch ~load ~matrix g in
+  let sched = Dpipe.schedule ~verify:true arch ~load ~matrix (Dpipe.plan g) in
   Alcotest.(check bool) "verified schedule passes check" true (Dpipe.check g sched = Ok ())
 
 let test_distinct_code_count () =

@@ -26,20 +26,20 @@ let test_empty_and_cyclic () =
   let raises label f =
     Alcotest.(check bool) label true (try ignore (f ()); false with Invalid_argument _ -> true)
   in
-  raises "empty" (fun () -> Dpipe.schedule arch ~load:(fun _ -> 1.) ~matrix:(fun _ -> true) Dag.empty);
+  raises "empty" (fun () -> Dpipe.schedule arch ~load:(fun _ -> 1.) ~matrix:(fun _ -> true) (Dpipe.plan Dag.empty));
   let cyclic = Dag.add_edge producer_consumer 1 0 in
-  raises "cyclic" (fun () -> Dpipe.schedule arch ~load:load2 ~matrix:matrix2 cyclic)
+  raises "cyclic" (fun () -> Dpipe.schedule arch ~load:load2 ~matrix:matrix2 (Dpipe.plan cyclic))
 
 let test_single_node () =
   let g = Dag.of_edges [ (0, "only") ] [] in
-  let sched = Dpipe.schedule arch ~load:(fun _ -> 500.) ~matrix:(fun _ -> true) g in
+  let sched = Dpipe.schedule arch ~load:(fun _ -> 500.) ~matrix:(fun _ -> true) (Dpipe.plan g) in
   check_ok g sched;
   (* 500 load / 100 PEs = 5 cycles per epoch; no pipelining possible. *)
   Alcotest.(check (float 1e-9)) "steady" 5. sched.Dpipe.steady_interval_cycles;
   Alcotest.(check bool) "no bipartition of a single node" true (sched.Dpipe.partition = None)
 
 let test_pipeline_overlap () =
-  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 producer_consumer in
+  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 (Dpipe.plan producer_consumer) in
   check_ok producer_consumer sched;
   (* Sequential: 1000/100 + 100/10 = 20 cycles per epoch.  Pipelined with
      the vector op overlapped on the 1D array, steady state approaches the
@@ -52,7 +52,7 @@ let test_pipeline_overlap () =
     (sched.Dpipe.steady_interval_cycles >= 10. -. 1e-9)
 
 let test_partition_respected () =
-  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 producer_consumer in
+  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 (Dpipe.plan producer_consumer) in
   match sched.Dpipe.partition with
   | Some p ->
       Alcotest.(check (list int)) "first stage" [ 0 ] p.Tf_dag.Partition.first;
@@ -61,7 +61,7 @@ let test_partition_respected () =
 
 let test_static_mode () =
   let assign = function 0 -> Arch.Pe_2d | _ -> Arch.Pe_1d in
-  let sched = Dpipe.schedule ~mode:(`Static assign) arch ~load:load2 ~matrix:matrix2 producer_consumer in
+  let sched = Dpipe.schedule ~mode:(`Static assign) arch ~load:load2 ~matrix:matrix2 (Dpipe.plan producer_consumer) in
   check_ok producer_consumer sched;
   List.iter
     (fun (a : Dpipe.assignment) ->
@@ -84,7 +84,7 @@ let test_static_assign_called_once_per_node () =
     calls.(n) <- calls.(n) + 1;
     if matrix n then Arch.Pe_2d else Arch.Pe_1d
   in
-  let schedule () = Dpipe.schedule ~mode:(`Static assign) arch ~load ~matrix g in
+  let schedule () = Dpipe.schedule ~mode:(`Static assign) arch ~load ~matrix (Dpipe.plan g) in
   let sched = schedule () in
   check_ok g sched;
   Array.iteri (fun n c -> Alcotest.(check int) (Printf.sprintf "node %d asked once" n) 1 c) calls;
@@ -106,7 +106,7 @@ let test_dp_uses_both_arrays () =
   in
   let g = Dag.of_edges [ (0, "a"); (1, "b") ] [] in
   let load _ = 1000. and matrix _ = true in
-  let sched = Dpipe.schedule balanced ~load ~matrix g in
+  let sched = Dpipe.schedule balanced ~load ~matrix (Dpipe.plan g) in
   check_ok g sched;
   let used r = List.exists (fun (a : Dpipe.assignment) -> a.Dpipe.resource = r) sched.Dpipe.assignments in
   Alcotest.(check bool) "2D used" true (used Arch.Pe_2d);
@@ -117,7 +117,7 @@ let test_dp_uses_both_arrays () =
     (sched.Dpipe.steady_interval_cycles < Dpipe.sequential_cycles balanced ~load ~matrix g)
 
 let test_total_cycles () =
-  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 producer_consumer in
+  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 (Dpipe.plan producer_consumer) in
   Alcotest.(check int) "8-epoch window" 8 sched.Dpipe.epochs_unrolled;
   let t8 = Dpipe.total_cycles sched ~epochs:8. in
   let t16 = Dpipe.total_cycles sched ~epochs:16. in
@@ -127,7 +127,7 @@ let test_total_cycles () =
   Alcotest.(check bool) "sub-window scales down" true (Dpipe.total_cycles sched ~epochs:4. < t8)
 
 let test_check_detects_violations () =
-  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 producer_consumer in
+  let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 (Dpipe.plan producer_consumer) in
   let broken = { sched with Dpipe.assignments = List.tl sched.Dpipe.assignments } in
   (match Dpipe.check producer_consumer broken with
   | Ok () -> Alcotest.fail "missing instance not detected"
@@ -159,7 +159,7 @@ let prop_steady_lower_bound =
         Dag.of_edges (List.init n (fun i -> (i, i))) (List.init (n - 1) (fun i -> (i, i + 1)))
       in
       let load i = loads.(i) and matrix i = i mod 2 = 0 in
-      let sched = Dpipe.schedule arch ~load ~matrix g in
+      let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
       (match Dpipe.check g sched with Ok () -> () | Error e -> QCheck.Test.fail_report e);
       let total = Array.fold_left ( +. ) 0. loads in
       (* Peak throughput if every op ran at the best rate anywhere: 100 +
@@ -182,7 +182,7 @@ let prop_schedules_valid =
       let g = Dag.of_edges (List.init n (fun i -> (i, i))) edges in
       let load i = 50. +. float_of_int (i * 37 mod 400) in
       let matrix i = i mod 3 <> 0 in
-      let sched = Dpipe.schedule arch ~load ~matrix g in
+      let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
       match Dpipe.check g sched with Ok () -> true | Error _ -> false)
 
 let prop_prune_matches_verify =
@@ -209,8 +209,8 @@ let prop_prune_matches_verify =
          candidates, the regime the absolute epsilon got wrong. *)
       let load _ = 256. in
       let matrix i = i mod 2 = 0 in
-      let fast = Dpipe.schedule arch ~load ~matrix g in
-      let full = Dpipe.schedule ~verify:true arch ~load ~matrix g in
+      let fast = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
+      let full = Dpipe.schedule ~verify:true arch ~load ~matrix (Dpipe.plan g) in
       fast.Dpipe.steady_interval_cycles = full.Dpipe.steady_interval_cycles
       && fast.Dpipe.partition = full.Dpipe.partition
       && fast.Dpipe.order = full.Dpipe.order

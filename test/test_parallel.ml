@@ -258,14 +258,14 @@ let with_jobs jobs f =
   Fun.protect ~finally:P.clear_jobs_override f
 
 let test_dpipe_schedule_deterministic () =
-  let run () = Dpipe.schedule toy_arch ~load:load4 ~matrix:matrix4 diamond in
+  let run () = Dpipe.schedule toy_arch ~load:load4 ~matrix:matrix4 (Dpipe.plan diamond) in
   let seq = with_jobs 1 run in
   let par = with_jobs 4 run in
   Alcotest.(check bool) "parallel schedule identical to sequential" true
     (schedules_equal seq par);
   (* Pruning must only discard losers: the verified (prune-free) search
      picks the same winner. *)
-  let verified = with_jobs 4 (fun () -> Dpipe.schedule ~verify:true toy_arch ~load:load4 ~matrix:matrix4 diamond) in
+  let verified = with_jobs 4 (fun () -> Dpipe.schedule ~verify:true toy_arch ~load:load4 ~matrix:matrix4 (Dpipe.plan diamond)) in
   Alcotest.(check bool) "pruned winner matches verified winner" true
     (schedules_equal seq verified)
 
@@ -273,13 +273,41 @@ let test_dpipe_half_makespan_consistency () =
   (* The single-pass full+half evaluation agrees exactly with two
      independent DP runs on every candidate of the grid. *)
   Alcotest.(check bool) "diamond DAG" true
-    (Dpipe.Private.steady_consistency_check toy_arch ~load:load4 ~matrix:matrix4 diamond);
+    (Dpipe.Private.steady_consistency_check toy_arch ~load:load4 ~matrix:matrix4
+       (Dpipe.plan diamond));
   Alcotest.(check bool) "mha cascade DAG" true
     (let w = Workload.v Presets.t5 ~seq_len:1024 in
-     let { Transfusion.Layer_costs.load; matrix; dag; _ } =
+     let { Transfusion.Layer_costs.load; matrix; plan; _ } =
        Transfusion.Layer_costs.problem w (Transfusion.Cascades.mha ())
      in
-     Dpipe.Private.steady_consistency_check toy_arch ~load ~matrix dag)
+     Dpipe.Private.steady_consistency_check toy_arch ~load ~matrix plan)
+
+let test_dpipe_shared_plan_parallel () =
+  (* A search shares one plan across its slices: scheduling several load
+     vectors through one plan in a 4-domain pool equals scheduling each
+     through its own fresh plan on one domain, in both modes. *)
+  let w = Workload.v ~batch:4 Presets.bert ~seq_len:4096 in
+  List.iter
+    (fun (label, cascade, pinned) ->
+      let problems =
+        List.map (fun m0 -> Transfusion.Layer_costs.problem ~m0 w cascade) [ 64; 128; 256; 512 ]
+      in
+      let shared = (List.hd problems).Transfusion.Layer_costs.plan in
+      let mode = if pinned then `Static (Strategies.fusemax_assign toy_arch cascade) else `Dp in
+      List.iteri
+        (fun k { Transfusion.Layer_costs.load; matrix; dag; _ } ->
+          let par = with_jobs 4 (fun () -> Dpipe.schedule ~mode toy_arch ~load ~matrix shared) in
+          let seq =
+            with_jobs 1 (fun () -> Dpipe.schedule ~mode toy_arch ~load ~matrix (Dpipe.plan dag))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, load vector %d" label k)
+            true (schedules_equal seq par))
+        problems)
+    [
+      ("fused layer", Transfusion.Cascades.full_layer Tf_einsum.Scalar_op.Gelu, false);
+      ("pinned MHA", Transfusion.Cascades.mha (), true);
+    ]
 
 let results_equal (a : Strategies.result) (b : Strategies.result) =
   a.Strategies.latency = b.Strategies.latency
@@ -330,6 +358,7 @@ let () =
         [
           quick "dpipe schedule" test_dpipe_schedule_deterministic;
           quick "dpipe half-makespan single pass" test_dpipe_half_makespan_consistency;
+          quick "dpipe plan shared across loads" test_dpipe_shared_plan_parallel;
           quick "exp_common sweep" test_sweep_deterministic;
         ] );
     ]

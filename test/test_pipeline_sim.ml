@@ -18,7 +18,7 @@ let load = function 0 -> 640. | 1 -> 80. | _ -> 320.
 let matrix = function 0 | 2 -> true | _ -> false
 
 let test_replay_matches_dp () =
-  let sched = Dpipe.schedule arch ~load ~matrix chain in
+  let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan chain) in
   match Sim.replay arch ~load ~matrix chain sched with
   | Ok outcome ->
       Alcotest.(check bool) "makespans agree" true (Sim.agrees sched outcome);
@@ -26,7 +26,7 @@ let test_replay_matches_dp () =
   | Error e -> Alcotest.failf "replay failed: %s" e
 
 let test_busy_accounting () =
-  let sched = Dpipe.schedule arch ~load ~matrix chain in
+  let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan chain) in
   match Sim.replay arch ~load ~matrix chain sched with
   | Ok outcome ->
       (* Busy time of each array equals the sum of its instances'
@@ -40,7 +40,7 @@ let test_busy_accounting () =
   | Error e -> Alcotest.failf "replay failed: %s" e
 
 let test_deadlock_detection () =
-  let sched = Dpipe.schedule arch ~load ~matrix chain in
+  let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan chain) in
   (* Corrupt the schedule: force producer and consumer onto one resource
      with the consumer issued first. *)
   let corrupted =
@@ -67,7 +67,7 @@ let contains haystack needle =
   scan 0
 
 let test_gantt () =
-  let sched = Dpipe.schedule arch ~load ~matrix chain in
+  let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan chain) in
   let text = Sim.gantt ~width:40 ~label:(fun n -> Printf.sprintf "op%d" n) sched in
   Alcotest.(check bool) "mentions both lanes" true
     (contains text "2D array:" && contains text "1D array:");
@@ -84,7 +84,7 @@ let golden_source =
 let regen = Sys.getenv_opt "GOLDEN_REGEN" <> None
 
 let test_gantt_golden () =
-  let sched = Dpipe.schedule arch ~load ~matrix chain in
+  let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan chain) in
   let text = Sim.gantt ~width:48 ~label:(fun n -> [| "a"; "b"; "c" |].(n)) sched in
   if regen then begin
     let oc = open_out golden_source in
@@ -130,7 +130,7 @@ let prop_events_tile_busy =
     (fun (n, seed) ->
       let g = random_dag n seed in
       let load = rand_load and matrix = rand_matrix in
-      let sched = Dpipe.schedule arch ~load ~matrix g in
+      let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
       match Sim.replay_events arch ~load ~matrix g sched with
       | Ok (outcome, events) ->
           (* Exact float equality, not a tolerance: events are recorded
@@ -154,7 +154,7 @@ let prop_span_attribution =
     (fun (n, seed) ->
       let g = random_dag n seed in
       let load = rand_load and matrix = rand_matrix in
-      let sched = Dpipe.schedule arch ~load ~matrix g in
+      let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
       match Sim.replay_events arch ~load ~matrix g sched with
       | Ok (_, events) ->
           List.for_all
@@ -173,7 +173,7 @@ let prop_events_outcome_unchanged =
     (fun (n, seed) ->
       let g = random_dag n seed in
       let load = rand_load and matrix = rand_matrix in
-      let sched = Dpipe.schedule arch ~load ~matrix g in
+      let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
       match (Sim.replay arch ~load ~matrix g sched, Sim.replay_events arch ~load ~matrix g sched) with
       | Ok a, Ok (b, _) ->
           Float.equal a.Sim.makespan_cycles b.Sim.makespan_cycles
@@ -198,7 +198,7 @@ let prop_replay_agrees =
       let g = Dag.of_edges (List.init n (fun i -> (i, i))) edges in
       let load i = 16. +. float_of_int ((i * 97) mod 512) in
       let matrix i = i mod 2 = 0 in
-      let sched = Dpipe.schedule arch ~load ~matrix g in
+      let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
       match Sim.replay arch ~load ~matrix g sched with
       | Ok outcome -> Sim.agrees sched outcome
       | Error _ -> false)
@@ -213,7 +213,7 @@ let prop_static_replay_agrees =
       let load i = 100. +. float_of_int (i * 31) in
       let matrix i = i mod 2 = 0 in
       let assign i = if matrix i then Arch.Pe_2d else Arch.Pe_1d in
-      let sched = Dpipe.schedule ~mode:(`Static assign) arch ~load ~matrix g in
+      let sched = Dpipe.schedule ~mode:(`Static assign) arch ~load ~matrix (Dpipe.plan g) in
       match Sim.replay arch ~load ~matrix g sched with
       | Ok outcome -> Sim.agrees sched outcome
       | Error _ -> false)

@@ -71,7 +71,7 @@ let shrink_dpipe_case c =
 let prop_dpipe_verifier_clean c =
   let load n = c.loads.(n) in
   let matrix n = c.matrix_mask.(n) in
-  let sched = Dpipe.schedule c.arch ~load ~matrix c.g in
+  let sched = Dpipe.schedule c.arch ~load ~matrix (Dpipe.plan c.g) in
   (match Dpipe.check c.g sched with
   | Ok () -> ()
   | Error e -> Alcotest.failf "Dpipe.check rejected its own schedule: %s" e);
@@ -90,6 +90,106 @@ let prop_dpipe_verifier_clean c =
 let test_dpipe_random_dags () =
   Qgen.run ~shrink:shrink_dpipe_case ~print:print_dpipe_case ~gen:dpipe_case
     "dpipe random DAGs verify and replay" prop_dpipe_verifier_clean
+
+(* ------------------------------------------------------------------ *)
+(* One plan, many loads: a shared Dpipe.plan schedules like a fresh one *)
+
+(* Every field of two schedules, floats compared bit for bit. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let schedules_identical (a : Dpipe.t) (b : Dpipe.t) =
+  a.Dpipe.partition = b.Dpipe.partition
+  && a.Dpipe.order = b.Dpipe.order
+  && a.Dpipe.epochs_unrolled = b.Dpipe.epochs_unrolled
+  && same_bits a.Dpipe.makespan_cycles b.Dpipe.makespan_cycles
+  && same_bits a.Dpipe.steady_interval_cycles b.Dpipe.steady_interval_cycles
+  && same_bits a.Dpipe.useful_2d_per_epoch b.Dpipe.useful_2d_per_epoch
+  && same_bits a.Dpipe.useful_1d_per_epoch b.Dpipe.useful_1d_per_epoch
+  && List.length a.Dpipe.assignments = List.length b.Dpipe.assignments
+  && List.for_all2
+       (fun (x : Dpipe.assignment) (y : Dpipe.assignment) ->
+         x.Dpipe.node = y.Dpipe.node && x.Dpipe.epoch = y.Dpipe.epoch
+         && x.Dpipe.resource = y.Dpipe.resource
+         && same_bits x.Dpipe.start_cycle y.Dpipe.start_cycle
+         && same_bits x.Dpipe.end_cycle y.Dpipe.end_cycle)
+       a.Dpipe.assignments b.Dpipe.assignments
+
+(* Schedule every load vector, in order, through one plan of [g] and
+   through a fresh plan each; the plan holds nothing a schedule can
+   change, so the two must agree field for field. *)
+let check_plan_reuse ~label ~mode arch g loads =
+  let shared = Dpipe.plan g in
+  List.iteri
+    (fun k (load, matrix) ->
+      let reused = Dpipe.schedule ~mode arch ~load ~matrix shared in
+      let fresh = Dpipe.schedule ~mode arch ~load ~matrix (Dpipe.plan g) in
+      if not (schedules_identical reused fresh) then
+        Alcotest.failf "%s: load vector %d: the shared plan's schedule differs from a fresh plan's"
+          label k)
+    loads
+
+type reuse_case = {
+  r_arch : Tf_arch.Arch.t;
+  r_g : string Dag.t;
+  r_loads : float array list;  (* several load vectors over [r_g] *)
+  r_mask : bool array;
+  r_static : bool;  (* `Static with the native array of each node, else `Dp *)
+}
+
+let reuse_case r =
+  let g = Qgen.dag r in
+  let n = Dag.node_count g in
+  {
+    r_arch = Qgen.choose r archs;
+    r_g = g;
+    r_loads = List.init (Qgen.range r 2 4) (fun _ -> Qgen.loads r n);
+    r_mask = Array.init n (fun _ -> Qgen.bool r);
+    r_static = Qgen.bool r;
+  }
+
+let print_reuse_case c =
+  Printf.sprintf "%s %s static=%b loads=[%s]" c.r_arch.Tf_arch.Arch.name (Qgen.print_dag c.r_g)
+    c.r_static
+    (String.concat " | "
+       (List.map
+          (fun l -> String.concat ";" (List.map (Printf.sprintf "%g") (Array.to_list l)))
+          c.r_loads))
+
+let prop_plan_reuse c =
+  let matrix n = c.r_mask.(n) in
+  let mode =
+    if c.r_static then `Static (fun n -> if matrix n then Tf_arch.Arch.Pe_2d else Tf_arch.Arch.Pe_1d)
+    else `Dp
+  in
+  check_plan_reuse ~label:"random DAG" ~mode c.r_arch c.r_g
+    (List.map (fun l -> ((fun n -> l.(n)), matrix)) c.r_loads)
+
+let test_plan_reuse () =
+  Qgen.run ~print:print_reuse_case ~gen:reuse_case
+    "schedules through a shared plan equal schedules through fresh plans" prop_plan_reuse;
+  (* The search's own sharing: the fused layer under DPipe and the MHA
+     pinned as FuseMax pins it, at each key/value tile a search prices. *)
+  let w = Workload.v ~batch:4 Tf_workloads.Presets.bert ~seq_len:4096 in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun (label, cascade, pinned) ->
+          let problems =
+            List.map (fun m0 -> Layer_costs.problem ~m0 w cascade) [ 64; 128; 256; 512 ]
+          in
+          let g = (List.hd problems).Layer_costs.dag in
+          let mode =
+            if pinned then `Static (Strategies.fusemax_assign arch cascade) else `Dp
+          in
+          check_plan_reuse ~label ~mode arch g
+            (List.map (fun (p : Layer_costs.problem) -> (p.Layer_costs.load, p.Layer_costs.matrix))
+               problems))
+        [
+          ("fused layer", Transfusion.Cascades.full_layer Tf_einsum.Scalar_op.Gelu, false);
+          ("pinned MHA", Transfusion.Cascades.mha (), true);
+          ("MHA under DPipe", Transfusion.Cascades.mha (), false);
+        ])
+    archs
 
 (* ------------------------------------------------------------------ *)
 (* Buffer_req formulas vs brute-force tensor inventory                 *)
@@ -227,6 +327,175 @@ let test_feasible_tilings () =
     prop_feasible_tiling_lints_clean
 
 (* ------------------------------------------------------------------ *)
+(* TileSeek's seeds against the linear-scan oracle                     *)
+
+(* The seed construction as it stood before [grow] bisected its menus:
+   every option of a menu is tried in turn, and the last feasible one
+   kept.  Production must build the same fallback, grid completions and
+   greedy variants, config for config. *)
+module Seed_oracle = struct
+  type space = { arch : Tf_arch.Arch.t; w : Workload.t; kv : int; decode : bool }
+
+  let pow2_divisors ?(cap = max_int) n =
+    let rec grow acc v = if v <= n && v <= cap && n mod v = 0 then grow (v :: acc) (2 * v) else acc in
+    List.rev (grow [] 1)
+
+  let all_divisors n = List.filter (fun k -> n mod k = 0) (List.init n (fun i -> i + 1))
+
+  let b_options sp = pow2_divisors sp.w.Workload.batch
+  let d_options sp = Tileseek.thin 12 (all_divisors sp.w.Workload.model.Tf_workloads.Model.d_model)
+
+  let p_options sp =
+    let seq = sp.w.Workload.seq_len in
+    let pow2 = pow2_divisors ~cap:8192 seq in
+    List.sort_uniq compare
+      (pow2 @ List.filter_map (fun p -> if 3 * p <= Int.min 8192 seq then Some (3 * p) else None) pow2)
+
+  let m0_options sp = pow2_divisors ~cap:512 sp.kv
+  let m1_options sp ~m0 = pow2_divisors ~cap:64 (sp.kv / m0)
+  let s_options sp = Tileseek.thin 12 (all_divisors sp.w.Workload.model.Tf_workloads.Model.ffn_hidden)
+  let feasible sp c = Tileseek.feasible ~kv_len:sp.kv ~decode:sp.decode sp.arch sp.w c
+
+  let fallback sp =
+    let c =
+      {
+        Tileseek.b = List.hd (b_options sp);
+        d = List.hd (d_options sp);
+        p = List.hd (p_options sp);
+        m1 = 1;
+        m0 = List.hd (m0_options sp);
+        s = List.hd (s_options sp);
+      }
+    in
+    if feasible sp c then c else invalid_arg "oracle fallback: minimal tile does not fit"
+
+  let grow sp config options update =
+    List.fold_left
+      (fun best option ->
+        let candidate = update best option in
+        if feasible sp candidate then candidate else best)
+      config options
+
+  let complete sp (c : Tileseek.config) =
+    let c = grow sp c (d_options sp) (fun c d -> { c with Tileseek.d }) in
+    let c = grow sp c (s_options sp) (fun c s -> { c with Tileseek.s }) in
+    let c = grow sp c (m1_options sp ~m0:c.Tileseek.m0) (fun c m1 -> { c with Tileseek.m1 }) in
+    grow sp c (b_options sp) (fun c b -> { c with Tileseek.b })
+
+  let greedy_with sp ~m0_first =
+    let base = fallback sp in
+    let grow_p c = grow sp c (p_options sp) (fun c p -> { c with Tileseek.p }) in
+    let grow_m0 c = grow sp c (m0_options sp) (fun c m0 -> { c with Tileseek.m0 }) in
+    complete sp (if m0_first then grow_p (grow_m0 base) else grow_m0 (grow_p base))
+
+  let greedy_balanced sp =
+    let next options current = List.find_opt (fun a -> a > current) options in
+    let progress options current =
+      let len = List.length options in
+      let idx = List.length (List.filter (fun o -> o <= current) options) in
+      if len <= 1 then 1. else float_of_int idx /. float_of_int len
+    in
+    let try_bump config get set options =
+      match next options (get config) with
+      | Some v when feasible sp (set config v) -> (set config v, true)
+      | _ -> (config, false)
+    in
+    let step (config : Tileseek.config) =
+      let p_opts = p_options sp and m0_opts = m0_options sp in
+      let p_first = progress p_opts config.Tileseek.p <= progress m0_opts config.Tileseek.m0 in
+      let bump_p c =
+        try_bump c (fun c -> c.Tileseek.p) (fun c p -> { c with Tileseek.p }) p_opts
+      in
+      let bump_m0 c =
+        try_bump c (fun c -> c.Tileseek.m0) (fun c m0 -> { c with Tileseek.m0 }) m0_opts
+      in
+      let config, moved = if p_first then bump_p config else bump_m0 config in
+      if moved then (config, true) else if p_first then bump_m0 config else bump_p config
+    in
+    let rec walk config =
+      let config, moved = step config in
+      if moved then walk config else config
+    in
+    complete sp (walk (fallback sp))
+
+  let greedy_variants sp =
+    [ greedy_with sp ~m0_first:false; greedy_with sp ~m0_first:true; greedy_balanced sp ]
+
+  let grid sp =
+    let base = fallback sp in
+    List.concat_map
+      (fun p ->
+        List.filter_map
+          (fun m0 ->
+            let c = { base with Tileseek.p; m0 } in
+            if feasible sp c then Some (complete sp c) else None)
+          (m0_options sp))
+      (p_options sp)
+end
+
+type seed_case = { s_arch : Tf_arch.Arch.t; s_w : Workload.t; s_kv : int; s_decode : bool }
+
+(* Random small shapes and the presets (whose model dimensions have many
+   divisors), at a key/value length equal to the sequence, a random
+   power of two, or any length at all (a cache need not be a power of
+   two), with and without the decode charge. *)
+let seed_case r =
+  let w =
+    if Qgen.bool r then Qgen.workload r
+    else
+      Workload.v ~batch:(1 lsl Qgen.int r 7)
+        (Qgen.choose r Tf_workloads.Presets.all)
+        ~seq_len:(1 lsl Qgen.range r 0 16)
+  in
+  let s_kv =
+    match Qgen.int r 3 with
+    | 0 -> w.Workload.seq_len
+    | 1 -> 1 lsl Qgen.range r 0 16
+    | _ -> Qgen.range r 1 100_000
+  in
+  { s_arch = Qgen.choose r archs; s_w = w; s_kv; s_decode = Qgen.bool r }
+
+let print_seed_case c =
+  Printf.sprintf "%s %s kv=%d decode=%b" c.s_arch.Tf_arch.Arch.name (Qgen.print_workload c.s_w)
+    c.s_kv c.s_decode
+
+let prop_seeds_match_oracle c =
+  let sp = { Seed_oracle.arch = c.s_arch; w = c.s_w; kv = c.s_kv; decode = c.s_decode } in
+  let configs label production oracle =
+    if production <> oracle then
+      Alcotest.failf "%s: production [%s] <> oracle [%s]" label
+        (String.concat "; " (List.map Qgen.print_tiling production))
+        (String.concat "; " (List.map Qgen.print_tiling oracle))
+  in
+  let attempt f = match f () with v -> Ok v | exception Invalid_argument _ -> Error () in
+  (match
+     ( attempt (fun () -> Tileseek.seeds ~kv_len:c.s_kv ~decode:c.s_decode c.s_arch c.s_w),
+       attempt (fun () ->
+           (Seed_oracle.fallback sp, Seed_oracle.grid sp, Seed_oracle.greedy_variants sp)) )
+   with
+  | Ok s, Ok (fallback, grid, greedy) ->
+      configs "fallback" [ s.Tileseek.fallback ] [ fallback ];
+      configs "grid completions" s.Tileseek.grid grid;
+      configs "greedy variants" s.Tileseek.greedy greedy
+  | Error (), Error () -> ()
+  | Ok _, Error () -> Alcotest.fail "production seeds a space whose minimal tile does not fit"
+  | Error (), Ok _ -> Alcotest.fail "production refuses a space the oracle seeds");
+  (* The public self-attention entry points, over the workload's own
+     sequence without the decode charge. *)
+  let self = { sp with Seed_oracle.kv = c.s_w.Workload.seq_len; decode = false } in
+  match attempt (fun () -> Seed_oracle.fallback self) with
+  | Error () -> ()
+  | Ok fallback ->
+      configs "public fallback" [ Tileseek.fallback c.s_arch c.s_w ] [ fallback ];
+      configs "public greedy variants"
+        (Tileseek.greedy_variants c.s_arch c.s_w)
+        (Seed_oracle.greedy_variants self)
+
+let test_seeds_match_oracle () =
+  Qgen.run ~print:print_seed_case ~gen:seed_case
+    "bisected TileSeek seeds equal the linear-scan oracle" prop_seeds_match_oracle
+
+(* ------------------------------------------------------------------ *)
 (* Differential: analytic DPipe vs event-driven replay on real
    fused-layer cascades (~50 random (arch, workload) points)           *)
 
@@ -239,7 +508,7 @@ let print_cascade_case (arch, w) =
 
 let prop_analytic_matches_replay (arch, w) =
   let { Layer_costs.load; matrix; dag = g; _ } = Strategies.layer_problem w in
-  let sched = Dpipe.schedule arch ~load ~matrix g in
+  let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
   match Pipeline_sim.replay arch ~load ~matrix g sched with
   | Error e -> Alcotest.failf "replay deadlocked: %s" e
   | Ok outcome ->
@@ -792,12 +1061,14 @@ let () =
       ( "scheduler",
         [
           quick "dpipe random DAGs" test_dpipe_random_dags;
+          quick "dpipe plan reuse" test_plan_reuse;
           quick "topo orders" test_topo_orders;
         ] );
       ( "model",
         [
           quick "buffer_req brute force" test_buffer_req_brute_force;
           quick "feasible tilings lint clean" test_feasible_tilings;
+          quick "tileseek seeds equal the linear-scan oracle" test_seeds_match_oracle;
         ] );
       ( "differential",
         [

@@ -470,6 +470,13 @@ let test_cli_validation_matches_daemon () =
       ("cascade " ^ file ^ " --extent p=abc", "invalid value 'abc', expected an integer");
       ("cascade " ^ file ^ " --extent pabc", {|bad extent "pabc" (expected NAME=N)|});
       ("cascade " ^ file ^ " --extent p=0", "extent p must be >= 1 (got 0)");
+      ("check --range 0:100", "range LO must be >= 1 (got 0)");
+      ("check --range 512:256", "range HI must be >= LO (got 512:256)");
+      ("check --range 512:16384:0", "range STEP must be >= 1 (got 0)");
+      ("check --range 512:16384:-512", "range STEP must be >= 1 (got -512)");
+      ("serve --tcp 999999", "tcp port must be in 1..65535 (got 999999)");
+      ("serve --tcp 0", "tcp port must be in 1..65535 (got 0)");
+      ("top --tcp 70000", "tcp port must be in 1..65535 (got 70000)");
     ];
   Sys.remove file
 
