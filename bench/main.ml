@@ -212,7 +212,7 @@ let tileseek_search_bench () =
 
 (* The seeds a search builds before it scores anything: every feasible
    (query tile, key/value tile) grid point completed by greedy growth,
-   plus the greedy variants, all Table 2 feasibility checks. *)
+   all Table 2 feasibility checks. *)
 let grid_complete_bench () =
   let kv_len = workload.Tf_workloads.Workload.seq_len in
   fun () -> ignore (Transfusion.Tileseek.seeds ~kv_len ~decode:false edge workload)

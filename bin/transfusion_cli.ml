@@ -234,7 +234,8 @@ let serve_cmd =
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
             "Persist computed schedules to $(docv) (one JSON file per key); they are reused \
-             across restarts.")
+             across restarts.  Use a directory only with the build that wrote it: a key names \
+             the request, so another build's files are served as they are.")
   in
   let cache_entries_arg =
     count_opt "cache-entries" ~default:1024 ~doc:"In-memory cache bound (LRU eviction)."

@@ -1,6 +1,6 @@
 (* TileSeek in action: search the outer tiling space of a long-context
    edge deployment, watching feasibility (Table 2) prune the space and
-   MCTS refine the greedy seeds.
+   MCTS refine the grid seeds.
 
    Run with:  dune exec examples/tiling_search.exe *)
 

@@ -228,27 +228,26 @@ let rec plain_run r i =
   if i < r.n && plain (String.unsafe_get r.s i) then plain_run r (i + 1) else i
 
 (* The character a two-byte escape stands for, at the escape letter. *)
-let unescaped r buf ~keep c =
-  if keep then Buffer.add_char buf c;
+let unescaped r buf c =
+  Buffer.add_char buf c;
   advance r
 
 (* After the opening quote: the body of a string literal.  A string
    with no escape is one [String.sub]; otherwise plain runs are copied
-   whole between the escapes.  With [keep = false] the literal is
-   checked, with the same errors, and nothing is built. *)
-let string_body r ~keep =
+   whole between the escapes. *)
+let string_body r =
   let start = r.pos in
   let stop = plain_run r start in
   if stop < r.n && String.unsafe_get r.s stop = '"' then begin
     r.pos <- stop + 1;
-    if keep then String.sub r.s start (stop - start) else ""
+    String.sub r.s start (stop - start)
   end
   else begin
-    let buf = Buffer.create (if keep then stop - start + 16 else 1) in
+    let buf = Buffer.create (stop - start + 16) in
     let rec loop () =
       let run = r.pos in
       let stop = plain_run r run in
-      if keep && stop > run then Buffer.add_substring buf r.s run (stop - run);
+      if stop > run then Buffer.add_substring buf r.s run (stop - run);
       r.pos <- stop;
       if stop >= r.n then fail r "unterminated string"
       else
@@ -257,23 +256,22 @@ let string_body r ~keep =
         | '\\' ->
             advance r;
             (match cur r with
-            | ('"' | '\\' | '/') as c -> unescaped r buf ~keep c
-            | 'b' -> unescaped r buf ~keep '\b'
-            | 'f' -> unescaped r buf ~keep '\012'
-            | 'n' -> unescaped r buf ~keep '\n'
-            | 'r' -> unescaped r buf ~keep '\r'
-            | 't' -> unescaped r buf ~keep '\t'
+            | ('"' | '\\' | '/') as c -> unescaped r buf c
+            | 'b' -> unescaped r buf '\b'
+            | 'f' -> unescaped r buf '\012'
+            | 'n' -> unescaped r buf '\n'
+            | 'r' -> unescaped r buf '\r'
+            | 't' -> unescaped r buf '\t'
             | 'u' ->
                 advance r;
-                let u = unicode_escape r in
-                if keep then Buffer.add_utf_8_uchar buf u
+                Buffer.add_utf_8_uchar buf (unicode_escape r)
             | _ -> fail r "bad escape");
             loop ()
         | _ -> fail r "control char in string"
     in
     r.pos <- start;
     loop ();
-    if keep then Buffer.contents buf else ""
+    Buffer.contents buf
   end
 
 (* RFC 8259 §6: [-] (0 | [1-9][0-9]* ) [. [0-9]+] [(e|E) [+|-] [0-9]+].
@@ -285,7 +283,7 @@ let digits r =
   done;
   if r.pos = first then fail r "bad number"
 
-let number r ~keep =
+let number r =
   let start = r.pos in
   let neg = cur r = '-' in
   if neg then advance r;
@@ -306,8 +304,7 @@ let number r ~keep =
       digits r
   | _ -> ());
   let first_digit = if neg then start + 1 else start in
-  if not keep then 0.
-  else if r.pos = int_end && int_end - first_digit <= 15 then begin
+  if r.pos = int_end && int_end - first_digit <= 15 then begin
     (* An integer of at most 15 digits is below 2^53, so summing its
        digits is exact and gives the float [float_of_string] would;
        request ids and sizes take this path. *)
@@ -328,80 +325,63 @@ let literal r word value =
   end
   else fail r (Printf.sprintf "expected %s" word)
 
-(* One grammar, two uses: [keep] builds the value, [keep = false]
-   checks it and returns [Null].  [only], when given, keeps just the
-   object members it names (the rest are checked and skipped); it
-   applies to this object only, not to the values inside it. *)
-let rec value r ~keep ~only depth =
+let rec value r depth =
   if depth > max_depth then fail r "nesting too deep";
   skip_ws r;
   match cur r with
   | '"' ->
       advance r;
-      let s = string_body r ~keep in
-      if keep then Str s else Null
+      Str (string_body r)
   | '{' ->
       advance r;
       skip_ws r;
       if cur r = '}' then begin
         advance r;
-        if keep then Obj [] else Null
+        Obj []
       end
-      else members r ~keep ~only depth []
+      else members r depth []
   | '[' ->
       advance r;
       skip_ws r;
       if cur r = ']' then begin
         advance r;
-        if keep then List [] else Null
+        List []
       end
-      else elements r ~keep depth []
+      else elements r depth []
   | 't' -> literal r "true" (Bool true)
   | 'f' -> literal r "false" (Bool false)
   | 'n' -> literal r "null" Null
-  | '-' | '0' .. '9' ->
-      let f = number r ~keep in
-      if keep then Num f else Null
+  | '-' | '0' .. '9' -> Num (number r)
   | c -> if r.pos < r.n then fail r (Printf.sprintf "unexpected %C" c) else fail r "unexpected end of input"
 
-and members r ~keep ~only depth acc =
+and members r depth acc =
   skip_ws r;
   expect r '"';
-  let k = string_body r ~keep in
+  let k = string_body r in
   skip_ws r;
   expect r ':';
-  let keep_v = keep && match only with None -> true | Some keys -> List.mem k keys in
-  let v = value r ~keep:keep_v ~only:None (depth + 1) in
-  let acc = if keep_v then (k, v) :: acc else acc in
+  let acc = (k, value r (depth + 1)) :: acc in
   skip_ws r;
   match cur r with
   | ',' ->
       advance r;
-      members r ~keep ~only depth acc
+      members r depth acc
   | '}' ->
       advance r;
-      if keep then Obj (List.rev acc) else Null
+      Obj (List.rev acc)
   | _ -> fail r "expected , or }"
 
-and elements r ~keep depth acc =
-  let v = value r ~keep ~only:None (depth + 1) in
-  let acc = if keep then v :: acc else acc in
+and elements r depth acc =
+  let acc = value r (depth + 1) :: acc in
   skip_ws r;
   match cur r with
   | ',' ->
       advance r;
-      elements r ~keep depth acc
+      elements r depth acc
   | ']' ->
       advance r;
-      if keep then List (List.rev acc) else Null
+      List (List.rev acc)
   | _ -> fail r "expected , or ]"
-
-let read ~only s =
-  let r = { s; n = String.length s; pos = 0 } in
-  let v = value r ~keep:true ~only 0 in
-  skip_ws r;
-  if r.pos <> r.n then fail r "trailing garbage";
-  v
 
 let parse ?max_bytes (s : string) : t =
   (match max_bytes with
@@ -409,9 +389,11 @@ let parse ?max_bytes (s : string) : t =
       raise
         (Bad_json (Printf.sprintf "input too large (%d bytes, limit %d)" (String.length s) limit))
   | _ -> ());
-  read ~only:None s
-
-let parse_members keys s = read ~only:(Some keys) s
+  let r = { s; n = String.length s; pos = 0 } in
+  let v = value r 0 in
+  skip_ws r;
+  if r.pos <> r.n then fail r "trailing garbage";
+  v
 
 let parse_file path =
   let ic = open_in_bin path in

@@ -60,13 +60,6 @@ val parse : ?max_bytes:int -> string -> t
     safe on hostile wire input: [Stack_overflow] is not an error a
     server loop can treat as data. *)
 
-val parse_members : string list -> string -> t
-(** {!parse} that builds only the named members of a top-level object:
-    the text is checked in full, with {!parse}'s errors and offsets,
-    and the other members are skipped without being built.  A
-    top-level value that is not an object is returned whole.
-    @raise Bad_json on malformed input. *)
-
 val parse_file : string -> t
 (** {!parse} the whole contents of a file.
     @raise Sys_error on I/O failure.  @raise Bad_json on malformed JSON. *)

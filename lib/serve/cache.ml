@@ -2,10 +2,6 @@ module Json = Tf_json
 
 let schema = "transfusion.serve-cache/2"
 
-(* The pretty-printed single-document entries of earlier releases: still
-   read, and rewritten as [schema] entries on a hit. *)
-let schema_v1 = "transfusion.serve-cache/1"
-
 (* Bound of the typed-key fingerprint memo.  It keeps fingerprints only:
    a memo that also kept key documents would keep every cold key's
    document alive. *)
@@ -77,39 +73,23 @@ let payload_bytes header =
   then Some (int_of_string (String.sub header p (n - p - 1)))
   else None
 
-(* A [schema_v1] entry is one pretty-printed document whose payload is a
-   JSON string: the emitter's [escape] and the reader's unescape are
-   exact inverses on every byte the emitter produces.  The whole
-   document is checked, but only [schema] and [payload] are built. *)
-let read_v1 text =
-  let doc = Json.parse_members [ "schema"; "payload" ] text in
-  match (Json.find "schema" doc, Json.find "payload" doc) with
-  | Some (Json.Str s), Some (Json.Str payload) when String.equal s schema_v1 -> Some payload
-  | _ -> None
-
-type format = Current | Migrate
-
 (* One buffered read.  A [schema] entry is a hit only when its key line
    digests to [fp] and exactly [payload_bytes] bytes, one newline and
    the end of the file follow it.  A claim past the channel's buffer is
    checked against the file size before it is allocated. *)
 let read_entry fp ic =
-  match In_channel.input_line ic with
-  | Some "{" ->
-      In_channel.seek ic 0L;
-      Option.map (fun payload -> (payload, Migrate)) (read_v1 (In_channel.input_all ic))
-  | Some header -> (
-      match (payload_bytes header, In_channel.input_line ic) with
-      | Some n, Some key_line
-        when String.equal (digest_line key_line) fp
-             && (n <= 65536 || Int64.of_int n < In_channel.length ic) -> (
-          match In_channel.really_input_string ic n with
-          | Some payload
-            when In_channel.input_char ic = Some '\n' && In_channel.input_char ic = None ->
-              Some (payload, Current)
-          | _ -> None)
+  let header = In_channel.input_line ic in
+  let key_line = In_channel.input_line ic in
+  match (Option.bind header payload_bytes, key_line) with
+  | Some n, Some key_line
+    when String.equal (digest_line key_line) fp
+         && (n <= 65536 || Int64.of_int n < In_channel.length ic) -> (
+      match In_channel.really_input_string ic n with
+      | Some payload
+        when In_channel.input_char ic = Some '\n' && In_channel.input_char ic = None ->
+          Some payload
       | _ -> None)
-  | None -> None
+  | _ -> None
 
 let load_disk t fp =
   match entry_path t fp with
@@ -153,9 +133,8 @@ let lookup ~report t slot ~fp ~key_json compute =
     Tf_parallel.Memo.find_or_compute t.memo slot (fun () ->
         let fp = fp () in
         match load_disk t fp with
-        | Some (payload, format) ->
+        | Some payload ->
             Tf_obs.Counter.incr t.disk_hits;
-            if format = Migrate then store_disk t fp ~key_json:(Lazy.force key_json) payload;
             deep_tier := Disk;
             { fp; payload }
         | None ->

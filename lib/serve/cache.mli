@@ -9,9 +9,10 @@
     payloads from disk.  An entry is three lines: a header naming the
     schema and the payload's length, the compact key document, and the
     payload bytes verbatim; a read checks that the key line digests to
-    the file name.  Entries of the older single-document
-    [transfusion.serve-cache/1] schema are still read, and rewritten in
-    the current schema on a hit.
+    the file name.  It is the only format read: any other file under an
+    entry's name is a wrong-schema entry (below).  A key names the
+    request, not the build that answered it, so a directory is valid
+    only for the build that wrote it.
 
     The memory tier is keyed on a request's compact typed
     {!Request.key}, and each entry stores the key's fingerprint next to

@@ -218,10 +218,9 @@ let greedy_balanced sp =
 
 let greedy ?kv_len ?decode arch w = greedy_with (space ?kv_len ?decode arch w) ~m0_first:false
 
-let sp_greedy_variants sp =
+let greedy_variants arch w =
+  let sp = space arch w in
   [ greedy_with sp ~m0_first:false; greedy_with sp ~m0_first:true; greedy_balanced sp ]
-
-let greedy_variants arch w = sp_greedy_variants (space arch w)
 
 (* The (query tile, key/value tile) grid — the two dimensions that trade
    residency against running-state update cost — from the fallback: every
@@ -237,23 +236,19 @@ let grid_candidates sp =
         (m0_options sp))
     (p_options sp)
 
-type seeds = { fallback : config; grid : config list; greedy : config list }
+let seeds ~kv_len ~decode arch w = grid_candidates (space ~kv_len ~decode arch w)
 
-let sp_seeds sp =
-  { fallback = sp_fallback sp; grid = grid_candidates sp; greedy = sp_greedy_variants sp }
-
-let seeds ~kv_len ~decode arch w = sp_seeds (space ~kv_len ~decode arch w)
-
-(* Deterministic seed: the cheapest grid candidate, the first on ties. *)
-let grid_seed (s : seeds) ~evaluate =
-  let best =
-    List.fold_left
-      (fun best candidate ->
-        let cost = evaluate candidate in
-        match best with Some (_, c) when c <= cost -> best | _ -> Some (candidate, cost))
-      None s.grid
-  in
-  match best with Some r -> r | None -> (s.fallback, evaluate s.fallback)
+(* Deterministic seed: the cheapest grid candidate, the first on ties.
+   The grid is never empty: it holds the completed fallback.  Each
+   greedy walk moves only the query and key/value tiles before it
+   completes, so it is a grid point too and could not beat this seed. *)
+let grid_seed grid ~evaluate =
+  let first = List.hd grid in
+  List.fold_left
+    (fun (best, best_cost) candidate ->
+      let cost = evaluate candidate in
+      if best_cost <= cost then (best, best_cost) else (candidate, cost))
+    (first, evaluate first) (List.tl grid)
 
 let log_src = Logs.Src.create "transfusion.tileseek" ~doc:"TileSeek tiling search"
 
@@ -351,13 +346,7 @@ let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe arch w ~evalu
   @@ fun () ->
   let memo_hits = ref 0 and memo_misses = ref 0 in
   let evaluate = memoize_cost ~hits:memo_hits ~misses:memo_misses evaluate in
-  let start = sp_seeds sp in
-  let seeds = grid_seed start ~evaluate :: List.map (fun c -> (c, evaluate c)) start.greedy in
-  let seed_config, seed_cost =
-    List.fold_left (fun (bc, bcost) (c, cost) -> if cost < bcost then (c, cost) else (bc, bcost))
-      (List.hd seeds) (List.tl seeds)
-  in
-  let ref_cost = seed_cost in
+  let seed_config, ref_cost = grid_seed (grid_candidates sp) ~evaluate in
   let actions path =
     match List.length path with
     | 0 -> b_options sp
@@ -396,8 +385,8 @@ let search ?(iterations = 400) ?(seed = 42) ?kv_len ?decode ?probe arch w ~evalu
   let best, stats =
     Mcts.search ?probe:mcts_probe ~rng ~iterations { actions; reward }
   in
-  (* The hand heuristic competes with the search result: MCTS must beat
-     it to displace it (reward 1.0 = the heuristic's own cost). *)
+  (* The grid seed competes with the search result: MCTS must beat it to
+     displace it (reward 1.0 = the seed's own cost). *)
   let result =
     match best with
     | Some (path, reward) when reward > 1. -> (config_of_path path, stats)

@@ -51,41 +51,33 @@ val clamp_kv : config -> kv_len:int -> config
     @raise Invalid_argument on non-positive [kv_len]. *)
 
 val fallback : Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config
-(** A conservative feasible configuration found by shrinking every factor
-    (used to seed reward normalisation and as the result of last resort).
+(** The minimal configuration, the first option of every factor's menu:
+    the point every greedy walk and every {!seeds} completion grows from.
     @raise Invalid_argument if even the minimal configuration does not
     fit. *)
 
 val greedy : ?kv_len:int -> ?decode:bool -> Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config
-(** A hand-heuristic tiling: grow each factor (query tile first, then the
-    model-dimension and FFN slices, the key/value tiles, the batch tile)
-    to the largest feasible option.  This is the tiling discipline the
-    FuseMax+LayerFuse ablation uses — inter-layer fusion without search. *)
+(** A hand-heuristic tiling without search: grow each factor (query tile
+    first, then the key/value tile, the model-dimension and FFN slices,
+    [m1], the batch tile) to the largest feasible option.  The serving
+    cost table tests with it whether a batch fits a cache length, and
+    the range certifier certifies the tiling it gives. *)
 
 val greedy_variants : Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config list
 (** The greedy growth orders (query-tile-first, key/value-tile-first, and
     balanced alternation); callers evaluate and keep the best. *)
 
-type seeds = {
-  fallback : config;  (** the space's minimal tile, built as {!fallback} builds it *)
-  grid : config list;
-      (** every feasible (query tile, key/value tile) point from the
-          fallback, completed by growing the model-dimension and FFN
-          slices, then [m1], then the batch tile; in query-tile-major
-          order *)
-  greedy : config list;  (** the {!greedy_variants} *)
-}
-(** The deterministic starting points {!search} prices before its
-    rollouts: the grid, then the greedy variants (the fallback only when
-    the grid is empty). *)
-
 val seeds :
-  kv_len:int -> decode:bool -> Tf_arch.Arch.t -> Tf_workloads.Workload.t -> seeds
-(** The seeds of the space {!search} explores under the same [kv_len]
-    and [decode].  Every greedy step grows one tile dimension to the
-    largest option that still fits, found by bisecting its ascending
-    menu: the Table 2 requirement never falls as a tile grows, so the
-    options that fit form a prefix.
+  kv_len:int -> decode:bool -> Tf_arch.Arch.t -> Tf_workloads.Workload.t -> config list
+(** The deterministic starting points {!search} prices before its
+    rollouts, under the same [kv_len] and [decode]: every feasible
+    (query tile, key/value tile) point from the {!fallback}, completed
+    by growing the model-dimension and FFN slices, then [m1], then the
+    batch tile; in query-tile-major order.  The completed fallback is
+    one of them, and so is every greedy variant, which moves only the
+    query and key/value tiles before it completes.  Each growth step
+    bisects its ascending menu: the Table 2 requirement never falls as a
+    tile grows, so the options that fit form a prefix.
     @raise Invalid_argument as {!fallback}. *)
 
 val pareto :
@@ -134,9 +126,9 @@ val search :
 (** [search arch w ~evaluate ()] explores tiling space with MCTS
     ([iterations] defaults to 400; [seed] to 42) and returns the best
     feasible configuration.  [evaluate] maps a feasible configuration to a
-    positive cost (lower is better); the reward is the fallback's cost over
-    the candidate's.  [evaluate] must be deterministic: each call memoizes
-    it per configuration (and the MCTS rewards per terminal path), so the
-    grid seeding, the greedy variants and repeated rollouts never re-run
-    the cost model on a configuration already scored.  Deterministic for
+    positive cost (lower is better); the reward is the cheapest {!seeds}
+    point's cost over the candidate's.  [evaluate] must be deterministic: each call memoizes
+    it per configuration (and the MCTS rewards per terminal path), so
+    repeated rollouts never re-run the cost model on a configuration
+    the grid seeding or an earlier rollout scored.  Deterministic for
     fixed seed. *)

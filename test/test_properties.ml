@@ -331,8 +331,8 @@ let test_feasible_tilings () =
 
 (* The seed construction as it stood before [grow] bisected its menus:
    every option of a menu is tried in turn, and the last feasible one
-   kept.  Production must build the same fallback, grid completions and
-   greedy variants, config for config. *)
+   kept.  Production must build the same grid completions and greedy
+   walks, config for config, and every walk must be a grid point. *)
 module Seed_oracle = struct
   type space = { arch : Tf_arch.Arch.t; w : Workload.t; kv : int; decode : bool }
 
@@ -473,10 +473,19 @@ let prop_seeds_match_oracle c =
        attempt (fun () ->
            (Seed_oracle.fallback sp, Seed_oracle.grid sp, Seed_oracle.greedy_variants sp)) )
    with
-  | Ok s, Ok (fallback, grid, greedy) ->
-      configs "fallback" [ s.Tileseek.fallback ] [ fallback ];
-      configs "grid completions" s.Tileseek.grid grid;
-      configs "greedy variants" s.Tileseek.greedy greedy
+  | Ok seeds, Ok (fallback, grid, greedy) ->
+      configs "grid completions" seeds grid;
+      configs "greedy"
+        [ Tileseek.greedy ~kv_len:c.s_kv ~decode:c.s_decode c.s_arch c.s_w ]
+        [ List.hd greedy ];
+      (* The search seeds from the grid alone: the grid is never empty
+         and no greedy walk can reach a point outside it. *)
+      configs "first grid point" [ List.hd grid ] [ Seed_oracle.complete sp fallback ];
+      List.iter
+        (fun g ->
+          if not (List.mem g grid) then
+            Alcotest.failf "greedy walk %s is not a grid point" (Qgen.print_tiling g))
+        greedy
   | Error (), Error () -> ()
   | Ok _, Error () -> Alcotest.fail "production seeds a space whose minimal tile does not fit"
   | Error (), Ok _ -> Alcotest.fail "production refuses a space the oracle seeds");
@@ -925,9 +934,7 @@ let test_json_round_trip () =
     prop_json_round_trip
 
 (* The reader's error texts and offsets, one per failure path.  Error
-   responses quote them to clients, so they are pinned byte for byte;
-   [parse_members] checks the text with the same grammar and must
-   refuse it with the same message. *)
+   responses quote them to clients, so they are pinned byte for byte. *)
 let malformed_json =
   [
     ("", "unexpected end of input at offset 0");
@@ -975,11 +982,7 @@ let test_json_malformed () =
   let error parse s = match parse s with _ -> "accepted" | exception Tf_json.Bad_json m -> m in
   List.iter
     (fun (input, expected) ->
-      Alcotest.(check string) (Printf.sprintf "parse %S" input) expected (error Tf_json.parse input);
-      Alcotest.(check string)
-        (Printf.sprintf "parse_members %S" input)
-        expected
-        (error (Tf_json.parse_members [ "a"; "k" ]) input))
+      Alcotest.(check string) (Printf.sprintf "parse %S" input) expected (error Tf_json.parse input))
     malformed_json;
   Alcotest.(check string) "max_bytes" "input too large (5 bytes, limit 4)"
     (error (Tf_json.parse ~max_bytes:4) "12345");
@@ -1009,25 +1012,6 @@ let test_json_escape_reference () =
   Qgen.run ~print:(Printf.sprintf "%S") ~gen:json_string "escape equals the reference loop"
     (fun s ->
       if Tf_json.escape s <> Tjson.escape_reference s then failwith "escape differs from the reference")
-
-(* [parse_members] keeps exactly [parse]'s members of those names, in
-   document order, and nothing else. *)
-let test_json_parse_members () =
-  Qgen.run ~print:Tf_json.to_line
-    ~gen:(fun r ->
-      Tf_json.Obj
-        (List.init (Qgen.int r 5) (fun _ ->
-             (Qgen.choose r [ "a"; "b"; "payload" ], json_value 1 r))))
-    "parse_members keeps the named members of parse"
-    (fun v ->
-      let text = Tf_json.to_string v in
-      let keys = [ "a"; "payload" ] in
-      let expected =
-        match Tf_json.parse text with
-        | Tf_json.Obj fields -> Tf_json.Obj (List.filter (fun (k, _) -> List.mem k keys) fields)
-        | other -> other
-      in
-      if Tf_json.parse_members keys text <> expected then failwith "members differ")
 
 (* Meta-test: a falsified property must report the seed and a shrunk
    counterexample — that message is what makes the CI seed matrix
@@ -1082,6 +1066,5 @@ let () =
           quick "json integral numbers as %.0f" test_json_integral_numbers;
           quick "json malformed inputs: texts and offsets" test_json_malformed;
           quick "json escape equals the reference loop" test_json_escape_reference;
-          quick "json parse_members keeps the named members" test_json_parse_members;
         ] );
     ]

@@ -518,11 +518,14 @@ let test_restart_rehydration () =
   let cold = payload_exn (Server.handle_line first request) in
   (* A different daemon instance: empty memory tier, same disk. *)
   let disk_hits0 = counter "serve.cache.disk_hits_total" in
+  let disk_stores0 = counter "serve.cache.disk_stores_total" in
   let second = Server.create config in
   let rehydrated = payload_exn (Server.handle_line second request) in
   Alcotest.(check string) "rehydrated payload bit-identical" cold rehydrated;
   Alcotest.(check int) "served from the disk tier, not recomputed" 1
     (counter "serve.cache.disk_hits_total" - disk_hits0);
+  Alcotest.(check int) "a disk hit rewrites nothing" 0
+    (counter "serve.cache.disk_stores_total" - disk_stores0);
   (* A corrupt entry reads as a miss, never a failure. *)
   Array.iter
     (fun f ->
@@ -544,9 +547,9 @@ let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.ou
 let schedule_key body =
   Request.Schedule.key (Request.of_json Request.Schedule.spec (Json.parse body))
 
-(* An entry as the [transfusion.serve-cache/1] writer laid it out: one
-   pretty-printed document holding the key and the payload as a JSON
-   string. *)
+(* An entry as the retired [transfusion.serve-cache/1] writer laid it
+   out: one pretty-printed document holding the key and the payload as
+   a JSON string. *)
 let v1_entry key payload =
   Json.to_string
     (Json.Obj
@@ -566,8 +569,8 @@ let replace_first ~sub ~by s =
   let at = find 0 in
   String.sub s 0 at ^ by ^ String.sub s (at + n) (String.length s - at - n)
 
-(* A wrong schema in either format's entry reads as a miss and one disk
-   error; the recomputed entry replaces it in the current format. *)
+(* A wrong schema reads as a miss and one disk error; the recomputed
+   entry replaces it. *)
 let test_disk_wrong_schema () =
   let dir = temp_dir "tf-serve-schema" in
   let config = { Server.default_config with cache_dir = Some dir } in
@@ -575,22 +578,19 @@ let test_disk_wrong_schema () =
   let cold = payload_exn (Server.handle_line (Server.create config) request) in
   let path = one_entry dir in
   let entry = read_file path in
-  List.iter
-    (fun (format, text) ->
-      let schema = Printf.sprintf {|"transfusion.serve-cache/%s"|} format in
-      write_file path (replace_first ~sub:schema ~by:{|"transfusion.serve-cache/0"|} text);
-      let errors0 = counter "serve.cache.disk_errors_total" in
-      let hits0 = counter "serve.cache.disk_hits_total" in
-      let misses0 = counter "serve.cache.disk_misses_total" in
-      let again = payload_exn (Server.handle_line (Server.create config) request) in
-      let check what = Printf.sprintf "/%s: %s" format what in
-      Alcotest.(check string) (check "recomputed payload") cold again;
-      Alcotest.(check int) (check "one disk error") 1
-        (counter "serve.cache.disk_errors_total" - errors0);
-      Alcotest.(check int) (check "no disk hit") 0 (counter "serve.cache.disk_hits_total" - hits0);
-      Alcotest.(check int) (check "a disk miss") 1 (counter "serve.cache.disk_misses_total" - misses0);
-      Alcotest.(check string) (check "the recomputed entry replaces it") entry (read_file path))
-    [ ("2", entry); ("1", v1_entry (schedule_key request) cold) ]
+  Alcotest.(check bool) "the entry ends in the verbatim payload" true
+    (String.ends_with ~suffix:("\n" ^ cold ^ "\n") entry);
+  write_file path
+    (replace_first ~sub:{|"transfusion.serve-cache/2"|} ~by:{|"transfusion.serve-cache/0"|} entry);
+  let errors0 = counter "serve.cache.disk_errors_total" in
+  let hits0 = counter "serve.cache.disk_hits_total" in
+  let misses0 = counter "serve.cache.disk_misses_total" in
+  let again = payload_exn (Server.handle_line (Server.create config) request) in
+  Alcotest.(check string) "recomputed payload" cold again;
+  Alcotest.(check int) "one disk error" 1 (counter "serve.cache.disk_errors_total" - errors0);
+  Alcotest.(check int) "no disk hit" 0 (counter "serve.cache.disk_hits_total" - hits0);
+  Alcotest.(check int) "a disk miss" 1 (counter "serve.cache.disk_misses_total" - misses0);
+  Alcotest.(check string) "the recomputed entry replaces it" entry (read_file path)
 
 let report ~fp:_ ~tier:_ = ()
 let trunc_payload = {|{"schema":"x","s":"a\"b\\c\nd"}|}
@@ -618,29 +618,37 @@ let check_corrupt ~dir ~path ~entry key what text =
   Alcotest.(check int) (what ^ ": no disk hit") 0 (counter "serve.cache.disk_hits_total" - hits0);
   Alcotest.(check string) (what ^ ": entry restored") entry (read_file path)
 
-(* Every proper prefix of a current entry reads as a miss and a disk
-   error, never as another payload; so does every prefix of a /1 entry
-   up to the document's closing brace (its trailing newline is
-   optional). *)
+(* Every proper prefix of an entry reads as a miss and a disk error,
+   never as another payload. *)
 let test_disk_truncated_entries () =
   let dir = temp_dir "tf-serve-trunc" in
   let key = schedule_key (sched_request ~batch:7 "edge" "T5" 1024 "unfused") in
   let path, entry = stored_entry dir key in
+  let complete = String.length entry in
+  for len = 0 to complete do
+    write_file path (String.sub entry 0 len);
+    let errors0 = counter "serve.cache.disk_errors_total" in
+    let cache = Tf_serve.Cache.create ~dir () in
+    let got = Tf_serve.Cache.find_or_compute_key cache ~report key (fun () -> "computed") in
+    let expected = if len = complete then trunc_payload else "computed" in
+    Alcotest.(check string) (Printf.sprintf "prefix of %d bytes" len) expected got;
+    Alcotest.(check int) (Printf.sprintf "disk errors at %d bytes" len)
+      (if len = complete then 0 else 1)
+      (counter "serve.cache.disk_errors_total" - errors0)
+  done
+
+(* An entry in the retired /1 layout, whole or cut at any byte, is a
+   foreign file like any other: one disk error, a recompute, and the
+   current entry in its place. *)
+let test_disk_v1_entries () =
+  let dir = temp_dir "tf-serve-v1" in
+  let key = schedule_key (sched_request ~batch:11 "edge" "T5" 1024 "unfused") in
+  let path, entry = stored_entry dir key in
   let v1 = v1_entry key trunc_payload in
-  List.iter
-    (fun (format, text, complete) ->
-      for len = 0 to String.length text do
-        write_file path (String.sub text 0 len);
-        let errors0 = counter "serve.cache.disk_errors_total" in
-        let cache = Tf_serve.Cache.create ~dir () in
-        let got = Tf_serve.Cache.find_or_compute_key cache ~report key (fun () -> "computed") in
-        let expected = if len >= complete then trunc_payload else "computed" in
-        Alcotest.(check string) (Printf.sprintf "%s prefix of %d bytes" format len) expected got;
-        Alcotest.(check int) (Printf.sprintf "%s disk errors at %d bytes" format len)
-          (if len >= complete then 0 else 1)
-          (counter "serve.cache.disk_errors_total" - errors0)
-      done)
-    [ ("/2", entry, String.length entry); ("/1", v1, String.length (String.trim v1)) ]
+  for len = 0 to String.length v1 do
+    check_corrupt ~dir ~path ~entry key (Printf.sprintf "/1 prefix of %d bytes" len)
+      (String.sub v1 0 len)
+  done
 
 (* A current entry whose header, key line or tail disagrees with its
    payload is a miss: a wrong length either way, bytes after the
@@ -665,35 +673,6 @@ let test_disk_corrupt_current_entries () =
   check "trailing newline" (entry ^ "\n");
   check "foreign key line" (replace_first ~sub:(key_line key) ~by:other entry);
   check "huge payload_bytes" (with_length 999_999_999_999_999)
-
-(* A /1 entry answers byte-identically from disk and is rewritten in the
-   current format, which the next process reads. *)
-let test_disk_v1_migration () =
-  let dir = temp_dir "tf-serve-migrate" in
-  let config = { Server.default_config with cache_dir = Some dir } in
-  let request = sched_request ~batch:11 "edge" "T5" 1024 "unfused" in
-  let cold = payload_exn (Server.handle_line (Server.create config) request) in
-  let path = one_entry dir in
-  let entry = read_file path in
-  Alcotest.(check bool) "current entry ends in the verbatim payload" true
-    (String.ends_with ~suffix:("\n" ^ cold ^ "\n") entry);
-  write_file path (v1_entry (schedule_key request) cold);
-  let serve what =
-    let hits0 = counter "serve.cache.disk_hits_total" in
-    let errors0 = counter "serve.cache.disk_errors_total" in
-    let misses0 = counter "serve.cache.disk_misses_total" in
-    let got = payload_exn (Server.handle_line (Server.create config) request) in
-    Alcotest.(check string) (what ^ ": byte-identical") cold got;
-    Alcotest.(check int) (what ^ ": disk hit") 1 (counter "serve.cache.disk_hits_total" - hits0);
-    Alcotest.(check int) (what ^ ": no disk error") 0 (counter "serve.cache.disk_errors_total" - errors0);
-    Alcotest.(check int) (what ^ ": no disk miss") 0 (counter "serve.cache.disk_misses_total" - misses0);
-    Alcotest.(check string) (what ^ ": current entry on disk") entry (read_file path)
-  in
-  serve "/1 entry";
-  let stores0 = counter "serve.cache.disk_stores_total" in
-  serve "migrated entry";
-  Alcotest.(check int) "a current entry is not rewritten" 0
-    (counter "serve.cache.disk_stores_total" - stores0)
 
 (* The default strategies spelt out key like the empty list: one
    computation and one disk entry, named by the empty list's
@@ -1027,7 +1006,7 @@ let () =
           quick "wrong-schema entry is a miss" test_disk_wrong_schema;
           quick "truncated entries are misses" test_disk_truncated_entries;
           quick "corrupt current entries are misses" test_disk_corrupt_current_entries;
-          quick "a /1 entry is served and migrated" test_disk_v1_migration;
+          quick "a /1 entry, whole or cut, is a miss" test_disk_v1_entries;
           quick "decode: default strategies key as the default" test_decode_default_strategies;
         ] );
       ("bucketing", [ quick "off-grid interpolation" test_bucketing ]);

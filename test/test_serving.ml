@@ -364,16 +364,6 @@ let current_entry ~key payload =
   Printf.sprintf "{\"schema\":\"transfusion.serve-cache/2\",\"payload_bytes\":%d}\n%s\n%s\n"
     (String.length payload) key payload
 
-(* The single pretty-printed document the /1 writer stored. *)
-let v1_entry ~key payload =
-  Json.to_string
-    (Json.Obj
-       [
-         ("schema", Json.Str "transfusion.serve-cache/1");
-         ("key", Json.parse key);
-         ("payload", Json.Str payload);
-       ])
-
 let entry_paths dir =
   List.filter_map
     (fun f -> if Filename.check_suffix f ".json" then Some (Filename.concat dir f) else None)
@@ -382,10 +372,10 @@ let entry_paths dir =
 let read path = In_channel.with_open_bin path In_channel.input_all
 let write path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-(* Entries of either format rehydrate bit-identical costs without a
-   Decode evaluation; /1 entries are rewritten in the current format. *)
-let test_disk_v1_rehydration () =
-  let dir = Filename.temp_file "tf-serving-v1" "" in
+(* Entries rehydrate bit-identical costs without a Decode evaluation,
+   and a disk hit leaves its entry as it was written. *)
+let test_disk_rehydration () =
+  let dir = Filename.temp_file "tf-serving-rehydrate" "" in
   Sys.remove dir;
   let fresh () =
     Costs.create ~cache:(Tf_serve.Cache.create ~dir ()) ~strategy:Strategies.Fusemax ~iterations:8
@@ -394,28 +384,18 @@ let test_disk_v1_rehydration () =
   let cold = List.map (fun c -> Costs.costs (fresh ()) ~cls:c) small_classes in
   let paths = entry_paths dir in
   let current = List.map read paths in
-  List.iter
-    (fun format ->
-      if format = "/1" then
-        List.iter
-          (fun path ->
-            let key, payload = entry_lines path in
-            write path (v1_entry ~key payload))
-          paths;
-      let warm = fresh () in
-      let b = List.map (fun c -> Costs.costs warm ~cls:c) small_classes in
-      Alcotest.(check bool) (format ^ ": rehydrated costs bit-identical") true (cold = b);
-      let _, _, computes = Costs.stats warm in
-      Alcotest.(check int) (format ^ ": warm instance computes nothing") 0 computes;
-      Alcotest.(check (list string)) (format ^ ": current entries on disk") current
-        (List.map read paths))
-    [ "/2"; "/1" ];
+  let warm = fresh () in
+  let b = List.map (fun c -> Costs.costs warm ~cls:c) small_classes in
+  Alcotest.(check bool) "rehydrated costs bit-identical" true (cold = b);
+  let _, _, computes = Costs.stats warm in
+  Alcotest.(check int) "warm instance computes nothing" 0 computes;
+  Alcotest.(check (list string)) "entries unchanged on disk" current (List.map read paths);
   List.iter Sys.remove (Filename.concat dir ".keep" :: paths);
   Sys.rmdir dir
 
 let test_disk_payload_missing_field () =
-  (* A well-formed serve-cache entry of either format whose payload
-     lacks one field reads as a miss: the class is recomputed once,
+  (* A well-formed serve-cache entry whose payload lacks one field
+     reads as a miss: the class is recomputed once,
      bit-identical to a cold run, never answered with a partial record. *)
   let dir = Filename.temp_file "tf-serving-partial" "" in
   Sys.remove dir;
@@ -435,17 +415,12 @@ let test_disk_payload_missing_field () =
     | _ -> Alcotest.fail "payload is not an object"
   in
   let key, payload = entry_lines entry in
-  let partial = drop_decode_s (Json.parse payload) in
-  List.iter
-    (fun (format, text) ->
-      write entry text;
-      let warm = fresh () in
-      let recomputed = Costs.costs warm ~cls:c in
-      let _, _, computes = Costs.stats warm in
-      Alcotest.(check int) (format ^ ": partial payload recomputed") 1 computes;
-      Alcotest.(check bool) (format ^ ": recomputed costs bit-identical to cold") true
-        (cold = recomputed))
-    [ ("/2", current_entry ~key partial); ("/1", v1_entry ~key partial) ];
+  write entry (current_entry ~key (drop_decode_s (Json.parse payload)));
+  let warm = fresh () in
+  let recomputed = Costs.costs warm ~cls:c in
+  let _, _, computes = Costs.stats warm in
+  Alcotest.(check int) "partial payload recomputed" 1 computes;
+  Alcotest.(check bool) "recomputed costs bit-identical to cold" true (cold = recomputed);
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
@@ -639,7 +614,7 @@ let () =
           quick "bounded churn" test_memo_churn;
           quick "disk hex round trip" test_disk_round_trip;
           quick "disk payload missing a field" test_disk_payload_missing_field;
-          quick "disk rehydration from /1 and /2 entries" test_disk_v1_rehydration;
+          quick "disk rehydration leaves entries unchanged" test_disk_rehydration;
         ] );
       ("determinism", [ quick "jobs invariance" test_jobs_invariance ]);
       ( "documents",
