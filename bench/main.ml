@@ -14,8 +14,8 @@
    additionally write machine-readable timings (per-figure wall seconds,
    per-microbenchmark ns/run, the domain count) for BENCH_*.json perf
    trajectory tracking; the schema is documented in EXPERIMENTS.md.  With
-   --json the dpipe/ and strategy/ entries, which CI's bench diff gates,
-   are each the median of 5 passes.
+   --json the dpipe/, strategy/ and tileseek/ entries, which CI's bench
+   diff gates, are each the median of 5 passes.
    Pass --obs to enable the Tf_obs metrics registry during the run; the
    snapshot is embedded in the JSON under "metrics" (without --obs the
    section is present but empty, and the run is untouched — perf
@@ -348,7 +348,7 @@ let measure tests =
    scatters by more than their 25% budget on a shared 2-core host, so
    with --json each is recorded as the median of [gated_repeats] passes
    (the pass whose estimate is the median, r-square included). *)
-let gated_families = [ "transfusion/dpipe/"; "transfusion/strategy/" ]
+let gated_families = [ "transfusion/dpipe/"; "transfusion/strategy/"; "transfusion/tileseek/" ]
 let gated_repeats = 5
 let gated name = List.exists (fun prefix -> String.starts_with ~prefix name) gated_families
 

@@ -31,7 +31,12 @@ let compute_seconds arch (execution : Phase.execution) =
 let memory_seconds (arch : Arch.t) traffic =
   Arch.bytes_to_seconds arch (Traffic.dram_bytes ~element_bytes:arch.element_bytes traffic)
 
-let phase_seconds ~compute_s ~memory_s = Float.max compute_s memory_s
+(* A comparison, not [Float.max]: every TileSeek candidate is scored
+   through here, and on OCaml 5 [Float.max] is a [caml_signbit] C call.
+   Both halves are finite, non-negative seconds (a finite schedule at a
+   positive clock, finite bytes at a positive bandwidth), where the two
+   agree bit for bit. *)
+let phase_seconds ~compute_s ~memory_s = if memory_s > compute_s then memory_s else compute_s
 
 let phase_result arch (phase : Phase.t) =
   let compute_s = compute_seconds arch phase.execution in

@@ -36,7 +36,9 @@ val memory_seconds : Tf_arch.Arch.t -> Traffic.t -> float
     two, so incremental callers score bit-identically to the full model. *)
 
 val phase_seconds : compute_s:float -> memory_s:float -> float
-(** The slower half: double buffering overlaps DRAM with compute. *)
+(** The slower half: double buffering overlaps DRAM with compute.  Both
+    must be finite and non-negative; there it equals
+    [Float.max compute_s memory_s]. *)
 
 val phase_result : Tf_arch.Arch.t -> Phase.t -> phase_result
 (** One phase through the model: max of the two halves plus the

@@ -20,13 +20,11 @@ module type NUM = sig
   val max : t -> t -> t
 end
 
-(* The Table 2 formulas over an arbitrary numeric domain.  The concrete
-   float API below is an instance of this functor, so the symbolic
-   mirror used by the range certifier (Tf_analysis.Range_cert) evaluates
-   the very same expression tree — there is no second copy of the
-   formulas to drift.  Operator nesting deliberately mirrors the
-   original left-associated float expressions so the float instance is
-   bit-identical to the historical implementation. *)
+(* The Table 2 formulas over an arbitrary numeric domain: the
+   specification of the float API below, and the expression tree the
+   range certifier (Tf_analysis.Range_cert) evaluates over its symbolic
+   domain.  Operator nesting deliberately mirrors the original
+   left-associated float expressions. *)
 module Gen (N : NUM) = struct
   type gdims = {
     b : N.t;
@@ -74,39 +72,51 @@ module Gen (N : NUM) = struct
     List.fold_left N.max (i 0) [ qkv dims; mha_decode dims; add_layernorm dims; ffn dims ]
 end
 
-module F = Gen (struct
-  type t = float
+(* [Gen] at [float], written out.  Each function performs [Gen]'s
+   operations in [Gen]'s order on the same values, so it is bit-identical
+   to [Gen] instantiated at [float] with [Float.max] (test_properties
+   pins this).  Through the functor, which this compiler (no flambda)
+   does not specialise, every [+] and [*] of TileSeek's feasibility
+   check was a closure call on boxed floats; written out and inlined, a
+   check allocates nothing.  The rows are sums of products of positive
+   ints, finite and positive, where [fmax]'s comparison equals
+   [Float.max] without its C call. *)
+let fl = float_of_int
+let[@inline] fmax (a : float) b = if b > a then b else a
 
-  let of_int = float_of_int
-  let add = ( +. )
-  let mul = ( *. )
-  let max = Float.max
-end)
+let[@inline] qkv x =
+  let b = fl x.b and d = fl x.d and p = fl x.p and m1 = fl x.m1 and m0 = fl x.m0 in
+  let h = fl x.h and e = fl x.e in
+  (b *. d *. ((4. *. p) +. (3. *. m1 *. m0))) +. (3. *. d *. h *. e) +. (2. *. b *. h *. p)
 
-let to_f (d : dims) : F.gdims =
-  let fi = float_of_int in
-  {
-    F.b = fi d.b;
-    d = fi d.d;
-    p = fi d.p;
-    m1 = fi d.m1;
-    m0 = fi d.m0;
-    h = fi d.h;
-    e = fi d.e;
-    f = fi d.f;
-    s = fi d.s;
-    p_row = fi d.p_row;
-  }
+let[@inline] mha x =
+  let b = fl x.b and p = fl x.p and m1 = fl x.m1 and m0 = fl x.m0 and h = fl x.h in
+  let e = fl x.e and f = fl x.f and p_row = fl x.p_row in
+  (b *. h *. e *. (p +. (2. *. m1 *. m0)))
+  +. (b *. h *. p *. (2. +. (2. *. f)))
+  +. (4. *. m0 *. p_row)
+  +. (18. *. p_row)
 
-let qkv d = F.qkv (to_f d)
-let mha d = F.mha (to_f d)
-let add_layernorm d = F.add_layernorm (to_f d)
-let ffn d = F.ffn (to_f d)
-let worst d = F.worst (to_f d)
+let[@inline] add_layernorm x =
+  let b = fl x.b and p = fl x.p and h = fl x.h and f = fl x.f and p_row = fl x.p_row in
+  (3. *. b *. h *. f *. p) +. (4. *. h *. f *. p_row)
+
+let[@inline] ffn x =
+  let b = fl x.b and p = fl x.p and h = fl x.h and f = fl x.f and s = fl x.s in
+  let p_row = fl x.p_row in
+  (h *. f *. ((2. *. b *. p) +. s)) +. (s *. (p +. 2.)) +. (2. *. s *. p_row)
+
+let[@inline] kv_cache_tile x =
+  let b = fl x.b and m0 = fl x.m0 and h = fl x.h and e = fl x.e and f = fl x.f in
+  b *. h *. (e +. f) *. (m0 +. 1.)
+
+let[@inline] mha_decode x = mha x +. kv_cache_tile x
+let[@inline] worst x = fmax (fmax (fmax (fmax 0. (qkv x)) (mha x)) (add_layernorm x)) (ffn x)
+
+let[@inline] worst_decode x =
+  fmax (fmax (fmax (fmax 0. (qkv x)) (mha_decode x)) (add_layernorm x)) (ffn x)
+
 let fits ~buffer_elements dims = worst dims <= float_of_int buffer_elements
-let kv_cache_tile d = F.kv_cache_tile (to_f d)
-let mha_decode d = F.mha_decode (to_f d)
-let worst_decode d = F.worst_decode (to_f d)
 let fits_decode ~buffer_elements dims = worst_decode dims <= float_of_int buffer_elements
 
 let of_workload ?kv_len (w : Tf_workloads.Workload.t) ~b ~d ~p ~m1 ~m0 ~s ~p_row =

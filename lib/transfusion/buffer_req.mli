@@ -74,13 +74,15 @@ val pp : dims Fmt.t
 
 (** {2 Generic formulas}
 
-    The Table 2 formulas abstracted over the numeric domain.  The
-    concrete float API above is [Gen] instantiated at [float], so a
-    symbolic instantiation (e.g. the interval/affine domain of
-    [Tf_analysis.Symexpr] used by the range certifier) evaluates the
-    {e same} expression tree — symbolic and concrete occupancies cannot
-    drift, and evaluating a symbolic result at a concrete point
-    reproduces the float computation bit-for-bit. *)
+    The Table 2 formulas abstracted over the numeric domain: the
+    specification of the float API above, and the expression tree a
+    symbolic instantiation (the interval/affine domain of
+    [Tf_analysis.Symexpr] used by the range certifier) evaluates.  The
+    float API is [Gen] at [float] written out, with the same operations
+    in the same order, so it is bit-identical to [Gen] instantiated at
+    [float] with [Float.max] (a property test pins every function), and
+    evaluating a symbolic result at a concrete point reproduces the float
+    computation. *)
 
 module type NUM = sig
   type t

@@ -60,6 +60,36 @@ type plan = {
          index per position *)
 }
 
+(* The DP kernel reads the plan's arrays without bounds checks.  These
+   are the invariants that make that safe, and that make every
+   dependency the DP reads one it has already written: predecessors are
+   dense indices, each bipartition's first side is predecessor-closed
+   (so a predecessor's instance is never in a later wave), and each
+   order is a topological permutation of the dense indices (so within a
+   wave a predecessor is placed first).  Checked once per plan. *)
+let check_dense plan =
+  let n = Array.length plan.ids in
+  let fail what = invalid_arg ("Dpipe.plan: " ^ what) in
+  let each_edge f = Array.iteri (fun i ps -> Array.iter (fun p -> f p i) ps) plan.preds in
+  each_edge (fun p _ -> if p < 0 || p >= n then fail "predecessor index out of range");
+  Array.iter
+    (fun part ->
+      if Array.length part.stage <> n then fail "stage array of the wrong length";
+      each_edge (fun p i ->
+          if part.stage.(p) > part.stage.(i) then fail "bipartition not predecessor-closed"))
+    plan.parts;
+  Array.iter
+    (fun (_, ord) ->
+      if Array.length ord <> n then fail "order of the wrong length";
+      let pos = Array.make n (-1) in
+      Array.iteri
+        (fun k i ->
+          if i < 0 || i >= n || pos.(i) >= 0 then fail "order is not a permutation";
+          pos.(i) <- k)
+        ord;
+      each_edge (fun p i -> if pos.(p) > pos.(i) then fail "order is not topological"))
+    plan.orders
+
 let plan g =
   if Dag.node_count g = 0 then invalid_arg "Dpipe.plan: empty DAG";
   if not (Dag.is_acyclic g) then invalid_arg "Dpipe.plan: cyclic graph";
@@ -82,42 +112,61 @@ let plan g =
     | [] -> [| part None |]
     | l -> Array.of_list (List.map (fun p -> part (Some p)) l)
   in
-  {
-    ids;
-    preds = Array.map (fun id -> dense (Dag.preds g id)) ids;
-    dag_preds = Dag.preds g;
-    parts;
-    orders = Array.of_list (List.map (fun o -> (o, dense o)) (Topo.all ~limit:order_limit g));
-  }
+  let plan =
+    {
+      ids;
+      preds = Array.map (fun id -> dense (Dag.preds g id)) ids;
+      dag_preds = Dag.preds g;
+      parts;
+      orders = Array.of_list (List.map (fun o -> (o, dense o)) (Topo.all ~limit:order_limit g));
+    }
+  in
+  check_dense plan;
+  plan
 
 let plan_nodes plan = Array.length plan.ids
 
-(* The loads of one [schedule] call over a plan: each node's latency on
-   either array and the smallest one the mode allows, by dense index. *)
+(* The loads of one [schedule] call over a plan, by dense index: each
+   node's latency on either array and the smaller of the two.  A
+   [`Static] pin is data here, not a branch in the DP: resolved once per
+   node ([assign] may be costly — FuseMax's scans the op's dimensions),
+   it sets the other array's latency to infinity, which the DP's
+   strict earliest-finish comparison never picks. *)
 type ctx = {
   plan : plan;
   lat1 : float array;  (* latency on the 1D array *)
   lat2 : float array;  (* latency on the 2D array *)
   minlat : float array;
   total_minlat : float;  (* sum of [minlat], in index order *)
-  static : Arch.resource array option;
-      (* [`Static assign] resolved once per node: [assign] may be costly
-         (FuseMax's scans the op's dimensions) and the DP would otherwise
-         ask it again for every instance of every candidate. *)
 }
 
+(* A NaN or negative latency would silently break the DP: the
+   comparisons that replace [Float.max] there drop a NaN where
+   [Float.max] would carry it, and a negative one runs time backwards. *)
 let build_ctx arch ~load ~matrix ~mode plan =
-  let ids = plan.ids in
-  let lat1 = Array.map (fun id -> node_latency arch ~load ~matrix id Arch.Pe_1d) ids in
-  let lat2 = Array.map (fun id -> node_latency arch ~load ~matrix id Arch.Pe_2d) ids in
-  let static = match mode with `Dp -> None | `Static assign -> Some (Array.map assign ids) in
-  let minlat =
-    match static with
-    | None -> Array.mapi (fun i l1 -> Float.min l1 lat2.(i)) lat1
-    | Some res ->
-        Array.mapi (fun i r -> match r with Arch.Pe_1d -> lat1.(i) | Arch.Pe_2d -> lat2.(i)) res
+  let latencies resource =
+    Array.map
+      (fun id ->
+        let l = node_latency arch ~load ~matrix id resource in
+        if not (Float.is_finite l && l >= 0.) then
+          invalid_arg
+            (Printf.sprintf "Dpipe.schedule: node %d has latency %g on the %s array" id l
+               (Arch.resource_to_string resource));
+        l)
+      plan.ids
   in
-  { plan; lat1; lat2; minlat; total_minlat = Array.fold_left ( +. ) 0. minlat; static }
+  let lat1 = latencies Arch.Pe_1d and lat2 = latencies Arch.Pe_2d in
+  (match mode with
+  | `Dp -> ()
+  | `Static assign ->
+      Array.iteri
+        (fun i id ->
+          match assign id with
+          | Arch.Pe_1d -> lat2.(i) <- Float.infinity
+          | Arch.Pe_2d -> lat1.(i) <- Float.infinity)
+        plan.ids);
+  let minlat = Array.mapi (fun i l1 -> Float.min l1 lat2.(i)) lat1 in
+  { plan; lat1; lat2; minlat; total_minlat = Array.fold_left ( +. ) 0. minlat }
 
 type eval_result =
   | Pruned
@@ -151,64 +200,83 @@ let m_candidate_seconds =
    the `~verify:true` path (no pruning) kept, so fast and verify runs
    could disagree on an equally-good winner.  The relative margin is
    also strictly wider than the absolute 1e-9 the winner fold uses for
-   ties, so a pruned candidate can never re-qualify as a tie there. *)
-let prune_tolerance incumbent = 1e-9 *. Float.max 1. (Float.abs incumbent)
+   ties, so a pruned candidate can never re-qualify as a tie there.
+   [incumbent] is finite here, so the comparison equals [Float.max 1.]. *)
+let prune_tolerance incumbent =
+  let a = Float.abs incumbent in
+  1e-9 *. if a > 1. then a else 1.
+
+(* The flat arrays one DP run fills, by instance slot [i * epochs + e]
+   ([i] dense): each instance's end and start cycle and its array, the
+   half tail's end cycles by dense index, and the four timelines ([tl]:
+   0 and 1 are the main run's 1D and 2D arrays, 2 and 3 the half tail's
+   private copies).  A run reads only slots it has written itself (see
+   [check_dense]), so a scratch is reused across candidates without
+   clearing. *)
+type scratch = {
+  end_of : float array;
+  start_of : float array;
+  res_of : Arch.resource array;
+  rem_end : float array;
+  tl : float array;
+}
+
+let scratch plan ~epochs =
+  let n = plan_nodes plan in
+  {
+    end_of = Array.create_float (n * epochs);
+    start_of = Array.create_float (n * epochs);
+    res_of = Array.make (n * epochs) Arch.Pe_2d;
+    rem_end = Array.create_float n;
+    tl = Array.make 4 0.;
+  }
 
 (* The DP's scalars, in one all-float record: OCaml stores its fields
    unboxed, so the per-instance updates below allocate nothing, where a
-   float [ref] captured by a closure boxes every write.  [t1]/[t2] are the
-   arrays' timelines, [h1]/[h2] the half tail's private copies, [dep] the
+   float [ref] captured by a closure boxes every write.  [dep] is the
    readiness of the instance being placed, and [start]/[finish] the span
-   [pick] chose for it. *)
+   [place] chose for it. *)
 type clock = {
-  mutable t1 : float;
-  mutable t2 : float;
   mutable mk : float;
   mutable mk_half : float;
   mutable rem_busy : float;
-  mutable h1 : float;
-  mutable h2 : float;
   mutable dep : float;
   mutable start : float;
   mutable finish : float;
 }
 
-(* Place instance [i] (ready at [clk.dep]) on the main timelines or, with
-   [tail], on the half tail's: write its span to [clk.start]/[clk.finish]
-   and return its array.  The choice is the old candidate fold's: [`Dp]
-   tries 2D then 1D and switches only on strictly earlier finish. *)
-let pick ctx clk i ~tail =
-  let rt1 = if tail then clk.h1 else clk.t1 and rt2 = if tail then clk.h2 else clk.t2 in
-  match ctx.static with
-  | Some res -> (
-      match res.(i) with
-      | Arch.Pe_1d ->
-          let start = Float.max rt1 clk.dep in
-          clk.start <- start;
-          clk.finish <- start +. ctx.lat1.(i);
-          Arch.Pe_1d
-      | Arch.Pe_2d ->
-          let start = Float.max rt2 clk.dep in
-          clk.start <- start;
-          clk.finish <- start +. ctx.lat2.(i);
-          Arch.Pe_2d)
-  | None ->
-      let s2 = Float.max rt2 clk.dep in
-      let e2 = s2 +. ctx.lat2.(i) in
-      let s1 = Float.max rt1 clk.dep in
-      let e1 = s1 +. ctx.lat1.(i) in
-      if e1 < e2 then begin
-        clk.start <- s1;
-        clk.finish <- e1;
-        Arch.Pe_1d
-      end
-      else begin
-        clk.start <- s2;
-        clk.finish <- e2;
-        Arch.Pe_2d
-      end
+(* The placement step, the whole of the DP's per-instance work: put
+   instance [i] (ready at [k.dep]) on whichever of the timelines
+   [tl.(b)] (1D) and [tl.(b + 1)] (2D) finishes it first, 2D on ties;
+   advance that timeline, write the span to [k.start]/[k.finish] and
+   return the array.  The maxima are comparisons, not [Float.max]: on
+   OCaml 5, [Float.max x y] calls [caml_signbit] (a C call with a stack
+   switch) whenever [y > x] fails, 5.7 ns against 1.0 ns for the
+   comparison per max and add (2-core Intel Xeon VM).  Every operand
+   here is finite and non-negative, never a negative zero ([build_ctx]
+   rejects anything else), where the two agree bit for bit.  [b] is 0
+   for the main run and 2 for the half tail. *)
+let place ctx k tl b i =
+  let dep = k.dep in
+  let rt1 = Array.unsafe_get tl b and rt2 = Array.unsafe_get tl (b + 1) in
+  let s2 = if dep > rt2 then dep else rt2 in
+  let e2 = s2 +. Array.unsafe_get ctx.lat2 i in
+  let s1 = if dep > rt1 then dep else rt1 in
+  let e1 = s1 +. Array.unsafe_get ctx.lat1 i in
+  if e1 < e2 then begin
+    Array.unsafe_set tl b e1;
+    k.start <- s1;
+    k.finish <- e1;
+    Arch.Pe_1d
+  end
+  else begin
+    Array.unsafe_set tl (b + 1) e2;
+    k.start <- s2;
+    k.finish <- e2;
+    Arch.Pe_2d
+  end
 
-(* The DP of Eq. 43-46, fed in wave order.
+(* The DP of Eq. 43-46, fed in wave order, into scratch [sc].
 
    Instance (n, e) belongs to wave [e + stage n] (the second-stage work
    of epoch e shares its pipeline slot with the first-stage work of
@@ -237,54 +305,55 @@ let pick ctx clk i ~tail =
    under [schedule]'s strict-improvement predicate and is abandoned
    mid-run.  [prune_bound] returns the incumbent (infinity disables).
 
-   Besides the per-candidate arrays, the DP allocates nothing: its
-   scalars live in a [clock] and [pick] returns a constant constructor. *)
-let eval_candidate ctx ~epochs ~stage ~ord ~prune_bound ~record =
+   Every run, the search's and the winner's alike, fills the same flat
+   arrays through the same [place]: there is no per-instance branch on
+   the mode or on whether the assignments are wanted, and [assignments]
+   reads them back afterwards.  The DP allocates nothing but its
+   [clock] and its result. *)
+let eval_candidate ctx sc ~epochs ~part ~ord ~prune_bound =
   let n = Array.length ord in
-  let preds = ctx.plan.preds in
-  let smax = if Array.exists (fun s -> s = 1) stage then 1 else 0 in
+  if Array.length sc.end_of < n * epochs then invalid_arg "Dpipe: scratch too small";
+  let preds = ctx.plan.preds and stage = part.stage and minlat = ctx.minlat in
+  let end_of = sc.end_of and start_of = sc.start_of and res_of = sc.res_of in
+  let rem_end = sc.rem_end and tl = sc.tl in
+  let smax = match part.split with None -> 0 | Some _ -> 1 in
   let eh = Int.max 1 (epochs / 2) in
-  let clk =
+  let k =
     {
-      t1 = 0.;
-      t2 = 0.;
       mk = 0.;
       mk_half = 0.;
       rem_busy = float_of_int epochs *. ctx.total_minlat;
-      h1 = 0.;
-      h2 = 0.;
       dep = 0.;
       start = 0.;
       finish = 0.;
     }
   in
-  let end_of = Array.make (n * epochs) 0. in
-  let asg = if record then Array.make (n * epochs) None else [||] in
-  let asg_count = ref 0 in
+  Array.fill tl 0 4 0.;
   (* Replay the half run's final wave on a snapshot of the timelines:
      stage-1 instances of epoch [eh - 1], in position order.  Writes go
-     to a private overlay so the full run is untouched. *)
+     to the tail's timelines and [rem_end], so the full run is
+     untouched. *)
   let simulate_half_tail () =
-    clk.h1 <- clk.t1;
-    clk.h2 <- clk.t2;
-    clk.mk_half <- clk.mk;
-    let rem_end = Array.make n Float.nan in
+    tl.(2) <- tl.(0);
+    tl.(3) <- tl.(1);
+    k.mk_half <- k.mk;
     let e = eh - 1 in
     for pos = 0 to n - 1 do
-      let i = ord.(pos) in
-      if stage.(i) = 1 then begin
-        let ps = preds.(i) in
-        clk.dep <- 0.;
-        for k = 0 to Array.length ps - 1 do
-          let p = ps.(k) in
-          let v = if stage.(p) = 1 then rem_end.(p) else end_of.((p * epochs) + e) in
-          if v > clk.dep then clk.dep <- v
+      let i = Array.unsafe_get ord pos in
+      if Array.unsafe_get stage i = 1 then begin
+        let ps = Array.unsafe_get preds i in
+        k.dep <- 0.;
+        for j = 0 to Array.length ps - 1 do
+          let p = Array.unsafe_get ps j in
+          let v =
+            if Array.unsafe_get stage p = 1 then Array.unsafe_get rem_end p
+            else Array.unsafe_get end_of ((p * epochs) + e)
+          in
+          if v > k.dep then k.dep <- v
         done;
-        (match pick ctx clk i ~tail:true with
-        | Arch.Pe_1d -> clk.h1 <- clk.finish
-        | Arch.Pe_2d -> clk.h2 <- clk.finish);
-        rem_end.(i) <- clk.finish;
-        if clk.finish > clk.mk_half then clk.mk_half <- clk.finish
+        ignore (place ctx k tl 2 i : Arch.resource);
+        Array.unsafe_set rem_end i k.finish;
+        if k.finish > k.mk_half then k.mk_half <- k.finish
       end
     done
   in
@@ -296,57 +365,68 @@ let eval_candidate ctx ~epochs ~stage ~ord ~prune_bound ~record =
       if !w = eh then simulate_half_tail ();
       let incumbent = prune_bound () in
       if incumbent < Float.infinity then begin
-        let lb_mk = Float.max clk.mk ((clk.t1 +. clk.t2 +. clk.rem_busy) /. 2.) in
-        let lb_steady = (lb_mk -. clk.mk_half) /. float_of_int (epochs - eh) in
+        let avg = (tl.(0) +. tl.(1) +. k.rem_busy) /. 2. in
+        let lb_mk = if avg > k.mk then avg else k.mk in
+        let lb_steady = (lb_mk -. k.mk_half) /. float_of_int (epochs - eh) in
         if lb_steady > incumbent +. prune_tolerance incumbent then pruned := true
       end
     end;
     if not !pruned then begin
       for pos = 0 to n - 1 do
-        let i = ord.(pos) in
-        let e = !w - stage.(i) in
+        let i = Array.unsafe_get ord pos in
+        let e = !w - Array.unsafe_get stage i in
         if e >= 0 && e < epochs then begin
-          let ps = preds.(i) in
-          clk.dep <- 0.;
-          for k = 0 to Array.length ps - 1 do
-            let v = end_of.((ps.(k) * epochs) + e) in
-            if v > clk.dep then clk.dep <- v
+          let ps = Array.unsafe_get preds i in
+          k.dep <- 0.;
+          for j = 0 to Array.length ps - 1 do
+            let v = Array.unsafe_get end_of ((Array.unsafe_get ps j * epochs) + e) in
+            if v > k.dep then k.dep <- v
           done;
-          let r = pick ctx clk i ~tail:false in
-          (match r with Arch.Pe_1d -> clk.t1 <- clk.finish | Arch.Pe_2d -> clk.t2 <- clk.finish);
-          end_of.((i * epochs) + e) <- clk.finish;
-          if clk.finish > clk.mk then clk.mk <- clk.finish;
-          clk.rem_busy <- clk.rem_busy -. ctx.minlat.(i);
-          if record then begin
-            asg.(!asg_count) <-
-              Some
-                {
-                  node = ctx.plan.ids.(i);
-                  epoch = e;
-                  resource = r;
-                  start_cycle = clk.start;
-                  end_cycle = clk.finish;
-                };
-            incr asg_count
-          end
+          let r = place ctx k tl 0 i in
+          let slot = (i * epochs) + e in
+          Array.unsafe_set end_of slot k.finish;
+          Array.unsafe_set start_of slot k.start;
+          Array.unsafe_set res_of slot r;
+          if k.finish > k.mk then k.mk <- k.finish;
+          k.rem_busy <- k.rem_busy -. Array.unsafe_get minlat i
         end
       done;
       incr w
     end
   done;
-  if !pruned then (Pruned, [])
-  else begin
+  if !pruned then Pruned
+  else
     let steady =
-      if epochs > eh then Float.max 0. ((clk.mk -. clk.mk_half) /. float_of_int (epochs - eh))
-      else clk.mk
+      if epochs > eh then Float.max 0. ((k.mk -. k.mk_half) /. float_of_int (epochs - eh))
+      else k.mk
     in
-    let assignments =
-      if record then
-        Array.to_list (Array.map (function Some a -> a | None -> assert false) asg)
-      else []
-    in
-    (Done { makespan = clk.mk; makespan_half = clk.mk_half; steady }, assignments)
-  end
+    Done { makespan = k.mk; makespan_half = k.mk_half; steady }
+
+(* The assignments of the unpruned run [eval_candidate] last made into
+   [sc], in its feed order. *)
+let assignments ctx sc ~epochs ~part ~ord =
+  let n = Array.length ord in
+  let wmax = epochs - 1 + match part.split with None -> 0 | Some _ -> 1 in
+  let acc = ref [] in
+  for w = wmax downto 0 do
+    for pos = n - 1 downto 0 do
+      let i = ord.(pos) in
+      let e = w - part.stage.(i) in
+      if e >= 0 && e < epochs then begin
+        let slot = (i * epochs) + e in
+        acc :=
+          {
+            node = ctx.plan.ids.(i);
+            epoch = e;
+            resource = sc.res_of.(slot);
+            start_cycle = sc.start_of.(slot);
+            end_cycle = sc.end_of.(slot);
+          }
+          :: !acc
+      end
+    done
+  done;
+  !acc
 
 let no_prune () = Float.infinity
 
@@ -460,6 +540,20 @@ let rec shrink_incumbent inc v =
     if Atomic.compare_and_set inc cur v then Tf_obs.Counter.incr m_incumbent_updates
     else shrink_incumbent inc v
 
+(* The scratches of one [schedule] call, as a lock-free stack: each
+   candidate takes one and puts it back, so a call allocates one per
+   domain that joins its search, not one per candidate.  Only a
+   scratch's holder touches it, so two calls (or two threads of one
+   domain) never share one. *)
+let rec take_scratch pool fresh =
+  match Atomic.get pool with
+  | [] -> fresh ()
+  | sc :: rest as l -> if Atomic.compare_and_set pool l rest then sc else take_scratch pool fresh
+
+let rec give_scratch pool sc =
+  let l = Atomic.get pool in
+  if not (Atomic.compare_and_set pool l (sc :: l)) then give_scratch pool sc
+
 let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix plan =
   Tf_obs.Counter.incr m_schedules;
   Tf_obs.Trace.with_span ~cat:"dpipe"
@@ -471,6 +565,7 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix plan =
       ]
     "dpipe.schedule"
   @@ fun () ->
+  let ctx = build_ctx arch ~load ~matrix ~mode plan in
   (* Rank bipartitions by stage load balance and evaluate only the best
      few: the steady interval of a two-stage pipeline is bounded below by
      its heavier stage.  The sort is stable, so ties keep enumeration
@@ -484,7 +579,6 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix plan =
   let ranked = Array.init (Array.length plan.parts) Fun.id in
   Array.stable_sort (fun a b -> compare imbalance.(a) imbalance.(b)) ranked;
   let selected = Array.sub ranked 0 (Int.min eval_partitions (Array.length ranked)) in
-  let ctx = build_ctx arch ~load ~matrix ~mode plan in
   let n_orders = Array.length plan.orders in
   let pairs =
     Array.init
@@ -493,52 +587,53 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix plan =
   in
   Tf_obs.Counter.add m_candidates (Array.length pairs);
   let incumbent = Atomic.make Float.infinity in
+  let pool = Atomic.make [] in
+  let fresh () = scratch plan ~epochs in
   let eval (part, (order, ord)) =
     Tf_obs.Histogram.time m_candidate_seconds @@ fun () ->
-    let stage = part.stage in
-    if verify then begin
-      (* Sanitizer mode: no pruning, and every candidate materializes
-         its assignments so it can be validated, not just the winner. *)
-      match
-        eval_candidate ctx ~epochs ~stage ~ord ~prune_bound:no_prune ~record:true
-      with
-      | Pruned, _ ->
-          invalid_arg
-            "Dpipe.schedule: verify-mode candidate reported Pruned under the no-prune bound \
-             (cost model returned a non-finite interval?)"
-      | Done { makespan; steady; _ }, assignments ->
-          Tf_obs.Counter.incr m_evaluated;
-          let candidate =
-            {
-              partition = part.split;
-              order;
-              assignments;
-              epochs_unrolled = epochs;
-              makespan_cycles = makespan;
-              steady_interval_cycles = steady;
-              useful_2d_per_epoch = 0.;
-              useful_1d_per_epoch = 0.;
-            }
-          in
-          let node_count = plan_nodes plan in
-          (match check_with ~node_count ~preds:plan.dag_preds candidate with
-          | Ok () -> ()
-          | Error e -> invalid_arg (Printf.sprintf "Dpipe.schedule: invalid candidate (%s)" e));
-          Some (steady, makespan)
-    end
-    else
-      match
-        eval_candidate ctx ~epochs ~stage ~ord
-          ~prune_bound:(fun () -> Atomic.get incumbent)
-          ~record:false
-      with
-      | Pruned, _ ->
-          Tf_obs.Counter.incr m_pruned;
-          None
-      | Done { makespan; steady; _ }, _ ->
-          Tf_obs.Counter.incr m_evaluated;
-          shrink_incumbent incumbent steady;
-          Some (steady, makespan)
+    let sc = take_scratch pool fresh in
+    let result =
+      if verify then begin
+        (* Sanitizer mode: no pruning, and every candidate materializes
+           its assignments so it can be validated, not just the winner. *)
+        match eval_candidate ctx sc ~epochs ~part ~ord ~prune_bound:no_prune with
+        | Pruned ->
+            invalid_arg
+              "Dpipe.schedule: verify-mode candidate reported Pruned under the no-prune bound"
+        | Done { makespan; steady; _ } ->
+            Tf_obs.Counter.incr m_evaluated;
+            let candidate =
+              {
+                partition = part.split;
+                order;
+                assignments = assignments ctx sc ~epochs ~part ~ord;
+                epochs_unrolled = epochs;
+                makespan_cycles = makespan;
+                steady_interval_cycles = steady;
+                useful_2d_per_epoch = 0.;
+                useful_1d_per_epoch = 0.;
+              }
+            in
+            let node_count = plan_nodes plan in
+            (match check_with ~node_count ~preds:plan.dag_preds candidate with
+            | Ok () -> ()
+            | Error e -> invalid_arg (Printf.sprintf "Dpipe.schedule: invalid candidate (%s)" e));
+            Some (steady, makespan)
+      end
+      else
+        match
+          eval_candidate ctx sc ~epochs ~part ~ord ~prune_bound:(fun () -> Atomic.get incumbent)
+        with
+        | Pruned ->
+            Tf_obs.Counter.incr m_pruned;
+            None
+        | Done { makespan; steady; _ } ->
+            Tf_obs.Counter.incr m_evaluated;
+            shrink_incumbent incumbent steady;
+            Some (steady, makespan)
+    in
+    give_scratch pool sc;
+    result
   in
   (* Each candidate DP is heavy, so claim them one at a time; the winner
      is picked by an in-order fold below, so neither parallelism nor
@@ -562,16 +657,16 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix plan =
   | None -> assert false
   | Some (steady, makespan, idx) ->
       let part, (order, ord) = pairs.(idx) in
-      (* Only the winner materializes its assignment list. *)
+      (* Only the winner materializes its assignment list: its DP runs
+         once more, through the same kernel, and is read back. *)
+      let sc = take_scratch pool fresh in
       let assignments =
-        match
-          eval_candidate ctx ~epochs ~stage:part.stage ~ord ~prune_bound:no_prune ~record:true
-        with
-        | Pruned, _ ->
+        match eval_candidate ctx sc ~epochs ~part ~ord ~prune_bound:no_prune with
+        | Pruned ->
             invalid_arg
               "Dpipe.schedule: winning candidate reported Pruned on re-evaluation under the \
                no-prune bound (cost model not deterministic?)"
-        | Done _, assignments -> assignments
+        | Done _ -> assignments ctx sc ~epochs ~part ~ord
       in
       let useful r =
         List.fold_left
@@ -601,31 +696,73 @@ let sequential_cycles arch ~load ~matrix g =
     0. (Dag.nodes g)
 
 module Private = struct
-  let steady_consistency_check arch ~load ~matrix plan =
-    let ctx = build_ctx arch ~load ~matrix ~mode:`Dp plan in
+  module Float_replay = Replay (struct
+    type t = float
+
+    let zero = 0.
+    let add = ( +. )
+    let max = Float.max
+  end)
+
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  let steady_consistency_check ~mode arch ~load ~matrix plan =
+    let ctx = build_ctx arch ~load ~matrix ~mode plan in
     let parts = Array.sub plan.parts 0 (Int.min eval_partitions (Array.length plan.parts)) in
     let eh = Int.max 1 (epochs / 2) in
+    let sc = scratch plan ~epochs in
+    let run e ~part ~ord =
+      match eval_candidate ctx sc ~epochs:e ~part ~ord ~prune_bound:no_prune with
+      | Pruned ->
+          invalid_arg
+            "Dpipe.Private.steady_consistency_check: candidate reported Pruned under the \
+             no-prune bound"
+      | Done { makespan; makespan_half; steady } -> (makespan, makespan_half, steady)
+    in
+    let same (a, b, c) (x, y, z) = same_bits a x && same_bits b y && same_bits c z in
     Array.for_all
       (fun part ->
         Array.for_all
-          (fun (_, ord) ->
-            let run e =
-              match
-                eval_candidate ctx ~epochs:e ~stage:part.stage ~ord ~prune_bound:no_prune
-                  ~record:false
-              with
-              | Pruned, _ ->
-                  invalid_arg
-                    "Dpipe.Private.steady_consistency_check: candidate reported Pruned under \
-                     the no-prune bound"
-              | Done { makespan; makespan_half; steady }, _ -> (makespan, makespan_half, steady)
-            in
-            let mk, mk_half, steady = run epochs in
+          (fun (order, ord) ->
+            (* The search's run, whose arrays nobody reads... *)
+            let searched = run epochs ~part ~ord in
+            (* ...and the winner's: the same run, read back. *)
+            let ((mk, mk_half, steady) as recorded) = run epochs ~part ~ord in
+            let assignments = assignments ctx sc ~epochs ~part ~ord in
             (* Reference: two independent DP runs, as the pre-refactor
                [evaluate_candidate] performed. *)
-            let mk_ref, _, _ = run eh in
+            let mk_ref, _, _ = run eh ~part ~ord in
             let steady_ref = Float.max 0. ((mk -. mk_ref) /. float_of_int (epochs - eh)) in
-            mk_half = mk_ref && steady = steady_ref)
+            let replayed =
+              Float_replay.replay ~preds:plan.dag_preds
+                ~time:(fun id r -> node_latency arch ~load ~matrix id r)
+                {
+                  partition = part.split;
+                  order;
+                  assignments;
+                  epochs_unrolled = epochs;
+                  makespan_cycles = mk;
+                  steady_interval_cycles = 0.;
+                  useful_2d_per_epoch = 0.;
+                  useful_1d_per_epoch = 0.;
+                }
+            in
+            let replays_exactly =
+              match replayed with
+              | Error _ -> false
+              | Ok (instances, replay_mk) ->
+                  same_bits replay_mk mk
+                  && List.for_all2
+                       (fun (a : assignment) (r : Float_replay.instance) ->
+                         a.node = r.node && a.epoch = r.epoch && a.resource = r.resource
+                         && same_bits a.start_cycle r.start_t
+                         && same_bits a.end_cycle r.end_t)
+                       assignments instances
+            in
+            same searched recorded
+            && same_bits mk_half mk_ref
+            && same_bits steady steady_ref
+            && replays_exactly)
           plan.orders)
       parts
 end

@@ -94,6 +94,9 @@ val schedule :
     explored during the search is re-validated with {!check} as it is
     produced, not just the winner; pruning is disabled so no candidate
     escapes validation.
+    @raise Invalid_argument naming the node when a node's latency on
+    either array (its load over the array's effective PEs) is NaN,
+    infinite or negative.
     @raise Invalid_argument with [~verify:true] when the DP emits an
     invalid candidate (an internal invariant violation). *)
 
@@ -156,10 +159,18 @@ end
 (** Testing hooks — not part of the stable API. *)
 module Private : sig
   val steady_consistency_check :
-    Tf_arch.Arch.t -> load:(int -> float) -> matrix:(int -> bool) -> plan -> bool
-  (** For every [`Dp] candidate within {!schedule}'s search bounds
-      (bipartitions in enumeration order rather than ranked), check that
-      the single-pass (full + half) makespan computation agrees exactly
-      with two independent DP runs — the steady-interval estimate is
-      unchanged by the one-pass optimisation. *)
+    mode:[ `Dp | `Static of int -> Tf_arch.Arch.resource ] ->
+    Tf_arch.Arch.t ->
+    load:(int -> float) ->
+    matrix:(int -> bool) ->
+    plan ->
+    bool
+  (** For every candidate within {!schedule}'s search bounds
+      (bipartitions in enumeration order rather than ranked) under
+      [mode], check bit for bit that the search's DP run
+      and the winner's (the same run, with its assignments read back)
+      agree on [(makespan, makespan_half, steady)]; that the single-pass
+      (full + half) makespans agree with two independent DP runs; and
+      that the recorded timeline replays exactly through [Replay] over
+      [float] with [Float.max] and the node latencies. *)
 end

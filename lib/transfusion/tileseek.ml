@@ -11,11 +11,18 @@ let pow2_divisors ?(cap = max_int) n =
   let rec grow acc v = if v <= n && v <= cap && n mod v = 0 then grow (v :: acc) (2 * v) else acc in
   List.rev (grow [] 1)
 
+(* Every divisor of [n], ascending, from the pairs [k, n / k] with
+   [k * k <= n]: each search builds its menus afresh, and a scan of
+   every integer up to [ffn_hidden] (3072 for BERT) cost nearly a tenth
+   of its grid seeding. *)
 let all_divisors n =
-  let rec loop acc k =
-    if k > n then List.rev acc else loop (if n mod k = 0 then k :: acc else acc) (k + 1)
+  let rec loop small large k =
+    if k * k > n then List.rev_append small large
+    else if n mod k <> 0 then loop small large (k + 1)
+    else if k * k = n then loop (k :: small) large (k + 1)
+    else loop (k :: small) ((n / k) :: large) (k + 1)
   in
-  loop [] 1
+  loop [] [] 1
 
 (* Thin a divisor list to at most [keep] geometrically spread options.
    [keep <= 1] keeps at most the first option instead of dividing by
@@ -68,13 +75,28 @@ let build_menus (w : Workload.t) ~kv =
    [m1*m0] slice must divide.  For self attention the two coincide; a
    decode step searches tiles of its cache length ([kv] large, query
    length 1) under the stricter decode buffer model.  A space belongs to
-   one call on one domain, so forcing its menus needs no lock. *)
-type space = { arch : Arch.t; w : Workload.t; kv : int; decode : bool; menus : menus Lazy.t }
+   one call on one domain, so forcing its menus needs no lock.  The
+   buffer capacity is read once here, not per feasibility check. *)
+type space = {
+  arch : Arch.t;
+  w : Workload.t;
+  kv : int;
+  decode : bool;
+  menus : menus Lazy.t;
+  buffer_elements : int;
+}
 
 let space ?kv_len ?(decode = false) arch (w : Workload.t) =
   let kv = Option.value kv_len ~default:w.seq_len in
   if kv < 1 then invalid_arg "Tileseek: kv_len must be positive";
-  { arch; w; kv; decode; menus = lazy (build_menus w ~kv) }
+  {
+    arch;
+    w;
+    kv;
+    decode;
+    menus = lazy (build_menus w ~kv);
+    buffer_elements = Arch.buffer_elements arch;
+  }
 
 (* P' is the intra-tile sequence length processed per PE row (paper
    Section 5.2): the query tile spread over the 2D array's rows. *)
@@ -85,15 +107,40 @@ let sp_dims sp config =
   Buffer_req.of_workload ~kv_len:sp.kv sp.w ~b:config.b ~d:config.d ~p:config.p ~m1:config.m1
     ~m0:config.m0 ~s:config.s ~p_row:(p_row sp.arch config)
 
-let sp_feasible sp config =
+(* [sp_dims] without [Buffer_req.of_workload]'s divisibility checks, for
+   the configurations the search builds itself: their b, d and s come
+   from the menus, which hold only divisors, and [feasible_with] checks
+   the key/value slice first.  Each check in the search's inner loops is
+   then one record and the Table 2 arithmetic, with no integer
+   divisions beyond P' and the key/value slice. *)
+let menu_dims sp config =
+  let m = sp.w.Workload.model in
+  {
+    Buffer_req.b = config.b;
+    d = config.d;
+    p = config.p;
+    m1 = config.m1;
+    m0 = config.m0;
+    h = m.Model.heads;
+    e = m.Model.head_dim;
+    f = m.Model.head_dim;
+    s = config.s;
+    p_row = p_row sp.arch config;
+  }
+
+let feasible_with dims sp config =
   config.m1 * config.m0 <= sp.kv
   && sp.kv mod (config.m1 * config.m0) = 0
   &&
-  let fits = if sp.decode then Buffer_req.fits_decode else Buffer_req.fits in
-  fits ~buffer_elements:(Arch.buffer_elements sp.arch) (sp_dims sp config)
+  let buffer_elements = sp.buffer_elements in
+  if sp.decode then Buffer_req.fits_decode ~buffer_elements (dims sp config)
+  else Buffer_req.fits ~buffer_elements (dims sp config)
 
+let sp_feasible sp config = feasible_with menu_dims sp config
 let dims ?kv_len arch w config = sp_dims (space ?kv_len arch w) config
-let feasible ?kv_len ?decode arch w config = sp_feasible (space ?kv_len ?decode arch w) config
+
+let feasible ?kv_len ?decode arch w config =
+  feasible_with sp_dims (space ?kv_len ?decode arch w) config
 
 let b_options sp = (Lazy.force sp.menus).b_menu
 let d_options sp = (Lazy.force sp.menus).d_menu

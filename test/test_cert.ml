@@ -127,8 +127,10 @@ let check_claims_hold (cert : RC.t) pts =
     cert.RC.checks
 
 (* Symbolic Table-2 occupancy must equal the concrete float computation
-   bit-for-bit at every sampled point (same expression tree, same
-   operations — Buffer_req.Gen shares the code). *)
+   bit-for-bit at every sampled point: the symbolic side evaluates
+   Buffer_req.Gen, and the float API is Gen at float written out with
+   the same operations in the same order (test_properties pins the two
+   together). *)
 let check_occupancy_differential (cert : RC.t) model pts =
   List.iter
     (fun label ->

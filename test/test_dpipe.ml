@@ -30,6 +30,35 @@ let test_empty_and_cyclic () =
   let cyclic = Dag.add_edge producer_consumer 1 0 in
   raises "cyclic" (fun () -> Dpipe.schedule arch ~load:load2 ~matrix:matrix2 (Dpipe.plan cyclic))
 
+(* A NaN or negative load is refused up front, naming the node: the
+   DP's comparison-based maxima would otherwise drop a NaN silently and
+   report a finite steady interval for it.  Both modes check, since a
+   pinned node's latency is read all the same. *)
+let test_rejects_bad_latency () =
+  let message_of f =
+    match f () with
+    | (_ : Dpipe.t) -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument msg -> msg
+  in
+  let contains msg sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (label, bad) ->
+      let load = function 1 -> bad | _ -> 100. in
+      List.iter
+        (fun (mode_label, mode) ->
+          let msg =
+            message_of (fun () ->
+                Dpipe.schedule ~mode arch ~load ~matrix:matrix2 (Dpipe.plan producer_consumer))
+          in
+          if not (contains msg "node 1") then
+            Alcotest.failf "%s load, %s: message does not name node 1: %s" label mode_label msg)
+        [ ("Dp", `Dp); ("Static", `Static (fun _ -> Arch.Pe_2d)) ])
+    [ ("NaN", Float.nan); ("negative", -5.); ("infinite", Float.infinity) ]
+
 let test_single_node () =
   let g = Dag.of_edges [ (0, "only") ] [] in
   let sched = Dpipe.schedule arch ~load:(fun _ -> 500.) ~matrix:(fun _ -> true) (Dpipe.plan g) in
@@ -223,6 +252,7 @@ let () =
       ( "dpipe",
         [
           quick "rejects empty and cyclic" test_empty_and_cyclic;
+          quick "rejects NaN, negative and infinite latencies" test_rejects_bad_latency;
           quick "single node" test_single_node;
           quick "pipeline overlap" test_pipeline_overlap;
           quick "bipartition choice" test_partition_respected;

@@ -273,14 +273,14 @@ let test_dpipe_half_makespan_consistency () =
   (* The single-pass full+half evaluation agrees exactly with two
      independent DP runs on every candidate of the grid. *)
   Alcotest.(check bool) "diamond DAG" true
-    (Dpipe.Private.steady_consistency_check toy_arch ~load:load4 ~matrix:matrix4
+    (Dpipe.Private.steady_consistency_check ~mode:`Dp toy_arch ~load:load4 ~matrix:matrix4
        (Dpipe.plan diamond));
   Alcotest.(check bool) "mha cascade DAG" true
     (let w = Workload.v Presets.t5 ~seq_len:1024 in
      let { Transfusion.Layer_costs.load; matrix; plan; _ } =
        Transfusion.Layer_costs.problem w (Transfusion.Cascades.mha ())
      in
-     Dpipe.Private.steady_consistency_check toy_arch ~load ~matrix plan)
+     Dpipe.Private.steady_consistency_check ~mode:`Dp toy_arch ~load ~matrix plan)
 
 let test_dpipe_shared_plan_parallel () =
   (* A search shares one plan across its slices: scheduling several load

@@ -92,6 +92,44 @@ let test_dpipe_random_dags () =
     "dpipe random DAGs verify and replay" prop_dpipe_verifier_clean
 
 (* ------------------------------------------------------------------ *)
+(* The DP kernel: one run, recorded or not, replayable                 *)
+
+(* Every candidate within the search bounds, in both modes: the search's
+   run and the winner's recorded run agree bit for bit, the one-pass half
+   makespan equals a separate half-unroll run, and the recorded timeline
+   replays exactly through [Dpipe.Replay] over [float]. *)
+let check_kernel ~label arch g ~load ~matrix =
+  let plan = Dpipe.plan g in
+  List.iter
+    (fun (mode_label, mode) ->
+      if not (Dpipe.Private.steady_consistency_check ~mode arch ~load ~matrix plan) then
+        Alcotest.failf "%s, %s: a candidate's recorded and searched runs, its two-run half \
+                        makespan or its replay disagree" label mode_label)
+    [
+      ("Dp", `Dp);
+      ("Static", `Static (fun n -> if matrix n then Tf_arch.Arch.Pe_2d else Tf_arch.Arch.Pe_1d));
+    ]
+
+let test_dpipe_kernel () =
+  Qgen.run ~shrink:shrink_dpipe_case ~print:print_dpipe_case ~gen:dpipe_case
+    "dpipe kernel: recorded = searched, replay exact" (fun c ->
+      check_kernel ~label:"random DAG" c.arch c.g ~load:(fun n -> c.loads.(n))
+        ~matrix:(fun n -> c.matrix_mask.(n)));
+  let w = Workload.v ~batch:4 Tf_workloads.Presets.bert ~seq_len:4096 in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun (label, cascade) ->
+          let p = Layer_costs.problem ~m0:128 w cascade in
+          check_kernel ~label arch p.Layer_costs.dag ~load:p.Layer_costs.load
+            ~matrix:p.Layer_costs.matrix)
+        [
+          ("fused layer", Transfusion.Cascades.full_layer Tf_einsum.Scalar_op.Gelu);
+          ("MHA", Transfusion.Cascades.mha ());
+        ])
+    archs
+
+(* ------------------------------------------------------------------ *)
 (* One plan, many loads: a shared Dpipe.plan schedules like a fresh one *)
 
 (* Every field of two schedules, floats compared bit for bit. *)
@@ -272,6 +310,80 @@ let prop_buffer_req_matches_inventory d =
 let test_buffer_req_brute_force () =
   Qgen.run ~shrink:shrink_dims ~print:print_dims ~gen:dims_gen
     "Buffer_req equals tensor-inventory brute force" prop_buffer_req_matches_inventory
+
+(* The float API is a written-out specialisation of [Buffer_req.Gen]:
+   pin it, bit for bit, to [Gen] instantiated at [float] with
+   [Float.max].  Factors are small, powers of two, within 64 of the
+   largest preset buffer capacity, or anything below 2^31.  The last
+   kind takes the products past 2^53, where every product rounds, so a
+   reassociated or reordered operation shows as a differing bit. *)
+module Gen_float = Buffer_req.Gen (struct
+  type t = float
+
+  let of_int = float_of_int
+  let add = ( +. )
+  let mul = ( *. )
+  let max = Float.max
+end)
+
+let largest_capacity =
+  List.fold_left (fun acc a -> Int.max acc (Tf_arch.Arch.buffer_elements a)) 0 archs
+
+let spec_dims_gen r =
+  let factor () =
+    match Qgen.int r 4 with
+    | 0 -> Qgen.range r 1 64
+    | 1 -> 1 lsl Qgen.range r 0 14
+    | 2 -> Int.max 1 (largest_capacity + Qgen.range r (-64) 64)
+    | _ -> Qgen.range r 1 ((1 lsl 31) - 1)
+  in
+  {
+    Buffer_req.b = factor ();
+    d = factor ();
+    p = factor ();
+    m1 = factor ();
+    m0 = factor ();
+    h = factor ();
+    e = factor ();
+    f = factor ();
+    s = factor ();
+    p_row = factor ();
+  }
+
+let prop_float_rows_match_gen (d : Buffer_req.dims) =
+  let g =
+    {
+      Gen_float.b = float_of_int d.Buffer_req.b;
+      d = float_of_int d.Buffer_req.d;
+      p = float_of_int d.Buffer_req.p;
+      m1 = float_of_int d.Buffer_req.m1;
+      m0 = float_of_int d.Buffer_req.m0;
+      h = float_of_int d.Buffer_req.h;
+      e = float_of_int d.Buffer_req.e;
+      f = float_of_int d.Buffer_req.f;
+      s = float_of_int d.Buffer_req.s;
+      p_row = float_of_int d.Buffer_req.p_row;
+    }
+  in
+  List.iter
+    (fun (name, direct, spec) ->
+      let x = direct d and y = spec g in
+      if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) then
+        Alcotest.failf "%s: float API %h <> Gen (float) %h" name x y)
+    [
+      ("qkv", Buffer_req.qkv, Gen_float.qkv);
+      ("mha", Buffer_req.mha, Gen_float.mha);
+      ("add_layernorm", Buffer_req.add_layernorm, Gen_float.add_layernorm);
+      ("ffn", Buffer_req.ffn, Gen_float.ffn);
+      ("worst", Buffer_req.worst, Gen_float.worst);
+      ("kv_cache_tile", Buffer_req.kv_cache_tile, Gen_float.kv_cache_tile);
+      ("mha_decode", Buffer_req.mha_decode, Gen_float.mha_decode);
+      ("worst_decode", Buffer_req.worst_decode, Gen_float.worst_decode);
+    ]
+
+let test_buffer_req_matches_gen () =
+  Qgen.run ~shrink:shrink_dims ~print:print_dims ~gen:spec_dims_gen
+    "Buffer_req's float rows equal Gen (float) bit for bit" prop_float_rows_match_gen
 
 (* ------------------------------------------------------------------ *)
 (* Topo enumeration validity                                           *)
@@ -1046,11 +1158,13 @@ let () =
         [
           quick "dpipe random DAGs" test_dpipe_random_dags;
           quick "dpipe plan reuse" test_plan_reuse;
+          quick "dpipe kernel recorded, searched and replayed" test_dpipe_kernel;
           quick "topo orders" test_topo_orders;
         ] );
       ( "model",
         [
           quick "buffer_req brute force" test_buffer_req_brute_force;
+          quick "buffer_req float rows equal Gen (float)" test_buffer_req_matches_gen;
           quick "feasible tilings lint clean" test_feasible_tilings;
           quick "tileseek seeds equal the linear-scan oracle" test_seeds_match_oracle;
         ] );
