@@ -17,11 +17,19 @@ check:
 	dune build @check-all
 
 # Range certification: certify the bucketed serving band once instead of
-# linting every bucket, then re-validate the emitted certificate with
-# the independent checker.
+# linting every bucket, then re-validate each emitted certificate with
+# the independent checker.  Besides the frozen self-attention tiling, a
+# decode band (a fixed multi-token query over the KV-cache length) and
+# a resident band (m1 = n/m0 grows with the sequence).
 check-range:
 	dune exec bin/transfusion_cli.exe -- check --range 512:16384 --model T5 --json cert.json
 	dune exec bin/transfusion_cli.exe -- check --validate cert.json
+	dune exec bin/transfusion_cli.exe -- check --attention decode --seq 4 --range 1024:16384 \
+		--model T5 --json cert-decode.json
+	dune exec bin/transfusion_cli.exe -- check --validate cert-decode.json
+	dune exec bin/transfusion_cli.exe -- check --attention causal --policy resident --batch 1 \
+		--range 256:1024 --model BERT --json cert-resident.json
+	dune exec bin/transfusion_cli.exe -- check --validate cert-resident.json
 
 figures:
 	dune exec bin/transfusion_cli.exe -- figures --quick

@@ -473,13 +473,8 @@ let cascade_cmd =
 let pareto_cmd =
   let run arch w iterations () =
     let measure config =
-      let phases, _, _ = Strategies.phases ~tiling:config arch w Strategies.Transfusion in
-      let lat = (Latency.evaluate arch phases).Latency.total_s in
-      let traffic =
-        Tf_costmodel.Traffic.sum
-          (List.map (fun (p : Tf_costmodel.Phase.t) -> p.Tf_costmodel.Phase.traffic) phases)
-      in
-      (lat, Energy.total_pj (Energy.of_traffic arch traffic) /. 1e12)
+      let r, _ = Strategies.evaluate ~tiling:config arch w Strategies.Transfusion in
+      (r.Strategies.latency.Latency.total_s, Energy.total_pj r.Strategies.energy /. 1e12)
     in
     let front = Transfusion.Tileseek.pareto ~iterations arch w ~cost:measure () in
     Fmt.pr "%-40s %14s %14s@." "tiling (b d p m1 m0 s)" "latency(s)" "energy(J)";

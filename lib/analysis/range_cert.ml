@@ -1,8 +1,6 @@
 open Tf_workloads
 module Arch = Tf_arch.Arch
 module Dag = Tf_dag.Dag
-module Einsum = Tf_einsum.Einsum
-module Extents = Tf_einsum.Extents
 module S = Symexpr
 module Buffer_req = Transfusion.Buffer_req
 module Cascades = Transfusion.Cascades
@@ -95,25 +93,20 @@ let policy_m0 (g : S.grid) =
     else if a < s then Ok (1 lsl a)
     else Error (g.S.g_lo + g.S.g_step)
 
+(* The symbolic instance of the number domain every generic formula
+   takes: Table 2 occupancy, the op table and the DPipe replay. *)
 module Sym_num (B : sig
   val box : S.box
 end) =
 struct
   type t = S.t
 
-  let zero = S.int_ B.box 0
   let of_int = S.int_ B.box
+  let of_float = S.const B.box
   let add = S.add B.box
   let mul = S.mul B.box
+  let div = S.div B.box
   let max = S.max_ B.box
-end
-
-module Float_time = struct
-  type t = float
-
-  let zero = 0.
-  let add = ( +. )
-  let max = Float.max
 end
 
 let chk id code ok detail kind = { id; code; ok; detail; kind }
@@ -129,6 +122,9 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch
     if decode then { S.n = S.grid ~lo:seq ~hi:seq ~step:1; k = Some rg } else { S.n = rg; k = None }
   in
   let pt v = match rvar with S.N -> { S.pn = v; pk = None } | S.K -> { S.pn = seq; pk = Some v } in
+  let module SN = Sym_num (struct
+    let box = box
+  end) in
   let cap = Arch.buffer_elements arch in
   let query_len = if decode then seq else r.lo in
   let w_lo = Workload.v ~batch model ~seq_len:query_len in
@@ -273,9 +269,7 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch
   let occupancy_checks =
     if not all_positive then []
     else begin
-      let module SB = Buffer_req.Gen (Sym_num (struct
-        let box = box
-      end)) in
+      let module SB = Buffer_req.Gen (SN) in
       let c = S.int_ box in
       let kv_var = S.var box rvar in
       let m1_sym =
@@ -332,11 +326,13 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch
        || (match policy_result with Error _ -> true | Ok _ -> false)
     then ([], None)
     else begin
+      (* The query sequence, which is also the key/value length projected
+         this pass: the range variable, or a decode step's fixed query. *)
       let n_ref = r.hi in
-      let w_ref = Workload.v ~batch model ~seq_len:(if decode then seq else n_ref) in
-      let kv_proj_len = if decode then seq else n_ref in
+      let q_ref = if decode then seq else n_ref in
+      let w_ref = Workload.v ~batch model ~seq_len:q_ref in
       let { Layer_costs.dag = g; plan; totals; load; matrix; extents = extents_ref; _ } =
-        Layer_costs.problem ~m0:sched_m0 ~kv_len:n_ref ~kv_proj_len ~causal w_ref
+        Layer_costs.problem ~m0:sched_m0 ~kv_len:n_ref ~kv_proj_len:q_ref ~causal w_ref
           (Cascades.full_layer model.Model.activation)
       in
       let nodes = List.length (Dag.nodes g) in
@@ -345,41 +341,20 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch
       let edges =
         List.concat_map (fun v -> List.map (fun u -> (u, v)) (preds v)) (Dag.nodes g)
       in
-      (* Symbolic mirror of Layer_costs.op_totals: same expression tree,
-         with the full query sequence [p] (self/causal) and the kv length
-         as the range variable. *)
-      let cns = S.const box in
-      let ci = S.int_ box in
-      let mul = S.mul box in
-      let extent_sym name =
-        if name = "p" && not decode then S.var box S.N else ci (Extents.find extents_ref name)
+      (* The same op table at the symbolic instance, over the range
+         variable instead of its reference point. *)
+      let module T = Layer_costs.Table (SN) in
+      let q = if decode then S.int_ box seq else S.var box S.N in
+      let row =
+        T.row ~batch ~m0:sched_m0 ~extents:extents_ref ~seq:q ~kv_len:(S.var box rvar)
+          ~kv_proj_len:q ~causal
       in
-      let prod_sym = function
-        | [] -> ci 1
-        | d :: rest -> List.fold_left (fun acc x -> mul acc (extent_sym x)) (extent_sym d) rest
+      let node_time res =
+        Array.mapi
+          (fun n { Layer_costs.op; _ } -> T.node_time arch ~matrix:(matrix n) (snd (row op)) res)
+          totals
       in
-      let kv_sym = S.var box rvar in
-      let count_sym (op : Einsum.t) =
-        let indexed_by_m0 = List.mem "m0" (Einsum.all_dims op) in
-        let kv_tiles = S.div box kv_sym (float_of_int sched_m0) in
-        if Cascades.in_attention_loop op then if causal then mul (cns 0.5) kv_tiles else kv_tiles
-        else if indexed_by_m0 then
-          if decode then cns (float_of_int kv_proj_len /. float_of_int sched_m0) else kv_tiles
-        else ci 1
-      in
-      let total_sym (op : Einsum.t) =
-        let instances = mul (ci batch) (count_sym op) in
-        let out = prod_sym (Einsum.output_dims op) in
-        let red = prod_sym (Einsum.reduction_dims op) in
-        mul instances (mul (mul out red) (cns (Einsum.cost_factor op)))
-      in
-      let time_sym n res =
-        S.div box
-          (S.div box (total_sym totals.(n).Layer_costs.op) Layer_costs.nominal_epochs)
-          (Arch.effective_pes arch res ~matrix:(matrix n))
-      in
-      let time2 = Array.init nodes (fun n -> time_sym n Arch.Pe_2d) in
-      let time1 = Array.init nodes (fun n -> time_sym n Arch.Pe_1d) in
+      let time2 = node_time Arch.Pe_2d and time1 = node_time Arch.Pe_1d in
       let structure =
         chk "sched.structure" "E-CERT-SCHED"
           (List.length sched.Dpipe.assignments = nodes * sched.Dpipe.epochs_unrolled)
@@ -392,12 +367,8 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch
                want = float_of_int (nodes * sched.Dpipe.epochs_unrolled);
              })
       in
-      let module FR = Dpipe.Replay (Float_time) in
-      match
-        FR.replay ~preds
-          ~time:(fun n res -> load n /. Arch.effective_pes arch res ~matrix:(matrix n))
-          sched
-      with
+      let module FR = Dpipe.Replay (Transfusion.Num_domain.Float) in
+      match FR.replay ~preds ~time:(Dpipe.node_latency arch ~load ~matrix) sched with
       | Error msg ->
           ([ structure; chk "sched.acyclic" "E-CERT-SCHED" false msg Acyclic ], None)
       | Ok (finsts, fmk) ->
@@ -421,9 +392,7 @@ let certify ?(attention = Self) ?(batch = 64) ?(seq = 1) ?(policy = Fixed) (arch
               "structure-only replay reproduces the DP timeline bit-for-bit"
               (Eq { got = fmk; want = sched.Dpipe.makespan_cycles })
           in
-          let module SR = Dpipe.Replay (Sym_num (struct
-            let box = box
-          end)) in
+          let module SR = Dpipe.Replay (SN) in
           let sym_time n res = match res with Arch.Pe_2d -> time2.(n) | Arch.Pe_1d -> time1.(n) in
           let sym_checks, schedule =
             match SR.replay ~preds ~time:sym_time sched with

@@ -5,10 +5,12 @@
     sequence length; serving systems bucket requests by length and reuse
     one tiling/schedule across a whole bucket, so the question that
     actually matters is "is this configuration safe for {e every}
-    [n] in [lo..hi]?".  [certify] answers it by evaluating the very same
-    formulas — Table 2 occupancy ({!Transfusion.Buffer_req.Gen}), per-op
-    compute loads ({!Transfusion.Layer_costs}), the DPipe timeline
-    ({!Transfusion.Dpipe.Replay}) — on the interval/affine domain of
+    [n] in [lo..hi]?".  [certify] answers it by instantiating the very
+    functors the concrete pipeline instantiates at [float] — Table 2
+    occupancy ({!Transfusion.Buffer_req.Gen}), the op table's instance
+    counts, totals and node times ({!Transfusion.Layer_costs.Table}),
+    the DPipe timeline ({!Transfusion.Dpipe.Replay}) — at one instance
+    of {!Transfusion.Num_domain.S} over the interval/affine domain of
     {!Symexpr} instead of concrete numbers, and emits a machine-checkable
     certificate ([transfusion.cert/1]) whose every claim carries a
     witness grid point where the bound is tightest.  {!Cert_check}

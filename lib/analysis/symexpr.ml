@@ -121,17 +121,20 @@ let mul _box a b =
       let ps = [ a.lo *. b.lo; a.lo *. b.hi; a.hi *. b.lo; a.hi *. b.hi ] in
       (List.fold_left Float.min Float.infinity ps, List.fold_left Float.max Float.neg_infinity ps))
 
-let div _box a c =
+let div box a c =
   if not (c > 0.) then invalid_arg "Symexpr.div: non-positive divisor";
-  let shape =
-    match a.shape with
-    | Affine { c0; cn; ck } -> Affine { c0 = c0 /. c; cn = cn /. c; ck = ck /. c }
-    | Mono -> Mono
-    | Opaque -> Opaque
-  in
-  make (Div (a.expr, c)) shape
-    ~cvals:(Array.map (fun v -> v /. c) a.cvals)
-    ~fallback:(fun () -> (a.lo /. c, a.hi /. c))
+  match a.expr with
+  | Const x -> const box (x /. c)
+  | _ ->
+      let shape =
+        match a.shape with
+        | Affine { c0; cn; ck } -> Affine { c0 = c0 /. c; cn = cn /. c; ck = ck /. c }
+        | Mono -> Mono
+        | Opaque -> Opaque
+      in
+      make (Div (a.expr, c)) shape
+        ~cvals:(Array.map (fun v -> v /. c) a.cvals)
+        ~fallback:(fun () -> (a.lo /. c, a.hi /. c))
 
 (* max keeps an exact shape when one side dominates the other at
    every corner: the difference of two affine forms is affine, so

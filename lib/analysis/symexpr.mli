@@ -81,6 +81,9 @@ val var : box -> var -> t
 val add : box -> t -> t -> t
 val mul : box -> t -> t -> t
 val div : box -> t -> float -> t
+(** Division by a positive constant; a literal [Const] operand folds to
+    the [Const] of the quotient, which evaluates to the same float. *)
+
 val max_ : box -> t -> t -> t
 
 val sup : box -> t -> float * point * bool

@@ -11,21 +11,11 @@ type dims = {
   p_row : int;
 }
 
-module type NUM = sig
-  type t
-
-  val of_int : int -> t
-  val add : t -> t -> t
-  val mul : t -> t -> t
-  val max : t -> t -> t
-end
-
-(* The Table 2 formulas over an arbitrary numeric domain: the
-   specification of the float API below, and the expression tree the
-   range certifier (Tf_analysis.Range_cert) evaluates over its symbolic
-   domain.  Operator nesting deliberately mirrors the original
+(* The Table 2 formulas over any number domain: the specification of
+   the float API below, and the expression tree the range certifier
+   (Tf_analysis.Range_cert) evaluates over its symbolic domain.  Operator nesting deliberately mirrors the original
    left-associated float expressions. *)
-module Gen (N : NUM) = struct
+module Gen (N : Num_domain.S) = struct
   type gdims = {
     b : N.t;
     d : N.t;
@@ -74,8 +64,7 @@ end
 
 (* [Gen] at [float], written out.  Each function performs [Gen]'s
    operations in [Gen]'s order on the same values, so it is bit-identical
-   to [Gen] instantiated at [float] with [Float.max] (test_properties
-   pins this).  Through the functor, which this compiler (no flambda)
+   to [Gen (Num_domain.Float)] (test_properties pins this).  Through the functor, which this compiler (no flambda)
    does not specialise, every [+] and [*] of TileSeek's feasibility
    check was a closure call on boxed floats; written out and inlined, a
    check allocates nothing.  The rows are sums of products of positive

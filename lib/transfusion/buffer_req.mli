@@ -74,26 +74,17 @@ val pp : dims Fmt.t
 
 (** {2 Generic formulas}
 
-    The Table 2 formulas abstracted over the numeric domain: the
-    specification of the float API above, and the expression tree a
-    symbolic instantiation (the interval/affine domain of
-    [Tf_analysis.Symexpr] used by the range certifier) evaluates.  The
-    float API is [Gen] at [float] written out, with the same operations
-    in the same order, so it is bit-identical to [Gen] instantiated at
-    [float] with [Float.max] (a property test pins every function), and
-    evaluating a symbolic result at a concrete point reproduces the float
-    computation. *)
+    The Table 2 formulas over the shared number domain
+    {!Num_domain.S}, the one the op table ({!Layer_costs.Table}) and the
+    DPipe replay ({!Dpipe.Replay}) take too: the specification of the
+    float API above, and the expression tree the range certifier
+    evaluates at [Tf_analysis.Symexpr].  The float API is [Gen] at
+    {!Num_domain.Float} written out, with the same operations in the
+    same order, so it is bit-identical to that instance (a property test
+    pins every function), and evaluating a symbolic result at a concrete
+    point reproduces the float computation. *)
 
-module type NUM = sig
-  type t
-
-  val of_int : int -> t
-  val add : t -> t -> t
-  val mul : t -> t -> t
-  val max : t -> t -> t
-end
-
-module Gen (N : NUM) : sig
+module Gen (N : Num_domain.S) : sig
   type gdims = {
     b : N.t;
     d : N.t;

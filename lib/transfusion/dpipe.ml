@@ -33,9 +33,6 @@ type t = {
 let node_latency arch ~load ~matrix node resource =
   load node /. Arch.effective_pes arch resource ~matrix:(matrix node)
 
-let candidate_static_latency arch ~load ~matrix node =
-  node_latency arch ~load ~matrix node (if matrix node then Arch.Pe_2d else Arch.Pe_1d)
-
 (* Everything about a DAG that no load can change, built once per DAG
    and shared by every [schedule] over it.  Node ids are arbitrary ints,
    so everything is reindexed onto a dense [0, n) range and the DP runs on
@@ -469,36 +466,30 @@ let check_with ~node_count ~preds t =
 
 let check g t = check_with ~node_count:(Dag.node_count g) ~preds:(Dag.preds g) t
 
-module type TIME = sig
-  type t
-
-  val zero : t
-  val add : t -> t -> t
-  val max : t -> t -> t
-end
-
 (* Re-derive a schedule's timeline from its structure alone — the
    instance feed order, each instance's recorded PE array, and the
-   same-epoch dependency edges — over an arbitrary time domain.  With
-   [T = float] and [time = node_latency] this reproduces the recorded
-   start/end cycles bit-for-bit (the DP performs exactly this max/add
-   sequence once the resource choices are fixed); with a symbolic
-   domain it yields the timeline as a function of the sequence length,
-   which is how Tf_analysis.Range_cert certifies a cached schedule
-   structure over a whole seq-len range. *)
-module Replay (T : TIME) = struct
+   same-epoch dependency edges — over any number domain.  With
+   [Num_domain.Float] and [time = node_latency] this reproduces the
+   recorded start/end cycles bit-for-bit (the DP performs exactly this
+   max/add sequence once the resource choices are fixed); with a
+   symbolic domain it yields the timeline as a function of the sequence
+   length, which is how Tf_analysis.Range_cert certifies a cached
+   schedule structure over a whole seq-len range. *)
+module Replay (N : Num_domain.S) = struct
   type instance = {
     node : int;
     epoch : int;
     resource : Arch.resource;
-    start_t : T.t;
-    end_t : T.t;
+    start_t : N.t;
+    end_t : N.t;
   }
+
+  let zero = N.of_int 0
 
   let replay ~preds ~time (t : t) =
     let end_of = Hashtbl.create 256 in
-    let t1 = ref T.zero and t2 = ref T.zero in
-    let mk = ref T.zero in
+    let t1 = ref zero and t2 = ref zero in
+    let mk = ref zero in
     let err = ref None in
     let instances =
       List.map
@@ -507,7 +498,7 @@ module Replay (T : TIME) = struct
             List.fold_left
               (fun acc p ->
                 match Hashtbl.find_opt end_of (p, a.epoch) with
-                | Some v -> T.max acc v
+                | Some v -> N.max acc v
                 | None ->
                     if !err = None then
                       err :=
@@ -516,14 +507,14 @@ module Replay (T : TIME) = struct
                              "predecessor %d of node %d scheduled after it in epoch %d" p a.node
                              a.epoch);
                     acc)
-              T.zero (preds a.node)
+              zero (preds a.node)
           in
           let timeline = match a.resource with Arch.Pe_1d -> t1 | Arch.Pe_2d -> t2 in
-          let start_t = T.max !timeline dep in
-          let end_t = T.add start_t (time a.node a.resource) in
+          let start_t = N.max !timeline dep in
+          let end_t = N.add start_t (time a.node a.resource) in
           timeline := end_t;
           Hashtbl.replace end_of (a.node, a.epoch) end_t;
-          mk := T.max !mk end_t;
+          mk := N.max !mk end_t;
           { node = a.node; epoch = a.epoch; resource = a.resource; start_t; end_t })
         t.assignments
     in
@@ -691,18 +682,11 @@ let total_cycles t ~epochs =
   else t.makespan_cycles +. ((epochs -. k) *. t.steady_interval_cycles)
 
 let sequential_cycles arch ~load ~matrix g =
-  List.fold_left
-    (fun acc n -> acc +. candidate_static_latency arch ~load ~matrix n)
-    0. (Dag.nodes g)
+  let native n = if matrix n then Arch.Pe_2d else Arch.Pe_1d in
+  List.fold_left (fun acc n -> acc +. node_latency arch ~load ~matrix n (native n)) 0. (Dag.nodes g)
 
 module Private = struct
-  module Float_replay = Replay (struct
-    type t = float
-
-    let zero = 0.
-    let add = ( +. )
-    let max = Float.max
-  end)
+  module Float_replay = Replay (Num_domain.Float)
 
   let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -735,7 +719,7 @@ module Private = struct
             let steady_ref = Float.max 0. ((mk -. mk_ref) /. float_of_int (epochs - eh)) in
             let replayed =
               Float_replay.replay ~preds:plan.dag_preds
-                ~time:(fun id r -> node_latency arch ~load ~matrix id r)
+                ~time:(node_latency arch ~load ~matrix)
                 {
                   partition = part.split;
                   order;

@@ -100,6 +100,17 @@ val schedule :
     @raise Invalid_argument with [~verify:true] when the DP emits an
     invalid candidate (an internal invariant violation). *)
 
+val node_latency :
+  Tf_arch.Arch.t ->
+  load:(int -> float) ->
+  matrix:(int -> bool) ->
+  int ->
+  Tf_arch.Arch.resource ->
+  float
+(** The cycles one instance of a node takes on a resource: its [load]
+    over the array's effective PEs ({!Tf_arch.Arch.effective_pes}).
+    Every DP placement, replay and simulation reads it. *)
+
 val total_cycles : t -> epochs:float -> float
 (** Estimated cost of running [epochs] pipeline epochs: the unrolled
     makespan plus steady-state intervals beyond the unrolled window
@@ -117,36 +128,28 @@ val check : 'a Tf_dag.Dag.t -> t -> (unit, string) result
 
 (** {2 Generic timeline replay} *)
 
-module type TIME = sig
-  type t
-
-  val zero : t
-  val add : t -> t -> t
-  val max : t -> t -> t
-end
-
 (** Re-derive a schedule's timeline from its {e structure} alone (feed
-    order, per-instance PE array, same-epoch dependency edges) over an
-    arbitrary time domain.  [Replay (Float)] with [time] = the DP's own
-    node latency reproduces the recorded start/end cycles bit-for-bit —
+    order, per-instance PE array, same-epoch dependency edges) over any
+    number domain.  [Replay (Num_domain.Float)] with [time] =
+    {!node_latency} reproduces the recorded start/end cycles bit-for-bit —
     pinned by a differential test — while a symbolic domain
     ([Tf_analysis.Symexpr]) yields start/end as functions of the
     sequence length, the basis of range certification
     ([Tf_analysis.Range_cert]). *)
-module Replay (T : TIME) : sig
+module Replay (N : Num_domain.S) : sig
   type instance = {
     node : int;
     epoch : int;
     resource : Tf_arch.Arch.resource;
-    start_t : T.t;
-    end_t : T.t;
+    start_t : N.t;
+    end_t : N.t;
   }
 
   val replay :
     preds:(int -> int list) ->
-    time:(int -> Tf_arch.Arch.resource -> T.t) ->
+    time:(int -> Tf_arch.Arch.resource -> N.t) ->
     t ->
-    (instance list * T.t, string) result
+    (instance list * N.t, string) result
   (** Instances in the recorded feed order plus the makespan.  [preds]
       must list same-epoch dependencies in the DAG's order
       ([Tf_dag.Dag.preds]); [time] gives each node's execution time on
@@ -171,6 +174,6 @@ module Private : sig
       and the winner's (the same run, with its assignments read back)
       agree on [(makespan, makespan_half, steady)]; that the single-pass
       (full + half) makespans agree with two independent DP runs; and
-      that the recorded timeline replays exactly through [Replay] over
-      [float] with [Float.max] and the node latencies. *)
+      that the recorded timeline replays exactly through
+      [Replay (Num_domain.Float)] and {!node_latency}. *)
 end

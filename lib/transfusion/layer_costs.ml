@@ -24,23 +24,44 @@ let tile_extents (w : Workload.t) ~m0 =
       ("s", m.Model.ffn_hidden);
     ]
 
-(* Instance count of an operation within one layer (per batch element):
-   anything touched by the m1 loop — an operation indexed by m0, or a
-   running-state update of the MHA loop body — executes once per key/value
-   tile; the rest once.  Causal masking halves the attention-loop work
-   (each query attends on average to half the keys).  The per-m0-tile K/V
-   projections (BK/BV — m0-indexed but outside the attention loop) cover
-   only [kv_proj_len] fresh positions: for self/cross attention that is
-   the whole key/value sequence, but a decode step projects a single new
-   position while its attention loop still walks the full cache, so their
-   count is the (possibly fractional) [kv_proj_len / m0]. *)
-let instance_count ~kv_len ~kv_proj_len ~causal ~m0 (op : Einsum.t) =
-  let kv_tiles = float_of_int (kv_len / m0) in
-  let proj_tiles = float_of_int kv_proj_len /. float_of_int m0 in
-  let indexed_by_m0 = List.mem "m0" (Einsum.all_dims op) in
-  if Cascades.in_attention_loop op then if causal then 0.5 *. kv_tiles else kv_tiles
-  else if indexed_by_m0 then proj_tiles
-  else 1.
+let nominal_epochs = 256.
+
+(* The op table over a number domain.  Instance count of an operation
+   within one layer (per batch element): anything touched by the m1 loop
+   — an operation indexed by m0, or a running-state update of the MHA
+   loop body — executes once per key/value tile; the rest once.  Causal
+   masking halves the attention-loop work (each query attends on average
+   to half the keys).  The per-m0-tile K/V projections (BK/BV —
+   m0-indexed but outside the attention loop) cover only [kv_proj_len]
+   fresh positions: for self/cross attention that is the whole key/value
+   sequence, but a decode step projects a single new position while its
+   attention loop still walks the full cache, so their count is the
+   (possibly fractional) [kv_proj_len / m0]. *)
+module Table (N : Num_domain.S) = struct
+  let row ~batch ~m0 ~extents ~seq ~kv_len ~kv_proj_len ~causal op =
+    let tiles len = N.div len (float_of_int m0) in
+    let count =
+      if Cascades.in_attention_loop op then
+        if causal then N.mul (N.of_float 0.5) (tiles kv_len) else tiles kv_len
+      else if List.mem "m0" (Einsum.all_dims op) then tiles kv_proj_len
+      else N.of_int 1
+    in
+    let instances = N.mul (N.of_int batch) count in
+    let extent d = if d = "p" then seq else N.of_int (Extents.find extents d) in
+    let product = function
+      | [] -> N.of_int 1
+      | d :: rest -> List.fold_left (fun acc x -> N.mul acc (extent x)) (extent d) rest
+    in
+    let out = product (Einsum.output_dims op) and red = product (Einsum.reduction_dims op) in
+    (instances, N.mul instances (N.mul (N.mul out red) (N.of_float (Einsum.cost_factor op))))
+
+  let load total = N.div total nominal_epochs
+
+  let node_time arch ~matrix total resource =
+    N.div (load total) (Tf_arch.Arch.effective_pes arch resource ~matrix)
+end
+
+module F = Table (Num_domain.Float)
 
 let op_totals ?m0 ?kv_len ?kv_proj_len ?(causal = false) (w : Workload.t) cascade =
   let m0 = match m0 with Some v -> v | None -> default_m0 w in
@@ -49,12 +70,14 @@ let op_totals ?m0 ?kv_len ?kv_proj_len ?(causal = false) (w : Workload.t) cascad
   if m0 < 1 || kv_len mod m0 <> 0 then
     invalid_arg (Printf.sprintf "Layer_costs.op_totals: m0=%d does not divide kv_len=%d" m0 kv_len);
   if kv_proj_len < 1 then invalid_arg "Layer_costs.op_totals: kv_proj_len < 1";
-  let extents = tile_extents w ~m0 in
-  let batch = float_of_int w.batch in
+  let fi = float_of_int in
+  let row =
+    F.row ~batch:w.batch ~m0 ~extents:(tile_extents w ~m0) ~seq:(fi w.seq_len) ~kv_len:(fi kv_len)
+      ~kv_proj_len:(fi kv_proj_len) ~causal
+  in
   List.map
     (fun op ->
-      let instances = batch *. instance_count ~kv_len ~kv_proj_len ~causal ~m0 op in
-      let total = instances *. Einsum.compute_load extents op in
+      let instances, total = row op in
       { op; module_ = Cascades.module_of op; total; instances })
     (Cascade.ops cascade)
 
@@ -64,8 +87,6 @@ let loads totals =
       if Einsum.is_matrix_op op then { acc with matrix = acc.matrix +. total }
       else { acc with vector = acc.vector +. total })
     zero totals
-
-let nominal_epochs = 256.
 
 type problem = {
   cascade : Cascade.t;
@@ -85,7 +106,7 @@ let of_totals cascade ~dag ~plan ~extents totals =
     totals;
     dag;
     plan;
-    load = (fun n -> totals.(n).total /. nominal_epochs);
+    load = (fun n -> F.load totals.(n).total);
     matrix = (fun n -> Einsum.is_matrix_op totals.(n).op);
   }
 

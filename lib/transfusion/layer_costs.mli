@@ -26,6 +26,34 @@ val tile_extents : Tf_workloads.Workload.t -> m0:int -> Tf_einsum.Extents.t
 (** The extent environment totals are computed under: full model dims,
     full sequence for [p], and the given key/value tile for [m0]. *)
 
+val nominal_epochs : float
+(** 256: DPipe node loads are whole-layer totals spread over this many
+    epochs.  The extrapolated layer cost is epoch-count invariant to
+    first order, so the scale divides out of every ratio. *)
+
+(** The op table over any number domain, written once: {!op_totals} and
+    {!problem} are its {!Num_domain.Float} instance, and the range
+    certifier instantiates it at [Tf_analysis.Symexpr]. *)
+module Table (N : Num_domain.S) : sig
+  val row :
+    batch:int ->
+    m0:int ->
+    extents:Tf_einsum.Extents.t ->
+    seq:N.t ->
+    kv_len:N.t ->
+    kv_proj_len:N.t ->
+    causal:bool ->
+    Tf_einsum.Einsum.t ->
+    N.t * N.t
+  (** [(instances, total)] of an op, as {!op_totals} counts them, under
+      {!tile_extents} [extents] with the query sequence [seq] as the
+      extent of [p]: [total = instances × out × red × cost_factor]. *)
+
+  val node_time : Tf_arch.Arch.t -> matrix:bool -> N.t -> Tf_arch.Arch.resource -> N.t
+  (** A total's cycles per epoch on a resource: over {!nominal_epochs},
+      then over the array's effective PEs ({!Dpipe.node_latency}). *)
+end
+
 type op_total = {
   op : Tf_einsum.Einsum.t;
   module_ : Tf_costmodel.Phase.layer_kind;  (** {!Cascades.module_of} [op] *)
@@ -55,11 +83,6 @@ val op_totals :
 
 val loads : op_total list -> loads
 (** The matrix and vector totals of the rows, summed in row order. *)
-
-val nominal_epochs : float
-(** 256: DPipe node loads are whole-layer totals spread over this many
-    epochs.  The extrapolated layer cost is epoch-count invariant to
-    first order, so the scale divides out of every ratio. *)
 
 (** The DPipe problem of [cascade]: its DAG and the DAG's {!Dpipe.plan},
     node totals under {!op_totals} and the [load]/[matrix] oracles

@@ -35,9 +35,6 @@ let resource_wait e = Float.max 0. (e.queue_free_cycle -. e.ready_cycle)
 let busy e = e.end_cycle -. e.start_cycle
 let span e = e.end_cycle -. Float.min e.ready_cycle e.queue_free_cycle
 
-let instance_latency arch ~load ~matrix node resource =
-  load node /. Arch.effective_pes arch resource ~matrix:(matrix node)
-
 (* The discrete-event core.  [record] switches event accumulation on;
    events append in completion order, so per-resource folds over the
    event list replay the exact floating-point sequence that produced
@@ -83,7 +80,7 @@ let replay_core arch ~load ~matrix ~record g (sched : Dpipe.t) =
                 let free_at = List.assoc r free in
                 let queue_free = !free_at in
                 let start = Float.max queue_free ready in
-                let latency = instance_latency arch ~load ~matrix head.Dpipe.node r in
+                let latency = Dpipe.node_latency arch ~load ~matrix head.Dpipe.node r in
                 let finish = start +. latency in
                 Hashtbl.replace finished (head.Dpipe.node, head.Dpipe.epoch) finish;
                 free_at := finish;

@@ -563,25 +563,27 @@ let intra_layer_traffic ctx config ~loads ~io ~weight_reads =
     ~dram_reads:(ctx.layers *. (weight_reads +. kv_reads ctx config +. ctx.a))
     ~dram_writes:(ctx.layers *. (ctx.a +. (2. *. ctx.a_proj)))
 
-let tiling_cost ctx phase_list =
-  let arch = ctx.arch in
-  let lat = Latency.evaluate arch phase_list in
+(* The search objective, written once: latency plus a small memory-time
+   term — the paper's TileSeek also rewards off-chip traffic and energy
+   (Section 5), so among latency-equal tilings the one moving less data
+   wins.  The weight is kept small so the latency figures stay the
+   primary objective.  [latency_s] and [memory_s] are the seconds of the
+   phases that move [traffic]. *)
+let objective_cost ctx ~latency_s ~memory_s ~traffic =
   match ctx.objective with
-  | Latency_obj ->
-      (* Latency with a small memory-time tie-break so that among
-         latency-equal tilings the one moving less data wins. *)
-      let memory_s =
-        List.fold_left
-          (fun acc (r : Latency.phase_result) -> acc +. r.memory_s)
-          0. lat.Latency.phases
-      in
-      lat.Latency.total_s +. (0.02 *. memory_s)
-  | Energy_obj ->
-      let traffic = Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list) in
-      Energy.total_pj (Energy.of_traffic arch traffic)
-  | Edp_obj ->
-      let traffic = Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list) in
-      lat.Latency.total_s *. Energy.total_pj (Energy.of_traffic arch traffic)
+  | Latency_obj -> latency_s +. (0.02 *. memory_s)
+  | Energy_obj -> Energy.total_pj (Energy.of_traffic ctx.arch traffic)
+  | Edp_obj -> latency_s *. Energy.total_pj (Energy.of_traffic ctx.arch traffic)
+
+(* The objective of a phase list through the full latency model and
+   summed traffic: the cold-path reference of [single_phase_cost]. *)
+let tiling_cost ctx phase_list =
+  let lat = Latency.evaluate ctx.arch phase_list in
+  let memory_s =
+    List.fold_left (fun acc (r : Latency.phase_result) -> acc +. r.memory_s) 0. lat.Latency.phases
+  in
+  objective_cost ctx ~latency_s:lat.Latency.total_s ~memory_s
+    ~traffic:(Traffic.sum (List.map (fun (p : Phase.t) -> p.Phase.traffic) phase_list))
 
 let normalise_parts per =
   let kinds = [ Phase.Qkv; Phase.Mha; Phase.Layernorm; Phase.Ffn ] in
@@ -754,28 +756,15 @@ let eval_slice st m0 =
       Hashtbl.add st.es_slices m0 sl;
       sl
 
-(* The search objective: latency plus a small memory-time term — the
-   paper's TileSeek also rewards off-chip traffic and energy (Section 5),
-   so among latency-equal tilings the one moving less data wins.  The
-   weight is kept small so the latency figures stay the primary
-   objective.
-
-   This is the scalar cost of a single phase, bypassing the [Latency.t]
-   result structure: for a one-phase list the latency folds collapse to
-   the phase's own terms, and [Traffic.sum [t]] equals [t] field for
-   field (0. +. x = x for the non-negative volumes involved), so the
-   value equals [tiling_cost ctx [phase]] bit for bit while allocating
-   no phase list, no result records and no summed traffic. *)
+(* The objective of a single phase, bypassing the [Latency.t] result
+   structure: for a one-phase list the latency folds collapse to the
+   phase's own terms, and [Traffic.sum [t]] equals [t] field for field
+   (0. +. x = x for the non-negative volumes involved), so the value
+   equals [tiling_cost ctx [phase]] bit for bit while allocating no phase
+   list, no result records and no summed traffic. *)
 let single_phase_cost ctx ~compute_s ~traffic =
-  match ctx.objective with
-  | Latency_obj ->
-      let memory_s = Latency.memory_seconds ctx.arch traffic in
-      Latency.phase_seconds ~compute_s ~memory_s +. (0.02 *. memory_s)
-  | Energy_obj -> Energy.total_pj (Energy.of_traffic ctx.arch traffic)
-  | Edp_obj ->
-      let memory_s = Latency.memory_seconds ctx.arch traffic in
-      Latency.phase_seconds ~compute_s ~memory_s
-      *. Energy.total_pj (Energy.of_traffic ctx.arch traffic)
+  let memory_s = Latency.memory_seconds ctx.arch traffic in
+  objective_cost ctx ~latency_s:(Latency.phase_seconds ~compute_s ~memory_s) ~memory_s ~traffic
 
 (* One strategy's decision for one tiling: the traffic it runs with, the
    slice execution, and the scalar cost the search ranks it by.  The
@@ -880,8 +869,8 @@ let priced_execution strategy priced =
   | Transfusion, Some (st, config) -> Some (execution st config)
   | _ -> None
 
-let phases ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers ?objective arch w strategy =
-  let ctx = make_ctx ?attention ?include_ffn ?layers ?objective arch w in
+let phases ?tiling ?tileseek_iterations ?attention ?include_ffn ?layers arch w strategy =
+  let ctx = make_ctx ?attention ?include_ffn ?layers arch w in
   let phase_list, priced = priced_phases ?tiling ?tileseek_iterations ctx strategy in
   (phase_list, Option.map snd priced, priced_execution strategy priced)
 

@@ -122,15 +122,14 @@ val phases :
   ?attention:attention ->
   ?include_ffn:bool ->
   ?layers:int ->
-  ?objective:objective ->
   Tf_arch.Arch.t ->
   Tf_workloads.Workload.t ->
   t ->
   Tf_costmodel.Phase.t list * Tileseek.config option * execution option
 (** Whole-model phase list, the tiling of the searching strategies and,
     for [Transfusion] (only), the execution it was priced with.
-    [tiling] overrides TileSeek for TransFusion (used by TileSeek's own
-    evaluation loop and by tests); [tileseek_iterations] defaults to 200.
+    [tiling] overrides TileSeek for TransFusion; [tileseek_iterations]
+    defaults to 200.
     [attention], [include_ffn] and [layers] select the sublayer flavour
     for encoder/decoder composition (see {!Structures}); the defaults
     evaluate the standard self-attention encoder stack of the model. *)

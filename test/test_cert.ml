@@ -14,6 +14,7 @@ module Model = Tf_workloads.Model
 module Workload = Tf_workloads.Workload
 module Buffer_req = Transfusion.Buffer_req
 module Tileseek = Transfusion.Tileseek
+module Layer_costs = Transfusion.Layer_costs
 module S = Tf_analysis.Symexpr
 module RC = Tf_analysis.Range_cert
 module CC = Tf_analysis.Cert_check
@@ -252,6 +253,56 @@ let test_differential () =
   Qgen.run ~count:40 ~print:print_case ~gen:gen_case
     "certified ranges agree with the concrete pipeline" prop_differential
 
+(* The op times a certificate states are the op table's Symexpr
+   instance: at every corner of the box each must evaluate, bit for bit,
+   to the float node time DPipe reads from the Layer_costs problem built
+   at that corner (sched.replay-sym checks only the makespan, and only at
+   the high corner). *)
+let prop_op_times_at_corners (c, seq) =
+  let cert =
+    RC.certify ~attention:c.attention ~batch:c.batch ~seq ~policy:c.policy c.arch c.model
+      c.range
+  in
+  match cert.RC.schedule with
+  | None -> ()
+  | Some s ->
+      let r = cert.RC.range in
+      let corners =
+        match c.attention with
+        | RC.Decode -> [ (seq, Some r.RC.lo); (seq, Some r.RC.hi) ]
+        | RC.Self | RC.Causal -> [ (r.RC.lo, None); (r.RC.hi, None) ]
+      in
+      List.iter
+        (fun (n, k) ->
+          let p =
+            Layer_costs.problem ~m0:(sched_m0 cert) ~kv_len:(Option.value k ~default:n)
+              ~kv_proj_len:n ~causal:(c.attention = RC.Causal)
+              (Workload.v ~batch:c.batch c.model ~seq_len:n)
+              (Transfusion.Cascades.full_layer c.model.Model.activation)
+          in
+          List.iter
+            (fun (node, t2, t1) ->
+              List.iter
+                (fun (res, e) ->
+                  let got = S.eval ~n:(float_of_int n) ?k:(Option.map float_of_int k) e in
+                  let want =
+                    Transfusion.Dpipe.node_latency c.arch ~load:p.Layer_costs.load
+                      ~matrix:p.Layer_costs.matrix node res
+                  in
+                  if Int64.bits_of_float got <> Int64.bits_of_float want then
+                    failf "node %d at n=%d%s: op time %.17g, problem's node time %.17g" node n
+                      (match k with Some k -> Printf.sprintf ",k=%d" k | None -> "")
+                      got want)
+                [ (Tf_arch.Arch.Pe_2d, t2); (Tf_arch.Arch.Pe_1d, t1) ])
+            s.RC.op_times)
+        corners
+
+let test_op_times_at_corners () =
+  Qgen.run ~count:40
+    ~print:(fun (c, seq) -> Printf.sprintf "%s seq=%d" (print_case c) seq)
+    ~gen:(fun r -> (gen_case r, Qgen.choose r [ 1; 4; 64 ]))
+    "certified op times equal the problem's node times at every corner" prop_op_times_at_corners
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic cases                                                 *)
 
@@ -329,7 +380,11 @@ let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "tf_cert"
     [
-      ("differential", [ quick "random ranges vs concrete pipeline" test_differential ]);
+      ( "differential",
+        [
+          quick "random ranges vs concrete pipeline" test_differential;
+          quick "op times at every corner equal the problem's" test_op_times_at_corners;
+        ] );
       ( "deterministic",
         [
           quick "T5 cloud band certifies and agrees pointwise" t5_band;

@@ -76,6 +76,66 @@ let check_one name compute () =
           diff
   end
 
+(* Range certificates, pinned byte for byte: the certificate's numbers
+   and expression trees are exact (%.17g), so no tolerance applies.  The
+   bands cover a frozen self-attention tiling, the resident policy
+   (m1 = n/m0) on masked attention, certified and refused, and a decode
+   step with a multi-token query, on a cloud and an edge preset. *)
+module RC = Tf_analysis.Range_cert
+
+let cert_bands =
+  let t5 = Tf_workloads.Presets.t5 and bert = Tf_workloads.Presets.bert in
+  List.concat_map
+    (fun arch ->
+      let band label ?attention ?batch ?seq ?policy model lo hi =
+        ( Printf.sprintf "%s/%s" arch.Tf_arch.Arch.name label,
+          fun () ->
+            RC.certify ?attention ?batch ?seq ?policy arch model { RC.lo; hi; step = lo } )
+      in
+      [
+        band "T5/self/fixed" t5 512 16384;
+        band "BERT/causal/resident/batch1" ~attention:RC.Causal ~batch:1 ~policy:RC.Resident bert
+          256 1024;
+        band "BERT/causal/resident" ~attention:RC.Causal ~policy:RC.Resident bert 4096 65536;
+        band "T5/decode/fixed/seq4" ~attention:RC.Decode ~seq:4 t5 1024 16384;
+      ])
+    Tf_arch.Presets.[ cloud; edge ]
+
+(* One certificate per line, keyed by band. *)
+let certs_document () =
+  "{\n"
+  ^ String.concat ",\n"
+      (List.map
+         (fun (label, certify) ->
+           Printf.sprintf "%S:%s" label (RC.to_json_string (certify ())))
+         cert_bands)
+  ^ "\n}\n"
+
+let check_certs () =
+  let doc = certs_document () in
+  if regen then begin
+    Out_channel.with_open_bin (source_path "cert") (fun oc -> output_string oc doc);
+    Printf.printf "golden: regenerated %s\n" (source_path "cert")
+  end
+  else
+    let golden =
+      try In_channel.with_open_bin (read_path "cert") In_channel.input_all
+      with Sys_error _ ->
+        Alcotest.failf
+          "golden file %s missing — regenerate with GOLDEN_REGEN=1 dune runtest and commit it"
+          (read_path "cert")
+    in
+    if golden <> doc then
+      let rec first_band = function
+        | g :: gs, d :: ds when g = d -> first_band (gs, ds)
+        | g :: _, _ -> List.hd (String.split_on_char ':' g)
+        | [], _ -> "count"
+      in
+      Alcotest.failf
+        "golden mismatch: cert.json differs in band %s\n\
+         (intentional change? GOLDEN_REGEN=1 dune runtest)"
+        (first_band (String.split_on_char '\n' golden, String.split_on_char '\n' doc))
+
 let () =
   Alcotest.run "tf_golden"
     [
@@ -83,4 +143,5 @@ let () =
         List.map
           (fun (name, compute) -> Alcotest.test_case name `Quick (check_one name compute))
           figures );
+      ("certificates", [ Alcotest.test_case "cert" `Quick check_certs ]);
     ]

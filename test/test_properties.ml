@@ -312,19 +312,12 @@ let test_buffer_req_brute_force () =
     "Buffer_req equals tensor-inventory brute force" prop_buffer_req_matches_inventory
 
 (* The float API is a written-out specialisation of [Buffer_req.Gen]:
-   pin it, bit for bit, to [Gen] instantiated at [float] with
-   [Float.max].  Factors are small, powers of two, within 64 of the
-   largest preset buffer capacity, or anything below 2^31.  The last
-   kind takes the products past 2^53, where every product rounds, so a
-   reassociated or reordered operation shows as a differing bit. *)
-module Gen_float = Buffer_req.Gen (struct
-  type t = float
-
-  let of_int = float_of_int
-  let add = ( +. )
-  let mul = ( *. )
-  let max = Float.max
-end)
+   pin it, bit for bit, to [Gen (Num_domain.Float)].  Factors are small,
+   powers of two, within 64 of the largest preset buffer capacity, or
+   anything below 2^31.  The last kind takes the products past 2^53,
+   where every product rounds, so a reassociated or reordered operation
+   shows as a differing bit. *)
+module Gen_float = Buffer_req.Gen (Transfusion.Num_domain.Float)
 
 let largest_capacity =
   List.fold_left (fun acc a -> Int.max acc (Tf_arch.Arch.buffer_elements a)) 0 archs
@@ -968,6 +961,101 @@ let test_one_op_table () =
     "a slice's loads, I/O volumes and parts fold the module cascades' op totals" prop_one_op_table
 
 (* ------------------------------------------------------------------ *)
+(* The op table functor at float equals the hand-written op table      *)
+
+(* The op table as it was written before it became a functor over a
+   number domain: the float instance must reproduce it bit for bit. *)
+module Op_table_oracle = struct
+  let instance_count ~kv_len ~kv_proj_len ~causal ~m0 (op : Einsum.t) =
+    let kv_tiles = float_of_int (kv_len / m0) in
+    let proj_tiles = float_of_int kv_proj_len /. float_of_int m0 in
+    let indexed_by_m0 = List.mem "m0" (Einsum.all_dims op) in
+    if Cascades.in_attention_loop op then if causal then 0.5 *. kv_tiles else kv_tiles
+    else if indexed_by_m0 then proj_tiles
+    else 1.
+
+  (* (instances, total, 2D time, 1D time) per op, in cascade order. *)
+  let rows arch ~m0 ~kv_len ~kv_proj_len ~causal (w : Workload.t) cascade =
+    let extents = Layer_costs.tile_extents w ~m0 in
+    let batch = float_of_int w.Workload.batch in
+    List.map
+      (fun op ->
+        let instances = batch *. instance_count ~kv_len ~kv_proj_len ~causal ~m0 op in
+        let total = instances *. Einsum.compute_load extents op in
+        let time res =
+          total /. 256. /. Tf_arch.Arch.effective_pes arch res ~matrix:(Einsum.is_matrix_op op)
+        in
+        (instances, total, time Tf_arch.Arch.Pe_2d, time Tf_arch.Arch.Pe_1d))
+      (Tf_einsum.Cascade.ops cascade)
+end
+
+module Table_float = Layer_costs.Table (Transfusion.Num_domain.Float)
+
+type op_case = {
+  o_arch : Tf_arch.Arch.t;
+  o_w : Workload.t;
+  o_m0 : int;
+  o_kv_len : int;
+  o_kv_proj_len : int;
+  o_causal : bool;
+}
+
+(* Random and preset models up to a 2^20 sequence; [m0] divides the
+   key/value length; the projected length is the whole key/value
+   sequence, a decode step's single position or anything between. *)
+let op_case r =
+  let o_w =
+    if Qgen.bool r then Qgen.workload r
+    else
+      Workload.v ~batch:(1 lsl Qgen.int r 7)
+        (Qgen.choose r Tf_workloads.Presets.all)
+        ~seq_len:(Qgen.choose r [ 1; 1 lsl Qgen.range r 6 20 ])
+  in
+  let o_kv_len = 1 lsl Qgen.range r 6 20 in
+  {
+    o_arch = Qgen.choose r archs;
+    o_w;
+    o_m0 = Qgen.pow2_divisor r o_kv_len ~cap:1024;
+    o_kv_len;
+    o_kv_proj_len = Qgen.choose r [ o_kv_len; 1; Qgen.range r 1 o_kv_len ];
+    o_causal = Qgen.bool r;
+  }
+
+let print_op_case c =
+  Printf.sprintf "%s %s m0=%d kv_len=%d kv_proj_len=%d causal=%b" c.o_arch.Tf_arch.Arch.name
+    (Qgen.print_workload c.o_w) c.o_m0 c.o_kv_len c.o_kv_proj_len c.o_causal
+
+let prop_op_table_matches_oracle c =
+  let cascade = Cascades.full_layer c.o_w.Workload.model.Tf_workloads.Model.activation in
+  let m0 = c.o_m0 and kv_len = c.o_kv_len and kv_proj_len = c.o_kv_proj_len in
+  let causal = c.o_causal and arch = c.o_arch in
+  let oracle = Op_table_oracle.rows arch ~m0 ~kv_len ~kv_proj_len ~causal c.o_w cascade in
+  let rows = Layer_costs.op_totals ~m0 ~kv_len ~kv_proj_len ~causal c.o_w cascade in
+  let p = Layer_costs.problem ~m0 ~kv_len ~kv_proj_len ~causal c.o_w cascade in
+  let check what n want got =
+    if not (same_bits want got) then
+      Alcotest.failf "op %d %s: %.17g, oracle %.17g" n what got want
+  in
+  List.iteri
+    (fun n ((instances, total, t2, t1), (row : Layer_costs.op_total)) ->
+      check "instances" n instances row.Layer_costs.instances;
+      check "total" n total row.Layer_costs.total;
+      List.iter
+        (fun (res, want) ->
+          let label = match res with Tf_arch.Arch.Pe_2d -> "2D" | Tf_arch.Arch.Pe_1d -> "1D" in
+          check ("DPipe time on " ^ label) n want
+            (Dpipe.node_latency arch ~load:p.Layer_costs.load ~matrix:p.Layer_costs.matrix n res);
+          check ("functor time on " ^ label) n want
+            (Table_float.node_time arch ~matrix:(p.Layer_costs.matrix n) row.Layer_costs.total res))
+        [ (Tf_arch.Arch.Pe_2d, t2); (Tf_arch.Arch.Pe_1d, t1) ])
+    (List.combine oracle rows)
+
+let test_op_table_matches_oracle () =
+  Qgen.run ~print:print_op_case ~gen:op_case
+    "the op table functor at float equals the hand-written op table bit for bit"
+    prop_op_table_matches_oracle
+
+(* ------------------------------------------------------------------ *)
 (* Tf_json: the writer's output re-parses to a value that re-renders   *)
 (* to the same bytes                                                   *)
 
@@ -1174,6 +1262,7 @@ let () =
           quick "decode equals cross" test_decode_equals_cross;
           quick "scorer equals cold reference" test_scorer_matches_reference;
           quick "one op table per slice" test_one_op_table;
+          quick "op table functor equals the hand-written oracle" test_op_table_matches_oracle;
           quick "explain serves evaluate" test_explain_serves_evaluate;
           quick "explain and verify follow the served execution" test_explain_and_verify_serve;
           quick "json render/parse round trip" test_json_round_trip;
