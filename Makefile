@@ -20,10 +20,14 @@ check:
 # linting every bucket, then re-validate each emitted certificate with
 # the independent checker.  Besides the frozen self-attention tiling, a
 # decode band (a fixed multi-token query over the KV-cache length) and
-# a resident band (m1 = n/m0 grows with the sequence).
+# a resident band (m1 = n/m0 grows with the sequence).  A copy whose
+# step is not RFC 8259 JSON ("step":+512) must fail validation (exit 1).
 check-range:
 	dune exec bin/transfusion_cli.exe -- check --range 512:16384 --model T5 --json cert.json
 	dune exec bin/transfusion_cli.exe -- check --validate cert.json
+	sed 's/"step":512/"step":+512/' cert.json > cert-nonjson.json
+	grep -q '"step":+512' cert-nonjson.json
+	dune exec bin/transfusion_cli.exe -- check --validate cert-nonjson.json; test $$? -eq 1
 	dune exec bin/transfusion_cli.exe -- check --attention decode --seq 4 --range 1024:16384 \
 		--model T5 --json cert-decode.json
 	dune exec bin/transfusion_cli.exe -- check --validate cert-decode.json

@@ -241,14 +241,19 @@ let streaming_attention_bench () =
   let v = Tf_tensor.Nd.random rng [| 64; 16 |] in
   fun () -> ignore (Tf_tensor.Attention.streaming_one_pass ~m0:16 ~q ~k ~v ())
 
+(* After the first pass the process-wide [strategies.dpipe] memo answers
+   every DPipe run of these evaluations (and of the phase build below),
+   so they time the search and the scoring around a warm schedule memo,
+   not a cold request. *)
 let evaluate_bench strategy () =
  fun () -> ignore (Strategies.evaluate ~tileseek_iterations:30 edge workload strategy)
 
 (* Fine-grained probes of the TileSeek evaluation hot path: one candidate
    scored through a prebuilt evaluation state (what each MCTS rollout
    pays after the per-m0 slice warms up), one full phase construction
-   from a cold state (slice derivation included), and the latency
-   roll-up over a full-model phase list on its own. *)
+   from a fresh evaluation state (slice derivation included, but its
+   DPipe runs answered by the warm [strategies.dpipe] memo), and the
+   latency roll-up over a full-model phase list on its own. *)
 let tiling_cost_hot_bench () =
   let score = Strategies.Private.transfusion_scorer edge workload in
   let config = Transfusion.Tileseek.greedy edge workload in

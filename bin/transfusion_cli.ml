@@ -57,6 +57,15 @@ let positive_float_conv key =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A fraction strictly between 0 and 1: [top --slo-target]. *)
+let fraction_conv =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.float s) (fun x ->
+        if x > 0. && x < 1. then Ok x
+        else Error (`Msg (Printf.sprintf "slo-target must be in (0, 1) (got %g)" x)))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 (* A loopback TCP port, 1..65535: the daemon's [serve --tcp] and the
    client's [top --tcp]. *)
 let port_conv =
@@ -1063,8 +1072,7 @@ let top_cmd =
                   let frac = Tf_obs.fraction_le (buckets_of entry) slo_s in
                   if Float.is_nan frac then "-"
                   else
-                    Printf.sprintf "%.2fx"
-                      ((1. -. frac) /. Float.max 1e-9 (1. -. slo_target)))
+                    Printf.sprintf "%.2fx" ((1. -. frac) /. (1. -. slo_target)))
         in
         p "%-10s %9.1f %9s %9s %9s %9.2f %8s\n" op
           (rate (Printf.sprintf "serve.%s.requests_total" op))
@@ -1142,7 +1150,10 @@ let top_cmd =
       & info [ "tcp" ] ~docv:"PORT" ~doc:"Connect to loopback TCP port $(docv) instead.")
   in
   let interval_arg =
-    Arg.(value & opt float 2.0 & info [ "interval" ] ~docv:"SECONDS" ~doc:"Polling period.")
+    Arg.(
+      value
+      & opt (positive_float_conv "interval") 2.0
+      & info [ "interval" ] ~docv:"SECONDS" ~doc:"Polling period.")
   in
   let once_arg =
     Arg.(value & flag & info [ "once" ] ~doc:"Poll once and exit (no screen clearing).")
@@ -1157,7 +1168,8 @@ let top_cmd =
   in
   let timeout_arg =
     Arg.(
-      value & opt float 10.
+      value
+      & opt (positive_float_conv "timeout") 10.
       & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-poll receive timeout.")
   in
   let slo_arg =
@@ -1171,7 +1183,7 @@ let top_cmd =
   in
   let slo_target_arg =
     Arg.(
-      value & opt float 0.99
+      value & opt fraction_conv 0.99
       & info [ "slo-target" ] ~docv:"FRACTION"
           ~doc:"SLO attainment target the burn rate is measured against.")
   in

@@ -1,156 +1,11 @@
 (* Self-contained validator for transfusion.cert/1 documents.  No
-   dependency on Symexpr/Range_cert or the cost pipeline: claims are
-   re-checked from the certificate text alone. *)
+   dependency on Symexpr/Range_cert or the cost pipeline: the document
+   is read with the repository's one JSON reader (Tf_json) and every
+   claim is re-checked from the certificate text alone. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+open Tf_json
 
-exception Bad of string
-
-(* ---- minimal recursive-descent JSON parser ------------------------ *)
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = c then incr pos else raise (Bad (Printf.sprintf "expected '%c' at %d" c !pos))
-  in
-  let lit word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else raise (Bad (Printf.sprintf "bad literal at %d" !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              pos := !pos + 4;
-              Buffer.add_char b (if code < 256 then Char.chr code else '?')
-          | c -> raise (Bad (Printf.sprintf "bad escape '%c'" c)));
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      incr pos
-    done;
-    try float_of_string (String.sub s start (!pos - start))
-    with _ -> raise (Bad (Printf.sprintf "bad number at %d" start))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            if peek () = ',' then begin
-              incr pos;
-              members ((key, v) :: acc)
-            end
-            else begin
-              expect '}';
-              Obj (List.rev ((key, v) :: acc))
-            end
-          in
-          members []
-        end
-    | '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            if peek () = ',' then begin
-              incr pos;
-              elements (v :: acc)
-            end
-            else begin
-              expect ']';
-              Arr (List.rev (v :: acc))
-            end
-          in
-          elements []
-        end
-    | '"' -> Str (parse_string ())
-    | 't' -> lit "true" (Bool true)
-    | 'f' -> lit "false" (Bool false)
-    | 'n' -> lit "null" Null
-    | _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad (Printf.sprintf "trailing garbage at %d" !pos));
-  v
-
-(* ---- accessors ---------------------------------------------------- *)
-
-let field o k =
-  match o with
-  | Obj kvs -> ( match List.assoc_opt k kvs with Some v -> v | None -> raise (Bad ("missing field " ^ k)))
-  | _ -> raise (Bad ("not an object looking for " ^ k))
-
-let fnum = function Num f -> f | _ -> raise (Bad "expected number")
-let fint j = int_of_float (fnum j)
-let fstr = function Str s -> s | _ -> raise (Bad "expected string")
-let fbool = function Bool b -> b | _ -> raise (Bad "expected bool")
-let farr = function Arr l -> l | _ -> raise (Bad "expected array")
+let bad m = raise (Bad_json m)
 
 (* ---- witness-expression evaluator --------------------------------- *)
 
@@ -160,24 +15,21 @@ let farr = function Arr l -> l | _ -> raise (Bad "expected array")
 let rec eval ~nv ~kv = function
   | Num f -> f
   | Str "n" -> nv
-  | Str "k" -> ( match kv with Some k -> k | None -> raise (Bad "expression needs k"))
-  | Arr [ Str op; a; b ] -> (
+  | Str "k" -> ( match kv with Some k -> k | None -> bad "expression needs k")
+  | List [ Str op; a; b ] -> (
       let ea () = eval ~nv ~kv a and eb () = eval ~nv ~kv b in
       match op with
       | "+" -> ea () +. eb ()
       | "-" -> ea () -. eb ()
       | "*" -> ea () *. eb ()
-      | "/" -> ea () /. fnum b
+      | "/" -> ea () /. get_float b
       | "max" -> Float.max (ea ()) (eb ())
       | "min" -> Float.min (ea ()) (eb ())
-      | "cdiv" -> Float.ceil (ea () /. fnum b)
-      | _ -> raise (Bad ("unknown operator " ^ op)))
-  | _ -> raise (Bad "malformed expression")
+      | "cdiv" -> Float.ceil (ea () /. get_float b)
+      | _ -> bad ("unknown operator " ^ op))
+  | _ -> bad "malformed expression"
 
-let point_env p =
-  let nv = fnum (field p "n") in
-  let kv = match p with Obj kvs when List.mem_assoc "k" kvs -> Some (fnum (field p "k")) | _ -> None in
-  (nv, kv)
+let point_env p = (get_float (member "n" p), Option.map get_float (find "k" p))
 
 (* ---- validation --------------------------------------------------- *)
 
@@ -186,12 +38,12 @@ let validate text =
   let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
   (try
      let doc = parse text in
-     if fstr (field doc "schema") <> "transfusion.cert/1" then fail "unknown schema";
-     let range = field doc "range" in
-     let lo = fint (field range "lo")
-     and hi = fint (field range "hi")
-     and step = fint (field range "step") in
-     let rvar = fstr (field range "var") in
+     if get_string (member "schema" doc) <> "transfusion.cert/1" then fail "unknown schema";
+     let range = member "range" doc in
+     let lo = get_int (member "lo" range)
+     and hi = get_int (member "hi" range)
+     and step = get_int (member "step" range) in
+     let rvar = get_string (member "var" range) in
      if lo < 1 || step < 1 || hi < lo || (hi - lo) mod step <> 0 then
        fail "range %d:%d:%d is not a normalised grid" lo hi step;
      let on_grid x = x >= lo && x <= hi && (x - lo) mod step = 0 in
@@ -202,33 +54,33 @@ let validate text =
        | "k", Some k -> on_grid (int_of_float k)
        | _ -> false
      in
-     let checks = farr (field doc "checks") in
+     let checks = get_list (member "checks" doc) in
      let claimed_ok = ref [] in
      List.iter
        (fun c ->
-         let id = fstr (field c "id") in
-         let ok = fbool (field c "ok") in
+         let id = get_string (member "id" c) in
+         let ok = get_bool (member "ok" c) in
          claimed_ok := (id, ok) :: !claimed_ok;
-         match fstr (field c "kind") with
+         match get_string (member "kind" c) with
          | "divides" -> (
-             let q = fint (field c "q") in
-             match field c "fail_at" with
+             let q = get_int (member "q" c) in
+             match member "fail_at" c with
              | Null ->
                  if not ok then fail "%s: no failing point recorded but ok=false" id;
                  if q < 1 || lo mod q <> 0 || (hi <> lo && step mod q <> 0) then
                    fail "%s: %d does not divide the whole grid %d:%d:%d" id q lo hi step
              | x ->
-                 let x = fint x in
+                 let x = get_int x in
                  if ok then fail "%s: failing point %d recorded but ok=true" id x;
                  if not (on_grid x) then fail "%s: witness %d is not a grid point" id x;
                  if q >= 1 && x mod q = 0 then fail "%s: %d divides witness %d" id q x)
          | "bound" -> (
-             let cmp = fstr (field c "cmp") in
-             let bound = fnum (field c "bound") in
-             let exact = fbool (field c "exact") in
-             let witness = field c "witness" in
+             let cmp = get_string (member "cmp" c) in
+             let bound = get_float (member "bound" c) in
+             let exact = get_bool (member "exact" c) in
+             let witness = member "witness" c in
              if not (point_on_grid witness) then fail "%s: witness is not a grid point" id;
-             (match field c "expr" with
+             (match member "expr" c with
              | Null ->
                  if id <> "sched.makespan" then fail "%s: only the makespan may omit its expression" id
              | e ->
@@ -242,14 +94,14 @@ let validate text =
                    fail "%s: witness %.17g exceeds claimed upper bound %.17g" id v bound
                  else if cmp = "ge" && v < bound then
                    fail "%s: witness %.17g undercuts claimed lower bound %.17g" id v bound);
-             match field c "limit" with
+             match member "limit" c with
              | Null -> if not ok then fail "%s: informational bound marked failing" id
              | l ->
-                 let l = fnum l in
+                 let l = get_float l in
                  let holds = if cmp = "le" then bound <= l else bound >= l in
                  if ok <> holds then fail "%s: ok=%b inconsistent with %.17g %s %.17g" id ok bound cmp l)
          | "eq" ->
-             let got = fnum (field c "got") and want = fnum (field c "want") in
+             let got = get_float (member "got" c) and want = get_float (member "want" c) in
              if ok <> (got = want) then
                fail "%s: ok=%b but got %.17g, want %.17g" id ok got want
          | "acyclic" -> ()
@@ -258,24 +110,25 @@ let validate text =
      (* Schedule section: replay the recorded structure at every corner
         with the recorded per-op time expressions and compare against the
         certificate's own corner makespans. *)
-     (match field doc "schedule" with
+     (match member "schedule" doc with
      | Null ->
          if List.exists (fun (id, ok) -> id = "sched.makespan" && ok) !claimed_ok then
            fail "sched.makespan claimed without a schedule section"
      | sched ->
-         let nodes = fint (field sched "nodes") and epochs = fint (field sched "epochs") in
-         let instances = farr (field sched "instances") in
+         let nodes = get_int (member "nodes" sched) and epochs = get_int (member "epochs" sched) in
+         let instances = get_list (member "instances" sched) in
          let edges =
-           List.map (fun e -> match farr e with [ u; v ] -> (fint u, fint v) | _ -> raise (Bad "edge"))
-             (farr (field sched "edges"))
+           List.map
+             (fun e -> match get_list e with [ u; v ] -> (get_int u, get_int v) | _ -> bad "edge")
+             (get_list (member "edges" sched))
          in
          let times = Hashtbl.create 64 in
          List.iter
            (fun ot ->
-             let node = fint (field ot "node") in
-             Hashtbl.replace times (node, "2d") (field ot "pe2d");
-             Hashtbl.replace times (node, "1d") (field ot "pe1d"))
-           (farr (field sched "op_times"));
+             let node = get_int (member "node" ot) in
+             Hashtbl.replace times (node, "2d") (member "pe2d" ot);
+             Hashtbl.replace times (node, "1d") (member "pe1d" ot))
+           (get_list (member "op_times" sched));
          if List.length instances <> nodes * epochs then
            fail "schedule has %d instances, expected %d x %d" (List.length instances) nodes epochs;
          (* acyclicity: the feed order must schedule every same-epoch
@@ -283,9 +136,9 @@ let validate text =
          let seen = Hashtbl.create 256 in
          List.iteri
            (fun i inst ->
-             match farr inst with
+             match get_list inst with
              | [ node; epoch; _res ] ->
-                 let node = fint node and epoch = fint epoch in
+                 let node = get_int node and epoch = get_int epoch in
                  if Hashtbl.mem seen (node, epoch) then
                    fail "instance (%d,%d) scheduled twice" node epoch;
                  List.iter
@@ -294,20 +147,21 @@ let validate text =
                        fail "instance %d of (%d,%d) precedes its dependency %d" i node epoch u)
                    edges;
                  Hashtbl.replace seen (node, epoch) ()
-             | _ -> raise (Bad "instance row"))
+             | _ -> bad "instance row")
            instances;
-         let makespan = field sched "makespan" in
-         let bound = fnum (field makespan "bound") and exact = fbool (field makespan "exact") in
-         let corners = farr (field makespan "corners") in
+         let makespan = member "makespan" sched in
+         let bound = get_float (member "bound" makespan)
+         and exact = get_bool (member "exact" makespan) in
+         let corners = get_list (member "corners" makespan) in
          let replay_at nv kv =
            let t1 = ref 0. and t2 = ref 0. in
            let done_ = Hashtbl.create 256 in
            let mk = ref 0. in
            List.iter
              (fun inst ->
-               match farr inst with
+               match get_list inst with
                | [ node; epoch; res ] ->
-                   let node = fint node and epoch = fint epoch and res = fstr res in
+                   let node = get_int node and epoch = get_int epoch and res = get_string res in
                    let dep =
                      List.fold_left
                        (fun acc (u, v) ->
@@ -323,21 +177,21 @@ let validate text =
                    let dt =
                      match Hashtbl.find_opt times (node, res) with
                      | Some e -> eval ~nv ~kv e
-                     | None -> raise (Bad (Printf.sprintf "no time for node %d on %s" node res))
+                     | None -> bad (Printf.sprintf "no time for node %d on %s" node res)
                    in
                    let fin = start +. dt in
                    timeline := fin;
                    Hashtbl.replace done_ (node, epoch) fin;
                    mk := Float.max !mk fin
-               | _ -> raise (Bad "instance row"))
+               | _ -> bad "instance row")
              instances;
            !mk
          in
          let corner_values =
            List.map
              (fun cv ->
-               let nv, kv = point_env (field cv "at") in
-               let claimed = fnum (field cv "value") in
+               let nv, kv = point_env (member "at" cv) in
+               let claimed = get_float (member "value" cv) in
                let replayed = replay_at nv kv in
                if replayed <> claimed then
                  fail "corner makespan: replay gives %.17g, certificate claims %.17g" replayed
@@ -349,15 +203,15 @@ let validate text =
          in
          if exact && not (List.exists (fun v -> v = bound) corner_values) then
            fail "makespan bound %.17g claimed exact but attained at no corner" bound);
-     let certified = fbool (field doc "certified") in
+     let certified = get_bool (member "certified" doc) in
      let all_ok = List.for_all snd !claimed_ok in
      if certified <> all_ok then fail "certified=%b inconsistent with the checks" certified;
      if not certified then
-       match field doc "witness" with
+       match member "witness" doc with
        | Null -> fail "refused certificate carries no witness"
        | w -> if not (point_on_grid w) then fail "refusal witness is not a grid point"
    with
-  | Bad m -> fail "malformed certificate: %s" m
+  | Bad_json m -> fail "malformed certificate: %s" m
   | Failure m -> fail "malformed certificate: %s" m);
   match List.rev !problems with
   | [] -> Ok "certificate validates: every witness re-evaluates to its claim"

@@ -521,9 +521,9 @@ let diagnostics t =
 
 (* The certificate carries its own emitter, because its numbers print
    as %.17g (Tf_json's %.12g would not round-trip the bounds); strings
-   go through the shared Tf_json.escape.  The matching parser lives in
-   the independent checker (Cert_check), which deliberately shares no
-   code with this module. *)
+   go through the shared Tf_json.escape.  The independent checker
+   (Cert_check) reads them back with Tf_json.parse and shares no code
+   with this module. *)
 
 let num = S.num_to_string
 

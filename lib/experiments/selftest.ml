@@ -56,7 +56,9 @@ let dpipe_replay_checks archs w =
     (fun (arch : Tf_arch.Arch.t) ->
       let { Transfusion.Layer_costs.load; matrix; dag = g; plan; _ } = Strategies.layer_problem w in
       let sched = Transfusion.Dpipe.schedule arch ~load ~matrix plan in
-      let schedule_valid = Transfusion.Dpipe.check g sched = Ok () in
+      let schedule_valid =
+        not (Tf_analysis.Diagnostic.has_errors (Tf_analysis.Sched_lint.verify g sched))
+      in
       let replay_ok =
         match Transfusion.Pipeline_sim.replay arch ~load ~matrix g sched with
         | Ok outcome -> Transfusion.Pipeline_sim.agrees sched outcome

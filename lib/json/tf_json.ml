@@ -411,6 +411,7 @@ let member key = function
 let find key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let get_list = function List l -> l | _ -> raise (Bad_json "not a list")
 let get_string = function Str s -> s | _ -> raise (Bad_json "not a string")
+let get_bool = function Bool b -> b | _ -> raise (Bad_json "not a boolean")
 
 let float_opt = function Num f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 

@@ -74,6 +74,7 @@ val find : string -> t -> t option
 
 val get_list : t -> t list
 val get_string : t -> string
+val get_bool : t -> bool
 
 val get_float : t -> float
 (** A {!Num}, or an {!Int} as a float. *)

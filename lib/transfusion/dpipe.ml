@@ -48,7 +48,7 @@ type part = {
 type plan = {
   ids : int array;  (* dense index -> node id *)
   preds : int array array;  (* dense index -> pred dense indices *)
-  dag_preds : int -> int list;  (* [Dag.preds] of the DAG, for [~verify]'s checks *)
+  dag_preds : int -> int list;  (* [Dag.preds] of the DAG, for [~verify]'s replay *)
   parts : part array;
       (* the first [partition_limit] bipartitions in enumeration order, or
          the one unsplit part when the DAG admits none *)
@@ -427,45 +427,6 @@ let assignments ctx sc ~epochs ~part ~ord =
 
 let no_prune () = Float.infinity
 
-let check_with ~node_count ~preds t =
-  let expected = node_count * t.epochs_unrolled in
-  if List.length t.assignments <> expected then
-    Error
-      (Printf.sprintf "expected %d instances, got %d" expected (List.length t.assignments))
-  else
-    let end_of = Hashtbl.create 64 in
-    List.iter (fun a -> Hashtbl.replace end_of (a.node, a.epoch) a.end_cycle) t.assignments;
-    let dep_violation =
-      List.find_opt
-        (fun a ->
-          List.exists
-            (fun p ->
-              match Hashtbl.find_opt end_of (p, a.epoch) with
-              | Some e -> e > a.start_cycle +. 1e-6
-              | None -> true)
-            (preds a.node))
-        t.assignments
-    in
-    match dep_violation with
-    | Some a -> Error (Printf.sprintf "dependency violation at node %d epoch %d" a.node a.epoch)
-    | None ->
-        let overlap r =
-          let on_r =
-            List.filter (fun a -> a.resource = r) t.assignments
-            |> List.sort (fun a b -> compare a.start_cycle b.start_cycle)
-          in
-          let rec scan = function
-            | a :: (b :: _ as rest) ->
-                if a.end_cycle > b.start_cycle +. 1e-6 then true else scan rest
-            | _ -> false
-          in
-          scan on_r
-        in
-        if overlap Arch.Pe_1d || overlap Arch.Pe_2d then Error "resource overlap"
-        else Ok ()
-
-let check g t = check_with ~node_count:(Dag.node_count g) ~preds:(Dag.preds g) t
-
 (* Re-derive a schedule's timeline from its structure alone — the
    instance feed order, each instance's recorded PE array, and the
    same-epoch dependency edges — over any number domain.  With
@@ -520,6 +481,26 @@ module Replay (N : Num_domain.S) = struct
     in
     match !err with Some e -> Error e | None -> Ok (instances, !mk)
 end
+
+module Float_replay = Replay (Num_domain.Float)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Whether [Replay (Num_domain.Float)] re-derives a schedule's recorded
+   timeline bit for bit from its structure and [node_latency]: every
+   instance after its same-epoch predecessors, back to back in feed
+   order on its PE array, with the recorded start, end and makespan. *)
+let replays_exactly arch ~load ~matrix plan t =
+  match Float_replay.replay ~preds:plan.dag_preds ~time:(node_latency arch ~load ~matrix) t with
+  | Error _ -> false
+  | Ok (instances, mk) ->
+      same_bits mk t.makespan_cycles
+      && List.for_all2
+           (fun (a : assignment) (r : Float_replay.instance) ->
+             a.node = r.node && a.epoch = r.epoch && a.resource = r.resource
+             && same_bits a.start_cycle r.start_t
+             && same_bits a.end_cycle r.end_t)
+           t.assignments instances
 
 (* Shrink the incumbent steady interval shared across parallel candidate
    evaluations.  Monotonically decreasing, so any candidate pruned
@@ -605,10 +586,8 @@ let schedule ?(mode = `Dp) ?(verify = false) arch ~load ~matrix plan =
                 useful_1d_per_epoch = 0.;
               }
             in
-            let node_count = plan_nodes plan in
-            (match check_with ~node_count ~preds:plan.dag_preds candidate with
-            | Ok () -> ()
-            | Error e -> invalid_arg (Printf.sprintf "Dpipe.schedule: invalid candidate (%s)" e));
+            if not (replays_exactly arch ~load ~matrix plan candidate) then
+              invalid_arg "Dpipe.schedule: candidate's timeline does not replay exactly";
             Some (steady, makespan)
       end
       else
@@ -686,10 +665,6 @@ let sequential_cycles arch ~load ~matrix g =
   List.fold_left (fun acc n -> acc +. node_latency arch ~load ~matrix n (native n)) 0. (Dag.nodes g)
 
 module Private = struct
-  module Float_replay = Replay (Num_domain.Float)
-
-  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
   let steady_consistency_check ~mode arch ~load ~matrix plan =
     let ctx = build_ctx arch ~load ~matrix ~mode plan in
     let parts = Array.sub plan.parts 0 (Int.min eval_partitions (Array.length plan.parts)) in
@@ -717,9 +692,8 @@ module Private = struct
                [evaluate_candidate] performed. *)
             let mk_ref, _, _ = run eh ~part ~ord in
             let steady_ref = Float.max 0. ((mk -. mk_ref) /. float_of_int (epochs - eh)) in
-            let replayed =
-              Float_replay.replay ~preds:plan.dag_preds
-                ~time:(node_latency arch ~load ~matrix)
+            let replays =
+              replays_exactly arch ~load ~matrix plan
                 {
                   partition = part.split;
                   order;
@@ -731,22 +705,10 @@ module Private = struct
                   useful_1d_per_epoch = 0.;
                 }
             in
-            let replays_exactly =
-              match replayed with
-              | Error _ -> false
-              | Ok (instances, replay_mk) ->
-                  same_bits replay_mk mk
-                  && List.for_all2
-                       (fun (a : assignment) (r : Float_replay.instance) ->
-                         a.node = r.node && a.epoch = r.epoch && a.resource = r.resource
-                         && same_bits a.start_cycle r.start_t
-                         && same_bits a.end_cycle r.end_t)
-                       assignments instances
-            in
             same searched recorded
             && same_bits mk_half mk_ref
             && same_bits steady steady_ref
-            && replays_exactly)
+            && replays)
           plan.orders)
       parts
 end

@@ -90,15 +90,21 @@ val schedule :
     that reproduces the two-run computation exactly.  Results are
     bit-identical whatever [TRANSFUSION_JOBS] is.
 
-    [verify] (default false) is a sanitizer hook: every candidate schedule
-    explored during the search is re-validated with {!check} as it is
-    produced, not just the winner; pruning is disabled so no candidate
-    escapes validation.
+    [verify] (default false) is a sanitizer hook: pruning is disabled
+    and every candidate schedule explored during the search, not just
+    the winner, materializes its timeline and is replayed through
+    [Replay (Num_domain.Float)] and {!node_latency}, which must
+    reproduce it bit for bit — every instance after its same-epoch
+    predecessors, back to back in feed order on its PE array.  The full
+    validity check of a finished schedule (completeness, mutual
+    exclusion, dependencies, aggregates, bipartition) is
+    [Tf_analysis.Sched_lint.verify].
     @raise Invalid_argument naming the node when a node's latency on
     either array (its load over the array's effective PEs) is NaN,
     infinite or negative.
-    @raise Invalid_argument with [~verify:true] when the DP emits an
-    invalid candidate (an internal invariant violation). *)
+    @raise Invalid_argument with [~verify:true] when a candidate's
+    timeline does not replay exactly (an internal invariant
+    violation). *)
 
 val node_latency :
   Tf_arch.Arch.t ->
@@ -120,11 +126,6 @@ val sequential_cycles :
   Tf_arch.Arch.t -> load:(int -> float) -> matrix:(int -> bool) -> 'a Tf_dag.Dag.t -> float
 (** Non-pipelined reference: every node on its native array, one at a
     time — the per-epoch cost of the Unfused/FLAT execution style. *)
-
-val check : 'a Tf_dag.Dag.t -> t -> (unit, string) result
-(** Validate a schedule: every (node, epoch) instance appears exactly
-    once, same-epoch dependencies are respected, and no PE array executes
-    two instances at once. *)
 
 (** {2 Generic timeline replay} *)
 

@@ -224,13 +224,14 @@ let test_pipeline_clean () =
     (Verify.pipeline ~attention:Transfusion.Strategies.Causal_self arch w)
 
 let test_verified_schedule_hook () =
-  (* The opt-in Dpipe debug hook must accept its own output. *)
+  (* The opt-in Dpipe debug hook must accept its own output, and so
+     must the schedule verifier. *)
   let w = Workload.v Presets.bert ~seq_len:4096 in
   let { Transfusion.Layer_costs.load; matrix; dag = g; _ } =
     Transfusion.Layer_costs.problem w (Transfusion.Cascades.mha ())
   in
   let sched = Dpipe.schedule ~verify:true arch ~load ~matrix (Dpipe.plan g) in
-  Alcotest.(check bool) "verified schedule passes check" true (Dpipe.check g sched = Ok ())
+  clean "verified schedule" (Sched_lint.verify g sched)
 
 let test_distinct_code_count () =
   (* The acceptance bar: the known-bad inputs above cover well over six

@@ -346,32 +346,87 @@ let resident_overflow_refusal () =
           (Buffer_req.worst dims) cap
   | _ -> failf "buffer.worst carries no bound witness"
 
+(* [json] with [into] spliced over the first occurrence of [from]. *)
+let splice json ~from ~into =
+  let flen = String.length from in
+  let rec find i =
+    if i + flen > String.length json then failf "tamper target %S not found" from
+    else if String.sub json i flen = from then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub json 0 i ^ into ^ String.sub json (i + flen) (String.length json - i - flen)
+
+(* The certificate the checker-side tests doctor. *)
+let small_band_json =
+  lazy (RC.to_json_string (RC.certify cloud t5 { RC.lo = 512; hi = 4096; step = 512 }))
+
 let tampered_certificate_rejected () =
-  let cert = RC.certify cloud t5 { RC.lo = 512; hi = 4096; step = 512 } in
-  let json = RC.to_json_string cert in
+  let json = Lazy.force small_band_json in
   (match CC.validate json with
   | Ok _ -> ()
   | Error p -> failf "pristine certificate rejected: %s" (String.concat "; " p));
-  (* splice [into] over the first occurrence of [from] *)
   let tamper ~what ~from ~into =
-    let flen = String.length from in
-    let rec find i =
-      if i + flen > String.length json then None
-      else if String.sub json i flen = from then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> failf "tamper target %S not found" from
-    | Some i -> (
-        let doctored =
-          String.sub json 0 i ^ into ^ String.sub json (i + flen) (String.length json - i - flen)
-        in
-        match CC.validate doctored with
-        | Ok _ -> failf "checker accepted a certificate with tampered %s" what
-        | Error _ -> ())
+    match CC.validate (splice json ~from ~into) with
+    | Ok _ -> failf "checker accepted a certificate with tampered %s" what
+    | Error _ -> ()
   in
   tamper ~what:"schema" ~from:"transfusion.cert/1" ~into:"transfusion.cert/9";
   tamper ~what:"grid step" ~from:"\"step\":512" ~into:"\"step\":511"
+
+(* The checker reads certificates with Tf_json, so a number outside the
+   RFC 8259 grammar is a malformed certificate even where the float it
+   spells is the right one. *)
+let non_json_numbers_rejected () =
+  let json = Lazy.force small_band_json in
+  List.iter
+    (fun step ->
+      match CC.validate (splice json ~from:"\"step\":512" ~into:("\"step\":" ^ step)) with
+      | Error [ p ] when String.starts_with ~prefix:"malformed certificate" p -> ()
+      | Ok _ -> failf "checker accepted \"step\":%s" step
+      | Error ps -> failf "\"step\":%s: %s" step (String.concat "; " ps))
+    [ "+512"; "0512"; "512." ]
+
+(* A cut or padded document is an [Error], never an exception. *)
+let truncated_certificates_rejected () =
+  let json = Lazy.force small_band_json in
+  let n = String.length json in
+  let refused what doc =
+    match CC.validate doc with
+    | Ok _ -> failf "checker accepted %s" what
+    | Error _ -> ()
+    | exception e -> failf "checker raised %s on %s" (Printexc.to_string e) what
+  in
+  List.iter
+    (fun k -> refused (Printf.sprintf "the first %d of %d bytes" k n) (String.sub json 0 k))
+    [ 0; 1; 17; n / 3; n / 2; n - 2; n - 1 ];
+  List.iter
+    (fun tail -> refused (Printf.sprintf "trailing %S" tail) (json ^ tail))
+    [ "x"; "}"; ",{}"; " 0" ]
+
+(* Every certificate pinned in test/golden/cert.json validates: one per
+   line, after its quoted band label and a colon. *)
+let golden_certificates_validate () =
+  let path =
+    if Sys.file_exists "test/golden" then "test/golden/cert.json" else "golden/cert.json"
+  in
+  let certs =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           if not (String.starts_with ~prefix:"\"" line) then None
+           else
+             let close = String.index_from line 1 '"' in
+             let stop = String.length line - if String.ends_with ~suffix:"," line then 1 else 0 in
+             Some (String.sub line 1 (close - 1), String.sub line (close + 2) (stop - close - 2)))
+  in
+  Alcotest.(check int) "golden certificates" 8 (List.length certs);
+  List.iter
+    (fun (label, cert) ->
+      match CC.validate cert with
+      | Ok _ -> ()
+      | Error ps -> failf "golden %s: %s" label (String.concat "; " ps))
+    certs
 
 let exp_guard_smoke () =
   Tf_experiments.Exp_common.certify_seq_band [ cloud ] t5 ~seqs:[ 1024; 2048 ]
@@ -391,6 +446,9 @@ let () =
           quick "ragged step refuses with infeasible witness" ragged_step_refusal;
           quick "resident overflow refuses at the far corner" resident_overflow_refusal;
           quick "tampered certificates are rejected" tampered_certificate_rejected;
+          quick "non-JSON numbers are malformed" non_json_numbers_rejected;
+          quick "truncated or padded certificates are errors" truncated_certificates_rejected;
+          quick "golden certificates validate" golden_certificates_validate;
           quick "experiment sweep guard certifies its band" exp_guard_smoke;
         ] );
     ]

@@ -1,8 +1,9 @@
 (* Tests for the DPipe scheduler: the DP of Eq. 43-46, pipeline validity
-   (dependencies and resource exclusivity), steady-state extrapolation and
-   the static/DP modes. *)
+   (dependencies and resource exclusivity, checked by Sched_lint),
+   steady-state extrapolation and the static/DP modes. *)
 
 module Dpipe = Transfusion.Dpipe
+module Diagnostic = Tf_analysis.Diagnostic
 module Dag = Tf_dag.Dag
 open Tf_arch
 
@@ -17,10 +18,13 @@ let producer_consumer = Dag.of_edges [ (0, "mm"); (1, "sm") ] [ (0, 1) ]
 let load2 = function 0 -> 1000. | _ -> 100.
 let matrix2 = function 0 -> true | _ -> false
 
+let errors g sched = Diagnostic.errors (Tf_analysis.Sched_lint.verify g sched)
+
 let check_ok g sched =
-  match Dpipe.check g sched with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "invalid schedule: %s" e
+  match errors g sched with
+  | [] -> ()
+  | ds ->
+      Alcotest.failf "invalid schedule: %s" (String.concat "; " (List.map Diagnostic.render ds))
 
 let test_empty_and_cyclic () =
   let raises label f =
@@ -155,12 +159,31 @@ let test_total_cycles () =
     "linear extrapolation" (t8 +. (8. *. sched.Dpipe.steady_interval_cycles)) t16;
   Alcotest.(check bool) "sub-window scales down" true (Dpipe.total_cycles sched ~epochs:4. < t8)
 
+(* Sched_lint catches a dropped instance, a consumer started before its
+   producer, and an instance listed twice in place of another, which a
+   count of the instances alone would miss. *)
 let test_check_detects_violations () =
   let sched = Dpipe.schedule arch ~load:load2 ~matrix:matrix2 (Dpipe.plan producer_consumer) in
+  let count_nodes s =
+    List.filter_map
+      (fun (d : Diagnostic.t) -> d.Diagnostic.location.Diagnostic.node)
+      (Diagnostic.by_code "E-SCHED-COUNT" (errors producer_consumer s))
+  in
   let broken = { sched with Dpipe.assignments = List.tl sched.Dpipe.assignments } in
-  (match Dpipe.check producer_consumer broken with
-  | Ok () -> Alcotest.fail "missing instance not detected"
-  | Error _ -> ());
+  Alcotest.(check (list int)) "missing instance" [ 0 ] (count_nodes broken);
+  let last = sched.Dpipe.epochs_unrolled - 1 in
+  let is node (a : Dpipe.assignment) = a.Dpipe.node = node && a.Dpipe.epoch = last in
+  let twice = List.find (is 0) sched.Dpipe.assignments in
+  let duplicated =
+    {
+      sched with
+      Dpipe.assignments =
+        List.map (fun a -> if is 1 a then twice else a) sched.Dpipe.assignments;
+    }
+  in
+  Alcotest.(check (list int))
+    "(0, last) listed twice, (1, last) dropped" [ 0; 1 ]
+    (List.sort compare (count_nodes duplicated));
   let swapped =
     {
       sched with
@@ -172,9 +195,8 @@ let test_check_detects_violations () =
           sched.Dpipe.assignments;
     }
   in
-  match Dpipe.check producer_consumer swapped with
-  | Ok () -> Alcotest.fail "dependency violation not detected"
-  | Error _ -> ()
+  Alcotest.(check bool) "dependency violation" true
+    (Diagnostic.by_code "E-SCHED-DEP" (errors producer_consumer swapped) <> [])
 
 (* A chain where every stage is eligible everywhere: steady state must be
    bounded below by total load / total effective throughput. *)
@@ -189,7 +211,9 @@ let prop_steady_lower_bound =
       in
       let load i = loads.(i) and matrix i = i mod 2 = 0 in
       let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
-      (match Dpipe.check g sched with Ok () -> () | Error e -> QCheck.Test.fail_report e);
+      (match errors g sched with
+      | [] -> ()
+      | d :: _ -> QCheck.Test.fail_report (Diagnostic.render d));
       let total = Array.fold_left ( +. ) 0. loads in
       (* Peak throughput if every op ran at the best rate anywhere: 100 +
          10 PEs; the matrix-vs-vector efficiencies only lower it. *)
@@ -212,7 +236,7 @@ let prop_schedules_valid =
       let load i = 50. +. float_of_int (i * 37 mod 400) in
       let matrix i = i mod 3 <> 0 in
       let sched = Dpipe.schedule arch ~load ~matrix (Dpipe.plan g) in
-      match Dpipe.check g sched with Ok () -> true | Error _ -> false)
+      errors g sched = [])
 
 let prop_prune_matches_verify =
   (* Regression: the branch-and-bound pruner compared lower bounds to the

@@ -477,6 +477,9 @@ let test_cli_validation_matches_daemon () =
       ("serve --tcp 999999", "tcp port must be in 1..65535 (got 999999)");
       ("serve --tcp 0", "tcp port must be in 1..65535 (got 0)");
       ("top --tcp 70000", "tcp port must be in 1..65535 (got 70000)");
+      ("top --interval 0", "interval must be > 0 (got 0)");
+      ("top --timeout 0", "timeout must be > 0 (got 0)");
+      ("top --slo-target 1", "slo-target must be in (0, 1) (got 1)");
     ];
   Sys.remove file
 
